@@ -17,27 +17,32 @@ from .metrics import compute_metrics
 from .planfile import load_plan
 
 
-def _load_config_arg(path):
-    if path is None:
-        return EstimatorConfig()
-    return load_config(path)
+def _load_inputs(args):
+    """Config and frames for replay and inspect.
 
-
-def cmd_replay(args):
+    Returns (cfg, frames, exit_code); on a failure the message is printed and
+    exit_code is 3 for the config or 2 for the log, else 0.
+    """
     try:
-        cfg = _load_config_arg(args.config)
+        cfg = EstimatorConfig() if args.config is None else load_config(args.config)
     except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
-        return 3
+        return None, None, 3
     try:
         frames = read_frames(args.log)
     except LogParseError as exc:
         print("log parse error: %s" % exc, file=sys.stderr)
-        return 2
+        return None, None, 2
     except OSError as exc:
         print("cannot read log: %s" % exc, file=sys.stderr)
-        return 2
+        return None, None, 2
+    return cfg, frames, 0
 
+
+def cmd_replay(args):
+    cfg, frames, code = _load_inputs(args)
+    if code:
+        return code
     est = Estimator(cfg)
     states = []
     diags = []
@@ -82,16 +87,9 @@ def cmd_metrics(args):
 
 
 def cmd_inspect(args):
-    try:
-        cfg = _load_config_arg(args.config)
-    except (ConfigError, OSError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 3
-    try:
-        frames = read_frames(args.log)
-    except LogParseError as exc:
-        print("log parse error: %s" % exc, file=sys.stderr)
-        return 2
+    cfg, frames, code = _load_inputs(args)
+    if code:
+        return code
     est = Estimator(cfg)
     for fr in frames:
         est.step(fr)

@@ -65,11 +65,15 @@ class WheelReading:
     dpsi: float
 
 
+TWO_PI = 2.0 * np.pi
+
+
 def wrap_angle(a):
-    """Wrap angle(s) to (-pi, pi]; matches kernels.wrap_pi elementwise."""
-    w = np.asarray(a) % (2.0 * np.pi)
-    w = np.where(w > np.pi, w - 2.0 * np.pi, w)
-    return float(w) if np.isscalar(a) or np.ndim(a) == 0 else w
+    """Wrap a scalar angle to (-pi, pi]."""
+    w = float(a) % TWO_PI
+    if w > np.pi:
+        w -= TWO_PI
+    return w
 
 
 def rot_x(a):

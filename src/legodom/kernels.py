@@ -1,45 +1,16 @@
-"""Hot numeric kernels: leg kinematics, analytic IK, and the per-leg cubature filter step.
+"""Scalar leg geometry for one 3-DoF leg: forward kinematics, the leg and IK
+Jacobians, the analytic inverse kinematics and the torque-to-wrench solve.
 
-Every function here is written in a numba-compatible subset of numpy (explicit
-loops, no fancy indexing) and gets JIT-compiled at import unless the
-``LEGODOM_BACKEND`` environment variable selects the pure-numpy path:
-
-  LEGODOM_BACKEND=auto   (default) use numba when importable, else plain python
-  LEGODOM_BACKEND=numba  require numba, raise if missing
-  LEGODOM_BACKEND=numpy  never JIT; run the same source as plain python
-
-The two paths execute the identical scalar operation sequence; results agree
-to a few ulps (compiled libm trig may differ from numpy's in the last bit),
-pinned by `tests/test_backends.py`.
-Linear algebra inside the filter step is hand-rolled (Cholesky, triangular
-solves, 3x3 Cramer) so no exception can escape a compiled frame and the
-operation order is fixed.
+Every function takes one leg's joint angles (or one hip-to-foot target) and
+the link parameters from `LegGeometry.kernel_args()`; callers loop over legs.
+The cubature filter built on `ik_joints`/`ik_rates` lives in `ikvel`.
 """
-
-import os
 
 import numpy as np
 
-_BACKEND = os.environ.get("LEGODOM_BACKEND", "auto").lower()
-if _BACKEND not in ("auto", "numba", "numpy"):
-    raise ValueError("LEGODOM_BACKEND must be one of auto/numba/numpy, got %r" % _BACKEND)
-
+# always False; kept only because the replay benchmark (replaybench/run.py)
+# records it in its environment fingerprint
 NUMBA_ENABLED = False
-if _BACKEND != "numpy":
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _BACKEND == "numba":
-            raise
-
-if NUMBA_ENABLED:
-    def _jit(fn):
-        return _njit(cache=True)(fn)
-else:
-    def _jit(fn):
-        return fn
 
 # tolerance inside the hip-roll radical; keeps the square root real when the
 # target grazes the branch boundary
@@ -47,25 +18,7 @@ EPS_RADICAL = 1e-12
 # trig arguments clamped up to this overshoot are treated as rounding noise
 CLAMP_TOL = 1e-9
 
-TWO_PI = 2.0 * np.pi
 
-# status bits returned by ckf_leg_step
-CKF_CHOL_RESET = 1
-CKF_RATE_FALLBACK = 2
-CKF_CLAMPED = 4
-CKF_UPDATE_SKIPPED = 8
-
-
-@_jit
-def wrap_pi(a):
-    """Wrap an angle to (-pi, pi]."""
-    w = a % TWO_PI
-    if w > np.pi:
-        w -= TWO_PI
-    return w
-
-
-@_jit
 def fk_position(q, lh, lt, lc, rw, side):
     """Hip-to-end-effector vector in the body frame for one 3-DoF leg.
 
@@ -87,7 +40,6 @@ def fk_position(q, lh, lt, lc, rw, side):
     return out
 
 
-@_jit
 def leg_jacobian(q, lh, lt, lc, rw, side):
     """3x3 geometric Jacobian of fk_position with respect to the joint angles."""
     c1 = np.cos(q[0])
@@ -109,27 +61,11 @@ def leg_jacobian(q, lh, lt, lc, rw, side):
     return J
 
 
-@_jit
 def fk_velocity(q, dq, lh, lt, lc, rw, side):
-    """Hip-to-end-effector velocity; identical to leg_jacobian(q) @ dq."""
-    J = leg_jacobian(q, lh, lt, lc, rw, side)
-    out = np.zeros(3)
-    for i in range(3):
-        acc = 0.0
-        for j in range(3):
-            acc += J[i, j] * dq[j]
-        out[i] = acc
-    return out
+    """Hip-to-end-effector velocity, leg_jacobian(q) @ dq."""
+    return leg_jacobian(q, lh, lt, lc, rw, side) @ dq
 
 
-@_jit
-def jacobian_sigma_min(J):
-    """Smallest singular value of a 3x3 Jacobian."""
-    s = np.linalg.svd(J)[1]
-    return s[2]
-
-
-@_jit
 def foot_force(q, tau, lh, lt, lc, rw, side, sigma_min):
     """End-effector force in the body frame from joint torques.
 
@@ -138,31 +74,20 @@ def foot_force(q, tau, lh, lt, lc, rw, side, sigma_min):
     caller must treat the leg as ungateable this cycle.
     """
     J = leg_jacobian(q, lh, lt, lc, rw, side)
-    if jacobian_sigma_min(J) < sigma_min:
+    if np.linalg.svd(J, compute_uv=False)[2] < sigma_min:
         return np.zeros(3), False
-    M = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            acc = 0.0
-            for k in range(3):
-                acc += J[i, k] * J[j, k]
-            M[i, j] = acc
-    b = np.empty(3)
-    for i in range(3):
-        acc = 0.0
-        for k in range(3):
-            acc += J[i, k] * tau[k]
-        b[i] = acc
-    f = _solve3(M, b)
-    return f, True
+    return np.linalg.solve(J @ J.T, J @ tau), True
 
 
-@_jit
+def _det3(A):
+    return (A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
+            - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
+            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
+
+
 def _solve3(A, b):
     """Cramer solve of a 3x3 system; caller guarantees A is well conditioned."""
-    d = (A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-         - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-         + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
+    d = _det3(A)
     x = np.empty(3)
     x[0] = (b[0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
             - A[0, 1] * (b[1] * A[2, 2] - A[1, 2] * b[2])
@@ -176,14 +101,6 @@ def _solve3(A, b):
     return x
 
 
-@_jit
-def _det3(A):
-    return (A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-            - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
-
-
-@_jit
 def ik_joints(px, py, pz, lh, lt, l2, side):
     """Analytic inverse kinematics for the hip-to-end-effector position.
 
@@ -247,7 +164,6 @@ def ik_joints(px, py, pz, lh, lt, l2, side):
     return t1, t2, t3, viol
 
 
-@_jit
 def ik_jacobian(t1, t2, t3, lh, lt, l2, side):
     """Jacobian of the planar IK convention (sagittal row negated vs leg_jacobian)."""
     c1 = np.cos(t1)
@@ -269,7 +185,6 @@ def ik_jacobian(t1, t2, t3, lh, lt, l2, side):
     return J
 
 
-@_jit
 def ik_rates(t1, t2, t3, vx, vy, vz, lh, lt, l2, side, det_eps):
     """Joint rates implied by a Cartesian velocity through the IK Jacobian.
 
@@ -287,234 +202,3 @@ def ik_rates(t1, t2, t3, vx, vy, vz, lh, lt, l2, side, det_eps):
     b[2] = vz
     th = _solve3(J, b)
     return th[0], th[1], th[2], True
-
-
-@_jit
-def chol_lower(A):
-    """Lower Cholesky factor with an explicit success flag (no exceptions)."""
-    n = A.shape[0]
-    L = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            acc = A[i, j]
-            for k in range(j):
-                acc -= L[i, k] * L[j, k]
-            if i == j:
-                if acc <= 0.0:
-                    return L, False
-                L[i, i] = np.sqrt(acc)
-            else:
-                L[i, j] = acc / L[j, j]
-    return L, True
-
-
-@_jit
-def _ik_h(xs, lh, lt, l2, side, det_eps):
-    """Measurement map for one filter state: (position, velocity) -> (angles, rates).
-
-    Trig arguments are clamped hard so sigma points slightly outside the
-    workspace still produce a finite measurement; flags report how bad it was.
-    """
-    t1, t2, t3, viol = ik_joints(xs[0], xs[1], xs[2], lh, lt, l2, side)
-    d1, d2, d3, ok = ik_rates(t1, t2, t3, xs[3], xs[4], xs[5], lh, lt, l2, side, det_eps)
-    z = np.empty(6)
-    z[0] = t1
-    z[1] = t2
-    z[2] = t3
-    z[3] = d1
-    z[4] = d2
-    z[5] = d3
-    return z, viol, (not ok)
-
-
-@_jit
-def ckf_leg_step(x, P, dt, z, Q, R, lh, lt, l2, side, det_eps, r_inflate,
-                 p0_pos, p0_vel):
-    """One constant-velocity cubature filter step for a single leg.
-
-    x: (6,) position+velocity state, P: (6,6) covariance, dt: already
-    truncated time step, z: (6,) measured joint angles and rates, Q: process
-    covariance for this step, R: measurement covariance.
-
-    Equal-weight spherical-radial points (2n, weight 1/2n) are drawn from the
-    prior, pushed through the constant-velocity map, redrawn from the
-    prediction and pushed through the analytic IK measurement. A failed
-    Cholesky resets the covariance to the diagonal prior (p0_pos, p0_vel)
-    instead of aborting; a near-singular IK Jacobian zeroes the rate rows of
-    that sigma point and inflates the rate block of R by r_inflate. The
-    posterior mean's lateral coordinate is snapped to the leg's side.
-
-    Returns (x_post, P_post, status bitmask).
-    """
-    n = 6
-    m2 = 12
-    sq = np.sqrt(6.0)
-    status = 0
-
-    S, ok = chol_lower(P)
-    if not ok:
-        P = np.zeros((n, n))
-        for i in range(3):
-            P[i, i] = p0_pos
-            P[i + 3, i + 3] = p0_vel
-        S, ok = chol_lower(P)
-        status |= CKF_CHOL_RESET
-
-    # prior points through the process map
-    XP = np.empty((m2, n))
-    for j in range(n):
-        for i in range(n):
-            XP[j, i] = x[i] + sq * S[i, j]
-            XP[j + n, i] = x[i] - sq * S[i, j]
-    for m in range(m2):
-        for i in range(3):
-            XP[m, i] = XP[m, i] + dt * XP[m, i + 3]
-
-    xbar = np.zeros(n)
-    for m in range(m2):
-        for i in range(n):
-            xbar[i] += XP[m, i]
-    for i in range(n):
-        xbar[i] /= m2
-
-    Pm = np.zeros((n, n))
-    for m in range(m2):
-        for i in range(n):
-            di = XP[m, i] - xbar[i]
-            for j in range(n):
-                Pm[i, j] += di * (XP[m, j] - xbar[j])
-    for i in range(n):
-        for j in range(n):
-            Pm[i, j] = Pm[i, j] / m2 + Q[i, j]
-
-    S2, ok = chol_lower(Pm)
-    if not ok:
-        Pm = np.zeros((n, n))
-        for i in range(3):
-            Pm[i, i] = p0_pos
-            Pm[i + 3, i + 3] = p0_vel
-        S2, ok = chol_lower(Pm)
-        status |= CKF_CHOL_RESET
-
-    # predicted points through the measurement map
-    X2 = np.empty((m2, n))
-    for j in range(n):
-        for i in range(n):
-            X2[j, i] = xbar[i] + sq * S2[i, j]
-            X2[j + n, i] = xbar[i] - sq * S2[i, j]
-
-    ZP = np.empty((m2, n))
-    rate_fallback = False
-    for m in range(m2):
-        zm, viol, sing = _ik_h(X2[m], lh, lt, l2, side, det_eps)
-        if viol > CLAMP_TOL:
-            status |= CKF_CLAMPED
-        if sing:
-            rate_fallback = True
-        for i in range(n):
-            ZP[m, i] = zm[i]
-
-    Ru = R.copy()
-    if rate_fallback:
-        status |= CKF_RATE_FALLBACK
-        for i in range(3, 6):
-            Ru[i, i] = Ru[i, i] * r_inflate
-
-    zbar = np.zeros(n)
-    for m in range(m2):
-        for i in range(n):
-            zbar[i] += ZP[m, i]
-    for i in range(n):
-        zbar[i] /= m2
-
-    Pzz = np.zeros((n, n))
-    Pxz = np.zeros((n, n))
-    for m in range(m2):
-        for i in range(n):
-            dzi = ZP[m, i] - zbar[i]
-            dxi = X2[m, i] - xbar[i]
-            for j in range(n):
-                dzj = ZP[m, j] - zbar[j]
-                Pzz[i, j] += dzi * dzj
-                Pxz[i, j] += dxi * dzj
-    for i in range(n):
-        for j in range(n):
-            Pzz[i, j] = Pzz[i, j] / m2 + Ru[i, j]
-            Pxz[i, j] /= m2
-
-    Lz, ok = chol_lower(Pzz)
-    if not ok:
-        # innovation covariance unusable; keep the prediction
-        status |= CKF_UPDATE_SKIPPED
-        xo = xbar.copy()
-        xo[1] = side * np.abs(xo[1])
-        return xo, Pm, status
-
-    # K^T = Pzz^{-1} Pxz^T via two triangular solves
-    KT = np.empty((n, n))
-    for col in range(n):
-        yv = np.empty(n)
-        for i in range(n):
-            acc = Pxz[col, i]
-            for k in range(i):
-                acc -= Lz[i, k] * yv[k]
-            yv[i] = acc / Lz[i, i]
-        for i in range(n - 1, -1, -1):
-            acc = yv[i]
-            for k in range(i + 1, n):
-                acc -= Lz[k, i] * KT[k, col]
-            KT[i, col] = acc / Lz[i, i]
-
-    xo = np.empty(n)
-    for i in range(n):
-        acc = xbar[i]
-        for j in range(n):
-            acc += KT[j, i] * (z[j] - zbar[j])
-        xo[i] = acc
-
-    # P_post = Pm - K Pzz K^T
-    KP = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = 0.0
-            for k in range(n):
-                acc += KT[k, i] * Pzz[k, j]
-            KP[i, j] = acc
-    Po = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            acc = Pm[i, j]
-            for k in range(n):
-                acc -= KP[i, k] * KT[k, j]
-            Po[i, j] = acc
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = 0.5 * (Po[i, j] + Po[j, i])
-            Po[i, j] = v
-            Po[j, i] = v
-
-    xo[1] = side * np.abs(xo[1])
-    return xo, Po, status
-
-
-def load_kernels(backend):
-    """Load an independent copy of this module pinned to the given backend.
-
-    Used by the benchmark and the backend-parity tests to hold the numba and
-    numpy variants side by side in one process.
-    """
-    import importlib.util
-
-    saved = os.environ.get("LEGODOM_BACKEND")
-    os.environ["LEGODOM_BACKEND"] = backend
-    try:
-        spec = importlib.util.spec_from_file_location(
-            "legodom._kernels_" + backend, os.path.abspath(__file__))
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-    finally:
-        if saved is None:
-            del os.environ["LEGODOM_BACKEND"]
-        else:
-            os.environ["LEGODOM_BACKEND"] = saved
-    return mod

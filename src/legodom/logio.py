@@ -100,10 +100,6 @@ def read_trajectory(path):
     return np.array(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
 
 
-def write_truth(path, states):
-    write_trajectory(path, states)
-
-
 def write_diagnostics(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -112,4 +108,4 @@ def write_diagnostics(path, records):
 
 __all__ = ["LogParseError", "TRAJ_COLUMNS", "frame_to_dict", "frame_from_dict",
            "write_frames", "read_frames", "write_trajectory", "read_trajectory",
-           "write_truth", "write_diagnostics", "state_to_row"]
+           "write_diagnostics", "state_to_row"]

@@ -3,7 +3,7 @@ and the rolling velocity term for wheel-legged stance."""
 
 import numpy as np
 
-from .kernels import wrap_pi
+from .geometry import wrap_angle
 
 
 def effective_roll_increment(psi_k, psi_km1, pitch_k, pitch_km1,
@@ -15,7 +15,7 @@ def effective_roll_increment(psi_k, psi_km1, pitch_k, pitch_km1,
     rolling. The encoder difference is wrapped; the pitch difference is not
     (it is a small physical increment between consecutive samples).
     """
-    dpsi = wrap_pi(psi_k - psi_km1)
+    dpsi = wrap_angle(psi_k - psi_km1)
     dbeta = (pitch_k + q2_k + q3_k) - (pitch_km1 + q2_km1 + q3_km1)
     return dpsi - dbeta
 

@@ -2,30 +2,6 @@ import numpy as np
 import pytest
 
 from legodom import default_leg_geometries
-import legodom.kernels as kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Touch every compiled kernel once so JIT time never lands inside a
-    timed assertion."""
-    g = default_leg_geometries()[0]
-    args = g.kernel_args()
-    q = np.array([0.1, 0.5, -1.3])
-    kernels.wrap_pi(0.5)
-    kernels.fk_position(q, *args)
-    kernels.fk_velocity(q, q, *args)
-    J = kernels.leg_jacobian(q, *args)
-    kernels.jacobian_sigma_min(J)
-    kernels.foot_force(q, np.ones(3), *args, 1e-6)
-    kernels.ik_joints(0.0, 0.0955, -0.3, args[0], args[1], g.l2, args[4])
-    kernels.ik_rates(0.0, 0.5, -1.3, 0.1, 0.1, 0.1, args[0], args[1], g.l2, args[4], 1e-9)
-    kernels.chol_lower(np.eye(6))
-    x = np.zeros(6)
-    x[:3] = kernels.fk_position(q, *args)
-    kernels.ckf_leg_step(x, np.eye(6) * 1e-4, 0.002, np.concatenate([q, np.zeros(3)]),
-                         np.eye(6) * 1e-8, np.eye(6) * 1e-4,
-                         args[0], args[1], g.l2, args[4], 1e-9, 1e6, 1e-4, 1e-1)
 
 
 @pytest.fixture

@@ -45,24 +45,44 @@ def test_replay_deterministic_bytes(sim_log):
     assert t1.read_bytes() == t2.read_bytes()
 
 
+def _load_cmd(command, d, log, *extra):
+    """argv for replay or inspect on log; both share one config/log loader."""
+    argv = [command, "--log", str(log), *extra]
+    if command == "replay":
+        argv += ["--out", str(d / "x.csv")]
+    return argv
+
+
+# the loops below run each exit-code check through both commands that load a
+# config and a log
+LOADING_COMMANDS = ("replay", "inspect")
+
+
 def test_replay_parse_error_exit_2(sim_log, capsys):
     d, log, _ = sim_log
     bad = d / "bad.jsonl"
     lines = log.read_text().splitlines()
     lines[2] = lines[2][:10]
     bad.write_text("\n".join(lines) + "\n")
-    code = main(["replay", "--log", str(bad), "--out", str(d / "x.csv")])
-    assert code == 2
-    assert "line 3" in capsys.readouterr().err
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, bad)) == 2
+        assert "line 3" in capsys.readouterr().err
 
 
 def test_replay_bad_config_exit_3(sim_log, capsys):
     d, log, _ = sim_log
     cfg = d / "bad_cfg.txt"
     cfg.write_text("yaw.alpha0 = 99\n")
-    code = main(["replay", "--log", str(log), "--config", str(cfg),
-                 "--out", str(d / "y.csv")])
-    assert code == 3
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, log, "--config", str(cfg))) == 3
+        assert "config error" in capsys.readouterr().err
+
+
+def test_missing_log_exit_2(sim_log, capsys):
+    d, _, _ = sim_log
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, d / "missing.jsonl")) == 2
+        assert "cannot read log" in capsys.readouterr().err
 
 
 def test_replay_empty_log_warns(sim_log, capsys):

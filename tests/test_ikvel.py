@@ -5,6 +5,7 @@ from legodom import (CkfLegState, CkfNoise, JointReading, LegGeometry,
                      SingularJacobian, Unreachable, ckf_step, cubature_step,
                      fk_position, fk_velocity, ik_measurement, jacobian)
 from legodom.ikvel import LegVelocityFilter, cubature_points, initial_state
+import legodom.ikvel as ikvel
 import legodom.kernels as kernels
 
 from conftest import sample_joint
@@ -116,42 +117,6 @@ def test_cubature_equals_kalman_on_linear_model():
         assert np.max(np.abs(P_c - P_k)) <= 1e-7
 
 
-def test_kernel_step_matches_reference_recursion():
-    # the compiled per-leg step is the generic recursion specialized to the
-    # IK measurement; both must produce the same posterior
-    rng = np.random.default_rng(5)
-    lh, lt, _, _, side = GEOM.kernel_args()
-    noise = CkfNoise.from_diagonals()
-
-    def h(xs):
-        t1, t2, t3, _ = kernels.ik_joints(xs[0], xs[1], xs[2], lh, lt, GEOM.l2, side)
-        d1, d2, d3, _ = kernels.ik_rates(t1, t2, t3, xs[3], xs[4], xs[5],
-                                         lh, lt, GEOM.l2, side, 1e-9)
-        return np.array([t1, t2, t3, d1, d2, d3])
-
-    for _ in range(20):
-        q = sample_joint(rng)
-        dq = rng.normal(scale=0.5, size=3)
-        x = np.concatenate([fk_position(q, GEOM), fk_velocity(q, dq, GEOM)])
-        x += rng.normal(scale=1e-3, size=6)
-        # operating-range covariance: keeps every sigma point inside the
-        # workspace so neither path takes a fallback branch
-        P = np.diag(np.concatenate([rng.uniform(1e-6, 2e-5, 3),
-                                    rng.uniform(1e-4, 1e-2, 3)]))
-        z = np.concatenate([q, dq])
-        dt = 0.002
-        q_eff = noise.q_cov * dt
-
-        x_ref, p_ref = cubature_step(x, P, dt, z, q_eff, noise.r_cov, h)
-        x_ref[1] = side * abs(x_ref[1])
-        x_k, p_k, status = kernels.ckf_leg_step(
-            x, P, dt, z, q_eff, noise.r_cov, lh, lt, GEOM.l2, side,
-            1e-9, 1e6, 1e-4, 1e-1)
-        assert status == 0
-        assert np.max(np.abs(x_k - x_ref)) <= 1e-11
-        assert np.max(np.abs(p_k - p_ref)) <= 1e-11
-
-
 def test_uninformative_measurement_keeps_prior():
     rng = np.random.default_rng(6)
     q = sample_joint(rng)
@@ -204,7 +169,7 @@ def test_cholesky_failure_recovers():
     noise = CkfNoise.from_diagonals()
     out, status = ckf_step(state, np.concatenate([q, np.zeros(3)]), 0.002,
                            noise, GEOM)
-    assert status & kernels.CKF_CHOL_RESET
+    assert status & ikvel.CKF_CHOL_RESET
     assert np.all(np.isfinite(out.x))
     assert np.all(np.linalg.eigvalsh(out.P) > 0)
 
