@@ -5,6 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import cross3
+
 
 class EmptyContactSet(Exception):
     """No stance legs available; caller must fall back to prediction only."""
@@ -56,7 +58,7 @@ def anchored_velocity_obs(body_rot, omega_body, foot_body, foot_vel_body):
     from forward kinematics or from the per-leg velocity filter when enabled.
     """
     foot_body = np.asarray(foot_body, dtype=float)
-    rel = np.cross(np.asarray(omega_body, dtype=float), foot_body) + np.asarray(
+    rel = cross3(np.asarray(omega_body, dtype=float), foot_body) + np.asarray(
         foot_vel_body, dtype=float)
     return -(body_rot @ rel)
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import kernels
 from .estimator import BodyState, SensorFrame
 from .geometry import (JointReading, WheelReading, default_leg_geometries,
-                       rot_z, rpy_to_quat, quat_to_rpy, wrap_angle)
+                       cross3, rot_z, rpy_to_quat, quat_to_rpy, wrap_angle)
 
 GRAVITY = 9.81
 TROT_PAIR_A = (0, 3)  # front-left with rear-right
@@ -314,7 +314,7 @@ def _generate_trot(plan):
 
     def stance_relrate(world_foot, pos, rot, vel, omega, leg):
         rel_full = rot.T @ (world_foot - pos)
-        return -np.cross(omega, rel_full) - rot.T @ vel
+        return -cross3(omega, rel_full) - rot.T @ vel
 
     cur = [foothold(i, 0.0) for i in range(n_legs)]
     nxt = [None] * n_legs
@@ -391,7 +391,7 @@ def _generate_trot(plan):
                 foot = nxt[i] if nxt[i] is not None else cur[i]
                 rel_full = rot.T @ (foot - pos)
                 rel = rel_full - plan.legs[i].hip_mount
-                relrate = -np.cross(omega, rel_full) - rot.T @ vel
+                relrate = -cross3(omega, rel_full) - rot.T @ vel
             q, dq = _solve_leg(t, plan.legs[i], rel, relrate)
             tau = _leg_torques(q, plan.legs[i], rot, f_share) if i in stance else np.zeros(3)
             legs.append(JointReading(q, dq, tau))

@@ -76,6 +76,17 @@ def wrap_angle(a):
     return w
 
 
+def cross3(a, b):
+    """Cross product of two 3-vectors.
+
+    The same products and differences as np.cross, so the result is
+    bit-equal, without its per-call overhead on length-3 inputs.
+    """
+    return np.array([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
 def rot_x(a):
     c, s = np.cos(a), np.sin(a)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -137,7 +148,7 @@ def default_leg_geometries(hip_offset=0.0955, thigh=0.213, calf=0.213,
 
 
 __all__ = [
-    "LegGeometry", "JointReading", "WheelReading", "wrap_angle",
+    "LegGeometry", "JointReading", "WheelReading", "wrap_angle", "cross3",
     "rot_x", "rot_y", "rot_z", "rpy_matrix", "rpy_to_quat", "quat_to_rpy",
     "default_leg_geometries", "kernels",
 ]

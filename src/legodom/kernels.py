@@ -1,9 +1,14 @@
-"""Scalar leg geometry for one 3-DoF leg: forward kinematics, the leg and IK
-Jacobians, the analytic inverse kinematics and the torque-to-wrench solve.
+"""Leg geometry of a 3-DoF leg: forward kinematics, the leg and IK Jacobians,
+the analytic inverse kinematics and the torque-to-wrench solve.
 
-Every function takes one leg's joint angles (or one hip-to-foot target) and
-the link parameters from `LegGeometry.kernel_args()`; callers loop over legs.
-The cubature filter built on `ik_joints`/`ik_rates` lives in `ikvel`.
+The forward functions and the wrench take one leg's joint angles and the link
+parameters from `LegGeometry.kernel_args()`; callers loop over legs. The
+inverse side serves the cubature filter in `ikvel`, which maps every leg and
+cubature point of a frame at once: `ik_joints_array`, `ik_jacobian` and
+`ik_rates` work elementwise over arrays (the last two over scalars as well).
+`ik_joints` is the scalar form of the position solve, kept for the gait
+generator, which calls it one target at a time and would pay the array
+overhead on every call.
 """
 
 import numpy as np
@@ -80,25 +85,28 @@ def foot_force(q, tau, lh, lt, lc, rw, side, sigma_min):
 
 
 def _det3(A):
-    return (A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-            - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
+    """Determinant of a 3x3 matrix, or of each matrix in a (..., 3, 3) stack."""
+    return (A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
+            - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
+            + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]))
 
 
-def _solve3(A, b):
-    """Cramer solve of a 3x3 system; caller guarantees A is well conditioned."""
-    d = _det3(A)
-    x = np.empty(3)
-    x[0] = (b[0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-            - A[0, 1] * (b[1] * A[2, 2] - A[1, 2] * b[2])
-            + A[0, 2] * (b[1] * A[2, 1] - A[1, 1] * b[2])) / d
-    x[1] = (A[0, 0] * (b[1] * A[2, 2] - A[1, 2] * b[2])
-            - b[0] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-            + A[0, 2] * (A[1, 0] * b[2] - b[1] * A[2, 0])) / d
-    x[2] = (A[0, 0] * (A[1, 1] * b[2] - b[1] * A[2, 1])
-            - A[0, 1] * (A[1, 0] * b[2] - b[1] * A[2, 0])
-            + b[0] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])) / d
-    return x
+def _solve3(A, b, d):
+    """Cramer solve of A x = b for (..., 3, 3) A and (..., 3) b, given d = _det3(A).
+
+    The caller guarantees every d is well away from zero.
+    """
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    x0 = (b0 * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
+          - A[..., 0, 1] * (b1 * A[..., 2, 2] - A[..., 1, 2] * b2)
+          + A[..., 0, 2] * (b1 * A[..., 2, 1] - A[..., 1, 1] * b2)) / d
+    x1 = (A[..., 0, 0] * (b1 * A[..., 2, 2] - A[..., 1, 2] * b2)
+          - b0 * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
+          + A[..., 0, 2] * (A[..., 1, 0] * b2 - b1 * A[..., 2, 0])) / d
+    x2 = (A[..., 0, 0] * (A[..., 1, 1] * b2 - b1 * A[..., 2, 1])
+          - A[..., 0, 1] * (A[..., 1, 0] * b2 - b1 * A[..., 2, 0])
+          + b0 * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0])) / d
+    return np.stack([x0, x1, x2], axis=-1)
 
 
 def ik_joints(px, py, pz, lh, lt, l2, side):
@@ -164,41 +172,84 @@ def ik_joints(px, py, pz, lh, lt, l2, side):
     return t1, t2, t3, viol
 
 
+def _clamp_unit(arg, viol):
+    """arg clamped into [-1, 1], and viol raised to the overshoot if larger.
+
+    A NaN arg stays NaN and leaves viol as it was, as in ik_joints.
+    """
+    clamped = np.minimum(np.maximum(arg, -1.0), 1.0)
+    return clamped, np.fmax(viol, np.abs(arg - clamped))
+
+
+def ik_joints_array(px, py, pz, lh, lt, l2, side):
+    """ik_joints over arrays: every argument broadcasts elementwise.
+
+    Same operations as the scalar ik_joints, with the branches on the
+    radical and the inverse-trig domains written as np.maximum/np.minimum,
+    so each element equals the scalar result. Returns (t1, t2, t3, viol)
+    as arrays of the broadcast shape.
+    """
+    x = -px
+    y = py
+    z = pz
+
+    rho2 = y * y + z * z
+    rad = np.maximum(
+        EPS_RADICAL + 4.0 * lh * lh * z * z - 4.0 * rho2 * (lh * lh - y * y), 0.0)
+    arg1, viol = _clamp_unit((2.0 * lh * z + np.sqrt(rad)) / (2.0 * rho2), 0.0)
+    t1 = side * np.arcsin(arg1)
+
+    zb = z - side * lh * np.sin(t1)
+    yb = y - side * lh * np.cos(t1)
+    rb = np.sqrt(yb * yb + zb * zb)
+    r2 = rb * rb + x * x
+    r = np.sqrt(r2)
+
+    arg3, viol = _clamp_unit((lt * lt + l2 * l2 - r2) / (2.0 * lt * l2), viol)
+    t3 = -np.pi + np.arccos(arg3)
+
+    arg2, viol = _clamp_unit((r2 + lt * lt - l2 * l2) / (2.0 * r * lt), viol)
+    t2 = np.arctan2(x, rb) + np.arccos(arg2)
+
+    return t1, t2, t3, viol
+
+
 def ik_jacobian(t1, t2, t3, lh, lt, l2, side):
-    """Jacobian of the planar IK convention (sagittal row negated vs leg_jacobian)."""
+    """Jacobian of the planar IK convention (sagittal row negated vs leg_jacobian).
+
+    Scalar angles give one 3x3 matrix; arrays give a (..., 3, 3) stack over
+    their broadcast shape.
+    """
     c1 = np.cos(t1)
     s1 = np.sin(t1)
     c2 = np.cos(t2)
     s2 = np.sin(t2)
     c23 = np.cos(t2 + t3)
     s23 = np.sin(t2 + t3)
-    J = np.empty((3, 3))
-    J[0, 0] = 0.0
-    J[0, 1] = l2 * c23 + lt * c2
-    J[0, 2] = l2 * c23
-    J[1, 0] = -side * lh * s1 + l2 * c1 * c23 + lt * c2 * c1
-    J[1, 1] = -l2 * s1 * s23 - lt * s1 * s2
-    J[1, 2] = -l2 * s1 * s23
-    J[2, 0] = side * lh * c1 + l2 * s1 * c23 + lt * c2 * s1
-    J[2, 1] = l2 * c1 * s23 + lt * c1 * s2
-    J[2, 2] = l2 * c1 * s23
+    J = np.empty(np.broadcast(t1, t2, t3, lh, lt, l2, side).shape + (3, 3))
+    J[..., 0, 0] = 0.0
+    J[..., 0, 1] = l2 * c23 + lt * c2
+    J[..., 0, 2] = l2 * c23
+    J[..., 1, 0] = -side * lh * s1 + l2 * c1 * c23 + lt * c2 * c1
+    J[..., 1, 1] = -l2 * s1 * s23 - lt * s1 * s2
+    J[..., 1, 2] = -l2 * s1 * s23
+    J[..., 2, 0] = side * lh * c1 + l2 * s1 * c23 + lt * c2 * s1
+    J[..., 2, 1] = l2 * c1 * s23 + lt * c1 * s2
+    J[..., 2, 2] = l2 * c1 * s23
     return J
 
 
 def ik_rates(t1, t2, t3, vx, vy, vz, lh, lt, l2, side, det_eps):
     """Joint rates implied by a Cartesian velocity through the IK Jacobian.
 
-    Returns (d1, d2, d3, ok). ok False means the Jacobian determinant fell
-    below det_eps; rates are zeros then (caller decides the fallback policy).
-    The sagittal component is negated to match ik_joints' convention.
+    Returns (d1, d2, d3, ok), elementwise over the broadcast shape of the
+    arguments. ok False means the Jacobian determinant fell below det_eps;
+    rates are zeros there (caller decides the fallback policy). The sagittal
+    component is negated to match ik_joints' convention.
     """
     J = ik_jacobian(t1, t2, t3, lh, lt, l2, side)
     d = _det3(J)
-    if np.abs(d) < det_eps:
-        return 0.0, 0.0, 0.0, False
-    b = np.empty(3)
-    b[0] = -vx
-    b[1] = vy
-    b[2] = vz
-    th = _solve3(J, b)
-    return th[0], th[1], th[2], True
+    ok = ~(np.abs(d) < det_eps)
+    b = np.stack(np.broadcast_arrays(-vx, vy, vz), axis=-1)
+    th = np.where(ok[..., None], _solve3(J, b, np.where(ok, d, 1.0)), 0.0)
+    return th[..., 0], th[..., 1], th[..., 2], ok

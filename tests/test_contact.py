@@ -5,6 +5,7 @@ from legodom import (EmptyContactSet, anchored_position_obs,
                      anchored_velocity_obs, detect_touchdown,
                      fuse_observations, gate_contact, record_footfall,
                      rpy_matrix)
+from legodom.geometry import cross3
 
 
 def test_gate_contact_sign_convention():
@@ -78,6 +79,14 @@ def test_anchored_velocity_cross_product_oracle():
         fv = rng.normal(size=3)
         expect = -rot @ (np.cross(om, foot) + fv)
         assert np.allclose(anchored_velocity_obs(rot, om, foot, fv), expect, atol=1e-14)
+
+
+def test_cross3_bit_equal_to_numpy_cross():
+    rng = np.random.default_rng(10)
+    for _ in range(5000):
+        a = rng.normal(size=3) * 10.0 ** rng.uniform(-4, 4, 3)
+        b = rng.normal(size=3) * 10.0 ** rng.uniform(-4, 4, 3)
+        assert np.array_equal(cross3(a, b), np.cross(a, b))
 
 
 def test_fuse_mean():

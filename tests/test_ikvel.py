@@ -54,6 +54,39 @@ def test_ik_rates_self_round_trip():
         assert np.max(np.abs(np.array([d1, d2, d3]) - dth)) <= 1e-9
 
 
+def test_array_ik_matches_scalar_kernels():
+    # the filter maps every leg and cubature point in one array call; each
+    # element must equal the scalar position solve plus the rate solve,
+    # including clamped points outside the workspace, a singular Jacobian and
+    # a NaN state
+    rng = np.random.default_rng(8)
+    geoms = (GEOM, GEOM_R)
+    xs = np.full((2, 602, 6), np.nan)
+    for g, geom in enumerate(geoms):
+        for k in range(600):
+            q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
+            dq = rng.normal(size=3)
+            xs[g, k] = np.concatenate([fk_position(q, geom), fk_velocity(q, dq, geom)])
+            if k % 5 == 0:
+                xs[g, k, :3] *= rng.uniform(1.05, 2.5)  # mostly out of reach
+        reach = geom.thigh_len + geom.l2
+        xs[g, 600] = [0.0, geom.side_sign * geom.hip_offset_len, -reach, 0.0, 0.1, 0.0]
+    lh, lt, l2, side = (np.array([[getattr(g, a)] for g in geoms], dtype=float)
+                        for a in ("hip_offset_len", "thigh_len", "l2", "side_sign"))
+    z, viol, singular = ikvel._ik_h(xs, lh, lt, l2, side, ikvel.DET_EPS)
+    assert z.shape == xs.shape and viol.shape == singular.shape == xs.shape[:2]
+    for g, geom in enumerate(geoms):
+        a = (geom.hip_offset_len, geom.thigh_len, geom.l2, float(geom.side_sign))
+        for k, x in enumerate(xs[g]):
+            t1, t2, t3, v = kernels.ik_joints(x[0], x[1], x[2], *a)
+            d1, d2, d3, ok = kernels.ik_rates(t1, t2, t3, x[3], x[4], x[5], *a,
+                                              ikvel.DET_EPS)
+            assert np.array_equal(z[g, k], [t1, t2, t3, d1, d2, d3], equal_nan=True)
+            assert viol[g, k] == v and singular[g, k] == (not ok)
+    assert np.count_nonzero(viol > kernels.CLAMP_TOL) >= 150
+    assert singular[:, 600].all() and np.all(z[:, 600, 3:] == 0.0)
+
+
 def test_ik_unreachable_beyond_boundary():
     reach = GEOM.thigh_len + GEOM.l2
     x = np.array([0.0, GEOM.hip_offset_len, -(reach + 1e-6), 0.0, 0.0, 0.0])
@@ -172,6 +205,50 @@ def test_cholesky_failure_recovers():
     assert status & ikvel.CKF_CHOL_RESET
     assert np.all(np.isfinite(out.x))
     assert np.all(np.linalg.eigvalsh(out.P) > 0)
+
+
+def test_mixed_recovery_batch_matches_one_leg_steps(legs4):
+    # one leg per recovery branch in a single batch: each leg must come out
+    # bit-equal to its own one-leg ckf_step, so no branch leaks across legs
+    q = np.array([0.05, 0.8, -1.6])
+    p_op = np.diag([1e-6] * 3 + [1e-2] * 3)
+    # a slightly negative R leaves every leg's innovation covariance positive
+    # definite except that of the leg whose covariance is ~0
+    noise = CkfNoise(np.zeros((6, 6)), -1e-12 * np.eye(6))
+    xs, ps, zs, expected = [], [], [], []
+    for i, geom in enumerate(legs4):
+        qg = q * np.array([geom.side_sign, 1, 1])
+        x = np.concatenate([fk_position(qg, geom), np.zeros(3)])
+        P = p_op
+        if i == 0:
+            P, status = -np.eye(6), ikvel.CKF_CHOL_RESET
+        elif i == 1:
+            reach = geom.thigh_len + geom.l2
+            x = np.array([0.0, geom.side_sign * geom.hip_offset_len, -reach,
+                          0.0, 0.1, 0.0])
+            status = ikvel.CKF_RATE_FALLBACK | ikvel.CKF_CLAMPED
+        elif i == 2:
+            P, status = 1e-20 * np.eye(6), ikvel.CKF_UPDATE_SKIPPED
+        else:
+            status = 0
+        xs.append(x)
+        ps.append(P)
+        zs.append(np.concatenate([qg, np.zeros(3)]))
+        expected.append(status)
+
+    filt = LegVelocityFilter(legs4, noise=noise)
+    filt.states = CkfLegState(np.array(xs), np.array(ps), 0.0)
+    readings = [JointReading(z[:3], z[3:], np.zeros(3)) for z in zs]
+    vel = filt.update(0.002, readings)
+    for i, geom in enumerate(legs4):
+        solo, status = ckf_step(CkfLegState(xs[i], ps[i], 0.0), zs[i], 0.002,
+                                noise, geom)
+        assert status == expected[i]
+        assert np.array_equal(filt.states.x[i], solo.x)
+        assert np.array_equal(filt.states.P[i], solo.P)
+        assert np.array_equal(vel[i], solo.x[3:])
+    assert filt.status_counts == {s: 1 for s in expected if s}
+    assert all(type(k) is int for k in filt.status_counts)
 
 
 def test_side_constraint_on_posterior():
