@@ -8,7 +8,7 @@ import numpy as np
 from . import contact, height, kernels, wheel, yawkin
 from .config import EstimatorConfig
 from .contact import FootfallRecord
-from .geometry import JointReading, WheelReading, quat_to_rpy, rpy_matrix, wrap_angle
+from .geometry import WheelReading, quat_to_rpy, rpy_matrix, wrap_angle
 from .ikvel import CkfNoise, LegVelocityFilter
 
 
@@ -75,6 +75,9 @@ class Estimator:
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate),
             enabled=cfg.ikvel_enabled,
             dt_max=cfg.ikvel_dt_max)
+        self._leg_coef = kernels.leg_coefficients(
+            *zip(*(g.kernel_args() for g in cfg.legs)))
+        self._hip_mounts = np.array([g.hip_mount for g in cfg.legs])
         self._diag = {}
 
     def step(self, frame: SensorFrame) -> BodyState:
@@ -97,21 +100,20 @@ class Estimator:
 
         pos_pred = self.state.position + self.state.velocity * dt
 
-        # (2) per-leg kinematics, wrench, gating
-        feet_body = []
-        foot_vel = self.ikvel.update(t, frame.legs)
+        # (2) kinematics, wrench and gating of every leg in one kernel call;
+        # the velocity filter, when on, replaces the raw foot velocities
+        q = np.array([r.q for r in frame.legs])
+        dq = np.array([r.dq for r in frame.legs])
+        tau = np.array([r.tau for r in frame.legs])
+        r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
+                                              cfg.sigma_min)
+        feet_body = self._hip_mounts + r_b
+        foot_vel = self.ikvel.update(t, frame.legs) if self.ikvel.enabled else v_b
         contacts = []
         touchdowns = []
         for i in range(n):
-            geom = cfg.legs[i]
-            reading: JointReading = frame.legs[i]
-            r_b = kernels.fk_position(reading.q, *geom.kernel_args())
-            p_ee = geom.hip_mount + r_b
-            feet_body.append(p_ee)
-            f_b, ok = kernels.foot_force(reading.q, reading.tau,
-                                         *geom.kernel_args(), cfg.sigma_min)
-            in_contact = bool(ok and contact.gate_contact(
-                float(rot[2] @ f_b), cfg.force_threshold))
+            in_contact = bool(ok[i] and contact.gate_contact(
+                float(rot[2] @ f_b[i]), cfg.force_threshold))
             contacts.append(in_contact)
             touchdowns.append(contact.detect_touchdown(self.prev_contact[i], in_contact))
 

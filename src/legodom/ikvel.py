@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .geometry import LegGeometry
-from .legkin import fk_position, fk_velocity
+from .legkin import fk_position
 
 DT_MAX_DEFAULT = 0.1
 DET_EPS = 1e-9
@@ -314,6 +314,8 @@ class LegVelocityFilter:
         self._params = tuple(np.array(p) for p in zip(*(
             (g.hip_offset_len, g.thigh_len, g.l2, float(g.side_sign))
             for g in self.geometries)))
+        self._coef = kernels.leg_coefficients(
+            *zip(*(g.kernel_args() for g in self.geometries)))
 
     def reset(self):
         self.states = None
@@ -322,8 +324,9 @@ class LegVelocityFilter:
     def update(self, stamp, joint_readings):
         """Advance every leg one cycle; returns the per-leg foot velocity."""
         if not self.enabled:
-            return [fk_velocity(r.q, r.dq, g)
-                    for g, r in zip(self.geometries, joint_readings)]
+            q = np.array([r.q for r in joint_readings])
+            dq = np.array([r.dq for r in joint_readings])
+            return list(kernels.leg_kinematics(q, dq, self._coef)[2])
         st = self.states
         if st is None:
             legs = [initial_state(r.q, g, stamp)

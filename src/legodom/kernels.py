@@ -1,14 +1,19 @@
 """Leg geometry of a 3-DoF leg: forward kinematics, the leg and IK Jacobians,
 the analytic inverse kinematics and the torque-to-wrench solve.
 
-The forward functions and the wrench take one leg's joint angles and the link
-parameters from `LegGeometry.kernel_args()`; callers loop over legs. The
+The forward side runs every leg of a frame at once: `leg_frame` gives the
+positions, foot velocities, forces and the wrench gate of a stack of legs
+from one evaluation of their trig terms, with one stacked SVD and one stacked
+solve; `leg_kinematics` is its position, Jacobian and velocity half. Both
+take the term coefficients from `leg_coefficients`, built once per set of
+legs. `fk_position` and `leg_jacobian` are the scalar forms for one leg, kept
+for the gait generator, which calls them one leg at a time and would pay the
+array overhead on every call; `leg_kinematics` is bit-equal to them. The
 inverse side serves the cubature filter in `ikvel`, which maps every leg and
 cubature point of a frame at once: `ik_joints_array`, `ik_jacobian` and
 `ik_rates` work elementwise over arrays (the last two over scalars as well).
 `ik_joints` is the scalar form of the position solve, kept for the gait
-generator, which calls it one target at a time and would pay the array
-overhead on every call.
+generator for the same reason.
 """
 
 import numpy as np
@@ -66,22 +71,120 @@ def leg_jacobian(q, lh, lt, lc, rw, side):
     return J
 
 
-def fk_velocity(q, dq, lh, lt, lc, rw, side):
-    """Hip-to-end-effector velocity, leg_jacobian(q) @ dq."""
-    return leg_jacobian(q, lh, lt, lc, rw, side) @ dq
+# The trig terms of a leg in the row order leg_kinematics evaluates them:
+# cosines and sines of q0, q1 and q1 + q2, then a 1 that fills the factors
+# of terms with fewer than two.
+_TRIG = ("c1", "c2", "c23", "s1", "s2", "s23", "1")
+
+# Every entry of fk_position (r0, r1, r2) and of leg_jacobian (row-major) as
+# the terms coef * a * b that the scalar expression adds from left to right;
+# a leading "-" negates the coefficient, which is exact. leg_kinematics
+# multiplies and adds in that same order, so each entry is bit-equal to the
+# scalar one.
+_ENTRIES = (
+    (("-lc", "s23"), ("-lt", "s2")),                                         # r0
+    (("slh", "c1"), ("lcrw", "s1", "c23"), ("lt", "c2", "s1")),              # r1
+    (("slh", "s1"), ("-lc", "c1", "c23"), ("-lt", "c1", "c2"), ("rw",)),     # r2
+    (("zero",),),                                                            # J00
+    (("-lc", "c23"), ("-lt", "c2")),                                         # J01
+    (("-lc", "c23"),),                                                       # J02
+    (("lcrw", "c1", "c23"), ("lt", "c1", "c2"), ("-slh", "s1")),             # J10
+    (("-lcrw", "s1", "s23"), ("-lt", "s1", "s2")),                           # J11
+    (("-lcrw", "s1", "s23"),),                                               # J12
+    (("lc", "s1", "c23"), ("lt", "c2", "s1"), ("slh", "c1")),                # J20
+    (("lc", "c1", "s23"), ("lt", "c1", "s2")),                               # J21
+    (("lc", "c1", "s23"),),                                                  # J22
+)
+# coefficient names in the order leg_coefficients stacks them: slh is
+# side * lh and lcrw is lc + rw, formed as the scalar kernels form them. A
+# missing term is -0.0, which leaves any sum unchanged.
+_COEFS = ("lc", "lt", "rw", "slh", "lcrw", "zero")
+_SLOTS = max(len(terms) for terms in _ENTRIES)
 
 
-def foot_force(q, tau, lh, lt, lc, rw, side, sigma_min):
-    """End-effector force in the body frame from joint torques.
+def _entry_tables():
+    """(coefficient index, sign, trig index a, trig index b), each (slots, 12)."""
+    shape = (_SLOTS, len(_ENTRIES))
+    coef = np.full(shape, _COEFS.index("zero"))
+    sign = np.full(shape, -1.0)
+    a = np.full(shape, _TRIG.index("1"))
+    b = np.full(shape, _TRIG.index("1"))
+    for e, terms in enumerate(_ENTRIES):
+        for s, (name, *factors) in enumerate(terms):
+            sign[s, e] = -1.0 if name.startswith("-") else 1.0
+            coef[s, e] = _COEFS.index(name.lstrip("-"))
+            for table, factor in zip((a, b), factors):
+                table[s, e] = _TRIG.index(factor)
+    return coef, sign, a, b
 
-    Solves (J J^T) f = J tau. Returns (f, ok); ok is False when the smallest
-    singular value of J is below sigma_min, in which case f is zeros and the
-    caller must treat the leg as ungateable this cycle.
+
+_COEF_INDEX, _COEF_SIGN, _TRIG_A, _TRIG_B = _entry_tables()
+_EYE3 = np.eye(3)
+
+
+def leg_coefficients(lh, lt, lc, rw, side):
+    """Term coefficients of a stack of legs for leg_kinematics and leg_frame.
+
+    The link parameters are (L,) arrays or scalars, as in kernel_args();
+    returns a (slots, 12, L) array. Build it once per set of legs.
     """
-    J = leg_jacobian(q, lh, lt, lc, rw, side)
-    if np.linalg.svd(J, compute_uv=False)[2] < sigma_min:
-        return np.zeros(3), False
-    return np.linalg.solve(J @ J.T, J @ tau), True
+    lh, lt, lc, rw, side = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(p, dtype=float)) for p in (lh, lt, lc, rw, side)))
+    named = np.stack([lc, lt, rw, side * lh, lc + rw, np.zeros_like(lc)])
+    return _COEF_SIGN[..., None] * named[_COEF_INDEX]
+
+
+def leg_kinematics(q, dq, coef):
+    """Positions, Jacobians and foot velocities of a stack of legs.
+
+    q and dq are (L, 3) joint angles and rates; coef is leg_coefficients()
+    of the legs. The six trig terms of each leg are evaluated once and give
+    both fk_position and leg_jacobian, bit-equal to the scalar kernels.
+    Returns (r, J, v): r (L, 3) hip-to-end-effector positions, J (L, 3, 3)
+    Jacobians and v (L, 3) velocities J @ dq.
+    """
+    ang = q.T.copy()
+    ang[2] += ang[1]
+    trig = np.empty((len(_TRIG), len(q)))
+    np.cos(ang, out=trig[:3])
+    np.sin(ang, out=trig[3:6])
+    trig[6] = 1.0
+    terms = coef * trig[_TRIG_A] * trig[_TRIG_B]
+    entries = sum(terms[1:], terms[0]).T.copy()
+    J = entries[:, 3:].reshape(-1, 3, 3)
+    return entries[:, :3], J, (J @ dq[:, :, None])[:, :, 0]
+
+
+def leg_frame(q, dq, tau, coef, sigma_min):
+    """Kinematics and the wrench gate of every leg of a frame in one call.
+
+    q, dq and tau are (L, 3) joint angles, rates and torques; coef is
+    leg_coefficients() of the legs. Returns (r, v, f, ok): r and v as from
+    leg_kinematics, f (L, 3) the end-effector forces in the body frame
+    solving (J J^T) f = J tau, and ok (L,) False where the smallest singular
+    value of J is below sigma_min or q or tau is not finite. f is zeros where
+    ok is False, and the caller must treat that leg as ungateable this cycle;
+    r and v of a leg with a non-finite q are NaN.
+    """
+    finite = (np.isfinite(q) & np.isfinite(tau)).all(axis=1)
+    all_finite = finite.all()
+    if not all_finite:
+        # NaN instead of inf keeps the trig terms quiet; a zero torque and an
+        # identity Jacobian stand in for the leg in the SVD and the solve
+        q = np.where(np.isfinite(q), q, np.nan)
+        tau = np.where(finite[:, None], tau, 0.0)
+    r, J, v = leg_kinematics(q, dq, coef)
+    if not all_finite:
+        J = np.where(finite[:, None, None], J, _EYE3)
+    ok = finite & ~(np.linalg.svd(J, compute_uv=False)[:, 2] < sigma_min)
+    all_ok = ok.all()
+    JJt = J @ np.swapaxes(J, -1, -2)
+    if not all_ok:
+        JJt = np.where(ok[:, None, None], JJt, _EYE3)
+    f = np.linalg.solve(JJt, J @ tau[:, :, None])[:, :, 0]
+    if not all_ok:
+        f = np.where(ok[:, None], f, 0.0)
+    return r, v, f, ok
 
 
 def _det3(A):

@@ -16,10 +16,15 @@ def fk_position(q, geom: LegGeometry):
     return kernels.fk_position(np.asarray(q, dtype=float), *geom.kernel_args())
 
 
+def _one_leg(a):
+    """A batch of one leg from a length-3 joint vector."""
+    return np.asarray(a, dtype=float).reshape(1, 3)
+
+
 def fk_velocity(q, dq, geom: LegGeometry):
     """Hip-to-end-effector velocity; equals jacobian(q) @ dq."""
-    return kernels.fk_velocity(np.asarray(q, dtype=float),
-                               np.asarray(dq, dtype=float), *geom.kernel_args())
+    coef = kernels.leg_coefficients(*geom.kernel_args())
+    return kernels.leg_kinematics(_one_leg(q), _one_leg(dq), coef)[2][0]
 
 
 def jacobian(q, geom: LegGeometry):
@@ -31,16 +36,17 @@ def foot_force_body(q, tau, geom: LegGeometry, sigma_min=1e-6):
     """Quasi-static end-effector force from joint torques, (J J^T)^-1 J tau.
 
     Raises SingularConfiguration when the smallest singular value of the
-    Jacobian is below sigma_min; callers should skip contact gating for the
-    leg in that cycle.
+    Jacobian is below sigma_min, or q or tau is not finite; callers should
+    skip contact gating for the leg in that cycle.
     """
-    f, ok = kernels.foot_force(np.asarray(q, dtype=float),
-                               np.asarray(tau, dtype=float),
-                               *geom.kernel_args(), sigma_min)
-    if not ok:
+    coef = kernels.leg_coefficients(*geom.kernel_args())
+    _, _, f, ok = kernels.leg_frame(_one_leg(q), np.zeros((1, 3)), _one_leg(tau),
+                                    coef, sigma_min)
+    if not ok[0]:
         raise SingularConfiguration(
-            "leg Jacobian smallest singular value below %g" % sigma_min)
-    return f
+            "leg Jacobian smallest singular value below %g, or a non-finite "
+            "angle or torque" % sigma_min)
+    return f[0]
 
 
 def rolling_bias(radius, a1, a2):

@@ -36,22 +36,32 @@ def frame_to_dict(frame: SensorFrame):
             "legs": legs}
 
 
+def _vector(value, size, name, leg=None):
+    """value as a float array of shape (size,); a ValueError naming the field
+    (and the leg, if given) otherwise."""
+    a = np.array(value, dtype=float)
+    if a.shape != (size,):
+        field = name if leg is None else "legs[%d].%s" % (leg, name)
+        raise ValueError("%s must hold %d numbers, got shape %s" % (field, size, a.shape))
+    return a
+
+
 def frame_from_dict(d):
     legs = []
     wheels = []
     has_wheel = False
-    for leg in d["legs"]:
-        legs.append(JointReading(np.array(leg["q"], dtype=float),
-                                 np.array(leg["dq"], dtype=float),
-                                 np.array(leg["tau"], dtype=float)))
+    for i, leg in enumerate(d["legs"]):
+        legs.append(JointReading(_vector(leg["q"], 3, "q", i),
+                                 _vector(leg["dq"], 3, "dq", i),
+                                 _vector(leg["tau"], 3, "tau", i)))
         if "wheel" in leg:
             wheels.append(WheelReading(float(leg["wheel"]["psi"]),
                                        float(leg["wheel"]["dpsi"])))
             has_wheel = True
         else:
             wheels.append(None)
-    return SensorFrame(float(d["t"]), np.array(d["att"], dtype=float),
-                       np.array(d["gyro"], dtype=float), legs,
+    return SensorFrame(float(d["t"]), _vector(d["att"], 4, "att"),
+                       _vector(d["gyro"], 3, "gyro"), legs,
                        wheels if has_wheel else None)
 
 

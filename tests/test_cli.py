@@ -69,6 +69,20 @@ def test_replay_parse_error_exit_2(sim_log, capsys):
         assert "line 3" in capsys.readouterr().err
 
 
+def test_malformed_leg_array_exit_2(sim_log, capsys):
+    d, log, _ = sim_log
+    lines = log.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["legs"][1]["q"] = [0.1]
+    lines[2] = json.dumps(rec)
+    bad = d / "short_q.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, bad)) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "legs[1].q" in err
+
+
 def test_replay_bad_config_exit_3(sim_log, capsys):
     d, log, _ = sim_log
     cfg = d / "bad_cfg.txt"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from legodom import (Estimator, EstimatorConfig, SensorFrame, create,
-                     diagnostics, generate_gait, preset_plan, step, wrap_angle)
+from legodom import (Estimator, EstimatorConfig, JointReading, SensorFrame,
+                     create, diagnostics, generate_gait, kernels, preset_plan,
+                     step, wrap_angle)
 
 
 def _run(plan, cfg=None, frames=None):
@@ -178,3 +179,57 @@ def test_module_level_api():
     out = step(handle, res.frames[0])
     assert out.stamp == res.frames[0].stamp
     assert diagnostics(handle)["n_contacts"] == 4
+
+
+def _walk_frames(length):
+    plan = preset_plan("walk_line")
+    plan.waypoints = [(0.0, 0.0), (length, 0.0)]
+    return plan, generate_gait(plan).frames
+
+
+def test_step_makes_one_leg_kernel_call_per_frame(monkeypatch):
+    plan, frames = _walk_frames(0.3)
+    calls = []
+    leg_frame = kernels.leg_frame
+
+    def counted(*args):
+        calls.append(1)
+        return leg_frame(*args)
+
+    def scalar_kernel(*args):
+        raise AssertionError("step called a one-leg kernel")
+
+    monkeypatch.setattr(kernels, "leg_frame", counted)
+    monkeypatch.setattr(kernels, "fk_position", scalar_kernel)
+    monkeypatch.setattr(kernels, "leg_jacobian", scalar_kernel)
+    est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height]))
+    assert not est.config.ikvel_enabled
+    for fr in frames:
+        est.step(fr)
+    assert len(calls) == len(frames)
+
+
+def test_non_finite_joint_angle_gates_the_leg_out_for_that_frame():
+    plan, frames = _walk_frames(1.0)
+    cfg = EstimatorConfig(initial_position=[0, 0, plan.body_height])
+    assert not cfg.ikvel_enabled and cfg.legs[0].wheel_radius == 0.0
+    est = Estimator(cfg)
+    clean = []
+    for fr in frames:
+        est.step(fr)
+        clean.append(est.diagnostics()["contacts"])
+    k = next(i for i in range(len(frames) // 2, len(frames))
+             if 0 in clean[i - 1] and 0 in clean[i])
+    bad = frames[k]
+    q = bad.legs[0].q.copy()
+    q[1] = np.nan
+    frames = list(frames)
+    frames[k] = SensorFrame(bad.stamp, bad.att, bad.gyro,
+                            [JointReading(q, bad.legs[0].dq, bad.legs[0].tau)]
+                            + bad.legs[1:], bad.wheels)
+    est = Estimator(cfg)
+    for i, fr in enumerate(frames):
+        st = est.step(fr)
+        assert np.isfinite(np.concatenate([st.position, st.rpy, st.velocity])).all()
+        if i == k:
+            assert est.diagnostics()["contacts"] == [j for j in clean[k] if j != 0]

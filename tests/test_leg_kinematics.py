@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from legodom import (LegGeometry, SingularConfiguration, fk_position,
-                     fk_velocity, foot_force_body, jacobian, rolling_bias)
+                     fk_velocity, foot_force_body, jacobian, kernels,
+                     rolling_bias)
 
 from conftest import sample_joint
 
@@ -181,6 +182,78 @@ def test_force_round_trip_random():
 def test_force_singular_configuration():
     with pytest.raises(SingularConfiguration):
         foot_force_body([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], GEOM)
+
+
+# --- batched leg kernel ---------------------------------------------------
+
+def _foot_force_reference(q, tau, lh, lt, lc, rw, side, sigma_min):
+    """The scalar wrench kernel that leg_frame replaced, frozen verbatim."""
+    J = kernels.leg_jacobian(q, lh, lt, lc, rw, side)
+    if np.linalg.svd(J, compute_uv=False)[2] < sigma_min:
+        return np.zeros(3), False
+    return np.linalg.solve(J @ J.T, J @ tau), True
+
+
+BATCH_GEOMS = [LegGeometry(0.08, 0.213, 0.213, 0.0, 1), LegGeometry(0.08, 0.213, 0.213, 0.0, -1),
+               LegGeometry(0.09, 0.2, 0.18, 0.05, 1), LegGeometry(0.09, 0.2, 0.18, 0.05, -1)]
+
+
+def _batch_coef(geoms):
+    return kernels.leg_coefficients(*zip(*(g.kernel_args() for g in geoms)))
+
+
+def test_leg_frame_bit_equal_to_scalar_kernels():
+    # both sides, point feet and wheels, branch-valid and wide angles, and
+    # singular poses mixed into batches of healthy legs
+    rng = np.random.default_rng(11)
+    args = [g.kernel_args() for g in BATCH_GEOMS]
+    coef = _batch_coef(BATCH_GEOMS)
+    singular = [np.zeros(3), np.array([0.0, -np.pi / 4, -np.pi / 2])]
+    accepted = rejected = 0
+    for k in range(600):
+        if k % 2:
+            q = rng.uniform(-np.pi, np.pi, (4, 3))
+        else:
+            q = np.array([sample_joint(rng) for _ in BATCH_GEOMS])
+        if k % 3 == 0:
+            q[rng.integers(4)] = singular[k % 2]
+        dq = rng.normal(scale=3.0, size=(4, 3))
+        tau = rng.normal(scale=10.0, size=(4, 3))
+        sigma_min = 0.02 if k % 5 == 0 else 1e-6
+        r, v, f, ok = kernels.leg_frame(q, dq, tau, coef, sigma_min)
+        for i, a in enumerate(args):
+            assert np.array_equal(r[i], kernels.fk_position(q[i], *a))
+            assert np.array_equal(v[i], kernels.leg_jacobian(q[i], *a) @ dq[i])
+            f_ref, ok_ref = _foot_force_reference(q[i], tau[i], *a, sigma_min)
+            assert ok[i] == ok_ref
+            assert np.array_equal(f[i], f_ref)
+            accepted += ok_ref
+            rejected += not ok_ref
+    assert accepted >= 1000 and rejected >= 200
+
+
+def test_leg_frame_gates_out_non_finite_legs():
+    rng = np.random.default_rng(12)
+    coef = _batch_coef(BATCH_GEOMS)
+    q = np.array([sample_joint(rng) for _ in BATCH_GEOMS])
+    dq = rng.normal(size=(4, 3))
+    tau = rng.normal(scale=10.0, size=(4, 3))
+    r0, v0, f0, ok0 = kernels.leg_frame(q, dq, tau, coef, 1e-6)
+    assert ok0.all()
+    q_bad = q.copy()
+    tau_bad = tau.copy()
+    q_bad[1, 1] = np.nan
+    tau_bad[2, 0] = np.inf
+    q_bad[3, 2] = -np.inf
+    r, v, f, ok = kernels.leg_frame(q_bad, dq, tau_bad, coef, 1e-6)
+    assert ok.tolist() == [True, False, False, False]
+    assert np.array_equal(f[1:], np.zeros((3, 3)))
+    assert np.array_equal(f[0], f0[0])
+    assert np.array_equal(r[[0, 2]], r0[[0, 2]])
+    assert np.array_equal(v[[0, 2]], v0[[0, 2]])
+    assert np.isnan(r[[1, 3]]).all() and np.isnan(v[[1, 3]]).all()
+    with pytest.raises(SingularConfiguration):
+        foot_force_body(q_bad[1], tau[1], BATCH_GEOMS[1])
 
 
 # --- rolling_bias ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,29 @@ def test_parse_error_names_line(tmp_path):
         read_frames(path)
     assert err.value.line == 4
     assert "line 4" in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("q", [0.1]), ("dq", [0.0, 0.0, 0.0, 0.0]), ("tau", [[1.0, 2.0, 3.0]]),
+    ("att", [1.0, 0.0, 0.0]), ("gyro", 0.0)])
+def test_malformed_arrays_name_line_and_field(tmp_path, field, value):
+    plan = preset_plan("standing")
+    plan.duration = 0.02
+    lines = [json.dumps(frame_to_dict(fr)) for fr in generate_gait(plan).frames]
+    rec = json.loads(lines[1])
+    if field in ("att", "gyro"):
+        rec[field] = value
+        name = field
+    else:
+        rec["legs"][2][field] = value
+        name = "legs[2].%s" % field
+    lines[1] = json.dumps(rec)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogParseError) as err:
+        read_frames(path)
+    assert err.value.line == 2
+    assert name in str(err.value)
 
 
 def test_empty_log(tmp_path):
