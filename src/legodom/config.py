@@ -119,6 +119,22 @@ _SCALAR_KEYS = {
 }
 
 
+def _parsed(key, value, parser):
+    """parser(value), or a ConfigError naming the key."""
+    try:
+        return parser(value)
+    except ValueError:
+        raise ConfigError("bad value for %s: %r" % (key, value)) from None
+
+
+def _triple(key, value):
+    """Three whitespace-separated numbers as a (3,) array."""
+    parts = value.split()
+    if len(parts) != 3:
+        raise ConfigError(key + ": expected three numbers")
+    return np.array([_parsed(key, p, float) for p in parts])
+
+
 def parse_config_text(text):
     """Parse flat `key = value` lines into an EstimatorConfig.
 
@@ -136,12 +152,15 @@ def parse_config_text(text):
         raw[key.strip()] = value.strip()
 
     geom_kw = {}
-    n_legs = int(raw.pop("legs", "4"))
+    n_legs = _parsed("legs", raw.pop("legs", "4"), int)
     for src, dst in (("geom.hip_offset", "hip_offset"), ("geom.thigh", "thigh"),
                      ("geom.calf", "calf"), ("geom.wheel_radius", "wheel_radius")):
         if src in raw:
-            geom_kw[dst] = float(raw.pop(src))
-    legs = default_leg_geometries(**geom_kw)
+            geom_kw[dst] = _parsed(src, raw.pop(src), float)
+    try:
+        legs = default_leg_geometries(**geom_kw)
+    except ValueError as exc:
+        raise ConfigError("geom: %s" % exc) from None
     if n_legs != 4:
         base = legs[0]
         legs = [LegGeometry(base.hip_offset_len, base.thigh_len, base.calf_len,
@@ -151,32 +170,24 @@ def parse_config_text(text):
         side_key = "leg%d.side" % i
         mount_key = "leg%d.mount" % i
         g = legs[i]
-        side = int(raw.pop(side_key)) if side_key in raw else g.side_sign
-        mount = g.hip_mount
+        side, mount = g.side_sign, g.hip_mount
+        if side_key in raw:
+            side = _parsed(side_key, raw.pop(side_key), int)
+            if side not in (1, -1):
+                raise ConfigError("%s must be 1 or -1, got %d" % (side_key, side))
         if mount_key in raw:
-            parts = raw.pop(mount_key).split()
-            if len(parts) != 3:
-                raise ConfigError(mount_key + ": expected three numbers")
-            mount = np.array([float(p) for p in parts])
+            mount = _triple(mount_key, raw.pop(mount_key))
         legs[i] = LegGeometry(g.hip_offset_len, g.thigh_len, g.calf_len,
                               g.wheel_radius, side, mount)
 
     kwargs = {"legs": legs}
     if "init.position" in raw:
-        parts = raw.pop("init.position").split()
-        if len(parts) != 3:
-            raise ConfigError("init.position: expected three numbers")
-        kwargs["initial_position"] = np.array([float(p) for p in parts])
+        kwargs["initial_position"] = _triple("init.position", raw.pop("init.position"))
     for key, value in raw.items():
         if key not in _SCALAR_KEYS:
             raise ConfigError("unknown config key %r" % key)
         attr, parser = _SCALAR_KEYS[key]
-        try:
-            kwargs[attr] = parser(value)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError("bad value for %s: %r" % (key, value))
+        kwargs[attr] = _parsed(key, value, parser)
     return EstimatorConfig(**kwargs)
 
 

@@ -186,28 +186,69 @@ def _swing(u, p0, p1, m0, m1, apex):
     return pos, vel
 
 
-def _solve_leg(t, geom, rel_target, rel_rate):
-    """Joint angles and rates hitting a body-frame hip-to-foot target."""
-    lh, lt, lc, rw, side = geom.kernel_args()
-    t1, t2, t3, viol = kernels.ik_joints(rel_target[0], rel_target[1],
-                                         rel_target[2], lh, lt, geom.l2, side)
-    if viol > 1e-9:
-        raise InfeasiblePlan(t, "foot target outside workspace (overshoot %g)" % viol)
-    q = np.array([t1, t2, t3])
-    back = kernels.fk_position(q, lh, lt, lc, rw, side)
-    if np.max(np.abs(back - rel_target)) > 1e-6:
-        raise InfeasiblePlan(t, "IK branch mismatch at target %s" % rel_target)
-    J = kernels.leg_jacobian(q, lh, lt, lc, rw, side)
-    if abs(np.linalg.det(J)) < 1e-10:
-        raise InfeasiblePlan(t, "singular leg configuration")
-    dq = np.linalg.solve(J, rel_rate)
-    return q, dq
+# frames per block of the batched leg kinematics; bounds the transient
+# (slots, 12, legs, frames) term arrays to about a megabyte
+_BLOCK = 256
 
 
-def _leg_torques(q, geom, rot, f_world):
-    lh, lt, lc, rw, side = geom.kernel_args()
-    J = kernels.leg_jacobian(q, lh, lt, lc, rw, side)
-    return J.T @ (rot.T @ f_world)
+def _blocks(n_frames):
+    return [slice(k0, k0 + _BLOCK) for k0 in range(0, n_frames, _BLOCK)]
+
+
+def _leg_params(legs):
+    """(lh, lt, lc, rw, side, l2) of a list of legs, each an (L,) array."""
+    lh, lt, lc, rw, side = (np.array(p) for p in zip(*(g.kernel_args() for g in legs)))
+    return lh, lt, lc, rw, side, np.array([g.l2 for g in legs])
+
+
+def _stance_torques(J, load, stance):
+    """Joint torques J^T load of the stance legs, zeros for the others.
+
+    J is (F, L, 3, 3), load (F, 3) the body-frame force on each stance foot
+    and stance (F, L).
+    """
+    tau = (np.swapaxes(J, -1, -2) @ load[:, None, :, None])[..., 0]
+    return np.where(stance[..., None], tau, 0.0)
+
+
+def _solve_legs(legs, stamps, rel, rel_rate, load, stance):
+    """Joint angles, rates and torques hitting body-frame hip-to-foot targets.
+
+    rel and rel_rate are (F, L, 3) targets and their rates; load and stance
+    are as in _stance_torques. Raises InfeasiblePlan at the first failing
+    frame and leg in loop order, with the first check failing there:
+    overshoot, IK branch mismatch, singular configuration.
+    """
+    lh, lt, lc, rw, side, l2 = _leg_params(legs)
+    coef = kernels.leg_coefficients(lh, lt, lc, rw, side)
+    q, dq, tau = (np.empty_like(rel) for _ in range(3))
+    for blk in _blocks(len(rel)):
+        target = rel[blk]
+        *angles, viol = kernels.ik_joints_array(*np.moveaxis(target, -1, 0),
+                                                lh, lt, l2, side)
+        q[blk] = np.stack(angles, axis=-1)
+        # the foot velocities are not needed; zero rates stand in for them
+        back, J, _ = kernels.leg_kinematics(q[blk], np.zeros_like(target), coef)
+        checks = (viol > 1e-9,
+                  np.max(np.abs(back - target), axis=-1) > 1e-6,
+                  np.abs(np.linalg.det(J)) < 1e-10)
+        failed = np.logical_or.reduce(checks)
+        if failed.any():
+            k, i = np.argwhere(failed)[0]
+            msgs = ("foot target outside workspace (overshoot %g)" % viol[k, i],
+                    "IK branch mismatch at target %s" % target[k, i],
+                    "singular leg configuration")
+            raise InfeasiblePlan(stamps[blk.start + k],
+                                 next(m for c, m in zip(checks, msgs) if c[k, i]))
+        # no J of the block is singular here, so the stacked solve cannot fail
+        dq[blk] = np.linalg.solve(J, rel_rate[blk][..., None])[..., 0]
+        tau[blk] = _stance_torques(J, load[blk], stance[blk])
+    return q, dq, tau
+
+
+def _joint_readings(q, dq, tau):
+    """One frame's JointReading list from its (L, 3) joint arrays."""
+    return [JointReading(*leg) for leg in zip(q, dq, tau)]
 
 
 def _nominal_xy(plan, leg_idx, body_xy, yaw):
@@ -327,7 +368,10 @@ def _generate_trot(plan):
     pair_a = set(TROT_PAIR_A)
     all_legs = set(range(n_legs))
 
-    frames, truth = [], []
+    rel = np.empty((n_frames, n_legs, 3))
+    rel_rate = np.empty((n_frames, n_legs, 3))
+    load = np.empty((n_frames, 3))
+    stamps, imu, truth = [], [], []
     contacts = np.zeros((n_frames, n_legs), dtype=bool)
     half_prev = -1
     for k in range(n_frames):
@@ -379,26 +423,27 @@ def _generate_trot(plan):
         stance = [i for i in range(n_legs) if i not in swing_set]
         f_share = np.array([0.0, 0.0, -plan.mass * GRAVITY / len(stance)])
 
-        legs = []
         for i in range(n_legs):
             if i in swing_set:
-                rel, relrate = _swing(u, rel0[i], rel1[i], rate0[i], rate1[i],
-                                      plan.step_height)
-                relrate = relrate / swing_time
+                rel[k, i], swing_rate = _swing(u, rel0[i], rel1[i], rate0[i],
+                                               rate1[i], plan.step_height)
+                rel_rate[k, i] = swing_rate / swing_time
             else:
                 # a pending nxt on a stance leg means it landed early and is
                 # riding out the double-support window on the new foothold
                 foot = nxt[i] if nxt[i] is not None else cur[i]
                 rel_full = rot.T @ (foot - pos)
-                rel = rel_full - plan.legs[i].hip_mount
-                relrate = -cross3(omega, rel_full) - rot.T @ vel
-            q, dq = _solve_leg(t, plan.legs[i], rel, relrate)
-            tau = _leg_torques(q, plan.legs[i], rot, f_share) if i in stance else np.zeros(3)
-            legs.append(JointReading(q, dq, tau))
+                rel[k, i] = rel_full - plan.legs[i].hip_mount
+                rel_rate[k, i] = -cross3(omega, rel_full) - rot.T @ vel
+        load[k] = rot.T @ f_share
 
         contacts[k, stance] = True
-        frames.append(SensorFrame(t, rpy_to_quat(0.0, 0.0, yaw), omega, legs))
+        stamps.append(t)
+        imu.append((rpy_to_quat(0.0, 0.0, yaw), omega))
         truth.append(BodyState(pos, np.array([0.0, 0.0, yaw]), vel, t))
+    q, dq, tau = _solve_legs(plan.legs, stamps, rel, rel_rate, load, contacts)
+    frames = [SensorFrame(t, att, omega, _joint_readings(q[k], dq[k], tau[k]))
+              for k, (t, (att, omega)) in enumerate(zip(stamps, imu))]
     return GaitResult(frames, truth, contacts)
 
 
@@ -413,7 +458,10 @@ def _generate_static(plan):
     q0 = _STAND_Q.copy()
     rot = np.eye(3)
 
-    frames, truth = [], []
+    q = np.empty((n_frames, n_legs, 3))
+    dq = np.zeros((n_frames, n_legs, 3))
+    load = np.empty((n_frames, 3))
+    stamps, wheel_lists, truth = [], [], []
     contacts = np.zeros((n_frames, n_legs), dtype=bool)
     wheel0 = 0.0
     for k in range(n_frames):
@@ -432,37 +480,44 @@ def _generate_static(plan):
             pos[0] += plan.speed * t
             vel[0] = plan.speed
 
-        legs, wheels = [], []
+        wheels = []
         stance = [] if airborne else list(range(n_legs))
         f_share = (np.zeros(3) if airborne else
                    np.array([0.0, 0.0, -plan.mass * GRAVITY / n_legs]))
         for i in range(n_legs):
             geom = plan.legs[i]
-            q = q0.copy()
-            dq = np.zeros(3)
+            qk, dqk = q[k, i], dq[k, i]
+            qk[:] = q0
             if plan.mode == "wheel_swing":
                 amp, w = 0.3, 2.0 * np.pi / 2.0
-                q[1] += amp * np.sin(w * t)
-                dq[1] = amp * w * np.cos(w * t)
-            tau = _leg_torques(q, geom, rot, f_share) if not airborne else np.zeros(3)
-            legs.append(JointReading(q, dq, tau))
+                qk[1] += amp * np.sin(w * t)
+                dqk[1] = amp * w * np.cos(w * t)
             if geom.wheel_radius > 0.0:
                 if plan.mode == "wheel_roll":
                     rate = plan.speed / geom.wheel_radius
                     wheels.append(WheelReading(wrap_angle(wheel0 + rate * t), rate))
                 elif plan.mode == "wheel_swing":
                     # wheel pinned: encoder follows the shank pitch exactly
-                    beta = q[1] + q[2]
+                    beta = qk[1] + qk[2]
                     beta0 = q0[1] + q0[2]
-                    wheels.append(WheelReading(wrap_angle(beta - beta0), dq[1] + dq[2]))
+                    wheels.append(WheelReading(wrap_angle(beta - beta0), dqk[1] + dqk[2]))
                 else:
                     wheels.append(WheelReading(0.0, 0.0))
             else:
                 wheels.append(None)
+        load[k] = rot.T @ f_share
         contacts[k, stance] = True
-        frames.append(SensorFrame(t, rpy_to_quat(0.0, 0.0, 0.0), np.zeros(3), legs,
-                                  wheels if any(w is not None for w in wheels) else None))
+        stamps.append(t)
+        wheel_lists.append(wheels if any(w is not None for w in wheels) else None)
         truth.append(BodyState(pos, np.zeros(3), vel, t))
+    coef = kernels.leg_coefficients(*zip(*(g.kernel_args() for g in plan.legs)))
+    tau = np.empty_like(q)
+    for blk in _blocks(n_frames):
+        _, J, _ = kernels.leg_kinematics(q[blk], dq[blk], coef)
+        tau[blk] = _stance_torques(J, load[blk], contacts[blk])
+    frames = [SensorFrame(t, rpy_to_quat(0.0, 0.0, 0.0), np.zeros(3),
+                          _joint_readings(q[k], dq[k], tau[k]), wheels)
+              for k, (t, wheels) in enumerate(zip(stamps, wheel_lists))]
     return GaitResult(frames, truth, contacts)
 
 
@@ -516,23 +571,28 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
             raise ValueError("touchdown_height_noise needs contacts and legs")
         n_transient = 3
         contacts = np.asarray(contacts, dtype=bool)
+        hits = []  # (frame, leg, height offset) of each perturbed reading
         for i in range(contacts.shape[1]):
             col = contacts[:, i]
             rises = np.flatnonzero(col[1:] & ~col[:-1]) + 1
-            geom = legs[i]
-            lh, lt, lc, rw, side = geom.kernel_args()
             for k0 in rises:
                 delta = rng.uniform(-noise_amp, noise_amp)
                 for k in range(k0, min(k0 + n_transient, len(out))):
                     if not col[k]:
                         break
-                    reading = out[k].legs[i]
-                    p = kernels.fk_position(reading.q, lh, lt, lc, rw, side)
-                    t1, t2, t3, viol = kernels.ik_joints(
-                        p[0], p[1], p[2] + delta, lh, lt, geom.l2, side)
-                    if viol > 1e-9:
-                        continue
-                    reading.q = np.array([t1, t2, t3])
+                    hits.append((k, i, delta))
+        if hits:
+            ks, idx, dz = zip(*hits)
+            readings = [out[k].legs[i] for k, i in zip(ks, idx)]
+            lh, lt, lc, rw, side, l2 = (p[list(idx)] for p in _leg_params(legs))
+            q = np.array([reading.q for reading in readings])
+            coef = kernels.leg_coefficients(lh, lt, lc, rw, side)
+            foot = kernels.leg_kinematics(q, np.zeros_like(q), coef)[0]
+            *angles, viol = kernels.ik_joints_array(
+                foot[:, 0], foot[:, 1], foot[:, 2] + np.array(dz), lh, lt, l2, side)
+            for reading, q_new, v in zip(readings, np.stack(angles, axis=-1), viol):
+                if not v > 1e-9:
+                    reading.q = q_new
 
     quantum = float(imperfections.get("encoder_quantum", 0.0) or 0.0)
     if quantum > 0.0:

@@ -36,6 +36,7 @@ CKF_CHOL_RESET = 1
 CKF_RATE_FALLBACK = 2
 CKF_CLAMPED = 4
 CKF_UPDATE_SKIPPED = 8
+CKF_MEASUREMENT_SKIPPED = 16
 
 
 class Unreachable(Exception):
@@ -254,9 +255,20 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side):
     r_cov = np.where(fallback[..., None, None], noise.r_cov * _RATE_INFLATION,
                      noise.r_cov)
 
+    # a leg with a non-finite measurement keeps its prediction; a zero stands
+    # in for its z so the update's arithmetic stays finite
+    finite = np.isfinite(z).all(axis=-1)
+    all_finite = finite.all()
+    if not all_finite:
+        z = np.where(finite[..., None], z, 0.0)
+
     # where the innovation covariance is unusable, _update keeps the prediction
     x, P, ok = _update(x_pred, p_pred, pts, zs, z, r_cov)
     status = status | np.where(ok, 0, CKF_UPDATE_SKIPPED)
+    if not all_finite:
+        x = np.where(finite[..., None], x, x_pred)
+        P = np.where(finite[..., None, None], P, p_pred)
+        status = status | np.where(finite, 0, CKF_MEASUREMENT_SKIPPED)
     x[..., 1] = side * np.abs(x[..., 1])
     return x, P, status
 
@@ -344,5 +356,6 @@ class LegVelocityFilter:
 
 __all__ = ["CkfLegState", "CkfNoise", "Unreachable", "SingularJacobian",
            "CKF_CHOL_RESET", "CKF_RATE_FALLBACK", "CKF_CLAMPED", "CKF_UPDATE_SKIPPED",
+           "CKF_MEASUREMENT_SKIPPED",
            "ik_measurement", "cubature_points", "cubature_step", "ckf_step",
            "initial_state", "LegVelocityFilter"]

@@ -1,19 +1,16 @@
 """Leg geometry of a 3-DoF leg: forward kinematics, the leg and IK Jacobians,
 the analytic inverse kinematics and the torque-to-wrench solve.
 
-The forward side runs every leg of a frame at once: `leg_frame` gives the
-positions, foot velocities, forces and the wrench gate of a stack of legs
-from one evaluation of their trig terms, with one stacked SVD and one stacked
-solve; `leg_kinematics` is its position, Jacobian and velocity half. Both
-take the term coefficients from `leg_coefficients`, built once per set of
-legs. `fk_position` and `leg_jacobian` are the scalar forms for one leg, kept
-for the gait generator, which calls them one leg at a time and would pay the
-array overhead on every call; `leg_kinematics` is bit-equal to them. The
-inverse side serves the cubature filter in `ikvel`, which maps every leg and
-cubature point of a frame at once: `ik_joints_array`, `ik_jacobian` and
-`ik_rates` work elementwise over arrays (the last two over scalars as well).
-`ik_joints` is the scalar form of the position solve, kept for the gait
-generator for the same reason.
+Every kernel works on a stack of legs; a single leg is a batch of one. The
+forward side: `leg_kinematics` gives the positions, Jacobians and foot
+velocities of a stack of legs from one evaluation of their trig terms, and
+`leg_frame` adds the wrench gate and the forces with one stacked SVD and one
+stacked solve. Both take the term coefficients from `leg_coefficients`,
+built once per set of legs. The inverse side: `ik_joints_array`,
+`ik_jacobian` and `ik_rates` work elementwise over arrays (the last two over
+scalars as well). The cubature filter in `ikvel` maps every leg and cubature
+point of a frame at once through them, and the gait generator every frame
+and leg of a block of frames.
 """
 
 import numpy as np
@@ -29,58 +26,18 @@ EPS_RADICAL = 1e-12
 CLAMP_TOL = 1e-9
 
 
-def fk_position(q, lh, lt, lc, rw, side):
-    """Hip-to-end-effector vector in the body frame for one 3-DoF leg.
-
-    The wheel radius enters only the lateral row's reach and as a constant
-    vertical offset; the sagittal row never sees it. That asymmetry is part
-    of the kinematic convention this estimator is built around and is kept
-    verbatim.
-    """
-    c1 = np.cos(q[0])
-    s1 = np.sin(q[0])
-    c2 = np.cos(q[1])
-    s2 = np.sin(q[1])
-    c23 = np.cos(q[1] + q[2])
-    s23 = np.sin(q[1] + q[2])
-    out = np.empty(3)
-    out[0] = -(lc * s23 + lt * s2)
-    out[1] = side * lh * c1 + (lc + rw) * s1 * c23 + lt * c2 * s1
-    out[2] = side * lh * s1 - lc * c1 * c23 - lt * c1 * c2 + rw
-    return out
-
-
-def leg_jacobian(q, lh, lt, lc, rw, side):
-    """3x3 geometric Jacobian of fk_position with respect to the joint angles."""
-    c1 = np.cos(q[0])
-    s1 = np.sin(q[0])
-    c2 = np.cos(q[1])
-    s2 = np.sin(q[1])
-    c23 = np.cos(q[1] + q[2])
-    s23 = np.sin(q[1] + q[2])
-    J = np.empty((3, 3))
-    J[0, 0] = 0.0
-    J[0, 1] = -(lc * c23 + lt * c2)
-    J[0, 2] = -(lc * c23)
-    J[1, 0] = (lc + rw) * c1 * c23 + lt * c1 * c2 - side * lh * s1
-    J[1, 1] = -(lc + rw) * s1 * s23 - lt * s1 * s2
-    J[1, 2] = -(lc + rw) * s1 * s23
-    J[2, 0] = lc * s1 * c23 + lt * c2 * s1 + side * lh * c1
-    J[2, 1] = lc * c1 * s23 + lt * c1 * s2
-    J[2, 2] = lc * c1 * s23
-    return J
-
-
 # The trig terms of a leg in the row order leg_kinematics evaluates them:
 # cosines and sines of q0, q1 and q1 + q2, then a 1 that fills the factors
 # of terms with fewer than two.
 _TRIG = ("c1", "c2", "c23", "s1", "s2", "s23", "1")
 
-# Every entry of fk_position (r0, r1, r2) and of leg_jacobian (row-major) as
-# the terms coef * a * b that the scalar expression adds from left to right;
-# a leading "-" negates the coefficient, which is exact. leg_kinematics
-# multiplies and adds in that same order, so each entry is bit-equal to the
-# scalar one.
+# Every entry of the position (r0, r1, r2) and of the Jacobian (row-major)
+# as terms coef * a * b, added from left to right; a leading "-" negates the
+# coefficient, which is exact. The order is that of the one-leg expressions
+# frozen in tests/kernels_reference.py, so each entry is bit-equal to them.
+# The wheel radius rw enters only the lateral row's reach and as a constant
+# vertical offset; the sagittal row never sees it. That asymmetry is part of
+# the kinematic convention this estimator is built around.
 _ENTRIES = (
     (("-lc", "s23"), ("-lt", "s2")),                                         # r0
     (("slh", "c1"), ("lcrw", "s1", "c23"), ("lt", "c2", "s1")),              # r1
@@ -96,7 +53,7 @@ _ENTRIES = (
     (("lc", "c1", "s23"),),                                                  # J22
 )
 # coefficient names in the order leg_coefficients stacks them: slh is
-# side * lh and lcrw is lc + rw, formed as the scalar kernels form them. A
+# side * lh and lcrw is lc + rw, formed as the one-leg expressions form them. A
 # missing term is -0.0, which leaves any sum unchanged.
 _COEFS = ("lc", "lt", "rw", "slh", "lcrw", "zero")
 _SLOTS = max(len(terms) for terms in _ENTRIES)
@@ -137,22 +94,25 @@ def leg_coefficients(lh, lt, lc, rw, side):
 def leg_kinematics(q, dq, coef):
     """Positions, Jacobians and foot velocities of a stack of legs.
 
-    q and dq are (L, 3) joint angles and rates; coef is leg_coefficients()
-    of the legs. The six trig terms of each leg are evaluated once and give
-    both fk_position and leg_jacobian, bit-equal to the scalar kernels.
-    Returns (r, J, v): r (L, 3) hip-to-end-effector positions, J (L, 3, 3)
-    Jacobians and v (L, 3) velocities J @ dq.
+    q and dq are (..., L, 3) joint angles and rates; coef is
+    leg_coefficients() of the L legs, broadcast over the leading axes. The
+    six trig terms of each leg are evaluated once and give both the position
+    and the Jacobian. Returns (r, J, v): r (..., L, 3) hip-to-end-effector
+    positions, J (..., L, 3, 3) Jacobians and v (..., L, 3) velocities J @ dq.
     """
+    # the terms run along the reversed axes of q, (3, L, ...), so a plain
+    # transpose serves any number of leading axes
     ang = q.T.copy()
     ang[2] += ang[1]
-    trig = np.empty((len(_TRIG), len(q)))
+    trig = np.empty((len(_TRIG),) + ang.shape[1:])
     np.cos(ang, out=trig[:3])
     np.sin(ang, out=trig[3:6])
     trig[6] = 1.0
+    coef = coef.reshape(coef.shape + (1,) * (q.ndim - 2))
     terms = coef * trig[_TRIG_A] * trig[_TRIG_B]
     entries = sum(terms[1:], terms[0]).T.copy()
-    J = entries[:, 3:].reshape(-1, 3, 3)
-    return entries[:, :3], J, (J @ dq[:, :, None])[:, :, 0]
+    J = entries[..., 3:].reshape(entries.shape[:-1] + (3, 3))
+    return entries[..., :3], J, (J @ dq[..., None])[..., 0]
 
 
 def leg_frame(q, dq, tau, coef, sigma_min):
@@ -212,85 +172,27 @@ def _solve3(A, b, d):
     return np.stack([x0, x1, x2], axis=-1)
 
 
-def ik_joints(px, py, pz, lh, lt, l2, side):
-    """Analytic inverse kinematics for the hip-to-end-effector position.
-
-    Returns (t1, t2, t3, viol) where viol is the largest amount by which any
-    inverse-trig argument had to be clamped into its domain; viol <= CLAMP_TOL
-    means the target is inside the reachable workspace for this branch.
-
-    The planar sub-solver measures the sagittal offset with the opposite sign
-    from fk_position's first row (its Jacobian is the row-negated forward one),
-    so px is negated on entry; that makes ik_joints(fk_position(q)) == q on
-    the branch with the knee folded back and the foot on its own lateral side.
-    """
-    x = -px
-    y = py
-    z = pz
-    viol = 0.0
-
-    rho2 = y * y + z * z
-    rad = EPS_RADICAL + 4.0 * lh * lh * z * z - 4.0 * rho2 * (lh * lh - y * y)
-    if rad < 0.0:
-        rad = 0.0
-    arg1 = (2.0 * lh * z + np.sqrt(rad)) / (2.0 * rho2)
-    if arg1 > 1.0:
-        if arg1 - 1.0 > viol:
-            viol = arg1 - 1.0
-        arg1 = 1.0
-    elif arg1 < -1.0:
-        if -1.0 - arg1 > viol:
-            viol = -1.0 - arg1
-        arg1 = -1.0
-    t1 = side * np.arcsin(arg1)
-
-    zb = z - side * lh * np.sin(t1)
-    yb = y - side * lh * np.cos(t1)
-    rb = np.sqrt(yb * yb + zb * zb)
-    r2 = rb * rb + x * x
-    r = np.sqrt(r2)
-
-    arg3 = (lt * lt + l2 * l2 - r2) / (2.0 * lt * l2)
-    if arg3 > 1.0:
-        if arg3 - 1.0 > viol:
-            viol = arg3 - 1.0
-        arg3 = 1.0
-    elif arg3 < -1.0:
-        if -1.0 - arg3 > viol:
-            viol = -1.0 - arg3
-        arg3 = -1.0
-    t3 = -np.pi + np.arccos(arg3)
-
-    arg2 = (r2 + lt * lt - l2 * l2) / (2.0 * r * lt)
-    if arg2 > 1.0:
-        if arg2 - 1.0 > viol:
-            viol = arg2 - 1.0
-        arg2 = 1.0
-    elif arg2 < -1.0:
-        if -1.0 - arg2 > viol:
-            viol = -1.0 - arg2
-        arg2 = -1.0
-    t2 = np.arctan2(x, rb) + np.arccos(arg2)
-
-    return t1, t2, t3, viol
-
-
 def _clamp_unit(arg, viol):
     """arg clamped into [-1, 1], and viol raised to the overshoot if larger.
 
-    A NaN arg stays NaN and leaves viol as it was, as in ik_joints.
+    A NaN arg stays NaN and leaves viol as it was, as the branches of a
+    one-leg solve `if arg > 1.0 ... elif arg < -1.0` would leave them.
     """
     clamped = np.minimum(np.maximum(arg, -1.0), 1.0)
     return clamped, np.fmax(viol, np.abs(arg - clamped))
 
 
 def ik_joints_array(px, py, pz, lh, lt, l2, side):
-    """ik_joints over arrays: every argument broadcasts elementwise.
+    """Analytic inverse kinematics for hip-to-end-effector positions.
 
-    Same operations as the scalar ik_joints, with the branches on the
-    radical and the inverse-trig domains written as np.maximum/np.minimum,
-    so each element equals the scalar result. Returns (t1, t2, t3, viol)
-    as arrays of the broadcast shape.
+    Every argument broadcasts elementwise. Returns (t1, t2, t3, viol) as
+    arrays of the broadcast shape; viol is the largest inverse-trig domain
+    overshoot, and viol <= CLAMP_TOL means the target is inside the
+    workspace of this branch. px is negated on entry (the planar sub-solver's
+    sagittal sign is opposite to the forward one), so the solve returns q of
+    leg_kinematics' position on the branch with the knee folded back and the
+    foot on its own lateral side. Each element equals the one-leg solve
+    frozen in tests/kernels_reference.py.
     """
     x = -px
     y = py
@@ -318,7 +220,7 @@ def ik_joints_array(px, py, pz, lh, lt, l2, side):
 
 
 def ik_jacobian(t1, t2, t3, lh, lt, l2, side):
-    """Jacobian of the planar IK convention (sagittal row negated vs leg_jacobian).
+    """Jacobian of the planar IK convention (sagittal row negated vs the leg J).
 
     Scalar angles give one 3x3 matrix; arrays give a (..., 3, 3) stack over
     their broadcast shape.
@@ -348,7 +250,7 @@ def ik_rates(t1, t2, t3, vx, vy, vz, lh, lt, l2, side, det_eps):
     Returns (d1, d2, d3, ok), elementwise over the broadcast shape of the
     arguments. ok False means the Jacobian determinant fell below det_eps;
     rates are zeros there (caller decides the fallback policy). The sagittal
-    component is negated to match ik_joints' convention.
+    component is negated to match ik_joints_array's convention.
     """
     J = ik_jacobian(t1, t2, t3, lh, lt, l2, side)
     d = _det3(J)

@@ -11,25 +11,30 @@ class SingularConfiguration(Exception):
     """Jacobian too close to singular for the force solve."""
 
 
-def fk_position(q, geom: LegGeometry):
-    """Hip-to-end-effector position in the body frame."""
-    return kernels.fk_position(np.asarray(q, dtype=float), *geom.kernel_args())
-
-
 def _one_leg(a):
     """A batch of one leg from a length-3 joint vector."""
     return np.asarray(a, dtype=float).reshape(1, 3)
 
 
+def _kinematics(q, dq, geom):
+    """leg_kinematics of one leg: (r, J, v) of the batch of one."""
+    coef = kernels.leg_coefficients(*geom.kernel_args())
+    return kernels.leg_kinematics(_one_leg(q), _one_leg(dq), coef)
+
+
+def fk_position(q, geom: LegGeometry):
+    """Hip-to-end-effector position in the body frame."""
+    return _kinematics(q, np.zeros(3), geom)[0][0]
+
+
 def fk_velocity(q, dq, geom: LegGeometry):
     """Hip-to-end-effector velocity; equals jacobian(q) @ dq."""
-    coef = kernels.leg_coefficients(*geom.kernel_args())
-    return kernels.leg_kinematics(_one_leg(q), _one_leg(dq), coef)[2][0]
+    return _kinematics(q, dq, geom)[2][0]
 
 
 def jacobian(q, geom: LegGeometry):
     """Geometric Jacobian mapping joint rates to body-frame foot velocity."""
-    return kernels.leg_jacobian(np.asarray(q, dtype=float), *geom.kernel_args())
+    return _kinematics(q, np.zeros(3), geom)[1][0]
 
 
 def foot_force_body(q, tau, geom: LegGeometry, sigma_min=1e-6):

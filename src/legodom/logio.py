@@ -79,9 +79,15 @@ def read_frames(path):
             if not line:
                 continue
             try:
-                frames.append(frame_from_dict(json.loads(line)))
+                frame = frame_from_dict(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise LogParseError(lineno, str(exc))
+            # a replay steps the frames in order, and Estimator.step rejects
+            # a stamp that does not increase
+            if frames and not frame.stamp > frames[-1].stamp:
+                raise LogParseError(lineno, "stamp %r not after the previous stamp %r"
+                                    % (frame.stamp, frames[-1].stamp))
+            frames.append(frame)
     return frames
 
 

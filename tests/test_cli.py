@@ -83,6 +83,28 @@ def test_malformed_leg_array_exit_2(sim_log, capsys):
         assert "line 3" in err and "legs[1].q" in err
 
 
+def test_stamp_not_increasing_exit_2(sim_log, capsys):
+    d, log, _ = sim_log
+    lines = log.read_text().splitlines()
+    lines[3], lines[4] = lines[4], lines[3]
+    bad = d / "swapped.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, bad)) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "stamp" in err
+
+
+def test_unparseable_config_value_exit_3(sim_log, capsys):
+    d, log, _ = sim_log
+    cfg = d / "legs_word.txt"
+    cfg.write_text("legs = four\n")
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, log, "--config", str(cfg))) == 3
+        err = capsys.readouterr().err
+        assert "config error" in err and "legs" in err
+
+
 def test_replay_bad_config_exit_3(sim_log, capsys):
     d, log, _ = sim_log
     cfg = d / "bad_cfg.txt"

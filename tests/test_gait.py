@@ -3,6 +3,7 @@ import pytest
 
 from legodom import (InfeasiblePlan, degrade, fk_position, foot_force_body,
                      generate_gait, preset_plan, quat_to_rpy, rpy_matrix)
+from legodom import gait, kernels
 from legodom.gait import GRAVITY, GaitPlan
 from legodom.logio import frame_to_dict
 
@@ -82,7 +83,41 @@ def test_infeasible_plan_reports_timestamp():
                     waypoints=[(0.0, 0.0), (1.0, 0.0)])  # beyond leg reach
     with pytest.raises(InfeasiblePlan) as err:
         generate_gait(plan)
-    assert err.value.stamp >= 0.0
+    assert err.value.stamp == 0.0
+    assert str(err.value) == "t=0.0000: foot target outside workspace (overshoot 0.378496)"
+
+
+@pytest.mark.parametrize("overrides, stamp, msg", [
+    # the first swing apex folds the knee past the IK branch mid-stream
+    ({"step_height": 0.4}, 0.704,
+     "IK branch mismatch at target [0.0105649  0.1155     0.09707077]"),
+    # the stride outgrows the leg once the speed ramp ends, frames later
+    ({"speed": 2.0, "waypoints": [(0.0, 0.0), (4.0, 0.0)]}, 2.536,
+     "foot target outside workspace (overshoot 0.0036713)"),
+])
+def test_infeasible_plan_names_first_failing_frame_mid_stream(overrides, stamp, msg):
+    plan = GaitPlan(mode="trot", waypoints=[(0.0, 0.0), (1.0, 0.0)])
+    for key, value in overrides.items():
+        setattr(plan, key, value)
+    with pytest.raises(InfeasiblePlan) as err:
+        generate_gait(plan)
+    assert err.value.stamp == stamp
+    assert str(err.value) == "t=%.4f: %s" % (stamp, msg)
+
+
+def test_generator_runs_the_leg_kernels_once_per_block_of_frames(monkeypatch):
+    calls = {"ik_joints_array": 0, "leg_kinematics": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    plan = preset_plan("flat_loop")
+    plan.waypoints = [(0.0, 0.0), (0.5, 0.0)]
+    n_frames = len(generate_gait(plan).frames)
+    blocks = -(-n_frames // gait._BLOCK)
+    assert blocks >= 3
+    assert calls == {"ik_joints_array": blocks, "leg_kinematics": blocks}
 
 
 def test_degrade_zero_is_identity():

@@ -8,6 +8,7 @@ from legodom.ikvel import LegVelocityFilter, cubature_points, initial_state
 import legodom.ikvel as ikvel
 import legodom.kernels as kernels
 
+import kernels_reference as ref
 from conftest import sample_joint
 
 GEOM = LegGeometry(0.0955, 0.213, 0.213, 0.0, 1, np.zeros(3))
@@ -78,7 +79,7 @@ def test_array_ik_matches_scalar_kernels():
     for g, geom in enumerate(geoms):
         a = (geom.hip_offset_len, geom.thigh_len, geom.l2, float(geom.side_sign))
         for k, x in enumerate(xs[g]):
-            t1, t2, t3, v = kernels.ik_joints(x[0], x[1], x[2], *a)
+            t1, t2, t3, v = ref.ik_joints(x[0], x[1], x[2], *a)
             d1, d2, d3, ok = kernels.ik_rates(t1, t2, t3, x[3], x[4], x[5], *a,
                                               ikvel.DET_EPS)
             assert np.array_equal(z[g, k], [t1, t2, t3, d1, d2, d3], equal_nan=True)
@@ -205,6 +206,21 @@ def test_cholesky_failure_recovers():
     assert status & ikvel.CKF_CHOL_RESET
     assert np.all(np.isfinite(out.x))
     assert np.all(np.linalg.eigvalsh(out.P) > 0)
+
+
+def test_non_finite_measurement_keeps_the_prediction():
+    q = np.array([0.05, 0.8, -1.6])
+    x0 = np.concatenate([fk_position(q, GEOM), np.array([0.2, 0.0, 0.0])])
+    P0 = np.diag([1e-4] * 3 + [1e-1] * 3)
+    noise = CkfNoise.from_diagonals()
+    x_pred, p_pred = ikvel._predict(x0, np.linalg.cholesky(P0), 0.002,
+                                    noise.q_cov * 0.002)
+    for bad in (np.nan, np.inf):
+        z = np.concatenate([q, np.zeros(3)])
+        z[1] = bad
+        out, status = ckf_step(CkfLegState(x0, P0, 0.0), z, 0.002, noise, GEOM)
+        assert status == ikvel.CKF_MEASUREMENT_SKIPPED
+        assert np.array_equal(out.x, x_pred) and np.array_equal(out.P, p_pred)
 
 
 def test_mixed_recovery_batch_matches_one_leg_steps(legs4):

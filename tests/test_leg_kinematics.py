@@ -5,6 +5,7 @@ from legodom import (LegGeometry, SingularConfiguration, fk_position,
                      fk_velocity, foot_force_body, jacobian, kernels,
                      rolling_bias)
 
+import kernels_reference as ref
 from conftest import sample_joint
 
 GEOM = LegGeometry(0.08, 0.213, 0.213, 0.0, 1, np.zeros(3))
@@ -188,7 +189,7 @@ def test_force_singular_configuration():
 
 def _foot_force_reference(q, tau, lh, lt, lc, rw, side, sigma_min):
     """The scalar wrench kernel that leg_frame replaced, frozen verbatim."""
-    J = kernels.leg_jacobian(q, lh, lt, lc, rw, side)
+    J = ref.leg_jacobian(q, lh, lt, lc, rw, side)
     if np.linalg.svd(J, compute_uv=False)[2] < sigma_min:
         return np.zeros(3), False
     return np.linalg.solve(J @ J.T, J @ tau), True
@@ -222,8 +223,8 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
         sigma_min = 0.02 if k % 5 == 0 else 1e-6
         r, v, f, ok = kernels.leg_frame(q, dq, tau, coef, sigma_min)
         for i, a in enumerate(args):
-            assert np.array_equal(r[i], kernels.fk_position(q[i], *a))
-            assert np.array_equal(v[i], kernels.leg_jacobian(q[i], *a) @ dq[i])
+            assert np.array_equal(r[i], ref.fk_position(q[i], *a))
+            assert np.array_equal(v[i], ref.leg_jacobian(q[i], *a) @ dq[i])
             f_ref, ok_ref = _foot_force_reference(q[i], tau[i], *a, sigma_min)
             assert ok[i] == ok_ref
             assert np.array_equal(f[i], f_ref)
@@ -254,6 +255,24 @@ def test_leg_frame_gates_out_non_finite_legs():
     assert np.isnan(r[[1, 3]]).all() and np.isnan(v[[1, 3]]).all()
     with pytest.raises(SingularConfiguration):
         foot_force_body(q_bad[1], tau[1], BATCH_GEOMS[1])
+
+
+def test_leg_kinematics_broadcasts_over_leading_axes():
+    # the gait generator runs blocks of (frames, legs); every element must
+    # equal the one-leg reference, and the legs' wrappers the same
+    rng = np.random.default_rng(13)
+    args = [g.kernel_args() for g in BATCH_GEOMS]
+    q = rng.uniform(-np.pi, np.pi, (7, 4, 3))
+    dq = rng.normal(scale=3.0, size=(7, 4, 3))
+    r, J, v = kernels.leg_kinematics(q, dq, _batch_coef(BATCH_GEOMS))
+    assert r.shape == v.shape == (7, 4, 3) and J.shape == (7, 4, 3, 3)
+    for k in range(7):
+        for i, (geom, a) in enumerate(zip(BATCH_GEOMS, args)):
+            assert np.array_equal(r[k, i], ref.fk_position(q[k, i], *a))
+            assert np.array_equal(J[k, i], ref.leg_jacobian(q[k, i], *a))
+            assert np.array_equal(v[k, i], ref.leg_jacobian(q[k, i], *a) @ dq[k, i])
+            assert np.array_equal(fk_position(q[k, i], geom), r[k, i])
+            assert np.array_equal(jacobian(q[k, i], geom), J[k, i])
 
 
 # --- rolling_bias ------------------------------------------------------------

@@ -61,6 +61,19 @@ def test_malformed_arrays_name_line_and_field(tmp_path, field, value):
     assert name in str(err.value)
 
 
+def test_stamp_not_increasing_names_line(tmp_path):
+    plan = preset_plan("standing")
+    plan.duration = 0.02
+    lines = [json.dumps(frame_to_dict(fr)) for fr in generate_gait(plan).frames]
+    path = tmp_path / "bad.jsonl"
+    for bad in (lines[1], lines[2]):  # stamp repeated, then stamp going back
+        path.write_text("\n".join(lines[:3] + [bad] + lines[3:]) + "\n")
+        with pytest.raises(LogParseError) as err:
+            read_frames(path)
+        assert err.value.line == 4
+        assert "stamp" in str(err.value)
+
+
 def test_empty_log(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
@@ -92,6 +105,17 @@ def test_config_defaults_round_trip(tmp_path):
         assert np.array_equal(a.hip_mount, b.hip_mount)
 
 
+@pytest.mark.parametrize("line", [
+    "legs = four", "geom.hip_offset = wide", "geom.thigh = 0.2m", "geom.calf = -",
+    "geom.wheel_radius = 5cm", "leg0.side = left", "leg1.side = 2",
+    "leg2.mount = 0.1 y 0", "init.position = 0 0 high"])
+def test_config_parse_errors_name_the_key(line):
+    key = line.split("=")[0].strip()
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(line)
+    assert key in str(err.value)
+
+
 def test_config_parsing_and_validation():
     cfg = parse_config_text("""
         # comment
@@ -113,6 +137,8 @@ def test_config_parsing_and_validation():
         parse_config_text("height.match_window = -1")
     with pytest.raises(ConfigError):
         parse_config_text("just a line without equals")
+    with pytest.raises(ConfigError, match="geom"):
+        parse_config_text("geom.thigh = -0.2")
 
 
 def test_plan_file_parsing():
