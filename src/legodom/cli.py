@@ -29,7 +29,7 @@ def _load_inputs(args):
         print("config error: %s" % exc, file=sys.stderr)
         return None, None, 3
     try:
-        frames = read_frames(args.log)
+        frames = read_frames(args.log, len(cfg.legs))
     except LogParseError as exc:
         print("log parse error: %s" % exc, file=sys.stderr)
         return None, None, 2
@@ -93,7 +93,8 @@ def cmd_inspect(args):
     est = Estimator(cfg)
     for fr in frames:
         est.step(fr)
-    print(json.dumps(est.diagnostics(), indent=2))
+    print(json.dumps({**est.diagnostics(), "ckf_status": est.ikvel.status_totals()},
+                     indent=2))
     return 0
 
 

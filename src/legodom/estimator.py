@@ -1,6 +1,7 @@
 """The per-sample fusion loop: attitude intake, wrench gating, touchdown
 handling, anchored observation fusion, wheel propagation, and yaw correction."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ class Estimator:
         n = len(cfg.legs)
         if len(frame.legs) != n:
             raise ValueError("frame has %d legs, config has %d" % (len(frame.legs), n))
+        if not math.isfinite(frame.stamp):
+            raise ValueError("frame stamp %r is not finite" % frame.stamp)
         if self.state.stamp is not None and frame.stamp <= self.state.stamp:
             raise ValueError("frame stamp %r not after state stamp %r"
                              % (frame.stamp, self.state.stamp))
@@ -108,7 +111,7 @@ class Estimator:
         r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
                                               cfg.sigma_min)
         feet_body = self._hip_mounts + r_b
-        foot_vel = self.ikvel.update(t, frame.legs) if self.ikvel.enabled else v_b
+        foot_vel = self.ikvel.update(t, q, dq) if self.ikvel.enabled else v_b
         contacts = []
         touchdowns = []
         for i in range(n):

@@ -6,15 +6,14 @@ Cartesian state against the measured (angles, rates) through the analytic IK
 keeps the velocity observation smooth without ever forming model Jacobians.
 
 The recursion is the equal-weight 2n-point spherical-radial cubature rule of
-Arasaratnam & Haykin (Cubature Kalman Filters, IEEE TAC 2009), written once
-below as point generation, prediction moments and the gain update. Each part
-takes any leading batch axes, so one call covers every leg of a frame: the
-points are (legs, 12, 6), the IK maps all of them in one array call,
-Cholesky and solve run on the stacked matrices and the moments are batched
-matmuls. `cubature_step` runs the recursion unbatched with any measurement
-map and raises on a covariance that is not positive definite;
-`LegVelocityFilter` runs it over all legs with the leg IK and the per-leg
-recovery policy, and `ckf_step` does the same for one leg.
+Arasaratnam & Haykin (Cubature Kalman Filters, IEEE TAC 2009). The rule is
+exact for the linear constant-velocity map, so the prediction is closed-form;
+points are drawn only for the IK measurement, as contiguous (6, legs * 12)
+rows that one kernels.ik_measurement_rows call maps, and the gain update runs
+on the stacked matrices of every leg of a frame. `cubature_step` runs the
+recursion unbatched with any measurement map and raises on a covariance that
+is not positive definite; `LegVelocityFilter` runs it over all legs with the
+leg IK and the per-leg recovery policy, and `ckf_step` does the same for one leg.
 """
 
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ CKF_RATE_FALLBACK = 2
 CKF_CLAMPED = 4
 CKF_UPDATE_SKIPPED = 8
 CKF_MEASUREMENT_SKIPPED = 16
+_STATUS_BITS = {name: bit for name, bit in globals().items() if name.startswith("CKF_")}
 
 
 class Unreachable(Exception):
@@ -81,11 +81,9 @@ def _ik_h(xs, lh, lt, l2, side, det_eps):
     state, singular is True where the rate solve was ill-posed and the rates
     are zeros.
     """
-    t1, t2, t3, viol = kernels.ik_joints_array(xs[..., 0], xs[..., 1], xs[..., 2],
-                                               lh, lt, l2, side)
-    d1, d2, d3, ok = kernels.ik_rates(t1, t2, t3, xs[..., 3], xs[..., 4], xs[..., 5],
-                                      lh, lt, l2, side, det_eps)
-    return np.stack([t1, t2, t3, d1, d2, d3], axis=-1), viol, ~ok
+    z, viol, singular = kernels.ik_measurement_rows(np.moveaxis(xs, -1, 0),
+                                                    lh, lt, l2, side, det_eps)
+    return np.moveaxis(z, 0, -1), viol, singular
 
 
 def ik_measurement(x, geom: LegGeometry, clamp_tol=kernels.CLAMP_TOL):
@@ -134,27 +132,31 @@ def _cholesky(P):
     return S, ok
 
 
-def _points(x, S):
-    """The 2n equal-weight points x +- sqrt(n) * S[..., :, j], along axis -2.
+def _point_rows(x, S):
+    """The 2n equal-weight points x[l] +- sqrt(n) * S[l, :, j] of each leg l, as
+    contiguous rows, the layout of the measurement kernel: x (L, n) and S
+    (L, n, n) give (n, L, 2n). np.moveaxis(rows, 0, -1) is the point stack."""
+    n = x.shape[-1]
+    rows = np.empty((n, len(x), 2 * n))
+    d = (np.sqrt(float(n)) * S).transpose(1, 0, 2)
+    x = x.T[:, :, None]
+    np.add(x, d, out=rows[..., :n])
+    np.subtract(x, d, out=rows[..., n:])
+    return rows
 
-    x is (..., n) and S (..., n, n); the points are (..., 2n, n).
-    """
-    d = np.sqrt(float(x.shape[-1])) * _T(S)
-    x = x[..., None, :]
-    return np.concatenate([x + d, x - d], axis=-2)
 
-
-def _predict(x, S, dt, q_cov):
-    """Push the points of (x, S S^T) through the constant-velocity map.
-
-    Returns the predicted mean and covariance, with x's leading axes.
-    """
-    pts = _points(x, S)
-    half = x.shape[-1] // 2
-    pts[..., :half] += dt * pts[..., half:]
-    x_pred = pts.mean(axis=-2)
-    dev = pts - x_pred[..., None, :]
-    return x_pred, _T(dev) @ dev / pts.shape[-2] + q_cov
+def _predict(x, P, dt, q_cov):
+    """F x and F P F^T + q_cov, F = [[I, dt I], [0, I]]: the moments of the pushed
+    cubature points, in 3x3 blocks over any leading axes. With P = [[A, B], [L, C]],
+    F P F^T = [[A + dt (B + L) + dt^2 C, B + dt C], [L + dt C, C]]."""
+    x_pred = x.copy()
+    x_pred[..., :3] += dt * x[..., 3:]
+    dtc = dt * P[..., 3:, 3:]
+    p_pred = P + q_cov
+    p_pred[..., :3, :3] += dt * (P[..., :3, 3:] + P[..., 3:, :3]) + dt * dtc
+    p_pred[..., :3, 3:] += dtc
+    p_pred[..., 3:, :3] += dtc
+    return x_pred, p_pred
 
 
 def _update(x_pred, p_pred, pts, zs, z, r_cov):
@@ -186,8 +188,14 @@ def _update(x_pred, p_pred, pts, zs, z, r_cov):
 
 
 def cubature_points(x, P):
-    """Equal-weight spherical-radial point set: x +- sqrt(n) * chol(P) columns."""
-    return _points(np.asarray(x, dtype=float), np.linalg.cholesky(P))
+    """Equal-weight spherical-radial point set: x +- sqrt(n) * chol(P) columns.
+
+    x (..., n) and P (..., n, n) broadcast; the points are (..., 2n, n).
+    """
+    x = np.asarray(x, dtype=float)
+    d = np.sqrt(float(x.shape[-1])) * _T(np.linalg.cholesky(P))
+    x = x[..., None, :]
+    return np.concatenate([x + d, x - d], axis=-2)
 
 
 def cubature_step(x, P, dt, z, q_cov, r_cov, h):
@@ -197,8 +205,8 @@ def cubature_step(x, P, dt, z, q_cov, r_cov, h):
     LinAlgError when the prior, predicted or innovation covariance is not
     positive definite. Used for the linear-model equivalence checks.
     """
-    x_pred, p_pred = _predict(np.asarray(x, dtype=float),
-                              np.linalg.cholesky(P), dt, q_cov)
+    np.linalg.cholesky(P)
+    x_pred, p_pred = _predict(np.asarray(x, dtype=float), P, dt, q_cov)
     pts = cubature_points(x_pred, p_pred)
     zs = np.array([h(p) for p in pts])
     x_post, p_post, ok = _update(x_pred, p_pred, pts, zs,
@@ -234,26 +242,27 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side):
     """One filter cycle for a stack of legs against measured (angles, rates).
 
     x (L, 6), P (L, 6, 6) and z (L, 6); dt is the common, already truncated
-    time step; the link parameters are (L,) arrays or scalars. Every leg's
-    arithmetic is independent of the others, so a leg's result does not
-    depend on the batch it runs in. Returns (x, P, status), status an (L,)
-    int array of CKF_* bits.
+    time step; the link parameters are (L * 12,) arrays, each leg's value
+    tiled over its cubature points, or scalars. A leg's result does not depend
+    on the batch it runs in. Returns (x, P, status), status (L,) CKF_* bits.
     """
-    _, S, status = _factor_or_prior(P)
-    x_pred, p_pred = _predict(x, S, dt, noise.q_cov * dt)
+    P, _, status = _factor_or_prior(P)  # its factor only decides the reset
+    x_pred, p_pred = _predict(x, P, dt, noise.q_cov * dt)
     p_pred, S, reset = _factor_or_prior(p_pred)
     status = status | reset
 
     # a singular IK Jacobian zeroes that point's rates, so the rate block of
     # R is inflated to make that leg's update ignore the measured rates
-    pts = _points(x_pred, S)
-    col = [np.asarray(a)[..., None] for a in (lh, lt, l2, side)]
-    zs, viol, singular = _ik_h(pts, *col, DET_EPS)
-    fallback = singular.any(axis=-1)
-    status = (status | np.where((viol > kernels.CLAMP_TOL).any(axis=-1), CKF_CLAMPED, 0)
-              | np.where(fallback, CKF_RATE_FALLBACK, 0))
-    r_cov = np.where(fallback[..., None, None], noise.r_cov * _RATE_INFLATION,
-                     noise.r_cov)
+    legs = len(x)
+    rows = _point_rows(x_pred, S)
+    zr, viol, singular = kernels.ik_measurement_rows(rows.reshape(6, -1), lh, lt, l2,
+                                                     side, DET_EPS)
+    clamped = (viol.reshape(legs, -1) > kernels.CLAMP_TOL).any(axis=-1)
+    fallback = singular.reshape(legs, -1).any(axis=-1)
+    status = status | CKF_CLAMPED * clamped | CKF_RATE_FALLBACK * fallback
+    r_cov = noise.r_cov
+    if fallback.any():
+        r_cov = np.where(fallback[:, None, None], r_cov * _RATE_INFLATION, r_cov)
 
     # a leg with a non-finite measurement keeps its prediction; a zero stands
     # in for its z so the update's arithmetic stays finite
@@ -262,14 +271,15 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side):
     if not all_finite:
         z = np.where(finite[..., None], z, 0.0)
 
-    # where the innovation covariance is unusable, _update keeps the prediction
-    x, P, ok = _update(x_pred, p_pred, pts, zs, z, r_cov)
+    # contiguous copies: _update's stacked matmuls are slower on strided views
+    x, P, ok = _update(x_pred, p_pred, rows.transpose(1, 2, 0).copy(),
+                       zr.reshape(rows.shape).transpose(1, 2, 0).copy(), z, r_cov)
     status = status | np.where(ok, 0, CKF_UPDATE_SKIPPED)
     if not all_finite:
         x = np.where(finite[..., None], x, x_pred)
         P = np.where(finite[..., None, None], P, p_pred)
         status = status | np.where(finite, 0, CKF_MEASUREMENT_SKIPPED)
-    x[..., 1] = side * np.abs(x[..., 1])
+    x[..., 1] = np.broadcast_to(side, viol.shape).reshape(legs, -1)[:, 0] * np.abs(x[..., 1])
     return x, P, status
 
 
@@ -323,7 +333,8 @@ class LegVelocityFilter:
     status_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._params = tuple(np.array(p) for p in zip(*(
+        # the link parameters of each leg, tiled over its 12 cubature points
+        self._params = tuple(np.repeat(p, 12) for p in zip(*(
             (g.hip_offset_len, g.thigh_len, g.l2, float(g.side_sign))
             for g in self.geometries)))
         self._coef = kernels.leg_coefficients(
@@ -333,21 +344,26 @@ class LegVelocityFilter:
         self.states = None
         self.status_counts.clear()
 
-    def update(self, stamp, joint_readings):
-        """Advance every leg one cycle; returns the per-leg foot velocity."""
+    def status_totals(self):
+        """How many leg cycles set each CKF_* bit, keyed by the bit's name."""
+        return {name: sum(n for s, n in self.status_counts.items() if s & bit)
+                for name, bit in _STATUS_BITS.items()}
+
+    def update(self, stamp, q, dq=None):
+        """Advance every leg one cycle; returns the per-leg foot velocity. q and
+        dq are the (L, 3) joint angles and rates, or q per-leg JointReadings."""
+        if dq is None:
+            q, dq = np.array([r.q for r in q]), np.array([r.dq for r in q])
         if not self.enabled:
-            q = np.array([r.q for r in joint_readings])
-            dq = np.array([r.dq for r in joint_readings])
             return list(kernels.leg_kinematics(q, dq, self._coef)[2])
         st = self.states
         if st is None:
-            legs = [initial_state(r.q, g, stamp)
-                    for g, r in zip(self.geometries, joint_readings)]
+            legs = [initial_state(qi, g, stamp) for g, qi in zip(self.geometries, q)]
             st = CkfLegState(np.array([s.x for s in legs]),
                              np.array([s.P for s in legs]), stamp)
-        z = np.array([np.concatenate([r.q, r.dq]) for r in joint_readings])
         x, P, status = _ckf_legs(st.x, st.P, _truncated_dt(stamp, st.t, self.dt_max),
-                                 z, self.noise, *self._params)
+                                 np.concatenate([q, dq], axis=1), self.noise,
+                                 *self._params)
         self.states = CkfLegState(x, P, stamp)
         for s in status[status != 0].tolist():
             self.status_counts[s] = self.status_counts.get(s, 0) + 1

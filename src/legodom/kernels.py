@@ -1,16 +1,16 @@
-"""Leg geometry of a 3-DoF leg: forward kinematics, the leg and IK Jacobians,
-the analytic inverse kinematics and the torque-to-wrench solve.
+"""Leg geometry of a 3-DoF leg: forward kinematics, the leg Jacobian, the
+analytic inverse kinematics, the IK rate solve and the torque-to-wrench solve.
 
 Every kernel works on a stack of legs; a single leg is a batch of one. The
 forward side: `leg_kinematics` gives the positions, Jacobians and foot
 velocities of a stack of legs from one evaluation of their trig terms, and
 `leg_frame` adds the wrench gate and the forces with one stacked SVD and one
 stacked solve. Both take the term coefficients from `leg_coefficients`,
-built once per set of legs. The inverse side: `ik_joints_array`,
-`ik_jacobian` and `ik_rates` work elementwise over arrays (the last two over
-scalars as well). The cubature filter in `ikvel` maps every leg and cubature
-point of a frame at once through them, and the gait generator every frame
-and leg of a block of frames.
+built once per set of legs. The inverse side works elementwise: the gait
+generator solves every frame and leg of a block of frames with
+`ik_joints_array`, and the cubature filter in `ikvel` maps every leg and
+cubature point of a frame with `ik_measurement_rows`, which runs the same
+angle solve and then the joint rates from the same trig terms.
 """
 
 import numpy as np
@@ -147,31 +147,6 @@ def leg_frame(q, dq, tau, coef, sigma_min):
     return r, v, f, ok
 
 
-def _det3(A):
-    """Determinant of a 3x3 matrix, or of each matrix in a (..., 3, 3) stack."""
-    return (A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
-            - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
-            + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]))
-
-
-def _solve3(A, b, d):
-    """Cramer solve of A x = b for (..., 3, 3) A and (..., 3) b, given d = _det3(A).
-
-    The caller guarantees every d is well away from zero.
-    """
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    x0 = (b0 * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
-          - A[..., 0, 1] * (b1 * A[..., 2, 2] - A[..., 1, 2] * b2)
-          + A[..., 0, 2] * (b1 * A[..., 2, 1] - A[..., 1, 1] * b2)) / d
-    x1 = (A[..., 0, 0] * (b1 * A[..., 2, 2] - A[..., 1, 2] * b2)
-          - b0 * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
-          + A[..., 0, 2] * (A[..., 1, 0] * b2 - b1 * A[..., 2, 0])) / d
-    x2 = (A[..., 0, 0] * (A[..., 1, 1] * b2 - b1 * A[..., 2, 1])
-          - A[..., 0, 1] * (A[..., 1, 0] * b2 - b1 * A[..., 2, 0])
-          + b0 * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0])) / d
-    return np.stack([x0, x1, x2], axis=-1)
-
-
 def _clamp_unit(arg, viol):
     """arg clamped into [-1, 1], and viol raised to the overshoot if larger.
 
@@ -182,30 +157,19 @@ def _clamp_unit(arg, viol):
     return clamped, np.fmax(viol, np.abs(arg - clamped))
 
 
-def ik_joints_array(px, py, pz, lh, lt, l2, side):
-    """Analytic inverse kinematics for hip-to-end-effector positions.
-
-    Every argument broadcasts elementwise. Returns (t1, t2, t3, viol) as
-    arrays of the broadcast shape; viol is the largest inverse-trig domain
-    overshoot, and viol <= CLAMP_TOL means the target is inside the
-    workspace of this branch. px is negated on entry (the planar sub-solver's
-    sagittal sign is opposite to the forward one), so the solve returns q of
-    leg_kinematics' position on the branch with the knee folded back and the
-    foot on its own lateral side. Each element equals the one-leg solve
-    frozen in tests/kernels_reference.py.
-    """
-    x = -px
-    y = py
-    z = pz
+def _ik_angles(px, py, pz, lh, lt, l2, side):
+    """ik_joints_array's solve, plus sin(t1) and cos(t1) for the rate solve."""
+    x, y, z = -px, py, pz
 
     rho2 = y * y + z * z
     rad = np.maximum(
         EPS_RADICAL + 4.0 * lh * lh * z * z - 4.0 * rho2 * (lh * lh - y * y), 0.0)
     arg1, viol = _clamp_unit((2.0 * lh * z + np.sqrt(rad)) / (2.0 * rho2), 0.0)
     t1 = side * np.arcsin(arg1)
+    s1, c1 = np.sin(t1), np.cos(t1)
 
-    zb = z - side * lh * np.sin(t1)
-    yb = y - side * lh * np.cos(t1)
+    zb = z - side * lh * s1
+    yb = y - side * lh * c1
     rb = np.sqrt(yb * yb + zb * zb)
     r2 = rb * rb + x * x
     r = np.sqrt(r2)
@@ -216,45 +180,74 @@ def ik_joints_array(px, py, pz, lh, lt, l2, side):
     arg2, viol = _clamp_unit((r2 + lt * lt - l2 * l2) / (2.0 * r * lt), viol)
     t2 = np.arctan2(x, rb) + np.arccos(arg2)
 
-    return t1, t2, t3, viol
+    return t1, t2, t3, viol, s1, c1
 
 
-def ik_jacobian(t1, t2, t3, lh, lt, l2, side):
-    """Jacobian of the planar IK convention (sagittal row negated vs the leg J).
+def ik_joints_array(px, py, pz, lh, lt, l2, side):
+    """Analytic inverse kinematics for hip-to-end-effector positions.
 
-    Scalar angles give one 3x3 matrix; arrays give a (..., 3, 3) stack over
-    their broadcast shape.
+    Every argument broadcasts elementwise. Returns (t1, t2, t3, viol); viol is
+    the largest inverse-trig domain overshoot, and viol <= CLAMP_TOL means the
+    target is inside the workspace of this branch. px is negated on entry (the
+    planar sub-solver's sagittal sign is opposite to the forward one), so the
+    solve returns q of leg_kinematics' position on the branch with the knee
+    folded back and the foot on its own lateral side. Each element equals the
+    one-leg solve frozen in tests/kernels_reference.py.
     """
-    c1 = np.cos(t1)
-    s1 = np.sin(t1)
-    c2 = np.cos(t2)
-    s2 = np.sin(t2)
-    c23 = np.cos(t2 + t3)
-    s23 = np.sin(t2 + t3)
-    J = np.empty(np.broadcast(t1, t2, t3, lh, lt, l2, side).shape + (3, 3))
-    J[..., 0, 0] = 0.0
-    J[..., 0, 1] = l2 * c23 + lt * c2
-    J[..., 0, 2] = l2 * c23
-    J[..., 1, 0] = -side * lh * s1 + l2 * c1 * c23 + lt * c2 * c1
-    J[..., 1, 1] = -l2 * s1 * s23 - lt * s1 * s2
-    J[..., 1, 2] = -l2 * s1 * s23
-    J[..., 2, 0] = side * lh * c1 + l2 * s1 * c23 + lt * c2 * s1
-    J[..., 2, 1] = l2 * c1 * s23 + lt * c1 * s2
-    J[..., 2, 2] = l2 * c1 * s23
-    return J
+    return _ik_angles(px, py, pz, lh, lt, l2, side)[:4]
 
 
-def ik_rates(t1, t2, t3, vx, vy, vz, lh, lt, l2, side, det_eps):
-    """Joint rates implied by a Cartesian velocity through the IK Jacobian.
+def ik_measurement_rows(rows, lh, lt, l2, side, det_eps):
+    """(joint angles, joint rates) of foot (position, velocity) states.
 
-    Returns (d1, d2, d3, ok), elementwise over the broadcast shape of the
-    arguments. ok False means the Jacobian determinant fell below det_eps;
-    rates are zeros there (caller decides the fallback policy). The sagittal
-    component is negated to match ik_joints_array's convention.
+    rows is (6, ...), one state per column, fastest as contiguous (6, N); the
+    link parameters broadcast against rows[0], e.g. tiled to (N,). The angles
+    are ik_joints_array's; the rates solve J_ik d = (-vx, vy, vz), J_ik the leg
+    Jacobian with its sagittal row negated. Each trig term and the three 2x2
+    minors of J_ik's lower rows are formed once, for both the determinant and
+    the adjugate. Returns (z (6, ...), viol, singular), singular True where
+    |det J_ik| < det_eps, with zero rates; each element equals the frozen
+    ik_joints plus ik_rates of tests/kernels_reference.py.
     """
-    J = ik_jacobian(t1, t2, t3, lh, lt, l2, side)
-    d = _det3(J)
-    ok = ~(np.abs(d) < det_eps)
-    b = np.stack(np.broadcast_arrays(-vx, vy, vz), axis=-1)
-    th = np.where(ok[..., None], _solve3(J, b, np.where(ok, d, 1.0)), 0.0)
-    return th[..., 0], th[..., 1], th[..., 2], ok
+    t1, t2, t3, viol, s1, c1 = _ik_angles(rows[0], rows[1], rows[2],
+                                          lh, lt, l2, side)
+    t23 = t2 + t3
+    c2, s2, c23, s23 = np.cos(t2), np.sin(t2), np.cos(t23), np.sin(t23)
+
+    # J_ik's entries, each bit-equal to the frozen ik_jacobian's (same products
+    # and sums in the same order); its first entry is zero, and the terms of
+    # the determinant and the adjugate that it multiplies are left out
+    slh = side * lh
+    l2c1 = l2 * c1
+    nl2s1 = -l2 * s1
+    ltc2 = lt * c2
+    j02 = l2 * c23
+    j01 = j02 + ltc2
+    j10 = l2c1 * c23 - slh * s1 + ltc2 * c1
+    j12 = nl2s1 * s23
+    j11 = j12 - lt * s1 * s2
+    j20 = slh * c1 - nl2s1 * c23 + ltc2 * s1
+    j22 = l2c1 * s23
+    j21 = j22 + lt * c1 * s2
+
+    m0 = j11 * j22 - j12 * j21
+    m1 = j10 * j22 - j12 * j20
+    m2 = j10 * j21 - j11 * j20
+    d = j02 * m2 - j01 * m1
+    singular = np.abs(d) < det_eps
+    any_singular = singular.any()
+    if any_singular:
+        d = np.where(singular, 1.0, d)
+
+    b0, b1, b2 = -rows[3], rows[4], rows[5]
+    e0 = b1 * j22 - j12 * b2
+    e1 = b1 * j21 - j11 * b2
+    e2 = j10 * b2 - b1 * j20
+    z = np.empty((6,) + np.shape(t2))
+    z[0], z[1], z[2] = t1, t2, t3
+    z[3] = (b0 * m0 - j01 * e0 + j02 * e1) / d
+    z[4] = (j02 * e2 - b0 * m1) / d
+    z[5] = (b0 * m2 - j01 * e2) / d
+    if any_singular:
+        z[3:] = np.where(singular, 0.0, z[3:])
+    return z, viol, singular

@@ -60,9 +60,11 @@ def frame_from_dict(d):
             has_wheel = True
         else:
             wheels.append(None)
-    return SensorFrame(float(d["t"]), _vector(d["att"], 4, "att"),
-                       _vector(d["gyro"], 3, "gyro"), legs,
-                       wheels if has_wheel else None)
+    t = float(d["t"])
+    if not np.isfinite(t):
+        raise ValueError("t must be finite, got %r" % t)
+    return SensorFrame(t, _vector(d["att"], 4, "att"), _vector(d["gyro"], 3, "gyro"),
+                       legs, wheels if has_wheel else None)
 
 
 def write_frames(path, frames):
@@ -71,7 +73,8 @@ def write_frames(path, frames):
             fh.write(json.dumps(frame_to_dict(fr)) + "\n")
 
 
-def read_frames(path):
+def read_frames(path, n_legs=None):
+    """The frames of a log; a frame with other than n_legs legs, if given, is an error."""
     frames = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -82,6 +85,9 @@ def read_frames(path):
                 frame = frame_from_dict(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise LogParseError(lineno, str(exc))
+            if n_legs is not None and len(frame.legs) != n_legs:
+                raise LogParseError(lineno, "frame has %d legs, config has %d"
+                                    % (len(frame.legs), n_legs))
             # a replay steps the frames in order, and Estimator.step rejects
             # a stamp that does not increase
             if frames and not frame.stamp > frames[-1].stamp:

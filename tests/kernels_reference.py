@@ -1,8 +1,10 @@
-"""Frozen copies of the scalar leg kernels that `legodom.kernels` replaced.
+"""Frozen copies of the leg kernels that `legodom.kernels` replaced.
 
 `fk_position`, `leg_jacobian` and `ik_joints` below are the one-leg forms the
 library used before every caller moved to the batched kernels
-(`leg_kinematics`, `ik_joints_array`). They are kept verbatim so the batched
+(`leg_kinematics`, `ik_joints_array`). `ik_jacobian`, `ik_rates`, `_det3` and
+`_solve3` are the IK rate solve the filter used before its measurement map
+became the fused `ik_measurement_rows`. They are kept verbatim so the batched
 kernels are checked against an independent operation sequence. Do not edit
 them to follow the library.
 """
@@ -115,3 +117,69 @@ def ik_joints(px, py, pz, lh, lt, l2, side):
     t2 = np.arctan2(x, rb) + np.arccos(arg2)
 
     return t1, t2, t3, viol
+
+
+def _det3(A):
+    """Determinant of a 3x3 matrix, or of each matrix in a (..., 3, 3) stack."""
+    return (A[..., 0, 0] * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
+            - A[..., 0, 1] * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
+            + A[..., 0, 2] * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0]))
+
+
+def _solve3(A, b, d):
+    """Cramer solve of A x = b for (..., 3, 3) A and (..., 3) b, given d = _det3(A).
+
+    The caller guarantees every d is well away from zero.
+    """
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    x0 = (b0 * (A[..., 1, 1] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 1])
+          - A[..., 0, 1] * (b1 * A[..., 2, 2] - A[..., 1, 2] * b2)
+          + A[..., 0, 2] * (b1 * A[..., 2, 1] - A[..., 1, 1] * b2)) / d
+    x1 = (A[..., 0, 0] * (b1 * A[..., 2, 2] - A[..., 1, 2] * b2)
+          - b0 * (A[..., 1, 0] * A[..., 2, 2] - A[..., 1, 2] * A[..., 2, 0])
+          + A[..., 0, 2] * (A[..., 1, 0] * b2 - b1 * A[..., 2, 0])) / d
+    x2 = (A[..., 0, 0] * (A[..., 1, 1] * b2 - b1 * A[..., 2, 1])
+          - A[..., 0, 1] * (A[..., 1, 0] * b2 - b1 * A[..., 2, 0])
+          + b0 * (A[..., 1, 0] * A[..., 2, 1] - A[..., 1, 1] * A[..., 2, 0])) / d
+    return np.stack([x0, x1, x2], axis=-1)
+
+
+def ik_jacobian(t1, t2, t3, lh, lt, l2, side):
+    """Jacobian of the planar IK convention (sagittal row negated vs the leg J).
+
+    Scalar angles give one 3x3 matrix; arrays give a (..., 3, 3) stack over
+    their broadcast shape.
+    """
+    c1 = np.cos(t1)
+    s1 = np.sin(t1)
+    c2 = np.cos(t2)
+    s2 = np.sin(t2)
+    c23 = np.cos(t2 + t3)
+    s23 = np.sin(t2 + t3)
+    J = np.empty(np.broadcast(t1, t2, t3, lh, lt, l2, side).shape + (3, 3))
+    J[..., 0, 0] = 0.0
+    J[..., 0, 1] = l2 * c23 + lt * c2
+    J[..., 0, 2] = l2 * c23
+    J[..., 1, 0] = -side * lh * s1 + l2 * c1 * c23 + lt * c2 * c1
+    J[..., 1, 1] = -l2 * s1 * s23 - lt * s1 * s2
+    J[..., 1, 2] = -l2 * s1 * s23
+    J[..., 2, 0] = side * lh * c1 + l2 * s1 * c23 + lt * c2 * s1
+    J[..., 2, 1] = l2 * c1 * s23 + lt * c1 * s2
+    J[..., 2, 2] = l2 * c1 * s23
+    return J
+
+
+def ik_rates(t1, t2, t3, vx, vy, vz, lh, lt, l2, side, det_eps):
+    """Joint rates implied by a Cartesian velocity through the IK Jacobian.
+
+    Returns (d1, d2, d3, ok), elementwise over the broadcast shape of the
+    arguments. ok False means the Jacobian determinant fell below det_eps;
+    rates are zeros there (caller decides the fallback policy). The sagittal
+    component is negated to match ik_joints_array's convention.
+    """
+    J = ik_jacobian(t1, t2, t3, lh, lt, l2, side)
+    d = _det3(J)
+    ok = ~(np.abs(d) < det_eps)
+    b = np.stack(np.broadcast_arrays(-vx, vy, vz), axis=-1)
+    th = np.where(ok[..., None], _solve3(J, b, np.where(ok, d, 1.0)), 0.0)
+    return th[..., 0], th[..., 1], th[..., 2], ok

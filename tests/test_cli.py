@@ -45,6 +45,10 @@ def test_replay_deterministic_bytes(sim_log):
     assert t1.read_bytes() == t2.read_bytes()
 
 
+CKF_NAMES = ("CKF_CHOL_RESET", "CKF_RATE_FALLBACK", "CKF_CLAMPED",
+             "CKF_UPDATE_SKIPPED", "CKF_MEASUREMENT_SKIPPED")
+
+
 def _load_cmd(command, d, log, *extra):
     """argv for replay or inspect on log; both share one config/log loader."""
     argv = [command, "--log", str(log), *extra]
@@ -95,6 +99,35 @@ def test_stamp_not_increasing_exit_2(sim_log, capsys):
         assert "line 5" in err and "stamp" in err
 
 
+def test_non_finite_stamp_exit_2(sim_log, capsys):
+    d, log, _ = sim_log
+    lines = log.read_text().splitlines()
+    bad = d / "nan_stamp.jsonl"
+    for stamp in (float("nan"), float("inf")):
+        rec = json.loads(lines[0])
+        rec["t"] = stamp
+        bad.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        for command in LOADING_COMMANDS:
+            assert main(_load_cmd(command, d, bad)) == 2
+            err = capsys.readouterr().err
+            assert "line 1:" in err and "t must be finite" in err
+
+
+def test_leg_count_mismatch_exit_2(sim_log, capsys):
+    # a 3-leg frame under the 4-leg default config used to end in a traceback
+    d, log, _ = sim_log
+    lines = log.read_text().splitlines()
+    rec = json.loads(lines[4])
+    del rec["legs"][3]
+    lines[4] = json.dumps(rec)
+    bad = d / "three_legs.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, bad)) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and "frame has 3 legs, config has 4" in err
+
+
 def test_unparseable_config_value_exit_3(sim_log, capsys):
     d, log, _ = sim_log
     cfg = d / "legs_word.txt"
@@ -137,6 +170,27 @@ def test_inspect_dumps_diagnostics(sim_log, capsys):
     diag = json.loads(capsys.readouterr().out)
     assert diag["n_contacts"] == 4
     assert len(diag["planes"]) >= 1
+    assert diag["ckf_status"] == {name: 0 for name in CKF_NAMES}  # filter off
+
+
+def test_inspect_prints_filter_status_totals(sim_log, capsys):
+    # with the filter on, a NaN joint angle skips that leg's update once; the
+    # replay's per-frame diagnostics records carry no status totals
+    d, log, _ = sim_log
+    lines = log.read_text().splitlines()
+    rec = json.loads(lines[10])
+    rec["legs"][2]["q"][1] = float("nan")
+    lines[10] = json.dumps(rec)
+    bad = d / "nan_angle.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = d / "filter_on.txt"
+    cfg.write_text("ikvel.enabled = true\n")
+    assert main(["inspect", "--log", str(bad), "--config", str(cfg)]) == 0
+    totals = json.loads(capsys.readouterr().out)["ckf_status"]
+    assert totals == {name: int(name == "CKF_MEASUREMENT_SKIPPED") for name in CKF_NAMES}
+    assert main(_load_cmd("replay", d, bad, "--config", str(cfg))) == 0
+    with open(d / "x.csv.diag.jsonl") as fh:
+        assert not any("ckf_status" in json.loads(line) for line in fh)
 
 
 def test_simulate_with_degradation_seeded(tmp_path):

@@ -52,6 +52,25 @@ def test_stamp_precondition():
         est.step(res.frames[1])  # same stamp again
 
 
+@pytest.mark.parametrize("stamp", [np.nan, np.inf, -np.inf])
+def test_non_finite_stamp_rejected(stamp):
+    # a NaN stamp used to pass silently and turn every later state NaN
+    plan = preset_plan("standing")
+    plan.duration = 0.05
+    frames = generate_gait(plan).frames
+    est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height]))
+
+    def stamped(fr):
+        return SensorFrame(stamp, fr.att, fr.gyro, fr.legs)
+
+    with pytest.raises(ValueError, match="not finite"):
+        est.step(stamped(frames[0]))  # the first frame has no stamp to compare
+    est.step(frames[0])
+    with pytest.raises(ValueError, match="not finite"):
+        est.step(stamped(frames[1]))
+    assert np.all(np.isfinite(est.step(frames[1]).position))
+
+
 def test_leg_count_mismatch_rejected():
     plan = preset_plan("standing")
     plan.duration = 0.05

@@ -47,10 +47,10 @@ def test_ik_rates_self_round_trip():
     for _ in range(500):
         th = sample_joint(rng)
         dth = rng.normal(size=3)
-        J = kernels.ik_jacobian(th[0], th[1], th[2], lh, lt, GEOM.l2, side)
+        J = ref.ik_jacobian(th[0], th[1], th[2], lh, lt, GEOM.l2, side)
         v = J @ dth
-        d1, d2, d3, ok = kernels.ik_rates(th[0], th[1], th[2], -v[0], v[1], v[2],
-                                          lh, lt, GEOM.l2, side, 1e-9)
+        d1, d2, d3, ok = ref.ik_rates(th[0], th[1], th[2], -v[0], v[1], v[2],
+                                      lh, lt, GEOM.l2, side, 1e-9)
         assert ok
         assert np.max(np.abs(np.array([d1, d2, d3]) - dth)) <= 1e-9
 
@@ -80,12 +80,42 @@ def test_array_ik_matches_scalar_kernels():
         a = (geom.hip_offset_len, geom.thigh_len, geom.l2, float(geom.side_sign))
         for k, x in enumerate(xs[g]):
             t1, t2, t3, v = ref.ik_joints(x[0], x[1], x[2], *a)
-            d1, d2, d3, ok = kernels.ik_rates(t1, t2, t3, x[3], x[4], x[5], *a,
-                                              ikvel.DET_EPS)
+            d1, d2, d3, ok = ref.ik_rates(t1, t2, t3, x[3], x[4], x[5], *a,
+                                          ikvel.DET_EPS)
             assert np.array_equal(z[g, k], [t1, t2, t3, d1, d2, d3], equal_nan=True)
             assert viol[g, k] == v and singular[g, k] == (not ok)
     assert np.count_nonzero(viol > kernels.CLAMP_TOL) >= 150
     assert singular[:, 600].all() and np.all(z[:, 600, 3:] == 0.0)
+
+
+def test_fused_kernel_on_tiled_rows_matches_frozen_kernels(legs4):
+    # the filter's own call: contiguous (6, legs * 12) rows against the link
+    # parameters LegVelocityFilter tiles over each leg's 12 points; every
+    # element must equal the frozen angle solve plus the frozen rate solve
+    rng = np.random.default_rng(9)
+    xs = np.empty((4, 12, 6))
+    for i, geom in enumerate(legs4):
+        for k in range(12):
+            q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
+            xs[i, k] = np.concatenate([fk_position(q, geom),
+                                       fk_velocity(q, rng.normal(size=3), geom)])
+        xs[i, ::4, :3] *= rng.uniform(1.05, 2.5)  # out of reach
+    reach = legs4[1].thigh_len + legs4[1].l2
+    xs[1, 5] = [0.0, legs4[1].side_sign * legs4[1].hip_offset_len, -reach, 0.0, 0.1, 0.0]
+    xs[2, 7] = np.nan
+    params = LegVelocityFilter(legs4)._params
+    assert all(p.shape == (48,) for p in params)
+    rows = np.ascontiguousarray(xs.reshape(48, 6).T)
+    z, viol, singular = kernels.ik_measurement_rows(rows, *params, ikvel.DET_EPS)
+    assert z.shape == (6, 48) and viol.shape == singular.shape == (48,)
+    for n, x in enumerate(xs.reshape(48, 6)):
+        a = [p[n] for p in params]
+        t1, t2, t3, v = ref.ik_joints(x[0], x[1], x[2], *a)
+        d1, d2, d3, ok = ref.ik_rates(t1, t2, t3, x[3], x[4], x[5], *a, ikvel.DET_EPS)
+        assert np.array_equal(z[:, n], [t1, t2, t3, d1, d2, d3], equal_nan=True)
+        assert viol[n] == v and singular[n] == (not ok)
+    assert singular[17] and np.all(z[3:, 17] == 0.0)
+    assert np.count_nonzero(viol > kernels.CLAMP_TOL) >= 4
 
 
 def test_ik_unreachable_beyond_boundary():
@@ -115,6 +145,31 @@ def test_cubature_points_symmetric():
     # sample covariance of the points reproduces P
     dev = pts - x
     assert np.max(np.abs(dev.T @ dev / 12 - P)) <= 1e-12
+
+
+def test_cubature_points_keep_batch_axes():
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(3, 3, 6, 6))
+    P = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(6)
+    for x, cov in ((rng.normal(size=(3, 3, 6)), P),           # square batch
+                   (rng.normal(size=(2, 3, 6)), P[0]),        # (a, b) batch, a != b
+                   (rng.normal(size=(3, 6)), P[0, 0])):       # stacked x, one P
+        pts = cubature_points(x, cov)
+        batch = np.broadcast_shapes(x.shape[:-1], cov.shape[:-2])
+        assert pts.shape == batch + (12, 6)
+        for i in np.ndindex(batch):
+            j = i[len(i) - (cov.ndim - 2):] if cov.ndim > 2 else ()
+            assert np.array_equal(pts[i], cubature_points(x[i], cov[j]))
+
+
+def test_point_rows_are_the_cubature_points_of_each_leg():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(4, 6))
+    A = rng.normal(size=(4, 6, 6))
+    P = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(6)
+    rows = ikvel._point_rows(x, np.linalg.cholesky(P))
+    assert rows.shape == (6, 4, 12)
+    assert np.array_equal(np.moveaxis(rows, 0, -1), cubature_points(x, P))
 
 
 def _linear_kf_step(x, P, dt, z, Q, R, H):
@@ -208,13 +263,70 @@ def test_cholesky_failure_recovers():
     assert np.all(np.linalg.eigvalsh(out.P) > 0)
 
 
+# Frozen copy of the point-based prediction that the closed-form
+# ikvel._predict replaced (there named _predict), kept verbatim as the
+# reference of the test below. Do not edit it to follow the library.
+
+def _T(A):
+    """Transpose of the last two axes."""
+    return np.swapaxes(A, -1, -2)
+
+
+def _points(x, S):
+    """The 2n equal-weight points x +- sqrt(n) * S[..., :, j], along axis -2.
+
+    x is (..., n) and S (..., n, n); the points are (..., 2n, n).
+    """
+    d = np.sqrt(float(x.shape[-1])) * _T(S)
+    x = x[..., None, :]
+    return np.concatenate([x + d, x - d], axis=-2)
+
+
+def _cubature_predict(x, S, dt, q_cov):
+    """Push the points of (x, S S^T) through the constant-velocity map.
+
+    Returns the predicted mean and covariance, with x's leading axes.
+    """
+    pts = _points(x, S)
+    half = x.shape[-1] // 2
+    pts[..., :half] += dt * pts[..., half:]
+    x_pred = pts.mean(axis=-2)
+    dev = pts - x_pred[..., None, :]
+    return x_pred, _T(dev) @ dev / pts.shape[-2] + q_cov
+
+
+def test_closed_form_prediction_matches_the_cubature_prediction():
+    # the cubature rule is exact for the linear constant-velocity map, so F x
+    # and F P F^T + Q dt are the moments of the pushed points up to rounding;
+    # each gap is taken relative to the largest entry of the frozen result
+    rng = np.random.default_rng(12)
+    noise = CkfNoise.from_diagonals()
+
+    def assert_close(got, x, P, dt):
+        want = _cubature_predict(x, np.linalg.cholesky(P), dt, noise.q_cov * dt)
+        for a, b in zip(got, want):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+    for _ in range(50):
+        x = np.concatenate([fk_position(sample_joint(rng), GEOM), rng.normal(size=3)])
+        A = rng.normal(size=(6, 6)) * rng.uniform(1e-3, 1.0, size=6)
+        P = A @ A.T + 1e-6 * np.eye(6)
+        dt = rng.uniform(0.0, ikvel.DT_MAX_DEFAULT)
+        assert_close(ikvel._predict(x, P, dt, noise.q_cov * dt), x, P, dt)
+    # a covariance that is not positive definite resets to the prior, and a
+    # non-finite measurement makes ckf_step return the prediction from it
+    out, status = ckf_step(CkfLegState(x, -np.eye(6), 0.0), np.full(6, np.nan),
+                           0.002, noise, GEOM)
+    assert status == ikvel.CKF_CHOL_RESET | ikvel.CKF_MEASUREMENT_SKIPPED
+    assert_close((out.x, out.P), x, ikvel._prior_cov(), 0.002)
+
+
 def test_non_finite_measurement_keeps_the_prediction():
     q = np.array([0.05, 0.8, -1.6])
     x0 = np.concatenate([fk_position(q, GEOM), np.array([0.2, 0.0, 0.0])])
     P0 = np.diag([1e-4] * 3 + [1e-1] * 3)
     noise = CkfNoise.from_diagonals()
-    x_pred, p_pred = ikvel._predict(x0, np.linalg.cholesky(P0), 0.002,
-                                    noise.q_cov * 0.002)
+    x_pred, p_pred = ikvel._predict(x0, P0, 0.002, noise.q_cov * 0.002)
     for bad in (np.nan, np.inf):
         z = np.concatenate([q, np.zeros(3)])
         z[1] = bad
@@ -340,6 +452,31 @@ def test_filter_suppresses_single_rate_spike():
             raw_dev = max(raw_dev, np.max(np.abs(v_raw - v_true)))
             filt_dev = max(filt_dev, np.max(np.abs(v_f - v_true)))
     assert filt_dev <= 0.25 * raw_dev
+
+
+def test_one_fused_kernel_call_per_filter_update(legs4, monkeypatch):
+    # every leg and cubature point of a frame goes through one call on
+    # contiguous rows; stacked joint arrays and per-leg readings give the same
+    shapes = []
+    fused = kernels.ik_measurement_rows
+
+    def counted(rows, *args):
+        shapes.append((rows.shape, rows.flags.c_contiguous))
+        return fused(rows, *args)
+
+    monkeypatch.setattr(kernels, "ik_measurement_rows", counted)
+    stacked = LegVelocityFilter(legs4)
+    readings = LegVelocityFilter(legs4)
+    sides = np.array([[g.side_sign, 1, 1] for g in legs4])
+    ts, qs, dqs = _swing_samples(500.0, 0.1)
+    for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
+        q4, dq4 = q * sides, np.tile(dq, (4, 1))
+        v = stacked.update(t, q4, dq4)
+        assert len(shapes) == 2 * k + 1
+        assert np.array_equal(v, readings.update(
+            t, [JointReading(a, b, np.zeros(3)) for a, b in zip(q4, dq4)]))
+    assert set(shapes) == {((6, 48), True)}
+    assert np.array_equal(stacked.states.P, readings.states.P)
 
 
 def test_per_leg_states_are_independent():

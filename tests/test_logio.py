@@ -74,6 +74,39 @@ def test_stamp_not_increasing_names_line(tmp_path):
         assert "stamp" in str(err.value)
 
 
+@pytest.mark.parametrize("stamp", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_stamp_names_its_line(tmp_path, stamp):
+    # a NaN on line 1 used to pass, and the error then named line 2
+    plan = preset_plan("standing")
+    plan.duration = 0.02
+    lines = [json.dumps(frame_to_dict(fr)) for fr in generate_gait(plan).frames]
+    path = tmp_path / "bad.jsonl"
+    for k in (0, 2):
+        rec = json.loads(lines[k])
+        rec["t"] = stamp
+        path.write_text("\n".join(lines[:k] + [json.dumps(rec)] + lines[k + 1:]) + "\n")
+        with pytest.raises(LogParseError) as err:
+            read_frames(path)
+        assert err.value.line == k + 1
+        assert "t must be finite" in str(err.value)
+
+
+def test_leg_count_checked_against_the_config(tmp_path):
+    plan = preset_plan("standing")
+    plan.duration = 0.02
+    lines = [json.dumps(frame_to_dict(fr)) for fr in generate_gait(plan).frames]
+    rec = json.loads(lines[2])
+    del rec["legs"][3]
+    lines[2] = json.dumps(rec)
+    path = tmp_path / "three_legs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert len(read_frames(path)) == len(lines)  # no count given, no check
+    with pytest.raises(LogParseError) as err:
+        read_frames(path, 4)
+    assert err.value.line == 3
+    assert "frame has 3 legs, config has 4" in str(err.value)
+
+
 def test_empty_log(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
