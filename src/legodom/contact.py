@@ -1,11 +1,15 @@
 """Stance gating, touchdown detection, footfall anchors, and the
-contact-anchored body observations."""
+contact-anchored body observations.
 
-from dataclasses import dataclass, field
+Every operator works on Python floats: vectors are any length-3 sequences,
+rotations are three rows (a tuple of row tuples, or a 3x3 array), and the
+results are tuples. A step runs them on a few legs a frame, where numpy's
+per-call cost would exceed the arithmetic.
+"""
 
-import numpy as np
+from dataclasses import dataclass
 
-from .geometry import cross3
+from .geometry import cross3, mat_vec, mean3
 
 
 class EmptyContactSet(Exception):
@@ -14,7 +18,7 @@ class EmptyContactSet(Exception):
 
 @dataclass
 class FootfallRecord:
-    """World-frame contact anchor for one leg.
+    """World-frame contact anchor for one leg, a 3-tuple.
 
     The anchor is written only at touchdown (point feet) or rolled forward by
     the wheel propagation; lift-off just clears in_contact and leaves the
@@ -22,7 +26,7 @@ class FootfallRecord:
     """
 
     leg_id: int
-    anchor: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    anchor: tuple = (0.0, 0.0, 0.0)
     in_contact: bool = False
     touchdown_time: float = 0.0
 
@@ -43,12 +47,14 @@ def detect_touchdown(prev_contact, curr_contact):
 
 def record_footfall(body_pos, body_rot, foot_body):
     """World-frame anchor implied by the current body pose and leg kinematics."""
-    return np.asarray(body_pos, dtype=float) + body_rot @ np.asarray(foot_body, dtype=float)
+    x, y, z = mat_vec(body_rot, foot_body)
+    return (body_pos[0] + x, body_pos[1] + y, body_pos[2] + z)
 
 
 def anchored_position_obs(anchor, body_rot, foot_body):
     """Trunk position implied by a stationary anchor; inverse of record_footfall."""
-    return np.asarray(anchor, dtype=float) - body_rot @ np.asarray(foot_body, dtype=float)
+    x, y, z = mat_vec(body_rot, foot_body)
+    return (anchor[0] - x, anchor[1] - y, anchor[2] - z)
 
 
 def anchored_velocity_obs(body_rot, omega_body, foot_body, foot_vel_body):
@@ -57,19 +63,17 @@ def anchored_velocity_obs(body_rot, omega_body, foot_body, foot_vel_body):
     foot_vel_body is the body-frame end-effector velocity, either straight
     from forward kinematics or from the per-leg velocity filter when enabled.
     """
-    foot_body = np.asarray(foot_body, dtype=float)
-    rel = cross3(np.asarray(omega_body, dtype=float), foot_body) + np.asarray(
-        foot_vel_body, dtype=float)
-    return -(body_rot @ rel)
+    cx, cy, cz = cross3(omega_body, foot_body)
+    x, y, z = mat_vec(body_rot, (cx + foot_vel_body[0], cy + foot_vel_body[1],
+                                 cz + foot_vel_body[2]))
+    return (-x, -y, -z)
 
 
 def fuse_observations(per_leg_pos, per_leg_vel):
     """Unweighted mean of per-leg position and velocity observations."""
     if len(per_leg_pos) == 0 or len(per_leg_vel) == 0:
         raise EmptyContactSet("no stance legs to fuse")
-    pos = np.mean(np.asarray(per_leg_pos, dtype=float), axis=0)
-    vel = np.mean(np.asarray(per_leg_vel, dtype=float), axis=0)
-    return pos, vel
+    return mean3(per_leg_pos), mean3(per_leg_vel)
 
 
 __all__ = ["FootfallRecord", "EmptyContactSet", "gate_contact",

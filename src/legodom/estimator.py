@@ -1,5 +1,13 @@
 """The per-sample fusion loop: attitude intake, wrench gating, touchdown
-handling, anchored observation fusion, wheel propagation, and yaw correction."""
+handling, anchored observation fusion, wheel propagation, and yaw correction.
+
+A step makes one batched numpy call for the kinematics and the wrench gate
+of every leg (two with the velocity filter on), takes the results to Python
+lists once, and runs every per-leg stage after that on floats through the
+`contact`, `wheel` and `yawkin` operators. At a few legs a frame numpy's
+per-call cost exceeds the arithmetic, so an array form of those stages is
+slower. The BodyState arrays are built once, at the end.
+"""
 
 import math
 from dataclasses import dataclass
@@ -9,7 +17,10 @@ import numpy as np
 from . import contact, height, kernels, wheel, yawkin
 from .config import EstimatorConfig
 from .contact import FootfallRecord
-from .geometry import WheelReading, quat_to_rpy, rpy_matrix, wrap_angle
+# rpy_matrix is not called here; the replay benchmark's tracer looks it up
+# in this module, next to quat_to_rpy, as an attitude-stage site
+from .geometry import (blend3, mean3, quat_to_rpy, rpy_matrix,  # noqa: F401
+                       rpy_rows, wrap_angle)
 from .ikvel import CkfNoise, LegVelocityFilter
 
 
@@ -43,14 +54,6 @@ class SensorFrame:
         self.gyro = np.asarray(self.gyro, dtype=float)
 
 
-@dataclass
-class _WheelCache:
-    psi: float
-    pitch: float
-    q2: float
-    q3: float
-
-
 class Estimator:
     """Contact-anchored proprioceptive odometry over a stream of SensorFrames.
 
@@ -69,6 +72,7 @@ class Estimator:
         self.prev_contact = [False] * n
         self.planes = []
         self.full_support_since = None
+        # per leg, (psi, pitch, q[1], q[2]) of the last wheel frame, or None
         self.wheel_cache = [None] * n
         self.ikvel = LegVelocityFilter(
             cfg.legs,
@@ -86,129 +90,181 @@ class Estimator:
         n = len(cfg.legs)
         if len(frame.legs) != n:
             raise ValueError("frame has %d legs, config has %d" % (len(frame.legs), n))
-        if not math.isfinite(frame.stamp):
-            raise ValueError("frame stamp %r is not finite" % frame.stamp)
-        if self.state.stamp is not None and frame.stamp <= self.state.stamp:
-            raise ValueError("frame stamp %r not after state stamp %r"
-                             % (frame.stamp, self.state.stamp))
-        dt = 0.0 if self.state.stamp is None else frame.stamp - self.state.stamp
         t = frame.stamp
+        if not math.isfinite(t):
+            raise ValueError("frame stamp %r is not finite" % t)
+        gyro = frame.gyro.tolist()
+        for name, values in (("att", frame.att.tolist()), ("gyro", gyro)):
+            if not all(map(math.isfinite, values)):
+                raise ValueError("frame %s %r is not finite" % (name, values))
+        if self.state.stamp is not None and t <= self.state.stamp:
+            raise ValueError("frame stamp %r not after state stamp %r"
+                             % (t, self.state.stamp))
+        dt = 0.0 if self.state.stamp is None else t - self.state.stamp
+        pos = self.state.position.tolist()
+        vel = self.state.velocity.tolist()
+        pos_pred = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt, pos[2] + vel[2] * dt)
 
-        # (1) attitude intake: roll/pitch always from the IMU; yaw only when
-        # the IMU yaw channel is trusted, otherwise held from the state
-        rpy_meas = quat_to_rpy(frame.att)
-        roll, pitch = rpy_meas[0], rpy_meas[1]
-        yaw = rpy_meas[2] if cfg.imu_yaw_enabled else self.state.rpy[2]
-        rot = rpy_matrix(roll, pitch, yaw)
+        roll, pitch, yaw, rot = self._attitude(frame)
+        feet, foot_vel, forces, ok = self._leg_frame(frame, t)
+        contacts, touchdowns = self._gate(rot, forces, ok)
+        stance, per_pos, per_vel = self._observe(
+            frame, t, rot, pitch, gyro, feet, foot_vel, contacts, touchdowns,
+            pos_pred)
+        position, velocity = self._fuse(pos_pred, vel, per_pos, per_vel)
+        yaw, yaw_kin, yaw_err = self._yaw(t, roll, pitch, yaw, stance, feet)
 
-        pos_pred = self.state.position + self.state.velocity * dt
+        self.state = BodyState(np.array(position), np.array([roll, pitch, yaw]),
+                               np.array(velocity), t)
+        self.prev_contact = contacts
+        self._diag = self._record(t, stance, touchdowns, yaw_kin, yaw_err)
+        return self.state.copy()
 
-        # (2) kinematics, wrench and gating of every leg in one kernel call;
-        # the velocity filter, when on, replaces the raw foot velocities
-        q = np.array([r.q for r in frame.legs])
-        dq = np.array([r.dq for r in frame.legs])
-        tau = np.array([r.tau for r in frame.legs])
+    # The stages of step, in order. Each takes and returns Python floats,
+    # lists and tuples; numpy runs only in quat_to_rpy and in _leg_frame.
+
+    def _attitude(self, frame):
+        """(roll, pitch, yaw, rotation rows): roll and pitch always from the
+        IMU; yaw only when the IMU yaw channel is trusted, otherwise held
+        from the state."""
+        roll, pitch, yaw = quat_to_rpy(frame.att).tolist()
+        if not self.config.imu_yaw_enabled:
+            yaw = float(self.state.rpy[2])
+        return roll, pitch, yaw, rpy_rows(roll, pitch, yaw)
+
+    def _leg_frame(self, frame, t):
+        """Kinematics, wrench and gating of every leg in one kernel call; the
+        velocity filter, when on, replaces the raw foot velocities. Returns
+        the body-frame feet, foot velocities and forces as lists of rows, and
+        the per-leg ok flags."""
+        legs = frame.legs
+        q = np.array([r.q for r in legs])
+        dq = np.array([r.dq for r in legs])
+        tau = np.array([r.tau for r in legs])
         r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
-                                              cfg.sigma_min)
-        feet_body = self._hip_mounts + r_b
-        foot_vel = self.ikvel.update(t, q, dq) if self.ikvel.enabled else v_b
+                                              self.config.sigma_min)
+        if self.ikvel.enabled:
+            v_b = self.ikvel.update(t, q, dq)
+        return ((self._hip_mounts + r_b).tolist(), [v.tolist() for v in v_b],
+                f_b.tolist(), ok.tolist())
+
+    def _gate(self, rot, forces, ok):
+        """Per-leg stance flags from the vertical world-frame force, and the
+        swing-to-stance transitions against the previous frame."""
+        thr = self.config.force_threshold
+        r20, r21, r22 = rot[2]
         contacts = []
         touchdowns = []
-        for i in range(n):
-            in_contact = bool(ok[i] and contact.gate_contact(
-                float(rot[2] @ f_b[i]), cfg.force_threshold))
+        for f, leg_ok, prev in zip(forces, ok, self.prev_contact):
+            in_contact = leg_ok and contact.gate_contact(
+                r20 * f[0] + r21 * f[1] + r22 * f[2], thr)
             contacts.append(in_contact)
-            touchdowns.append(contact.detect_touchdown(self.prev_contact[i], in_contact))
+            touchdowns.append(contact.detect_touchdown(prev, in_contact))
+        return contacts, touchdowns
 
-        # (3) wheel anchors of persisting stance legs advance by the effective
-        # rolling increment (never on a touchdown frame: the cache is fresh)
+    def _observe(self, frame, t, rot, pitch, gyro, feet, foot_vel, contacts,
+                 touchdowns, pos_pred):
+        """Wheel propagation, touchdowns through the plane store, and the
+        anchored observations. Returns the stance legs and their position and
+        velocity observations, in leg order."""
+        cfg = self.config
+        records = self.records
+        legs = frame.legs
+        wheels = frame.wheels
+        n = len(contacts)
         heading = wheel.heading_direction(rot, cfg.heading_eps)
+
+        # wheel anchors of persisting stance legs advance by the effective
+        # rolling increment (never on a touchdown frame: the cache is fresh)
         for i in range(n):
-            geom = cfg.legs[i]
-            reading = frame.legs[i]
-            wr: WheelReading = frame.wheels[i] if frame.wheels else None
-            if wr is None or geom.wheel_radius == 0.0:
+            wr = wheels[i] if wheels else None
+            radius = cfg.legs[i].wheel_radius
+            if wr is None or radius == 0.0:
                 continue
-            cachev = self.wheel_cache[i]
-            if contacts[i] and not touchdowns[i] and cachev is not None:
+            cache = self.wheel_cache[i]
+            _, q2, q3 = legs[i].q.tolist()
+            if contacts[i] and not touchdowns[i] and cache is not None:
+                psi0, pitch0, q20, q30 = cache
                 dpsi_eff = wheel.effective_roll_increment(
-                    wr.psi, cachev.psi, pitch, cachev.pitch,
-                    reading.q[1], reading.q[2], cachev.q2, cachev.q3)
-                self.records[i].anchor = wheel.propagate_contact(
-                    self.records[i].anchor, dpsi_eff, geom.wheel_radius, heading)
+                    wr.psi, psi0, pitch, pitch0, q2, q3, q20, q30)
+                records[i].anchor = wheel.propagate_contact(
+                    records[i].anchor, dpsi_eff, radius, heading)
             if not touchdowns[i]:
-                self.wheel_cache[i] = _WheelCache(wr.psi, pitch, reading.q[1],
-                                                  reading.q[2])
+                self.wheel_cache[i] = (wr.psi, pitch, q2, q3)
 
         def leg_obs(i):
-            geom = cfg.legs[i]
-            p = contact.anchored_position_obs(self.records[i].anchor, rot,
-                                              feet_body[i])
-            v = contact.anchored_velocity_obs(rot, frame.gyro, feet_body[i],
-                                              foot_vel[i])
-            if frame.wheels and frame.wheels[i] is not None and geom.wheel_radius > 0:
-                v = v + wheel.rolling_velocity(
-                    frame.wheels[i].dpsi, frame.legs[i].dq[1],
-                    frame.legs[i].dq[2], geom.wheel_radius, heading)
+            p = contact.anchored_position_obs(records[i].anchor, rot, feet[i])
+            v = contact.anchored_velocity_obs(rot, gyro, feet[i], foot_vel[i])
+            radius = cfg.legs[i].wheel_radius
+            if wheels and wheels[i] is not None and radius > 0:
+                _, dq2, dq3 = legs[i].dq.tolist()
+                w = wheel.rolling_velocity(wheels[i].dpsi, dq2, dq3, radius, heading)
+                v = (v[0] + w[0], v[1] + w[1], v[2] + w[2])
             return p, v
 
-        # (4) touchdown handling: new anchors are taken from the best position
+        # touchdown handling: new anchors are taken from the best position
         # available this cycle (legs that stayed anchored beat the constant-
         # velocity prediction), then snapped through the plane store
         persisting = [i for i in range(n) if contacts[i] and not touchdowns[i]
-                      and self.records[i].in_contact]
-        obs_cache = {i: leg_obs(i) for i in persisting}
+                      and records[i].in_contact]
+        obs = {i: leg_obs(i) for i in persisting}
         if persisting and cfg.pos_blend > 0.0:
-            p_persist = np.mean([obs_cache[i][0] for i in persisting], axis=0)
-            pos_rec = (1.0 - cfg.pos_blend) * pos_pred + cfg.pos_blend * p_persist
+            p_persist = mean3([obs[i][0] for i in persisting])
+            pos_rec = blend3(pos_pred, p_persist, cfg.pos_blend)
         else:
             pos_rec = pos_pred
         for i in range(n):
+            rec = records[i]
             if not touchdowns[i]:
                 if not contacts[i]:
-                    self.records[i].in_contact = False
+                    rec.in_contact = False
                 continue
-            anchor = contact.record_footfall(pos_rec, rot, feet_body[i])
+            anchor = contact.record_footfall(pos_rec, rot, feet[i])
             if cfg.height_enabled:
                 z_corr, self.planes = height.correct_height(
                     anchor[2], self.planes, t, cfg.height_window,
                     cfg.height_fade, cfg.height_decay_scale)
-                anchor[2] = z_corr
-            rec = self.records[i]
+                anchor = (anchor[0], anchor[1], z_corr)
             rec.anchor = anchor
             rec.in_contact = True
             rec.touchdown_time = t
-            if frame.wheels and frame.wheels[i] is not None:
-                reading = frame.legs[i]
-                self.wheel_cache[i] = _WheelCache(frame.wheels[i].psi, pitch,
-                                                  reading.q[1], reading.q[2])
+            if wheels and wheels[i] is not None:
+                _, q2, q3 = legs[i].q.tolist()
+                self.wheel_cache[i] = (wheels[i].psi, pitch, q2, q3)
             else:
                 self.wheel_cache[i] = None
 
-        # (5) fused translational observation, complementary blend
         stance = [i for i in range(n) if contacts[i]]
-        if stance:
-            per_pos = []
-            per_vel = []
-            for i in stance:
-                p, v = obs_cache.get(i) or leg_obs(i)
-                per_pos.append(p)
-                per_vel.append(v)
-            pos_obs, vel_obs = contact.fuse_observations(per_pos, per_vel)
-            position = (1.0 - cfg.pos_blend) * pos_pred + cfg.pos_blend * pos_obs
-            velocity = (1.0 - cfg.vel_blend) * self.state.velocity + cfg.vel_blend * vel_obs
-        else:
-            position = pos_pred
-            velocity = self.state.velocity
+        per_pos = []
+        per_vel = []
+        for i in stance:
+            p, v = obs[i] if i in obs else leg_obs(i)
+            per_pos.append(p)
+            per_vel.append(v)
+        return stance, per_pos, per_vel
 
-        # (6) yaw consistency against the anchored contact geometry
+    def _fuse(self, pos_pred, vel, per_pos, per_vel):
+        """Fused translational observation, complementary blend; the
+        prediction and the held velocity when no leg is in stance."""
+        if not per_pos:
+            return pos_pred, vel
+        pos_obs, vel_obs = contact.fuse_observations(per_pos, per_vel)
+        return (blend3(pos_pred, pos_obs, self.config.pos_blend),
+                blend3(vel, vel_obs, self.config.vel_blend))
+
+    def _yaw(self, t, roll, pitch, yaw, stance, feet):
+        """Yaw consistency against the anchored contact geometry. Returns
+        (yaw, yaw_kin, yaw_err); the last two are None when no correction
+        was made."""
+        cfg = self.config
+        n = len(cfg.legs)
         yaw_kin = None
         yaw_err = None
         if cfg.yaw_enabled and len(stance) >= 2:
             try:
                 parts = yawkin.pairwise_yaw(
                     [self.records[i].anchor for i in stance],
-                    [feet_body[i] for i in stance],
+                    [feet[i] for i in stance],
                     roll, pitch, cfg.yaw_min_baseline)
                 if parts:
                     yaw_kin = yawkin.circular_mean(parts)
@@ -220,22 +276,22 @@ class Estimator:
                 pass
         if len(stance) < n:
             self.full_support_since = None
+        return yaw, yaw_kin, yaw_err
 
-        self.state = BodyState(position, np.array([roll, pitch, yaw]), velocity, t)
-        self.prev_contact = contacts
-        self._diag = {
+    def _record(self, t, stance, touchdowns, yaw_kin, yaw_err):
+        """The diagnostics record of the frame just stepped."""
+        return {
             "t": t,
             "n_contacts": len(stance),
             "contacts": stance,
-            "touchdowns": [i for i in range(n) if touchdowns[i]],
-            "anchors": [self.records[i].anchor.tolist() if self.records[i].in_contact
-                        else None for i in range(n)],
+            "touchdowns": [i for i, td in enumerate(touchdowns) if td],
+            "anchors": [list(rec.anchor) if rec.in_contact else None
+                        for rec in self.records],
             "planes": height.planes_to_json(self.planes),
             "yaw_kin": yaw_kin,
             "yaw_err": yaw_err,
             "mode": "fused" if stance else "predict",
         }
-        return self.state.copy()
 
     def predict_only(self, dt, gyro):
         """Advance the state with no contact information.

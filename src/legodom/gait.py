@@ -355,7 +355,7 @@ def _generate_trot(plan):
 
     def stance_relrate(world_foot, pos, rot, vel, omega, leg):
         rel_full = rot.T @ (world_foot - pos)
-        return -cross3(omega, rel_full) - rot.T @ vel
+        return -(rot.T @ vel) - cross3(omega, rel_full)
 
     cur = [foothold(i, 0.0) for i in range(n_legs)]
     nxt = [None] * n_legs
@@ -434,7 +434,7 @@ def _generate_trot(plan):
                 foot = nxt[i] if nxt[i] is not None else cur[i]
                 rel_full = rot.T @ (foot - pos)
                 rel[k, i] = rel_full - plan.legs[i].hip_mount
-                rel_rate[k, i] = -cross3(omega, rel_full) - rot.T @ vel
+                rel_rate[k, i] = -(rot.T @ vel) - cross3(omega, rel_full)
         load[k] = rot.T @ f_share
 
         contacts[k, stance] = True

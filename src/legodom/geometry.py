@@ -1,5 +1,12 @@
-"""Leg geometry, sensor sample containers, and small rotation helpers."""
+"""Leg geometry, sensor sample containers, and small rotation helpers.
 
+The 3-vector helpers (`cross3`, `mat_vec`, `mean3`, `blend3`, `rpy_rows`)
+work on Python floats: they take any length-3 sequences (tuples, lists,
+numpy rows) and return tuples. A step handles a few legs a frame, and at
+that size a numpy call costs more than the arithmetic it runs.
+"""
+
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,14 +84,43 @@ def wrap_angle(a):
 
 
 def cross3(a, b):
-    """Cross product of two 3-vectors.
+    """Cross product of two 3-vectors, as a tuple.
 
     The same products and differences as np.cross, so the result is
     bit-equal, without its per-call overhead on length-3 inputs.
     """
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def mat_vec(rows, v):
+    """rows @ v for a 3x3 matrix given by its rows, as a tuple; each entry
+    is summed from left to right."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+
+
+def mean3(vectors):
+    """Componentwise mean of a non-empty list of 3-vectors, as a tuple.
+
+    Sums from the first vector on, in list order, then divides by the count,
+    as np.mean(vectors, axis=0) does.
+    """
+    sx, sy, sz = vectors[0]
+    for x, y, z in vectors[1:]:
+        sx += x
+        sy += y
+        sz += z
+    n = len(vectors)
+    return (sx / n, sy / n, sz / n)
+
+
+def blend3(a, b, gain):
+    """(1 - gain) * a + gain * b for two 3-vectors, as a tuple."""
+    k = 1.0 - gain
+    return (k * a[0] + gain * b[0], k * a[1] + gain * b[1], k * a[2] + gain * b[2])
 
 
 def rot_x(a):
@@ -102,9 +138,20 @@ def rot_z(a):
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def rpy_rows(roll, pitch, yaw):
+    """World-from-body rotation Rz(yaw) Ry(pitch) Rx(roll) in closed form,
+    as a tuple of three row tuples."""
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    return ((cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr),
+            (sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr),
+            (-sp, cp * sr, cp * cr))
+
+
 def rpy_matrix(roll, pitch, yaw):
-    """World-from-body rotation, Rz(yaw) Ry(pitch) Rx(roll)."""
-    return rot_z(yaw) @ rot_y(pitch) @ rot_x(roll)
+    """World-from-body rotation, Rz(yaw) Ry(pitch) Rx(roll), as a 3x3 array."""
+    return np.array(rpy_rows(roll, pitch, yaw))
 
 
 def rpy_to_quat(roll, pitch, yaw):
@@ -149,6 +196,7 @@ def default_leg_geometries(hip_offset=0.0955, thigh=0.213, calf=0.213,
 
 __all__ = [
     "LegGeometry", "JointReading", "WheelReading", "wrap_angle", "cross3",
-    "rot_x", "rot_y", "rot_z", "rpy_matrix", "rpy_to_quat", "quat_to_rpy",
-    "default_leg_geometries", "kernels",
+    "mat_vec", "mean3", "blend3", "rot_x", "rot_y", "rot_z", "rpy_rows",
+    "rpy_matrix", "rpy_to_quat", "quat_to_rpy", "default_leg_geometries",
+    "kernels",
 ]

@@ -63,8 +63,13 @@ def frame_from_dict(d):
     t = float(d["t"])
     if not np.isfinite(t):
         raise ValueError("t must be finite, got %r" % t)
-    return SensorFrame(t, _vector(d["att"], 4, "att"), _vector(d["gyro"], 3, "gyro"),
-                       legs, wheels if has_wheel else None)
+    att = _vector(d["att"], 4, "att")
+    gyro = _vector(d["gyro"], 3, "gyro")
+    # a non-finite attitude or rate would turn every later state non-finite
+    for name, a in (("att", att), ("gyro", gyro)):
+        if not np.isfinite(a).all():
+            raise ValueError("%s must be finite, got %s" % (name, a.tolist()))
+    return SensorFrame(t, att, gyro, legs, wheels if has_wheel else None)
 
 
 def write_frames(path, frames):

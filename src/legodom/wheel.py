@@ -1,7 +1,12 @@
 """Wheel-contact handling: effective rolling angle, planar anchor propagation,
-and the rolling velocity term for wheel-legged stance."""
+and the rolling velocity term for wheel-legged stance.
 
-import numpy as np
+The operators work on Python floats: vectors are any length-3 sequences and
+come back as tuples, rotations are three rows (a tuple of row tuples, or a
+3x3 array).
+"""
+
+import math
 
 from .geometry import wrap_angle
 
@@ -27,12 +32,12 @@ def heading_direction(body_rot, eps=1e-9):
     caller skips propagation for that cycle rather than reusing a stale
     heading.
     """
-    hx = body_rot[0, 0]
-    hy = body_rot[1, 0]
-    nrm = np.sqrt(hx * hx + hy * hy)
+    hx = body_rot[0][0]
+    hy = body_rot[1][0]
+    nrm = math.sqrt(hx * hx + hy * hy)
     if nrm <= eps:
         return None
-    return np.array([hx / nrm, hy / nrm, 0.0])
+    return (hx / nrm, hy / nrm, 0.0)
 
 
 def propagate_contact(anchor, dpsi_eff, wheel_radius, heading):
@@ -42,10 +47,11 @@ def propagate_contact(anchor, dpsi_eff, wheel_radius, heading):
     exactly. With heading None or wheel_radius 0 the anchor is returned
     unchanged.
     """
-    anchor = np.asarray(anchor, dtype=float)
     if heading is None or wheel_radius == 0.0:
-        return anchor
-    return anchor + wheel_radius * dpsi_eff * heading
+        return tuple(anchor)
+    s = wheel_radius * dpsi_eff
+    return (anchor[0] + s * heading[0], anchor[1] + s * heading[1],
+            anchor[2] + s * heading[2])
 
 
 def rolling_velocity(dpsi, dq2, dq3, wheel_radius, heading):
@@ -55,8 +61,9 @@ def rolling_velocity(dpsi, dq2, dq3, wheel_radius, heading):
     rate is deliberately excluded.
     """
     if heading is None or wheel_radius == 0.0:
-        return np.zeros(3)
-    return wheel_radius * (dpsi - dq2 - dq3) * heading
+        return (0.0, 0.0, 0.0)
+    s = wheel_radius * (dpsi - dq2 - dq3)
+    return (s * heading[0], s * heading[1], s * heading[2])
 
 
 __all__ = ["effective_roll_increment", "heading_direction",

@@ -3,11 +3,15 @@
 With two or more stationary contacts, the bearing of the world-frame baseline
 between two anchors compared against the tilt-compensated body-frame baseline
 reveals the absolute yaw, independent of IMU integration.
+
+The operators work on Python floats: anchors and feet are any length-3
+sequences, angles are floats. A stance has at most a few legs, so at most a
+few pairs a frame, too few for numpy's per-call cost to pay.
 """
 
-import numpy as np
+import math
 
-from .geometry import rot_x, rot_y, wrap_angle
+from .geometry import wrap_angle
 
 
 class InsufficientContacts(Exception):
@@ -29,29 +33,39 @@ def pairwise_yaw(anchors, feet_body, roll, pitch, min_baseline=0.02):
     """
     if len(anchors) < 2:
         raise InsufficientContacts("need at least two stance legs")
-    r_tilt = rot_y(pitch) @ rot_x(roll)
+    # the first two rows of Ry(pitch) Rx(roll); a bearing never needs the third
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    t00, t01, t02 = cp, sp * sr, sp * cr
     out = []
     n = len(anchors)
     for i in range(n):
+        ax, ay = anchors[i][0], anchors[i][1]
+        fx, fy, fz = feet_body[i]
         for j in range(i + 1, n):
-            vw = np.asarray(anchors[j], dtype=float) - np.asarray(anchors[i], dtype=float)
-            vb = r_tilt @ (np.asarray(feet_body[j], dtype=float) -
-                           np.asarray(feet_body[i], dtype=float))
-            if np.hypot(vw[0], vw[1]) < min_baseline or np.hypot(vb[0], vb[1]) < min_baseline:
+            wx = anchors[j][0] - ax
+            wy = anchors[j][1] - ay
+            dx, dy, dz = feet_body[j][0] - fx, feet_body[j][1] - fy, feet_body[j][2] - fz
+            bx = t00 * dx + t01 * dy + t02 * dz
+            by = cr * dy - sr * dz
+            if math.hypot(wx, wy) < min_baseline or math.hypot(bx, by) < min_baseline:
                 continue
-            out.append(wrap_angle(np.arctan2(vw[1], vw[0]) - np.arctan2(vb[1], vb[0])))
+            out.append(wrap_angle(math.atan2(wy, wx) - math.atan2(by, bx)))
     return out
 
 
 def circular_mean(angles):
-    """Wrap-safe mean angle, atan2 of summed sines and cosines."""
+    """Wrap-safe mean angle, atan2 of summed sines and cosines (summed in
+    order)."""
     if len(angles) == 0:
         raise ValueError("circular_mean of empty list")
-    ss = float(np.sum(np.sin(angles)))
-    cc = float(np.sum(np.cos(angles)))
+    ss = cc = 0.0
+    for a in angles:
+        ss += math.sin(a)
+        cc += math.cos(a)
     if abs(ss) <= 1e-12 and abs(cc) <= 1e-12:
         raise DegenerateMean("antipodal cancellation")
-    return float(np.arctan2(ss, cc))
+    return math.atan2(ss, cc)
 
 
 def apply_yaw_correction(yaw, yaw_kin, n_contacts, n_full, now,

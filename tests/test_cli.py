@@ -113,6 +113,20 @@ def test_non_finite_stamp_exit_2(sim_log, capsys):
             assert "line 1:" in err and "t must be finite" in err
 
 
+def test_non_finite_attitude_or_rate_exit_2(sim_log, capsys):
+    d, log, _ = sim_log
+    lines = log.read_text().splitlines()
+    bad = d / "nan_gyro.jsonl"
+    for field, k in (("gyro", 2), ("att", 0)):
+        rec = json.loads(lines[9])
+        rec[field][k] = float("nan")
+        bad.write_text("\n".join(lines[:9] + [json.dumps(rec)] + lines[10:]) + "\n")
+        for command in LOADING_COMMANDS:
+            assert main(_load_cmd(command, d, bad)) == 2
+            err = capsys.readouterr().err
+            assert "line 10:" in err and "%s must be finite" % field in err
+
+
 def test_leg_count_mismatch_exit_2(sim_log, capsys):
     # a 3-leg frame under the 4-leg default config used to end in a traceback
     d, log, _ = sim_log

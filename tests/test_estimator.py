@@ -71,6 +71,31 @@ def test_non_finite_stamp_rejected(stamp):
     assert np.all(np.isfinite(est.step(frames[1]).position))
 
 
+@pytest.mark.parametrize("field, k", [("gyro", 2), ("att", 0), ("att", 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_attitude_or_rate_rejected_before_the_state(field, k, value):
+    # a NaN gyro[2] on frame 10 of standing used to make every later state NaN
+    plan = preset_plan("standing")
+    plan.duration = 0.2
+    frames = generate_gait(plan).frames
+    est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height]))
+    for fr in frames[:10]:
+        est.step(fr)
+    before, diag = est.state.copy(), est.diagnostics()
+    bad = SensorFrame(frames[10].stamp, frames[10].att.copy(), frames[10].gyro.copy(),
+                      frames[10].legs)
+    getattr(bad, field)[k] = value
+    with pytest.raises(ValueError, match="%s .* not finite" % field):
+        est.step(bad)
+    assert est.state.stamp == before.stamp
+    for name in ("position", "rpy", "velocity"):
+        assert np.array_equal(getattr(est.state, name), getattr(before, name))
+    assert est.diagnostics() == diag
+    states = [est.step(fr) for fr in frames[10:]]
+    assert all(np.isfinite(np.concatenate([st.position, st.rpy, st.velocity])).all()
+               for st in states)
+
+
 def test_leg_count_mismatch_rejected():
     plan = preset_plan("standing")
     plan.duration = 0.05

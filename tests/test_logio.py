@@ -91,6 +91,23 @@ def test_non_finite_stamp_names_its_line(tmp_path, stamp):
         assert "t must be finite" in str(err.value)
 
 
+@pytest.mark.parametrize("field, k", [("att", 1), ("gyro", 2)])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_attitude_or_rate_names_line_and_field(tmp_path, field, k, value):
+    plan = preset_plan("standing")
+    plan.duration = 0.02
+    lines = [json.dumps(frame_to_dict(fr)) for fr in generate_gait(plan).frames]
+    rec = json.loads(lines[3])
+    rec[field][k] = value
+    lines[3] = json.dumps(rec)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogParseError) as err:
+        read_frames(path)
+    assert err.value.line == 4
+    assert "%s must be finite" % field in str(err.value)
+
+
 def test_leg_count_checked_against_the_config(tmp_path):
     plan = preset_plan("standing")
     plan.duration = 0.02

@@ -6,6 +6,8 @@ from legodom import (DegenerateMean, InsufficientContacts,
                      rpy_matrix, wrap_angle)
 from legodom.geometry import rot_x, rot_y
 
+import estimator_reference as reference
+
 
 def test_pairwise_yaw_aligned():
     got = pairwise_yaw([np.zeros(3), np.array([1.0, 0, 0])],
@@ -114,3 +116,71 @@ def test_tilt_rotation_is_pitch_then_roll():
     anchors = [np.zeros(3), (rot_y(pitch) @ rot_x(roll)) @ v]
     got = pairwise_yaw(anchors, [np.zeros(3), v], roll, pitch)
     assert abs(got[0]) <= 1e-12
+
+
+def _four_leg_stance(rng, roll, pitch, yaw):
+    """Anchors and body feet of a tilted 4-leg stance, the anchors with a
+    little slip so the pairs disagree."""
+    feet = [np.array([sx * 0.19, sy * 0.13, -0.27]) + rng.normal(scale=0.01, size=3)
+            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    rot = rpy_matrix(roll, pitch, yaw)
+    shift = rng.normal(size=3)
+    anchors = [rot @ f + shift + rng.normal(scale=0.005, size=3) for f in feet]
+    return anchors, feet
+
+
+def test_pairwise_yaw_four_leg_stance_matches_frozen_numpy_form():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        roll, pitch = rng.uniform(-0.4, 0.4, 2)
+        yaw = rng.uniform(-np.pi, np.pi)
+        anchors, feet = _four_leg_stance(rng, roll, pitch, yaw)
+        got = pairwise_yaw(anchors, feet, roll, pitch)
+        want = reference.pairwise_yaw(anchors, feet, roll, pitch)
+        assert len(got) == len(want) == 6
+        # same (i < j) pair order, each angle to the last bits
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert abs(wrap_angle(g - w)) <= 1e-15
+        assert abs(circular_mean(got) - reference.circular_mean(want)) <= 1e-15
+
+
+def test_pairwise_yaw_four_leg_pair_order_and_skips():
+    # legs 1 and 3 are 1 mm apart in the body plane, so pair (1, 3) is
+    # skipped; the anchors slip by a different amount per leg, so every pair
+    # has its own angle and the order shows
+    feet = [np.array([0.2, 0.1, -0.3]), np.array([0.2, -0.1, -0.3]),
+            np.array([-0.2, 0.1, -0.3]), np.array([0.2 + 1e-3, -0.1, -0.25])]
+    slip = [np.array([0.0, 0.0, 0.0]), np.array([0.01, 0.0, 0.0]),
+            np.array([0.0, 0.02, 0.0]), np.array([-0.03, 0.01, 0.0])]
+    anchors = [f + np.array([1.0, 2.0, 0.0]) + d for f, d in zip(feet, slip)]
+
+    def bearing(v):
+        return np.arctan2(v[1], v[0])
+
+    def expect(pairs):
+        return [wrap_angle(bearing(anchors[j] - anchors[i]) - bearing(feet[j] - feet[i]))
+                for i, j in pairs]
+
+    got = pairwise_yaw(anchors, feet, 0.0, 0.0)
+    want = expect([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    assert len(set(want)) == 5
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+    assert np.allclose(got, reference.pairwise_yaw(anchors, feet, 0.0, 0.0),
+                       rtol=0.0, atol=1e-15)
+    # a baseline short in the world frame only is skipped too
+    anchors[2] = anchors[0] + np.array([0.0, 1e-3, 0.0])
+    got = pairwise_yaw(anchors, feet, 0.0, 0.0)
+    want = expect([(0, 1), (0, 3), (1, 2), (2, 3)])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-15)
+    assert np.allclose(got, reference.pairwise_yaw(anchors, feet, 0.0, 0.0),
+                       rtol=0.0, atol=1e-15)
+
+
+def test_circular_mean_of_float_pairs_still_raises_degenerate():
+    with pytest.raises(DegenerateMean):
+        circular_mean([0.5, 0.5 + np.pi])
+    with pytest.raises(DegenerateMean):
+        circular_mean([0.1, 0.1 + 2 * np.pi / 3, 0.1 - 2 * np.pi / 3])
+    with pytest.raises(ValueError):
+        circular_mean([])
