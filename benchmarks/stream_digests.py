@@ -1,0 +1,143 @@
+"""SHA-256 digests of every generated stream and of its replay.
+
+Runs `legodom simulate` and `legodom replay` in-process, through
+`legodom.cli.main`, in a temporary directory, and prints the SHA-256 of each
+file they write:
+
+- every preset's log and ground truth (`simulate --preset`, seed 0), and the
+  trajectory CSV and diagnostics of its replay with the default config;
+- the degraded stream of each replay-benchmark workload (`stair_trot`,
+  `ckf_walk`, `wheel_cli`) for the seeds in SEEDS, with its ground truth, and
+  the trajectory CSV and diagnostics of its replay with that workload's
+  config.
+
+Two checkouts that print the same digests generate the same streams and
+replay them to the same bytes, so a refactor can be checked against its
+parent on one machine:
+
+    python3 benchmarks/stream_digests.py                        # this checkout
+    python3 benchmarks/stream_digests.py --src OTHER/src --out other.json
+    diff <(python3 benchmarks/stream_digests.py) \
+         <(python3 benchmarks/stream_digests.py --src OTHER/src)
+
+The digests are printed as JSON, one key per file; --out also writes them
+to a file.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the plans and configs of the replay benchmark's workloads; `speed` of the
+# wheel plan is drawn from the seed as the benchmark draws it
+STAIR_PLAN = """\
+preset = stair_loop
+waypoint = 0 0
+waypoint = 3.6 0
+waypoint = 0 0
+degrade.touchdown_height_noise = 0.02
+degrade.yaw_drift = 0.004363323129985824
+"""
+CKF_PLAN = """\
+preset = walk_line
+settle_time = 0.1
+waypoint = 0 0
+waypoint = 0.3 0
+degrade.encoder_quantum = 1e-3
+degrade.rate_spike_prob = 0.02
+degrade.rate_spike_gain = 5
+"""
+WHEEL_PLAN = """\
+preset = wheel_roll
+duration = 4
+speed = {speed!r}
+degrade.wheel_slip = 0.02
+degrade.yaw_drift = 0.005
+"""
+WORKLOADS = {
+    "stair_trot": (STAIR_PLAN, "init.position = 0 0 0.27\n"),
+    "ckf_walk": (CKF_PLAN, "init.position = 0 0 0.3\nikvel.enabled = true\n"),
+    "wheel_cli": (WHEEL_PLAN, "geom.wheel_radius = 0.05\ninit.position = 0 0 0.3\n"),
+}
+SEEDS = (0, 1, 2)
+
+
+def parse_args(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--src", default=os.path.join(ROOT, "src"),
+                   help="src directory of the checkout to digest")
+    p.add_argument("--out", default=None, help="also write the digests here")
+    return p.parse_args(argv)
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def run_cli(cli, argv):
+    """cli.main(argv) with its stdout swallowed; raises on a nonzero exit."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise RuntimeError("legodom %s exited %r" % (" ".join(argv), code))
+
+
+def digest_stream(cli, work, name, source, config, seed):
+    """Digests of one simulated stream, its ground truth and its replay."""
+    log, gt, traj = (os.path.join(work, name + ext)
+                     for ext in (".jsonl", ".gt.csv", ".csv"))
+    run_cli(cli, ["simulate", *source, "--out", log, "--ground-truth", gt,
+                  "--seed", str(seed)])
+    replay = ["replay", "--log", log, "--out", traj]
+    if config is not None:
+        path = os.path.join(work, name + ".config.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        replay += ["--config", path]
+    run_cli(cli, replay)
+    return {"%s.log" % name: sha256(log),
+            "%s.truth" % name: sha256(gt),
+            "%s.replay_csv" % name: sha256(traj),
+            "%s.replay_diag" % name: sha256(traj + ".diag.jsonl")}
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import numpy as np
+    from legodom import cli
+    from legodom.gait import PRESETS
+
+    digests = {}
+    with tempfile.TemporaryDirectory() as work:
+        for preset in PRESETS:
+            digests.update(digest_stream(cli, work, "preset.%s" % preset,
+                                         ["--preset", preset], None, 0))
+        for workload, (plan, config) in WORKLOADS.items():
+            for seed in SEEDS:
+                rng = np.random.default_rng(seed)
+                text = plan.format(speed=float(rng.uniform(0.495, 0.505)))
+                path = os.path.join(work, "%s.plan.txt" % workload)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                digests.update(digest_stream(
+                    cli, work, "%s.seed%d" % (workload, seed),
+                    ["--plan", path], config, seed))
+    text = json.dumps(digests, indent=2)
+    print(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

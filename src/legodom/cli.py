@@ -1,7 +1,7 @@
 """Command-line front end: replay logs through the estimator, run the
 simulator presets, compute closure metrics, and inspect diagnostics.
 
-Exit codes: 0 ok, 2 log parse error, 3 config validation error.
+Exit codes: 0 ok, 2 log parse error, 3 config or plan error.
 """
 
 import argparse
@@ -10,7 +10,7 @@ import sys
 
 from .config import ConfigError, EstimatorConfig, load_config
 from .estimator import Estimator
-from .gait import PRESETS, degrade, generate_gait, preset_plan
+from .gait import PRESETS, InfeasiblePlan, degrade, generate_gait, preset_plan
 from .logio import (LogParseError, read_frames, read_trajectory,
                     write_diagnostics, write_frames, write_trajectory)
 from .metrics import compute_metrics
@@ -64,10 +64,12 @@ def cmd_simulate(args):
             plan = load_plan(args.plan)
         else:
             plan = preset_plan(args.preset)
-    except (ConfigError, ValueError, OSError) as exc:
+        # a plan that parses can still be infeasible or fail the generator's
+        # own checks (a step period that is no whole number of frames)
+        result = generate_gait(plan)
+    except (ConfigError, InfeasiblePlan, ValueError, OSError) as exc:
         print("plan error: %s" % exc, file=sys.stderr)
         return 3
-    result = generate_gait(plan)
     frames = result.frames
     if plan.imperfections:
         frames = degrade(frames, plan.imperfections, seed=args.seed,

@@ -78,7 +78,6 @@ class Estimator:
             cfg.legs,
             noise=CkfNoise.from_diagonals(cfg.ikvel_q_pos, cfg.ikvel_q_vel,
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate),
-            enabled=cfg.ikvel_enabled,
             dt_max=cfg.ikvel_dt_max)
         self._leg_coef = kernels.leg_coefficients(
             *zip(*(g.kernel_args() for g in cfg.legs)))
@@ -143,10 +142,10 @@ class Estimator:
         tau = np.array([r.tau for r in legs])
         r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
                                               self.config.sigma_min)
-        if self.ikvel.enabled:
+        if self.config.ikvel_enabled:
             v_b = self.ikvel.update(t, q, dq)
-        return ((self._hip_mounts + r_b).tolist(), [v.tolist() for v in v_b],
-                f_b.tolist(), ok.tolist())
+        return ((self._hip_mounts + r_b).tolist(), v_b.tolist(), f_b.tolist(),
+                ok.tolist())
 
     def _gate(self, rot, forces, ok):
         """Per-leg stance flags from the vertical world-frame force, and the

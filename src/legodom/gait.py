@@ -5,6 +5,13 @@ kinematics to produce joint streams, and synthesizes torque/IMU/wheel
 channels, so the emitted sensor log has a bit-exact ground truth attached.
 degrade() then layers controlled imperfections (quantization, spikes, yaw
 drift, slip, touchdown transients) on top of a clean stream.
+
+The static modes (stand, wheel_roll, wheel_swing, hop) are closed-form in
+time: every channel is computed as a column over all frames. The trot walks
+its frames in order, because its footholds are committed at half-cycle
+boundaries; its swing curve stays per frame too, since CPython's `x ** 2`
+(libm pow) and numpy's square do not round alike, and an array swing would
+change the streams' bits. Both run the leg kinematics over blocks of frames.
 """
 
 import math
@@ -55,7 +62,7 @@ class StepTerrain:
 
 @dataclass
 class GaitPlan:
-    mode: str = "trot"  # trot | stand | wheel_roll | wheel_swing | hop
+    mode: str = "trot"  # one of MODES
     legs: list = field(default_factory=default_leg_geometries)
     rate_hz: float = 250.0
     body_height: float = 0.30
@@ -126,6 +133,7 @@ def preset_plan(name):
 
 PRESETS = ("flat_loop", "stair_loop", "standing", "wheel_roll", "walk_line",
            "turn_in_place", "wheel_swing", "hop")
+MODES = ("trot", "stand", "wheel_roll", "wheel_swing", "hop")
 
 
 class _Path:
@@ -344,8 +352,12 @@ def _generate_trot(plan):
         xy = _nominal_xy(plan, leg, pos[:2], yaw)
         return np.array([xy[0], xy[1], ground(xy)])
 
-    def rel_of(world_foot, pos, rot, leg):
-        return rot.T @ (world_foot - pos) - plan.legs[leg].hip_mount
+    def stance_target(foot, pos, rot, vel, omega, leg):
+        """Hip-to-foot target of a foot planted at world point foot, and its
+        rate under the body's motion."""
+        rel_full = rot.T @ (foot - pos)
+        return (rel_full - plan.legs[leg].hip_mount,
+                -(rot.T @ vel) - cross3(omega, rel_full))
 
     ov = int(round(plan.double_support * plan.rate_hz))
     swing_frames = fps - ov
@@ -353,18 +365,12 @@ def _generate_trot(plan):
         raise ValueError("double_support leaves no room for the swing")
     swing_time = swing_frames * dt
 
-    def stance_relrate(world_foot, pos, rot, vel, omega, leg):
-        rel_full = rot.T @ (world_foot - pos)
-        return -(rot.T @ vel) - cross3(omega, rel_full)
-
     cur = [foothold(i, 0.0) for i in range(n_legs)]
     nxt = [None] * n_legs
     # swing is interpolated between hip-frame endpoints so the foot can never
-    # cross the hip roll axis while the body keeps moving
-    rel0 = [None] * n_legs
-    rel1 = [None] * n_legs
-    rate0 = [None] * n_legs
-    rate1 = [None] * n_legs
+    # cross the hip roll axis while the body keeps moving: per leg, the
+    # (start, end, start rate, end rate) arguments of _swing
+    swing_ends = [None] * n_legs
     pair_a = set(TROT_PAIR_A)
     all_legs = set(range(n_legs))
 
@@ -380,61 +386,44 @@ def _generate_trot(plan):
         rot = rot_z(yaw)
         omega = np.array([0.0, 0.0, yawrate])
 
-        if k_walk0 <= k < k_walk1:
-            half = (k - k_walk0) // fps
-            frame_in_half = (k - k_walk0) % fps
-            lifting = pair_a if half % 2 == 0 else all_legs - pair_a
-            if half != half_prev:
-                # commit the previous swing pair, then set the new pair's targets
-                for i in range(n_legs):
-                    if nxt[i] is not None:
-                        cur[i] = nxt[i]
-                        nxt[i] = None
+        # the half-cycle of the walk, -1 while settling
+        half = (k - k_walk0) // fps if k_walk0 <= k < k_walk1 else -1
+        lifting = pair_a if half % 2 == 0 else all_legs - pair_a
+        if half != half_prev:
+            # commit the previous swing pair, then set the new pair's targets
+            for i in range(n_legs):
+                if nxt[i] is not None:
+                    cur[i] = nxt[i]
+                    nxt[i] = None
+            if half >= 0:
                 t_land = plan.settle_time + half * sp + swing_time
                 pos_td, vel_td, yaw_td, yawrate_td = body_at(t_land)
                 rot_td = rot_z(yaw_td)
                 om_td = np.array([0.0, 0.0, yawrate_td])
                 for i in lifting:
                     nxt[i] = foothold(i, t_land)
-                    rel0[i] = rel_of(cur[i], pos, rot, i)
-                    rel1[i] = rel_of(nxt[i], pos_td, rot_td, i)
-                    rate0[i] = swing_time * stance_relrate(cur[i], pos, rot,
-                                                           vel, omega, i)
-                    rate1[i] = swing_time * stance_relrate(nxt[i], pos_td, rot_td,
-                                                           vel_td, om_td, i)
-                half_prev = half
-            if frame_in_half < swing_frames:
-                swing_set = lifting
-                u = frame_in_half / swing_frames
-            else:
-                # double support: the swing pair has landed on its new foothold
-                swing_set = set()
-                u = 0.0
-        else:
-            swing_set = set()
-            u = 0.0
-            if k >= k_walk1 and half_prev >= 0:
-                for i in range(n_legs):
-                    if nxt[i] is not None:
-                        cur[i] = nxt[i]
-                        nxt[i] = None
-                half_prev = -1
+                    p0, v0 = stance_target(cur[i], pos, rot, vel, omega, i)
+                    p1, v1 = stance_target(nxt[i], pos_td, rot_td, vel_td, om_td, i)
+                    swing_ends[i] = (p0, p1, swing_time * v0, swing_time * v1)
+            half_prev = half
+        # no leg swings while settling, nor in double support, where the
+        # swing pair has landed on its new foothold
+        frame_in_half = (k - k_walk0) % fps
+        swing_set = lifting if half >= 0 and frame_in_half < swing_frames else set()
+        u = frame_in_half / swing_frames
 
         stance = [i for i in range(n_legs) if i not in swing_set]
         f_share = np.array([0.0, 0.0, -plan.mass * GRAVITY / len(stance)])
 
         for i in range(n_legs):
             if i in swing_set:
-                rel[k, i], swing_rate = _swing(u, rel0[i], rel1[i], rate0[i],
-                                               rate1[i], plan.step_height)
+                rel[k, i], swing_rate = _swing(u, *swing_ends[i], plan.step_height)
                 rel_rate[k, i] = swing_rate / swing_time
             else:
                 # a pending nxt on a stance leg means it landed early and is
                 # riding out the double-support window on the new foothold
                 foot = nxt[i] if nxt[i] is not None else cur[i]
-                rel_full = rot.T @ (foot - pos)
-                rel[k, i] = rel_full - plan.legs[i].hip_mount
-                rel_rate[k, i] = -(rot.T @ vel) - cross3(omega, rel_full)
+                rel[k, i], rel_rate[k, i] = stance_target(foot, pos, rot, vel, omega, i)
         load[k] = rot.T @ f_share
 
         contacts[k, stance] = True
@@ -451,73 +440,59 @@ _STAND_Q = np.array([0.0, 0.8, -1.6])
 
 
 def _generate_static(plan):
-    """stand / wheel_roll / wheel_swing / hop share a constant-pose skeleton."""
+    """stand / wheel_roll / wheel_swing / hop: the standing pose, closed-form
+    in time. Every channel is a column over all frames (F, ...)."""
     dt = 1.0 / plan.rate_hz
     n_frames = int(round(plan.duration / dt)) + 1
     n_legs = len(plan.legs)
-    q0 = _STAND_Q.copy()
-    rot = np.eye(3)
-
-    q = np.empty((n_frames, n_legs, 3))
+    t = np.arange(n_frames) * dt
+    pos = np.zeros((n_frames, 3))
+    pos[:, 2] = plan.body_height
+    vel = np.zeros((n_frames, 3))
+    airborne = np.zeros(n_frames, dtype=bool)
+    q = np.tile(_STAND_Q, (n_frames, n_legs, 1))
     dq = np.zeros((n_frames, n_legs, 3))
-    load = np.empty((n_frames, 3))
-    stamps, wheel_lists, truth = [], [], []
-    contacts = np.zeros((n_frames, n_legs), dtype=bool)
-    wheel0 = 0.0
-    for k in range(n_frames):
-        t = k * dt
-        pos = np.array([0.0, 0.0, plan.body_height])
-        vel = np.zeros(3)
-        airborne = False
-        if plan.mode == "hop" and plan.flight_window is not None:
-            t0, t1 = plan.flight_window
-            shift = plan.flight_speed * min(max(t - t0, 0.0), t1 - t0)
-            pos[0] += shift
-            airborne = t0 <= t < t1
-            if airborne:
-                vel[0] = plan.flight_speed
-        elif plan.mode == "wheel_roll":
-            pos[0] += plan.speed * t
-            vel[0] = plan.speed
+    wheeled = [i for i, g in enumerate(plan.legs) if g.wheel_radius > 0.0]
+    psi = dpsi = np.zeros((n_frames, len(wheeled)))
+    if plan.mode == "hop" and plan.flight_window is not None:
+        t0, t1 = plan.flight_window
+        pos[:, 0] += plan.flight_speed * np.minimum(np.maximum(t - t0, 0.0), t1 - t0)
+        airborne = (t0 <= t) & (t < t1)
+        vel[airborne, 0] = plan.flight_speed
+    elif plan.mode == "wheel_roll":
+        pos[:, 0] += plan.speed * t
+        vel[:, 0] = plan.speed
+        rate = plan.speed / np.array([plan.legs[i].wheel_radius for i in wheeled])
+        psi = rate * t[:, None]
+        dpsi = np.broadcast_to(rate, psi.shape)
+    elif plan.mode == "wheel_swing":
+        amp, w = 0.3, 2.0 * np.pi / 2.0
+        q[..., 1] += (amp * np.sin(w * t))[:, None]
+        dq[..., 1] = (amp * w * np.cos(w * t))[:, None]
+        # wheel pinned: encoder follows the shank pitch exactly
+        psi = (q[:, wheeled, 1] + q[:, wheeled, 2]) - (_STAND_Q[1] + _STAND_Q[2])
+        dpsi = dq[:, wheeled, 1] + dq[:, wheeled, 2]
 
-        wheels = []
-        stance = [] if airborne else list(range(n_legs))
-        f_share = (np.zeros(3) if airborne else
-                   np.array([0.0, 0.0, -plan.mass * GRAVITY / n_legs]))
-        for i in range(n_legs):
-            geom = plan.legs[i]
-            qk, dqk = q[k, i], dq[k, i]
-            qk[:] = q0
-            if plan.mode == "wheel_swing":
-                amp, w = 0.3, 2.0 * np.pi / 2.0
-                qk[1] += amp * np.sin(w * t)
-                dqk[1] = amp * w * np.cos(w * t)
-            if geom.wheel_radius > 0.0:
-                if plan.mode == "wheel_roll":
-                    rate = plan.speed / geom.wheel_radius
-                    wheels.append(WheelReading(wrap_angle(wheel0 + rate * t), rate))
-                elif plan.mode == "wheel_swing":
-                    # wheel pinned: encoder follows the shank pitch exactly
-                    beta = qk[1] + qk[2]
-                    beta0 = q0[1] + q0[2]
-                    wheels.append(WheelReading(wrap_angle(beta - beta0), dqk[1] + dqk[2]))
-                else:
-                    wheels.append(WheelReading(0.0, 0.0))
-            else:
-                wheels.append(None)
-        load[k] = rot.T @ f_share
-        contacts[k, stance] = True
-        stamps.append(t)
-        wheel_lists.append(wheels if any(w is not None for w in wheels) else None)
-        truth.append(BodyState(pos, np.zeros(3), vel, t))
+    contacts = np.repeat(~airborne[:, None], n_legs, axis=1)
+    load = np.zeros((n_frames, 3))
+    load[~airborne, 2] = -plan.mass * GRAVITY / n_legs
     coef = kernels.leg_coefficients(*zip(*(g.kernel_args() for g in plan.legs)))
     tau = np.empty_like(q)
     for blk in _blocks(n_frames):
         _, J, _ = kernels.leg_kinematics(q[blk], dq[blk], coef)
         tau[blk] = _stance_torques(J, load[blk], contacts[blk])
-    frames = [SensorFrame(t, rpy_to_quat(0.0, 0.0, 0.0), np.zeros(3),
-                          _joint_readings(q[k], dq[k], tau[k]), wheels)
-              for k, (t, wheels) in enumerate(zip(stamps, wheel_lists))]
+
+    att = rpy_to_quat(0.0, 0.0, 0.0)
+    frames, truth = [], []
+    for k, (tk, psi_k, dpsi_k) in enumerate(zip(t.tolist(), psi.tolist(), dpsi.tolist())):
+        wheels = None
+        if wheeled:
+            wheels = [None] * n_legs
+            for i, a, b in zip(wheeled, psi_k, dpsi_k):
+                wheels[i] = WheelReading(wrap_angle(a), b)
+        frames.append(SensorFrame(tk, att.copy(), np.zeros(3),
+                                  _joint_readings(q[k], dq[k], tau[k]), wheels))
+        truth.append(BodyState(pos[k], np.zeros(3), vel[k], tk))
     return GaitResult(frames, truth, contacts)
 
 
@@ -531,7 +506,7 @@ def generate_gait(plan: GaitPlan) -> GaitResult:
     """
     if plan.mode == "trot":
         return _generate_trot(plan)
-    if plan.mode in ("stand", "wheel_roll", "wheel_swing", "hop"):
+    if plan.mode in MODES:
         return _generate_static(plan)
     raise ValueError("unknown gait mode %r" % plan.mode)
 
@@ -640,4 +615,4 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
 
 
 __all__ = ["GaitPlan", "GaitResult", "StepTerrain", "InfeasiblePlan",
-           "preset_plan", "PRESETS", "generate_gait", "degrade", "GRAVITY"]
+           "preset_plan", "PRESETS", "MODES", "generate_gait", "degrade", "GRAVITY"]

@@ -168,8 +168,18 @@ def rpy_to_quat(roll, pitch, yaw):
 
 
 def quat_to_rpy(q):
-    """Quaternion [w, x, y, z] to roll/pitch/yaw (ZYX convention)."""
-    w, x, y, z = q
+    """Quaternion [w, x, y, z] to roll/pitch/yaw (ZYX convention).
+
+    A quaternion whose squared norm is off 1 by more than 1e-12 is divided by
+    its norm first; a zero quaternion, which has no attitude, raises
+    ValueError.
+    """
+    w, x, y, z = map(float, q)
+    if abs(w * w + x * x + y * y + z * z - 1.0) > 1e-12:
+        n = math.hypot(w, x, y, z)
+        if n == 0.0:
+            raise ValueError("attitude quaternion %r has zero norm" % ([w, x, y, z],))
+        w, x, y, z = w / n, x / n, y / n, z / n
     roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
     sp = 2.0 * (w * y - z * x)
     sp = min(1.0, max(-1.0, sp))

@@ -11,9 +11,11 @@ exact for the linear constant-velocity map, so the prediction is closed-form;
 points are drawn only for the IK measurement, as contiguous (6, legs * 12)
 rows that one kernels.ik_measurement_rows call maps, and the gain update runs
 on the stacked matrices of every leg of a frame. `cubature_step` runs the
-recursion unbatched with any measurement map and raises on a covariance that
-is not positive definite; `LegVelocityFilter` runs it over all legs with the
-leg IK and the per-leg recovery policy, and `ckf_step` does the same for one leg.
+recursion for one state with any measurement map and raises on a covariance
+that is not positive definite; `LegVelocityFilter` runs it over all legs with
+the leg IK and the per-leg recovery policy, and `ckf_step` does the same for
+one leg. The estimator calls the filter only when `ikvel.enabled` is set;
+otherwise it keeps the forward-kinematics foot velocities of kernels.leg_frame.
 """
 
 from dataclasses import dataclass, field
@@ -187,17 +189,6 @@ def _update(x_pred, p_pred, pts, zs, z, r_cov):
     return x_post, p_post, ok
 
 
-def cubature_points(x, P):
-    """Equal-weight spherical-radial point set: x +- sqrt(n) * chol(P) columns.
-
-    x (..., n) and P (..., n, n) broadcast; the points are (..., 2n, n).
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.sqrt(float(x.shape[-1])) * _T(np.linalg.cholesky(P))
-    x = x[..., None, :]
-    return np.concatenate([x + d, x - d], axis=-2)
-
-
 def cubature_step(x, P, dt, z, q_cov, r_cov, h):
     """Constant-velocity cubature filter step with any measurement map h.
 
@@ -207,7 +198,8 @@ def cubature_step(x, P, dt, z, q_cov, r_cov, h):
     """
     np.linalg.cholesky(P)
     x_pred, p_pred = _predict(np.asarray(x, dtype=float), P, dt, q_cov)
-    pts = cubature_points(x_pred, p_pred)
+    # the one leg's (n, 2n) rows, transposed to the (2n, n) point stack
+    pts = _point_rows(x_pred[None], np.linalg.cholesky(p_pred)[None])[:, 0].T.copy()
     zs = np.array([h(p) for p in pts])
     x_post, p_post, ok = _update(x_pred, p_pred, pts, zs,
                                  np.asarray(z, dtype=float), r_cov)
@@ -320,14 +312,11 @@ class LegVelocityFilter:
 
     states holds the stacked filter state: x (L, 6), P (L, 6, 6) and the
     common stamp t, in the order of geometries; None until the first update.
-    status_counts counts each nonzero CKF_* status a leg returned. When
-    disabled, update() passes the raw forward-kinematics velocity through
-    untouched.
+    status_counts counts each nonzero CKF_* status a leg returned.
     """
 
     geometries: list
     noise: CkfNoise = field(default_factory=CkfNoise.from_diagonals)
-    enabled: bool = True
     dt_max: float = DT_MAX_DEFAULT
     states: CkfLegState = None
     status_counts: dict = field(default_factory=dict)
@@ -337,25 +326,15 @@ class LegVelocityFilter:
         self._params = tuple(np.repeat(p, 12) for p in zip(*(
             (g.hip_offset_len, g.thigh_len, g.l2, float(g.side_sign))
             for g in self.geometries)))
-        self._coef = kernels.leg_coefficients(
-            *zip(*(g.kernel_args() for g in self.geometries)))
-
-    def reset(self):
-        self.states = None
-        self.status_counts.clear()
 
     def status_totals(self):
         """How many leg cycles set each CKF_* bit, keyed by the bit's name."""
         return {name: sum(n for s, n in self.status_counts.items() if s & bit)
                 for name, bit in _STATUS_BITS.items()}
 
-    def update(self, stamp, q, dq=None):
-        """Advance every leg one cycle; returns the per-leg foot velocity. q and
-        dq are the (L, 3) joint angles and rates, or q per-leg JointReadings."""
-        if dq is None:
-            q, dq = np.array([r.q for r in q]), np.array([r.dq for r in q])
-        if not self.enabled:
-            return list(kernels.leg_kinematics(q, dq, self._coef)[2])
+    def update(self, stamp, q, dq):
+        """Advance every leg one cycle against the (L, 3) joint angles q and
+        rates dq; returns the (L, 3) filtered foot velocities."""
         st = self.states
         if st is None:
             legs = [initial_state(qi, g, stamp) for g, qi in zip(self.geometries, q)]
@@ -367,11 +346,11 @@ class LegVelocityFilter:
         self.states = CkfLegState(x, P, stamp)
         for s in status[status != 0].tolist():
             self.status_counts[s] = self.status_counts.get(s, 0) + 1
-        return list(x[:, 3:].copy())
+        return x[:, 3:].copy()
 
 
 __all__ = ["CkfLegState", "CkfNoise", "Unreachable", "SingularJacobian",
            "CKF_CHOL_RESET", "CKF_RATE_FALLBACK", "CKF_CLAMPED", "CKF_UPDATE_SKIPPED",
            "CKF_MEASUREMENT_SKIPPED",
-           "ik_measurement", "cubature_points", "cubature_step", "ckf_step",
+           "ik_measurement", "cubature_step", "ckf_step",
            "initial_state", "LegVelocityFilter"]

@@ -69,6 +69,9 @@ def frame_from_dict(d):
     for name, a in (("att", att), ("gyro", gyro)):
         if not np.isfinite(a).all():
             raise ValueError("%s must be finite, got %s" % (name, a.tolist()))
+    # a zero quaternion has no attitude; any other is normalised on use
+    if not att.any():
+        raise ValueError("att must have a nonzero norm, got %s" % att.tolist())
     return SensorFrame(t, att, gyro, legs, wheels if has_wheel else None)
 
 

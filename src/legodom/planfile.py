@@ -15,7 +15,7 @@ Example:
 """
 
 from .config import ConfigError
-from .gait import GaitPlan, StepTerrain, preset_plan
+from .gait import MODES, PRESETS, GaitPlan, StepTerrain, preset_plan
 from .geometry import default_leg_geometries
 
 _FLOAT_KEYS = {
@@ -36,8 +36,17 @@ _DEGRADE_KEYS = ("encoder_quantum", "yaw_drift", "wheel_slip",
                  "touchdown_height_noise")
 
 
+def _float(key, lineno, value):
+    """value as a float, or a ConfigError naming the line and the key."""
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError("plan line %d: bad value for %s: %r"
+                          % (lineno, key, value)) from None
+
+
 def parse_plan_text(text):
-    kv = {}
+    kv = {}  # key -> (line number, value text)
     waypoints = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -50,46 +59,58 @@ def parse_plan_text(text):
             parts = value.split()
             if len(parts) != 2:
                 raise ConfigError("plan line %d: waypoint needs x y" % lineno)
-            waypoints.append((float(parts[0]), float(parts[1])))
+            waypoints.append(tuple(_float(key, lineno, p) for p in parts))
         else:
-            kv[key] = value
+            kv[key] = (lineno, value)
 
     if "preset" in kv:
-        plan = preset_plan(kv.pop("preset"))
+        lineno, name = kv.pop("preset")
+        if name not in PRESETS:
+            raise ConfigError("plan line %d: unknown preset %r" % (lineno, name))
+        plan = preset_plan(name)
     else:
-        plan = GaitPlan(mode=kv.pop("mode", "trot"))
+        lineno, mode = kv.pop("mode", (0, "trot"))
+        if mode not in MODES:
+            raise ConfigError("plan line %d: unknown mode %r (one of %s)"
+                              % (lineno, mode, ", ".join(MODES)))
+        plan = GaitPlan(mode=mode)
     if waypoints:
         plan.waypoints = waypoints
 
     for key, attr in _FLOAT_KEYS.items():
         if key in kv:
-            setattr(plan, attr, float(kv.pop(key)))
+            setattr(plan, attr, _float(key, *kv.pop(key)))
 
     if "wheel_radius" in kv:
-        plan.legs = default_leg_geometries(wheel_radius=float(kv.pop("wheel_radius")))
+        plan.legs = default_leg_geometries(
+            wheel_radius=_float("wheel_radius", *kv.pop("wheel_radius")))
 
     terrain_kv = {}
     for k in list(kv):
         if k.startswith("terrain."):
-            terrain_kv[k.split(".", 1)[1]] = float(kv.pop(k))
+            terrain_kv[k.split(".", 1)[1]] = _float(k, *kv.pop(k))
     if terrain_kv:
         plan.terrain = StepTerrain(
             terrain_kv.get("x0", 0.0), terrain_kv.get("x1", 0.0),
             terrain_kv.get("height", 0.0), terrain_kv.get("ramp", 0.6))
 
     spike_prob = kv.pop("degrade.rate_spike_prob", None)
-    spike_gain = kv.pop("degrade.rate_spike_gain", "20")
+    spike_gain = kv.pop("degrade.rate_spike_gain", None)
     if spike_prob is not None:
-        plan.imperfections["rate_spikes"] = (float(spike_prob), float(spike_gain))
+        gain = 20.0 if spike_gain is None else _float("degrade.rate_spike_gain",
+                                                      *spike_gain)
+        plan.imperfections["rate_spikes"] = (
+            _float("degrade.rate_spike_prob", *spike_prob), gain)
     for k in list(kv):
         if k.startswith("degrade."):
             name = k.split(".", 1)[1]
             if name not in _DEGRADE_KEYS:
-                raise ConfigError("unknown degrade key %r" % k)
-            plan.imperfections[name] = float(kv.pop(k))
+                raise ConfigError("plan line %d: unknown degrade key %r" % (kv[k][0], k))
+            plan.imperfections[name] = _float(k, *kv.pop(k))
 
     if kv:
-        raise ConfigError("unknown plan keys: %s" % ", ".join(sorted(kv)))
+        raise ConfigError("unknown plan keys: %s" % ", ".join(
+            "%s (line %d)" % (k, kv[k][0]) for k in sorted(kv)))
     return plan
 
 

@@ -165,7 +165,6 @@ class ReferenceEstimator:
             cfg.legs,
             noise=CkfNoise.from_diagonals(cfg.ikvel_q_pos, cfg.ikvel_q_vel,
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate),
-            enabled=cfg.ikvel_enabled,
             dt_max=cfg.ikvel_dt_max)
         self._leg_coef = kernels.leg_coefficients(
             *zip(*(g.kernel_args() for g in cfg.legs)))
@@ -202,7 +201,7 @@ class ReferenceEstimator:
         r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
                                               cfg.sigma_min)
         feet_body = self._hip_mounts + r_b
-        foot_vel = self.ikvel.update(t, q, dq) if self.ikvel.enabled else v_b
+        foot_vel = self.ikvel.update(t, q, dq) if cfg.ikvel_enabled else v_b
         contacts = []
         touchdowns = []
         for i in range(n):

@@ -127,6 +127,20 @@ def test_non_finite_attitude_or_rate_exit_2(sim_log, capsys):
             assert "line 10:" in err and "%s must be finite" % field in err
 
 
+def test_zero_norm_attitude_exit_2(sim_log, capsys):
+    d, log, _ = sim_log
+    lines = log.read_text().splitlines()
+    rec = json.loads(lines[6])
+    rec["att"] = [0, 0, 0, 0]
+    lines[6] = json.dumps(rec)
+    bad = d / "zero_att.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, bad)) == 2
+        err = capsys.readouterr().err
+        assert "line 7:" in err and "att must have a nonzero norm" in err
+
+
 def test_leg_count_mismatch_exit_2(sim_log, capsys):
     # a 3-leg frame under the 4-leg default config used to end in a traceback
     d, log, _ = sim_log
@@ -227,3 +241,39 @@ def test_replay_ground_truth_metrics(sim_log, capsys):
     assert main(["metrics", str(traj), "--ground-truth", str(gt)]) == 0
     m = json.loads(capsys.readouterr().out)
     assert m["mae_x"] <= 1e-9  # standing in place, zero noise
+
+
+def _simulate_plan_error(tmp_path, capsys, text):
+    """Exit code and stderr of `simulate --plan` on a plan with this text;
+    a traceback fails the test."""
+    plan = tmp_path / "plan.txt"
+    plan.write_text(text)
+    code = main(["simulate", "--plan", str(plan), "--out", str(tmp_path / "x.jsonl")])
+    err = capsys.readouterr().err
+    assert err.startswith("plan error: ") and err.count("\n") == 1
+    return code, err
+
+
+def test_unknown_plan_mode_exit_3(tmp_path, capsys):
+    code, err = _simulate_plan_error(tmp_path, capsys, "rate_hz = 250\nmode = bogus\n")
+    assert code == 3
+    assert "plan line 2" in err and "unknown mode 'bogus'" in err
+
+
+def test_infeasible_plan_exit_3(tmp_path, capsys):
+    code, err = _simulate_plan_error(tmp_path, capsys, "preset = flat_loop\nspeed = 40\n")
+    assert code == 3
+    assert "t=0.6600: foot target outside workspace" in err
+
+
+def test_step_period_off_the_frame_grid_exit_3(tmp_path, capsys):
+    code, err = _simulate_plan_error(tmp_path, capsys,
+                                     "preset = flat_loop\nstep_period = 0.2413\n")
+    assert code == 3
+    assert "step_period must be an integer number of frames" in err
+
+
+def test_unparseable_plan_value_exit_3(tmp_path, capsys):
+    code, err = _simulate_plan_error(tmp_path, capsys, "mode = stand\nrate_hz = abc\n")
+    assert code == 3
+    assert "plan line 2: bad value for rate_hz: 'abc'" in err

@@ -3,7 +3,7 @@ import pytest
 
 from legodom import (Estimator, EstimatorConfig, JointReading, SensorFrame,
                      create, diagnostics, generate_gait, kernels, preset_plan,
-                     step, wrap_angle)
+                     quat_to_rpy, rpy_to_quat, step, wrap_angle)
 from legodom.ikvel import CKF_MEASUREMENT_SKIPPED
 
 
@@ -94,6 +94,47 @@ def test_non_finite_attitude_or_rate_rejected_before_the_state(field, k, value):
     states = [est.step(fr) for fr in frames[10:]]
     assert all(np.isfinite(np.concatenate([st.position, st.rpy, st.velocity])).all()
                for st in states)
+
+
+def test_scaled_attitude_quaternion_reads_as_its_unit_quaternion():
+    # quat_to_rpy assumed a unit quaternion: 2q read a roll of 0.41 for 0.1
+    q = rpy_to_quat(0.1, -0.2, 0.3)
+    for scale in (2.0, 0.5, 1e-3, 1e3):
+        assert np.max(np.abs(quat_to_rpy(scale * q) - [0.1, -0.2, 0.3])) <= 1e-12
+    plan = preset_plan("hop")
+    plan.duration = 0.5
+    frames = generate_gait(plan).frames
+    cfg = EstimatorConfig(initial_position=[0, 0, plan.body_height])
+    unit, scaled = Estimator(cfg), Estimator(cfg)
+    for fr in frames:
+        a = unit.step(fr)
+        b = scaled.step(SensorFrame(fr.stamp, 3.0 * fr.att, fr.gyro, fr.legs))
+        assert np.max(np.abs(a.rpy - b.rpy)) <= 1e-12
+        assert np.max(np.abs(a.position - b.position)) <= 1e-12
+
+
+def test_zero_attitude_quaternion_rejected_before_the_state():
+    # a zero quaternion used to read as level
+    with pytest.raises(ValueError, match="zero norm"):
+        quat_to_rpy([0.0, 0.0, 0.0, 0.0])
+    plan = preset_plan("standing")
+    plan.duration = 0.2
+    frames = generate_gait(plan).frames
+    est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height],
+                                    ikvel_enabled=True))
+    for fr in frames[:10]:
+        est.step(fr)
+    before, diag = est.state.copy(), est.diagnostics()
+    filt_x = est.ikvel.states.x.copy()
+    bad = SensorFrame(frames[10].stamp, np.zeros(4), frames[10].gyro, frames[10].legs)
+    with pytest.raises(ValueError, match="zero norm"):
+        est.step(bad)
+    assert est.state.stamp == before.stamp
+    for name in ("position", "rpy", "velocity"):
+        assert np.array_equal(getattr(est.state, name), getattr(before, name))
+    assert est.diagnostics() == diag
+    assert np.array_equal(est.ikvel.states.x, filt_x)
+    assert est.ikvel.states.t == frames[9].stamp
 
 
 def test_leg_count_mismatch_rejected():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from legodom import (CkfLegState, CkfNoise, JointReading, LegGeometry,
+from legodom import (CkfLegState, CkfNoise, LegGeometry,
                      SingularJacobian, Unreachable, ckf_step, cubature_step,
                      fk_position, fk_velocity, ik_measurement, jacobian)
-from legodom.ikvel import LegVelocityFilter, cubature_points, initial_state
+from legodom.ikvel import LegVelocityFilter, initial_state
 import legodom.ikvel as ikvel
 import legodom.kernels as kernels
 
@@ -139,7 +139,7 @@ def test_cubature_points_symmetric():
     x = rng.normal(size=6)
     A = rng.normal(size=(6, 6))
     P = A @ A.T + 1e-3 * np.eye(6)
-    pts = cubature_points(x, P)
+    pts = ikvel._point_rows(x[None], np.linalg.cholesky(P)[None])[:, 0].T
     assert pts.shape == (12, 6)
     assert np.max(np.abs(pts.sum(axis=0) - 12 * x)) <= 1e-12 * max(1, np.max(np.abs(x)))
     # sample covariance of the points reproduces P
@@ -147,29 +147,18 @@ def test_cubature_points_symmetric():
     assert np.max(np.abs(dev.T @ dev / 12 - P)) <= 1e-12
 
 
-def test_cubature_points_keep_batch_axes():
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(3, 3, 6, 6))
-    P = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(6)
-    for x, cov in ((rng.normal(size=(3, 3, 6)), P),           # square batch
-                   (rng.normal(size=(2, 3, 6)), P[0]),        # (a, b) batch, a != b
-                   (rng.normal(size=(3, 6)), P[0, 0])):       # stacked x, one P
-        pts = cubature_points(x, cov)
-        batch = np.broadcast_shapes(x.shape[:-1], cov.shape[:-2])
-        assert pts.shape == batch + (12, 6)
-        for i in np.ndindex(batch):
-            j = i[len(i) - (cov.ndim - 2):] if cov.ndim > 2 else ()
-            assert np.array_equal(pts[i], cubature_points(x[i], cov[j]))
-
-
 def test_point_rows_are_the_cubature_points_of_each_leg():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(4, 6))
     A = rng.normal(size=(4, 6, 6))
     P = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(6)
-    rows = ikvel._point_rows(x, np.linalg.cholesky(P))
+    S = np.linalg.cholesky(P)
+    rows = ikvel._point_rows(x, S)
     assert rows.shape == (6, 4, 12)
-    assert np.array_equal(np.moveaxis(rows, 0, -1), cubature_points(x, P))
+    # point j of leg l is x[l] + sqrt(6) S[l, :, j], point j + 6 its mirror
+    d = np.sqrt(6.0) * np.swapaxes(S, -1, -2)
+    pts = np.concatenate([x[:, None] + d, x[:, None] - d], axis=1)
+    assert np.array_equal(np.moveaxis(rows, 0, -1), pts)
 
 
 def _linear_kf_step(x, P, dt, z, Q, R, H):
@@ -366,8 +355,8 @@ def test_mixed_recovery_batch_matches_one_leg_steps(legs4):
 
     filt = LegVelocityFilter(legs4, noise=noise)
     filt.states = CkfLegState(np.array(xs), np.array(ps), 0.0)
-    readings = [JointReading(z[:3], z[3:], np.zeros(3)) for z in zs]
-    vel = filt.update(0.002, readings)
+    zs = np.array(zs)
+    vel = filt.update(0.002, zs[:, :3], zs[:, 3:])
     for i, geom in enumerate(legs4):
         solo, status = ckf_step(CkfLegState(xs[i], ps[i], 0.0), zs[i], 0.002,
                                 noise, geom)
@@ -417,37 +406,28 @@ def test_filter_converges_on_clean_swing():
     duration = 0.9
     x0 = fk_position(np.array([0.02, 0.75, -1.5]), GEOM)
     v = np.array([0.05, -0.02, 0.03])
-    filt = LegVelocityFilter([GEOM], enabled=True)
+    filt = LegVelocityFilter([GEOM])
     errs = []
     for k in range(int(duration * rate)):
         t = k / rate
         x = np.concatenate([x0 + v * t, v])
         z = ik_measurement(x, GEOM)
-        vf = filt.update(t, [JointReading(z[:3], z[3:], np.zeros(3))])[0]
+        vf = filt.update(t, z[None, :3], z[None, 3:])[0]
         errs.append(np.max(np.abs(vf - v)))
     assert max(errs[int(0.5 * rate):]) <= 1e-3
-
-
-def test_filter_disabled_is_fk_passthrough():
-    rate = 500.0
-    ts, qs, dqs = _swing_samples(rate, 0.2)
-    filt = LegVelocityFilter([GEOM], enabled=False)
-    for t, q, dq in zip(ts, qs, dqs):
-        v = filt.update(t, [JointReading(q, dq, np.zeros(3))])[0]
-        assert np.array_equal(v, fk_velocity(q, dq, GEOM))
 
 
 def test_filter_suppresses_single_rate_spike():
     rate = 500.0
     ts, qs, dqs = _swing_samples(rate, 1.0)
     spike_at = int(0.7 * rate)
-    filt = LegVelocityFilter([GEOM], enabled=True)
+    filt = LegVelocityFilter([GEOM])
     raw_dev = filt_dev = 0.0
     for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
         dq_meas = dq * 20.0 if k == spike_at else dq
         v_true = fk_velocity(q, dq, GEOM)
         v_raw = fk_velocity(q, dq_meas, GEOM)
-        v_f = filt.update(t, [JointReading(q, dq_meas, np.zeros(3))])[0]
+        v_f = filt.update(t, q[None], dq_meas[None])[0]
         if k >= spike_at:
             raw_dev = max(raw_dev, np.max(np.abs(v_raw - v_true)))
             filt_dev = max(filt_dev, np.max(np.abs(v_f - v_true)))
@@ -456,7 +436,7 @@ def test_filter_suppresses_single_rate_spike():
 
 def test_one_fused_kernel_call_per_filter_update(legs4, monkeypatch):
     # every leg and cubature point of a frame goes through one call on
-    # contiguous rows; stacked joint arrays and per-leg readings give the same
+    # contiguous rows, and the result is the velocity block of the new state
     shapes = []
     fused = kernels.ik_measurement_rows
 
@@ -465,18 +445,16 @@ def test_one_fused_kernel_call_per_filter_update(legs4, monkeypatch):
         return fused(rows, *args)
 
     monkeypatch.setattr(kernels, "ik_measurement_rows", counted)
-    stacked = LegVelocityFilter(legs4)
-    readings = LegVelocityFilter(legs4)
+    filt = LegVelocityFilter(legs4)
     sides = np.array([[g.side_sign, 1, 1] for g in legs4])
     ts, qs, dqs = _swing_samples(500.0, 0.1)
     for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
         q4, dq4 = q * sides, np.tile(dq, (4, 1))
-        v = stacked.update(t, q4, dq4)
-        assert len(shapes) == 2 * k + 1
-        assert np.array_equal(v, readings.update(
-            t, [JointReading(a, b, np.zeros(3)) for a, b in zip(q4, dq4)]))
+        v = filt.update(t, q4, dq4)
+        assert len(shapes) == k + 1
+        assert v.shape == (4, 3)
+        assert np.array_equal(v, filt.states.x[:, 3:])
     assert set(shapes) == {((6, 48), True)}
-    assert np.array_equal(stacked.states.P, readings.states.P)
 
 
 def test_per_leg_states_are_independent():
@@ -485,14 +463,13 @@ def test_per_leg_states_are_independent():
     qs2 = [q + np.array([0.02, -0.1, 0.15]) for q in qs]
     dqs2 = [dq * 0.7 for dq in dqs]
 
-    joint = LegVelocityFilter([GEOM, GEOM_R], enabled=True)
-    solo_a = LegVelocityFilter([GEOM], enabled=True)
-    solo_b = LegVelocityFilter([GEOM_R], enabled=True)
+    joint = LegVelocityFilter([GEOM, GEOM_R])
+    solo_a = LegVelocityFilter([GEOM])
+    solo_b = LegVelocityFilter([GEOM_R])
     for t, qa, da, qb, db in zip(ts, qs, dqs, qs2, dqs2):
-        ra = JointReading(qa, da, np.zeros(3))
-        rb = JointReading(qb * np.array([-1, 1, 1]), db, np.zeros(3))
-        va, vb = joint.update(t, [ra, rb])
-        sa = solo_a.update(t, [ra])[0]
-        sb = solo_b.update(t, [rb])[0]
+        qb = qb * np.array([-1, 1, 1])
+        va, vb = joint.update(t, np.array([qa, qb]), np.array([da, db]))
+        sa = solo_a.update(t, qa[None], da[None])[0]
+        sb = solo_b.update(t, qb[None], db[None])[0]
         assert np.array_equal(va, sa)
         assert np.array_equal(vb, sb)
