@@ -5,8 +5,9 @@ Runs the estimator over the `ckf_walk` stream of the replay benchmark (a
 filter on) and times the calls the filter really makes. Each piece of the
 filter cycle is wrapped with a timer while the estimator runs, so every
 figure is of the checkout's own code on its own arguments: the prediction,
-the factorisation of the prior and of the predicted covariance, the cubature
-points, the measurement map and the gain update. A piece is timed under the
+the factorisation of the prior and of the predicted covariance (one stacked
+call, `factorisation`, or two, `factor_prior` and `factor_predicted`), the
+cubature points, the measurement map and the gain update. A piece is timed under the
 first of its names that the checkout has (`_point_rows` or `_points`,
 `kernels.ik_measurement_rows` or `ikvel._ik_h`). A second pass wraps only the
 whole cycle `ikvel._ckf_legs` and `LegVelocityFilter.update`, so those two
@@ -60,10 +61,13 @@ CKF_FRAMES = 1000
 SEED = 0      # degradation seed of the stream
 REPEAT = 15   # timed passes of each kind; each figure is its best pass
 
-# piece -> (module, function) names it may have, the first one found is timed;
-# the two calls _ckf_legs makes to _factor_or_prior alternate between names
+# piece -> (module, function) names it may have, the first one found is timed.
+# A checkout with _factor_pair factors the prior and the predicted covariance
+# in one stacked call, and runs _factor_or_prior only when a factor fails; an
+# older one makes two _factor_or_prior calls a cycle, which alternate names.
 PIECES = {
     "prediction": [("ikvel", "_predict")],
+    "factorisation": [("ikvel", "_factor_pair")],
     ("factor_prior", "factor_predicted"): [("ikvel", "_factor_or_prior")],
     "points": [("ikvel", "_point_rows"), ("ikvel", "_points")],
     "measurement_map": [("kernels", "ik_measurement_rows"), ("ikvel", "_ik_h")],

@@ -119,12 +119,23 @@ _SCALAR_KEYS = {
 }
 
 
+# a config number must be finite and within +-_MAX_MAGNITUDE (no gain, length
+# or time of the estimator comes near it), and a config may describe at most
+# _MAX_LEGS legs
+_MAX_MAGNITUDE = 1e9
+_MAX_LEGS = 64
+
+
 def _parsed(key, value, parser):
     """parser(value), or a ConfigError naming the key."""
     try:
-        return parser(value)
+        parsed = parser(value)
     except ValueError:
         raise ConfigError("bad value for %s: %r" % (key, value)) from None
+    if parser is float and not abs(parsed) <= _MAX_MAGNITUDE:
+        raise ConfigError("%s must be finite and within +-%g, got %r"
+                          % (key, _MAX_MAGNITUDE, value))
+    return parsed
 
 
 def _triple(key, value):
@@ -153,6 +164,8 @@ def parse_config_text(text):
 
     geom_kw = {}
     n_legs = _parsed("legs", raw.pop("legs", "4"), int)
+    if n_legs > _MAX_LEGS:
+        raise ConfigError("legs must be at most %d, got %d" % (_MAX_LEGS, n_legs))
     for src, dst in (("geom.hip_offset", "hip_offset"), ("geom.thigh", "thigh"),
                      ("geom.calf", "calf"), ("geom.wheel_radius", "wheel_radius")):
         if src in raw:

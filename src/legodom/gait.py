@@ -198,6 +198,17 @@ def _swing(u, p0, p1, m0, m1, apex):
 # (slots, 12, legs, frames) term arrays to about a megabyte
 _BLOCK = 256
 
+# the most frames one generated stream may hold (over an hour at 250 Hz)
+MAX_FRAMES = 1_000_000
+
+
+def _check_frames(n):
+    """ValueError when n frames, a float or an int, exceed MAX_FRAMES or are
+    not a number; run before a float count becomes an int or an array size."""
+    if not n <= MAX_FRAMES:
+        raise ValueError("plan needs %.6g frames, more than the %d a stream may hold"
+                         % (n, MAX_FRAMES))
+
 
 def _blocks(n_frames):
     return [slice(k0, k0 + _BLOCK) for k0 in range(0, n_frames, _BLOCK)]
@@ -316,10 +327,12 @@ def _generate_trot(plan):
         move_time = plan.turn_angle / plan.yaw_rate
     else:
         move_time = profile.duration
+    _check_frames(move_time * plan.rate_hz + 2.0 * plan.settle_time * plan.rate_hz)
     n_half = max(2, int(math.ceil(move_time / sp - 1e-9)) + 2)
     k_walk0 = int(round(plan.settle_time * plan.rate_hz))
     k_walk1 = k_walk0 + n_half * fps
     n_frames = k_walk1 + int(round(plan.settle_time * plan.rate_hz)) + 1
+    _check_frames(n_frames)
     n_legs = len(plan.legs)
 
     def body_at(t):
@@ -443,6 +456,7 @@ def _generate_static(plan):
     """stand / wheel_roll / wheel_swing / hop: the standing pose, closed-form
     in time. Every channel is a column over all frames (F, ...)."""
     dt = 1.0 / plan.rate_hz
+    _check_frames(plan.duration / dt + 1)
     n_frames = int(round(plan.duration / dt)) + 1
     n_legs = len(plan.legs)
     t = np.arange(n_frames) * dt

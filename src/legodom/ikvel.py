@@ -7,15 +7,23 @@ keeps the velocity observation smooth without ever forming model Jacobians.
 
 The recursion is the equal-weight 2n-point spherical-radial cubature rule of
 Arasaratnam & Haykin (Cubature Kalman Filters, IEEE TAC 2009). The rule is
-exact for the linear constant-velocity map, so the prediction is closed-form;
-points are drawn only for the IK measurement, as contiguous (6, legs * 12)
-rows that one kernels.ik_measurement_rows call maps, and the gain update runs
-on the stacked matrices of every leg of a frame. `cubature_step` runs the
-recursion for one state with any measurement map and raises on a covariance
-that is not positive definite; `LegVelocityFilter` runs it over all legs with
-the leg IK and the per-leg recovery policy, and `ckf_step` does the same for
-one leg. The estimator calls the filter only when `ikvel.enabled` is set;
-otherwise it keeps the forward-kinematics foot velocities of kernels.leg_frame.
+exact for the linear constant-velocity map, so the prediction is closed-form,
+the stacked matmuls F x and F P F^T + Q dt with F = I + dt N; points are drawn
+only for the IK measurement, as contiguous (6, legs * 12) rows that one
+kernels.ik_measurement_rows call maps, and the gain update runs on the
+stacked matrices of every leg of a frame. A healthy cycle makes two
+factorisation calls: one Cholesky of the prior and the predicted covariance
+of every leg stacked together (the prior's factor only decides a reset, the
+predicted one draws the points), and one of the innovation covariance, a
+positive-definiteness check. The reset sequence runs only when the first
+call fails. N is the constant shift [[0, I], [0, 0]].
+
+`cubature_step` runs the recursion for one state with any measurement map and
+raises on a covariance that is not positive definite; `LegVelocityFilter`
+runs it over all legs with the leg IK and the per-leg recovery policy, and
+`ckf_step` does the same for one leg. The estimator calls the filter only
+when `ikvel.enabled` is set; otherwise it keeps the forward-kinematics foot
+velocities of kernels.leg_frame.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +39,14 @@ DET_EPS = 1e-9
 R_INFLATE = 1e6
 P0_POS = 1e-4
 P0_VEL = 1e-1
+# a measured joint angle or rate beyond +-Z_MAX (rad, rad/s) is no reading: its
+# leg skips the update, as for a non-finite one, before the state it would
+# drive overflows the next cycle's IK
+Z_MAX = 1e9
+
+# the constant-velocity transition is F = I + dt * _SHIFT
+_EYE6 = np.eye(6)
+_SHIFT = np.eye(6, k=3)
 
 # status bits returned by ckf_step
 CKF_CHOL_RESET = 1
@@ -148,40 +164,48 @@ def _point_rows(x, S):
 
 
 def _predict(x, P, dt, q_cov):
-    """F x and F P F^T + q_cov, F = [[I, dt I], [0, I]]: the moments of the pushed
-    cubature points, in 3x3 blocks over any leading axes. With P = [[A, B], [L, C]],
-    F P F^T = [[A + dt (B + L) + dt^2 C, B + dt C], [L + dt C, C]]."""
-    x_pred = x.copy()
-    x_pred[..., :3] += dt * x[..., 3:]
-    dtc = dt * P[..., 3:, 3:]
-    p_pred = P + q_cov
-    p_pred[..., :3, :3] += dt * (P[..., :3, 3:] + P[..., 3:, :3]) + dt * dtc
-    p_pred[..., :3, 3:] += dtc
-    p_pred[..., 3:, :3] += dtc
-    return x_pred, p_pred
+    """F x and F P F^T + q_cov, F = [[I, dt I], [0, I]] = I + dt N: the moments
+    of the pushed cubature points, over any leading axes. Every product is a
+    stack of 6x6 matmuls, one per leg, so a leg's bits do not depend on the
+    batch it runs in."""
+    F = _EYE6 + dt * _SHIFT
+    return (F @ x[..., None])[..., 0], F @ P @ F.T + q_cov
 
 
 def _update(x_pred, p_pred, pts, zs, z, r_cov):
     """Measurement moments, gain and symmetrised posterior.
 
     pts (..., 2n, n) are the points drawn from (x_pred, p_pred) and zs their
-    images under the measurement map. Returns (x_post, p_post, ok): where the
-    innovation covariance is not positive definite ok is False and the
-    prediction is returned unchanged.
+    images under the measurement map; either may be a strided view. Both are
+    centred into one (..., 2n, 2n) buffer [pts - x_pred | zs - z_pred], so one
+    stacked matmul gives [P_xz; P_zz]. Returns (x_post, p_post, ok): where the
+    innovation covariance is not positive definite, or is singular to working
+    precision, ok is False and the prediction is returned unchanged.
     """
-    m = pts.shape[-2]
-    z_pred = zs.mean(axis=-2)
-    dz = zs - z_pred[..., None, :]
-    pzz = _T(dz) @ dz / m + r_cov
+    m, n = pts.shape[-2:]
+    z_pred = zs.sum(axis=-2) / m  # zs.mean(axis=-2), without its wrapper
+    d = np.empty(pts.shape[:-1] + (2 * n,))
+    np.subtract(pts, x_pred[..., None, :], out=d[..., :n])
+    np.subtract(zs, z_pred[..., None, :], out=d[..., n:])
+    moments = _T(d) @ d[..., n:] / m
+    pxz = moments[..., :n, :]
+    pzz = moments[..., n:, :] + r_cov
     ok = _cholesky(pzz)[1]
     all_ok = ok.all()
     if not all_ok:
         # an identity stands in for a failed pzz so the stacked solve runs
-        pzz = np.where(ok[..., None, None], pzz, np.eye(pzz.shape[-1]))
-    pxz = _T(pts - x_pred[..., None, :]) @ dz / m
-    gain = _T(np.linalg.solve(_T(pzz), _T(pxz)))
-    x_post = x_pred + (gain @ (z - z_pred)[..., None])[..., 0]
-    p_post = p_pred - gain @ pzz @ _T(gain)
+        pzz = np.where(ok[..., None, None], pzz, np.eye(n))
+    # pzz is symmetric, so the solve gives the transposed gain K^T; the
+    # posterior covariance p_pred - K P_xz^T equals p_pred - K P_zz K^T
+    try:
+        gain_t = np.linalg.solve(pzz, _T(pxz))
+    except np.linalg.LinAlgError:
+        # positive definite, yet singular to working precision
+        gain_t, solved = kernels.solve_each(pzz, _T(pxz))
+        ok = ok & solved
+        all_ok = False
+    x_post = x_pred + ((z - z_pred)[..., None, :] @ gain_t)[..., 0, :]
+    p_post = p_pred - pxz @ gain_t
     p_post = 0.5 * (p_post + _T(p_post))
     if not all_ok:
         x_post = np.where(ok[..., None], x_post, x_pred)
@@ -230,48 +254,72 @@ def _factor_or_prior(P):
     return P, S, np.where(ok, 0, CKF_CHOL_RESET)
 
 
-def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side):
+def _factor_pair(P, p_pred):
+    """Lower Cholesky factor of p_pred (L, 6, 6), from one call that factors P
+    and p_pred stacked; None when a matrix of either is not positive
+    definite. LAPACK factors each matrix of a stack on its own, so the factor
+    has the bits of p_pred's own."""
+    try:
+        return np.linalg.cholesky(np.concatenate((P, p_pred)))[len(P):]
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
     """One filter cycle for a stack of legs against measured (angles, rates).
 
     x (L, 6), P (L, 6, 6) and z (L, 6); dt is the common, already truncated
     time step; the link parameters are (L * 12,) arrays, each leg's value
-    tiled over its cubature points, or scalars. A leg's result does not depend
-    on the batch it runs in. Returns (x, P, status), status (L,) CKF_* bits.
+    tiled over its cubature points, or scalars, and leg_side is the (L,) side
+    signs, or a scalar. A leg's result does not depend on the batch it runs
+    in. Returns (x, P, status), status (L,) CKF_* bits.
     """
-    P, _, status = _factor_or_prior(P)  # its factor only decides the reset
-    x_pred, p_pred = _predict(x, P, dt, noise.q_cov * dt)
-    p_pred, S, reset = _factor_or_prior(p_pred)
-    status = status | reset
-
-    # a singular IK Jacobian zeroes that point's rates, so the rate block of
-    # R is inflated to make that leg's update ignore the measured rates
     legs = len(x)
+    q_cov = noise.q_cov * dt
+    x_pred, p_pred = _predict(x, P, dt, q_cov)
+    S = _factor_pair(P, p_pred)
+    if S is None:
+        # reset what is not positive definite to the prior, leg by leg
+        P, _, status = _factor_or_prior(P)
+        x_pred, p_pred = _predict(x, P, dt, q_cov)
+        p_pred, S, reset = _factor_or_prior(p_pred)
+        status = status | reset
+    else:
+        status = np.zeros(legs, dtype=int)
+
+    # the per-leg masks below are built only when a scalar check fires
     rows = _point_rows(x_pred, S)
     zr, viol, singular = kernels.ik_measurement_rows(rows.reshape(6, -1), lh, lt, l2,
                                                      side, DET_EPS)
-    clamped = (viol.reshape(legs, -1) > kernels.CLAMP_TOL).any(axis=-1)
-    fallback = singular.reshape(legs, -1).any(axis=-1)
-    status = status | CKF_CLAMPED * clamped | CKF_RATE_FALLBACK * fallback
+    if viol.max() > kernels.CLAMP_TOL:
+        clamped = (viol.reshape(legs, -1) > kernels.CLAMP_TOL).any(axis=-1)
+        status = status | CKF_CLAMPED * clamped
+    # a singular IK Jacobian zeroes that point's rates, so the rate block of
+    # R is inflated to make that leg's update ignore the measured rates
     r_cov = noise.r_cov
-    if fallback.any():
+    if singular.any():
+        fallback = singular.reshape(legs, -1).any(axis=-1)
+        status = status | CKF_RATE_FALLBACK * fallback
         r_cov = np.where(fallback[:, None, None], r_cov * _RATE_INFLATION, r_cov)
 
-    # a leg with a non-finite measurement keeps its prediction; a zero stands
-    # in for its z so the update's arithmetic stays finite
-    finite = np.isfinite(z).all(axis=-1)
-    all_finite = finite.all()
-    if not all_finite:
-        z = np.where(finite[..., None], z, 0.0)
+    # a leg whose measurement is not finite, or beyond +-Z_MAX, keeps its
+    # prediction; a zero stands in for its z so the update's arithmetic stays
+    # finite
+    usable = np.abs(z) <= Z_MAX
+    all_usable = usable.all()
+    if not all_usable:
+        usable = usable.all(axis=-1)
+        z = np.where(usable[..., None], z, 0.0)
 
-    # contiguous copies: _update's stacked matmuls are slower on strided views
-    x, P, ok = _update(x_pred, p_pred, rows.transpose(1, 2, 0).copy(),
-                       zr.reshape(rows.shape).transpose(1, 2, 0).copy(), z, r_cov)
-    status = status | np.where(ok, 0, CKF_UPDATE_SKIPPED)
-    if not all_finite:
-        x = np.where(finite[..., None], x, x_pred)
-        P = np.where(finite[..., None, None], P, p_pred)
-        status = status | np.where(finite, 0, CKF_MEASUREMENT_SKIPPED)
-    x[..., 1] = np.broadcast_to(side, viol.shape).reshape(legs, -1)[:, 0] * np.abs(x[..., 1])
+    x, P, ok = _update(x_pred, p_pred, rows.transpose(1, 2, 0),
+                       zr.reshape(rows.shape).transpose(1, 2, 0), z, r_cov)
+    if not ok.all():
+        status = status | np.where(ok, 0, CKF_UPDATE_SKIPPED)
+    if not all_usable:
+        x = np.where(usable[..., None], x, x_pred)
+        P = np.where(usable[..., None, None], P, p_pred)
+        status = status | np.where(usable, 0, CKF_MEASUREMENT_SKIPPED)
+    x[..., 1] = leg_side * np.abs(x[..., 1])
     return x, P, status
 
 
@@ -302,7 +350,7 @@ def ckf_step(state: CkfLegState, z, t_now, noise: CkfNoise, geom: LegGeometry,
     x, P, status = _ckf_legs(state.x[None], state.P[None],
                              _truncated_dt(t_now, state.t, dt_max),
                              np.asarray(z, dtype=float)[None], noise,
-                             lh, lt, geom.l2, side)
+                             lh, lt, geom.l2, side, side)
     return CkfLegState(x[0], P[0], t_now), int(status[0])
 
 
@@ -326,6 +374,8 @@ class LegVelocityFilter:
         self._params = tuple(np.repeat(p, 12) for p in zip(*(
             (g.hip_offset_len, g.thigh_len, g.l2, float(g.side_sign))
             for g in self.geometries)))
+        # the side sign of each leg, for the posterior's lateral snap
+        self._side = np.array([float(g.side_sign) for g in self.geometries])
 
     def status_totals(self):
         """How many leg cycles set each CKF_* bit, keyed by the bit's name."""
@@ -342,10 +392,11 @@ class LegVelocityFilter:
                              np.array([s.P for s in legs]), stamp)
         x, P, status = _ckf_legs(st.x, st.P, _truncated_dt(stamp, st.t, self.dt_max),
                                  np.concatenate([q, dq], axis=1), self.noise,
-                                 *self._params)
+                                 *self._params, self._side)
         self.states = CkfLegState(x, P, stamp)
-        for s in status[status != 0].tolist():
-            self.status_counts[s] = self.status_counts.get(s, 0) + 1
+        if status.any():
+            for s in status[status != 0].tolist():
+                self.status_counts[s] = self.status_counts.get(s, 0) + 1
         return x[:, 3:].copy()
 
 

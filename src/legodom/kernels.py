@@ -4,13 +4,14 @@ analytic inverse kinematics, the IK rate solve and the torque-to-wrench solve.
 Every kernel works on a stack of legs; a single leg is a batch of one. The
 forward side: `leg_kinematics` gives the positions, Jacobians and foot
 velocities of a stack of legs from one evaluation of their trig terms, and
-`leg_frame` adds the wrench gate and the forces with one stacked SVD and one
-stacked solve. Both take the term coefficients from `leg_coefficients`,
-built once per set of legs. The inverse side works elementwise: the gait
-generator solves every frame and leg of a block of frames with
-`ik_joints_array`, and the cubature filter in `ikvel` maps every leg and
-cubature point of a frame with `ik_measurement_rows`, which runs the same
-angle solve and then the joint rates from the same trig terms.
+`leg_frame` adds the wrench gate and the forces with one stacked solve; its
+stacked SVD runs only on a frame where a cheap bound on the smallest
+singular value cannot clear the gate. Both take the term coefficients from
+`leg_coefficients`, built once per set of legs. The inverse side works
+elementwise: the gait generator solves every frame and leg of a block of
+frames with `ik_joints_array`, and the cubature filter in `ikvel` maps every
+leg and cubature point of a frame with `ik_measurement_rows`, which runs the
+same angle solve and then the joint rates from the same trig terms.
 """
 
 import numpy as np
@@ -24,6 +25,10 @@ NUMBA_ENABLED = False
 EPS_RADICAL = 1e-12
 # trig arguments clamped up to this overshoot are treated as rounding noise
 CLAMP_TOL = 1e-9
+# relative margin (of tr(J J^T), in squared singular value) by which leg_frame's
+# sigma_min bound must clear the gate before it stands in for the SVD; the
+# rounding of the bound and of the SVD is a few 1e-16 of the same scale
+SIGMA_BOUND_TOL = 1e-12
 
 
 # The trig terms of a leg in the row order leg_kinematics evaluates them:
@@ -122,29 +127,75 @@ def leg_frame(q, dq, tau, coef, sigma_min):
     leg_coefficients() of the legs. Returns (r, v, f, ok): r and v as from
     leg_kinematics, f (L, 3) the end-effector forces in the body frame
     solving (J J^T) f = J tau, and ok (L,) False where the smallest singular
-    value of J is below sigma_min or q or tau is not finite. f is zeros where
-    ok is False, and the caller must treat that leg as ungateable this cycle;
-    r and v of a leg with a non-finite q are NaN.
+    value of J is below sigma_min, q, dq or tau is not finite, or J J^T is
+    singular to working precision. f is zeros where ok is False, and the
+    caller must treat that leg as ungateable this cycle; r and v of a leg
+    with a non-finite q are NaN, and so is v where dq is not finite.
+
+    The stacked SVD runs only when a cheaper bound cannot decide. For a 3x3 J
+    with singular values s1 >= s2 >= s3, s3 = |det J| / (s1 s2) and
+    s1 s2 <= tr(J J^T) / 2, so s3^2 >= 4 det(J J^T) / tr(J J^T)^2; the sum of
+    the legs' traces bounds each leg's trace. When that bound clears
+    (2 sigma_min)^2 plus SIGMA_BOUND_TOL * tr, far wider than the rounding of
+    the bound and of the SVD, every leg is ok, as the SVD would find;
+    otherwise the SVD decides. A healthy frame thus takes no SVD.
     """
-    finite = (np.isfinite(q) & np.isfinite(tau)).all(axis=1)
+    finite = np.isfinite(np.concatenate((q, dq, tau)))
     all_finite = finite.all()
     if not all_finite:
-        # NaN instead of inf keeps the trig terms quiet; a zero torque and an
-        # identity Jacobian stand in for the leg in the SVD and the solve
-        q = np.where(np.isfinite(q), q, np.nan)
+        # NaN instead of inf keeps the trig terms and J dq quiet; a zero torque
+        # and an identity Jacobian stand in for the leg in the SVD and the solve
+        finite_q, finite_dq, finite_tau = finite.reshape(3, len(q), 3)
+        q = np.where(finite_q, q, np.nan)
+        dq = np.where(finite_dq, dq, np.nan)
+        finite = (finite_q & finite_dq & finite_tau).all(axis=1)
         tau = np.where(finite[:, None], tau, 0.0)
     r, J, v = leg_kinematics(q, dq, coef)
     if not all_finite:
         J = np.where(finite[:, None, None], J, _EYE3)
-    ok = finite & ~(np.linalg.svd(J, compute_uv=False)[:, 2] < sigma_min)
-    all_ok = ok.all()
     JJt = J @ np.swapaxes(J, -1, -2)
+    all_ok = False
+    if all_finite:
+        tr = float(np.einsum("lii->", JJt))
+        all_ok = (4.0 * float(np.linalg.det(JJt).min())
+                  >= tr * tr * (4.0 * sigma_min * sigma_min + SIGMA_BOUND_TOL * tr))
+    if all_ok:
+        ok = np.ones(len(q), dtype=bool)
+    else:
+        ok = ~(np.linalg.svd(J, compute_uv=False)[:, 2] < sigma_min)
+        if not all_finite:
+            ok &= finite
+        all_ok = ok.all()
     if not all_ok:
         JJt = np.where(ok[:, None, None], JJt, _EYE3)
-    f = np.linalg.solve(JJt, J @ tau[:, :, None])[:, :, 0]
+    Jtau = J @ tau[:, :, None]
+    try:
+        f = np.linalg.solve(JJt, Jtau)[:, :, 0]
+    except np.linalg.LinAlgError:
+        # a J that cleared the gate can still give a J J^T that is singular
+        # to working precision (links of wildly different lengths)
+        f, solved = solve_each(JJt, Jtau)
+        f = f[:, :, 0]
+        ok = ok & solved
+        all_ok = False
     if not all_ok:
         f = np.where(ok[:, None], f, 0.0)
     return r, v, f, ok
+
+
+def solve_each(A, B):
+    """np.linalg.solve(A, B) one matrix of the stack at a time, for a stack
+    on which the stacked call raised. Returns (X, solved): solved (...) is
+    False where A is singular to working precision, and X is zeros there."""
+    X = np.zeros(B.shape)
+    solved = np.zeros(B.shape[:-2], dtype=bool)
+    for i in np.ndindex(solved.shape):
+        try:
+            X[i] = np.linalg.solve(A[i], B[i])
+            solved[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return X, solved
 
 
 def _clamp_unit(arg, viol):

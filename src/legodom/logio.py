@@ -91,7 +91,8 @@ def read_frames(path, n_legs=None):
                 continue
             try:
                 frame = frame_from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:
                 raise LogParseError(lineno, str(exc))
             if n_legs is not None and len(frame.legs) != n_legs:
                 raise LogParseError(lineno, "frame has %d legs, config has %d"

@@ -36,13 +36,29 @@ _DEGRADE_KEYS = ("encoder_quantum", "yaw_drift", "wheel_slip",
                  "touchdown_height_noise")
 
 
+# keys whose value must be > 0, or >= 0. Every plan number must be finite and
+# within +-_MAX_MAGNITUDE: no length, time, rate or gain of a plan comes near
+# it, and the generator's products of such numbers stay far from overflow.
+_POSITIVE_KEYS = ("rate_hz",)
+_NON_NEGATIVE_KEYS = ("duration", "step_period", "speed", "settle_time")
+_MAX_MAGNITUDE = 1e9
+
+
 def _float(key, lineno, value):
-    """value as a float, or a ConfigError naming the line and the key."""
+    """value as a finite float, or a ConfigError naming the line and the key."""
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError("plan line %d: bad value for %s: %r"
                           % (lineno, key, value)) from None
+    if not abs(number) <= _MAX_MAGNITUDE:
+        raise ConfigError("plan line %d: %s must be finite and within +-%g, got %r"
+                          % (lineno, key, _MAX_MAGNITUDE, value))
+    if key in _POSITIVE_KEYS and not number > 0.0:
+        raise ConfigError("plan line %d: %s must be > 0, got %r" % (lineno, key, value))
+    if key in _NON_NEGATIVE_KEYS and not number >= 0.0:
+        raise ConfigError("plan line %d: %s must be >= 0, got %r" % (lineno, key, value))
+    return number
 
 
 def parse_plan_text(text):
@@ -96,6 +112,9 @@ def parse_plan_text(text):
 
     spike_prob = kv.pop("degrade.rate_spike_prob", None)
     spike_gain = kv.pop("degrade.rate_spike_gain", None)
+    if spike_prob is None and spike_gain is not None:
+        raise ConfigError("plan line %d: degrade.rate_spike_gain needs "
+                          "degrade.rate_spike_prob" % spike_gain[0])
     if spike_prob is not None:
         gain = 20.0 if spike_gain is None else _float("degrade.rate_spike_gain",
                                                       *spike_gain)

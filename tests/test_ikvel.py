@@ -368,6 +368,70 @@ def test_mixed_recovery_batch_matches_one_leg_steps(legs4):
     assert all(type(k) is int for k in filt.status_counts)
 
 
+def test_prior_failing_in_the_stacked_factorisation_matches_one_leg_steps(legs4):
+    # the prior and the predicted covariance of every leg are factored in one
+    # call; when a leg's prior fails it, the whole batch takes the reset
+    # sequence, and every leg must still come out bit-equal to its one-leg step
+    rng = np.random.default_rng(21)
+    noise = CkfNoise.from_diagonals()
+    for bad_leg, bad_prior in ((1, -np.eye(6)), (3, np.zeros((6, 6))),
+                               (0, np.diag([1e-4, 1e-4, -1e-9, 0.1, 0.1, 0.1]))):
+        xs, ps, zs = [], [], []
+        for i, geom in enumerate(legs4):
+            q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
+            xs.append(np.concatenate([fk_position(q, geom), rng.normal(scale=0.1, size=3)]))
+            A = rng.normal(size=(6, 6)) * 1e-2
+            ps.append(bad_prior if i == bad_leg else A @ A.T + 1e-5 * np.eye(6))
+            zs.append(np.concatenate([q + rng.normal(scale=1e-3, size=3),
+                                      rng.normal(scale=0.1, size=3)]))
+        filt = LegVelocityFilter(legs4, noise=noise)
+        filt.states = CkfLegState(np.array(xs), np.array(ps), 0.0)
+        zs = np.array(zs)
+        filt.update(0.002, zs[:, :3], zs[:, 3:])
+        for i, geom in enumerate(legs4):
+            solo, status = ckf_step(CkfLegState(xs[i], ps[i], 0.0), zs[i], 0.002,
+                                    noise, geom)
+            assert status == (ikvel.CKF_CHOL_RESET if i == bad_leg else 0)
+            assert np.array_equal(filt.states.x[i], solo.x)
+            assert np.array_equal(filt.states.P[i], solo.P)
+        assert filt.status_counts == {ikvel.CKF_CHOL_RESET: 1}
+
+
+def test_two_cholesky_calls_per_healthy_filter_update(legs4, monkeypatch):
+    # one for the prior and the predicted covariance of every leg together,
+    # one for the innovation covariances
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    filt = LegVelocityFilter(legs4)
+    sides = np.array([[g.side_sign, 1, 1] for g in legs4])
+    ts, qs, dqs = _swing_samples(500.0, 0.1)
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
+        filt.update(t, q * sides, np.tile(dq, (4, 1)))
+        assert calls[2 * k:] == [(8, 6, 6), (4, 6, 6)]
+    assert filt.status_counts == {}
+
+
+def test_measurement_beyond_z_max_keeps_the_prediction():
+    # a finite rate of 1e300 rad/s used to drive the state so far that the
+    # next cycle's IK overflowed; it is skipped like a non-finite one
+    q = np.array([0.05, 0.8, -1.6])
+    x0 = np.concatenate([fk_position(q, GEOM), np.array([0.2, 0.0, 0.0])])
+    P0 = np.diag([1e-4] * 3 + [1e-1] * 3)
+    noise = CkfNoise.from_diagonals()
+    x_pred, p_pred = ikvel._predict(x0, P0, 0.002, noise.q_cov * 0.002)
+    for big in (1e300, -2 * ikvel.Z_MAX):
+        z = np.concatenate([q, [big, 0.0, 0.0]])
+        out, status = ckf_step(CkfLegState(x0, P0, 0.0), z, 0.002, noise, GEOM)
+        assert status == ikvel.CKF_MEASUREMENT_SKIPPED
+        assert np.array_equal(out.x, x_pred) and np.array_equal(out.P, p_pred)
+
+
 def test_side_constraint_on_posterior():
     q = np.array([0.05, 0.8, -1.6])
     for geom in (GEOM, GEOM_R):

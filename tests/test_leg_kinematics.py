@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from legodom import (LegGeometry, SingularConfiguration, fk_position,
+from legodom import (EstimatorConfig, LegGeometry, SingularConfiguration, fk_position,
                      fk_velocity, foot_force_body, jacobian, kernels,
                      rolling_bias)
 
@@ -255,6 +255,97 @@ def test_leg_frame_gates_out_non_finite_legs():
     assert np.isnan(r[[1, 3]]).all() and np.isnan(v[[1, 3]]).all()
     with pytest.raises(SingularConfiguration):
         foot_force_body(q_bad[1], tau[1], BATCH_GEOMS[1])
+
+
+def _healthy_batch(rng):
+    q = np.array([sample_joint(rng) for _ in BATCH_GEOMS])
+    return q, rng.normal(scale=3.0, size=(4, 3)), rng.normal(scale=10.0, size=(4, 3))
+
+
+def test_leg_frame_at_each_legs_sigma_min_bit_equal_to_scalar_kernels():
+    # a gate set a hair above or below a leg's own smallest singular value is
+    # where the bound that skips the SVD must step aside: ok and f stay the
+    # reference's, leg by leg
+    rng = np.random.default_rng(14)
+    args = [g.kernel_args() for g in BATCH_GEOMS]
+    coef = _batch_coef(BATCH_GEOMS)
+    for _ in range(30):
+        q, dq, tau = _healthy_batch(rng)
+        sigmas = [np.linalg.svd(ref.leg_jacobian(q[i], *a), compute_uv=False)[2]
+                  for i, a in enumerate(args)]
+        for leg, s in enumerate(sigmas):
+            for factor in (1 - 1e-9, 1 + 1e-9):
+                _, _, f, ok = kernels.leg_frame(q, dq, tau, coef, s * factor)
+                assert ok[leg] == (factor < 1)
+                for i, a in enumerate(args):
+                    f_ref, ok_ref = _foot_force_reference(q[i], tau[i], *a, s * factor)
+                    assert ok[i] == ok_ref
+                    assert np.array_equal(f[i], f_ref)
+
+
+def test_leg_frame_takes_the_svd_only_when_the_bound_cannot_decide(monkeypatch):
+    rng = np.random.default_rng(15)
+    coef = _batch_coef(BATCH_GEOMS)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for _ in range(50):
+        q, dq, tau = _healthy_batch(rng)
+        kernels.leg_frame(q, dq, tau, coef, EstimatorConfig().sigma_min)
+    assert calls == []
+    # a gate within 2x of the smallest singular value of the frame, a singular
+    # leg and a non-finite leg each leave the decision to the SVD
+    sigma = np.linalg.svd(kernels.leg_kinematics(q, dq, coef)[1], compute_uv=False)
+    kernels.leg_frame(q, dq, tau, coef, 0.6 * sigma[:, 2].min())
+    q_singular = q.copy()
+    q_singular[2] = 0.0
+    kernels.leg_frame(q_singular, dq, tau, coef, 1e-6)
+    tau_bad = tau.copy()
+    tau_bad[1, 0] = np.nan
+    kernels.leg_frame(q, dq, tau_bad, coef, 1e-6)
+    assert len(calls) == 1 + 3
+
+
+def test_leg_frame_gates_out_a_leg_with_a_non_finite_rate():
+    # its foot velocity is NaN, and a stance leg with a NaN velocity used to
+    # turn every later body state non-finite in a filter-off replay
+    rng = np.random.default_rng(16)
+    coef = _batch_coef(BATCH_GEOMS)
+    q, dq, tau = _healthy_batch(rng)
+    r0, v0, f0, ok0 = kernels.leg_frame(q, dq, tau, coef, 1e-6)
+    for bad in (np.nan, np.inf, -np.inf):
+        dq_bad = dq.copy()
+        dq_bad[2, 1] = bad
+        r, v, f, ok = kernels.leg_frame(q, dq_bad, tau, coef, 1e-6)
+        assert ok.tolist() == [True, True, False, True]
+        assert np.isnan(v[2]).all() and np.array_equal(f[2], np.zeros(3))
+        assert np.array_equal(r, r0)
+        assert np.array_equal(v[[0, 1, 3]], v0[[0, 1, 3]])
+        assert np.array_equal(f[[0, 1, 3]], f0[[0, 1, 3]])
+
+
+def test_leg_frame_gates_out_a_leg_whose_wrench_solve_is_singular():
+    # links ten orders of magnitude apart clear the singular-value gate, yet
+    # J J^T is singular to working precision; that leg is gated out instead of
+    # the solve raising
+    geoms = [LegGeometry(0.0955, 0.213, 1e9, 0.0, 1), BATCH_GEOMS[1]]
+    coef = _batch_coef(geoms)
+    q = np.array([[0.0, 0.8, -1.6], [0.0, 0.8, -1.6]])
+    tau = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    J = kernels.leg_kinematics(q, q, coef)[1]
+    assert np.linalg.svd(J[0], compute_uv=False)[2] > 0.1
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(J[:1] @ np.swapaxes(J[:1], -1, -2), tau[:1, :, None])
+    _, _, f, ok = kernels.leg_frame(q, q, tau, coef, 1e-6)
+    assert ok.tolist() == [False, True]
+    assert np.array_equal(f[0], np.zeros(3))
+    f_ref, ok_ref = _foot_force_reference(q[1], tau[1], *geoms[1].kernel_args(), 1e-6)
+    assert ok_ref and np.array_equal(f[1], f_ref)
 
 
 def test_leg_kinematics_broadcasts_over_leading_axes():
