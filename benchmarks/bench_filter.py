@@ -62,12 +62,13 @@ SEED = 0      # degradation seed of the stream
 REPEAT = 15   # timed passes of each kind; each figure is its best pass
 
 # piece -> (module, function) names it may have, the first one found is timed.
-# A checkout with _factor_pair factors the prior and the predicted covariance
-# in one stacked call, and runs _factor_or_prior only when a factor fails; an
-# older one makes two _factor_or_prior calls a cycle, which alternate names.
+# A checkout with _factor_or_reset or _factor_pair factors the prior and the
+# predicted covariance in one stacked call (_factor_pair's checkout runs
+# _factor_or_prior only when a factor fails); an older one makes two
+# _factor_or_prior calls a cycle, which alternate names.
 PIECES = {
     "prediction": [("ikvel", "_predict")],
-    "factorisation": [("ikvel", "_factor_pair")],
+    "factorisation": [("ikvel", "_factor_or_reset"), ("ikvel", "_factor_pair")],
     ("factor_prior", "factor_predicted"): [("ikvel", "_factor_or_prior")],
     "points": [("ikvel", "_point_rows"), ("ikvel", "_points")],
     "measurement_map": [("kernels", "ik_measurement_rows"), ("ikvel", "_ik_h")],

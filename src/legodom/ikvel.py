@@ -11,12 +11,15 @@ exact for the linear constant-velocity map, so the prediction is closed-form,
 the stacked matmuls F x and F P F^T + Q dt with F = I + dt N; points are drawn
 only for the IK measurement, as contiguous (6, legs * 12) rows that one
 kernels.ik_measurement_rows call maps, and the gain update runs on the
-stacked matrices of every leg of a frame. A healthy cycle makes two
-factorisation calls: one Cholesky of the prior and the predicted covariance
-of every leg stacked together (the prior's factor only decides a reset, the
-predicted one draws the points), and one of the innovation covariance, a
-positive-definiteness check. The reset sequence runs only when the first
-call fails. N is the constant shift [[0, I], [0, 0]].
+stacked matrices of every leg of a frame. A cycle makes two Cholesky calls
+and one solve, each on a whole stack through kernels.cholesky or
+kernels.solve, which return a per-leg mask instead of raising: one Cholesky
+of the prior and the predicted covariance of every leg stacked together (the
+prior's factor only decides a reset, the predicted one draws the points), one
+of the innovation covariance, a positive-definiteness check, and the gain
+solve. A leg whose mask is False falls back to the prior or to its
+prediction, and the others keep their bits; the masks are built only when a
+scalar check fires. N is the constant shift [[0, I], [0, 0]].
 
 `cubature_step` runs the recursion for one state with any measurement map and
 raises on a covariance that is not positive definite; `LegVelocityFilter`
@@ -127,29 +130,6 @@ def _T(A):
     return np.swapaxes(A, -1, -2)
 
 
-def _cholesky(P):
-    """Lower Cholesky factors of P (..., n, n) and a (...) flag that is False
-    where a matrix is not positive definite (its factor is then zeros).
-
-    The stack is factored in one call; only when that raises are the
-    matrices retried one at a time to find which ones failed.
-    """
-    batch = P.shape[:-2]
-    try:
-        return np.linalg.cholesky(P), np.ones(batch, dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    S = np.zeros_like(P)
-    ok = np.zeros(batch, dtype=bool)
-    for i in np.ndindex(batch):
-        try:
-            S[i] = np.linalg.cholesky(P[i])
-            ok[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return S, ok
-
-
 def _point_rows(x, S):
     """The 2n equal-weight points x[l] +- sqrt(n) * S[l, :, j] of each leg l, as
     contiguous rows, the layout of the measurement kernel: x (L, n) and S
@@ -190,20 +170,15 @@ def _update(x_pred, p_pred, pts, zs, z, r_cov):
     moments = _T(d) @ d[..., n:] / m
     pxz = moments[..., :n, :]
     pzz = moments[..., n:, :] + r_cov
-    ok = _cholesky(pzz)[1]
-    all_ok = ok.all()
-    if not all_ok:
-        # an identity stands in for a failed pzz so the stacked solve runs
-        pzz = np.where(ok[..., None, None], pzz, np.eye(n))
+    ok = kernels.cholesky(pzz)[1]
     # pzz is symmetric, so the solve gives the transposed gain K^T; the
     # posterior covariance p_pred - K P_xz^T equals p_pred - K P_zz K^T
-    try:
-        gain_t = np.linalg.solve(pzz, _T(pxz))
-    except np.linalg.LinAlgError:
-        # positive definite, yet singular to working precision
-        gain_t, solved = kernels.solve_each(pzz, _T(pxz))
-        ok = ok & solved
-        all_ok = False
+    gain_t, solved = kernels.solve(pzz, _T(pxz))
+    ok &= solved
+    all_ok = ok.all()
+    if not all_ok:
+        # a failed leg's gain is zeroed, so its discarded posterior stays quiet
+        gain_t = np.where(ok[..., None, None], gain_t, 0.0)
     x_post = x_pred + ((z - z_pred)[..., None, :] @ gain_t)[..., 0, :]
     p_post = p_pred - pxz @ gain_t
     p_post = 0.5 * (p_post + _T(p_post))
@@ -217,13 +192,17 @@ def cubature_step(x, P, dt, z, q_cov, r_cov, h):
     """Constant-velocity cubature filter step with any measurement map h.
 
     Same recursion as ckf_step, without its recovery policy: raises
-    LinAlgError when the prior, predicted or innovation covariance is not
-    positive definite. Used for the linear-model equivalence checks.
+    LinAlgError when the prior or predicted covariance is not positive
+    definite, or the innovation covariance is not positive definite or
+    singular. Used for the linear-model equivalence checks.
     """
-    np.linalg.cholesky(P)
+    P = np.asarray(P, dtype=float)
     x_pred, p_pred = _predict(np.asarray(x, dtype=float), P, dt, q_cov)
+    S, ok = kernels.cholesky(np.stack((P, p_pred)))
+    if not ok.all():
+        raise np.linalg.LinAlgError("covariance not positive definite")
     # the one leg's (n, 2n) rows, transposed to the (2n, n) point stack
-    pts = _point_rows(x_pred[None], np.linalg.cholesky(p_pred)[None])[:, 0].T.copy()
+    pts = _point_rows(x_pred[None], S[1:])[:, 0].T.copy()
     zs = np.array([h(p) for p in pts])
     x_post, p_post, ok = _update(x_pred, p_pred, pts, zs,
                                  np.asarray(z, dtype=float), r_cov)
@@ -240,29 +219,28 @@ def _prior_cov():
 _RATE_INFLATION = np.diag([1.0] * 3 + [R_INFLATE] * 3) + (1.0 - np.eye(6))
 
 
-def _factor_or_prior(P):
-    """(P, chol(P), status) for a (..., 6, 6) stack: a covariance that is not
-    positive definite is replaced by the diagonal prior, flagged
-    CKF_CHOL_RESET in its status entry."""
-    S, ok = _cholesky(P)
+def _factor_or_reset(x, P, p_pred, dt, q_cov):
+    """Lower Cholesky factors of the predicted covariances p_pred of a stack
+    of legs, from one call that factors P and p_pred stacked; LAPACK factors
+    each matrix of a stack on its own, so a factor has the bits of its own.
+
+    A leg whose P is not positive definite, or not finite, is predicted again
+    from the diagonal prior; one whose predicted covariance still fails takes
+    the prior in its place. Either is flagged CKF_CHOL_RESET in its status.
+    Returns (p_pred, S, status).
+    """
+    legs = len(P)
+    S, ok = kernels.cholesky(np.concatenate((P, p_pred)))
     if ok.all():
-        return P, S, np.zeros(ok.shape, dtype=int)
+        return p_pred, S[legs:], np.zeros(legs, dtype=int)
     prior = _prior_cov()
-    bad = ~ok[..., None, None]
-    P = np.where(bad, prior, P)
-    S = np.where(bad, np.linalg.cholesky(prior), S)
-    return P, S, np.where(ok, 0, CKF_CHOL_RESET)
-
-
-def _factor_pair(P, p_pred):
-    """Lower Cholesky factor of p_pred (L, 6, 6), from one call that factors P
-    and p_pred stacked; None when a matrix of either is not positive
-    definite. LAPACK factors each matrix of a stack on its own, so the factor
-    has the bits of p_pred's own."""
-    try:
-        return np.linalg.cholesky(np.concatenate((P, p_pred)))[len(P):]
-    except np.linalg.LinAlgError:
-        return None
+    ok_prior, ok_pred = ok[:legs], ok[legs:]
+    if not ok_prior.all():
+        p_pred = _predict(x, np.where(ok_prior[:, None, None], P, prior), dt, q_cov)[1]
+        ok_pred = kernels.cholesky(p_pred)[1]
+    p_pred = np.where(ok_pred[:, None, None], p_pred, prior)
+    return (p_pred, kernels.cholesky(p_pred)[0],
+            np.where(ok_prior & ok_pred, 0, CKF_CHOL_RESET))
 
 
 def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
@@ -277,15 +255,7 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
     legs = len(x)
     q_cov = noise.q_cov * dt
     x_pred, p_pred = _predict(x, P, dt, q_cov)
-    S = _factor_pair(P, p_pred)
-    if S is None:
-        # reset what is not positive definite to the prior, leg by leg
-        P, _, status = _factor_or_prior(P)
-        x_pred, p_pred = _predict(x, P, dt, q_cov)
-        p_pred, S, reset = _factor_or_prior(p_pred)
-        status = status | reset
-    else:
-        status = np.zeros(legs, dtype=int)
+    p_pred, S, status = _factor_or_reset(x, P, p_pred, dt, q_cov)
 
     # the per-leg masks below are built only when a scalar check fires
     rows = _point_rows(x_pred, S)

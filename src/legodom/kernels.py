@@ -1,5 +1,7 @@
 """Leg geometry of a 3-DoF leg: forward kinematics, the leg Jacobian, the
-analytic inverse kinematics, the IK rate solve and the torque-to-wrench solve.
+analytic inverse kinematics, the IK rate solve and the torque-to-wrench solve,
+and the stacked Cholesky and solve that the wrench gate and the cubature
+filter share.
 
 Every kernel works on a stack of legs; a single leg is a batch of one. The
 forward side: `leg_kinematics` gives the positions, Jacobians and foot
@@ -12,9 +14,20 @@ elementwise: the gait generator solves every frame and leg of a block of
 frames with `ik_joints_array`, and the cubature filter in `ikvel` maps every
 leg and cubature point of a frame with `ik_measurement_rows`, which runs the
 same angle solve and then the joint rates from the same trig terms.
+
+`cholesky` and `solve` never raise: each returns its stacked result with a
+per-matrix `ok` mask, so a matrix that fails to factor or solve (its result
+is NaN) costs only its own leg.
 """
 
 import numpy as np
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError as exc:  # a private module of numpy; no public stand-in
+    raise ImportError("legodom needs numpy's private module "
+                      "numpy.linalg._umath_linalg for its stacked Cholesky "
+                      "and solve") from exc
 
 # always False; kept only because the replay benchmark (replaybench/run.py)
 # records it in its environment fingerprint
@@ -138,13 +151,16 @@ def leg_frame(q, dq, tau, coef, sigma_min):
     the legs' traces bounds each leg's trace. When that bound clears
     (2 sigma_min)^2 plus SIGMA_BOUND_TOL * tr, far wider than the rounding of
     the bound and of the SVD, every leg is ok, as the SVD would find;
-    otherwise the SVD decides. A healthy frame thus takes no SVD.
+    otherwise the SVD decides. A healthy frame thus takes no SVD. The force
+    solve runs on every leg, and its mask gates out a leg whose J J^T cleared
+    the gate yet is singular to working precision (links of wildly different
+    lengths); the forces of every gated-out leg are masked to zeros.
     """
     finite = np.isfinite(np.concatenate((q, dq, tau)))
     all_finite = finite.all()
     if not all_finite:
         # NaN instead of inf keeps the trig terms and J dq quiet; a zero torque
-        # and an identity Jacobian stand in for the leg in the SVD and the solve
+        # and an identity Jacobian stand in for the leg in the SVD
         finite_q, finite_dq, finite_tau = finite.reshape(3, len(q), 3)
         q = np.where(finite_q, q, np.nan)
         dq = np.where(finite_dq, dq, np.nan)
@@ -159,43 +175,40 @@ def leg_frame(q, dq, tau, coef, sigma_min):
         tr = float(np.einsum("lii->", JJt))
         all_ok = (4.0 * float(np.linalg.det(JJt).min())
                   >= tr * tr * (4.0 * sigma_min * sigma_min + SIGMA_BOUND_TOL * tr))
-    if all_ok:
-        ok = np.ones(len(q), dtype=bool)
-    else:
-        ok = ~(np.linalg.svd(J, compute_uv=False)[:, 2] < sigma_min)
+    f, ok = solve(JJt, J @ tau[:, :, None])
+    if not all_ok:
+        ok &= ~(np.linalg.svd(J, compute_uv=False)[:, 2] < sigma_min)
         if not all_finite:
             ok &= finite
-        all_ok = ok.all()
-    if not all_ok:
-        JJt = np.where(ok[:, None, None], JJt, _EYE3)
-    Jtau = J @ tau[:, :, None]
-    try:
-        f = np.linalg.solve(JJt, Jtau)[:, :, 0]
-    except np.linalg.LinAlgError:
-        # a J that cleared the gate can still give a J J^T that is singular
-        # to working precision (links of wildly different lengths)
-        f, solved = solve_each(JJt, Jtau)
-        f = f[:, :, 0]
-        ok = ok & solved
-        all_ok = False
-    if not all_ok:
-        f = np.where(ok[:, None], f, 0.0)
-    return r, v, f, ok
+    if not ok.all():
+        f = np.where(ok[:, None, None], f, 0.0)
+    return r, v, f[:, :, 0], ok
 
 
-def solve_each(A, B):
-    """np.linalg.solve(A, B) one matrix of the stack at a time, for a stack
-    on which the stacked call raised. Returns (X, solved): solved (...) is
-    False where A is singular to working precision, and X is zeros there."""
-    X = np.zeros(B.shape)
-    solved = np.zeros(B.shape[:-2], dtype=bool)
-    for i in np.ndindex(solved.shape):
-        try:
-            X[i] = np.linalg.solve(A[i], B[i])
-            solved[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return X, solved
+def _quiet(gufunc, *args):
+    """One call of a numpy.linalg gufunc on float64 stacks, in the error state
+    of numpy's own wrappers except that the invalid flag, by which the gufunc
+    reports a failed matrix, is ignored instead of raised. Returns (result,
+    ok), ok False where a matrix's result is not entirely finite."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore",
+                     under="ignore"):
+        out = gufunc(*args, signature="d" * len(args) + "->d")
+    return out, np.isfinite(out).all(axis=(-2, -1))
+
+
+def cholesky(P):
+    """Lower Cholesky factors of a (..., n, n) stack and the (...) mask of
+    the finite ones; each factor has the bits of np.linalg.cholesky, and a
+    matrix that is not positive definite gets an all-NaN one."""
+    return _quiet(_umath_linalg.cholesky_lo, P)
+
+
+def solve(A, B):
+    """Solutions X of the stacked A X = B, A (..., n, n) and B (..., n, k),
+    and the (...) mask of the finite ones; each has the bits of
+    np.linalg.solve, and a matrix singular to working precision gets an
+    all-NaN one."""
+    return _quiet(_umath_linalg.solve, A, B)
 
 
 def _clamp_unit(arg, viol):

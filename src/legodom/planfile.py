@@ -36,11 +36,15 @@ _DEGRADE_KEYS = ("encoder_quantum", "yaw_drift", "wheel_slip",
                  "touchdown_height_noise")
 
 
-# keys whose value must be > 0, or >= 0. Every plan number must be finite and
-# within +-_MAX_MAGNITUDE: no length, time, rate or gain of a plan comes near
-# it, and the generator's products of such numbers stay far from overflow.
-_POSITIVE_KEYS = ("rate_hz",)
-_NON_NEGATIVE_KEYS = ("duration", "step_period", "speed", "settle_time")
+# keys whose value must be > 0, >= 0, or a probability in [0, 1]. Every plan
+# number must be finite and within +-_MAX_MAGNITUDE: no length, time, rate or
+# gain of a plan comes near it, and the generator's products of such numbers
+# stay far from overflow.
+_POSITIVE_KEYS = ("rate_hz", "mass", "body_height")
+_NON_NEGATIVE_KEYS = ("duration", "step_period", "speed", "settle_time", "step_height",
+                      "wheel_radius", "degrade.encoder_quantum",
+                      "degrade.touchdown_height_noise")
+_PROBABILITY_KEYS = ("degrade.rate_spike_prob",)
 _MAX_MAGNITUDE = 1e9
 
 
@@ -58,6 +62,9 @@ def _float(key, lineno, value):
         raise ConfigError("plan line %d: %s must be > 0, got %r" % (lineno, key, value))
     if key in _NON_NEGATIVE_KEYS and not number >= 0.0:
         raise ConfigError("plan line %d: %s must be >= 0, got %r" % (lineno, key, value))
+    if key in _PROBABILITY_KEYS and not 0.0 <= number <= 1.0:
+        raise ConfigError("plan line %d: %s must be within [0, 1], got %r"
+                          % (lineno, key, value))
     return number
 
 

@@ -19,7 +19,7 @@ from legodom import GaitPlan, generate_gait
 from legodom.cli import main
 from legodom.config import _SCALAR_KEYS
 from legodom.logio import frame_to_dict, write_frames
-from legodom.planfile import _DEGRADE_KEYS, _FLOAT_KEYS
+from legodom.planfile import _DEGRADE_KEYS, _FLOAT_KEYS, parse_plan_text
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -197,3 +197,30 @@ def test_each_plan_key_with_each_edge_value_simulates_or_exits_3(work):
             plan.write_text("\n".join(PLAN_BASE + ["%s = %s" % (key, value)]) + "\n")
             code = main(["simulate", "--plan", str(plan), "--out", str(d / "edge.jsonl")])
             assert code in (0, 3), (key, value)
+
+
+# (key, values outside its range, values at its edge that must still parse)
+PLAN_RANGES = [
+    ("mass", ["0", "-1", "-1e-9"], ["1e-9"]),
+    ("body_height", ["0", "-0.3"], ["1e-9"]),
+    ("step_height", ["-1e-9", "-1"], ["0"]),
+    ("wheel_radius", ["-1e-9", "-0.05"], ["0"]),
+    ("degrade.encoder_quantum", ["-1e-9", "-1e-3"], ["0"]),
+    ("degrade.touchdown_height_noise", ["-1e-9", "-0.02"], ["0"]),
+    ("degrade.rate_spike_prob", ["-1e-9", "1.5", "2"], ["0", "1"]),
+]
+
+
+def test_each_range_checked_plan_key_exits_3_naming_line_and_key(work, capsys):
+    d, _, _ = work
+    plan = d / "range.plan.txt"
+    lineno = len(PLAN_BASE) + 1
+    for key, bad, edge in PLAN_RANGES:
+        for value in bad:
+            plan.write_text("\n".join(PLAN_BASE + ["%s = %s" % (key, value)]) + "\n")
+            code = main(["simulate", "--plan", str(plan), "--out", str(d / "range.jsonl")])
+            err = capsys.readouterr().err
+            assert code == 3, (key, value)
+            assert "plan line %d: %s must be" % (lineno, key) in err, (key, value, err)
+        for value in edge:
+            parse_plan_text("\n".join(PLAN_BASE + ["%s = %s" % (key, value)]))

@@ -397,11 +397,41 @@ def test_prior_failing_in_the_stacked_factorisation_matches_one_leg_steps(legs4)
         assert filt.status_counts == {ikvel.CKF_CHOL_RESET: 1}
 
 
+def test_non_finite_covariance_resets_its_leg_only(legs4):
+    # a NaN covariance factors without an error from LAPACK, into a NaN
+    # factor; its mask still resets that leg to the prior on its next cycle,
+    # and every leg stays bit-equal to its own one-leg steps
+    rng = np.random.default_rng(23)
+    noise = CkfNoise.from_diagonals()
+    xs, ps, qs = [], [], []
+    for i, geom in enumerate(legs4):
+        q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
+        xs.append(np.concatenate([fk_position(q, geom), rng.normal(scale=0.1, size=3)]))
+        A = rng.normal(size=(6, 6)) * 1e-2
+        ps.append(A @ A.T + 1e-5 * np.eye(6))
+        qs.append(q)
+    ps[2][4, 4] = np.nan
+    filt = LegVelocityFilter(legs4, noise=noise)
+    filt.states = CkfLegState(np.array(xs), np.array(ps), 0.0)
+    solos = [CkfLegState(x, P, 0.0) for x, P in zip(xs, ps)]
+    for k in range(1, 5):
+        zs = np.array([np.concatenate([q + rng.normal(scale=1e-3, size=3),
+                                       rng.normal(scale=0.1, size=3)]) for q in qs])
+        vel = filt.update(0.002 * k, zs[:, :3], zs[:, 3:])
+        assert np.all(np.isfinite(vel))
+        for i, geom in enumerate(legs4):
+            solos[i], status = ckf_step(solos[i], zs[i], 0.002 * k, noise, geom)
+            assert status == (ikvel.CKF_CHOL_RESET if (i, k) == (2, 1) else 0)
+            assert np.array_equal(filt.states.x[i], solos[i].x)
+            assert np.array_equal(filt.states.P[i], solos[i].P)
+    assert filt.status_counts == {ikvel.CKF_CHOL_RESET: 1}
+
+
 def test_two_cholesky_calls_per_healthy_filter_update(legs4, monkeypatch):
     # one for the prior and the predicted covariance of every leg together,
     # one for the innovation covariances
     calls = []
-    cholesky = np.linalg.cholesky
+    cholesky = kernels.cholesky
 
     def counted(a):
         calls.append(a.shape)
@@ -410,7 +440,7 @@ def test_two_cholesky_calls_per_healthy_filter_update(legs4, monkeypatch):
     filt = LegVelocityFilter(legs4)
     sides = np.array([[g.side_sign, 1, 1] for g in legs4])
     ts, qs, dqs = _swing_samples(500.0, 0.1)
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(kernels, "cholesky", counted)
     for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
         filt.update(t, q * sides, np.tile(dq, (4, 1)))
         assert calls[2 * k:] == [(8, 6, 6), (4, 6, 6)]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,60 @@ def test_leg_frame_gates_out_a_leg_whose_wrench_solve_is_singular():
     assert np.array_equal(f[0], np.zeros(3))
     f_ref, ok_ref = _foot_force_reference(q[1], tau[1], *geoms[1].kernel_args(), 1e-6)
     assert ok_ref and np.array_equal(f[1], f_ref)
+
+
+def _mixed_stack(rng, k, n):
+    """k random (n, n) matrices, a quarter each: symmetric positive definite,
+    negative definite, exactly singular (a zero row and column) and with a
+    NaN entry; returns the stack and each matrix's kind, 0 to 3 in that order."""
+    kinds = rng.permutation(np.arange(k) % 4)
+    A = rng.normal(size=(k, n, n))
+    M = A @ np.swapaxes(A, -1, -2) + 1e-3 * np.eye(n)
+    for m, kind in zip(M, kinds):
+        i, j = rng.integers(n, size=2)
+        if kind == 1:
+            m *= -1.0
+        elif kind == 2:
+            m[i], m[:, i] = 0.0, 0.0
+        elif kind == 3:
+            m[max(i, j), min(i, j)] = m[min(i, j), max(i, j)] = np.nan
+    return M, kinds
+
+
+def _public(fn, *args):
+    """fn's result, or None where it raises."""
+    try:
+        return fn(*args)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def test_masked_linalg_is_bit_equal_to_numpy():
+    # the filter and the wrench gate factor and solve whole stacks through
+    # kernels.cholesky and kernels.solve; each matrix gets the bits of
+    # numpy's public call, one that fails gets NaN and a False mask, and
+    # nothing warns
+    rng = np.random.default_rng(24)
+    for n, k, cols in ((6, 8, 6), (6, 4, 6), (3, 4, 1), (3, 12, 3)):
+        for _ in range(20):
+            M, kinds = _mixed_stack(rng, k, n)
+            B = rng.normal(size=(k, n, cols))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                S, chol_ok = kernels.cholesky(M)
+                X, solve_ok = kernels.solve(M, B)
+            assert chol_ok.tolist() == (kinds == 0).tolist()
+            assert solve_ok.tolist() == (kinds <= 1).tolist()
+            for got, fn, args in ((S, np.linalg.cholesky, (M,)),
+                                  (X, np.linalg.solve, (M, B))):
+                for i in range(k):
+                    want = _public(fn, *(a[i] for a in args))
+                    if want is None:
+                        assert np.isnan(got[i]).all()
+                    else:
+                        assert np.array_equal(got[i], want, equal_nan=True)
+            assert np.array_equal(S[chol_ok], np.linalg.cholesky(M[chol_ok]))
+            assert np.array_equal(X[solve_ok], np.linalg.solve(M[solve_ok], B[solve_ok]))
 
 
 def test_leg_kinematics_broadcasts_over_leading_axes():
