@@ -1,7 +1,9 @@
 """Command-line front end: replay logs through the estimator, run the
 simulator presets, compute closure metrics, and inspect diagnostics.
 
-Exit codes: 0 ok, 2 log parse error, 3 config or plan error.
+Exit codes: 0 ok; 2 log parse error, or a trajectory that `metrics` cannot
+read or measure; 3 config or plan error. Every message is one line, and a
+parse error names the line.
 """
 
 import argparse
@@ -25,7 +27,7 @@ def _load_inputs(args):
     """
     try:
         cfg = EstimatorConfig() if args.config is None else load_config(args.config)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return None, None, 3
     try:
@@ -33,7 +35,7 @@ def _load_inputs(args):
     except LogParseError as exc:
         print("log parse error: %s" % exc, file=sys.stderr)
         return None, None, 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("cannot read log: %s" % exc, file=sys.stderr)
         return None, None, 2
     return cfg, frames, 0
@@ -82,9 +84,20 @@ def cmd_simulate(args):
 
 
 def cmd_metrics(args):
-    traj = read_trajectory(args.trajectory)
-    gt = read_trajectory(args.ground_truth) if args.ground_truth else None
-    print(json.dumps(compute_metrics(traj, gt), indent=2))
+    path = args.trajectory
+    try:
+        traj = read_trajectory(path)
+        path = args.ground_truth
+        gt = read_trajectory(path) if path else None
+    except (LogParseError, OSError, UnicodeDecodeError) as exc:
+        print("trajectory parse error: %s: %s" % (path, exc), file=sys.stderr)
+        return 2
+    try:
+        metrics = compute_metrics(traj, gt)
+    except ValueError as exc:
+        print("metrics error: %s" % exc, file=sys.stderr)
+        return 2
+    print(json.dumps(metrics, indent=2))
     return 0
 
 

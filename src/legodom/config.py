@@ -88,10 +88,8 @@ _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no":
 
 
 def _parse_bool(v):
-    try:
-        return _BOOL[v.strip().lower()]
-    except KeyError:
-        raise ConfigError("expected boolean, got %r" % v)
+    """True or False for a boolean word; KeyError on anything else."""
+    return _BOOL[v.lower()]
 
 
 _SCALAR_KEYS = {
@@ -119,31 +117,58 @@ _SCALAR_KEYS = {
 }
 
 
-# a config number must be finite and within +-_MAX_MAGNITUDE (no gain, length
-# or time of the estimator comes near it), and a config may describe at most
-# _MAX_LEGS legs
-_MAX_MAGNITUDE = 1e9
+# a config or plan number must be finite and within +-MAX_MAGNITUDE (no gain,
+# length, time or rate comes near it, and products of such numbers stay far
+# from overflow), and a config may describe at most _MAX_LEGS legs
+MAX_MAGNITUDE = 1e9
 _MAX_LEGS = 64
 
 
-def _parsed(key, value, parser):
-    """parser(value), or a ConfigError naming the key."""
+def read_pairs(text, what, repeated=()):
+    """The `key = value` lines of a config or plan file as {key: (line, value)}.
+
+    `#` starts a comment, blank lines are skipped, and a line splits on its
+    first `=`. A repeated key keeps its last line, except the keys in
+    `repeated`, which map to the list of their (line, value) pairs in file
+    order. `what` ("config" or "plan") starts each error message.
+    """
+    pairs = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError("%s line %d: expected 'key = value'" % (what, lineno))
+        key, value = (s.strip() for s in stripped.split("=", 1))
+        if key in repeated:
+            pairs.setdefault(key, []).append((lineno, value))
+        else:
+            pairs[key] = (lineno, value)
+    return pairs
+
+
+def parse_value(what, key, line, value, parser=float, count=None):
+    """parser(value), finite and within +-MAX_MAGNITUDE, or a ConfigError
+    that reads `<what> line N: ... KEY ...`.
+
+    With `count` (2 or 3), value holds that many whitespace-separated numbers
+    (x y or x y z) and a tuple of them is returned.
+    """
+    if count is not None:
+        parts = value.split()
+        if len(parts) != count:
+            raise ConfigError("%s line %d: %s needs %s"
+                              % (what, line, key, " ".join("xyz"[:count])))
+        return tuple(parse_value(what, key, line, p, parser) for p in parts)
     try:
         parsed = parser(value)
-    except ValueError:
-        raise ConfigError("bad value for %s: %r" % (key, value)) from None
-    if parser is float and not abs(parsed) <= _MAX_MAGNITUDE:
-        raise ConfigError("%s must be finite and within +-%g, got %r"
-                          % (key, _MAX_MAGNITUDE, value))
+    except (KeyError, ValueError):
+        raise ConfigError("%s line %d: bad value for %s: %r"
+                          % (what, line, key, value)) from None
+    if not abs(parsed) <= MAX_MAGNITUDE:
+        raise ConfigError("%s line %d: %s must be finite and within +-%g, got %r"
+                          % (what, line, key, MAX_MAGNITUDE, value))
     return parsed
-
-
-def _triple(key, value):
-    """Three whitespace-separated numbers as a (3,) array."""
-    parts = value.split()
-    if len(parts) != 3:
-        raise ConfigError(key + ": expected three numbers")
-    return np.array([_parsed(key, p, float) for p in parts])
 
 
 def parse_config_text(text):
@@ -152,24 +177,23 @@ def parse_config_text(text):
     Geometry keys: `legs = N`, global `geom.hip_offset/thigh/calf/wheel_radius`,
     per-leg `legN.side` and `legN.mount = x y z`. Unknown keys are an error.
     """
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError("line %d: expected 'key = value'" % lineno)
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
+    pairs = read_pairs(text, "config")
+
+    def take(key, parser=float, count=None):
+        return parse_value("config", key, *pairs.pop(key), parser, count)
 
     geom_kw = {}
-    n_legs = _parsed("legs", raw.pop("legs", "4"), int)
-    if n_legs > _MAX_LEGS:
-        raise ConfigError("legs must be at most %d, got %d" % (_MAX_LEGS, n_legs))
+    n_legs = 4
+    if "legs" in pairs:
+        line = pairs["legs"][0]
+        n_legs = take("legs", int)
+        if n_legs > _MAX_LEGS:
+            raise ConfigError("config line %d: legs must be at most %d, got %d"
+                              % (line, _MAX_LEGS, n_legs))
     for src, dst in (("geom.hip_offset", "hip_offset"), ("geom.thigh", "thigh"),
                      ("geom.calf", "calf"), ("geom.wheel_radius", "wheel_radius")):
-        if src in raw:
-            geom_kw[dst] = _parsed(src, raw.pop(src), float)
+        if src in pairs:
+            geom_kw[dst] = take(src)
     try:
         legs = default_leg_geometries(**geom_kw)
     except ValueError as exc:
@@ -184,23 +208,25 @@ def parse_config_text(text):
         mount_key = "leg%d.mount" % i
         g = legs[i]
         side, mount = g.side_sign, g.hip_mount
-        if side_key in raw:
-            side = _parsed(side_key, raw.pop(side_key), int)
+        if side_key in pairs:
+            line = pairs[side_key][0]
+            side = take(side_key, int)
             if side not in (1, -1):
-                raise ConfigError("%s must be 1 or -1, got %d" % (side_key, side))
-        if mount_key in raw:
-            mount = _triple(mount_key, raw.pop(mount_key))
+                raise ConfigError("config line %d: %s must be 1 or -1, got %d"
+                                  % (line, side_key, side))
+        if mount_key in pairs:
+            mount = np.array(take(mount_key, count=3))
         legs[i] = LegGeometry(g.hip_offset_len, g.thigh_len, g.calf_len,
                               g.wheel_radius, side, mount)
 
     kwargs = {"legs": legs}
-    if "init.position" in raw:
-        kwargs["initial_position"] = _triple("init.position", raw.pop("init.position"))
-    for key, value in raw.items():
+    if "init.position" in pairs:
+        kwargs["initial_position"] = take("init.position", count=3)
+    for key, (line, value) in pairs.items():
         if key not in _SCALAR_KEYS:
-            raise ConfigError("unknown config key %r" % key)
+            raise ConfigError("config line %d: unknown config key %r" % (line, key))
         attr, parser = _SCALAR_KEYS[key]
-        kwargs[attr] = _parsed(key, value, parser)
+        kwargs[attr] = parse_value("config", key, line, value, parser)
     return EstimatorConfig(**kwargs)
 
 
@@ -234,5 +260,5 @@ def save_config(cfg: EstimatorConfig, path):
         fh.write("\n".join(lines) + "\n")
 
 
-__all__ = ["EstimatorConfig", "ConfigError", "parse_config_text",
-           "load_config", "save_config"]
+__all__ = ["EstimatorConfig", "ConfigError", "MAX_MAGNITUDE", "read_pairs",
+           "parse_value", "parse_config_text", "load_config", "save_config"]

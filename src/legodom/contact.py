@@ -21,14 +21,13 @@ class FootfallRecord:
     """World-frame contact anchor for one leg, a 3-tuple.
 
     The anchor is written only at touchdown (point feet) or rolled forward by
-    the wheel propagation; lift-off just clears in_contact and leaves the
-    stale anchor in place until the next touchdown resets it.
+    the wheel propagation; lift-off leaves the stale anchor in place until
+    the next touchdown resets it. Whether the leg is in stance is the
+    estimator's `prev_contact`.
     """
 
     leg_id: int
     anchor: tuple = (0.0, 0.0, 0.0)
-    in_contact: bool = False
-    touchdown_time: float = 0.0
 
 
 def gate_contact(f_world_z, f_th):

@@ -204,8 +204,7 @@ class Estimator:
         # touchdown handling: new anchors are taken from the best position
         # available this cycle (legs that stayed anchored beat the constant-
         # velocity prediction), then snapped through the plane store
-        persisting = [i for i in range(n) if contacts[i] and not touchdowns[i]
-                      and records[i].in_contact]
+        persisting = [i for i in range(n) if contacts[i] and not touchdowns[i]]
         obs = {i: leg_obs(i) for i in persisting}
         if persisting and cfg.pos_blend > 0.0:
             p_persist = mean3([obs[i][0] for i in persisting])
@@ -213,10 +212,7 @@ class Estimator:
         else:
             pos_rec = pos_pred
         for i in range(n):
-            rec = records[i]
             if not touchdowns[i]:
-                if not contacts[i]:
-                    rec.in_contact = False
                 continue
             anchor = contact.record_footfall(pos_rec, rot, feet[i])
             if cfg.height_enabled:
@@ -224,9 +220,7 @@ class Estimator:
                     anchor[2], self.planes, t, cfg.height_window,
                     cfg.height_fade, cfg.height_decay_scale)
                 anchor = (anchor[0], anchor[1], z_corr)
-            rec.anchor = anchor
-            rec.in_contact = True
-            rec.touchdown_time = t
+            records[i].anchor = anchor
             if wheels and wheels[i] is not None:
                 _, q2, q3 = legs[i].q.tolist()
                 self.wheel_cache[i] = (wheels[i].psi, pitch, q2, q3)
@@ -284,8 +278,8 @@ class Estimator:
             "n_contacts": len(stance),
             "contacts": stance,
             "touchdowns": [i for i, td in enumerate(touchdowns) if td],
-            "anchors": [list(rec.anchor) if rec.in_contact else None
-                        for rec in self.records],
+            "anchors": [list(rec.anchor) if on else None
+                        for rec, on in zip(self.records, self.prev_contact)],
             "planes": height.planes_to_json(self.planes),
             "yaw_kin": yaw_kin,
             "yaw_err": yaw_err,

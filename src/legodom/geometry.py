@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 
 @dataclass(frozen=True)
 class LegGeometry:
@@ -208,5 +206,4 @@ __all__ = [
     "LegGeometry", "JointReading", "WheelReading", "wrap_angle", "cross3",
     "mat_vec", "mean3", "blend3", "rot_x", "rot_y", "rot_z", "rpy_rows",
     "rpy_matrix", "rpy_to_quat", "quat_to_rpy", "default_leg_geometries",
-    "kernels",
 ]

@@ -8,6 +8,7 @@ identity and repeated runs are byte-identical.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -118,16 +119,29 @@ def write_trajectory(path, states):
 
 
 def read_trajectory(path):
-    """Trajectory rows as an (n, 10) float array."""
+    """Trajectory rows as an (n, 10) float array; a header-only or empty file
+    has no rows. A bad header, a row of other than 10 fields or a field that
+    is not a finite number raises LogParseError with the 1-based line."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() and header.strip() != ",".join(TRAJ_COLUMNS):
-            raise ValueError("unexpected trajectory header: %s" % header.strip())
-        for line in fh:
+        header = fh.readline().strip()
+        if header and header != ",".join(TRAJ_COLUMNS):
+            raise LogParseError(1, "unexpected trajectory header: %s" % header)
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != len(TRAJ_COLUMNS):
+                raise LogParseError(lineno, "expected %d fields, got %d"
+                                    % (len(TRAJ_COLUMNS), len(fields)))
+            try:
+                row = [float(v) for v in fields]
+            except ValueError as exc:
+                raise LogParseError(lineno, str(exc)) from None
+            if not all(map(math.isfinite, row)):
+                raise LogParseError(lineno, "row is not finite: %s" % line)
+            rows.append(row)
     return np.array(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
 
 

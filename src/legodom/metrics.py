@@ -3,6 +3,8 @@
 import numpy as np
 
 
+# finite rows far apart overflow to an infinite metric, not a warning
+@np.errstate(over="ignore")
 def compute_metrics(trajectory, ground_truth=None):
     """Closure and accuracy metrics for a trajectory array.
 

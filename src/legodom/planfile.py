@@ -14,50 +14,30 @@ Example:
     degrade.encoder_quantum = 1e-3
 """
 
-from .config import ConfigError
+from .config import ConfigError, parse_value, read_pairs
 from .gait import MODES, PRESETS, GaitPlan, StepTerrain, preset_plan
 from .geometry import default_leg_geometries
 
-_FLOAT_KEYS = {
-    "rate_hz": "rate_hz",
-    "body_height": "body_height",
-    "speed": "speed",
-    "step_period": "step_period",
-    "step_height": "step_height",
-    "settle_time": "settle_time",
-    "mass": "mass",
-    "yaw_rate": "yaw_rate",
-    "turn_angle": "turn_angle",
-    "duration": "duration",
-    "flight_speed": "flight_speed",
-}
+_FLOAT_KEYS = ("rate_hz", "body_height", "speed", "step_period", "step_height",
+               "settle_time", "mass", "yaw_rate", "turn_angle", "duration",
+               "flight_speed")
 
 _DEGRADE_KEYS = ("encoder_quantum", "yaw_drift", "wheel_slip",
                  "touchdown_height_noise")
 
 
-# keys whose value must be > 0, >= 0, or a probability in [0, 1]. Every plan
-# number must be finite and within +-_MAX_MAGNITUDE: no length, time, rate or
-# gain of a plan comes near it, and the generator's products of such numbers
-# stay far from overflow.
+# keys whose value must be > 0, >= 0, or a probability in [0, 1]
 _POSITIVE_KEYS = ("rate_hz", "mass", "body_height")
 _NON_NEGATIVE_KEYS = ("duration", "step_period", "speed", "settle_time", "step_height",
                       "wheel_radius", "degrade.encoder_quantum",
                       "degrade.touchdown_height_noise")
 _PROBABILITY_KEYS = ("degrade.rate_spike_prob",)
-_MAX_MAGNITUDE = 1e9
 
 
 def _float(key, lineno, value):
-    """value as a finite float, or a ConfigError naming the line and the key."""
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError("plan line %d: bad value for %s: %r"
-                          % (lineno, key, value)) from None
-    if not abs(number) <= _MAX_MAGNITUDE:
-        raise ConfigError("plan line %d: %s must be finite and within +-%g, got %r"
-                          % (lineno, key, _MAX_MAGNITUDE, value))
+    """value as a finite float within its key's range, or a ConfigError
+    naming the line and the key."""
+    number = parse_value("plan", key, lineno, value)
     if key in _POSITIVE_KEYS and not number > 0.0:
         raise ConfigError("plan line %d: %s must be > 0, got %r" % (lineno, key, value))
     if key in _NON_NEGATIVE_KEYS and not number >= 0.0:
@@ -69,22 +49,9 @@ def _float(key, lineno, value):
 
 
 def parse_plan_text(text):
-    kv = {}  # key -> (line number, value text)
-    waypoints = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError("plan line %d: expected 'key = value'" % lineno)
-        key, value = (s.strip() for s in stripped.split("=", 1))
-        if key == "waypoint":
-            parts = value.split()
-            if len(parts) != 2:
-                raise ConfigError("plan line %d: waypoint needs x y" % lineno)
-            waypoints.append(tuple(_float(key, lineno, p) for p in parts))
-        else:
-            kv[key] = (lineno, value)
+    kv = read_pairs(text, "plan", repeated=("waypoint",))
+    waypoints = [parse_value("plan", "waypoint", lineno, value, count=2)
+                 for lineno, value in kv.pop("waypoint", ())]
 
     if "preset" in kv:
         lineno, name = kv.pop("preset")
@@ -100,9 +67,9 @@ def parse_plan_text(text):
     if waypoints:
         plan.waypoints = waypoints
 
-    for key, attr in _FLOAT_KEYS.items():
+    for key in _FLOAT_KEYS:
         if key in kv:
-            setattr(plan, attr, _float(key, *kv.pop(key)))
+            setattr(plan, key, _float(key, *kv.pop(key)))
 
     if "wheel_radius" in kv:
         plan.legs = default_leg_geometries(

@@ -182,6 +182,17 @@ def test_missing_log_exit_2(sim_log, capsys):
         assert "cannot read log" in capsys.readouterr().err
 
 
+def test_file_that_is_not_utf8_exits_2_or_3(sim_log, capsys):
+    d, log, _ = sim_log
+    binary = d / "binary.bin"
+    binary.write_bytes(b"legs = 4\n\xff\xfe\n")
+    for command in LOADING_COMMANDS:
+        assert main(_load_cmd(command, d, binary)) == 2
+        assert "cannot read log" in capsys.readouterr().err
+        assert main(_load_cmd(command, d, log, "--config", str(binary))) == 3
+        assert "config error" in capsys.readouterr().err
+
+
 def test_replay_empty_log_warns(sim_log, capsys):
     d, _, _ = sim_log
     empty = d / "empty.jsonl"
@@ -241,6 +252,52 @@ def test_replay_ground_truth_metrics(sim_log, capsys):
     assert main(["metrics", str(traj), "--ground-truth", str(gt)]) == 0
     m = json.loads(capsys.readouterr().out)
     assert m["mae_x"] <= 1e-9  # standing in place, zero noise
+
+
+HEADER = "t,x,y,z,roll,pitch,yaw,vx,vy,vz\n"
+ROW = "0.5,0.1,0.2,0.3,0.0,0.0,0.0,0.0,0.0,0.0\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("t,x,y\n" + ROW, "line 1: unexpected trajectory header"),
+    (HEADER + ROW + ROW.replace("0.3", "0.3m"), "line 3: could not convert"),
+    (HEADER + ROW + ROW.rsplit(",", 1)[0] + "\n", "line 3: expected 10 fields, got 9"),
+    (HEADER + ROW.replace("0.2", "nan"), "line 2: row is not finite"),
+])
+def test_metrics_on_a_malformed_trajectory_exits_2(tmp_path, capsys, text, where):
+    traj = tmp_path / "bad.csv"
+    traj.write_text(text)
+    assert main(["metrics", str(traj)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trajectory parse error: %s: %s" % (traj, where))
+    assert err.count("\n") == 1
+
+
+def test_metrics_on_a_missing_file_or_a_mismatched_ground_truth_exits_2(sim_log, tmp_path, capsys):
+    d, log, gt = sim_log
+    traj = tmp_path / "traj.csv"
+    assert main(["replay", "--log", str(log), "--out", str(traj)]) == 0
+    capsys.readouterr()
+    missing = tmp_path / "none.csv"
+    for argv in ([str(missing)], [str(traj), "--ground-truth", str(missing)]):
+        assert main(["metrics", *argv]) == 2
+        assert "trajectory parse error: %s: " % missing in capsys.readouterr().err
+    short = tmp_path / "short.csv"
+    short.write_text(HEADER + ROW)
+    assert main(["metrics", str(traj), "--ground-truth", str(short)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("metrics error: ground truth row count 1 != trajectory")
+
+
+def test_metrics_after_replaying_an_empty_log_exits_2(tmp_path, capsys):
+    # replay writes a header-only trajectory for an empty log
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    traj = tmp_path / "empty.csv"
+    assert main(["replay", "--log", str(empty), "--out", str(traj)]) == 0
+    capsys.readouterr()
+    assert main(["metrics", str(traj)]) == 2
+    assert capsys.readouterr().err == "metrics error: trajectory must have at least one row\n"
 
 
 def _simulate_plan_error(tmp_path, capsys, text):

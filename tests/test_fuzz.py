@@ -224,3 +224,28 @@ def test_each_range_checked_plan_key_exits_3_naming_line_and_key(work, capsys):
             assert "plan line %d: %s must be" % (lineno, key) in err, (key, value, err)
         for value in edge:
             parse_plan_text("\n".join(PLAN_BASE + ["%s = %s" % (key, value)]))
+
+
+# --- trajectory CSVs ----------------------------------------------------------
+
+TRAJ_HEADER = "t,x,y,z,roll,pitch,yaw,vx,vy,vz"
+# mostly finite fields (huge ones among them), so that many rows parse
+FIELD = st.one_of(*[st.sampled_from(["0", "-1", "0.5", "2e-9", "1e9", "1e308",
+                                     "-1e308"])] * 4, st.sampled_from(NUMBERS))
+ROW = st.one_of(*[st.lists(FIELD, min_size=10, max_size=10)] * 3,
+                st.lists(FIELD, max_size=12)).map(",".join)
+CSV_TEXT = st.builds(lambda head, rows: "\n".join([head] + rows) + "\n",
+                     st.one_of(st.just(TRAJ_HEADER), st.just(""), st.text(max_size=20)),
+                     st.lists(st.one_of(*[ROW] * 5, st.text(max_size=20)), max_size=4))
+
+
+@settings(FUZZ, max_examples=80)
+@given(traj=CSV_TEXT, gt=st.one_of(st.none(), CSV_TEXT))
+def test_random_trajectory_csv_measures_or_exits_2(work, traj, gt):
+    d, _, _ = work
+    argv = ["metrics", str(d / "traj.csv")]
+    (d / "traj.csv").write_text(traj, encoding="utf-8")
+    if gt is not None:
+        (d / "gt.csv").write_text(gt, encoding="utf-8")
+        argv += ["--ground-truth", str(d / "gt.csv")]
+    assert main(argv) in (0, 2)

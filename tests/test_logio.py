@@ -158,12 +158,26 @@ def test_config_defaults_round_trip(tmp_path):
 @pytest.mark.parametrize("line", [
     "legs = four", "geom.hip_offset = wide", "geom.thigh = 0.2m", "geom.calf = -",
     "geom.wheel_radius = 5cm", "leg0.side = left", "leg1.side = 2",
-    "leg2.mount = 0.1 y 0", "init.position = 0 0 high"])
+    "leg2.mount = 0.1 y 0", "init.position = 0 0 high", "yaw.enabled = maybe",
+    "contact.sigma_min = abc", "leg1.mount = 0 0", "legs = 65"])
 def test_config_parse_errors_name_the_key(line):
     key = line.split("=")[0].strip()
     with pytest.raises(ConfigError) as err:
         parse_config_text(line)
+    assert str(err.value).startswith("config line 1: ")
     assert key in str(err.value)
+
+
+def test_config_error_names_the_line_of_a_later_key():
+    with pytest.raises(ConfigError, match=r"^config line 3: bad value for yaw.enabled"):
+        parse_config_text("# gains\nyaw.alpha0 = 0.05\nyaw.enabled = maybe\n")
+
+
+def test_repeated_config_key_takes_its_last_line():
+    cfg = parse_config_text("yaw.alpha0 = 0.05\nyaw.enabled = false\nyaw.alpha0 = 0.5\n")
+    assert cfg.yaw_alpha0 == 0.5 and cfg.yaw_enabled is False
+    # only the last line is parsed, so an earlier bad value is overridden
+    assert parse_config_text("legs = four\nlegs = 2\n").legs[1].side_sign == -1
 
 
 def test_config_parsing_and_validation():
