@@ -2,12 +2,13 @@
 simulator presets, compute closure metrics, and inspect diagnostics.
 
 Exit codes: 0 ok; 2 log parse error, or a trajectory that `metrics` cannot
-read or measure; 3 config or plan error. Every message is one line, and a
-parse error names the line.
+read or measure to finite numbers (its output is strict JSON); 3 config or
+plan error. Every message is one line, and a parse error names the line.
 """
 
 import argparse
 import json
+import math
 import sys
 
 from .config import ConfigError, EstimatorConfig, load_config
@@ -94,10 +95,15 @@ def cmd_metrics(args):
         return 2
     try:
         metrics = compute_metrics(traj, gt)
+        # finite rows far apart give an infinite metric, which strict JSON
+        # cannot hold
+        for key, value in metrics.items():
+            if not math.isfinite(value):
+                raise ValueError("%s is not finite" % key)
     except ValueError as exc:
         print("metrics error: %s" % exc, file=sys.stderr)
         return 2
-    print(json.dumps(metrics, indent=2))
+    print(json.dumps(metrics, indent=2, allow_nan=False))
     return 0
 
 

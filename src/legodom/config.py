@@ -190,14 +190,17 @@ def parse_config_text(text):
         if n_legs > _MAX_LEGS:
             raise ConfigError("config line %d: legs must be at most %d, got %d"
                               % (line, _MAX_LEGS, n_legs))
-    for src, dst in (("geom.hip_offset", "hip_offset"), ("geom.thigh", "thigh"),
-                     ("geom.calf", "calf"), ("geom.wheel_radius", "wheel_radius")):
+    # LegGeometry checks these ranges too, but only here is the line known
+    for src, dst, rule in (("geom.hip_offset", "hip_offset", None),
+                           ("geom.thigh", "thigh", "> 0"), ("geom.calf", "calf", "> 0"),
+                           ("geom.wheel_radius", "wheel_radius", ">= 0")):
         if src in pairs:
-            geom_kw[dst] = take(src)
-    try:
-        legs = default_leg_geometries(**geom_kw)
-    except ValueError as exc:
-        raise ConfigError("geom: %s" % exc) from None
+            line, text = pairs[src]
+            geom_kw[dst] = length = take(src)
+            if rule and not (length > 0.0 or rule == ">= 0" and length == 0.0):
+                raise ConfigError("config line %d: %s must be %s, got %r"
+                                  % (line, src, rule, text))
+    legs = default_leg_geometries(**geom_kw)
     if n_legs != 4:
         base = legs[0]
         legs = [LegGeometry(base.hip_offset_len, base.thigh_len, base.calf_len,

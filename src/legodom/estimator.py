@@ -1,8 +1,9 @@
 """The per-sample fusion loop: attitude intake, wrench gating, touchdown
 handling, anchored observation fusion, wheel propagation, and yaw correction.
 
-A step makes one batched numpy call for the kinematics and the wrench gate
-of every leg (two with the velocity filter on), takes the results to Python
+A step hands the rows of `SensorFrame.joints`, one (3, L, 3) array of q, dq
+and tau, to one batched numpy call for the kinematics and the wrench gate of
+every leg (two with the velocity filter on), takes the results to Python
 lists once, and runs every per-leg stage after that on floats through the
 `contact`, `wheel` and `yawkin` operators. At a few legs a frame numpy's
 per-call cost exceeds the arithmetic, so an array form of those stages is
@@ -17,10 +18,7 @@ import numpy as np
 from . import contact, height, kernels, wheel, yawkin
 from .config import EstimatorConfig
 from .contact import FootfallRecord
-# rpy_matrix is not called here; the replay benchmark's tracer looks it up
-# in this module, next to quat_to_rpy, as an attitude-stage site
-from .geometry import (blend3, mean3, quat_to_rpy, rpy_matrix,  # noqa: F401
-                       rpy_rows, wrap_angle)
+from .geometry import JointReading, blend3, mean3, quat_to_rpy, rpy_rows, wrap_angle
 from .ikvel import CkfNoise, LegVelocityFilter
 
 
@@ -41,17 +39,30 @@ class BodyState:
 @dataclass
 class SensorFrame:
     """One synchronized sample: IMU attitude quaternion [w,x,y,z], body-frame
-    gyro, per-leg joint readings, optional per-leg wheel readings."""
+    gyro, joint readings, optional per-leg wheel readings.
+
+    `joints` is one float (3, L, 3) array, indexed by channel (q, dq, tau),
+    leg and joint: the layout `kernels.leg_frame` reads. A float64 array is
+    kept as given, so frames may be views into one array of a stream."""
 
     stamp: float
     att: np.ndarray
     gyro: np.ndarray
-    legs: list
+    joints: np.ndarray
     wheels: list = None
 
     def __post_init__(self):
         self.att = np.asarray(self.att, dtype=float)
         self.gyro = np.asarray(self.gyro, dtype=float)
+        self.joints = np.asarray(self.joints, dtype=float)
+        if self.joints.ndim != 3 or self.joints.shape[::2] != (3, 3):
+            raise ValueError("joints must have shape (3, legs, 3), got %s"
+                             % (self.joints.shape,))
+
+    @property
+    def legs(self):
+        """Per-leg JointReading views (q, dq, tau) into `joints`."""
+        return [JointReading(*leg) for leg in self.joints.swapaxes(0, 1)]
 
 
 class Estimator:
@@ -87,8 +98,8 @@ class Estimator:
     def step(self, frame: SensorFrame) -> BodyState:
         cfg = self.config
         n = len(cfg.legs)
-        if len(frame.legs) != n:
-            raise ValueError("frame has %d legs, config has %d" % (len(frame.legs), n))
+        if frame.joints.shape[1] != n:
+            raise ValueError("frame has %d legs, config has %d" % (frame.joints.shape[1], n))
         t = frame.stamp
         if not math.isfinite(t):
             raise ValueError("frame stamp %r is not finite" % t)
@@ -136,10 +147,7 @@ class Estimator:
         velocity filter, when on, replaces the raw foot velocities. Returns
         the body-frame feet, foot velocities and forces as lists of rows, and
         the per-leg ok flags."""
-        legs = frame.legs
-        q = np.array([r.q for r in legs])
-        dq = np.array([r.dq for r in legs])
-        tau = np.array([r.tau for r in legs])
+        q, dq, tau = frame.joints
         r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
                                               self.config.sigma_min)
         if self.config.ikvel_enabled:
@@ -168,10 +176,11 @@ class Estimator:
         velocity observations, in leg order."""
         cfg = self.config
         records = self.records
-        legs = frame.legs
         wheels = frame.wheels
         n = len(contacts)
         heading = wheel.heading_direction(rot, cfg.heading_eps)
+        # the wheel stage reads joint angles and rates as floats
+        q_rows, dq_rows = frame.joints[:2].tolist() if wheels else (None, None)
 
         # wheel anchors of persisting stance legs advance by the effective
         # rolling increment (never on a touchdown frame: the cache is fresh)
@@ -181,7 +190,7 @@ class Estimator:
             if wr is None or radius == 0.0:
                 continue
             cache = self.wheel_cache[i]
-            _, q2, q3 = legs[i].q.tolist()
+            _, q2, q3 = q_rows[i]
             if contacts[i] and not touchdowns[i] and cache is not None:
                 psi0, pitch0, q20, q30 = cache
                 dpsi_eff = wheel.effective_roll_increment(
@@ -196,7 +205,7 @@ class Estimator:
             v = contact.anchored_velocity_obs(rot, gyro, feet[i], foot_vel[i])
             radius = cfg.legs[i].wheel_radius
             if wheels and wheels[i] is not None and radius > 0:
-                _, dq2, dq3 = legs[i].dq.tolist()
+                _, dq2, dq3 = dq_rows[i]
                 w = wheel.rolling_velocity(wheels[i].dpsi, dq2, dq3, radius, heading)
                 v = (v[0] + w[0], v[1] + w[1], v[2] + w[2])
             return p, v
@@ -222,7 +231,7 @@ class Estimator:
                 anchor = (anchor[0], anchor[1], z_corr)
             records[i].anchor = anchor
             if wheels and wheels[i] is not None:
-                _, q2, q3 = legs[i].q.tolist()
+                _, q2, q3 = q_rows[i]
                 self.wheel_cache[i] = (wheels[i].psi, pitch, q2, q3)
             else:
                 self.wheel_cache[i] = None

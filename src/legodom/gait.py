@@ -21,8 +21,8 @@ import numpy as np
 
 from . import kernels
 from .estimator import BodyState, SensorFrame
-from .geometry import (JointReading, WheelReading, default_leg_geometries,
-                       cross3, rot_z, rpy_to_quat, quat_to_rpy, wrap_angle)
+from .geometry import (WheelReading, default_leg_geometries, cross3, rot_z,
+                       rpy_to_quat, quat_to_rpy, wrap_angle)
 
 GRAVITY = 9.81
 TROT_PAIR_A = (0, 3)  # front-left with rear-right
@@ -265,11 +265,6 @@ def _solve_legs(legs, stamps, rel, rel_rate, load, stance):
     return q, dq, tau
 
 
-def _joint_readings(q, dq, tau):
-    """One frame's JointReading list from its (L, 3) joint arrays."""
-    return [JointReading(*leg) for leg in zip(q, dq, tau)]
-
-
 def _nominal_xy(plan, leg_idx, body_xy, yaw):
     geom = plan.legs[leg_idx]
     lateral = geom.side_sign * (geom.hip_offset_len + plan.stance_margin)
@@ -443,8 +438,9 @@ def _generate_trot(plan):
         stamps.append(t)
         imu.append((rpy_to_quat(0.0, 0.0, yaw), omega))
         truth.append(BodyState(pos, np.array([0.0, 0.0, yaw]), vel, t))
-    q, dq, tau = _solve_legs(plan.legs, stamps, rel, rel_rate, load, contacts)
-    frames = [SensorFrame(t, att, omega, _joint_readings(q[k], dq[k], tau[k]))
+    # one (F, 3, L, 3) array; each frame's joints are a view into it
+    joints = np.stack(_solve_legs(plan.legs, stamps, rel, rel_rate, load, contacts), axis=1)
+    frames = [SensorFrame(t, att, omega, joints[k])
               for k, (t, (att, omega)) in enumerate(zip(stamps, imu))]
     return GaitResult(frames, truth, contacts)
 
@@ -496,6 +492,7 @@ def _generate_static(plan):
         _, J, _ = kernels.leg_kinematics(q[blk], dq[blk], coef)
         tau[blk] = _stance_torques(J, load[blk], contacts[blk])
 
+    joints = np.stack((q, dq, tau), axis=1)
     att = rpy_to_quat(0.0, 0.0, 0.0)
     frames, truth = [], []
     for k, (tk, psi_k, dpsi_k) in enumerate(zip(t.tolist(), psi.tolist(), dpsi.tolist())):
@@ -504,8 +501,7 @@ def _generate_static(plan):
             wheels = [None] * n_legs
             for i, a, b in zip(wheeled, psi_k, dpsi_k):
                 wheels[i] = WheelReading(wrap_angle(a), b)
-        frames.append(SensorFrame(tk, att.copy(), np.zeros(3),
-                                  _joint_readings(q[k], dq[k], tau[k]), wheels))
+        frames.append(SensorFrame(tk, att.copy(), np.zeros(3), joints[k], wheels))
         truth.append(BodyState(pos[k], np.zeros(3), vel[k], tk))
     return GaitResult(frames, truth, contacts)
 
@@ -525,16 +521,9 @@ def generate_gait(plan: GaitPlan) -> GaitResult:
     raise ValueError("unknown gait mode %r" % plan.mode)
 
 
-def _copy_frame(fr: SensorFrame) -> SensorFrame:
-    legs = [JointReading(l.q.copy(), l.dq.copy(), l.tau.copy()) for l in fr.legs]
-    wheels = None
-    if fr.wheels is not None:
-        wheels = [None if w is None else WheelReading(w.psi, w.dpsi) for w in fr.wheels]
-    return SensorFrame(fr.stamp, fr.att.copy(), fr.gyro.copy(), legs, wheels)
-
-
 def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
-    """Overlay sensing imperfections on a clean stream (input left untouched).
+    """Overlay sensing imperfections on a clean stream (input left untouched;
+    the output shares no array with it).
 
     imperfections keys (absent or zero = identity):
       encoder_quantum: floor joint angles to this grid, then recompute joint
@@ -547,12 +536,16 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
         perturbs that leg's sensed foot height by U(-a, a) for the first few
         stance frames (an impact transient); needs contacts and legs
 
-    Deterministic for a given seed.
+    The frames' joints are stacked once into an (F, 3, L, 3) array, so every
+    frame must have the same legs; each joint imperfection is a column
+    operation on that stack, and each output frame's joints are a view into
+    it. Deterministic for a given seed.
     """
     rng = np.random.default_rng(seed)
-    out = [_copy_frame(fr) for fr in frames]
-    if not out:
-        return out
+    if not frames:
+        return []
+    joints = np.stack([fr.joints for fr in frames])
+    q, dq = joints[:, 0], joints[:, 1]  # (F, L, 3) views into the stack
 
     noise_amp = float(imperfections.get("touchdown_height_noise", 0.0) or 0.0)
     if noise_amp > 0.0:
@@ -566,65 +559,51 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
             rises = np.flatnonzero(col[1:] & ~col[:-1]) + 1
             for k0 in rises:
                 delta = rng.uniform(-noise_amp, noise_amp)
-                for k in range(k0, min(k0 + n_transient, len(out))):
+                for k in range(k0, min(k0 + n_transient, len(frames))):
                     if not col[k]:
                         break
                     hits.append((k, i, delta))
         if hits:
-            ks, idx, dz = zip(*hits)
-            readings = [out[k].legs[i] for k, i in zip(ks, idx)]
-            lh, lt, lc, rw, side, l2 = (p[list(idx)] for p in _leg_params(legs))
-            q = np.array([reading.q for reading in readings])
+            ks, idx, dz = (np.array(c) for c in zip(*hits))
+            lh, lt, lc, rw, side, l2 = (p[idx] for p in _leg_params(legs))
+            q_hit = q[ks, idx]
             coef = kernels.leg_coefficients(lh, lt, lc, rw, side)
-            foot = kernels.leg_kinematics(q, np.zeros_like(q), coef)[0]
+            foot = kernels.leg_kinematics(q_hit, np.zeros_like(q_hit), coef)[0]
             *angles, viol = kernels.ik_joints_array(
-                foot[:, 0], foot[:, 1], foot[:, 2] + np.array(dz), lh, lt, l2, side)
-            for reading, q_new, v in zip(readings, np.stack(angles, axis=-1), viol):
-                if not v > 1e-9:
-                    reading.q = q_new
+                foot[:, 0], foot[:, 1], foot[:, 2] + dz, lh, lt, l2, side)
+            ok = ~(viol > 1e-9)
+            q[ks[ok], idx[ok]] = np.stack(angles, axis=-1)[ok]
 
     quantum = float(imperfections.get("encoder_quantum", 0.0) or 0.0)
     if quantum > 0.0:
-        prev_q = None
-        prev_t = None
-        for fr in out:
-            new_q = [np.floor(l.q / quantum) * quantum for l in fr.legs]
-            if prev_q is not None:
-                dtf = fr.stamp - prev_t
-                for l, qq, pq in zip(fr.legs, new_q, prev_q):
-                    l.dq = (qq - pq) / dtf
-            for l, qq in zip(fr.legs, new_q):
-                l.q = qq
-            prev_q = new_q
-            prev_t = fr.stamp
+        q[:] = np.floor(q / quantum) * quantum
+        dtf = np.diff([fr.stamp for fr in frames])
+        dq[1:] = (q[1:] - q[:-1]) / dtf[:, None, None]
 
     spikes = imperfections.get("rate_spikes")
     if spikes:
         prob, gain = spikes
         if prob > 0.0:
-            for fr in out:
-                for l in fr.legs:
-                    hit = rng.random(3) < prob
-                    if hit.any():
-                        l.dq = np.where(hit, l.dq * gain, l.dq)
+            # drawn frame by frame, leg by leg, joint by joint: a seed's
+            # stream depends on this order
+            hit = rng.random(dq.shape) < prob
+            dq[:] = np.where(hit, dq * gain, dq)
 
     drift = float(imperfections.get("yaw_drift", 0.0) or 0.0)
-    if drift != 0.0:
-        t0 = out[0].stamp
-        for fr in out:
-            rpy = quat_to_rpy(fr.att)
-            fr.att = rpy_to_quat(rpy[0], rpy[1],
-                                 wrap_angle(rpy[2] + drift * (fr.stamp - t0)))
-
     slip = float(imperfections.get("wheel_slip", 0.0) or 0.0)
-    if slip != 0.0:
-        for fr in out:
-            if fr.wheels is None:
-                continue
-            for w in fr.wheels:
-                if w is not None:
-                    w.dpsi *= (1.0 + slip)
-
+    t0 = frames[0].stamp
+    out = []
+    for fr, frame_joints in zip(frames, joints):
+        att = fr.att.copy()
+        if drift != 0.0:
+            rpy = quat_to_rpy(fr.att)
+            att = rpy_to_quat(rpy[0], rpy[1],
+                              wrap_angle(rpy[2] + drift * (fr.stamp - t0)))
+        wheels = None
+        if fr.wheels is not None:
+            wheels = [None if w is None else WheelReading(w.psi, w.dpsi * (1.0 + slip))
+                      for w in fr.wheels]
+        out.append(SensorFrame(fr.stamp, att, fr.gyro.copy(), frame_joints, wheels))
     return out
 
 

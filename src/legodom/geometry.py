@@ -8,6 +8,7 @@ that size a numpy call costs more than the arithmetic it runs.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,18 +49,13 @@ class LegGeometry:
                 self.wheel_radius, float(self.side_sign))
 
 
-@dataclass
-class JointReading:
-    """One leg's motor sample: angles, rates, torques (each length 3)."""
+class JointReading(NamedTuple):
+    """One leg's motor sample: angles, rates, torques (each length 3); as
+    `SensorFrame.legs` hands them out, views into the frame's `joints`."""
 
     q: np.ndarray
     dq: np.ndarray
     tau: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.dq = np.asarray(self.dq, dtype=float)
-        self.tau = np.asarray(self.tau, dtype=float)
 
 
 @dataclass

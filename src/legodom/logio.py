@@ -1,10 +1,11 @@
-"""Sensor-log (JSON lines), trajectory (CSV), diagnostics, and plan file IO.
+"""Sensor-log (JSON lines), trajectory (CSV), and diagnostics IO.
 
 One frame per log line:
   {"t": s, "att": [w,x,y,z], "gyro": [gx,gy,gz],
    "legs": [{"q": [3], "dq": [3], "tau": [3], "wheel": {"psi": r, "dpsi": r}?}, ...]}
-Numbers are serialized with full double precision so write-then-read is the
-identity and repeated runs are byte-identical.
+A parsed frame holds every leg's q, dq and tau in one (3, L, 3) array,
+`SensorFrame.joints`. Numbers are serialized with full double precision so
+write-then-read is the identity and repeated runs are byte-identical.
 """
 
 import json
@@ -28,33 +29,43 @@ class LogParseError(Exception):
 
 def frame_to_dict(frame: SensorFrame):
     legs = []
-    for i, l in enumerate(frame.legs):
-        d = {"q": list(l.q), "dq": list(l.dq), "tau": list(l.tau)}
+    for i, (q, dq, tau) in enumerate(zip(*frame.joints.tolist())):
+        d = {"q": q, "dq": dq, "tau": tau}
         if frame.wheels is not None and frame.wheels[i] is not None:
             d["wheel"] = {"psi": frame.wheels[i].psi, "dpsi": frame.wheels[i].dpsi}
         legs.append(d)
-    return {"t": frame.stamp, "att": list(frame.att), "gyro": list(frame.gyro),
+    return {"t": frame.stamp, "att": frame.att.tolist(), "gyro": frame.gyro.tolist(),
             "legs": legs}
 
 
-def _vector(value, size, name, leg=None):
+def _vector(value, size, field):
     """value as a float array of shape (size,); a ValueError naming the field
-    (and the leg, if given) otherwise."""
-    a = np.array(value, dtype=float)
+    otherwise."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("%s: %s" % (field, exc)) from None
     if a.shape != (size,):
-        field = name if leg is None else "legs[%d].%s" % (leg, name)
         raise ValueError("%s must hold %d numbers, got shape %s" % (field, size, a.shape))
     return a
 
 
 def frame_from_dict(d):
-    legs = []
+    legs = d["legs"]
+    try:
+        joints = np.array([[leg[name] for leg in legs] for name in JointReading._fields],
+                          dtype=float)
+    except ValueError:
+        joints = None
+    if joints is None or joints.shape != (3, len(legs), 3):
+        # name the first field that is not three numbers
+        for i, leg in enumerate(legs):
+            for name in JointReading._fields:
+                _vector(leg[name], 3, "legs[%d].%s" % (i, name))
+        joints = np.empty((3, 0, 3))  # every field held three numbers: no legs
     wheels = []
     has_wheel = False
-    for i, leg in enumerate(d["legs"]):
-        legs.append(JointReading(_vector(leg["q"], 3, "q", i),
-                                 _vector(leg["dq"], 3, "dq", i),
-                                 _vector(leg["tau"], 3, "tau", i)))
+    for leg in legs:
         if "wheel" in leg:
             wheels.append(WheelReading(float(leg["wheel"]["psi"]),
                                        float(leg["wheel"]["dpsi"])))
@@ -73,7 +84,7 @@ def frame_from_dict(d):
     # a zero quaternion has no attitude; any other is normalised on use
     if not att.any():
         raise ValueError("att must have a nonzero norm, got %s" % att.tolist())
-    return SensorFrame(t, att, gyro, legs, wheels if has_wheel else None)
+    return SensorFrame(t, att, gyro, joints, wheels if has_wheel else None)
 
 
 def write_frames(path, frames):
@@ -95,9 +106,9 @@ def read_frames(path, n_legs=None):
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     OverflowError) as exc:
                 raise LogParseError(lineno, str(exc))
-            if n_legs is not None and len(frame.legs) != n_legs:
+            if n_legs is not None and frame.joints.shape[1] != n_legs:
                 raise LogParseError(lineno, "frame has %d legs, config has %d"
-                                    % (len(frame.legs), n_legs))
+                                    % (frame.joints.shape[1], n_legs))
             # a replay steps the frames in order, and Estimator.step rejects
             # a stamp that does not increase
             if frames and not frame.stamp > frames[-1].stamp:

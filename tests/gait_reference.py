@@ -2,10 +2,11 @@
 
 `_generate_static` below is the stand / wheel_roll / wheel_swing / hop
 generator as it was before it became closed-form column arrays: it walks the
-frames one at a time and decides the mode per frame and leg. `_blocks`,
-`_stance_torques` and `_joint_readings` are the helpers it called. They are
-kept verbatim so the closed-form generator is checked against an independent
-operation sequence. Do not edit them to follow the library.
+frames one at a time and decides the mode per frame and leg. `_blocks` and
+`_stance_torques` are the helpers it called. They are kept verbatim so the
+closed-form generator is checked against an independent operation sequence.
+Do not edit them to follow the library; only the frame construction follows
+`SensorFrame`, whose joint readings are one (3, legs, 3) array.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from legodom import kernels
 from legodom.estimator import BodyState, SensorFrame
 from legodom.gait import GRAVITY, GaitResult
-from legodom.geometry import JointReading, WheelReading, rpy_to_quat, wrap_angle
+from legodom.geometry import WheelReading, rpy_to_quat, wrap_angle
 
 # frames per block of the batched leg kinematics; bounds the transient
 # (slots, 12, legs, frames) term arrays to about a megabyte
@@ -32,11 +33,6 @@ def _stance_torques(J, load, stance):
     """
     tau = (np.swapaxes(J, -1, -2) @ load[:, None, :, None])[..., 0]
     return np.where(stance[..., None], tau, 0.0)
-
-
-def _joint_readings(q, dq, tau):
-    """One frame's JointReading list from its (L, 3) joint arrays."""
-    return [JointReading(*leg) for leg in zip(q, dq, tau)]
 
 
 _STAND_Q = np.array([0.0, 0.8, -1.6])
@@ -108,6 +104,6 @@ def _generate_static(plan):
         _, J, _ = kernels.leg_kinematics(q[blk], dq[blk], coef)
         tau[blk] = _stance_torques(J, load[blk], contacts[blk])
     frames = [SensorFrame(t, rpy_to_quat(0.0, 0.0, 0.0), np.zeros(3),
-                          _joint_readings(q[k], dq[k], tau[k]), wheels)
+                          np.stack((q[k], dq[k], tau[k])), wheels)
               for k, (t, wheels) in enumerate(zip(stamps, wheel_lists))]
     return GaitResult(frames, truth, contacts)

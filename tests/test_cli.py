@@ -300,6 +300,22 @@ def test_metrics_after_replaying_an_empty_log_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "metrics error: trajectory must have at least one row\n"
 
 
+def test_metrics_with_an_infinite_value_exits_2_and_prints_no_json(tmp_path, capsys):
+    # finite rows far apart: e_xy overflows to inf, which strict JSON cannot hold
+    traj = tmp_path / "far.csv"
+    traj.write_text("t,x,y,z,roll,pitch,yaw,vx,vy,vz\n"
+                    "0,1e308,0,0,0,0,0,0,0,0\n"
+                    "1,-1e308,0,0,0,0,0,0,0,0\n")
+    assert main(["metrics", str(traj)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "metrics error: e_xy is not finite\n"
+    # the same rows against themselves: the error names the first infinite key
+    assert main(["metrics", str(traj), "--ground-truth", str(traj)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "metrics error: e_xy is not finite\n"
+
+
 def _simulate_plan_error(tmp_path, capsys, text):
     """Exit code and stderr of `simulate --plan` on a plan with this text;
     a traceback fails the test."""

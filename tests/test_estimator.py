@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from legodom import (Estimator, EstimatorConfig, JointReading, SensorFrame,
+from legodom import (Estimator, EstimatorConfig, SensorFrame,
                      create, diagnostics, generate_gait, kernels, preset_plan,
                      quat_to_rpy, rpy_to_quat, step, wrap_angle)
 from legodom.ikvel import CKF_MEASUREMENT_SKIPPED
@@ -61,7 +61,7 @@ def test_non_finite_stamp_rejected(stamp):
     est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height]))
 
     def stamped(fr):
-        return SensorFrame(stamp, fr.att, fr.gyro, fr.legs)
+        return SensorFrame(stamp, fr.att, fr.gyro, fr.joints)
 
     with pytest.raises(ValueError, match="not finite"):
         est.step(stamped(frames[0]))  # the first frame has no stamp to compare
@@ -83,7 +83,7 @@ def test_non_finite_attitude_or_rate_rejected_before_the_state(field, k, value):
         est.step(fr)
     before, diag = est.state.copy(), est.diagnostics()
     bad = SensorFrame(frames[10].stamp, frames[10].att.copy(), frames[10].gyro.copy(),
-                      frames[10].legs)
+                      frames[10].joints)
     getattr(bad, field)[k] = value
     with pytest.raises(ValueError, match="%s .* not finite" % field):
         est.step(bad)
@@ -108,7 +108,7 @@ def test_scaled_attitude_quaternion_reads_as_its_unit_quaternion():
     unit, scaled = Estimator(cfg), Estimator(cfg)
     for fr in frames:
         a = unit.step(fr)
-        b = scaled.step(SensorFrame(fr.stamp, 3.0 * fr.att, fr.gyro, fr.legs))
+        b = scaled.step(SensorFrame(fr.stamp, 3.0 * fr.att, fr.gyro, fr.joints))
         assert np.max(np.abs(a.rpy - b.rpy)) <= 1e-12
         assert np.max(np.abs(a.position - b.position)) <= 1e-12
 
@@ -126,7 +126,7 @@ def test_zero_attitude_quaternion_rejected_before_the_state():
         est.step(fr)
     before, diag = est.state.copy(), est.diagnostics()
     filt_x = est.ikvel.states.x.copy()
-    bad = SensorFrame(frames[10].stamp, np.zeros(4), frames[10].gyro, frames[10].legs)
+    bad = SensorFrame(frames[10].stamp, np.zeros(4), frames[10].gyro, frames[10].joints)
     with pytest.raises(ValueError, match="zero norm"):
         est.step(bad)
     assert est.state.stamp == before.stamp
@@ -143,7 +143,7 @@ def test_leg_count_mismatch_rejected():
     res = generate_gait(plan)
     est = Estimator(EstimatorConfig())
     bad = SensorFrame(res.frames[0].stamp, res.frames[0].att,
-                      res.frames[0].gyro, res.frames[0].legs[:2])
+                      res.frames[0].gyro, res.frames[0].joints[:, :2])
     with pytest.raises(ValueError):
         est.step(bad)
 
@@ -276,12 +276,10 @@ def _walk_frames(length):
 def _with_nan_angle(frames, k):
     """frames with q[1] of leg 0 at frame k replaced by NaN."""
     bad = frames[k]
-    q = bad.legs[0].q.copy()
-    q[1] = np.nan
+    joints = bad.joints.copy()
+    joints[0, 0, 1] = np.nan
     frames = list(frames)
-    frames[k] = SensorFrame(bad.stamp, bad.att, bad.gyro,
-                            [JointReading(q, bad.legs[0].dq, bad.legs[0].tau)]
-                            + bad.legs[1:], bad.wheels)
+    frames[k] = SensorFrame(bad.stamp, bad.att, bad.gyro, joints, bad.wheels)
     return frames
 
 

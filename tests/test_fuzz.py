@@ -9,15 +9,17 @@ random text. Runs are derandomized so a failure reproduces, and the example
 counts keep the whole file to a few seconds.
 """
 
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from legodom import GaitPlan, generate_gait
 from legodom.cli import main
-from legodom.config import _SCALAR_KEYS
+from legodom.config import _SCALAR_KEYS, parse_config_text
 from legodom.logio import frame_to_dict, write_frames
 from legodom.planfile import _DEGRADE_KEYS, _FLOAT_KEYS, parse_plan_text
 
@@ -162,6 +164,30 @@ def test_each_config_key_with_each_edge_value_replays_or_exits_2_or_3(work):
             assert code in (0, 2, 3), (key, value)
 
 
+# (key, values outside its range, values at its edge that must still parse)
+CONFIG_RANGES = [
+    ("geom.thigh", ["0", "-0.2", "-1e-9"], ["1e-9"]),
+    ("geom.calf", ["0", "-0.2", "-1e-9"], ["1e-9"]),
+    ("geom.wheel_radius", ["-1e-9", "-0.05"], ["0"]),
+]
+
+
+def test_each_range_checked_config_key_exits_3_naming_line_and_key(work, capsys):
+    d, log, _ = work
+    config = d / "range.config.txt"
+    for key, bad, edge in CONFIG_RANGES:
+        for value in bad:
+            config.write_text("# link lengths\n%s = %s\n" % (key, value))
+            code = main(["replay", "--log", str(log), "--config", str(config),
+                         "--out", str(d / "range.csv")])
+            err = capsys.readouterr().err
+            assert code == 3, (key, value)
+            assert err == "config error: config line 2: %s must be %s, got %r\n" % (
+                key, ">= 0" if key == "geom.wheel_radius" else "> 0", value), err
+        for value in edge:
+            parse_config_text("%s = %s" % (key, value))
+
+
 # --- plan files ---------------------------------------------------------------
 
 PLAN_KEYS = sorted(_FLOAT_KEYS) + ["mode", "preset", "waypoint", "wheel_radius",
@@ -241,6 +267,8 @@ CSV_TEXT = st.builds(lambda head, rows: "\n".join([head] + rows) + "\n",
 
 @settings(FUZZ, max_examples=80)
 @given(traj=CSV_TEXT, gt=st.one_of(st.none(), CSV_TEXT))
+@example(traj=TRAJ_HEADER + "\n0,1e308,0,0,0,0,0,0,0,0\n1,-1e308,0,0,0,0,0,0,0,0\n",
+         gt=None)
 def test_random_trajectory_csv_measures_or_exits_2(work, traj, gt):
     d, _, _ = work
     argv = ["metrics", str(d / "traj.csv")]
@@ -248,4 +276,16 @@ def test_random_trajectory_csv_measures_or_exits_2(work, traj, gt):
     if gt is not None:
         (d / "gt.csv").write_text(gt, encoding="utf-8")
         argv += ["--ground-truth", str(d / "gt.csv")]
-    assert main(argv) in (0, 2)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        # strict JSON: NaN and Infinity are not numbers there
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""
+
+
+def _reject_constant(name):
+    raise ValueError("metrics printed %s, which strict JSON has no number for" % name)

@@ -141,6 +141,27 @@ def test_degrade_does_not_mutate_input():
     before = [frame_to_dict(fr) for fr in res.frames]
     degrade(res.frames, {"encoder_quantum": 1e-3, "yaw_drift": 0.01}, seed=0)
     assert [frame_to_dict(fr) for fr in res.frames] == before
+    # the output shares no array and no wheel reading with the input, with
+    # and without imperfections, so writing into it leaves the input as it was
+    wheel_plan = preset_plan("wheel_roll")
+    wheel_plan.duration = 0.1
+    for frames, imperfections in (
+            (res.frames, {"encoder_quantum": 1e-3, "yaw_drift": 0.01}),
+            (res.frames, {}),
+            (generate_gait(wheel_plan).frames, {"wheel_slip": 0.1,
+                                                "rate_spikes": (0.5, 3.0)})):
+        before = [frame_to_dict(fr) for fr in frames]
+        out = degrade(frames, imperfections, seed=0)
+        for a, b in zip(out, frames):
+            for x in (a.joints, a.att, a.gyro):
+                assert not any(np.shares_memory(x, y) for y in (b.joints, b.att, b.gyro))
+            if b.wheels is not None:
+                assert not any(wa is wb for wa, wb in zip(a.wheels, b.wheels)
+                               if wb is not None)
+            a.joints[:] = 7.0
+            a.att[:] = 7.0
+            a.gyro[:] = 7.0
+        assert [frame_to_dict(fr) for fr in frames] == before
 
 
 def test_quantization_floors_to_grid():
