@@ -12,18 +12,30 @@ run's stdout is its JSON record. A run that exits non-zero or reports
 
 For each end-to-end metric of the change checkout's BENCHMARK.json the table
 gives both medians, the base side's interquartile range (IQR), the pairs the
-change won (strictly better in that pair; a tie is no win) and whether the
+change won (strictly better in that pair; a tie is no win), the median of the
+pairs' change/base ratios, the exact two-sided sign-test p-value of the wins
+against the losses (ties left out; 1 when every pair ties) and whether the
 change's median is within the metric's bound: worse than the base median by
-at most that fraction of it. The per-run values follow the table.
+at most that fraction of it. Each pair's ratio follows the table, then the
+per-run values.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
+
+
+def sign_test(wins, losses):
+    """Exact two-sided sign-test p-value of wins against losses, ties left
+    out: the chance of a split at least this uneven under a fair coin."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2.0 ** n)
 
 
 def summarize(base, change, end_to_end):
@@ -32,7 +44,9 @@ def summarize(base, change, end_to_end):
     base and change are equally long lists of {metric: value}, run k of
     each being pair k; end_to_end is BENCHMARK.json's list of
     {name, unit, better, bound}. Returns dicts with the metric's name, unit,
-    base and change medians, base_iqr, wins, pairs and within.
+    base and change medians, base_iqr, wins, losses, pairs, each pair's
+    change/base ratio (NaN where the base is 0), their median ratio, the
+    sign-test p and within.
     """
     rows = []
     for spec in end_to_end:
@@ -42,22 +56,34 @@ def summarize(base, change, end_to_end):
         b_med, c_med = float(np.median(b)), float(np.median(c))
         q1, q3 = np.percentile(b, [25, 75])
         wins = int(np.sum(c < b if lower else c > b))
+        losses = int(np.sum(c > b if lower else c < b))
+        ratios = np.where(b != 0.0, c / np.where(b != 0.0, b, 1.0), np.nan)
         worst = b_med * (1.0 + spec["bound"] if lower else 1.0 - spec["bound"])
         rows.append({"name": name, "unit": spec["unit"], "base": b_med,
                      "change": c_med, "base_iqr": float(q3 - q1), "wins": wins,
-                     "pairs": len(b),
+                     "losses": losses, "pairs": len(b), "ratios": ratios.tolist(),
+                     "ratio": float(np.median(ratios)),
+                     "p": sign_test(wins, losses),
                      "within": bool(c_med <= worst if lower else c_med >= worst)})
     return rows
 
 
 def format_rows(rows):
-    lines = ["%-14s %14s %14s %12s %6s %7s" % ("metric", "base med", "change med",
-                                              "base IQR", "wins", "bound")]
+    lines = ["%-14s %14s %14s %12s %6s %8s %7s %7s"
+             % ("metric", "base med", "change med", "base IQR", "wins", "ratio",
+                "sign p", "bound")]
     for r in rows:
-        lines.append("%-14s %14.6g %14.6g %12.4g %2d of %d %7s %s"
+        lines.append("%-14s %14.6g %14.6g %12.4g %2d of %d %8.4f %7.3g %7s %s"
                      % (r["name"], r["base"], r["change"], r["base_iqr"], r["wins"],
-                        r["pairs"], "within" if r["within"] else "WORSE", r["unit"]))
+                        r["pairs"], r["ratio"], r["p"],
+                        "within" if r["within"] else "WORSE", r["unit"]))
     return "\n".join(lines)
+
+
+def format_ratios(rows):
+    return "\n".join(["change/base ratio of each pair:"]
+                     + ["%-14s %s" % (r["name"], " ".join("%.4f" % x for x in r["ratios"]))
+                        for r in rows])
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -104,7 +130,9 @@ def main(argv=None):
     print("%s: %d pairs of %g s, seeds %d-%d"
           % (args.workload, args.pairs, args.seconds, args.seed0,
              args.seed0 + args.pairs - 1))
-    print(format_rows(summarize(runs["base"], runs["change"], end_to_end)))
+    rows = summarize(runs["base"], runs["change"], end_to_end)
+    print(format_rows(rows))
+    print(format_ratios(rows))
     print(json.dumps(runs))
     return 0
 

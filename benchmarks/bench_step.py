@@ -4,9 +4,9 @@ Runs the estimator over the `stair_trot` stream of the replay benchmark (a
 trot over the 0.1 m stair step and back, with noisy touchdown heights and a
 drifting IMU yaw, filter off) and times the stages of every step while it
 runs. Each stage is a method of `Estimator`, wrapped with a timer for the
-pass: attitude (`_attitude`), the leg kernel (`_leg_frame`:
-`kernels.leg_frame` on the rows of the frame's joint array and taking its
-results to lists), the
+pass: attitude (`_attitude`), the leg kernel (`_leg_frame`: one
+`tolist()` of the frame's joint array, `kernels.leg_rows` on those float
+rows and adding the hip mounts), the
 contact gate (`_gate`), touchdowns and observations (`_observe`: wheel
 propagation, the plane store and the anchored observations), fusion
 (`_fuse`), yaw (`_yaw`) and the diagnostics record (`_record`). `other` is

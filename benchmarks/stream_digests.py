@@ -21,7 +21,14 @@ parent on one machine:
          <(python3 benchmarks/stream_digests.py --src OTHER/src)
 
 The digests are printed as JSON, one key per file; --out also writes them
-to a file.
+to a file, and copies each replay CSV into the directory OUT.replays beside
+it. --compare OTHER.json reads such a file and prints, in place of the JSON,
+only the keys whose digests differ, and for each differing replay CSV the
+largest absolute difference of any state value from OTHER.replays; it exits
+1 when any key differs:
+
+    python3 benchmarks/stream_digests.py --src OTHER/src --out other.json
+    python3 benchmarks/stream_digests.py --compare other.json
 """
 
 import argparse
@@ -30,8 +37,11 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -73,7 +83,10 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="src directory of the checkout to digest")
-    p.add_argument("--out", default=None, help="also write the digests here")
+    p.add_argument("--out", default=None,
+                   help="also write the digests here, and the replay CSVs to OUT.replays")
+    p.add_argument("--compare", default=None, metavar="OTHER.json",
+                   help="print only the digests that differ from an --out file")
     return p.parse_args(argv)
 
 
@@ -109,10 +122,47 @@ def digest_stream(cli, work, name, source, config, seed):
             "%s.replay_diag" % name: sha256(traj + ".diag.jsonl")}
 
 
+def state_difference(path, other):
+    """Largest absolute difference of any value between two trajectory CSVs,
+    inf when their shapes differ; NaN against NaN counts as no difference."""
+    a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (path, other))
+    if a.shape != b.shape:
+        return float("inf")
+    diff = np.abs(a - b)
+    diff[np.isnan(a) & np.isnan(b)] = 0.0
+    return float(np.max(diff, initial=0.0))
+
+
+def compare(digests, work, path):
+    """Lines naming each key whose digest differs from the file at path, with
+    the state difference of each differing replay CSV; the replays of the
+    other run are read from path.replays."""
+    with open(path, encoding="utf-8") as fh:
+        other = json.load(fh)
+    lines = []
+    worst = None
+    for key in sorted(set(digests) | set(other)):
+        mine, theirs = digests.get(key), other.get(key)
+        if mine == theirs:
+            continue
+        line = "%s: %s -> %s" % (key, (theirs or "missing")[:12], (mine or "missing")[:12])
+        csv = key[:-len(".replay_csv")] + ".csv"
+        theirs_csv = os.path.join(path + ".replays", csv)
+        if key.endswith(".replay_csv") and mine and os.path.exists(theirs_csv):
+            diff = state_difference(os.path.join(work, csv), theirs_csv)
+            line += "  max |state diff| %.3g" % diff
+            if worst is None or diff > worst[0]:
+                worst = (diff, key)
+        lines.append(line)
+    lines.append("%d of %d keys differ" % (len(lines), len(set(digests) | set(other))))
+    if worst is not None:
+        lines[-1] += "; largest state difference %.3g (%s)" % worst
+    return lines
+
+
 def main(argv=None):
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    import numpy as np
     from legodom import cli
     from legodom.gait import PRESETS
 
@@ -131,12 +181,22 @@ def main(argv=None):
                 digests.update(digest_stream(
                     cli, work, "%s.seed%d" % (workload, seed),
                     ["--plan", path], config, seed))
-    text = json.dumps(digests, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0
+        text = json.dumps(digests, indent=2)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            replays = args.out + ".replays"
+            os.makedirs(replays, exist_ok=True)
+            for key in digests:
+                if key.endswith(".replay_csv"):
+                    name = key[:-len(".replay_csv")] + ".csv"
+                    shutil.copyfile(os.path.join(work, name), os.path.join(replays, name))
+        if args.compare is None:
+            print(text)
+            return 0
+        lines = compare(digests, work, args.compare)
+    print("\n".join(lines))
+    return 1 if len(lines) > 1 else 0
 
 
 if __name__ == "__main__":

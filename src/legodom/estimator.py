@@ -1,13 +1,14 @@
 """The per-sample fusion loop: attitude intake, wrench gating, touchdown
 handling, anchored observation fusion, wheel propagation, and yaw correction.
 
-A step hands the rows of `SensorFrame.joints`, one (3, L, 3) array of q, dq
-and tau, to one batched numpy call for the kinematics and the wrench gate of
-every leg (two with the velocity filter on), takes the results to Python
-lists once, and runs every per-leg stage after that on floats through the
-`contact`, `wheel` and `yawkin` operators. At a few legs a frame numpy's
-per-call cost exceeds the arithmetic, so an array form of those stages is
-slower. The BodyState arrays are built once, at the end.
+A step takes the rows of `SensorFrame.joints`, one (3, L, 3) array of q, dq
+and tau, to Python lists with one `tolist()`, runs the kinematics and the
+wrench gate of every leg on those floats in one `kernels.leg_rows` call, and
+every per-leg stage after that through the `contact`, `wheel` and `yawkin`
+operators. At a few legs a frame numpy's per-call cost exceeds the
+arithmetic, so an array form of those stages is slower. With the velocity
+filter on, the filter runs on views of the joint array, one batched numpy
+cycle. The BodyState arrays are built once, at the end.
 """
 
 import math
@@ -42,7 +43,7 @@ class SensorFrame:
     gyro, joint readings, optional per-leg wheel readings.
 
     `joints` is one float (3, L, 3) array, indexed by channel (q, dq, tau),
-    leg and joint: the layout `kernels.leg_frame` reads. A float64 array is
+    leg and joint; a step reads it with one `tolist()`. A float64 array is
     kept as given, so frames may be views into one array of a stream."""
 
     stamp: float
@@ -90,9 +91,8 @@ class Estimator:
             noise=CkfNoise.from_diagonals(cfg.ikvel_q_pos, cfg.ikvel_q_vel,
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate),
             dt_max=cfg.ikvel_dt_max)
-        self._leg_coef = kernels.leg_coefficients(
-            *zip(*(g.kernel_args() for g in cfg.legs)))
-        self._hip_mounts = np.array([g.hip_mount for g in cfg.legs])
+        self._leg_floats = [kernels.leg_floats(*g.kernel_args()) for g in cfg.legs]
+        self._hip_mounts = [g.hip_mount.tolist() for g in cfg.legs]
         self._diag = {}
 
     def step(self, frame: SensorFrame) -> BodyState:
@@ -131,7 +131,8 @@ class Estimator:
         return self.state.copy()
 
     # The stages of step, in order. Each takes and returns Python floats,
-    # lists and tuples; numpy runs only in quat_to_rpy and in _leg_frame.
+    # lists and tuples; numpy runs only in quat_to_rpy, in the velocity filter
+    # and in the SVD of a leg whose bound cannot clear the wrench gate.
 
     def _attitude(self, frame):
         """(roll, pitch, yaw, rotation rows): roll and pitch always from the
@@ -143,17 +144,17 @@ class Estimator:
         return roll, pitch, yaw, rpy_rows(roll, pitch, yaw)
 
     def _leg_frame(self, frame, t):
-        """Kinematics, wrench and gating of every leg in one kernel call; the
-        velocity filter, when on, replaces the raw foot velocities. Returns
-        the body-frame feet, foot velocities and forces as lists of rows, and
-        the per-leg ok flags."""
-        q, dq, tau = frame.joints
-        r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
-                                              self.config.sigma_min)
+        """Kinematics, wrench and gating of every leg in one kernel call on
+        the rows of the frame's joints; the velocity filter, when on,
+        replaces the raw foot velocities. Returns the body-frame feet, foot
+        velocities and forces as lists of rows, and the per-leg ok flags."""
+        r_b, v_b, f_b, ok = kernels.leg_rows(*frame.joints.tolist(), self._leg_floats,
+                                             self.config.sigma_min)
         if self.config.ikvel_enabled:
-            v_b = self.ikvel.update(t, q, dq)
-        return ((self._hip_mounts + r_b).tolist(), v_b.tolist(), f_b.tolist(),
-                ok.tolist())
+            v_b = self.ikvel.update(t, frame.joints[0], frame.joints[1]).tolist()
+        feet = [(m0 + r0, m1 + r1, m2 + r2)
+                for (m0, m1, m2), (r0, r1, r2) in zip(self._hip_mounts, r_b)]
+        return feet, v_b, f_b, ok
 
     def _gate(self, rot, forces, ok):
         """Per-leg stance flags from the vertical world-frame force, and the

@@ -26,7 +26,7 @@ raises on a covariance that is not positive definite; `LegVelocityFilter`
 runs it over all legs with the leg IK and the per-leg recovery policy, and
 `ckf_step` does the same for one leg. The estimator calls the filter only
 when `ikvel.enabled` is set; otherwise it keeps the forward-kinematics foot
-velocities of kernels.leg_frame.
+velocities of kernels.leg_rows.
 """
 
 from dataclasses import dataclass, field

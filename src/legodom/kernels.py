@@ -1,24 +1,25 @@
 """Leg geometry of a 3-DoF leg: forward kinematics, the leg Jacobian, the
 analytic inverse kinematics, the IK rate solve and the torque-to-wrench solve,
-and the stacked Cholesky and solve that the wrench gate and the cubature
-filter share.
+and the stacked Cholesky and solve of the cubature filter.
 
-Every kernel works on a stack of legs; a single leg is a batch of one. The
-forward side: `leg_kinematics` gives the positions, Jacobians and foot
-velocities of a stack of legs from one evaluation of their trig terms, and
-`leg_frame` adds the wrench gate and the forces with one stacked solve; its
-stacked SVD runs only on a frame where a cheap bound on the smallest
-singular value cannot clear the gate. Both take the term coefficients from
-`leg_coefficients`, built once per set of legs. The inverse side works
-elementwise: the gait generator solves every frame and leg of a block of
-frames with `ik_joints_array`, and the cubature filter in `ikvel` maps every
-leg and cubature point of a frame with `ik_measurement_rows`, which runs the
-same angle solve and then the joint rates from the same trig terms.
+The forward side has two forms of one set of expressions, `_ENTRIES`:
+`leg_kinematics` evaluates them on stacks of legs (the gait generator's
+blocks of frames) with the coefficients of `leg_coefficients`, and
+`leg_rows` term by term on the Python floats of one frame's legs, where a
+numpy call would cost more than the 3x3 arithmetic, with those of
+`leg_floats`; it adds the wrench gate and the forces. The inverse side works
+on stacks, elementwise: the gait generator solves every frame and leg of a
+block of frames with `ik_joints_array`, and the cubature filter in `ikvel`
+maps every leg and cubature point of a frame with `ik_measurement_rows`,
+which runs the same angle solve and then the joint rates from the same trig
+terms.
 
 `cholesky` and `solve` never raise: each returns its stacked result with a
 per-matrix `ok` mask, so a matrix that fails to factor or solve (its result
 is NaN) costs only its own leg.
 """
+
+from math import cos, isfinite, nan, sin
 
 import numpy as np
 
@@ -38,7 +39,7 @@ NUMBA_ENABLED = False
 EPS_RADICAL = 1e-12
 # trig arguments clamped up to this overshoot are treated as rounding noise
 CLAMP_TOL = 1e-9
-# relative margin (of tr(J J^T), in squared singular value) by which leg_frame's
+# relative margin (of tr(J J^T), in squared singular value) by which leg_rows'
 # sigma_min bound must clear the gate before it stands in for the SVD; the
 # rounding of the bound and of the SVD is a few 1e-16 of the same scale
 SIGMA_BOUND_TOL = 1e-12
@@ -94,11 +95,10 @@ def _entry_tables():
 
 
 _COEF_INDEX, _COEF_SIGN, _TRIG_A, _TRIG_B = _entry_tables()
-_EYE3 = np.eye(3)
 
 
 def leg_coefficients(lh, lt, lc, rw, side):
-    """Term coefficients of a stack of legs for leg_kinematics and leg_frame.
+    """Term coefficients of a stack of legs for leg_kinematics.
 
     The link parameters are (L,) arrays or scalars, as in kernel_args();
     returns a (slots, 12, L) array. Build it once per set of legs.
@@ -133,56 +133,96 @@ def leg_kinematics(q, dq, coef):
     return entries[..., :3], J, (J @ dq[..., None])[..., 0]
 
 
-def leg_frame(q, dq, tau, coef, sigma_min):
-    """Kinematics and the wrench gate of every leg of a frame in one call.
+def leg_floats(lh, lt, lc, rw, side):
+    """Term coefficients (lc, lt, rw, slh, lcrw) of one leg for leg_rows, as
+    floats formed as leg_coefficients forms them; build them once per leg."""
+    lh, lt, lc, rw, side = map(float, (lh, lt, lc, rw, side))
+    return lc, lt, rw, side * lh, lc + rw
 
-    q, dq and tau are (L, 3) joint angles, rates and torques; coef is
-    leg_coefficients() of the legs. Returns (r, v, f, ok): r and v as from
-    leg_kinematics, f (L, 3) the end-effector forces in the body frame
-    solving (J J^T) f = J tau, and ok (L,) False where the smallest singular
-    value of J is below sigma_min, q, dq or tau is not finite, or J J^T is
-    singular to working precision. f is zeros where ok is False, and the
-    caller must treat that leg as ungateable this cycle; r and v of a leg
-    with a non-finite q are NaN, and so is v where dq is not finite.
 
-    The stacked SVD runs only when a cheaper bound cannot decide. For a 3x3 J
-    with singular values s1 >= s2 >= s3, s3 = |det J| / (s1 s2) and
-    s1 s2 <= tr(J J^T) / 2, so s3^2 >= 4 det(J J^T) / tr(J J^T)^2; the sum of
-    the legs' traces bounds each leg's trace. When that bound clears
-    (2 sigma_min)^2 plus SIGMA_BOUND_TOL * tr, far wider than the rounding of
-    the bound and of the SVD, every leg is ok, as the SVD would find;
-    otherwise the SVD decides. A healthy frame thus takes no SVD. The force
-    solve runs on every leg, and its mask gates out a leg whose J J^T cleared
-    the gate yet is singular to working precision (links of wildly different
-    lengths); the forces of every gated-out leg are masked to zeros.
+def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
+    """Kinematics and the wrench gate of every leg of a frame, on floats.
+
+    q_rows, dq_rows and tau_rows are each leg's joint angles, rates and
+    torques (one `joints.tolist()` of a frame); legs holds each leg's
+    leg_floats(). Returns lists (r, v, f, ok), per leg: the hip-to-end-effector
+    position r and velocity v = J dq, and the force f in the body frame
+    solving (J J^T) f = J tau, each a 3-tuple. ok is False, and f zeros, where
+    a value of q, dq or tau is not finite, the smallest singular value of J is
+    below sigma_min, or J J^T is singular to working precision (a determinant
+    that is not positive, or a non-finite f); the caller must treat that leg
+    as ungateable this cycle. r and v are NaN where q is not finite, and v
+    where dq is not. Never raises.
+
+    r and J are the terms of _ENTRIES in their order, bit-equal to
+    leg_kinematics. For singular values s1 >= s2 >= s3 of J,
+    s3 = |det J| / (s1 s2) and s1 s2 <= tr(J J^T) / 2, so
+    s3^2 >= 4 det(J J^T) / tr(J J^T)^2. Where that bound clears sigma_min^2
+    by SIGMA_BOUND_TOL * tr, far beyond its rounding and the SVD's, the leg
+    passes as the SVD would find; only otherwise is J's SVD taken. f is the
+    adjugate of J J^T applied to J tau, over the determinant.
     """
-    finite = np.isfinite(np.concatenate((q, dq, tau)))
-    all_finite = finite.all()
-    if not all_finite:
-        # NaN instead of inf keeps the trig terms and J dq quiet; a zero torque
-        # and an identity Jacobian stand in for the leg in the SVD
-        finite_q, finite_dq, finite_tau = finite.reshape(3, len(q), 3)
-        q = np.where(finite_q, q, np.nan)
-        dq = np.where(finite_dq, dq, np.nan)
-        finite = (finite_q & finite_dq & finite_tau).all(axis=1)
-        tau = np.where(finite[:, None], tau, 0.0)
-    r, J, v = leg_kinematics(q, dq, coef)
-    if not all_finite:
-        J = np.where(finite[:, None, None], J, _EYE3)
-    JJt = J @ np.swapaxes(J, -1, -2)
-    all_ok = False
-    if all_finite:
-        tr = float(np.einsum("lii->", JJt))
-        all_ok = (4.0 * float(np.linalg.det(JJt).min())
-                  >= tr * tr * (4.0 * sigma_min * sigma_min + SIGMA_BOUND_TOL * tr))
-    f, ok = solve(JJt, J @ tau[:, :, None])
-    if not all_ok:
-        ok &= ~(np.linalg.svd(J, compute_uv=False)[:, 2] < sigma_min)
-        if not all_finite:
-            ok &= finite
-    if not ok.all():
-        f = np.where(ok[:, None, None], f, 0.0)
-    return r, v, f[:, :, 0], ok
+    feet, vels, forces, oks = [], [], [], []
+    for q, dq, tau, (lc, lt, rw, slh, lcrw) in zip(q_rows, dq_rows, tau_rows, legs):
+        q0, q1, q2 = q
+        d0, d1, d2 = dq
+        t0, t1, t2 = tau
+        # one sum tests all nine values, one by one only if it is not finite
+        bad = (not isfinite(q0 + q1 + q2 + d0 + d1 + d2 + t0 + t1 + t2)
+               and not all(map(isfinite, (q0, q1, q2, d0, d1, d2, t0, t1, t2))))
+        if bad:
+            # math.cos(inf) raises where np.cos gives NaN
+            if not (isfinite(q0) and isfinite(q1) and isfinite(q2)):
+                q0 = q1 = q2 = nan
+            if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
+                d0 = d1 = d2 = nan
+        q12 = q1 + q2
+        c1, c2, c23 = cos(q0), cos(q1), cos(q12)
+        s1, s2, s23 = sin(q0), sin(q1), sin(q12)
+        feet.append((-lc * s23 + -lt * s2,
+                     slh * c1 + lcrw * s1 * c23 + lt * c2 * s1,
+                     slh * s1 + -lc * c1 * c23 + -lt * c1 * c2 + rw))
+        j01 = -lc * c23 + -lt * c2
+        j02 = -lc * c23
+        j10 = lcrw * c1 * c23 + lt * c1 * c2 + -slh * s1
+        j11 = -lcrw * s1 * s23 + -lt * s1 * s2
+        j12 = -lcrw * s1 * s23
+        j20 = lc * s1 * c23 + lt * c2 * s1 + slh * c1
+        j21 = lc * c1 * s23 + lt * c1 * s2
+        j22 = lc * c1 * s23
+        vels.append((j01 * d1 + j02 * d2,
+                     j10 * d0 + j11 * d1 + j12 * d2,
+                     j20 * d0 + j21 * d1 + j22 * d2))
+        # J J^T, its cofactors and determinant; a determinant that is not
+        # positive is singular to working precision and fails the gate
+        a00 = j01 * j01 + j02 * j02
+        a01 = j01 * j11 + j02 * j12
+        a02 = j01 * j21 + j02 * j22
+        a11 = j10 * j10 + j11 * j11 + j12 * j12
+        a12 = j10 * j20 + j11 * j21 + j12 * j22
+        a22 = j20 * j20 + j21 * j21 + j22 * j22
+        m00 = a11 * a22 - a12 * a12
+        m01 = a02 * a12 - a01 * a22
+        m02 = a01 * a12 - a02 * a11
+        det = a00 * m00 + a01 * m01 + a02 * m02
+        tr = a00 + a11 + a22
+        ok = not bad and (
+            4.0 * det >= tr * tr * (sigma_min * sigma_min + SIGMA_BOUND_TOL * tr)
+            or det > 0.0 and not np.linalg.svd(
+                ((0.0, j01, j02), (j10, j11, j12), (j20, j21, j22)),
+                compute_uv=False)[2] < sigma_min)
+        if ok:
+            b0 = j01 * t1 + j02 * t2
+            b1 = j10 * t0 + j11 * t1 + j12 * t2
+            b2 = j20 * t0 + j21 * t1 + j22 * t2
+            m12 = a01 * a02 - a00 * a12
+            f = ((m00 * b0 + m01 * b1 + m02 * b2) / det,
+                 (m01 * b0 + (a00 * a22 - a02 * a02) * b1 + m12 * b2) / det,
+                 (m02 * b0 + m12 * b1 + (a00 * a11 - a01 * a01) * b2) / det)
+            ok = isfinite(f[0] + f[1] + f[2])
+        forces.append(f if ok else (0.0, 0.0, 0.0))
+        oks.append(ok)
+    return feet, vels, forces, oks
 
 
 def _quiet(gufunc, *args):

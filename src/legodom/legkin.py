@@ -41,17 +41,17 @@ def foot_force_body(q, tau, geom: LegGeometry, sigma_min=1e-6):
     """Quasi-static end-effector force from joint torques, (J J^T)^-1 J tau.
 
     Raises SingularConfiguration when the smallest singular value of the
-    Jacobian is below sigma_min, or q or tau is not finite; callers should
-    skip contact gating for the leg in that cycle.
+    Jacobian is below sigma_min, q or tau is not finite, or J J^T is singular
+    to working precision; callers skip contact gating for the leg that cycle.
     """
-    coef = kernels.leg_coefficients(*geom.kernel_args())
-    _, _, f, ok = kernels.leg_frame(_one_leg(q), np.zeros((1, 3)), _one_leg(tau),
-                                    coef, sigma_min)
-    if not ok[0]:
+    _, _, (f,), (ok,) = kernels.leg_rows(
+        _one_leg(q).tolist(), [(0.0, 0.0, 0.0)], _one_leg(tau).tolist(),
+        [kernels.leg_floats(*geom.kernel_args())], sigma_min)
+    if not ok:
         raise SingularConfiguration(
             "leg Jacobian smallest singular value below %g, or a non-finite "
             "angle or torque" % sigma_min)
-    return f[0]
+    return np.array(f)
 
 
 def rolling_bias(radius, a1, a2):

@@ -2,7 +2,8 @@
 Python floats.
 
 `ReferenceEstimator.step` is the numpy step verbatim: the leg kinematics
-and the wrench gate in one `kernels.leg_frame` call, then every per-leg
+and the wrench gate in one `leg_frame` call (frozen in `kernels_reference.py`
+since the library moved to the float `kernels.leg_rows`), then every per-leg
 vector as a numpy array, the means as `np.mean`, the rotations as
 `rot_z @ rot_y @ rot_x` and the yaw pairs with `np.arctan2`. The numpy
 forms of the contact, wheel and yaw operators it calls are frozen below
@@ -27,6 +28,8 @@ from legodom.geometry import quat_to_rpy, wrap_angle
 from legodom.ikvel import CkfNoise, LegVelocityFilter
 from legodom.wheel import effective_roll_increment
 from legodom.yawkin import DegenerateMean, InsufficientContacts, apply_yaw_correction
+
+from kernels_reference import leg_frame
 
 
 class EmptyContactSet(Exception):
@@ -198,8 +201,7 @@ class ReferenceEstimator:
         q = np.array([r.q for r in frame.legs])
         dq = np.array([r.dq for r in frame.legs])
         tau = np.array([r.tau for r in frame.legs])
-        r_b, v_b, f_b, ok = kernels.leg_frame(q, dq, tau, self._leg_coef,
-                                              cfg.sigma_min)
+        r_b, v_b, f_b, ok = leg_frame(q, dq, tau, self._leg_coef, cfg.sigma_min)
         feet_body = self._hip_mounts + r_b
         foot_vel = self.ikvel.update(t, q, dq) if cfg.ikvel_enabled else v_b
         contacts = []

@@ -4,14 +4,22 @@
 library used before every caller moved to the batched kernels
 (`leg_kinematics`, `ik_joints_array`). `ik_jacobian`, `ik_rates`, `_det3` and
 `_solve3` are the IK rate solve the filter used before its measurement map
-became the fused `ik_measurement_rows`. They are kept verbatim so the batched
-kernels are checked against an independent operation sequence. Do not edit
-them to follow the library.
+became the fused `ik_measurement_rows`. `leg_frame` is the stacked numpy
+kernel and wrench gate of a frame's legs that the float `leg_rows` replaced;
+the frozen estimator step (`estimator_reference.py`) still calls it.
+`leg_wrench` is the one-leg float sequence of `leg_rows` after its Jacobian,
+frozen when `leg_rows` was written. They are kept verbatim so the kernels are
+checked against an independent operation sequence. Do not edit them to
+follow the library.
 """
+
+import math
 
 import numpy as np
 
-from legodom.kernels import EPS_RADICAL
+from legodom.kernels import EPS_RADICAL, SIGMA_BOUND_TOL, leg_kinematics, solve
+
+_EYE3 = np.eye(3)
 
 
 def fk_position(q, lh, lt, lc, rw, side):
@@ -183,3 +191,97 @@ def ik_rates(t1, t2, t3, vx, vy, vz, lh, lt, l2, side, det_eps):
     b = np.stack(np.broadcast_arrays(-vx, vy, vz), axis=-1)
     th = np.where(ok[..., None], _solve3(J, b, np.where(ok, d, 1.0)), 0.0)
     return th[..., 0], th[..., 1], th[..., 2], ok
+
+
+def leg_frame(q, dq, tau, coef, sigma_min):
+    """Kinematics and the wrench gate of every leg of a frame in one call.
+
+    q, dq and tau are (L, 3) joint angles, rates and torques; coef is
+    leg_coefficients() of the legs. Returns (r, v, f, ok): r and v as from
+    leg_kinematics, f (L, 3) the end-effector forces in the body frame
+    solving (J J^T) f = J tau, and ok (L,) False where the smallest singular
+    value of J is below sigma_min, q, dq or tau is not finite, or J J^T is
+    singular to working precision. f is zeros where ok is False, and the
+    caller must treat that leg as ungateable this cycle; r and v of a leg
+    with a non-finite q are NaN, and so is v where dq is not finite.
+
+    The stacked SVD runs only when a cheaper bound cannot decide. For a 3x3 J
+    with singular values s1 >= s2 >= s3, s3 = |det J| / (s1 s2) and
+    s1 s2 <= tr(J J^T) / 2, so s3^2 >= 4 det(J J^T) / tr(J J^T)^2; the sum of
+    the legs' traces bounds each leg's trace. When that bound clears
+    (2 sigma_min)^2 plus SIGMA_BOUND_TOL * tr, far wider than the rounding of
+    the bound and of the SVD, every leg is ok, as the SVD would find;
+    otherwise the SVD decides. A healthy frame thus takes no SVD. The force
+    solve runs on every leg, and its mask gates out a leg whose J J^T cleared
+    the gate yet is singular to working precision (links of wildly different
+    lengths); the forces of every gated-out leg are masked to zeros.
+    """
+    finite = np.isfinite(np.concatenate((q, dq, tau)))
+    all_finite = finite.all()
+    if not all_finite:
+        # NaN instead of inf keeps the trig terms and J dq quiet; a zero torque
+        # and an identity Jacobian stand in for the leg in the SVD
+        finite_q, finite_dq, finite_tau = finite.reshape(3, len(q), 3)
+        q = np.where(finite_q, q, np.nan)
+        dq = np.where(finite_dq, dq, np.nan)
+        finite = (finite_q & finite_dq & finite_tau).all(axis=1)
+        tau = np.where(finite[:, None], tau, 0.0)
+    r, J, v = leg_kinematics(q, dq, coef)
+    if not all_finite:
+        J = np.where(finite[:, None, None], J, _EYE3)
+    JJt = J @ np.swapaxes(J, -1, -2)
+    all_ok = False
+    if all_finite:
+        tr = float(np.einsum("lii->", JJt))
+        all_ok = (4.0 * float(np.linalg.det(JJt).min())
+                  >= tr * tr * (4.0 * sigma_min * sigma_min + SIGMA_BOUND_TOL * tr))
+    f, ok = solve(JJt, J @ tau[:, :, None])
+    if not all_ok:
+        ok &= ~(np.linalg.svd(J, compute_uv=False)[:, 2] < sigma_min)
+        if not all_finite:
+            ok &= finite
+    if not ok.all():
+        f = np.where(ok[:, None, None], f, 0.0)
+    return r, v, f[:, :, 0], ok
+
+
+def leg_wrench(J, dq, tau, sigma_min):
+    """Foot velocity J dq and the wrench gate of one leg on Python floats.
+
+    J is a 3x3 leg Jacobian (its [0, 0] entry is zero); dq and tau are the
+    joint rates and torques. Returns (v, f, ok): v and f 3-tuples, f solving
+    (J J^T) f = J tau by the adjugate of J J^T over its determinant, and ok
+    False, with f zeros, where the smallest singular value of J is below
+    sigma_min, the determinant is not positive or f is not finite.
+    """
+    (_, j01, j02), (j10, j11, j12), (j20, j21, j22) = np.asarray(J).tolist()
+    d0, d1, d2 = dq
+    t0, t1, t2 = tau
+    v = (j01 * d1 + j02 * d2,
+         j10 * d0 + j11 * d1 + j12 * d2,
+         j20 * d0 + j21 * d1 + j22 * d2)
+    a00 = j01 * j01 + j02 * j02
+    a01 = j01 * j11 + j02 * j12
+    a02 = j01 * j21 + j02 * j22
+    a11 = j10 * j10 + j11 * j11 + j12 * j12
+    a12 = j10 * j20 + j11 * j21 + j12 * j22
+    a22 = j20 * j20 + j21 * j21 + j22 * j22
+    m00 = a11 * a22 - a12 * a12
+    m01 = a02 * a12 - a01 * a22
+    m02 = a01 * a12 - a02 * a11
+    m11 = a00 * a22 - a02 * a02
+    m12 = a01 * a02 - a00 * a12
+    m22 = a00 * a11 - a01 * a01
+    det = a00 * m00 + a01 * m01 + a02 * m02
+    zeros = (0.0, 0.0, 0.0)
+    if np.linalg.svd(J, compute_uv=False)[2] < sigma_min or not det > 0.0:
+        return v, zeros, False
+    b0 = j01 * t1 + j02 * t2
+    b1 = j10 * t0 + j11 * t1 + j12 * t2
+    b2 = j20 * t0 + j21 * t1 + j22 * t2
+    f = ((m00 * b0 + m01 * b1 + m02 * b2) / det,
+         (m01 * b0 + m11 * b1 + m12 * b2) / det,
+         (m02 * b0 + m12 * b1 + m22 * b2) / det)
+    if not all(map(math.isfinite, f)):
+        return v, zeros, False
+    return v, f, True

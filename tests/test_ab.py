@@ -77,3 +77,51 @@ def test_table_has_one_line_per_metric():
     assert len(lines) == 4
     assert lines[1].startswith("step_us_p50") and "0 of 1" in lines[1]
     assert "within" in lines[1]
+
+
+def test_sign_test_is_exact_and_two_sided():
+    # 4 of 4: 2 * (1/16); 9 of 10: 2 * 11/1024; 3 of 5 or a tie: 1
+    assert ab.sign_test(4, 0) == 0.125
+    assert ab.sign_test(0, 4) == 0.125
+    assert ab.sign_test(9, 1) == pytest.approx(22 / 1024)
+    assert ab.sign_test(3, 2) == 1.0
+    assert ab.sign_test(0, 0) == 1.0
+
+
+def test_summary_gives_each_pairs_ratio_their_median_and_the_sign_test():
+    base = _runs(step_us_p50=[100.0, 100.0, 200.0, 100.0, 100.0],
+                 replay_fps=[1000.0, 1000.0, 1000.0, 1000.0, 1000.0],
+                 peak_rss_mb=[50.0, 50.0, 50.0, 50.0, 50.0])
+    change = _runs(step_us_p50=[60.0, 55.0, 120.0, 65.0, 100.0],
+                   replay_fps=[1500.0, 1000.0, 900.0, 1600.0, 1700.0],
+                   peak_rss_mb=[50.0, 50.0, 50.0, 50.0, 50.0])
+    rows = {r["name"]: r for r in ab.summarize(base, change, END_TO_END)}
+    step = rows["step_us_p50"]
+    assert step["ratios"] == [0.6, 0.55, 0.6, 0.65, 1.0]
+    assert step["ratio"] == 0.6
+    # four wins and a tie: the tie is left out, p = 2 / 2**4
+    assert (step["wins"], step["losses"]) == (4, 0)
+    assert step["p"] == 0.125
+    fps = rows["replay_fps"]
+    assert fps["ratios"] == [1.5, 1.0, 0.9, 1.6, 1.7] and fps["ratio"] == 1.5
+    assert (fps["wins"], fps["losses"]) == (3, 1) and fps["p"] == 0.625
+    text = ab.format_ratios(ab.summarize(base, change, END_TO_END))
+    assert text.splitlines()[1].split() == ["step_us_p50", "0.6000", "0.5500", "0.6000",
+                                            "0.6500", "1.0000"]
+
+
+def test_a_to_a_runs_show_no_change():
+    # the same checkout on both sides: every pair ties or the splits even out,
+    # every ratio is 1 and p is 1
+    runs = _runs(step_us_p50=[101.0, 99.0, 104.0, 98.0],
+                 replay_fps=[9000.0, 9100.0, 8900.0, 9050.0],
+                 peak_rss_mb=[60.0, 61.0, 60.5, 60.0])
+    for r in ab.summarize(runs, runs, END_TO_END):
+        assert r["wins"] == r["losses"] == 0
+        assert r["ratios"] == [1.0] * 4 and r["ratio"] == 1.0
+        assert r["p"] == 1.0 and r["within"]
+    swapped = _runs(step_us_p50=[99.0, 101.0, 98.0, 104.0],
+                    replay_fps=[9100.0, 9000.0, 9050.0, 8900.0],
+                    peak_rss_mb=[61.0, 60.0, 60.0, 60.5])
+    for r in ab.summarize(runs, swapped, END_TO_END):
+        assert r["wins"] == r["losses"] == 2 and r["p"] == 1.0

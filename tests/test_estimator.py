@@ -290,13 +290,13 @@ def _assert_finite(st):
 def test_step_makes_one_leg_kernel_call_per_frame(monkeypatch):
     plan, frames = _walk_frames(0.3)
     calls = []
-    leg_frame = kernels.leg_frame
+    leg_rows = kernels.leg_rows
 
     def counted(*args):
         calls.append(1)
-        return leg_frame(*args)
+        return leg_rows(*args)
 
-    monkeypatch.setattr(kernels, "leg_frame", counted)
+    monkeypatch.setattr(kernels, "leg_rows", counted)
     est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height]))
     assert not est.config.ikvel_enabled
     for fr in frames:

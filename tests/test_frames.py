@@ -96,19 +96,32 @@ def test_leg_kernel_reads_views_of_the_frame_joints(monkeypatch, ikvel):
     plan = _short("walk_line")
     frames = generate_gait(plan).frames[:5]
     seen = []
-    leg_frame = kernels.leg_frame
+    leg_rows = kernels.leg_rows
 
-    def spy(q, dq, tau, *rest):
-        seen.append((q, dq, tau))
-        return leg_frame(q, dq, tau, *rest)
+    def spy(q_rows, dq_rows, tau_rows, *rest):
+        seen.append([q_rows, dq_rows, tau_rows])
+        return leg_rows(q_rows, dq_rows, tau_rows, *rest)
 
-    monkeypatch.setattr(kernels, "leg_frame", spy)
+    monkeypatch.setattr(kernels, "leg_rows", spy)
     est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height],
                                     ikvel_enabled=ikvel))
+    filtered = []
+    update = est.ikvel.update
+
+    def filter_spy(t, q, dq):
+        filtered.append((q, dq))
+        return update(t, q, dq)
+
+    est.ikvel.update = filter_spy
     for fr in frames:
         est.step(fr)
+    # one kernel call per frame, on the rows of one tolist() of its joints;
+    # the filter, when on, reads views of the joint angles and rates
     assert len(seen) == len(frames)
-    for fr, args in zip(frames, seen):
+    for fr, rows in zip(frames, seen):
+        assert rows == fr.joints.tolist()
+    assert len(filtered) == (len(frames) if ikvel else 0)
+    for fr, args in zip(frames, filtered):
         for channel, arg in enumerate(args):
             assert np.shares_memory(arg, fr.joints)
             assert np.array_equal(arg, fr.joints[channel])

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -187,7 +188,7 @@ def test_force_singular_configuration():
         foot_force_body([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], GEOM)
 
 
-# --- batched leg kernel ---------------------------------------------------
+# --- float leg kernel -----------------------------------------------------
 
 def _foot_force_reference(q, tau, lh, lt, lc, rw, side, sigma_min):
     """The scalar wrench kernel that leg_frame replaced, frozen verbatim."""
@@ -205,9 +206,28 @@ def _batch_coef(geoms):
     return kernels.leg_coefficients(*zip(*(g.kernel_args() for g in geoms)))
 
 
+def _leg_rows(q, dq, tau, sigma_min=1e-6, geoms=BATCH_GEOMS):
+    """kernels.leg_rows on (L, 3) arrays, its results as arrays."""
+    legs = [kernels.leg_floats(*g.kernel_args()) for g in geoms]
+    r, v, f, ok = kernels.leg_rows(q.tolist(), dq.tolist(), tau.tolist(), legs, sigma_min)
+    return np.array(r), np.array(v), np.array(f), np.array(ok)
+
+
+def _healthy_batch(rng):
+    q = np.array([sample_joint(rng) for _ in BATCH_GEOMS])
+    return q, rng.normal(scale=3.0, size=(4, 3)), rng.normal(scale=10.0, size=(4, 3))
+
+
+def _within(got, want, rel=1e-12):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 def test_leg_frame_bit_equal_to_scalar_kernels():
     # both sides, point feet and wheels, branch-valid and wide angles, and
-    # singular poses mixed into batches of healthy legs
+    # singular poses mixed into batches of healthy legs: r is leg_kinematics'
+    # to the bit, v and f are the frozen float sequence's on its Jacobian (so
+    # that J is too), ok is the SVD reference's, and on branch-valid poses v
+    # and f are within 1e-12 of numpy's matmul and LAPACK's solve
     rng = np.random.default_rng(11)
     args = [g.kernel_args() for g in BATCH_GEOMS]
     coef = _batch_coef(BATCH_GEOMS)
@@ -223,107 +243,139 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
         dq = rng.normal(scale=3.0, size=(4, 3))
         tau = rng.normal(scale=10.0, size=(4, 3))
         sigma_min = 0.02 if k % 5 == 0 else 1e-6
-        r, v, f, ok = kernels.leg_frame(q, dq, tau, coef, sigma_min)
+        r, v, f, ok = _leg_rows(q, dq, tau, sigma_min)
+        r_kin, J, v_kin = kernels.leg_kinematics(q, dq, coef)
+        assert np.array_equal(r, r_kin)
         for i, a in enumerate(args):
             assert np.array_equal(r[i], ref.fk_position(q[i], *a))
-            assert np.array_equal(v[i], ref.leg_jacobian(q[i], *a) @ dq[i])
-            f_ref, ok_ref = _foot_force_reference(q[i], tau[i], *a, sigma_min)
-            assert ok[i] == ok_ref
-            assert np.array_equal(f[i], f_ref)
-            accepted += ok_ref
-            rejected += not ok_ref
+            assert np.array_equal(J[i], ref.leg_jacobian(q[i], *a))
+            v_ref, f_ref, ok_ref = ref.leg_wrench(J[i], dq[i], tau[i], sigma_min)
+            assert np.array_equal(v[i], v_ref) and np.array_equal(f[i], f_ref)
+            f_lapack, ok_lapack = _foot_force_reference(q[i], tau[i], *a, sigma_min)
+            assert ok[i] == ok_ref == ok_lapack
+            if k % 2 == 0:
+                assert _within(v[i], v_kin[i])
+                if ok[i]:
+                    assert _within(f[i], f_lapack)
+            accepted += ok_lapack
+            rejected += not ok_lapack
     assert accepted >= 1000 and rejected >= 200
 
 
 def test_leg_frame_gates_out_non_finite_legs():
+    # a NaN or an infinity in any one value gates out its leg only and never
+    # raises; r and v of that leg are NaN where q is not finite, v where dq is
+    # not, and both stay as they were where only tau is not
     rng = np.random.default_rng(12)
-    coef = _batch_coef(BATCH_GEOMS)
-    q = np.array([sample_joint(rng) for _ in BATCH_GEOMS])
-    dq = rng.normal(size=(4, 3))
-    tau = rng.normal(scale=10.0, size=(4, 3))
-    r0, v0, f0, ok0 = kernels.leg_frame(q, dq, tau, coef, 1e-6)
+    q, dq, tau = _healthy_batch(rng)
+    r0, v0, f0, ok0 = _leg_rows(q, dq, tau)
     assert ok0.all()
-    q_bad = q.copy()
-    tau_bad = tau.copy()
-    q_bad[1, 1] = np.nan
-    tau_bad[2, 0] = np.inf
-    q_bad[3, 2] = -np.inf
-    r, v, f, ok = kernels.leg_frame(q_bad, dq, tau_bad, coef, 1e-6)
-    assert ok.tolist() == [True, False, False, False]
-    assert np.array_equal(f[1:], np.zeros((3, 3)))
-    assert np.array_equal(f[0], f0[0])
-    assert np.array_equal(r[[0, 2]], r0[[0, 2]])
-    assert np.array_equal(v[[0, 2]], v0[[0, 2]])
-    assert np.isnan(r[[1, 3]]).all() and np.isnan(v[[1, 3]]).all()
-    with pytest.raises(SingularConfiguration):
-        foot_force_body(q_bad[1], tau[1], BATCH_GEOMS[1])
-
-
-def _healthy_batch(rng):
-    q = np.array([sample_joint(rng) for _ in BATCH_GEOMS])
-    return q, rng.normal(scale=3.0, size=(4, 3)), rng.normal(scale=10.0, size=(4, 3))
+    for channel, leg, joint, bad in itertools.product(
+            ("q", "dq", "tau"), range(4), range(3), (np.nan, np.inf, -np.inf)):
+        rows = {"q": q.copy(), "dq": dq.copy(), "tau": tau.copy()}
+        rows[channel][leg, joint] = bad
+        r, v, f, ok = _leg_rows(rows["q"], rows["dq"], rows["tau"])
+        others = [i for i in range(4) if i != leg]
+        assert ok.tolist() == [i != leg for i in range(4)]
+        assert np.array_equal(f[leg], np.zeros(3))
+        for got, want in ((r, r0), (v, v0), (f, f0)):
+            assert np.array_equal(got[others], want[others])
+        assert np.isnan(r[leg]).all() == (channel == "q")
+        assert np.isnan(v[leg]).all() == (channel != "tau")
+        if channel == "tau":
+            assert np.array_equal(r[leg], r0[leg])
+            assert np.array_equal(v[leg], v0[leg])
+        if channel != "dq":
+            with pytest.raises(SingularConfiguration):
+                foot_force_body(rows["q"][leg], rows["tau"][leg], BATCH_GEOMS[leg])
 
 
 def test_leg_frame_at_each_legs_sigma_min_bit_equal_to_scalar_kernels():
     # a gate set a hair above or below a leg's own smallest singular value is
-    # where the bound that skips the SVD must step aside: ok and f stay the
-    # reference's, leg by leg
+    # where the bound that skips the SVD must step aside: ok stays the SVD
+    # reference's and f the frozen float sequence's, leg by leg
     rng = np.random.default_rng(14)
     args = [g.kernel_args() for g in BATCH_GEOMS]
-    coef = _batch_coef(BATCH_GEOMS)
     for _ in range(30):
         q, dq, tau = _healthy_batch(rng)
-        sigmas = [np.linalg.svd(ref.leg_jacobian(q[i], *a), compute_uv=False)[2]
-                  for i, a in enumerate(args)]
+        J = [ref.leg_jacobian(q[i], *a) for i, a in enumerate(args)]
+        sigmas = [np.linalg.svd(Ji, compute_uv=False)[2] for Ji in J]
         for leg, s in enumerate(sigmas):
             for factor in (1 - 1e-9, 1 + 1e-9):
-                _, _, f, ok = kernels.leg_frame(q, dq, tau, coef, s * factor)
+                _, v, f, ok = _leg_rows(q, dq, tau, s * factor)
                 assert ok[leg] == (factor < 1)
                 for i, a in enumerate(args):
-                    f_ref, ok_ref = _foot_force_reference(q[i], tau[i], *a, s * factor)
-                    assert ok[i] == ok_ref
-                    assert np.array_equal(f[i], f_ref)
+                    _, ok_lapack = _foot_force_reference(q[i], tau[i], *a, s * factor)
+                    v_ref, f_ref, ok_ref = ref.leg_wrench(J[i], dq[i], tau[i], s * factor)
+                    assert ok[i] == ok_ref == ok_lapack
+                    assert np.array_equal(f[i], f_ref) and np.array_equal(v[i], v_ref)
+
+
+def _bound_decides(J, sigma_min):
+    """Whether the det/trace bound of leg_rows clears sigma_min for J, or
+    None when J lies within 1 % of the bound's threshold."""
+    JJt = J @ J.T
+    tr = np.trace(JJt)
+    lhs = 4.0 * np.linalg.det(JJt)
+    rhs = tr * tr * (sigma_min * sigma_min + kernels.SIGMA_BOUND_TOL * tr)
+    if abs(lhs - rhs) <= 0.01 * rhs:
+        return None
+    return lhs > rhs
 
 
 def test_leg_frame_takes_the_svd_only_when_the_bound_cannot_decide(monkeypatch):
     rng = np.random.default_rng(15)
-    coef = _batch_coef(BATCH_GEOMS)
+    args = [g.kernel_args() for g in BATCH_GEOMS]
     calls = []
     svd = np.linalg.svd
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+    def counted(a, *rest, **kwargs):
+        calls.append(np.array(a))
+        return svd(a, *rest, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     for _ in range(50):
         q, dq, tau = _healthy_batch(rng)
-        kernels.leg_frame(q, dq, tau, coef, EstimatorConfig().sigma_min)
+        _leg_rows(q, dq, tau, EstimatorConfig().sigma_min)
     assert calls == []
-    # a gate within 2x of the smallest singular value of the frame, a singular
-    # leg and a non-finite leg each leave the decision to the SVD
-    sigma = np.linalg.svd(kernels.leg_kinematics(q, dq, coef)[1], compute_uv=False)
-    kernels.leg_frame(q, dq, tau, coef, 0.6 * sigma[:, 2].min())
-    q_singular = q.copy()
-    q_singular[2] = 0.0
-    kernels.leg_frame(q_singular, dq, tau, coef, 1e-6)
+    # a gate at one leg's own smallest singular value leaves that leg, and any
+    # other whose bound cannot clear it, to an SVD of its own Jacobian
+    checked = 0
+    for _ in range(40):
+        q, dq, tau = _healthy_batch(rng)
+        J = [ref.leg_jacobian(q[i], *a) for i, a in enumerate(args)]
+        leg = int(rng.integers(4))
+        sigma_min = svd(J[leg], compute_uv=False)[2] * (1 + 1e-9)
+        decides = [_bound_decides(Ji, sigma_min) for Ji in J]
+        if None in decides:
+            continue
+        assert not decides[leg]
+        calls.clear()
+        _leg_rows(q, dq, tau, sigma_min)
+        undecided = [i for i in range(4) if not decides[i]]
+        assert len(calls) == len(undecided)
+        for got, i in zip(calls, undecided):
+            assert np.array_equal(got, J[i])
+        checked += 1
+    assert checked >= 30
+    # a non-finite leg is gated out before any SVD
+    calls.clear()
     tau_bad = tau.copy()
     tau_bad[1, 0] = np.nan
-    kernels.leg_frame(q, dq, tau_bad, coef, 1e-6)
-    assert len(calls) == 1 + 3
+    _leg_rows(q, dq, tau_bad, 1e-6)
+    assert calls == []
 
 
 def test_leg_frame_gates_out_a_leg_with_a_non_finite_rate():
     # its foot velocity is NaN, and a stance leg with a NaN velocity used to
     # turn every later body state non-finite in a filter-off replay
     rng = np.random.default_rng(16)
-    coef = _batch_coef(BATCH_GEOMS)
     q, dq, tau = _healthy_batch(rng)
-    r0, v0, f0, ok0 = kernels.leg_frame(q, dq, tau, coef, 1e-6)
+    r0, v0, f0, ok0 = _leg_rows(q, dq, tau)
     for bad in (np.nan, np.inf, -np.inf):
         dq_bad = dq.copy()
         dq_bad[2, 1] = bad
-        r, v, f, ok = kernels.leg_frame(q, dq_bad, tau, coef, 1e-6)
+        r, v, f, ok = _leg_rows(q, dq_bad, tau)
         assert ok.tolist() == [True, True, False, True]
         assert np.isnan(v[2]).all() and np.array_equal(f[2], np.zeros(3))
         assert np.array_equal(r, r0)
@@ -336,18 +388,34 @@ def test_leg_frame_gates_out_a_leg_whose_wrench_solve_is_singular():
     # J J^T is singular to working precision; that leg is gated out instead of
     # the solve raising
     geoms = [LegGeometry(0.0955, 0.213, 1e9, 0.0, 1), BATCH_GEOMS[1]]
-    coef = _batch_coef(geoms)
     q = np.array([[0.0, 0.8, -1.6], [0.0, 0.8, -1.6]])
     tau = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    J = kernels.leg_kinematics(q, q, coef)[1]
+    J = kernels.leg_kinematics(q, q, _batch_coef(geoms))[1]
     assert np.linalg.svd(J[0], compute_uv=False)[2] > 0.1
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(J[:1] @ np.swapaxes(J[:1], -1, -2), tau[:1, :, None])
-    _, _, f, ok = kernels.leg_frame(q, q, tau, coef, 1e-6)
+    _, _, f, ok = _leg_rows(q, q, tau, 1e-6, geoms)
     assert ok.tolist() == [False, True]
     assert np.array_equal(f[0], np.zeros(3))
-    f_ref, ok_ref = _foot_force_reference(q[1], tau[1], *geoms[1].kernel_args(), 1e-6)
+    _, f_ref, ok_ref = ref.leg_wrench(J[1], q[1], tau[1], 1e-6)
     assert ok_ref and np.array_equal(f[1], f_ref)
+    f_lapack, _ = _foot_force_reference(q[1], tau[1], *geoms[1].kernel_args(), 1e-6)
+    assert _within(f[1], f_lapack)
+    with pytest.raises(SingularConfiguration):
+        foot_force_body(q[0], tau[0], geoms[0])
+
+
+def test_leg_frame_gates_out_a_leg_whose_force_overflows():
+    # finite torques near the largest float overflow J tau and the force; the
+    # nine-value sum overflows too, yet the leg is no non-finite input
+    rng = np.random.default_rng(17)
+    q, dq, tau = _healthy_batch(rng)
+    r0, v0, f0, _ = _leg_rows(q, dq, tau)
+    tau[3] = [1e308, -1e308, 1e308]
+    r, v, f, ok = _leg_rows(q, dq, tau)
+    assert ok.tolist() == [True, True, True, False]
+    assert np.array_equal(f[3], np.zeros(3)) and np.array_equal(f[:3], f0[:3])
+    assert np.array_equal(r, r0) and np.array_equal(v, v0)
 
 
 def _mixed_stack(rng, k, n):
