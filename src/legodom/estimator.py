@@ -91,7 +91,7 @@ class Estimator:
             noise=CkfNoise.from_diagonals(cfg.ikvel_q_pos, cfg.ikvel_q_vel,
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate),
             dt_max=cfg.ikvel_dt_max)
-        self._leg_floats = [kernels.leg_floats(*g.kernel_args()) for g in cfg.legs]
+        self._leg_coef = [kernels.leg_coefficients(*g.kernel_args()) for g in cfg.legs]
         self._hip_mounts = [g.hip_mount.tolist() for g in cfg.legs]
         self._diag = {}
 
@@ -116,11 +116,11 @@ class Estimator:
         pos_pred = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt, pos[2] + vel[2] * dt)
 
         roll, pitch, yaw, rot = self._attitude(frame)
-        feet, foot_vel, forces, ok = self._leg_frame(frame, t)
+        q_rows, dq_rows, feet, foot_vel, forces, ok = self._leg_frame(frame, t)
         contacts, touchdowns = self._gate(rot, forces, ok)
         stance, per_pos, per_vel = self._observe(
-            frame, t, rot, pitch, gyro, feet, foot_vel, contacts, touchdowns,
-            pos_pred)
+            frame.wheels, q_rows, dq_rows, t, rot, pitch, gyro, feet, foot_vel,
+            contacts, touchdowns, pos_pred)
         position, velocity = self._fuse(pos_pred, vel, per_pos, per_vel)
         yaw, yaw_kin, yaw_err = self._yaw(t, roll, pitch, yaw, stance, feet)
 
@@ -146,15 +146,17 @@ class Estimator:
     def _leg_frame(self, frame, t):
         """Kinematics, wrench and gating of every leg in one kernel call on
         the rows of the frame's joints; the velocity filter, when on,
-        replaces the raw foot velocities. Returns the body-frame feet, foot
-        velocities and forces as lists of rows, and the per-leg ok flags."""
-        r_b, v_b, f_b, ok = kernels.leg_rows(*frame.joints.tolist(), self._leg_floats,
+        replaces the raw foot velocities. Returns the rows of the joint
+        angles and rates, the body-frame feet, foot velocities and forces as
+        lists of rows, and the per-leg ok flags."""
+        q_rows, dq_rows, tau_rows = frame.joints.tolist()
+        r_b, v_b, f_b, ok = kernels.leg_rows(q_rows, dq_rows, tau_rows, self._leg_coef,
                                              self.config.sigma_min)
         if self.config.ikvel_enabled:
             v_b = self.ikvel.update(t, frame.joints[0], frame.joints[1]).tolist()
         feet = [(m0 + r0, m1 + r1, m2 + r2)
                 for (m0, m1, m2), (r0, r1, r2) in zip(self._hip_mounts, r_b)]
-        return feet, v_b, f_b, ok
+        return q_rows, dq_rows, feet, v_b, f_b, ok
 
     def _gate(self, rot, forces, ok):
         """Per-leg stance flags from the vertical world-frame force, and the
@@ -170,18 +172,16 @@ class Estimator:
             touchdowns.append(contact.detect_touchdown(prev, in_contact))
         return contacts, touchdowns
 
-    def _observe(self, frame, t, rot, pitch, gyro, feet, foot_vel, contacts,
-                 touchdowns, pos_pred):
+    def _observe(self, wheels, q_rows, dq_rows, t, rot, pitch, gyro, feet,
+                 foot_vel, contacts, touchdowns, pos_pred):
         """Wheel propagation, touchdowns through the plane store, and the
-        anchored observations. Returns the stance legs and their position and
-        velocity observations, in leg order."""
+        anchored observations; the wheel stage reads the rows of the joint
+        angles and rates that _leg_frame took. Returns the stance legs and
+        their position and velocity observations, in leg order."""
         cfg = self.config
         records = self.records
-        wheels = frame.wheels
         n = len(contacts)
         heading = wheel.heading_direction(rot, cfg.heading_eps)
-        # the wheel stage reads joint angles and rates as floats
-        q_rows, dq_rows = frame.joints[:2].tolist() if wheels else (None, None)
 
         # wheel anchors of persisting stance legs advance by the effective
         # rolling increment (never on a touchdown frame: the cache is fresh)
@@ -301,11 +301,15 @@ class Estimator:
 
         Position integrates the held velocity; attitude integrates the body
         gyro through the Euler-rate map. No accelerometer is consumed
-        anywhere, so velocity is held.
+        anywhere, so velocity is held. A dt that is not finite and > 0, or a
+        gyro that is not 3 finite numbers, raises ValueError and leaves the
+        state as it was.
         """
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError("dt %r is not finite and > 0" % (dt,))
         gyro = np.asarray(gyro, dtype=float)
+        if gyro.shape != (3,) or not np.isfinite(gyro).all():
+            raise ValueError("gyro %r is not 3 finite numbers" % (gyro.tolist(),))
         roll, pitch, yaw = self.state.rpy
         sr, cr = np.sin(roll), np.cos(roll)
         cp, tp = np.cos(pitch), np.tan(pitch)

@@ -195,7 +195,7 @@ def _swing(u, p0, p1, m0, m1, apex):
 
 
 # frames per block of the batched leg kinematics; bounds the transient
-# (slots, 12, legs, frames) term arrays to about a megabyte
+# (legs, frames) arrays of a block, such as leg_kinematics' 12 entry rows
 _BLOCK = 256
 
 # the most frames one generated stream may hold (over an hour at 250 Hz)
@@ -486,7 +486,7 @@ def _generate_static(plan):
     contacts = np.repeat(~airborne[:, None], n_legs, axis=1)
     load = np.zeros((n_frames, 3))
     load[~airborne, 2] = -plan.mass * GRAVITY / n_legs
-    coef = kernels.leg_coefficients(*zip(*(g.kernel_args() for g in plan.legs)))
+    coef = kernels.leg_coefficients(*_leg_params(plan.legs)[:5])
     tau = np.empty_like(q)
     for blk in _blocks(n_frames):
         _, J, _ = kernels.leg_kinematics(q[blk], dq[blk], coef)

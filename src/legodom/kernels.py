@@ -2,12 +2,12 @@
 analytic inverse kinematics, the IK rate solve and the torque-to-wrench solve,
 and the stacked Cholesky and solve of the cubature filter.
 
-The forward side has two forms of one set of expressions, `_ENTRIES`:
-`leg_kinematics` evaluates them on stacks of legs (the gait generator's
-blocks of frames) with the coefficients of `leg_coefficients`, and
-`leg_rows` term by term on the Python floats of one frame's legs, where a
-numpy call would cost more than the 3x3 arithmetic, with those of
-`leg_floats`; it adds the wrench gate and the forces. The inverse side works
+The forward side is one set of expressions, `_leg_entries`, on the
+coefficients of `leg_coefficients`. `leg_kinematics` runs it once on the
+rows of a stack of legs with numpy's trig (the gait generator's blocks of
+frames), and `leg_rows` once per leg on the Python floats of one frame's
+legs with math's, where a numpy call would cost more than the 3x3
+arithmetic; it adds the wrench gate and the forces. The inverse side works
 on stacks, elementwise: the gait generator solves every frame and leg of a
 block of frames with `ik_joints_array`, and the cubature filter in `ikvel`
 maps every leg and cubature point of a frame with `ik_measurement_rows`,
@@ -45,68 +45,42 @@ CLAMP_TOL = 1e-9
 SIGMA_BOUND_TOL = 1e-12
 
 
-# The trig terms of a leg in the row order leg_kinematics evaluates them:
-# cosines and sines of q0, q1 and q1 + q2, then a 1 that fills the factors
-# of terms with fewer than two.
-_TRIG = ("c1", "c2", "c23", "s1", "s2", "s23", "1")
+def _leg_entries(q0, q1, q2, coef, cos, sin):
+    """Position and Jacobian entries of a leg at joint angles (q0, q1, q2).
 
-# Every entry of the position (r0, r1, r2) and of the Jacobian (row-major)
-# as terms coef * a * b, added from left to right; a leading "-" negates the
-# coefficient, which is exact. The order is that of the one-leg expressions
-# frozen in tests/kernels_reference.py, so each entry is bit-equal to them.
-# The wheel radius rw enters only the lateral row's reach and as a constant
-# vertical offset; the sagittal row never sees it. That asymmetry is part of
-# the kinematic convention this estimator is built around.
-_ENTRIES = (
-    (("-lc", "s23"), ("-lt", "s2")),                                         # r0
-    (("slh", "c1"), ("lcrw", "s1", "c23"), ("lt", "c2", "s1")),              # r1
-    (("slh", "s1"), ("-lc", "c1", "c23"), ("-lt", "c1", "c2"), ("rw",)),     # r2
-    (("zero",),),                                                            # J00
-    (("-lc", "c23"), ("-lt", "c2")),                                         # J01
-    (("-lc", "c23"),),                                                       # J02
-    (("lcrw", "c1", "c23"), ("lt", "c1", "c2"), ("-slh", "s1")),             # J10
-    (("-lcrw", "s1", "s23"), ("-lt", "s1", "s2")),                           # J11
-    (("-lcrw", "s1", "s23"),),                                               # J12
-    (("lc", "s1", "c23"), ("lt", "c2", "s1"), ("slh", "c1")),                # J20
-    (("lc", "c1", "s23"), ("lt", "c1", "s2")),                               # J21
-    (("lc", "c1", "s23"),),                                                  # J22
-)
-# coefficient names in the order leg_coefficients stacks them: slh is
-# side * lh and lcrw is lc + rw, formed as the one-leg expressions form them. A
-# missing term is -0.0, which leaves any sum unchanged.
-_COEFS = ("lc", "lt", "rw", "slh", "lcrw", "zero")
-_SLOTS = max(len(terms) for terms in _ENTRIES)
+    coef is leg_coefficients() of the leg; cos and sin are math's on floats
+    or numpy's on arrays. Returns (r0, r1, r2, J01, J02, J10, J11, J12, J20,
+    J21, J22), the hip-to-end-effector position and the Jacobian row-major
+    without its zero J00. Each entry adds its terms from left to right in the
+    order of the one-leg expressions frozen in tests/kernels_reference.py, so
+    it is bit-equal to them.
 
-
-def _entry_tables():
-    """(coefficient index, sign, trig index a, trig index b), each (slots, 12)."""
-    shape = (_SLOTS, len(_ENTRIES))
-    coef = np.full(shape, _COEFS.index("zero"))
-    sign = np.full(shape, -1.0)
-    a = np.full(shape, _TRIG.index("1"))
-    b = np.full(shape, _TRIG.index("1"))
-    for e, terms in enumerate(_ENTRIES):
-        for s, (name, *factors) in enumerate(terms):
-            sign[s, e] = -1.0 if name.startswith("-") else 1.0
-            coef[s, e] = _COEFS.index(name.lstrip("-"))
-            for table, factor in zip((a, b), factors):
-                table[s, e] = _TRIG.index(factor)
-    return coef, sign, a, b
-
-
-_COEF_INDEX, _COEF_SIGN, _TRIG_A, _TRIG_B = _entry_tables()
+    The wheel radius rw enters only the lateral row's reach and as a constant
+    vertical offset; the sagittal row never sees it. That asymmetry is part of
+    the kinematic convention this estimator is built around.
+    """
+    lc, lt, rw, slh, lcrw = coef
+    q12 = q1 + q2
+    c1, c2, c23 = cos(q0), cos(q1), cos(q12)
+    s1, s2, s23 = sin(q0), sin(q1), sin(q12)
+    return (-lc * s23 + -lt * s2,
+            slh * c1 + lcrw * s1 * c23 + lt * c2 * s1,
+            slh * s1 + -lc * c1 * c23 + -lt * c1 * c2 + rw,
+            -lc * c23 + -lt * c2,
+            -lc * c23,
+            lcrw * c1 * c23 + lt * c1 * c2 + -slh * s1,
+            -lcrw * s1 * s23 + -lt * s1 * s2,
+            -lcrw * s1 * s23,
+            lc * s1 * c23 + lt * c2 * s1 + slh * c1,
+            lc * c1 * s23 + lt * c1 * s2,
+            lc * c1 * s23)
 
 
 def leg_coefficients(lh, lt, lc, rw, side):
-    """Term coefficients of a stack of legs for leg_kinematics.
-
-    The link parameters are (L,) arrays or scalars, as in kernel_args();
-    returns a (slots, 12, L) array. Build it once per set of legs.
-    """
-    lh, lt, lc, rw, side = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(p, dtype=float)) for p in (lh, lt, lc, rw, side)))
-    named = np.stack([lc, lt, rw, side * lh, lc + rw, np.zeros_like(lc)])
-    return _COEF_SIGN[..., None] * named[_COEF_INDEX]
+    """The coefficients (lc, lt, rw, slh = side * lh, lcrw = lc + rw) of
+    _leg_entries from the link parameters of kernel_args(): floats for one leg
+    (leg_rows), (L,) arrays for a stack (leg_kinematics). Build them once."""
+    return lc, lt, rw, side * lh, lc + rw
 
 
 def leg_kinematics(q, dq, coef):
@@ -118,26 +92,15 @@ def leg_kinematics(q, dq, coef):
     and the Jacobian. Returns (r, J, v): r (..., L, 3) hip-to-end-effector
     positions, J (..., L, 3, 3) Jacobians and v (..., L, 3) velocities J @ dq.
     """
-    # the terms run along the reversed axes of q, (3, L, ...), so a plain
-    # transpose serves any number of leading axes
-    ang = q.T.copy()
-    ang[2] += ang[1]
-    trig = np.empty((len(_TRIG),) + ang.shape[1:])
-    np.cos(ang, out=trig[:3])
-    np.sin(ang, out=trig[3:6])
-    trig[6] = 1.0
-    coef = coef.reshape(coef.shape + (1,) * (q.ndim - 2))
-    terms = coef * trig[_TRIG_A] * trig[_TRIG_B]
-    entries = sum(terms[1:], terms[0]).T.copy()
+    # the entries run along the reversed axes of q, (3, L, ...), so a plain
+    # transpose serves any number of leading axes; they are stacked into one
+    # contiguous (..., L, 12) array, which fixes the strides J @ dq sees
+    pad = (1,) * (q.ndim - 2)
+    coef = [np.reshape(c, np.shape(c) + pad) for c in coef]
+    r0, r1, r2, *jac = _leg_entries(*q.T.copy(), coef, np.cos, np.sin)
+    entries = np.stack((r0, r1, r2, np.zeros_like(r0), *jac)).T.copy()
     J = entries[..., 3:].reshape(entries.shape[:-1] + (3, 3))
     return entries[..., :3], J, (J @ dq[..., None])[..., 0]
-
-
-def leg_floats(lh, lt, lc, rw, side):
-    """Term coefficients (lc, lt, rw, slh, lcrw) of one leg for leg_rows, as
-    floats formed as leg_coefficients forms them; build them once per leg."""
-    lh, lt, lc, rw, side = map(float, (lh, lt, lc, rw, side))
-    return lc, lt, rw, side * lh, lc + rw
 
 
 def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
@@ -145,16 +108,16 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
 
     q_rows, dq_rows and tau_rows are each leg's joint angles, rates and
     torques (one `joints.tolist()` of a frame); legs holds each leg's
-    leg_floats(). Returns lists (r, v, f, ok), per leg: the hip-to-end-effector
-    position r and velocity v = J dq, and the force f in the body frame
-    solving (J J^T) f = J tau, each a 3-tuple. ok is False, and f zeros, where
-    a value of q, dq or tau is not finite, the smallest singular value of J is
-    below sigma_min, or J J^T is singular to working precision (a determinant
-    that is not positive, or a non-finite f); the caller must treat that leg
-    as ungateable this cycle. r and v are NaN where q is not finite, and v
-    where dq is not. Never raises.
+    leg_coefficients() as floats. Returns lists (r, v, f, ok), per leg: the
+    hip-to-end-effector position r and velocity v = J dq, and the force f in
+    the body frame solving (J J^T) f = J tau, each a 3-tuple. ok is False,
+    and f zeros, where a value of q, dq or tau is not finite, the smallest
+    singular value of J is below sigma_min, or J J^T is singular to working
+    precision (a determinant that is not positive, or a non-finite f); the
+    caller must treat that leg as ungateable this cycle. r and v are NaN
+    where q is not finite, and v where dq is not. Never raises.
 
-    r and J are the terms of _ENTRIES in their order, bit-equal to
+    r and J are _leg_entries' on math.cos and math.sin, bit-equal to
     leg_kinematics. For singular values s1 >= s2 >= s3 of J,
     s3 = |det J| / (s1 s2) and s1 s2 <= tr(J J^T) / 2, so
     s3^2 >= 4 det(J J^T) / tr(J J^T)^2. Where that bound clears sigma_min^2
@@ -163,7 +126,7 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
     adjugate of J J^T applied to J tau, over the determinant.
     """
     feet, vels, forces, oks = [], [], [], []
-    for q, dq, tau, (lc, lt, rw, slh, lcrw) in zip(q_rows, dq_rows, tau_rows, legs):
+    for q, dq, tau, coef in zip(q_rows, dq_rows, tau_rows, legs):
         q0, q1, q2 = q
         d0, d1, d2 = dq
         t0, t1, t2 = tau
@@ -176,20 +139,9 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
                 q0 = q1 = q2 = nan
             if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
                 d0 = d1 = d2 = nan
-        q12 = q1 + q2
-        c1, c2, c23 = cos(q0), cos(q1), cos(q12)
-        s1, s2, s23 = sin(q0), sin(q1), sin(q12)
-        feet.append((-lc * s23 + -lt * s2,
-                     slh * c1 + lcrw * s1 * c23 + lt * c2 * s1,
-                     slh * s1 + -lc * c1 * c23 + -lt * c1 * c2 + rw))
-        j01 = -lc * c23 + -lt * c2
-        j02 = -lc * c23
-        j10 = lcrw * c1 * c23 + lt * c1 * c2 + -slh * s1
-        j11 = -lcrw * s1 * s23 + -lt * s1 * s2
-        j12 = -lcrw * s1 * s23
-        j20 = lc * s1 * c23 + lt * c2 * s1 + slh * c1
-        j21 = lc * c1 * s23 + lt * c1 * s2
-        j22 = lc * c1 * s23
+        r0, r1, r2, j01, j02, j10, j11, j12, j20, j21, j22 = _leg_entries(
+            q0, q1, q2, coef, cos, sin)
+        feet.append((r0, r1, r2))
         vels.append((j01 * d1 + j02 * d2,
                      j10 * d0 + j11 * d1 + j12 * d2,
                      j20 * d0 + j21 * d1 + j22 * d2))

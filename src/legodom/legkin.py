@@ -46,7 +46,7 @@ def foot_force_body(q, tau, geom: LegGeometry, sigma_min=1e-6):
     """
     _, _, (f,), (ok,) = kernels.leg_rows(
         _one_leg(q).tolist(), [(0.0, 0.0, 0.0)], _one_leg(tau).tolist(),
-        [kernels.leg_floats(*geom.kernel_args())], sigma_min)
+        [kernels.leg_coefficients(*geom.kernel_args())], sigma_min)
     if not ok:
         raise SingularConfiguration(
             "leg Jacobian smallest singular value below %g, or a non-finite "

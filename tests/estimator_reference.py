@@ -2,17 +2,17 @@
 Python floats.
 
 `ReferenceEstimator.step` is the numpy step verbatim: the leg kinematics
-and the wrench gate in one `leg_frame` call (frozen in `kernels_reference.py`
-since the library moved to the float `kernels.leg_rows`), then every per-leg
+and the wrench gate in one `leg_frame` call on `leg_coefficients`, both
+frozen in `kernels_reference.py` (since the library moved to the float
+`kernels.leg_rows` and to one set of entry expressions), then every per-leg
 vector as a numpy array, the means as `np.mean`, the rotations as
 `rot_z @ rot_y @ rot_x` and the yaw pairs with `np.arctan2`. The numpy
 forms of the contact, wheel and yaw operators it calls are frozen below
 with it. The scalar operators that did not change (`gate_contact`,
 `detect_touchdown`, `effective_roll_increment`, `apply_yaw_correction`,
-`wrap_angle`, `quat_to_rpy`), the plane store, the leg kernels and the
-velocity filter come from the library. The library's float step is checked
-against this one as an independent operation sequence. Do not edit it to
-follow the library.
+`wrap_angle`, `quat_to_rpy`), the plane store and the velocity filter come
+from the library. The library's float step is checked against this one as
+an independent operation sequence. Do not edit it to follow the library.
 """
 
 import math
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from legodom import height, kernels
+from legodom import height
 from legodom.config import EstimatorConfig
 from legodom.contact import detect_touchdown, gate_contact
 from legodom.estimator import BodyState
@@ -29,7 +29,7 @@ from legodom.ikvel import CkfNoise, LegVelocityFilter
 from legodom.wheel import effective_roll_increment
 from legodom.yawkin import DegenerateMean, InsufficientContacts, apply_yaw_correction
 
-from kernels_reference import leg_frame
+from kernels_reference import leg_coefficients, leg_frame
 
 
 class EmptyContactSet(Exception):
@@ -169,7 +169,7 @@ class ReferenceEstimator:
             noise=CkfNoise.from_diagonals(cfg.ikvel_q_pos, cfg.ikvel_q_vel,
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate),
             dt_max=cfg.ikvel_dt_max)
-        self._leg_coef = kernels.leg_coefficients(
+        self._leg_coef = leg_coefficients(
             *zip(*(g.kernel_args() for g in cfg.legs)))
         self._hip_mounts = np.array([g.hip_mount for g in cfg.legs])
         self._diag = {}

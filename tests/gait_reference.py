@@ -3,18 +3,21 @@
 `_generate_static` below is the stand / wheel_roll / wheel_swing / hop
 generator as it was before it became closed-form column arrays: it walks the
 frames one at a time and decides the mode per frame and leg. `_blocks` and
-`_stance_torques` are the helpers it called. They are kept verbatim so the
-closed-form generator is checked against an independent operation sequence.
+`_stance_torques` are the helpers it called, and the leg kinematics it runs
+are the frozen table-driven `leg_kinematics` of `kernels_reference.py`. They
+are kept verbatim so the closed-form generator is checked against an
+independent operation sequence.
 Do not edit them to follow the library; only the frame construction follows
 `SensorFrame`, whose joint readings are one (3, legs, 3) array.
 """
 
 import numpy as np
 
-from legodom import kernels
 from legodom.estimator import BodyState, SensorFrame
 from legodom.gait import GRAVITY, GaitResult
 from legodom.geometry import WheelReading, rpy_to_quat, wrap_angle
+
+from kernels_reference import leg_coefficients, leg_kinematics
 
 # frames per block of the batched leg kinematics; bounds the transient
 # (slots, 12, legs, frames) term arrays to about a megabyte
@@ -98,10 +101,10 @@ def _generate_static(plan):
         stamps.append(t)
         wheel_lists.append(wheels if any(w is not None for w in wheels) else None)
         truth.append(BodyState(pos, np.zeros(3), vel, t))
-    coef = kernels.leg_coefficients(*zip(*(g.kernel_args() for g in plan.legs)))
+    coef = leg_coefficients(*zip(*(g.kernel_args() for g in plan.legs)))
     tau = np.empty_like(q)
     for blk in _blocks(n_frames):
-        _, J, _ = kernels.leg_kinematics(q[blk], dq[blk], coef)
+        _, J, _ = leg_kinematics(q[blk], dq[blk], coef)
         tau[blk] = _stance_torques(J, load[blk], contacts[blk])
     frames = [SensorFrame(t, rpy_to_quat(0.0, 0.0, 0.0), np.zeros(3),
                           np.stack((q[k], dq[k], tau[k])), wheels)

@@ -1,5 +1,10 @@
 """Frozen copies of the leg kernels that `legodom.kernels` replaced.
 
+`leg_kinematics` and `leg_coefficients` are the table-driven stacked
+forward kinematics (the `_ENTRIES` terms and their index tables) that the
+library replaced with one set of entry expressions, `kernels._leg_entries`;
+the frozen `leg_frame`, the frozen estimator step and the frozen static gait
+generator (`gait_reference.py`) call them.
 `fk_position`, `leg_jacobian` and `ik_joints` below are the one-leg forms the
 library used before every caller moved to the batched kernels
 (`leg_kinematics`, `ik_joints_array`). `ik_jacobian`, `ik_rates`, `_det3` and
@@ -17,9 +22,97 @@ import math
 
 import numpy as np
 
-from legodom.kernels import EPS_RADICAL, SIGMA_BOUND_TOL, leg_kinematics, solve
+from legodom.kernels import EPS_RADICAL, SIGMA_BOUND_TOL, solve
 
 _EYE3 = np.eye(3)
+
+
+# The trig terms of a leg in the row order leg_kinematics evaluates them:
+# cosines and sines of q0, q1 and q1 + q2, then a 1 that fills the factors
+# of terms with fewer than two.
+_TRIG = ("c1", "c2", "c23", "s1", "s2", "s23", "1")
+
+# Every entry of the position (r0, r1, r2) and of the Jacobian (row-major)
+# as terms coef * a * b, added from left to right; a leading "-" negates the
+# coefficient, which is exact. The order is that of the one-leg expressions
+# frozen in tests/kernels_reference.py, so each entry is bit-equal to them.
+# The wheel radius rw enters only the lateral row's reach and as a constant
+# vertical offset; the sagittal row never sees it. That asymmetry is part of
+# the kinematic convention this estimator is built around.
+_ENTRIES = (
+    (("-lc", "s23"), ("-lt", "s2")),                                         # r0
+    (("slh", "c1"), ("lcrw", "s1", "c23"), ("lt", "c2", "s1")),              # r1
+    (("slh", "s1"), ("-lc", "c1", "c23"), ("-lt", "c1", "c2"), ("rw",)),     # r2
+    (("zero",),),                                                            # J00
+    (("-lc", "c23"), ("-lt", "c2")),                                         # J01
+    (("-lc", "c23"),),                                                       # J02
+    (("lcrw", "c1", "c23"), ("lt", "c1", "c2"), ("-slh", "s1")),             # J10
+    (("-lcrw", "s1", "s23"), ("-lt", "s1", "s2")),                           # J11
+    (("-lcrw", "s1", "s23"),),                                               # J12
+    (("lc", "s1", "c23"), ("lt", "c2", "s1"), ("slh", "c1")),                # J20
+    (("lc", "c1", "s23"), ("lt", "c1", "s2")),                               # J21
+    (("lc", "c1", "s23"),),                                                  # J22
+)
+# coefficient names in the order leg_coefficients stacks them: slh is
+# side * lh and lcrw is lc + rw, formed as the one-leg expressions form them. A
+# missing term is -0.0, which leaves any sum unchanged.
+_COEFS = ("lc", "lt", "rw", "slh", "lcrw", "zero")
+_SLOTS = max(len(terms) for terms in _ENTRIES)
+
+
+def _entry_tables():
+    """(coefficient index, sign, trig index a, trig index b), each (slots, 12)."""
+    shape = (_SLOTS, len(_ENTRIES))
+    coef = np.full(shape, _COEFS.index("zero"))
+    sign = np.full(shape, -1.0)
+    a = np.full(shape, _TRIG.index("1"))
+    b = np.full(shape, _TRIG.index("1"))
+    for e, terms in enumerate(_ENTRIES):
+        for s, (name, *factors) in enumerate(terms):
+            sign[s, e] = -1.0 if name.startswith("-") else 1.0
+            coef[s, e] = _COEFS.index(name.lstrip("-"))
+            for table, factor in zip((a, b), factors):
+                table[s, e] = _TRIG.index(factor)
+    return coef, sign, a, b
+
+
+_COEF_INDEX, _COEF_SIGN, _TRIG_A, _TRIG_B = _entry_tables()
+
+
+def leg_coefficients(lh, lt, lc, rw, side):
+    """Term coefficients of a stack of legs for leg_kinematics.
+
+    The link parameters are (L,) arrays or scalars, as in kernel_args();
+    returns a (slots, 12, L) array. Build it once per set of legs.
+    """
+    lh, lt, lc, rw, side = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(p, dtype=float)) for p in (lh, lt, lc, rw, side)))
+    named = np.stack([lc, lt, rw, side * lh, lc + rw, np.zeros_like(lc)])
+    return _COEF_SIGN[..., None] * named[_COEF_INDEX]
+
+
+def leg_kinematics(q, dq, coef):
+    """Positions, Jacobians and foot velocities of a stack of legs.
+
+    q and dq are (..., L, 3) joint angles and rates; coef is
+    leg_coefficients() of the L legs, broadcast over the leading axes. The
+    six trig terms of each leg are evaluated once and give both the position
+    and the Jacobian. Returns (r, J, v): r (..., L, 3) hip-to-end-effector
+    positions, J (..., L, 3, 3) Jacobians and v (..., L, 3) velocities J @ dq.
+    """
+    # the terms run along the reversed axes of q, (3, L, ...), so a plain
+    # transpose serves any number of leading axes
+    ang = q.T.copy()
+    ang[2] += ang[1]
+    trig = np.empty((len(_TRIG),) + ang.shape[1:])
+    np.cos(ang, out=trig[:3])
+    np.sin(ang, out=trig[3:6])
+    trig[6] = 1.0
+    coef = coef.reshape(coef.shape + (1,) * (q.ndim - 2))
+    terms = coef * trig[_TRIG_A] * trig[_TRIG_B]
+    entries = sum(terms[1:], terms[0]).T.copy()
+    J = entries[..., 3:].reshape(entries.shape[:-1] + (3, 3))
+    return entries[..., :3], J, (J @ dq[..., None])[..., 0]
 
 
 def fk_position(q, lh, lt, lc, rw, side):

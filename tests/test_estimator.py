@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,24 @@ def test_predict_only_examples():
     assert np.isclose(st.rpy[2], 0.01)
     with pytest.raises(ValueError):
         est.predict_only(0.0, np.zeros(3))
+
+
+@pytest.mark.parametrize("dt, gyro", [
+    (np.nan, [0.0, 0.0, 0.0]), (np.inf, [0.0, 0.0, 0.0]), (-np.inf, [0.0, 0.0, 0.0]),
+    (0.01, [np.nan, 0.0, 0.0]), (0.01, [0.0, 0.0, np.inf]), (0.01, [0.0, 0.0]),
+    (0.01, [0.0, 0.0, 0.0, 0.0])])
+def test_predict_only_rejects_a_bad_dt_or_gyro_and_keeps_the_state(dt, gyro):
+    # these used to write NaN into the position or the attitude
+    est = Estimator(EstimatorConfig())
+    est.state.velocity = np.array([1.0, 0.0, 0.0])
+    before = est.predict_only(0.01, np.array([0.1, 0.2, 0.3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            est.predict_only(dt, gyro)
+    for name in ("position", "rpy", "velocity"):
+        assert np.array_equal(getattr(est.state, name), getattr(before, name))
+    assert est.state.stamp == before.stamp
 
 
 def test_yaw_held_when_imu_yaw_disabled():

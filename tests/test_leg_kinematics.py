@@ -203,12 +203,13 @@ BATCH_GEOMS = [LegGeometry(0.08, 0.213, 0.213, 0.0, 1), LegGeometry(0.08, 0.213,
 
 
 def _batch_coef(geoms):
-    return kernels.leg_coefficients(*zip(*(g.kernel_args() for g in geoms)))
+    params = zip(*(g.kernel_args() for g in geoms))
+    return kernels.leg_coefficients(*(np.array(p) for p in params))
 
 
 def _leg_rows(q, dq, tau, sigma_min=1e-6, geoms=BATCH_GEOMS):
     """kernels.leg_rows on (L, 3) arrays, its results as arrays."""
-    legs = [kernels.leg_floats(*g.kernel_args()) for g in geoms]
+    legs = [kernels.leg_coefficients(*g.kernel_args()) for g in geoms]
     r, v, f, ok = kernels.leg_rows(q.tolist(), dq.tolist(), tau.tolist(), legs, sigma_min)
     return np.array(r), np.array(v), np.array(f), np.array(ok)
 
@@ -488,6 +489,39 @@ def test_leg_kinematics_broadcasts_over_leading_axes():
             assert np.array_equal(v[k, i], ref.leg_jacobian(q[k, i], *a) @ dq[k, i])
             assert np.array_equal(fk_position(q[k, i], geom), r[k, i])
             assert np.array_equal(jacobian(q[k, i], geom), J[k, i])
+
+
+def test_leg_kinematics_bytes_equal_the_frozen_term_table():
+    # the one set of entry expressions gives the stacked kernel the bytes of
+    # the table-driven kernel it replaced: r, J (its J00 +0.0, not -0.0) and
+    # v = J @ dq, over leading axes, both sides, point feet and wheels, angles
+    # in +-pi and the singular poses; and a batch of one on float
+    # coefficients, as legkin runs it, the bytes of that leg in the stack
+    rng = np.random.default_rng(29)
+    coef = _batch_coef(BATCH_GEOMS)
+    frozen = ref.leg_coefficients(*zip(*(g.kernel_args() for g in BATCH_GEOMS)))
+    singular = [np.zeros(3), np.array([0.0, -np.pi / 4, -np.pi / 2])]
+    for shape in ((4, 3), (9, 4, 3), (2, 3, 4, 3)):
+        for k in range(30):
+            q = rng.uniform(-np.pi, np.pi, shape)
+            if k % 3 == 1:
+                legs = q.reshape(-1, 3)
+                for i in rng.choice(len(legs), size=len(legs) // 2, replace=False):
+                    legs[i] = singular[rng.integers(2)]
+            elif k % 3 == 2:
+                q = np.array([sample_joint(rng) for _ in range(q.size // 3)]).reshape(shape)
+            dq = rng.normal(scale=3.0, size=shape)
+            got = kernels.leg_kinematics(q, dq, coef)
+            want = ref.leg_kinematics(q, dq, frozen)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not np.signbit(got[1][..., 0, 0]).any()
+            first = (0,) * (len(shape) - 2)
+            for i, g in enumerate(BATCH_GEOMS):
+                one = kernels.leg_kinematics(q[first][i:i + 1], dq[first][i:i + 1],
+                                             kernels.leg_coefficients(*g.kernel_args()))
+                for a, b in zip(one, got):
+                    assert a.tobytes() == b[first][i:i + 1].tobytes()
 
 
 # --- rolling_bias ------------------------------------------------------------
