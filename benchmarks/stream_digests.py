@@ -21,7 +21,8 @@ parent on one machine:
          <(python3 benchmarks/stream_digests.py --src OTHER/src)
 
 The digests are printed as JSON, one key per file; --out also writes them
-to a file, and copies each replay CSV into the directory OUT.replays beside
+to a file, with a `written_by` entry naming the numpy version and the
+platform, and copies each replay CSV into the directory OUT.replays beside
 it. --compare OTHER.json reads such a file and prints, in place of the JSON,
 only the keys whose digests differ, and for each differing replay CSV the
 largest absolute difference of any state value from OTHER.replays; it exits
@@ -37,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import shutil
 import sys
 import tempfile
@@ -103,12 +105,44 @@ def run_cli(cli, argv):
         raise RuntimeError("legodom %s exited %r" % (" ".join(argv), code))
 
 
+def written_by():
+    """The numpy version, Python version and platform of this run."""
+    return "numpy %s, Python %s, %s" % (np.__version__, platform.python_version(),
+                                        platform.platform())
+
+
+def load(path):
+    """(digests, written_by) of an --out file; written_by is None when the
+    file does not name it."""
+    with open(path, encoding="utf-8") as fh:
+        digests = json.load(fh)
+    return digests, digests.pop("written_by", None)
+
+
+def workload_plan(plan, seed):
+    """A workload's plan text for a seed: `speed` drawn as the benchmark draws it."""
+    rng = np.random.default_rng(seed)
+    return plan.format(speed=float(rng.uniform(0.495, 0.505)))
+
+
+def stream_paths(work, name):
+    """(log, ground truth, trajectory) paths of the stream called name."""
+    return tuple(os.path.join(work, name + ext) for ext in (".jsonl", ".gt.csv", ".csv"))
+
+
 def digest_stream(cli, work, name, source, config, seed):
     """Digests of one simulated stream, its ground truth and its replay."""
-    log, gt, traj = (os.path.join(work, name + ext)
-                     for ext in (".jsonl", ".gt.csv", ".csv"))
+    log, gt, _ = stream_paths(work, name)
     run_cli(cli, ["simulate", *source, "--out", log, "--ground-truth", gt,
                   "--seed", str(seed)])
+    return digest_written_stream(cli, work, name, config)
+
+
+def digest_written_stream(cli, work, name, config):
+    """Digests of the log and ground truth already written at the paths of
+    stream_paths(work, name), and of the log's replay under config (the
+    default config when None)."""
+    log, gt, traj = stream_paths(work, name)
     replay = ["replay", "--log", log, "--out", traj]
     if config is not None:
         path = os.path.join(work, name + ".config.txt")
@@ -133,12 +167,10 @@ def state_difference(path, other):
     return float(np.max(diff, initial=0.0))
 
 
-def compare(digests, work, path):
-    """Lines naming each key whose digest differs from the file at path, with
-    the state difference of each differing replay CSV; the replays of the
-    other run are read from path.replays."""
-    with open(path, encoding="utf-8") as fh:
-        other = json.load(fh)
+def compare(digests, work, other, replays=None):
+    """Lines naming each key whose digest differs from the digests other,
+    with the state difference of each differing replay CSV against the CSVs
+    of the other run in the directory replays, if given."""
     lines = []
     worst = None
     for key in sorted(set(digests) | set(other)):
@@ -147,8 +179,8 @@ def compare(digests, work, path):
             continue
         line = "%s: %s -> %s" % (key, (theirs or "missing")[:12], (mine or "missing")[:12])
         csv = key[:-len(".replay_csv")] + ".csv"
-        theirs_csv = os.path.join(path + ".replays", csv)
-        if key.endswith(".replay_csv") and mine and os.path.exists(theirs_csv):
+        theirs_csv = replays and os.path.join(replays, csv)
+        if key.endswith(".replay_csv") and mine and replays and os.path.exists(theirs_csv):
             diff = state_difference(os.path.join(work, csv), theirs_csv)
             line += "  max |state diff| %.3g" % diff
             if worst is None or diff > worst[0]:
@@ -173,18 +205,17 @@ def main(argv=None):
                                          ["--preset", preset], None, 0))
         for workload, (plan, config) in WORKLOADS.items():
             for seed in SEEDS:
-                rng = np.random.default_rng(seed)
-                text = plan.format(speed=float(rng.uniform(0.495, 0.505)))
                 path = os.path.join(work, "%s.plan.txt" % workload)
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.write(workload_plan(plan, seed))
                 digests.update(digest_stream(
                     cli, work, "%s.seed%d" % (workload, seed),
                     ["--plan", path], config, seed))
         text = json.dumps(digests, indent=2)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                json.dump({**digests, "written_by": written_by()}, fh, indent=2)
+                fh.write("\n")
             replays = args.out + ".replays"
             os.makedirs(replays, exist_ok=True)
             for key in digests:
@@ -194,7 +225,8 @@ def main(argv=None):
         if args.compare is None:
             print(text)
             return 0
-        lines = compare(digests, work, args.compare)
+        other, _ = load(args.compare)
+        lines = compare(digests, work, other, args.compare + ".replays")
     print("\n".join(lines))
     return 1 if len(lines) > 1 else 0
 

@@ -1,7 +1,8 @@
 """Acceptance suite: every release criterion at its pinned tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion. Expensive synthetic streams are generated once per module.
+criterion. The synthetic streams come from the session stream cache
+(`stream` in conftest.py), so each is generated once per session.
 """
 
 import time
@@ -10,9 +11,8 @@ import numpy as np
 import pytest
 
 from legodom import (Estimator, EstimatorConfig, LegGeometry, compute_metrics,
-                     degrade, fk_position, fk_velocity, foot_force_body,
-                     generate_gait, ik_measurement, jacobian, preset_plan,
-                     rolling_bias, wrap_angle)
+                     fk_position, fk_velocity, foot_force_body, ik_measurement,
+                     jacobian, rolling_bias, wrap_angle)
 from legodom.cli import main as cli_main
 from legodom.ikvel import cubature_step
 from legodom.wheel import effective_roll_increment
@@ -29,21 +29,16 @@ def _report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def walk_quantized():
-    plan = preset_plan("walk_line")  # 500 Hz, ~30 s of walking
-    res = generate_gait(plan)
-    frames = degrade(res.frames, {"encoder_quantum": 1e-3}, seed=0)
-    return plan, res, frames
+def walk_quantized(stream):
+    # 500 Hz, ~30 s of walking
+    return stream("walk_line", 0, {"encoder_quantum": 1e-3})
 
 
 @pytest.fixture(scope="module")
-def stair_noisy():
-    plan = preset_plan("stair_loop")  # five up/down cycles over a 0.1 m step
-    res = generate_gait(plan)
+def stair_noisy(stream):
+    # five up/down cycles over a 0.1 m step
     window = EstimatorConfig().height_window
-    frames = degrade(res.frames, {"touchdown_height_noise": window / 2},
-                     seed=0, contacts=res.contacts, legs=plan.legs)
-    return plan, res, frames
+    return stream("stair_loop", 0, {"touchdown_height_noise": window / 2})
 
 
 def test_criterion_01_kinematics_oracles():
@@ -119,10 +114,9 @@ def test_criterion_03_ckf_matches_linear_kalman():
     _report(3, ok, "mean dev %.1e, cov dev %.1e over 100 steps" % (worst_x, worst_p))
 
 
-def test_criterion_04_zero_noise_closed_loop():
+def test_criterion_04_zero_noise_closed_loop(stream):
     t0 = time.monotonic()
-    plan = preset_plan("flat_loop")  # 8 x 2 m rectangle, 20 m perimeter
-    res = generate_gait(plan)
+    plan, res, _ = stream("flat_loop")  # 8 x 2 m rectangle, 20 m perimeter
     cfg = EstimatorConfig(initial_position=[0, 0, plan.body_height])
     est = Estimator(cfg)
     for fr in res.frames:
@@ -168,10 +162,8 @@ def test_criterion_06_elevation_stability(stair_noisy):
     _report(6, ok, "|dz| on %.4f m, off %.4f m" % (errs[True], errs[False]))
 
 
-def test_criterion_07_yaw_drift_arrest():
-    plan = preset_plan("standing")
-    res = generate_gait(plan)
-    frames = degrade(res.frames, {"yaw_drift": np.deg2rad(0.5)}, seed=0)
+def test_criterion_07_yaw_drift_arrest(stream):
+    plan, res, frames = stream("standing", 0, {"yaw_drift": np.deg2rad(0.5)})
     cfg = EstimatorConfig(initial_position=[0, 0, plan.body_height])
     est = Estimator(cfg)
     worst_late = 0.0
@@ -201,9 +193,8 @@ def test_criterion_08_rolling_bias_oracle():
             % (worst, "held" if bias_ok else "violated"))
 
 
-def test_criterion_09_wheel_propagation():
-    plan = preset_plan("wheel_roll")  # 0.5 m/s for 10 s, no slip
-    res = generate_gait(plan)
+def test_criterion_09_wheel_propagation(stream):
+    plan, res, _ = stream("wheel_roll")  # 0.5 m/s for 10 s, no slip
     cfg = EstimatorConfig(legs=plan.legs,
                           initial_position=[0, 0, plan.body_height])
     est = Estimator(cfg)
@@ -214,7 +205,7 @@ def test_criterion_09_wheel_propagation():
             expect = tr.position + geom.hip_mount + fk_position(fr.legs[i].q, geom)
             worst = max(worst, np.max(np.abs(est.records[i].anchor - expect)))
 
-    swing = generate_gait(preset_plan("wheel_swing"))
+    _, swing, _ = stream("wheel_swing")
     worst_eff = 0.0
     prev = None
     for fr in swing.frames:

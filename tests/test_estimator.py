@@ -244,12 +244,11 @@ def test_yaw_held_when_imu_yaw_disabled():
     assert st.rpy[2] == 0.0
 
 
-def test_kinematics_only_heading_closes_turn():
+def test_kinematics_only_heading_closes_turn(stream):
     # with the IMU yaw channel disabled the contact-geometry heading carries
     # the whole rotation; the residual is reported, not asserted (unmodeled
     # compliance dominates it on hardware)
-    plan = preset_plan("turn_in_place")
-    res = generate_gait(plan)
+    plan, res, _ = stream("turn_in_place")
     cfg = EstimatorConfig(initial_position=[0, 0, plan.body_height],
                           imu_yaw_enabled=False)
     est = Estimator(cfg)

@@ -57,24 +57,21 @@ def test_swing_legs_unloaded():
         assert np.allclose(res.frames[k].legs[i].tau, 0.0)
 
 
-def test_stream_invariants():
-    plan = preset_plan("stair_loop")
-    res = generate_gait(plan)
+def test_stream_invariants(stream):
+    plan, res, _ = stream("stair_loop")
     stamps = [fr.stamp for fr in res.frames]
     assert all(b > a for a, b in zip(stamps, stamps[1:]))
     assert all(len(fr.legs) == len(plan.legs) for fr in res.frames)
     assert len(res.frames) == len(res.truth) == res.contacts.shape[0]
 
 
-def test_closed_loop_truth_closure_zero():
-    plan = preset_plan("flat_loop")
-    res = generate_gait(plan)
+def test_closed_loop_truth_closure_zero(stream):
+    _, res, _ = stream("flat_loop")
     assert np.allclose(res.truth[0].position, res.truth[-1].position, atol=1e-12)
 
 
-def test_stair_truth_net_elevation_zero():
-    plan = preset_plan("stair_loop")
-    res = generate_gait(plan)
+def test_stair_truth_net_elevation_zero(stream):
+    _, res, _ = stream("stair_loop")
     assert abs(res.truth[-1].position[2] - res.truth[0].position[2]) <= 1e-12
 
 

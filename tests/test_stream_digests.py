@@ -34,10 +34,12 @@ def test_compare_names_only_differing_keys_with_their_state_difference(tmp_path)
     _csv(work / "c.csv", [row, row])
     other.write_text(json.dumps({"a.log": "same", "a.replay_csv": "old-a",
                                  "b.replay_csv": "same-b", "c.replay_csv": "old-c",
-                                 "gone.log": "x"}))
+                                 "gone.log": "x", "written_by": "numpy 0.0"}))
     mine = {"a.log": "same", "a.replay_csv": "new-a", "b.replay_csv": "same-b",
             "c.replay_csv": "new-c"}
-    lines = sd.compare(mine, str(work), str(other))
+    theirs, by = sd.load(str(other))
+    assert by == "numpy 0.0"
+    lines = sd.compare(mine, str(work), theirs, str(replays))
     assert lines[0] == "a.replay_csv: old-a -> new-a  max |state diff| 4.44e-16"
     # another row count reads as an infinite difference
     assert lines[1] == "c.replay_csv: old-c -> new-c  max |state diff| inf"
@@ -49,4 +51,6 @@ def test_identical_digests_give_one_summary_line(tmp_path):
     digests = {"a.log": "1", "a.replay_csv": "2"}
     other = tmp_path / "other.json"
     other.write_text(json.dumps(digests))
-    assert sd.compare(digests, str(tmp_path), str(other)) == ["0 of 2 keys differ"]
+    theirs, by = sd.load(str(other))
+    assert by is None  # a file written before --out named its writer
+    assert sd.compare(digests, str(tmp_path), theirs, str(tmp_path)) == ["0 of 2 keys differ"]
