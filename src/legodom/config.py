@@ -1,7 +1,7 @@
 """Estimator configuration: dataclass, validation, and the flat key-value
 file format used by the CLI."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,9 +78,6 @@ class EstimatorConfig:
             raise ConfigError("wheel.heading_eps must be > 0")
         if self.sigma_min <= 0:
             raise ConfigError("contact.sigma_min must be > 0")
-
-    def with_updates(self, **kwargs):
-        return replace(self, **kwargs)
 
 
 # config file key -> (attribute, parser)

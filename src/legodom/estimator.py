@@ -107,6 +107,9 @@ class Estimator:
         for name, values in (("att", frame.att.tolist()), ("gyro", gyro)):
             if not all(map(math.isfinite, values)):
                 raise ValueError("frame %s %r is not finite" % (name, values))
+        for wr in frame.wheels or ():
+            if wr is not None and not (math.isfinite(wr.psi) and math.isfinite(wr.dpsi)):
+                raise ValueError("frame wheel reading %r is not finite" % (wr,))
         if self.state.stamp is not None and t <= self.state.stamp:
             raise ValueError("frame stamp %r not after state stamp %r"
                              % (t, self.state.stamp))

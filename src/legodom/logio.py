@@ -1,4 +1,4 @@
-"""Sensor-log (JSON lines), trajectory (CSV), and diagnostics IO.
+"""Sensor-log (JSON lines) and trajectory (CSV) IO.
 
 One frame per log line:
   {"t": s, "att": [w,x,y,z], "gyro": [gx,gy,gz],
@@ -17,6 +17,7 @@ from .estimator import BodyState, SensorFrame
 from .geometry import JointReading, WheelReading
 
 TRAJ_COLUMNS = ("t", "x", "y", "z", "roll", "pitch", "yaw", "vx", "vy", "vz")
+TRAJ_HEADER = ",".join(TRAJ_COLUMNS) + "\n"
 
 
 class LogParseError(Exception):
@@ -63,15 +64,15 @@ def frame_from_dict(d):
             for name in JointReading._fields:
                 _vector(leg[name], 3, "legs[%d].%s" % (i, name))
         joints = np.empty((3, 0, 3))  # every field held three numbers: no legs
-    wheels = []
-    has_wheel = False
-    for leg in legs:
+    wheels = [None] * len(legs)
+    for i, leg in enumerate(legs):
         if "wheel" in leg:
-            wheels.append(WheelReading(float(leg["wheel"]["psi"]),
-                                       float(leg["wheel"]["dpsi"])))
-            has_wheel = True
-        else:
-            wheels.append(None)
+            psi, dpsi = float(leg["wheel"]["psi"]), float(leg["wheel"]["dpsi"])
+            # a non-finite wheel reading would turn every later state non-finite
+            if not (math.isfinite(psi) and math.isfinite(dpsi)):
+                raise ValueError("legs[%d].wheel.%s must be finite, got %r" % (
+                    (i, "psi", psi) if not math.isfinite(psi) else (i, "dpsi", dpsi)))
+            wheels[i] = WheelReading(psi, dpsi)
     t = float(d["t"])
     if not np.isfinite(t):
         raise ValueError("t must be finite, got %r" % t)
@@ -84,7 +85,7 @@ def frame_from_dict(d):
     # a zero quaternion has no attitude; any other is normalised on use
     if not att.any():
         raise ValueError("att must have a nonzero norm, got %s" % att.tolist())
-    return SensorFrame(t, att, gyro, joints, wheels if has_wheel else None)
+    return SensorFrame(t, att, gyro, joints, wheels if any(wheels) else None)
 
 
 def write_frames(path, frames):
@@ -93,9 +94,10 @@ def write_frames(path, frames):
             fh.write(json.dumps(frame_to_dict(fr)) + "\n")
 
 
-def read_frames(path, n_legs=None):
-    """The frames of a log; a frame with other than n_legs legs, if given, is an error."""
-    frames = []
+def iter_frames(path, n_legs=None):
+    """The frames of a log, parsed one line at a time as they are taken; a
+    frame with other than n_legs legs, if given, is an error."""
+    stamp = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -111,22 +113,27 @@ def read_frames(path, n_legs=None):
                                     % (frame.joints.shape[1], n_legs))
             # a replay steps the frames in order, and Estimator.step rejects
             # a stamp that does not increase
-            if frames and not frame.stamp > frames[-1].stamp:
+            if stamp is not None and not frame.stamp > stamp:
                 raise LogParseError(lineno, "stamp %r not after the previous stamp %r"
-                                    % (frame.stamp, frames[-1].stamp))
-            frames.append(frame)
-    return frames
+                                    % (frame.stamp, stamp))
+            stamp = frame.stamp
+            yield frame
 
 
-def state_to_row(state: BodyState):
-    return (state.stamp, *state.position, *state.rpy, *state.velocity)
+def read_frames(path, n_legs=None):
+    return list(iter_frames(path, n_legs))
+
+
+def trajectory_line(state: BodyState):
+    """The CSV row of a state, with its newline."""
+    return ",".join(repr(float(v)) for v in (state.stamp, *state.position, *state.rpy,
+                                             *state.velocity)) + "\n"
 
 
 def write_trajectory(path, states):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(TRAJ_COLUMNS) + "\n")
-        for st in states:
-            fh.write(",".join(repr(float(v)) for v in state_to_row(st)) + "\n")
+        fh.write(TRAJ_HEADER)
+        fh.writelines(map(trajectory_line, states))
 
 
 def read_trajectory(path):
@@ -156,12 +163,6 @@ def read_trajectory(path):
     return np.array(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
 
 
-def write_diagnostics(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
-
-
-__all__ = ["LogParseError", "TRAJ_COLUMNS", "frame_to_dict", "frame_from_dict",
-           "write_frames", "read_frames", "write_trajectory", "read_trajectory",
-           "write_diagnostics", "state_to_row"]
+__all__ = ["LogParseError", "TRAJ_COLUMNS", "TRAJ_HEADER", "frame_to_dict",
+           "frame_from_dict", "write_frames", "iter_frames", "read_frames",
+           "write_trajectory", "read_trajectory", "trajectory_line"]

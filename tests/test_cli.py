@@ -1,8 +1,10 @@
 import json
+import weakref
 
 import pytest
 
-from legodom.cli import main
+from legodom import Estimator
+from legodom.cli import BLOCK, main
 from legodom.logio import read_trajectory
 
 
@@ -139,6 +141,102 @@ def test_zero_norm_attitude_exit_2(sim_log, capsys):
         assert main(_load_cmd(command, d, bad)) == 2
         err = capsys.readouterr().err
         assert "line 7:" in err and "att must have a nonzero norm" in err
+
+
+@pytest.fixture(scope="module")
+def wheel_log(tmp_path_factory):
+    d = tmp_path_factory.mktemp("wheel")
+    plan = d / "plan.txt"
+    plan.write_text("preset = wheel_roll\nduration = 1.0\n")
+    log = d / "roll.jsonl"
+    assert main(["simulate", "--plan", str(plan), "--out", str(log)]) == 0
+    return d, log
+
+
+@pytest.mark.parametrize("field", ["psi", "dpsi"])
+def test_non_finite_wheel_reading_exit_2(wheel_log, capsys, field):
+    # one NaN psi on line 201 of a wheel log used to turn most later rows
+    # of the trajectory non-finite, with exit 0
+    d, log = wheel_log
+    lines = log.read_text().splitlines()
+    bad = d / "nan_wheel.jsonl"
+    for value in (float("nan"), float("inf")):
+        rec = json.loads(lines[200])
+        rec["legs"][1]["wheel"][field] = value
+        bad.write_text("\n".join(lines[:200] + [json.dumps(rec)] + lines[201:]) + "\n")
+        for command in LOADING_COMMANDS:
+            assert main(_load_cmd(command, d, bad)) == 2
+            err = capsys.readouterr().err
+            assert "line 201:" in err and "legs[1].wheel.%s must be finite" % field in err
+
+
+@pytest.fixture(scope="module")
+def long_log(tmp_path_factory):
+    """A standing log of more than three blocks of frames."""
+    d = tmp_path_factory.mktemp("long")
+    plan = d / "plan.txt"
+    plan.write_text("preset = standing\nduration = 3.2\n")
+    log = d / "stand.jsonl"
+    assert main(["simulate", "--plan", str(plan), "--out", str(log)]) == 0
+    assert len(log.read_text().splitlines()) > 3 * BLOCK
+    return d, log
+
+
+def test_failed_replay_leaves_its_outputs_as_they_were(long_log, capsys):
+    # the bad line comes after the first block has been stepped and written
+    d, log = long_log
+    lines = log.read_text().splitlines()
+    lines[299] = lines[299][:10]
+    bad = d / "bad_300.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = d / "bad_cfg.txt"
+    cfg.write_text("yaw.alpha0 = 99\n")
+    out = d / "x.csv"
+    diag = d / "x.csv.diag.jsonl"
+    for extra, code, where in (([], 2, "line 300"), (["--config", str(cfg)], 3, "config")):
+        for out_exists in (True, False):
+            for path in (out, diag):
+                if out_exists:
+                    path.write_bytes(b"before " + path.name.encode())
+                elif path.exists():
+                    path.unlink()
+            assert main(_load_cmd("replay", d, bad, *extra)) == code
+            assert where in capsys.readouterr().err
+            for path in (out, diag):
+                if out_exists:
+                    assert path.read_bytes() == b"before " + path.name.encode()
+                else:
+                    assert not path.exists()
+            assert not list(d.glob("*.part"))
+
+
+def test_replay_to_an_output_that_cannot_be_written_exits_2(sim_log, tmp_path, capsys):
+    _, log, _ = sim_log
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["replay", "--log", str(log), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_replay_and_inspect_hold_at_most_a_block_of_frames(long_log, monkeypatch):
+    d, log = long_log
+    n = len(log.read_text().splitlines())
+    step = Estimator.step
+    alive = weakref.WeakValueDictionary()  # by id: a SensorFrame is unhashable
+    seen = []
+
+    def spy(self, frame):
+        alive[id(frame)] = frame
+        seen.append(len(alive))
+        return step(self, frame)
+
+    monkeypatch.setattr(Estimator, "step", spy)
+    for command in LOADING_COMMANDS:
+        seen.clear()
+        assert main(_load_cmd(command, d, log)) == 0
+        assert len(seen) == n
+        assert max(seen) <= BLOCK + 1, command
 
 
 def test_leg_count_mismatch_exit_2(sim_log, capsys):

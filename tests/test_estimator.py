@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from legodom import (Estimator, EstimatorConfig, SensorFrame,
+from legodom import (Estimator, EstimatorConfig, SensorFrame, WheelReading,
                      create, diagnostics, generate_gait, kernels, preset_plan,
                      quat_to_rpy, rpy_to_quat, step, wrap_angle)
 from legodom.ikvel import CKF_MEASUREMENT_SKIPPED
@@ -88,6 +88,34 @@ def test_non_finite_attitude_or_rate_rejected_before_the_state(field, k, value):
                       frames[10].joints)
     getattr(bad, field)[k] = value
     with pytest.raises(ValueError, match="%s .* not finite" % field):
+        est.step(bad)
+    assert est.state.stamp == before.stamp
+    for name in ("position", "rpy", "velocity"):
+        assert np.array_equal(getattr(est.state, name), getattr(before, name))
+    assert est.diagnostics() == diag
+    states = [est.step(fr) for fr in frames[10:]]
+    assert all(np.isfinite(np.concatenate([st.position, st.rpy, st.velocity])).all()
+               for st in states)
+
+
+@pytest.mark.parametrize("field", ["psi", "dpsi"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_wheel_reading_rejected_before_the_state(field, value):
+    # one NaN psi or dpsi on a wheel_roll frame used to make most later
+    # states non-finite, with no error
+    plan = preset_plan("wheel_roll")
+    plan.duration = 0.2
+    frames = generate_gait(plan).frames
+    est = Estimator(EstimatorConfig(legs=plan.legs,
+                                    initial_position=[0, 0, plan.body_height]))
+    for fr in frames[:10]:
+        est.step(fr)
+    before, diag = est.state.copy(), est.diagnostics()
+    wheels = [WheelReading(w.psi, w.dpsi) for w in frames[10].wheels]
+    setattr(wheels[2], field, value)
+    bad = SensorFrame(frames[10].stamp, frames[10].att, frames[10].gyro,
+                      frames[10].joints, wheels)
+    with pytest.raises(ValueError, match="wheel .* not finite"):
         est.step(bad)
     assert est.state.stamp == before.stamp
     for name in ("position", "rpy", "velocity"):

@@ -11,10 +11,10 @@ the file in the same commit:
 The preset streams come from the session stream cache and are written with
 the calls `legodom simulate --preset` makes; the workload streams go through
 `legodom simulate --plan`. Each stream is replayed through `legodom replay`,
-except the two long trot presets in UNREPLAYED: their replays would add 6 to
-9 s to the test's 13 s, so their `replay_csv` and `replay_diag` keys stay
-with the script, as do the seed 1 and 2 workload keys. Their log and truth
-keys are checked here.
+except the two long trot presets in UNREPLAYED: their 26,282 frames of
+replay would nearly double the test's time, so their `replay_csv` and
+`replay_diag` keys stay with the script, as do the seed 1 and 2 workload
+keys. Their log and truth keys are checked here.
 """
 
 import os
