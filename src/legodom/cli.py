@@ -1,10 +1,11 @@
 """Command-line front end: replay logs through the estimator, run the
 simulator presets, compute closure metrics, and inspect diagnostics.
 
-Exit codes: 0 ok; 2 log parse error, a replay output that cannot be written,
-or a trajectory that `metrics` cannot read or measure to finite numbers (its
-output is strict JSON); 3 config or plan error. Every message is one line,
-and a parse error names the line.
+Exit codes: 0 ok; 2 log parse error, a replay or simulate output that cannot
+be written (every output is then left as it was), or a trajectory that
+`metrics` cannot read or measure to finite numbers (its output is strict
+JSON); 3 config or plan error. Every message is one line, and a parse error
+names the line.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from itertools import islice
 from .config import ConfigError, EstimatorConfig, load_config
 from .estimator import Estimator
 from .gait import PRESETS, InfeasiblePlan, degrade, generate_gait, preset_plan
-from .logio import (TRAJ_HEADER, LogParseError, iter_frames, read_trajectory,
+from .logio import (TRAJ_HEADER, LogParseError, encode_json, iter_frames, read_trajectory,
                     trajectory_line, write_frames, write_trajectory)
 from .metrics import compute_metrics
 from .planfile import load_plan
@@ -51,44 +52,52 @@ def _stream(args, write=lambda steps: None):
         write([(est.step(fr), est.diagnostics()) for fr in block])
 
 
-def cmd_replay(args):
-    """Stream the log to OUT and OUT.diag.jsonl through part files beside
-    them, renamed onto them on success: a failure leaves both as they were."""
-    outs = (args.out, args.out + ".diag.jsonl")
+def _write_through_parts(outs, write):
+    """Call write with a part-file path beside each output, and rename the
+    parts onto the outputs unless it returns an exit code: a failure leaves
+    them as they were, and an output that cannot be written exits 2."""
     parts = [out + ".part" for out in outs]
     try:
-        with open(parts[0], "w", encoding="utf-8") as csv, \
-                open(parts[1], "w", encoding="utf-8") as diag:
-            csv.write(TRAJ_HEADER)
-
-            def write(steps):
-                csv.write("".join(trajectory_line(st) for st, _ in steps))
-                diag.write("".join(json.dumps(rec) + "\n" for _, rec in steps))
-
-            code, _, count = _stream(args, write)
-        if code:
-            return code
-        for part, out in zip(parts, outs):
-            os.replace(part, out)
+        code = write(*parts)
+        if not code:
+            for part, out in zip(parts, outs):
+                os.replace(part, out)
+        return code
     except OSError as exc:
         print("cannot write output: %s" % exc, file=sys.stderr)
         return 2
     finally:
         for part in filter(os.path.exists, parts):
             os.remove(part)
-    if not count:
+
+
+def cmd_replay(args):
+    """Stream the log to OUT and OUT.diag.jsonl."""
+    count = 0
+
+    def write(csv_part, diag_part):
+        nonlocal count
+        with open(csv_part, "w", encoding="utf-8") as csv, \
+                open(diag_part, "w", encoding="utf-8") as diag:
+            csv.write(TRAJ_HEADER)
+
+            def write_block(steps):
+                csv.write("".join([trajectory_line(st) for st, _ in steps]))
+                diag.write("".join([encode_json(rec) + "\n" for _, rec in steps]))
+            code, _, count = _stream(args, write_block)
+        return code
+
+    code = _write_through_parts((args.out, args.out + ".diag.jsonl"), write)
+    if not code and not count:
         print("warning: empty log, wrote empty trajectory", file=sys.stderr)
-    else:
+    elif not code:
         print("replayed %d frames -> %s" % (count, args.out))
-    return 0
+    return code
 
 
 def cmd_simulate(args):
     try:
-        if args.plan:
-            plan = load_plan(args.plan)
-        else:
-            plan = preset_plan(args.preset)
+        plan = load_plan(args.plan) if args.plan else preset_plan(args.preset)
         # a plan that parses can still be infeasible or fail the generator's
         # own checks (a step period that is no whole number of frames)
         result = generate_gait(plan)
@@ -99,9 +108,15 @@ def cmd_simulate(args):
     if plan.imperfections:
         frames = degrade(frames, plan.imperfections, seed=args.seed,
                          contacts=result.contacts, legs=plan.legs)
-    write_frames(args.out, frames)
-    if args.ground_truth:
-        write_trajectory(args.ground_truth, result.truth)
+
+    def write(log_part, truth_part=None):
+        write_frames(log_part, frames)
+        if truth_part:
+            write_trajectory(truth_part, result.truth)
+
+    if _write_through_parts([args.out] + ([args.ground_truth] if args.ground_truth else []),
+                            write):
+        return 2
     print("simulated %d frames -> %s" % (len(frames), args.out))
     return 0
 

@@ -57,7 +57,8 @@ def correct_height(z_raw, planes, now, match_window, fade_time, decay_scale=1.0,
     if best is not None:
         dz = 0.0 if best_d <= match_window / 10.0 else z_raw - best.height
         z = z_raw - dz
-        best.weight = best.weight * np.exp(-(now - best.last_update) / (decay_scale * fade_time)) + 1.0
+        decay = float(np.exp(-(now - best.last_update) / (decay_scale * fade_time)))
+        best.weight = best.weight * decay + 1.0
         best.last_update = now
         return z, planes
 

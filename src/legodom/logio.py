@@ -4,12 +4,16 @@ One frame per log line:
   {"t": s, "att": [w,x,y,z], "gyro": [gx,gy,gz],
    "legs": [{"q": [3], "dq": [3], "tau": [3], "wheel": {"psi": r, "dpsi": r}?}, ...]}
 A parsed frame holds every leg's q, dq and tau in one (3, L, 3) array,
-`SensorFrame.joints`. Numbers are serialized with full double precision so
-write-then-read is the identity and repeated runs are byte-identical.
+`SensorFrame.joints`. A well-formed line is one float array [t, *att, *gyro,
+*joints], with att, gyro and joints views into it; any other is parsed
+field by field, to name its first bad field. `encode_json` (`json.dumps`
+less its circular check) keeps full double precision, so write-then-read is
+the identity and repeated runs are byte-identical.
 """
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +22,8 @@ from .geometry import JointReading, WheelReading
 
 TRAJ_COLUMNS = ("t", "x", "y", "z", "roll", "pitch", "yaw", "vx", "vy", "vz")
 TRAJ_HEADER = ",".join(TRAJ_COLUMNS) + "\n"
+encode_json = json.JSONEncoder(check_circular=False).encode
+_LISTS = {list, tuple}
 
 
 class LogParseError(Exception):
@@ -40,8 +46,7 @@ def frame_to_dict(frame: SensorFrame):
 
 
 def _vector(value, size, field):
-    """value as a float array of shape (size,); a ValueError naming the field
-    otherwise."""
+    """value as a float array of shape (size,), else a ValueError naming the field."""
     try:
         a = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -51,8 +56,32 @@ def _vector(value, size, field):
     return a
 
 
+def _wheels(legs):
+    wheels = [None] * len(legs)
+    for i, leg in enumerate(legs):
+        if "wheel" in leg:
+            psi, dpsi = float(leg["wheel"]["psi"]), float(leg["wheel"]["dpsi"])
+            # a non-finite wheel reading would turn every later state non-finite
+            if not (math.isfinite(psi) and math.isfinite(dpsi)):
+                raise ValueError("legs[%d].wheel.%s must be finite, got %r" % (
+                    (i, "psi", psi) if not math.isfinite(psi) else (i, "dpsi", dpsi)))
+            wheels[i] = WheelReading(psi, dpsi)
+    return wheels if any(wheels) else None
+
+
 def frame_from_dict(d):
     legs = d["legs"]
+    try:  # one conversion of a well-formed line ("123" has three characters)
+        t, att, gyro = d["t"], d["att"], d["gyro"]
+        rows = [leg[name] for name in JointReading._fields for leg in legs]
+        if (type(att) in _LISTS and type(gyro) in _LISTS and len(att) == 4 and len(gyro) == 3
+                and set(map(type, rows)) <= _LISTS and set(map(len, rows)) <= {3}
+                and math.isfinite(t + sum(att) + sum(gyro)) and any(att)):
+            flat = np.fromiter(chain((t,), att, gyro, *rows), float, 8 + 3 * len(rows))
+            return SensorFrame(float(t), flat[1:5], flat[5:8],
+                               flat[8:].reshape(3, len(legs), 3), _wheels(legs))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass  # field by field below, in order, to name the first bad field
     try:
         joints = np.array([[leg[name] for leg in legs] for name in JointReading._fields],
                           dtype=float)
@@ -64,15 +93,7 @@ def frame_from_dict(d):
             for name in JointReading._fields:
                 _vector(leg[name], 3, "legs[%d].%s" % (i, name))
         joints = np.empty((3, 0, 3))  # every field held three numbers: no legs
-    wheels = [None] * len(legs)
-    for i, leg in enumerate(legs):
-        if "wheel" in leg:
-            psi, dpsi = float(leg["wheel"]["psi"]), float(leg["wheel"]["dpsi"])
-            # a non-finite wheel reading would turn every later state non-finite
-            if not (math.isfinite(psi) and math.isfinite(dpsi)):
-                raise ValueError("legs[%d].wheel.%s must be finite, got %r" % (
-                    (i, "psi", psi) if not math.isfinite(psi) else (i, "dpsi", dpsi)))
-            wheels[i] = WheelReading(psi, dpsi)
+    wheels = _wheels(legs)
     t = float(d["t"])
     if not np.isfinite(t):
         raise ValueError("t must be finite, got %r" % t)
@@ -85,13 +106,12 @@ def frame_from_dict(d):
     # a zero quaternion has no attitude; any other is normalised on use
     if not att.any():
         raise ValueError("att must have a nonzero norm, got %s" % att.tolist())
-    return SensorFrame(t, att, gyro, joints, wheels if any(wheels) else None)
+    return SensorFrame(t, att, gyro, joints, wheels)
 
 
 def write_frames(path, frames):
     with open(path, "w", encoding="utf-8") as fh:
-        for fr in frames:
-            fh.write(json.dumps(frame_to_dict(fr)) + "\n")
+        fh.writelines(encode_json(frame_to_dict(fr)) + "\n" for fr in frames)
 
 
 def iter_frames(path, n_legs=None):
@@ -105,8 +125,7 @@ def iter_frames(path, n_legs=None):
                 continue
             try:
                 frame = frame_from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise LogParseError(lineno, str(exc))
             if n_legs is not None and frame.joints.shape[1] != n_legs:
                 raise LogParseError(lineno, "frame has %d legs, config has %d"
@@ -126,8 +145,8 @@ def read_frames(path, n_legs=None):
 
 def trajectory_line(state: BodyState):
     """The CSV row of a state, with its newline."""
-    return ",".join(repr(float(v)) for v in (state.stamp, *state.position, *state.rpy,
-                                             *state.velocity)) + "\n"
+    return ",".join(map(repr, [float(state.stamp), *state.position.tolist(),
+                               *state.rpy.tolist(), *state.velocity.tolist()])) + "\n"
 
 
 def write_trajectory(path, states):
@@ -163,6 +182,6 @@ def read_trajectory(path):
     return np.array(rows, dtype=float).reshape(-1, len(TRAJ_COLUMNS))
 
 
-__all__ = ["LogParseError", "TRAJ_COLUMNS", "TRAJ_HEADER", "frame_to_dict",
+__all__ = ["LogParseError", "TRAJ_COLUMNS", "TRAJ_HEADER", "encode_json", "frame_to_dict",
            "frame_from_dict", "write_frames", "iter_frames", "read_frames",
            "write_trajectory", "read_trajectory", "trajectory_line"]

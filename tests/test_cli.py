@@ -219,6 +219,33 @@ def test_replay_to_an_output_that_cannot_be_written_exits_2(sim_log, tmp_path, c
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("missing", ["log", "ground_truth"])
+def test_simulate_to_an_output_that_cannot_be_written_exits_2(tmp_path, capsys, missing):
+    # each used to end in a FileNotFoundError traceback, and an unwritable
+    # ground truth only after the log had been written
+    outs = {"log": tmp_path / "x.jsonl", "ground_truth": tmp_path / "x_gt.csv"}
+    outs[missing] = tmp_path / "missing" / outs[missing].name
+    assert main(["simulate", "--preset", "standing", "--out", str(outs["log"]),
+                 "--ground-truth", str(outs["ground_truth"])]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("cannot write output: ") and captured.err.count("\n") == 1
+    assert "missing" in captured.err and captured.out == ""
+    assert not outs[missing].parent.exists()
+    assert not list(tmp_path.iterdir())  # no log, ground truth or part file
+
+
+def test_simulate_leaves_its_outputs_as_they_were_on_failure(tmp_path, capsys):
+    log, gt = tmp_path / "x.jsonl", tmp_path / "x_gt.csv"
+    log.write_bytes(b"before")
+    assert main(["simulate", "--preset", "standing", "--out", str(log),
+                 "--ground-truth", str(tmp_path / "missing" / "gt.csv")]) == 2
+    assert log.read_bytes() == b"before" and not gt.exists()
+    assert main(["simulate", "--preset", "standing", "--out", str(log),
+                 "--ground-truth", str(gt)]) == 0
+    assert log.read_bytes() != b"before" and gt.read_text().startswith("t,x,y,z,")
+    assert not list(tmp_path.glob("*.part"))
+
+
 def test_replay_and_inspect_hold_at_most_a_block_of_frames(long_log, monkeypatch):
     d, log = long_log
     n = len(log.read_text().splitlines())

@@ -304,6 +304,27 @@ def test_diagnostics_record_shape():
     json.dumps(d)  # serializable as a diagnostics line
 
 
+def test_diagnostics_records_hold_only_json_types(stream):
+    # a plane's weight used to be an np.float64
+    plan, res, _ = stream("stair_loop")
+    est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height]))
+    types, planes = set(), 0
+
+    def walk(value):
+        types.add(type(value))
+        for item in value.values() if type(value) is dict else (
+                value if type(value) is list else ()):
+            walk(item)
+
+    for fr in res.frames:
+        est.step(fr)
+        record = est.diagnostics()
+        planes += len(record["planes"])
+        walk(record)
+    assert planes > len(res.frames)  # the planes and their weights are in the records
+    assert types <= {int, float, str, list, dict, type(None)}, types
+
+
 def test_module_level_api():
     plan = preset_plan("standing")
     plan.duration = 0.05

@@ -2,8 +2,11 @@
 array, `SensorFrame.joints`, indexed by channel (q, dq, tau), leg and joint,
 from the log reader and the generator through degrade to the leg kernel."""
 
+import copy
+import random
 import re
 
+import logio_reference
 import numpy as np
 import pytest
 
@@ -125,3 +128,221 @@ def test_leg_kernel_reads_views_of_the_frame_joints(monkeypatch, ikvel):
         for channel, arg in enumerate(args):
             assert np.shares_memory(arg, fr.joints)
             assert np.array_equal(arg, fr.joints[channel])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _wheel_dict():
+    plan = preset_plan("wheel_roll")
+    plan.duration = 0.1
+    return frame_to_dict(generate_gait(plan).frames[0])
+
+
+def _set(path, value):
+    """A change to a frame dict: the item at path (a key or index
+    sequence) becomes value."""
+    def change(d):
+        for key in path[:-1]:
+            d = d[key]
+        d[path[-1]] = value
+    return change
+
+
+# the parser's reject set: each change to a good frame dict, and the
+# exception type and message it raises
+REJECTED = [
+    ("joint_str_of_3", _set(("legs", 1, "q"), "123"), ValueError,
+     "legs[1].q must hold 3 numbers, got shape ()"),
+    ("joint_str", _set(("legs", 1, "q"), "abc"), ValueError,
+     "legs[1].q: could not convert string to float: 'abc'"),
+    ("joint_bad_str_element", _set(("legs", 0, "tau"), [1.0, "x", 3.0]), ValueError,
+     "legs[0].tau: could not convert string to float: 'x'"),
+    ("joint_object", _set(("legs", 0, "q"), {"1": 0.0, "2": 0.0, "3": 0.0}), ValueError,
+     "legs[0].q: float() argument must be a string or a real number, not 'dict'"),
+    ("joint_set", _set(("legs", 2, "dq"), {1.0, 2.0, 3.0}), ValueError,
+     "legs[2].dq: float() argument must be a string or a real number, not 'set'"),
+    ("joint_2_then_4", lambda d: (_set(("legs", 0, "q"), [1.0, 2.0])(d),
+                                  _set(("legs", 0, "dq"), [1.0, 2.0, 3.0, 4.0])(d)),
+     ValueError, "legs[0].q must hold 3 numbers, got shape (2,)"),
+    ("joint_too_large", _set(("legs", 0, "q"), [10 ** 400, 0, 0]), OverflowError,
+     "int too large to convert to float"),
+    ("leg_not_an_object", _set(("legs", 1), [1.0, 2.0, 3.0]), TypeError,
+     "list indices must be integers or slices, not str"),
+    ("leg_a_number", _set(("legs", 1), 5), TypeError, "'int' object is not subscriptable"),
+    ("leg_missing_q", lambda d: d["legs"][2].pop("q"), KeyError, "'q'"),
+    ("att_5_values", _set(("att",), [1.0, 0.0, 0.0, 0.0, 0.0]), ValueError,
+     "att must hold 4 numbers, got shape (5,)"),
+    ("att_str_of_4", _set(("att",), "1234"), ValueError, "att must hold 4 numbers, got shape ()"),
+    ("att_object", _set(("att",), {"1": 1, "2": 0, "3": 0, "4": 0}), ValueError,
+     "att: float() argument must be a string or a real number, not 'dict'"),
+    ("att_set", _set(("att",), {1.0, 2.0, 3.0, 4.0}), ValueError,
+     "att: float() argument must be a string or a real number, not 'set'"),
+    ("gyro_set", _set(("gyro",), {1.0, 2.0, 3.0}), ValueError,
+     "gyro: float() argument must be a string or a real number, not 'set'"),
+    ("att_nested", _set(("att",), [[1.0, 0.0], [0.0, 0.0]]), ValueError,
+     "att must hold 4 numbers, got shape (2, 2)"),
+    ("att_null", _set(("att", 0), None), ValueError,
+     "att must be finite, got [nan, 0.0, 0.0, 0.0]"),
+    ("att_nan_str", _set(("att", 2), "nan"), ValueError,
+     "att must be finite, got [1.0, 0.0, nan, 0.0]"),
+    ("att_zero", _set(("att",), [0, 0.0, -0.0, False]), ValueError,
+     "att must have a nonzero norm, got [0.0, 0.0, -0.0, 0.0]"),
+    ("gyro_str", _set(("gyro",), "abc"), ValueError,
+     "gyro: could not convert string to float: 'abc'"),
+    ("gyro_str_of_3", _set(("gyro",), "123"), ValueError,
+     "gyro must hold 3 numbers, got shape ()"),
+    ("gyro_too_large", _set(("gyro", 0), 10 ** 400), OverflowError,
+     "int too large to convert to float"),
+    ("t_null", _set(("t",), None), TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    ("t_list", _set(("t",), [0.5]), TypeError,
+     "float() argument must be a string or a real number, not 'list'"),
+    ("t_missing", lambda d: d.pop("t"), KeyError, "'t'"),
+    ("wheel_not_an_object", _set(("legs", 1, "wheel"), [1.0, 2.0]), TypeError,
+     "list indices must be integers or slices, not str"),
+    ("wheel_null", _set(("legs", 2, "wheel", "dpsi"), None), TypeError,
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    # the first bad field in the order the parser checks them is named:
+    # joints, wheels, t, att, gyro, then finiteness and the attitude norm
+    ("joint_before_t", lambda d: (d.pop("t"), _set(("legs", 3, "dq"), "abc")(d)),
+     ValueError, "legs[3].dq: could not convert string to float: 'abc'"),
+    ("wheel_before_att", lambda d: (_set(("att",), [1.0])(d),
+                                    _set(("legs", 0, "wheel", "psi"), NAN)(d)),
+     ValueError, "legs[0].wheel.psi must be finite, got nan"),
+    ("gyro_shape_before_att_finite", lambda d: (_set(("att", 1), NAN)(d),
+                                                _set(("gyro",), [0.0])(d)),
+     ValueError, "gyro must hold 3 numbers, got shape (1,)"),
+]
+for _value in (NAN, INF, -INF):
+    REJECTED += [
+        ("t_%r" % _value, _set(("t",), _value), ValueError, "t must be finite, got %r" % _value),
+        ("att_%r" % _value, _set(("att", 3), _value), ValueError,
+         "att must be finite, got [1.0, 0.0, 0.0, %r]" % _value),
+        ("gyro_%r" % _value, _set(("gyro", 1), _value), ValueError,
+         "gyro must be finite, got [0.0, %r, 0.0]" % _value),
+        ("psi_%r" % _value, _set(("legs", 1, "wheel", "psi"), _value), ValueError,
+         "legs[1].wheel.psi must be finite, got %r" % _value),
+        ("dpsi_%r" % _value, _set(("legs", 3, "wheel", "dpsi"), _value), ValueError,
+         "legs[3].wheel.dpsi must be finite, got %r" % _value),
+    ]
+
+
+@pytest.mark.parametrize("change, error, message", [case[1:] for case in REJECTED],
+                         ids=[case[0] for case in REJECTED])
+def test_the_parser_rejects_with_the_message_that_names_the_field(change, error, message):
+    d = _wheel_dict()
+    change(d)
+    with pytest.raises(error) as exc:
+        frame_from_dict(d)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# the parser's accept set beyond plain lists of floats: each change, and the
+# (t, att, gyro, leg 0's q, dq and tau) it parses to
+ACCEPTED = [
+    ("null_numeric_str_true", _set(("legs", 0, "dq"), [None, "0.5", True]),
+     (0.0, [1.0, 0, 0, 0], [0.0] * 3, [[0.0, 0.8, -1.6], [NAN, 0.5, 1.0], None])),
+    ("joint_tuple", _set(("legs", 0, "tau"), (1, 2.5, -3)),
+     (0.0, [1.0, 0, 0, 0], [0.0] * 3, [[0.0, 0.8, -1.6], [0.0] * 3, [1.0, 2.5, -3.0]])),
+    ("joint_nan_inf", _set(("legs", 0, "q"), [NAN, INF, -INF]),
+     (0.0, [1.0, 0, 0, 0], [0.0] * 3, [[NAN, INF, -INF], [0.0] * 3, None])),
+    ("att_gyro_tuples", lambda d: (_set(("att",), (0, 0, 1, 0))(d), _set(("gyro",), (1, 2, 3))(d)),
+     (0.0, [0.0, 0, 1, 0], [1.0, 2.0, 3.0], [[0.0, 0.8, -1.6], [0.0] * 3, None])),
+    ("att_numeric_str_true", _set(("att",), ["0.5", True, " 0 ", 0]),
+     (0.0, [0.5, 1.0, 0.0, 0.0], [0.0] * 3, [[0.0, 0.8, -1.6], [0.0] * 3, None])),
+    ("t_numeric_str", _set(("t",), " 2.5 "),
+     (2.5, [1.0, 0, 0, 0], [0.0] * 3, [[0.0, 0.8, -1.6], [0.0] * 3, None])),
+    ("t_true_gyro_int", lambda d: (_set(("t",), True)(d), _set(("gyro",), [1, 0, -2])(d)),
+     (1.0, [1.0, 0, 0, 0], [1.0, 0.0, -2.0], [[0.0, 0.8, -1.6], [0.0] * 3, None])),
+    ("wheel_numeric_str", _set(("legs", 1, "wheel", "psi"), "1.5"),
+     (0.0, [1.0, 0, 0, 0], [0.0] * 3, [[0.0, 0.8, -1.6], [0.0] * 3, None])),
+]
+
+
+@pytest.mark.parametrize("change, parsed", [case[1:] for case in ACCEPTED],
+                         ids=[case[0] for case in ACCEPTED])
+def test_the_parser_accepts_what_float_converts(change, parsed):
+    d = _wheel_dict()
+    change(d)
+    fr = frame_from_dict(d)
+    t, att, gyro, leg0 = parsed
+    assert type(fr.stamp) is float and fr.stamp == t
+    for a in (fr.att, fr.gyro, fr.joints):
+        assert type(a) is np.ndarray and a.dtype == np.float64
+    assert fr.att.tolist() == att and fr.gyro.tolist() == gyro
+    assert fr.joints.shape == (3, 4, 3)
+    for channel, row in enumerate(leg0):
+        if row is not None:
+            np.testing.assert_array_equal(fr.joints[channel, 0], row)
+    assert [(w.psi, w.dpsi) for w in fr.wheels] == [
+        (float(leg["wheel"]["psi"]), float(leg["wheel"]["dpsi"])) for leg in d["legs"]]
+    assert all(type(w.psi) is type(w.dpsi) is float for w in fr.wheels)
+
+
+def test_a_frame_with_no_legs_parses():
+    d = _wheel_dict()
+    d["legs"] = []
+    fr = frame_from_dict(d)
+    assert fr.joints.shape == (3, 0, 3) and fr.joints.dtype == np.float64
+    assert fr.wheels is None and fr.legs == []
+    assert fr.att.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+# values a log line can hold in place of a field or an element of one
+_FUZZ_VALUES = [
+    None, True, False, 0, 1, -0.0, 1.5, NAN, INF, -INF, 10 ** 400, 1e308, "123", "abc",
+    "1.5", " 2 ", "nan", "", [], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5],
+    (1, 2, 3), (1, 0, 0, 0), [None, "0.5", True], [0, 0, 0, 0], [[1], 2, 3], {"a": 1},
+    {"1": 1, "2": 2, "3": 3}, {"psi": 1.0, "dpsi": 2.0}, [NAN, 0, 0], ["x", 0, 0],
+    [1e308, 1e308, 0, 0], [True, 0, 0, 0], ["1", 0, 0, 0], [10 ** 400, 0, 0]]
+
+
+def _fuzz_paths(d):
+    paths = [("t",), ("att",), ("gyro",), ("legs",)]
+    paths += [("att", k) for k in range(4)] + [("gyro", k) for k in range(3)]
+    for i, leg in enumerate(d["legs"] if isinstance(d.get("legs"), list) else ()):
+        paths.append(("legs", i))
+        if isinstance(leg, dict):
+            for name in ("q", "dq", "tau"):
+                paths += [("legs", i, name)] + [("legs", i, name, k) for k in range(3)]
+            if "wheel" in leg:
+                paths += [("legs", i, "wheel", key) for key in ("psi", "dpsi")]
+    return paths
+
+
+def _outcome(parse, d):
+    try:
+        fr = parse(copy.deepcopy(d))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (repr(fr.stamp), type(fr.stamp), fr.att.tobytes(), fr.gyro.tobytes(),
+            fr.joints.shape, fr.joints.tobytes(),
+            None if fr.wheels is None else [w and (repr(w.psi), repr(w.dpsi))
+                                            for w in fr.wheels])
+
+
+def test_the_parser_accepts_rejects_and_names_as_the_field_by_field_reference():
+    rng = random.Random(17)
+    bases = [frame_to_dict(generate_gait(_short(name)).frames[k])
+             for name in ("wheel_roll", "walk_line") for k in (0, -1)]
+    outcomes = set()
+    for _ in range(3000):
+        d = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            *parent, key = rng.choice(_fuzz_paths(d))
+            target = d
+            for k in parent:
+                target = target[k]
+            try:
+                if rng.random() < 0.85:
+                    target[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+                else:
+                    del target[key]
+            except (TypeError, IndexError, KeyError):
+                pass  # the path no longer leads anywhere
+        expected = _outcome(logio_reference.frame_from_dict, d)
+        assert _outcome(frame_from_dict, d) == expected, d
+        outcomes.add(expected[0] if isinstance(expected[0], type) else "parsed")
+    assert outcomes >= {"parsed", ValueError, TypeError, KeyError, OverflowError}
