@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .estimator import BodyState, SensorFrame
 from .geometry import (WheelReading, default_leg_geometries, cross3, rot_z,
-                       rpy_to_quat, quat_to_rpy, wrap_angle)
+                       rpy_to_quat, quat_to_rpy_columns, wrap_angle)
 
 GRAVITY = 9.81
 TROT_PAIR_A = (0, 3)  # front-left with rear-right
@@ -385,7 +385,7 @@ def _generate_trot(plan):
     rel = np.empty((n_frames, n_legs, 3))
     rel_rate = np.empty((n_frames, n_legs, 3))
     load = np.empty((n_frames, 3))
-    stamps, imu, truth = [], [], []
+    stamps, yaws, omegas, truth = [], [], [], []
     contacts = np.zeros((n_frames, n_legs), dtype=bool)
     half_prev = -1
     for k in range(n_frames):
@@ -436,12 +436,14 @@ def _generate_trot(plan):
 
         contacts[k, stance] = True
         stamps.append(t)
-        imu.append((rpy_to_quat(0.0, 0.0, yaw), omega))
+        yaws.append(yaw)
+        omegas.append(omega)
         truth.append(BodyState(pos, np.array([0.0, 0.0, yaw]), vel, t))
     # one (F, 3, L, 3) array; each frame's joints are a view into it
     joints = np.stack(_solve_legs(plan.legs, stamps, rel, rel_rate, load, contacts), axis=1)
-    frames = [SensorFrame(t, att, omega, joints[k])
-              for k, (t, (att, omega)) in enumerate(zip(stamps, imu))]
+    # (F, 4) and (F, 3) arrays; each frame's att and gyro are views into them
+    att = rpy_to_quat(0.0, 0.0, np.array(yaws)).T.copy()
+    frames = list(map(SensorFrame, stamps, att, np.array(omegas), joints))
     return GaitResult(frames, truth, contacts)
 
 
@@ -450,7 +452,8 @@ _STAND_Q = np.array([0.0, 0.8, -1.6])
 
 def _generate_static(plan):
     """stand / wheel_roll / wheel_swing / hop: the standing pose, closed-form
-    in time. Every channel is a column over all frames (F, ...)."""
+    in time. Every channel is a column over all frames (F, ...), wheel angles
+    wrapped too, and the frames and states hold row views into them."""
     dt = 1.0 / plan.rate_hz
     _check_frames(plan.duration / dt + 1)
     n_frames = int(round(plan.duration / dt)) + 1
@@ -493,17 +496,17 @@ def _generate_static(plan):
         tau[blk] = _stance_torques(J, load[blk], contacts[blk])
 
     joints = np.stack((q, dq, tau), axis=1)
-    att = rpy_to_quat(0.0, 0.0, 0.0)
-    frames, truth = [], []
-    for k, (tk, psi_k, dpsi_k) in enumerate(zip(t.tolist(), psi.tolist(), dpsi.tolist())):
-        wheels = None
-        if wheeled:
-            wheels = [None] * n_legs
+    att = np.tile(rpy_to_quat(0.0, 0.0, 0.0), (n_frames, 1))
+    gyro, rpy = np.zeros((n_frames, 3)), np.zeros((n_frames, 3))
+    wheels = [None] * n_frames
+    if wheeled:
+        wheels = [[None] * n_legs for _ in range(n_frames)]
+        for row, psi_k, dpsi_k in zip(wheels, wrap_angle(psi).tolist(), dpsi.tolist()):
             for i, a, b in zip(wheeled, psi_k, dpsi_k):
-                wheels[i] = WheelReading(wrap_angle(a), b)
-        frames.append(SensorFrame(tk, att.copy(), np.zeros(3), joints[k], wheels))
-        truth.append(BodyState(pos[k], np.zeros(3), vel[k], tk))
-    return GaitResult(frames, truth, contacts)
+                row[i] = WheelReading(a, b)
+    stamps = t.tolist()
+    return GaitResult(list(map(SensorFrame, stamps, att, gyro, joints, wheels)),
+                      list(map(BodyState, pos, rpy, vel, stamps)), contacts)
 
 
 def generate_gait(plan: GaitPlan) -> GaitResult:
@@ -536,15 +539,18 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
         perturbs that leg's sensed foot height by U(-a, a) for the first few
         stance frames (an impact transient); needs contacts and legs
 
-    The frames' joints are stacked once into an (F, 3, L, 3) array, so every
-    frame must have the same legs; each joint imperfection is a column
-    operation on that stack, and each output frame's joints are a view into
-    it. Deterministic for a given seed.
+    The frames' stamps, att, gyro and joints are read once into (F,), (F, 4),
+    (F, 3) and (F, 3, L, 3) arrays, so every frame must have the same legs.
+    Each imperfection but the wheel slip is a column pass over them (the yaw
+    drift bit-equal to quat_to_rpy and rpy_to_quat frame by frame), and each
+    output frame's att, gyro and joints are row views. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     if not frames:
         return []
-    joints = np.stack([fr.joints for fr in frames])
+    stamps = np.array([fr.stamp for fr in frames])
+    att, gyro = np.array([fr.att for fr in frames]), np.array([fr.gyro for fr in frames])
+    joints = np.array([fr.joints for fr in frames])
     q, dq = joints[:, 0], joints[:, 1]  # (F, L, 3) views into the stack
 
     noise_amp = float(imperfections.get("touchdown_height_noise", 0.0) or 0.0)
@@ -577,8 +583,7 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
     quantum = float(imperfections.get("encoder_quantum", 0.0) or 0.0)
     if quantum > 0.0:
         q[:] = np.floor(q / quantum) * quantum
-        dtf = np.diff([fr.stamp for fr in frames])
-        dq[1:] = (q[1:] - q[:-1]) / dtf[:, None, None]
+        dq[1:] = (q[1:] - q[:-1]) / np.diff(stamps)[:, None, None]
 
     spikes = imperfections.get("rate_spikes")
     if spikes:
@@ -590,21 +595,17 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
             dq[:] = np.where(hit, dq * gain, dq)
 
     drift = float(imperfections.get("yaw_drift", 0.0) or 0.0)
-    slip = float(imperfections.get("wheel_slip", 0.0) or 0.0)
-    t0 = frames[0].stamp
-    out = []
-    for fr, frame_joints in zip(frames, joints):
-        att = fr.att.copy()
-        if drift != 0.0:
-            rpy = quat_to_rpy(fr.att)
-            att = rpy_to_quat(rpy[0], rpy[1],
-                              wrap_angle(rpy[2] + drift * (fr.stamp - t0)))
-        wheels = None
-        if fr.wheels is not None:
-            wheels = [None if w is None else WheelReading(w.psi, w.dpsi * (1.0 + slip))
-                      for w in fr.wheels]
-        out.append(SensorFrame(fr.stamp, att, fr.gyro.copy(), frame_joints, wheels))
-    return out
+    if drift != 0.0:
+        # an overflowing drift gives NaN attitudes, silently, as on floats
+        with np.errstate(over="ignore", invalid="ignore"):
+            roll, pitch, yaw = quat_to_rpy_columns(att)
+            yaw = wrap_angle(yaw + drift * (stamps - stamps[0]))
+            att = rpy_to_quat(roll, pitch, yaw).T.copy()
+    scale = 1.0 + float(imperfections.get("wheel_slip", 0.0) or 0.0)
+    wheels = [None if fr.wheels is None else
+              [None if w is None else WheelReading(w.psi, w.dpsi * scale) for w in fr.wheels]
+              for fr in frames]
+    return list(map(SensorFrame, (fr.stamp for fr in frames), att, gyro, joints, wheels))
 
 
 __all__ = ["GaitPlan", "GaitResult", "StepTerrain", "InfeasiblePlan",

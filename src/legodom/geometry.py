@@ -67,14 +67,17 @@ class WheelReading:
 
 
 TWO_PI = 2.0 * np.pi
+_PI, _NDARRAY = np.pi, np.ndarray  # one global lookup each in wrap_angle
 
 
 def wrap_angle(a):
-    """Wrap a scalar angle to (-pi, pi]."""
+    """Wrap an angle to (-pi, pi]: a scalar to a float, an array elementwise,
+    bit-equal (np.remainder rounds as Python's float % does)."""
+    if type(a) is _NDARRAY:
+        w = a % TWO_PI
+        return w - TWO_PI * (w > _PI)
     w = float(a) % TWO_PI
-    if w > np.pi:
-        w -= TWO_PI
-    return w
+    return w - TWO_PI if w > _PI else w
 
 
 def cross3(a, b):
@@ -149,7 +152,8 @@ def rpy_matrix(roll, pitch, yaw):
 
 
 def rpy_to_quat(roll, pitch, yaw):
-    """Roll/pitch/yaw to quaternion [w, x, y, z]."""
+    """Roll/pitch/yaw to quaternion [w, x, y, z]: a (4,) array of floats, a
+    (4, ...) array of equal-shape columns."""
     cr, sr = np.cos(roll / 2), np.sin(roll / 2)
     cp, sp = np.cos(pitch / 2), np.sin(pitch / 2)
     cy, sy = np.cos(yaw / 2), np.sin(yaw / 2)
@@ -159,6 +163,15 @@ def rpy_to_quat(roll, pitch, yaw):
         cy * sp * cr + sy * cp * sr,
         sy * cp * cr - cy * sp * sr,
     ])
+
+
+def _rpy_entries(w, x, y, z, clip):
+    """Roll, pitch, yaw (ZYX) of a unit quaternion: floats, with clip bounding
+    a float to [-1, 1], or equal-shape columns with np.clip. numpy's arctan2
+    and arcsin round alike on both; math's differ in some values."""
+    return (np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y)),
+            np.arcsin(clip(2.0 * (w * y - z * x))),
+            np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
 
 
 def quat_to_rpy(q):
@@ -174,12 +187,20 @@ def quat_to_rpy(q):
         if n == 0.0:
             raise ValueError("attitude quaternion %r has zero norm" % ([w, x, y, z],))
         w, x, y, z = w / n, x / n, y / n, z / n
-    roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
-    sp = 2.0 * (w * y - z * x)
-    sp = min(1.0, max(-1.0, sp))
-    pitch = np.arcsin(sp)
-    yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-    return np.array([roll, pitch, yaw])
+    return np.array(_rpy_entries(w, x, y, z, lambda s: min(1.0, max(-1.0, s))))
+
+
+def quat_to_rpy_columns(att):
+    """quat_to_rpy of each row of an (F, 4) array, bit-equal, as (3, F) roll,
+    pitch and yaw columns. A row that is not finite or not of unit norm goes
+    through quat_to_rpy itself, which raises its ValueError on a zero row."""
+    w, x, y, z = att.T
+    unit = abs(w * w + x * x + y * y + z * z - 1.0) <= 1e-12
+    rpy = np.empty((3, len(att)))
+    rpy[:, unit] = _rpy_entries(*att[unit].T, lambda s: np.clip(s, -1.0, 1.0))
+    for k in np.flatnonzero(~unit):
+        rpy[:, k] = quat_to_rpy(att[k])
+    return rpy
 
 
 def default_leg_geometries(hip_offset=0.0955, thigh=0.213, calf=0.213,
@@ -199,7 +220,7 @@ def default_leg_geometries(hip_offset=0.0955, thigh=0.213, calf=0.213,
 
 
 __all__ = [
-    "LegGeometry", "JointReading", "WheelReading", "wrap_angle", "cross3",
-    "mat_vec", "mean3", "blend3", "rot_x", "rot_y", "rot_z", "rpy_rows",
-    "rpy_matrix", "rpy_to_quat", "quat_to_rpy", "default_leg_geometries",
+    "LegGeometry", "JointReading", "WheelReading", "wrap_angle", "cross3", "mat_vec",
+    "mean3", "blend3", "rot_x", "rot_y", "rot_z", "rpy_rows", "rpy_matrix", "rpy_to_quat",
+    "quat_to_rpy", "quat_to_rpy_columns", "default_leg_geometries",
 ]

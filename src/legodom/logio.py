@@ -125,7 +125,8 @@ def iter_frames(path, n_legs=None):
                 continue
             try:
                 frame = frame_from_dict(json.loads(line))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # RecursionError: a line nested deeper than the interpreter's limit
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise LogParseError(lineno, str(exc))
             if n_legs is not None and frame.joints.shape[1] != n_legs:
                 raise LogParseError(lineno, "frame has %d legs, config has %d"

@@ -1,4 +1,5 @@
-"""Frozen copy of the per-frame static generator that `legodom.gait` replaced.
+"""Frozen copies of the per-frame static generator and the per-frame `degrade`
+that `legodom.gait` replaced.
 
 `_generate_static` below is the stand / wheel_roll / wheel_swing / hop
 generator as it was before it became closed-form column arrays: it walks the
@@ -9,15 +10,56 @@ are kept verbatim so the closed-form generator is checked against an
 independent operation sequence.
 Do not edit them to follow the library; only the frame construction follows
 `SensorFrame`, whose joint readings are one (3, legs, 3) array.
+
+`degrade` is the degradation as it was before its attitude channel became
+one column pass: it stacks the joints for the joint imperfections, then
+walks the frames and applies the yaw drift to one frame at a time through
+the float forms of `quat_to_rpy`, `wrap_angle` and `rpy_to_quat`.
+`quat_to_rpy` and `wrap_angle` are frozen here too, as they were before the
+library's versions took columns.
 """
+
+import math
 
 import numpy as np
 
+from legodom import kernels
 from legodom.estimator import BodyState, SensorFrame
-from legodom.gait import GRAVITY, GaitResult
-from legodom.geometry import WheelReading, rpy_to_quat, wrap_angle
+from legodom.gait import GRAVITY, GaitResult, _leg_params
+from legodom.geometry import WheelReading, rpy_to_quat
 
 from kernels_reference import leg_coefficients, leg_kinematics
+
+TWO_PI = 2.0 * np.pi
+
+
+def wrap_angle(a):
+    """Wrap a scalar angle to (-pi, pi]."""
+    w = float(a) % TWO_PI
+    if w > np.pi:
+        w -= TWO_PI
+    return w
+
+
+def quat_to_rpy(q):
+    """Quaternion [w, x, y, z] to roll/pitch/yaw (ZYX convention).
+
+    A quaternion whose squared norm is off 1 by more than 1e-12 is divided by
+    its norm first; a zero quaternion, which has no attitude, raises
+    ValueError.
+    """
+    w, x, y, z = map(float, q)
+    if abs(w * w + x * x + y * y + z * z - 1.0) > 1e-12:
+        n = math.hypot(w, x, y, z)
+        if n == 0.0:
+            raise ValueError("attitude quaternion %r has zero norm" % ([w, x, y, z],))
+        w, x, y, z = w / n, x / n, y / n, z / n
+    roll = np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y))
+    sp = 2.0 * (w * y - z * x)
+    sp = min(1.0, max(-1.0, sp))
+    pitch = np.arcsin(sp)
+    yaw = np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+    return np.array([roll, pitch, yaw])
 
 # frames per block of the batched leg kinematics; bounds the transient
 # (slots, 12, legs, frames) term arrays to about a megabyte
@@ -110,3 +152,89 @@ def _generate_static(plan):
                           np.stack((q[k], dq[k], tau[k])), wheels)
               for k, (t, wheels) in enumerate(zip(stamps, wheel_lists))]
     return GaitResult(frames, truth, contacts)
+
+
+def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
+    """Overlay sensing imperfections on a clean stream (input left untouched;
+    the output shares no array with it).
+
+    imperfections keys (absent or zero = identity):
+      encoder_quantum: floor joint angles to this grid, then recompute joint
+        rates by differencing the quantized angles (first frame keeps its
+        original rates)
+      rate_spikes: (prob, gain) multiplicative spikes on individual joint rates
+      yaw_drift: rad/s integrated into the attitude yaw channel
+      wheel_slip: wheel rate channel scaled by (1 + slip)
+      touchdown_height_noise: amplitude a; each touchdown after stream start
+        perturbs that leg's sensed foot height by U(-a, a) for the first few
+        stance frames (an impact transient); needs contacts and legs
+
+    The frames' joints are stacked once into an (F, 3, L, 3) array, so every
+    frame must have the same legs; each joint imperfection is a column
+    operation on that stack, and each output frame's joints are a view into
+    it. Deterministic for a given seed.
+    """
+    rng = np.random.default_rng(seed)
+    if not frames:
+        return []
+    joints = np.stack([fr.joints for fr in frames])
+    q, dq = joints[:, 0], joints[:, 1]  # (F, L, 3) views into the stack
+
+    noise_amp = float(imperfections.get("touchdown_height_noise", 0.0) or 0.0)
+    if noise_amp > 0.0:
+        if contacts is None or legs is None:
+            raise ValueError("touchdown_height_noise needs contacts and legs")
+        n_transient = 3
+        contacts = np.asarray(contacts, dtype=bool)
+        hits = []  # (frame, leg, height offset) of each perturbed reading
+        for i in range(contacts.shape[1]):
+            col = contacts[:, i]
+            rises = np.flatnonzero(col[1:] & ~col[:-1]) + 1
+            for k0 in rises:
+                delta = rng.uniform(-noise_amp, noise_amp)
+                for k in range(k0, min(k0 + n_transient, len(frames))):
+                    if not col[k]:
+                        break
+                    hits.append((k, i, delta))
+        if hits:
+            ks, idx, dz = (np.array(c) for c in zip(*hits))
+            lh, lt, lc, rw, side, l2 = (p[idx] for p in _leg_params(legs))
+            q_hit = q[ks, idx]
+            coef = kernels.leg_coefficients(lh, lt, lc, rw, side)
+            foot = kernels.leg_kinematics(q_hit, np.zeros_like(q_hit), coef)[0]
+            *angles, viol = kernels.ik_joints_array(
+                foot[:, 0], foot[:, 1], foot[:, 2] + dz, lh, lt, l2, side)
+            ok = ~(viol > 1e-9)
+            q[ks[ok], idx[ok]] = np.stack(angles, axis=-1)[ok]
+
+    quantum = float(imperfections.get("encoder_quantum", 0.0) or 0.0)
+    if quantum > 0.0:
+        q[:] = np.floor(q / quantum) * quantum
+        dtf = np.diff([fr.stamp for fr in frames])
+        dq[1:] = (q[1:] - q[:-1]) / dtf[:, None, None]
+
+    spikes = imperfections.get("rate_spikes")
+    if spikes:
+        prob, gain = spikes
+        if prob > 0.0:
+            # drawn frame by frame, leg by leg, joint by joint: a seed's
+            # stream depends on this order
+            hit = rng.random(dq.shape) < prob
+            dq[:] = np.where(hit, dq * gain, dq)
+
+    drift = float(imperfections.get("yaw_drift", 0.0) or 0.0)
+    slip = float(imperfections.get("wheel_slip", 0.0) or 0.0)
+    t0 = frames[0].stamp
+    out = []
+    for fr, frame_joints in zip(frames, joints):
+        att = fr.att.copy()
+        if drift != 0.0:
+            rpy = quat_to_rpy(fr.att)
+            att = rpy_to_quat(rpy[0], rpy[1],
+                              wrap_angle(rpy[2] + drift * (fr.stamp - t0)))
+        wheels = None
+        if fr.wheels is not None:
+            wheels = [None if w is None else WheelReading(w.psi, w.dpsi * (1.0 + slip))
+                      for w in fr.wheels]
+        out.append(SensorFrame(fr.stamp, att, fr.gyro.copy(), frame_joints, wheels))
+    return out

@@ -210,6 +210,23 @@ def test_failed_replay_leaves_its_outputs_as_they_were(long_log, capsys):
             assert not list(d.glob("*.part"))
 
 
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_a_line_nested_past_the_recursion_limit_exits_2_naming_it(sim_log, tmp_path,
+                                                                   capsys, command):
+    # json.loads raises RecursionError on it, which used to end in a traceback
+    _, log, _ = sim_log
+    bad = tmp_path / "deep.jsonl"
+    bad.write_text(log.read_text().splitlines()[0] + "\n" + "[" * 100_000 + "\n")
+    out, diag = tmp_path / "x.csv", tmp_path / "x.csv.diag.jsonl"
+    for path in (out, diag):
+        path.write_bytes(b"before " + path.name.encode())
+    assert main(_load_cmd(command, tmp_path, bad)) == 2
+    assert "line 2" in capsys.readouterr().err
+    for path in (out, diag):
+        assert path.read_bytes() == b"before " + path.name.encode()
+    assert not list(tmp_path.glob("*.part"))
+
+
 def test_replay_to_an_output_that_cannot_be_written_exits_2(sim_log, tmp_path, capsys):
     _, log, _ = sim_log
     out = tmp_path / "missing" / "x.csv"

@@ -46,12 +46,21 @@ def test_joints_of_another_shape_raise_naming_the_shape(shape):
         SensorFrame(0.0, [1.0, 0.0, 0.0, 0.0], np.zeros(3), np.zeros(shape))
 
 
+def _assert_rows_of_one_array(frames):
+    """Every frame's att, gyro and joints are row views into one array of the
+    stream per channel."""
+    for channel in ("att", "gyro", "joints"):
+        base = getattr(frames[0], channel).base
+        assert base is not None, channel
+        assert all(getattr(fr, channel).base is base for fr in frames), channel
+        assert np.shares_memory(getattr(frames[-1], channel), base), channel
+
+
 def test_generated_frames_hold_one_joint_array():
     for name in ("walk_line", "standing", "wheel_roll"):
         frames = generate_gait(_short(name)).frames
         _assert_layout(frames)
-        # every frame is a view into one array of the stream
-        assert frames[0].joints.base is frames[-1].joints.base is not None
+        _assert_rows_of_one_array(frames)
 
 
 def test_parsed_and_degraded_frames_hold_one_joint_array():
@@ -61,6 +70,11 @@ def test_parsed_and_degraded_frames_hold_one_joint_array():
                                "touchdown_height_noise": 0.02, "yaw_drift": 0.01},
                   seed=1, contacts=res.contacts, legs=plan.legs)
     _assert_layout(out)
+    _assert_rows_of_one_array(out)
+    for name in ("standing", "wheel_roll"):
+        for imperfections in ({}, {"yaw_drift": 0.01, "wheel_slip": 0.02}):
+            _assert_rows_of_one_array(degrade(generate_gait(_short(name)).frames,
+                                              imperfections))
     parsed = [frame_from_dict(frame_to_dict(fr)) for fr in out]
     _assert_layout(parsed)
     assert all(np.array_equal(a.joints, b.joints) for a, b in zip(parsed, out))

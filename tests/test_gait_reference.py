@@ -1,11 +1,16 @@
-"""The closed-form static generator pinned bit for bit to the per-frame loop
-it replaced (`tests/gait_reference.py`)."""
+"""The closed-form static generator and the column `degrade` pinned bit for
+bit to the per-frame loops they replaced (`tests/gait_reference.py`)."""
+
+import re
 
 import numpy as np
 import pytest
 
 from legodom import gait
-from legodom.geometry import default_leg_geometries
+from legodom.estimator import SensorFrame
+from legodom.geometry import (default_leg_geometries, quat_to_rpy, quat_to_rpy_columns,
+                              rpy_to_quat, wrap_angle)
+from legodom.logio import frame_to_dict
 
 import gait_reference as ref
 
@@ -67,3 +72,74 @@ PLANS = dict(_plans())
 def test_static_generator_matches_the_frozen_frame_loop(name):
     plan = PLANS[name]
     assert_bit_equal(gait.generate_gait(plan), ref._generate_static(plan))
+
+
+# per seed, a yaw drift rate that wraps the yaw across +-pi several times in
+# each stream (the standing stream is 12 s long)
+DRIFTS = (1.7, -2.9, 4.4)
+# stair_loop is cut to its first frames, over the step and back, to bound the
+# cost of the frozen loop; the golden digests cover its whole stream
+STAIR_FRAMES = 4000
+
+
+def _with_att(frames, changes):
+    """frames, with the att of frame k replaced by att for each (k, att)."""
+    frames = list(frames)
+    for k, att in changes:
+        fr = frames[k]
+        frames[k] = SensorFrame(fr.stamp, att, fr.gyro, fr.joints, fr.wheels)
+    return frames
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("preset", ["standing", "wheel_roll", "stair_loop"])
+def test_degrade_matches_the_frozen_frame_loop(stream, preset, seed):
+    plan, res, frames = stream(preset)
+    n = STAIR_FRAMES if preset == "stair_loop" else len(frames)
+    # a quaternion of twice unit norm and a short one are normalised on use
+    frames = _with_att(frames[:n], [(5, 2.0 * frames[5].att),
+                                    (7, np.array([1e-3, 0.0, 0.0, 0.0]))])
+    imperfections = {"yaw_drift": DRIFTS[seed], "encoder_quantum": 1e-3,
+                     "rate_spikes": (0.05, 5.0), "wheel_slip": 0.03}
+    if preset == "stair_loop":
+        imperfections["touchdown_height_noise"] = 0.02
+    args = (frames, imperfections, seed, res.contacts[:n], plan.legs)
+    new, old = gait.degrade(*args), ref.degrade(*args)
+    assert [frame_to_dict(fr) for fr in new] == [frame_to_dict(fr) for fr in old]
+    # the drifted yaw wraps across +-pi several times
+    yaw = [quat_to_rpy(fr.att)[2] for fr in new]
+    assert np.sum(np.abs(np.diff(yaw)) > np.pi) >= 3
+
+
+@pytest.mark.parametrize("drift", [0.0, 0.3])
+def test_degrade_of_a_zero_quaternion_raises_only_with_drift(stream, drift):
+    _, _, frames = stream("standing")
+    frames = _with_att(frames[:20], [(9, np.zeros(4))])
+    if drift == 0.0:
+        new, old = gait.degrade(frames, {}), ref.degrade(frames, {})
+        assert new[9].att.tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert [frame_to_dict(fr) for fr in new] == [frame_to_dict(fr) for fr in old]
+        return
+    with pytest.raises(ValueError) as old:
+        ref.degrade(frames, {"yaw_drift": drift})
+    with pytest.raises(ValueError, match=re.escape(str(old.value))):
+        gait.degrade(frames, {"yaw_drift": drift})
+
+
+def test_float_and_column_forms_match_the_frozen_helpers():
+    rng = np.random.default_rng(7)
+    angles = np.concatenate([rng.uniform(-40.0, 40.0, 20_000), [0.0, -0.0, np.pi, -np.pi,
+                                                                 3 * np.pi, np.nan]])
+    frozen = [ref.wrap_angle(a) for a in angles.tolist()]
+    assert _bits([wrap_angle(a) for a in angles.tolist()]) == _bits(frozen)
+    assert _bits(wrap_angle(angles)) == _bits(frozen)
+    quats = rng.normal(size=(5_000, 4))
+    quats[::2] /= np.linalg.norm(quats[::2], axis=1)[:, None]
+    # at a pitch of +-pi/2 the pitch sine rounds past 1 in some rows, which
+    # the clip bounds; a row that is not finite takes the float path
+    gimbal = [rpy_to_quat(r, s * np.pi / 2, y)
+              for r, y in rng.uniform(-3.0, 3.0, (200, 2)) for s in (1, -1)]
+    quats = np.concatenate([quats, gimbal, [[np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 0.0]]])
+    frozen = [ref.quat_to_rpy(q) for q in quats]
+    assert _bits([quat_to_rpy(q) for q in quats]) == _bits(frozen)
+    assert _bits(quat_to_rpy_columns(quats).T) == _bits(frozen)
