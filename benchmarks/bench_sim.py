@@ -13,7 +13,7 @@ first 1,000 frames.
 
 A pass runs the four layers in order, each on the one before's output, for
 each workload in turn. Each figure is the median per-frame time over
---repeat passes at the reference speed of the replay benchmark's clock
+REPEAT passes at the reference speed of the replay benchmark's clock
 (`replaybench/refclock.py`), with BLAS pinned to one thread: a shared machine
 can switch between speeds, so the raw times of two processes need not
 compare. The best raw times are written too.
@@ -46,6 +46,7 @@ from refclock import RefClock  # noqa: E402
 from stream_digests import WORKLOADS, workload_plan  # noqa: E402
 
 SEED = 0  # seed of the plans and of the degradation
+REPEAT = 15  # timed passes over the workloads
 
 
 def parse_args(argv=None):
@@ -53,12 +54,7 @@ def parse_args(argv=None):
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="src directory of the checkout to measure")
     p.add_argument("--out", default=os.path.join(ROOT, "BENCH_sim.json"))
-    p.add_argument("--repeat", type=int, default=15,
-                   help="timed passes over the workloads (at least 1)")
-    args = p.parse_args(argv)
-    if args.repeat < 1:
-        p.error("--repeat must be at least 1")
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv=None):
@@ -76,7 +72,7 @@ def main(argv=None):
         at_ref = {name: {} for name in plans}
         raw = {name: {} for name in plans}
         frames_of = {}
-        for _ in range(args.repeat):
+        for _ in range(REPEAT):
             for name, plan in plans.items():
                 out = {}
                 layers = {  # in simulate order: each takes the one before's output
@@ -104,7 +100,7 @@ def main(argv=None):
 
     result = {
         "seed": SEED,
-        "repeat": args.repeat,
+        "repeat": REPEAT,
         "workloads": results,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "cpus": os.cpu_count(),

@@ -71,9 +71,9 @@ _PI, _NDARRAY = np.pi, np.ndarray  # one global lookup each in wrap_angle
 
 
 def wrap_angle(a):
-    """Wrap an angle to (-pi, pi]: a scalar to a float, an array elementwise,
-    bit-equal (np.remainder rounds as Python's float % does)."""
-    if type(a) is _NDARRAY:
+    """Wrap an angle to (-pi, pi]: a scalar or 0-d array to a float, an array
+    elementwise, bit-equal (np.remainder rounds as Python's float % does)."""
+    if type(a) is _NDARRAY and a.ndim:
         w = a % TWO_PI
         return w - TWO_PI * (w > _PI)
     w = float(a) % TWO_PI
@@ -152,8 +152,7 @@ def rpy_matrix(roll, pitch, yaw):
 
 
 def rpy_to_quat(roll, pitch, yaw):
-    """Roll/pitch/yaw to quaternion [w, x, y, z]: a (4,) array of floats, a
-    (4, ...) array of equal-shape columns."""
+    """Roll/pitch/yaw to quaternion [w, x, y, z]: (4,) of floats, (4, ...) of columns."""
     cr, sr = np.cos(roll / 2), np.sin(roll / 2)
     cp, sp = np.cos(pitch / 2), np.sin(pitch / 2)
     cy, sy = np.cos(yaw / 2), np.sin(yaw / 2)
@@ -165,9 +164,13 @@ def rpy_to_quat(roll, pitch, yaw):
     ])
 
 
+def _clip_unit(s):  # a float bounded to [-1, 1]
+    return min(1.0, max(-1.0, s))
+
+
 def _rpy_entries(w, x, y, z, clip):
-    """Roll, pitch, yaw (ZYX) of a unit quaternion: floats, with clip bounding
-    a float to [-1, 1], or equal-shape columns with np.clip. numpy's arctan2
+    """Roll, pitch, yaw (ZYX) of a unit quaternion: floats, with clip
+    _clip_unit, or equal-shape columns with np.clip. numpy's arctan2
     and arcsin round alike on both; math's differ in some values."""
     return (np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y)),
             np.arcsin(clip(2.0 * (w * y - z * x))),
@@ -187,13 +190,12 @@ def quat_to_rpy(q):
         if n == 0.0:
             raise ValueError("attitude quaternion %r has zero norm" % ([w, x, y, z],))
         w, x, y, z = w / n, x / n, y / n, z / n
-    return np.array(_rpy_entries(w, x, y, z, lambda s: min(1.0, max(-1.0, s))))
+    return np.array(_rpy_entries(w, x, y, z, _clip_unit))
 
 
 def quat_to_rpy_columns(att):
-    """quat_to_rpy of each row of an (F, 4) array, bit-equal, as (3, F) roll,
-    pitch and yaw columns. A row that is not finite or not of unit norm goes
-    through quat_to_rpy itself, which raises its ValueError on a zero row."""
+    """quat_to_rpy of each row of an (F, 4) array, bit-equal, as (3, F) columns.
+    A row not finite or not of unit norm takes quat_to_rpy (ValueError if zero)."""
     w, x, y, z = att.T
     unit = abs(w * w + x * x + y * y + z * z - 1.0) <= 1e-12
     rpy = np.empty((3, len(att)))

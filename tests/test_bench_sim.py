@@ -1,21 +1,35 @@
 """benchmarks/bench_sim.py at its smallest settings: one pass over the three
-workload plans."""
+workload plans, in-process."""
 
+import importlib.util
 import json
 import math
 import os
-import subprocess
 import sys
 
-_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "benchmarks", "bench_sim.py")
 LAYERS = ("generate_gait", "degrade", "write_frames", "write_trajectory", "sum")
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_bench_sim_writes_every_layer_of_every_workload(tmp_path):
+def _load(monkeypatch):
+    """The script as a module; the sys.path entries and BLAS thread variables
+    it sets are undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in BLAS_THREADS:
+        monkeypatch.setitem(os.environ, var, "1")
+    spec = importlib.util.spec_from_file_location("bench_sim", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_sim_writes_every_layer_of_every_workload(tmp_path, monkeypatch):
+    bench_sim = _load(monkeypatch)
+    monkeypatch.setattr(bench_sim, "REPEAT", 1)
     out = tmp_path / "BENCH_sim.json"
-    subprocess.run([sys.executable, os.path.join(_ROOT, "benchmarks", "bench_sim.py"),
-                    "--repeat", "1", "--out", str(out)],
-                   check=True, capture_output=True, timeout=120)
+    assert bench_sim.main(["--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert result["repeat"] == 1
     assert sorted(result["workloads"]) == ["ckf_walk", "stair_trot", "wheel_cli"]

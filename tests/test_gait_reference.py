@@ -10,7 +10,7 @@ from legodom import gait
 from legodom.estimator import SensorFrame
 from legodom.geometry import (default_leg_geometries, quat_to_rpy, quat_to_rpy_columns,
                               rpy_to_quat, wrap_angle)
-from legodom.logio import frame_to_dict
+from legodom.logio import encode_json, frame_to_dict
 
 import gait_reference as ref
 
@@ -19,6 +19,12 @@ DT = 1.0 / 250.0
 
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
+
+
+def _log_lines(frames):
+    """The log line of each frame: the bytes a log holds, so -0.0 and 0.0
+    differ and a NaN compares equal to itself."""
+    return [encode_json(frame_to_dict(fr)) for fr in frames]
 
 
 def _wheel_bits(frame):
@@ -105,7 +111,7 @@ def test_degrade_matches_the_frozen_frame_loop(stream, preset, seed):
         imperfections["touchdown_height_noise"] = 0.02
     args = (frames, imperfections, seed, res.contacts[:n], plan.legs)
     new, old = gait.degrade(*args), ref.degrade(*args)
-    assert [frame_to_dict(fr) for fr in new] == [frame_to_dict(fr) for fr in old]
+    assert _log_lines(new) == _log_lines(old)
     # the drifted yaw wraps across +-pi several times
     yaw = [quat_to_rpy(fr.att)[2] for fr in new]
     assert np.sum(np.abs(np.diff(yaw)) > np.pi) >= 3
@@ -118,7 +124,7 @@ def test_degrade_of_a_zero_quaternion_raises_only_with_drift(stream, drift):
     if drift == 0.0:
         new, old = gait.degrade(frames, {}), ref.degrade(frames, {})
         assert new[9].att.tolist() == [0.0, 0.0, 0.0, 0.0]
-        assert [frame_to_dict(fr) for fr in new] == [frame_to_dict(fr) for fr in old]
+        assert _log_lines(new) == _log_lines(old)
         return
     with pytest.raises(ValueError) as old:
         ref.degrade(frames, {"yaw_drift": drift})
@@ -133,6 +139,7 @@ def test_float_and_column_forms_match_the_frozen_helpers():
     frozen = [ref.wrap_angle(a) for a in angles.tolist()]
     assert _bits([wrap_angle(a) for a in angles.tolist()]) == _bits(frozen)
     assert _bits(wrap_angle(angles)) == _bits(frozen)
+    assert type(wrap_angle(np.array(angles[0]))) is float
     quats = rng.normal(size=(5_000, 4))
     quats[::2] /= np.linalg.norm(quats[::2], axis=1)[:, None]
     # at a pitch of +-pi/2 the pitch sine rounds past 1 in some rows, which
