@@ -116,7 +116,7 @@ _SCALAR_KEYS = {
 
 # a config or plan number must be finite and within +-MAX_MAGNITUDE (no gain,
 # length, time or rate comes near it, and products of such numbers stay far
-# from overflow), and a config may describe at most _MAX_LEGS legs
+# from overflow), and a config describes 1 to _MAX_LEGS legs
 MAX_MAGNITUDE = 1e9
 _MAX_LEGS = 64
 
@@ -184,8 +184,8 @@ def parse_config_text(text):
     if "legs" in pairs:
         line = pairs["legs"][0]
         n_legs = take("legs", int)
-        if n_legs > _MAX_LEGS:
-            raise ConfigError("config line %d: legs must be at most %d, got %d"
+        if not 1 <= n_legs <= _MAX_LEGS:
+            raise ConfigError("config line %d: legs must be from 1 to %d, got %d"
                               % (line, _MAX_LEGS, n_legs))
     # LegGeometry checks these ranges too, but only here is the line known
     for src, dst, rule in (("geom.hip_offset", "hip_offset", None),

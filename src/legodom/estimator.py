@@ -44,7 +44,8 @@ class SensorFrame:
 
     `joints` is one float (3, L, 3) array, indexed by channel (q, dq, tau),
     leg and joint; a step reads it with one `tolist()`. A float64 array is
-    kept as given, so frames may be views into one array of a stream."""
+    kept as given, so frames may be views into one array of a stream. An
+    `att`, `gyro`, `joints` or `wheels` of another size raises ValueError."""
 
     stamp: float
     att: np.ndarray
@@ -59,6 +60,13 @@ class SensorFrame:
         if self.joints.ndim != 3 or self.joints.shape[::2] != (3, 3):
             raise ValueError("joints must have shape (3, legs, 3), got %s"
                              % (self.joints.shape,))
+        for name, shape in (("att", (4,)), ("gyro", (3,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError("%s must have shape %s, got %s"
+                                 % (name, shape, getattr(self, name).shape))
+        if self.wheels is not None and len(self.wheels) != self.joints.shape[1]:
+            raise ValueError("wheels must hold one entry per leg (%d), got %d"
+                             % (self.joints.shape[1], len(self.wheels)))
 
     @property
     def legs(self):
@@ -187,11 +195,15 @@ class Estimator:
         heading = wheel.heading_direction(rot, cfg.heading_eps)
 
         # wheel anchors of persisting stance legs advance by the effective
-        # rolling increment (never on a touchdown frame: the cache is fresh)
+        # rolling increment (never on a touchdown frame: the cache is fresh);
+        # the cache becomes the reading of a leg with a wheel, or None at a
+        # touchdown without one
         for i in range(n):
             wr = wheels[i] if wheels else None
             radius = cfg.legs[i].wheel_radius
             if wr is None or radius == 0.0:
+                if touchdowns[i]:
+                    self.wheel_cache[i] = None
                 continue
             cache = self.wheel_cache[i]
             _, q2, q3 = q_rows[i]
@@ -201,8 +213,7 @@ class Estimator:
                     wr.psi, psi0, pitch, pitch0, q2, q3, q20, q30)
                 records[i].anchor = wheel.propagate_contact(
                     records[i].anchor, dpsi_eff, radius, heading)
-            if not touchdowns[i]:
-                self.wheel_cache[i] = (wr.psi, pitch, q2, q3)
+            self.wheel_cache[i] = (wr.psi, pitch, q2, q3)
 
         def leg_obs(i):
             p = contact.anchored_position_obs(records[i].anchor, rot, feet[i])
@@ -234,11 +245,6 @@ class Estimator:
                     cfg.height_fade, cfg.height_decay_scale)
                 anchor = (anchor[0], anchor[1], z_corr)
             records[i].anchor = anchor
-            if wheels and wheels[i] is not None:
-                _, q2, q3 = q_rows[i]
-                self.wheel_cache[i] = (wheels[i].psi, pitch, q2, q3)
-            else:
-                self.wheel_cache[i] = None
 
         stance = [i for i in range(n) if contacts[i]]
         per_pos = []

@@ -46,6 +46,25 @@ def test_joints_of_another_shape_raise_naming_the_shape(shape):
         SensorFrame(0.0, [1.0, 0.0, 0.0, 0.0], np.zeros(3), np.zeros(shape))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("att", [1.0, 0.0, 0.0], "att must have shape (4,), got (3,)"),
+    ("att", np.eye(2), "att must have shape (4,), got (2, 2)"),
+    ("gyro", [0.0, 0.0], "gyro must have shape (3,), got (2,)"),
+    ("gyro", np.zeros(4), "gyro must have shape (3,), got (4,)"),
+    ("gyro", 0.0, "gyro must have shape (3,), got ()"),
+    ("wheels", [None] * 3, "wheels must hold one entry per leg (4), got 3"),
+    ("wheels", [None] * 5, "wheels must hold one entry per leg (4), got 5"),
+    ("wheels", [], "wheels must hold one entry per leg (4), got 0"),
+])
+def test_att_gyro_and_wheels_of_another_size_raise_naming_the_field(field, value, message):
+    parts = {"stamp": 0.0, "att": [1.0, 0.0, 0.0, 0.0], "gyro": np.zeros(3),
+             "joints": np.zeros((3, 4, 3)), "wheels": [None] * 4}
+    SensorFrame(**parts)
+    parts[field] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SensorFrame(**parts)
+
+
 def _assert_rows_of_one_array(frames):
     """Every frame's att, gyro and joints are row views into one array of the
     stream per channel."""

@@ -159,7 +159,8 @@ def test_config_defaults_round_trip(tmp_path):
     "legs = four", "geom.hip_offset = wide", "geom.thigh = 0.2m", "geom.calf = -",
     "geom.wheel_radius = 5cm", "leg0.side = left", "leg1.side = 2",
     "leg2.mount = 0.1 y 0", "init.position = 0 0 high", "yaw.enabled = maybe",
-    "contact.sigma_min = abc", "leg1.mount = 0 0", "legs = 65"])
+    "contact.sigma_min = abc", "leg1.mount = 0 0", "legs = 65", "legs = 0",
+    "legs = -2"])
 def test_config_parse_errors_name_the_key(line):
     key = line.split("=")[0].strip()
     with pytest.raises(ConfigError) as err:
