@@ -2,7 +2,8 @@
 simulator presets, compute closure metrics, and inspect diagnostics.
 
 Exit codes: 0 ok; 2 log parse error, a replay or simulate output that cannot
-be written (every output is then left as it was), or a trajectory that
+be written, or two replay or simulate outputs or part files that name one
+file (every output is then left as it was), or a trajectory that
 `metrics` cannot read or measure to finite numbers (its output is strict
 JSON); 3 config or plan error. Every message is one line, and a parse error
 names the line.
@@ -13,7 +14,7 @@ import json
 import math
 import os
 import sys
-from itertools import islice
+from itertools import combinations, islice
 
 from .config import ConfigError, EstimatorConfig, load_config
 from .estimator import Estimator
@@ -52,11 +53,26 @@ def _stream(args, write=lambda steps: None):
         write([(est.step(fr), est.diagnostics()) for fr in block])
 
 
+def _same_file(a, b):
+    """Whether paths a and b name one file, however they are spelled."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _write_through_parts(outs, write):
     """Call write with a part-file path beside each output, and rename the
     parts onto the outputs unless it returns an exit code: a failure leaves
-    them as they were, and an output that cannot be written exits 2."""
+    them as they were, and an output that cannot be written exits 2. Two of
+    the outputs and part files that name one file exit 2 before anything is
+    written, since one part file would take both outputs' bytes."""
     parts = [out + ".part" for out in outs]
+    for a, b in combinations(list(outs) + parts, 2):
+        if _same_file(a, b):
+            print("cannot write output: %s and %s name one file, and every output "
+                  "and its .part file must differ" % (a, b), file=sys.stderr)
+            return 2
     try:
         code = write(*parts)
         if not code:

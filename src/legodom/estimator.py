@@ -74,6 +74,14 @@ class SensorFrame:
         return [JointReading(*leg) for leg in self.joints.swapaxes(0, 1)]
 
 
+def frame_columns(frames):
+    """The stamps, att, gyro and joints of a list of frames as fresh (F,),
+    (F, 4), (F, 3) and (F, 3, L, 3) arrays, read once; every frame must have
+    the same legs. Frame k's values are row k of each."""
+    return (np.array([fr.stamp for fr in frames]), np.array([fr.att for fr in frames]),
+            np.array([fr.gyro for fr in frames]), np.array([fr.joints for fr in frames]))
+
+
 class Estimator:
     """Contact-anchored proprioceptive odometry over a stream of SensorFrames.
 
@@ -351,5 +359,5 @@ def diagnostics(handle: Estimator):
     return handle.diagnostics()
 
 
-__all__ = ["BodyState", "SensorFrame", "Estimator", "create", "step",
+__all__ = ["BodyState", "SensorFrame", "frame_columns", "Estimator", "create", "step",
            "diagnostics"]

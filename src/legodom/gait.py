@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .estimator import BodyState, SensorFrame
+from .estimator import BodyState, SensorFrame, frame_columns
 from .geometry import (WheelReading, default_leg_geometries, cross3, rot_z,
                        rpy_to_quat, quat_to_rpy_columns, wrap_angle)
 
@@ -540,7 +540,8 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
         stance frames (an impact transient); needs contacts and legs
 
     The frames' stamps, att, gyro and joints are read once into (F,), (F, 4),
-    (F, 3) and (F, 3, L, 3) arrays, so every frame must have the same legs.
+    (F, 3) and (F, 3, L, 3) arrays by `estimator.frame_columns`, the column
+    reader the log writer shares, so every frame must have the same legs.
     Each imperfection but the wheel slip is a column pass over them (the yaw
     drift bit-equal to quat_to_rpy and rpy_to_quat frame by frame), and each
     output frame's att, gyro and joints are row views. Deterministic per seed.
@@ -548,9 +549,7 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
     rng = np.random.default_rng(seed)
     if not frames:
         return []
-    stamps = np.array([fr.stamp for fr in frames])
-    att, gyro = np.array([fr.att for fr in frames]), np.array([fr.gyro for fr in frames])
-    joints = np.array([fr.joints for fr in frames])
+    stamps, att, gyro, joints = frame_columns(frames)
     q, dq = joints[:, 0], joints[:, 1]  # (F, L, 3) views into the stack
 
     noise_amp = float(imperfections.get("touchdown_height_noise", 0.0) or 0.0)

@@ -9,21 +9,34 @@ A parsed frame holds every leg's q, dq and tau in one (3, L, 3) array,
 field by field, to name its first bad field. `encode_json` (`json.dumps`
 less its circular check) keeps full double precision, so write-then-read is
 the identity and repeated runs are byte-identical.
+
+`frame_to_dict` is the reference spelling of a log line:
+`encode_json(frame_to_dict(frame))`. `write_frames` writes those bytes on
+columns. It stacks a block of frames into one (B, K) float array in line
+order, spells each distinct value of the block once with `float.__repr__`
+(what json's C encoder calls for a float; `NaN`, `Infinity` and `-Infinity`
+for the others), and fills one %-template per leg count and wheel layout,
+itself derived from the reference spelling. A block it cannot spell exactly
+(mixed layouts, an `int` stamp, a wheel value that is not a `float`) goes
+through the reference, frame by frame.
 """
 
 import json
 import math
-from itertools import chain
+import re
+from functools import lru_cache
+from itertools import chain, islice
 
 import numpy as np
 
-from .estimator import BodyState, SensorFrame
+from .estimator import BodyState, SensorFrame, frame_columns
 from .geometry import JointReading, WheelReading
 
 TRAJ_COLUMNS = ("t", "x", "y", "z", "roll", "pitch", "yaw", "vx", "vy", "vz")
 TRAJ_HEADER = ",".join(TRAJ_COLUMNS) + "\n"
 encode_json = json.JSONEncoder(check_circular=False).encode
 _LISTS = {list, tuple}
+_F64, _NONE = np.dtype(np.float64), type(None)
 
 
 class LogParseError(Exception):
@@ -35,6 +48,8 @@ class LogParseError(Exception):
 
 
 def frame_to_dict(frame: SensorFrame):
+    """The frame as the dict of its log line; `encode_json` of it is the
+    reference spelling of that line, which `write_frames` reproduces."""
     legs = []
     for i, (q, dq, tau) in enumerate(zip(*frame.joints.tolist())):
         d = {"q": q, "dq": dq, "tau": tau}
@@ -109,9 +124,81 @@ def frame_from_dict(d):
     return SensorFrame(t, att, gyro, joints, wheels)
 
 
+# frames per block of the column writer; bounds its (B, K) arrays and strings
+_BLOCK = 256
+# the spellings of json's encoder for the values float.__repr__ spells otherwise
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_NUMBER = re.compile(r"\d+\.\d+")
+
+
+@lru_cache(maxsize=64)
+def _line_layout(wheeled):
+    """(template, column order) of the log line of a frame whose legs carry
+    a wheel where `wheeled`, a tuple of one bool per leg, is true.
+
+    The template is the reference line of a frame whose every value is its
+    own column index (t, att, gyro, joints in (3, L, 3) order, then psi and
+    dpsi of each wheeled leg) with each number replaced by %s; the column
+    order lists those indices as the line spells them."""
+    n_legs = len(wheeled)
+    cols = iter(range(8 + 9 * n_legs, 8 + 11 * n_legs))
+    wheels = [WheelReading(float(next(cols)), float(next(cols))) if w else None
+              for w in wheeled]
+    probe = SensorFrame(0.0, [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0],
+                        np.arange(8.0, 8 + 9 * n_legs).reshape(3, n_legs, 3), wheels)
+    line = encode_json(frame_to_dict(probe))
+    order = np.array([int(float(v)) for v in _NUMBER.findall(line)])
+    order.flags.writeable = False  # shared by every caller of the cached layout
+    return _NUMBER.sub("%s", line.replace("%", "%%")) + "\n", order
+
+
+def _spell_block(frames):
+    """The log lines of frames, as one string; None when the block is not
+    one that the column writer spells exactly: mixed legs or wheel layouts,
+    a stamp or wheel value that is not a float, or an array that is not
+    float64."""
+    kinds = {(type(fr.stamp), fr.att.dtype, fr.gyro.dtype, fr.joints.dtype,
+              fr.att.shape, fr.gyro.shape, fr.joints.shape,
+              None if fr.wheels is None else tuple(map(type, fr.wheels))) for fr in frames}
+    if len(kinds) != 1:
+        return None
+    stamp, *dtypes, att_shape, gyro_shape, joints_shape, wheel_types = kinds.pop()
+    n_legs = joints_shape[1]
+    wheeled = (False,) * n_legs if wheel_types is None else tuple(
+        kind is not _NONE for kind in wheel_types)
+    if (stamp is not float or set(dtypes) != {_F64} or (att_shape, gyro_shape) != ((4,), (3,))
+            or len(wheeled) != n_legs):
+        return None
+    template, order = _line_layout(wheeled)
+    stamps, att, gyro, joints = frame_columns(frames)
+    columns = [stamps[:, None], att, gyro, joints.reshape(len(frames), -1)]
+    if any(wheeled):
+        readings = [v for fr in frames for w in fr.wheels if w is not None
+                    for v in (w.psi, w.dpsi)]
+        if set(map(type, readings)) != {float}:
+            return None
+        columns.append(np.array(readings).reshape(len(frames), -1))
+    table = np.concatenate(columns, axis=1)[:, order]
+    # each distinct value spelled once; the int64 view keeps -0.0 apart from 0.0
+    codes, index = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    values = codes.view(np.float64)
+    words = list(map(float.__repr__, values.tolist()))
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        words[k] = _NON_FINITE[words[k]]
+    return (template * len(frames)) % tuple(np.array(words, dtype=object)[index].tolist())
+
+
 def write_frames(path, frames):
+    """Write frames as a log, one line per frame: the bytes of
+    `encode_json(frame_to_dict(frame)) + "\\n"`, written _BLOCK frames at a
+    time on columns (see the module docstring)."""
+    frames = iter(frames)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(encode_json(frame_to_dict(fr)) + "\n" for fr in frames)
+        while block := list(islice(frames, _BLOCK)):
+            text = _spell_block(block)
+            if text is None:
+                text = "".join([encode_json(frame_to_dict(fr)) + "\n" for fr in block])
+            fh.write(text)
 
 
 def iter_frames(path, n_legs=None):

@@ -263,6 +263,34 @@ def test_simulate_leaves_its_outputs_as_they_were_on_failure(tmp_path, capsys):
     assert not list(tmp_path.glob("*.part"))
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_simulate_with_one_file_for_log_and_ground_truth_exits_2(tmp_path, capsys, existing):
+    # both outputs went through one part file, and the exit-2 run left the
+    # ground truth in place of the log
+    out = tmp_path / "x.jsonl"
+    if existing:
+        out.write_bytes(b"before")
+    for same in (str(out), "%s/./x.jsonl" % tmp_path):  # a second spelling too
+        assert main(["simulate", "--preset", "standing", "--out", str(out),
+                     "--ground-truth", same]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot write output: ") and captured.err.count("\n") == 1
+        assert "name one file" in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["x.jsonl"] if existing else [])
+        assert not existing or out.read_bytes() == b"before"
+
+
+def test_simulate_to_the_part_file_of_its_ground_truth_exits_2(tmp_path, capsys):
+    # the log's part file was renamed onto the ground truth's part file, so
+    # the run exited 0 with the log in the ground truth's place and no --out
+    gt = tmp_path / "x.csv"
+    assert main(["simulate", "--preset", "standing", "--out", str(gt) + ".part",
+                 "--ground-truth", str(gt)]) == 2
+    captured = capsys.readouterr()
+    assert "name one file" in captured.err and captured.err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_replay_and_inspect_hold_at_most_a_block_of_frames(long_log, monkeypatch):
     d, log = long_log
     n = len(log.read_text().splitlines())

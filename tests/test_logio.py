@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from legodom import (ConfigError, EstimatorConfig, generate_gait, load_config,
-                     parse_config_text, preset_plan, save_config)
+from legodom import (ConfigError, EstimatorConfig, SensorFrame, WheelReading, generate_gait,
+                     load_config, parse_config_text, preset_plan, save_config)
+from legodom import logio
 from legodom.estimator import BodyState
-from legodom.logio import (LogParseError, frame_to_dict, read_frames,
+from legodom.logio import (LogParseError, encode_json, frame_to_dict, read_frames,
                            read_trajectory, write_frames, write_trajectory)
 from legodom.planfile import parse_plan_text
 
@@ -21,6 +22,105 @@ def test_frame_round_trip_identity(tmp_path):
     assert len(back) == len(res.frames)
     for a, b in zip(back, res.frames):
         assert frame_to_dict(a) == frame_to_dict(b)
+
+
+# the imperfections of the replay benchmark's wheel_cli plan
+WHEEL_CLI = {"wheel_slip": 0.02, "yaw_drift": 0.005}
+
+
+def _frame(fr, **changes):
+    """A copy of frame fr with the given fields replaced."""
+    fields = {"stamp": fr.stamp, "att": fr.att, "gyro": fr.gyro, "joints": fr.joints,
+              "wheels": fr.wheels, **changes}
+    return SensorFrame(**fields)
+
+
+def _odd_values(frames):
+    """frames with NaN (some with the sign bit set), infinite and -0.0
+    values in att, gyro and joints."""
+    odd = []
+    for k, fr in enumerate(frames):
+        att, gyro, joints = fr.att.copy(), fr.gyro.copy(), fr.joints.copy()
+        att[k % 4] = (np.nan, -np.nan, np.inf, -np.inf)[k % 4]
+        gyro[k % 3] = -0.0
+        joints[k % 3, 0, :] = (-0.0, 0.0, np.copysign(np.nan, -1.0))
+        odd.append(_frame(fr, att=att, gyro=gyro, joints=joints))
+    return odd
+
+
+def _int_att(fr):
+    """A copy of frame fr whose att is then set to an int array."""
+    fr = _frame(fr)
+    fr.att = np.array([1, 0, 0, 0])
+    return fr
+
+
+def _wheels_switching(frames, period):
+    """frames whose wheel layout changes every period frames: all four
+    wheels, the front two only, all-None, none at all."""
+    layouts = (lambda w: w, lambda w: w[:2] + [None, None], lambda w: [None] * 4,
+               lambda w: None)
+    return [_frame(fr, wheels=layouts[k // period % 4](list(fr.wheels)))
+            for k, fr in enumerate(frames)]
+
+
+def _legs_switching(frames, period):
+    """frames with four legs, then two, every period frames in turn."""
+    return [_frame(fr, joints=fr.joints[:, :2], wheels=fr.wheels[:2])
+            if k // period % 2 else fr for k, fr in enumerate(frames)]
+
+
+LOG_CASES = {
+    "empty": lambda frames: [],
+    "one_frame": lambda frames: frames[:1],
+    "one_block": lambda frames: frames[:logio._BLOCK],
+    "one_block_and_one": lambda frames: frames[:logio._BLOCK + 1],
+    "degraded_wheel_cli": lambda frames: frames,
+    "nan_inf_and_negative_zero": lambda frames: _odd_values(frames[:300]),
+    "int_stamp": lambda frames: [_frame(frames[0], stamp=0)] + frames[1:300],
+    "int_stamps": lambda frames: [_frame(fr, stamp=k) for k, fr in enumerate(frames[:300])],
+    "int_array_set_after_construction": lambda frames: [
+        _int_att(fr) for fr in frames[:logio._BLOCK]] + frames[logio._BLOCK:300],
+    "numpy_float_wheel_value": lambda frames: frames[:260] + [_frame(
+        frames[260], wheels=[WheelReading(np.float64(1.5), 2.0)] + frames[260].wheels[1:])],
+    "int_wheel_value": lambda frames: frames[:260] + [_frame(
+        frames[260], wheels=[WheelReading(1, 2.0)] + frames[260].wheels[1:])],
+    # a layout per block, each block on columns; then layouts mixed in a block
+    "wheel_layout_per_block": lambda frames: _wheels_switching(
+        frames[:4 * logio._BLOCK + 10], logio._BLOCK),
+    "wheel_layout_changing": lambda frames: _wheels_switching(frames[:600], 100),
+    "leg_count_per_block": lambda frames: _legs_switching(
+        frames[:2 * logio._BLOCK + 10], logio._BLOCK),
+    "leg_count_changing": lambda frames: _legs_switching(frames[:450], 150),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOG_CASES))
+def test_write_frames_writes_the_reference_spelling(stream, tmp_path, case):
+    _, _, frames = stream("wheel_roll", 0, WHEEL_CLI)
+    frames = LOG_CASES[case](frames)
+    path = tmp_path / "log.jsonl"
+    write_frames(path, frames)
+    reference = "".join(encode_json(frame_to_dict(fr)) + "\n" for fr in frames)
+    assert path.read_bytes() == reference.encode("utf-8")
+
+
+def test_write_frames_spells_a_generated_wheel_stream_on_columns(stream, tmp_path,
+                                                                monkeypatch):
+    # the column writer must not quietly fall back to the per-frame path
+    _, _, frames = stream("wheel_roll", 0, WHEEL_CLI)
+    # a layout's template is built once, from one reference line
+    write_frames(tmp_path / "first.jsonl", frames[:1])
+    calls = []
+    reference = logio.frame_to_dict
+
+    def counted(frame):
+        calls.append(1)
+        return reference(frame)
+
+    monkeypatch.setattr(logio, "frame_to_dict", counted)
+    write_frames(tmp_path / "log.jsonl", frames)
+    assert len(calls) == 0
 
 
 def test_parse_error_names_line(tmp_path):
