@@ -115,7 +115,7 @@ def cmd_simulate(args):
     try:
         plan = load_plan(args.plan) if args.plan else preset_plan(args.preset)
         # a plan that parses can still be infeasible or fail the generator's
-        # own checks (a step period that is no whole number of frames)
+        # own checks (a stream longer than gait.MAX_FRAMES)
         result = generate_gait(plan)
     except (ConfigError, InfeasiblePlan, ValueError, OSError) as exc:
         print("plan error: %s" % exc, file=sys.stderr)

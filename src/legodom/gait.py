@@ -6,12 +6,18 @@ channels, so the emitted sensor log has a bit-exact ground truth attached.
 degrade() then layers controlled imperfections (quantization, spikes, yaw
 drift, slip, touchdown transients) on top of a clean stream.
 
-The static modes (stand, wheel_roll, wheel_swing, hop) are closed-form in
-time: every channel is computed as a column over all frames. The trot walks
-its frames in order, because its footholds are committed at half-cycle
-boundaries; its swing curve stays per frame too, since CPython's `x ** 2`
-(libm pow) and numpy's square do not round alike, and an array swing would
-change the streams' bits. Both run the leg kinematics over blocks of frames.
+Both generators work on columns over all frames and run the leg kinematics
+over blocks of frames. The static modes (stand, wheel_roll, wheel_swing,
+hop) are closed-form in time. The trot evaluates its body path at every
+stamp in one pass; its half-cycles only decide, per leg, which foothold it
+stands on and when it swings, so the stance targets of every frame and leg
+are one pass too, and each leg's swings are another, over all its
+half-cycles at once. The swing curve's weights are a table of floats built
+once per stream, because CPython's `x ** 2` (libm pow) and numpy's square do
+not round alike. Rotated vectors are stacked matmuls, which numpy runs as
+one gemv per item, as it does a single product; an elementwise sum would
+round differently. The streams are bit-equal to the frame loops the
+generators replaced (`tests/gait_reference.py`).
 """
 
 import math
@@ -21,8 +27,8 @@ import numpy as np
 
 from . import kernels
 from .estimator import BodyState, SensorFrame, frame_columns
-from .geometry import (WheelReading, default_leg_geometries, cross3, rot_z,
-                       rpy_to_quat, quat_to_rpy_columns, wrap_angle)
+from .geometry import (WheelReading, default_leg_geometries, cross3, rpy_to_quat,
+                       quat_to_rpy_columns, wrap_angle)
 
 GRAVITY = 9.81
 TROT_PAIR_A = (0, 3)  # front-left with rear-right
@@ -46,18 +52,23 @@ class StepTerrain:
     ramp: float = 0.6
 
     def ground_z(self, x, y):
-        return self.height if self.x0 <= x <= self.x1 else 0.0
+        """Ground height under each point of the columns x, y."""
+        return np.where((self.x0 <= x) & (x <= self.x1), self.height, 0.0)
 
     def body_offset(self, x):
-        if x <= self.x0 - self.ramp or x >= self.x1 + self.ramp:
-            return 0.0, 0.0
-        if x < self.x0:
-            u = (x - (self.x0 - self.ramp)) / self.ramp
-            return self.height * u * u * (3 - 2 * u), self.height * 6 * u * (1 - u) / self.ramp
-        if x > self.x1:
-            u = (x - self.x1) / self.ramp
-            return self.height * (1 - u * u * (3 - 2 * u)), -self.height * 6 * u * (1 - u) / self.ramp
-        return self.height, 0.0
+        """Body height offset and its d/dx over the column x: a smoothstep up
+        the ramp before the platform, the height on it, a smoothstep down."""
+        h, r = self.height, self.ramp
+        branches = (x <= self.x0 - r) | (x >= self.x1 + r), x < self.x0, x > self.x1
+        # a zero ramp divides by zero on branches it never selects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            up = (x - (self.x0 - r)) / r
+            down = (x - self.x1) / r
+            off = np.select(branches, (0.0, h * up * up * (3 - 2 * up),
+                                       h * (1 - down * down * (3 - 2 * down))), h)
+            rate = np.select(branches, (0.0, h * 6 * up * (1 - up) / r,
+                                        -h * 6 * down * (1 - down) / r), 0.0)
+        return off, rate
 
 
 @dataclass
@@ -158,40 +169,49 @@ class _Path:
         self.total = float(self.cum[-1])
 
     def at(self, s):
-        """Position and unit direction at arclength s (clamped to the path)."""
+        """Positions and unit directions, each (N, 2), at the arclengths of
+        the column s, clamped to the path."""
         if self.total == 0.0:
-            return self.pts[0].copy(), np.zeros(2)
-        if s <= 0.0:
-            return self.starts[0].copy(), self.dirs[0].copy()
-        if s >= self.total:
-            return self.starts[-1] + self.dirs[-1] * self.seg_len[-1], self.dirs[-1].copy()
-        k = int(np.searchsorted(self.cum, s, side="right") - 1)
-        k = min(k, len(self.seg_len) - 1)
-        return self.starts[k] + self.dirs[k] * (s - self.cum[k]), self.dirs[k].copy()
+            return np.tile(self.pts[0], (len(s), 1)), np.zeros((len(s), 2))
+        k = np.clip(np.searchsorted(self.cum, s, side="right") - 1, 0, len(self.seg_len) - 1)
+        xy = self.starts[k] + self.dirs[k] * (s - self.cum[k])[:, None]
+        xy[s <= 0.0] = self.starts[0]
+        xy[s >= self.total] = self.starts[-1] + self.dirs[-1] * self.seg_len[-1]
+        return xy, self.dirs[k]
 
 
-def _swing(u, p0, p1, m0, m1, apex):
-    """Cubic Hermite between hip-frame targets with matched end rates, plus a
-    sin^2 apex bump; returns the profile value and its d/du derivative.
+def _swing_table(swing_frames, n, apex):
+    """The swing curve's weights at u = j / swing_frames for j < n, as (n,)
+    columns: the cubic Hermite weights (h00, h10, h01, h11) of the position
+    and (dh00, dh10, dh01, dh11) of its d/du, the sin^2 apex bump and its
+    d/du. Velocity-matched endpoints keep joint rates continuous through
+    touchdown, so encoder differencing sees no impact artifact on clean
+    streams.
 
-    Velocity-matched endpoints keep joint rates continuous through touchdown,
-    so encoder differencing sees no impact artifact on clean streams.
+    The weights are computed on floats, once per stream: CPython's `x ** 2`
+    (libm pow) and numpy's square do not round alike, and the bump keeps
+    CPython's.
     """
-    u2 = u * u
-    u3 = u2 * u
-    h00 = 2 * u3 - 3 * u2 + 1
-    h10 = u3 - 2 * u2 + u
-    h01 = -2 * u3 + 3 * u2
-    h11 = u3 - u2
-    pos = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
-    pos[2] += apex * math.sin(math.pi * u) ** 2
-    dh00 = 6 * u2 - 6 * u
-    dh10 = 3 * u2 - 4 * u + 1
-    dh01 = -6 * u2 + 6 * u
-    dh11 = 3 * u2 - 2 * u
-    vel = dh00 * p0 + dh10 * m0 + dh01 * p1 + dh11 * m1
-    vel[2] += apex * math.pi * math.sin(2 * math.pi * u)
-    return pos, vel
+    rows = []
+    for j in range(n):
+        u = j / swing_frames
+        u2 = u * u
+        u3 = u2 * u
+        rows.append((2 * u3 - 3 * u2 + 1, u3 - 2 * u2 + u, -2 * u3 + 3 * u2, u3 - u2,
+                     6 * u2 - 6 * u, 3 * u2 - 4 * u + 1, -6 * u2 + 6 * u, 3 * u2 - 2 * u,
+                     apex * math.sin(math.pi * u) ** 2,
+                     apex * math.pi * math.sin(2 * math.pi * u)))
+    return np.array(rows).T
+
+
+def _swing_curve(w, p0, p1, m0, m1):
+    """Hermite position (or, with the derivative weights, d/du) of swings
+    between hip-frame targets p0, p1 with end rates m0, m1, each (S, 3), at
+    the weights w of _swing_table: (S, n, 3), the products and sums in the
+    order of the per-frame curve."""
+    w = w[:, None, :, None]
+    p0, p1, m0, m1 = (a[:, None] for a in (p0, p1, m0, m1))
+    return w[0] * p0 + w[1] * m0 + w[2] * p1 + w[3] * m1
 
 
 # frames per block of the batched leg kinematics; bounds the transient
@@ -265,13 +285,6 @@ def _solve_legs(legs, stamps, rel, rel_rate, load, stance):
     return q, dq, tau
 
 
-def _nominal_xy(plan, leg_idx, body_xy, yaw):
-    geom = plan.legs[leg_idx]
-    lateral = geom.side_sign * (geom.hip_offset_len + plan.stance_margin)
-    offset = np.array([geom.hip_mount[0], geom.hip_mount[1] + lateral])
-    return body_xy + rot_z(yaw)[:2, :2] @ offset
-
-
 class _SpeedProfile:
     """Trapezoidal arclength profile: ramp up, cruise, ramp down."""
 
@@ -295,26 +308,63 @@ class _SpeedProfile:
             self.duration = 2.0 * self.ramp
 
     def at(self, tw):
-        """(arclength, speed) at time tw since motion start, clamped."""
+        """(arclength, speed) columns at the times tw since motion start, clamped."""
         if self.total <= 0.0 or self.duration == 0.0:
-            return 0.0, 0.0
-        tw = min(max(tw, 0.0), self.duration)
+            return np.zeros_like(tw), np.zeros_like(tw)
+        tw = np.minimum(np.maximum(tw, 0.0), self.duration)
         if self.ramp == 0.0:
-            return self.v * tw, (self.v if 0 < tw < self.duration else 0.0)
-        if tw < self.ramp:
-            return 0.5 * self.accel * tw * tw, self.accel * tw
-        if tw <= self.duration - self.ramp:
-            return 0.5 * self.v * self.ramp + self.v * (tw - self.ramp), self.v
+            return self.v * tw, np.where((0 < tw) & (tw < self.duration), self.v, 0.0)
         rem = self.duration - tw
-        return self.total - 0.5 * self.accel * rem * rem, self.accel * rem
+        phases = tw < self.ramp, tw <= self.duration - self.ramp
+        return (np.select(phases, (0.5 * self.accel * tw * tw,
+                                   0.5 * self.v * self.ramp + self.v * (tw - self.ramp)),
+                          self.total - 0.5 * self.accel * rem * rem),
+                np.select(phases, (self.accel * tw, self.v), self.accel * rem))
+
+
+def frames_per_step(step_period, rate_hz):
+    """Frames per trot half-cycle; ValueError unless step_period spans a whole
+    number (at least 2) of frames at rate_hz."""
+    n = step_period * rate_hz
+    fps = int(round(n)) if math.isfinite(n) else 0
+    if fps < 2 or abs(fps - n) > 1e-9:
+        raise ValueError("step_period must be an integer number of frames")
+    return fps
+
+
+def _rotations_z(yaw):
+    """rot_z of each yaw of a column, stacked (N, 3, 3)."""
+    c, s = np.cos(yaw), np.sin(yaw)
+    rot = np.zeros((len(yaw), 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
+    rot[:, 2, 2] = 1.0
+    return rot
+
+
+def _apply(mat, vec):
+    """mat @ vec over stacked (..., n, n) and (..., n) arrays. numpy runs one
+    gemv per item, as for a single (n, n) @ (n,), so each item keeps the bits
+    of the per-item product (an elementwise sum does not)."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _stance_targets(foot, pos, vel, rot, yawrate, hip):
+    """Hip-to-foot targets of feet planted at world points foot (N, L, 3), and
+    their rates under the body's motion: pos, vel (N, 3), rot (N, 3, 3) the
+    world-from-body rotations, yawrate (N,), hip (L, 3) the hip mounts."""
+    rot_t = np.swapaxes(rot, 1, 2)
+    rel = _apply(rot_t[:, None], foot - pos[:, None])
+    swirl = cross3((0.0, 0.0, yawrate[:, None]), np.moveaxis(rel, -1, 0))
+    return rel - hip, -_apply(rot_t, vel)[:, None] - np.stack(swirl, axis=-1)
 
 
 def _generate_trot(plan):
+    """The trot as array passes: the body path at every stamp, the footholds
+    and landing states of every half-cycle, the stance targets of every frame
+    and leg, then the swing curves written over the swing frames."""
     dt = 1.0 / plan.rate_hz
     sp = plan.step_period
-    fps = int(round(sp * plan.rate_hz))  # frames per half-cycle
-    if fps < 2 or abs(fps - sp * plan.rate_hz) > 1e-9:
-        raise ValueError("step_period must be an integer number of frames")
+    fps = frames_per_step(sp, plan.rate_hz)  # frames per half-cycle
     path = _Path(plan.waypoints)
     turning = plan.turn_angle > 0.0 and plan.yaw_rate > 0.0
     profile = _SpeedProfile(path.total, plan.speed, plan.speed_ramp)
@@ -329,122 +379,105 @@ def _generate_trot(plan):
     n_frames = k_walk1 + int(round(plan.settle_time * plan.rate_hz)) + 1
     _check_frames(n_frames)
     n_legs = len(plan.legs)
-
-    def body_at(t):
-        tw = min(max(t - plan.settle_time, 0.0), move_time)
-        moving = 0.0 < t - plan.settle_time < move_time
-        if turning:
-            xy, dxy = path.pts[0].copy(), np.zeros(2)
-            yaw = plan.yaw_rate * tw
-            yawrate = plan.yaw_rate if moving else 0.0
-        else:
-            s, speed = profile.at(tw)
-            xy, d = path.at(s)
-            dxy = speed * d if moving else np.zeros(2)
-            yaw, yawrate = 0.0, 0.0
-        if plan.terrain is not None:
-            off, doff = plan.terrain.body_offset(xy[0])
-            z = plan.body_height + off
-            vz = doff * dxy[0]
-        else:
-            z, vz = plan.body_height, 0.0
-        pos = np.array([xy[0], xy[1], z])
-        vel = np.array([dxy[0], dxy[1], vz])
-        return pos, vel, wrap_angle(yaw), yawrate
-
-    def ground(xy):
-        return plan.terrain.ground_z(xy[0], xy[1]) if plan.terrain is not None else 0.0
-
-    def foothold(leg, t_td):
-        pos, _, yaw, _ = body_at(t_td + sp / 2.0)
-        xy = _nominal_xy(plan, leg, pos[:2], yaw)
-        return np.array([xy[0], xy[1], ground(xy)])
-
-    def stance_target(foot, pos, rot, vel, omega, leg):
-        """Hip-to-foot target of a foot planted at world point foot, and its
-        rate under the body's motion."""
-        rel_full = rot.T @ (foot - pos)
-        return (rel_full - plan.legs[leg].hip_mount,
-                -(rot.T @ vel) - cross3(omega, rel_full))
-
+    if n_legs <= max(TROT_PAIR_A):
+        raise ValueError("a trot needs at least %d legs, got %d" % (max(TROT_PAIR_A) + 1, n_legs))
     ov = int(round(plan.double_support * plan.rate_hz))
     swing_frames = fps - ov
     if swing_frames < 2:
         raise ValueError("double_support leaves no room for the swing")
     swing_time = swing_frames * dt
+    n_swing = min(swing_frames, fps)  # swing frames of a half-cycle
 
-    cur = [foothold(i, 0.0) for i in range(n_legs)]
-    nxt = [None] * n_legs
-    # swing is interpolated between hip-frame endpoints so the foot can never
-    # cross the hip roll axis while the body keeps moving: per leg, the
-    # (start, end, start rate, end rate) arguments of _swing
-    swing_ends = [None] * n_legs
-    pair_a = set(TROT_PAIR_A)
-    all_legs = set(range(n_legs))
+    def body_at(t):
+        """pos, vel (N, 3), the world-from-body rotations (N, 3, 3), yaw and
+        yaw rate (N,) at the times t (N,)."""
+        since = t - plan.settle_time
+        tw = np.minimum(np.maximum(since, 0.0), move_time)
+        moving = (0.0 < since) & (since < move_time)
+        pos, vel = np.zeros((len(t), 3)), np.zeros((len(t), 3))
+        pos[:, 2] = plan.body_height
+        if turning:
+            pos[:, :2] = path.pts[0]
+            yaw = plan.yaw_rate * tw
+            yawrate = np.where(moving, plan.yaw_rate, 0.0)
+        else:
+            s, speed = profile.at(tw)
+            pos[:, :2], d = path.at(s)
+            vel[:, :2] = np.where(moving[:, None], speed[:, None] * d, 0.0)
+            yaw = yawrate = np.zeros(len(t))
+        if plan.terrain is not None:
+            off, doff = plan.terrain.body_offset(pos[:, 0])
+            pos[:, 2] = plan.body_height + off
+            vel[:, 2] = doff * vel[:, 0]
+        yaw = wrap_angle(yaw)
+        return pos, vel, _rotations_z(yaw), yaw, yawrate
 
-    rel = np.empty((n_frames, n_legs, 3))
-    rel_rate = np.empty((n_frames, n_legs, 3))
-    load = np.empty((n_frames, 3))
-    stamps, yaws, omegas, truth = [], [], [], []
-    contacts = np.zeros((n_frames, n_legs), dtype=bool)
-    half_prev = -1
-    for k in range(n_frames):
-        t = k * dt
-        pos, vel, yaw, yawrate = body_at(t)
-        rot = rot_z(yaw)
-        omega = np.array([0.0, 0.0, yawrate])
+    # half-cycle h starts at frame k0[h]; its lifting pair lands at t_land[h]
+    # on footholds placed where the body will be half a step later. Hold 0 is
+    # every leg's first foothold, hold h + 1 the one it lands on in half h.
+    halves = np.arange(n_half)
+    k0 = k_walk0 + halves * fps
+    t_land = plan.settle_time + halves * sp + swing_time
+    t_hold = np.concatenate([[0.0], t_land]) + sp / 2.0
+    frame = np.arange(n_frames)
+    t = frame * dt
+    body, landing, hold = zip(*(np.split(c, (n_frames, n_frames + n_half))
+                                for c in body_at(np.concatenate([t, t_land, t_hold]))))
+    pos, vel, rot, yaw, yawrate = body
 
-        # the half-cycle of the walk, -1 while settling
-        half = (k - k_walk0) // fps if k_walk0 <= k < k_walk1 else -1
-        lifting = pair_a if half % 2 == 0 else all_legs - pair_a
-        if half != half_prev:
-            # commit the previous swing pair, then set the new pair's targets
-            for i in range(n_legs):
-                if nxt[i] is not None:
-                    cur[i] = nxt[i]
-                    nxt[i] = None
-            if half >= 0:
-                t_land = plan.settle_time + half * sp + swing_time
-                pos_td, vel_td, yaw_td, yawrate_td = body_at(t_land)
-                rot_td = rot_z(yaw_td)
-                om_td = np.array([0.0, 0.0, yawrate_td])
-                for i in lifting:
-                    nxt[i] = foothold(i, t_land)
-                    p0, v0 = stance_target(cur[i], pos, rot, vel, omega, i)
-                    p1, v1 = stance_target(nxt[i], pos_td, rot_td, vel_td, om_td, i)
-                    swing_ends[i] = (p0, p1, swing_time * v0, swing_time * v1)
-            half_prev = half
-        # no leg swings while settling, nor in double support, where the
-        # swing pair has landed on its new foothold
-        frame_in_half = (k - k_walk0) % fps
-        swing_set = lifting if half >= 0 and frame_in_half < swing_frames else set()
-        u = frame_in_half / swing_frames
+    hip = np.array([g.hip_mount for g in plan.legs])
+    offset = np.array([(g.hip_mount[0], g.hip_mount[1] + g.side_sign
+                        * (g.hip_offset_len + plan.stance_margin)) for g in plan.legs])
+    pos_h, _, rot_h, _, _ = hold
+    holds = np.empty((n_half + 1, n_legs, 3))
+    holds[..., :2] = pos_h[:, None, :2] + _apply(rot_h[:, None, :2, :2], offset)
+    holds[..., 2] = (plan.terrain.ground_z(holds[..., 0], holds[..., 1])
+                     if plan.terrain is not None else 0.0)
 
-        stance = [i for i in range(n_legs) if i not in swing_set]
-        f_share = np.array([0.0, 0.0, -plan.mass * GRAVITY / len(stance)])
+    # the half-cycle bookkeeping, per leg: the pair of TROT_PAIR_A lifts in
+    # even half-cycles and the others in odd ones. A leg stands on its last
+    # committed hold, then swings from it and stands on the new hold from its
+    # landing frame on: through double support and into the next half-cycles
+    foot = np.empty((n_frames, n_legs, 3))
+    contacts = np.ones((n_frames, n_legs), dtype=bool)
+    lifts = [halves[int(i not in TROT_PAIR_A)::2] for i in range(n_legs)]
+    swing_rows = [k0[h][:, None] + np.arange(n_swing) for h in lifts]
+    for i, (h, rows) in enumerate(zip(lifts, swing_rows)):
+        committed = np.searchsorted(k0[h] + n_swing, frame, side="right")
+        foot[:, i] = holds[np.concatenate([[0], h + 1])[committed], i]
+        contacts[rows, i] = False
 
-        for i in range(n_legs):
-            if i in swing_set:
-                rel[k, i], swing_rate = _swing(u, *swing_ends[i], plan.step_height)
-                rel_rate[k, i] = swing_rate / swing_time
-            else:
-                # a pending nxt on a stance leg means it landed early and is
-                # riding out the double-support window on the new foothold
-                foot = nxt[i] if nxt[i] is not None else cur[i]
-                rel[k, i], rel_rate[k, i] = stance_target(foot, pos, rot, vel, omega, i)
-        load[k] = rot.T @ f_share
+    rel, rel_rate = _stance_targets(foot, pos, vel, rot, yawrate, hip)
+    pos_l, vel_l, rot_l, _, yawrate_l = landing
+    land, land_rate = _stance_targets(holds[1:], pos_l, vel_l, rot_l, yawrate_l, hip)
+    table = _swing_table(swing_frames, n_swing, plan.step_height)
+    for i, (h, rows) in enumerate(zip(lifts, swing_rows)):
+        # each swing runs from the stance target at its first frame, where the
+        # leg still stands on its old hold, to the landing target on its new
+        # one, both in the hip frame, so the foot never crosses the hip roll
+        # axis while the body moves
+        ends = (rel[k0[h], i], land[h, i],
+                swing_time * rel_rate[k0[h], i], swing_time * land_rate[h, i])
+        swing, swing_rate = _swing_curve(table[:4], *ends), _swing_curve(table[4:8], *ends)
+        swing[..., 2] += table[8]
+        swing_rate[..., 2] += table[9]
+        rel[rows, i] = swing
+        rel_rate[rows, i] = swing_rate / swing_time
 
-        contacts[k, stance] = True
-        stamps.append(t)
-        yaws.append(yaw)
-        omegas.append(omega)
-        truth.append(BodyState(pos, np.array([0.0, 0.0, yaw]), vel, t))
+    f_share = np.zeros((n_frames, 3))
+    f_share[:, 2] = -plan.mass * GRAVITY / contacts.sum(axis=1)
+    load = _apply(np.swapaxes(rot, 1, 2), f_share)
+    stamps = t.tolist()
     # one (F, 3, L, 3) array; each frame's joints are a view into it
     joints = np.stack(_solve_legs(plan.legs, stamps, rel, rel_rate, load, contacts), axis=1)
     # (F, 4) and (F, 3) arrays; each frame's att and gyro are views into them
-    att = rpy_to_quat(0.0, 0.0, np.array(yaws)).T.copy()
-    frames = list(map(SensorFrame, stamps, att, np.array(omegas), joints))
-    return GaitResult(frames, truth, contacts)
+    att = rpy_to_quat(0.0, 0.0, yaw).T.copy()
+    gyro = np.zeros((n_frames, 3))
+    gyro[:, 2] = yawrate
+    rpy = np.zeros((n_frames, 3))
+    rpy[:, 2] = yaw
+    frames = list(map(SensorFrame, stamps, att, gyro, joints))
+    return GaitResult(frames, list(map(BodyState, pos, rpy, vel, stamps)), contacts)
 
 
 _STAND_Q = np.array([0.0, 0.8, -1.6])
@@ -608,4 +641,5 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
 
 
 __all__ = ["GaitPlan", "GaitResult", "StepTerrain", "InfeasiblePlan",
-           "preset_plan", "PRESETS", "MODES", "generate_gait", "degrade", "GRAVITY"]
+           "preset_plan", "PRESETS", "MODES", "generate_gait", "degrade", "frames_per_step",
+           "GRAVITY"]

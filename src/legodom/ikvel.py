@@ -35,7 +35,6 @@ import numpy as np
 
 from . import kernels
 from .geometry import LegGeometry
-from .legkin import fk_position
 
 DT_MAX_DEFAULT = 0.1
 DET_EPS = 1e-9
@@ -293,11 +292,19 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
     return x, P, status
 
 
+def _first_states(q, coef):
+    """Filter states (L, 6) at first sight of legs with joint angles q (L, 3)
+    and leg_coefficients coef: FK positions, zero velocities."""
+    q = np.asarray(q, dtype=float)
+    x = np.zeros((len(q), 6))
+    x[:, :3] = kernels.leg_kinematics(q, np.zeros_like(q), coef)[0]
+    return x
+
+
 def initial_state(q, geom: LegGeometry, t):
     """Filter state at first sight of a leg: FK position, zero velocity."""
-    x = np.zeros(6)
-    x[:3] = fk_position(q, geom)
-    return CkfLegState(x, _prior_cov(), t)
+    coef = kernels.leg_coefficients(*geom.kernel_args())
+    return CkfLegState(_first_states(np.reshape(q, (1, 3)), coef)[0], _prior_cov(), t)
 
 
 def _truncated_dt(t_now, t, dt_max):
@@ -346,6 +353,9 @@ class LegVelocityFilter:
             for g in self.geometries)))
         # the side sign of each leg, for the posterior's lateral snap
         self._side = np.array([float(g.side_sign) for g in self.geometries])
+        # the legs' kinematics coefficients, for the first states
+        self._coef = kernels.leg_coefficients(
+            *(np.array(p) for p in zip(*(g.kernel_args() for g in self.geometries))))
 
     def status_totals(self):
         """How many leg cycles set each CKF_* bit, keyed by the bit's name."""
@@ -357,9 +367,8 @@ class LegVelocityFilter:
         rates dq; returns the (L, 3) filtered foot velocities."""
         st = self.states
         if st is None:
-            legs = [initial_state(qi, g, stamp) for g, qi in zip(self.geometries, q)]
-            st = CkfLegState(np.array([s.x for s in legs]),
-                             np.array([s.P for s in legs]), stamp)
+            st = CkfLegState(_first_states(q, self._coef),
+                             np.tile(_prior_cov(), (len(self.geometries), 1, 1)), stamp)
         x, P, status = _ckf_legs(st.x, st.P, _truncated_dt(stamp, st.t, self.dt_max),
                                  np.concatenate([q, dq], axis=1), self.noise,
                                  *self._params, self._side)

@@ -15,7 +15,7 @@ Example:
 """
 
 from .config import ConfigError, parse_value, read_pairs
-from .gait import MODES, PRESETS, GaitPlan, StepTerrain, preset_plan
+from .gait import MODES, PRESETS, GaitPlan, StepTerrain, frames_per_step, preset_plan
 from .geometry import default_leg_geometries
 
 _FLOAT_KEYS = ("rate_hz", "body_height", "speed", "step_period", "step_height",
@@ -67,8 +67,10 @@ def parse_plan_text(text):
     if waypoints:
         plan.waypoints = waypoints
 
+    lines = {}
     for key in _FLOAT_KEYS:
         if key in kv:
+            lines[key] = kv[key][0]
             setattr(plan, key, _float(key, *kv.pop(key)))
 
     if "wheel_radius" in kv:
@@ -104,7 +106,23 @@ def parse_plan_text(text):
     if kv:
         raise ConfigError("unknown plan keys: %s" % ", ".join(
             "%s (line %d)" % (k, kv[k][0]) for k in sorted(kv)))
+    _check_frame_grid(plan, lines)
     return plan
+
+
+def _check_frame_grid(plan, lines):
+    """The trot generator's frame-grid check, run on a trot whose file sets
+    step_period or rate_hz (by line, in lines): a ConfigError naming the
+    step_period line, or the rate_hz line when the file sets only that."""
+    keys = [k for k in ("step_period", "rate_hz") if k in lines]
+    if plan.mode != "trot" or not keys:
+        return
+    try:
+        frames_per_step(plan.step_period, plan.rate_hz)
+    except ValueError as exc:
+        raise ConfigError("plan line %d: %s (step_period %g s at rate_hz %g is %g frames)"
+                          % (lines[keys[0]], exc, plan.step_period, plan.rate_hz,
+                             plan.step_period * plan.rate_hz)) from None
 
 
 def load_plan(path):

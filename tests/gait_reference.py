@@ -1,5 +1,5 @@
-"""Frozen copies of the per-frame static generator and the per-frame `degrade`
-that `legodom.gait` replaced.
+"""Frozen copies of the per-frame generators and the per-frame `degrade` that
+`legodom.gait` replaced.
 
 `_generate_static` below is the stand / wheel_roll / wheel_swing / hop
 generator as it was before it became closed-form column arrays: it walks the
@@ -17,6 +17,14 @@ walks the frames and applies the yaw drift to one frame at a time through
 the float forms of `quat_to_rpy`, `wrap_angle` and `rpy_to_quat`.
 `quat_to_rpy` and `wrap_angle` are frozen here too, as they were before the
 library's versions took columns.
+
+`_generate_trot` is the trot as it was before it became array passes: it
+walks the frames one at a time, evaluates the body path at each stamp on
+floats (`body_at`, `_SpeedProfile.at`, `_Path.at`, and `StepTerrain`'s
+`body_offset` and `ground_z`, here free functions of the terrain), commits
+the footholds when a half-cycle starts, and builds each leg's target per
+frame with `stance_target` or the Hermite `_swing`. The joint solve is the
+library's `_solve_legs`, which the change left alone.
 """
 
 import math
@@ -25,8 +33,9 @@ import numpy as np
 
 from legodom import kernels
 from legodom.estimator import BodyState, SensorFrame
-from legodom.gait import GRAVITY, GaitResult, _leg_params
-from legodom.geometry import WheelReading, rpy_to_quat
+from legodom.gait import (GRAVITY, TROT_PAIR_A, GaitResult, _check_frames, _leg_params,
+                          _solve_legs)
+from legodom.geometry import WheelReading, cross3, rot_z, rpy_to_quat
 
 from kernels_reference import leg_coefficients, leg_kinematics
 
@@ -238,3 +247,262 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
                       for w in fr.wheels]
         out.append(SensorFrame(fr.stamp, att, fr.gyro.copy(), frame_joints, wheels))
     return out
+
+
+# StepTerrain.ground_z and StepTerrain.body_offset as they were, on floats;
+# self is the terrain
+
+def ground_z(self, x, y):
+    return self.height if self.x0 <= x <= self.x1 else 0.0
+
+
+def body_offset(self, x):
+    if x <= self.x0 - self.ramp or x >= self.x1 + self.ramp:
+        return 0.0, 0.0
+    if x < self.x0:
+        u = (x - (self.x0 - self.ramp)) / self.ramp
+        return self.height * u * u * (3 - 2 * u), self.height * 6 * u * (1 - u) / self.ramp
+    if x > self.x1:
+        u = (x - self.x1) / self.ramp
+        return self.height * (1 - u * u * (3 - 2 * u)), -self.height * 6 * u * (1 - u) / self.ramp
+    return self.height, 0.0
+
+
+class _Path:
+    """Arclength-parameterized piecewise-linear body path."""
+
+    def __init__(self, waypoints):
+        self.pts = np.asarray(waypoints, dtype=float)
+        if self.pts.ndim != 2 or self.pts.shape[1] != 2:
+            raise ValueError("waypoints must be (x, y) pairs")
+        if len(self.pts) > 1:
+            deltas = np.diff(self.pts, axis=0)
+            seg_len = np.hypot(deltas[:, 0], deltas[:, 1])
+            keep = seg_len > 0
+            self.starts = self.pts[:-1][keep]
+            self.dirs = deltas[keep] / seg_len[keep, None]
+            self.seg_len = seg_len[keep]
+        else:
+            self.starts = np.zeros((0, 2))
+            self.dirs = np.zeros((0, 2))
+            self.seg_len = np.zeros(0)
+        self.cum = np.concatenate([[0.0], np.cumsum(self.seg_len)])
+        self.total = float(self.cum[-1])
+
+    def at(self, s):
+        """Position and unit direction at arclength s (clamped to the path)."""
+        if self.total == 0.0:
+            return self.pts[0].copy(), np.zeros(2)
+        if s <= 0.0:
+            return self.starts[0].copy(), self.dirs[0].copy()
+        if s >= self.total:
+            return self.starts[-1] + self.dirs[-1] * self.seg_len[-1], self.dirs[-1].copy()
+        k = int(np.searchsorted(self.cum, s, side="right") - 1)
+        k = min(k, len(self.seg_len) - 1)
+        return self.starts[k] + self.dirs[k] * (s - self.cum[k]), self.dirs[k].copy()
+
+
+def _swing(u, p0, p1, m0, m1, apex):
+    """Cubic Hermite between hip-frame targets with matched end rates, plus a
+    sin^2 apex bump; returns the profile value and its d/du derivative.
+
+    Velocity-matched endpoints keep joint rates continuous through touchdown,
+    so encoder differencing sees no impact artifact on clean streams.
+    """
+    u2 = u * u
+    u3 = u2 * u
+    h00 = 2 * u3 - 3 * u2 + 1
+    h10 = u3 - 2 * u2 + u
+    h01 = -2 * u3 + 3 * u2
+    h11 = u3 - u2
+    pos = h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
+    pos[2] += apex * math.sin(math.pi * u) ** 2
+    dh00 = 6 * u2 - 6 * u
+    dh10 = 3 * u2 - 4 * u + 1
+    dh01 = -6 * u2 + 6 * u
+    dh11 = 3 * u2 - 2 * u
+    vel = dh00 * p0 + dh10 * m0 + dh01 * p1 + dh11 * m1
+    vel[2] += apex * math.pi * math.sin(2 * math.pi * u)
+    return pos, vel
+
+
+def _nominal_xy(plan, leg_idx, body_xy, yaw):
+    geom = plan.legs[leg_idx]
+    lateral = geom.side_sign * (geom.hip_offset_len + plan.stance_margin)
+    offset = np.array([geom.hip_mount[0], geom.hip_mount[1] + lateral])
+    return body_xy + rot_z(yaw)[:2, :2] @ offset
+
+
+class _SpeedProfile:
+    """Trapezoidal arclength profile: ramp up, cruise, ramp down."""
+
+    def __init__(self, total, v, ramp):
+        self.total = total
+        if total <= 0.0 or v <= 0.0:
+            self.duration = 0.0
+            return
+        accel = v / ramp if ramp > 0 else float("inf")
+        if ramp <= 0.0:
+            self.v, self.ramp, self.accel = v, 0.0, float("inf")
+            self.duration = total / v
+        elif total >= v * ramp:
+            self.v, self.ramp, self.accel = v, ramp, accel
+            self.duration = total / v + ramp
+        else:
+            # short path: triangular profile at reduced peak speed
+            self.ramp = math.sqrt(total / accel)
+            self.v = accel * self.ramp
+            self.accel = accel
+            self.duration = 2.0 * self.ramp
+
+    def at(self, tw):
+        """(arclength, speed) at time tw since motion start, clamped."""
+        if self.total <= 0.0 or self.duration == 0.0:
+            return 0.0, 0.0
+        tw = min(max(tw, 0.0), self.duration)
+        if self.ramp == 0.0:
+            return self.v * tw, (self.v if 0 < tw < self.duration else 0.0)
+        if tw < self.ramp:
+            return 0.5 * self.accel * tw * tw, self.accel * tw
+        if tw <= self.duration - self.ramp:
+            return 0.5 * self.v * self.ramp + self.v * (tw - self.ramp), self.v
+        rem = self.duration - tw
+        return self.total - 0.5 * self.accel * rem * rem, self.accel * rem
+
+
+def _generate_trot(plan):
+    dt = 1.0 / plan.rate_hz
+    sp = plan.step_period
+    fps = int(round(sp * plan.rate_hz))  # frames per half-cycle
+    if fps < 2 or abs(fps - sp * plan.rate_hz) > 1e-9:
+        raise ValueError("step_period must be an integer number of frames")
+    path = _Path(plan.waypoints)
+    turning = plan.turn_angle > 0.0 and plan.yaw_rate > 0.0
+    profile = _SpeedProfile(path.total, plan.speed, plan.speed_ramp)
+    if turning:
+        move_time = plan.turn_angle / plan.yaw_rate
+    else:
+        move_time = profile.duration
+    _check_frames(move_time * plan.rate_hz + 2.0 * plan.settle_time * plan.rate_hz)
+    n_half = max(2, int(math.ceil(move_time / sp - 1e-9)) + 2)
+    k_walk0 = int(round(plan.settle_time * plan.rate_hz))
+    k_walk1 = k_walk0 + n_half * fps
+    n_frames = k_walk1 + int(round(plan.settle_time * plan.rate_hz)) + 1
+    _check_frames(n_frames)
+    n_legs = len(plan.legs)
+
+    def body_at(t):
+        tw = min(max(t - plan.settle_time, 0.0), move_time)
+        moving = 0.0 < t - plan.settle_time < move_time
+        if turning:
+            xy, dxy = path.pts[0].copy(), np.zeros(2)
+            yaw = plan.yaw_rate * tw
+            yawrate = plan.yaw_rate if moving else 0.0
+        else:
+            s, speed = profile.at(tw)
+            xy, d = path.at(s)
+            dxy = speed * d if moving else np.zeros(2)
+            yaw, yawrate = 0.0, 0.0
+        if plan.terrain is not None:
+            off, doff = body_offset(plan.terrain, xy[0])
+            z = plan.body_height + off
+            vz = doff * dxy[0]
+        else:
+            z, vz = plan.body_height, 0.0
+        pos = np.array([xy[0], xy[1], z])
+        vel = np.array([dxy[0], dxy[1], vz])
+        return pos, vel, wrap_angle(yaw), yawrate
+
+    def ground(xy):
+        return ground_z(plan.terrain, xy[0], xy[1]) if plan.terrain is not None else 0.0
+
+    def foothold(leg, t_td):
+        pos, _, yaw, _ = body_at(t_td + sp / 2.0)
+        xy = _nominal_xy(plan, leg, pos[:2], yaw)
+        return np.array([xy[0], xy[1], ground(xy)])
+
+    def stance_target(foot, pos, rot, vel, omega, leg):
+        """Hip-to-foot target of a foot planted at world point foot, and its
+        rate under the body's motion."""
+        rel_full = rot.T @ (foot - pos)
+        return (rel_full - plan.legs[leg].hip_mount,
+                -(rot.T @ vel) - cross3(omega, rel_full))
+
+    ov = int(round(plan.double_support * plan.rate_hz))
+    swing_frames = fps - ov
+    if swing_frames < 2:
+        raise ValueError("double_support leaves no room for the swing")
+    swing_time = swing_frames * dt
+
+    cur = [foothold(i, 0.0) for i in range(n_legs)]
+    nxt = [None] * n_legs
+    # swing is interpolated between hip-frame endpoints so the foot can never
+    # cross the hip roll axis while the body keeps moving: per leg, the
+    # (start, end, start rate, end rate) arguments of _swing
+    swing_ends = [None] * n_legs
+    pair_a = set(TROT_PAIR_A)
+    all_legs = set(range(n_legs))
+
+    rel = np.empty((n_frames, n_legs, 3))
+    rel_rate = np.empty((n_frames, n_legs, 3))
+    load = np.empty((n_frames, 3))
+    stamps, yaws, omegas, truth = [], [], [], []
+    contacts = np.zeros((n_frames, n_legs), dtype=bool)
+    half_prev = -1
+    for k in range(n_frames):
+        t = k * dt
+        pos, vel, yaw, yawrate = body_at(t)
+        rot = rot_z(yaw)
+        omega = np.array([0.0, 0.0, yawrate])
+
+        # the half-cycle of the walk, -1 while settling
+        half = (k - k_walk0) // fps if k_walk0 <= k < k_walk1 else -1
+        lifting = pair_a if half % 2 == 0 else all_legs - pair_a
+        if half != half_prev:
+            # commit the previous swing pair, then set the new pair's targets
+            for i in range(n_legs):
+                if nxt[i] is not None:
+                    cur[i] = nxt[i]
+                    nxt[i] = None
+            if half >= 0:
+                t_land = plan.settle_time + half * sp + swing_time
+                pos_td, vel_td, yaw_td, yawrate_td = body_at(t_land)
+                rot_td = rot_z(yaw_td)
+                om_td = np.array([0.0, 0.0, yawrate_td])
+                for i in lifting:
+                    nxt[i] = foothold(i, t_land)
+                    p0, v0 = stance_target(cur[i], pos, rot, vel, omega, i)
+                    p1, v1 = stance_target(nxt[i], pos_td, rot_td, vel_td, om_td, i)
+                    swing_ends[i] = (p0, p1, swing_time * v0, swing_time * v1)
+            half_prev = half
+        # no leg swings while settling, nor in double support, where the
+        # swing pair has landed on its new foothold
+        frame_in_half = (k - k_walk0) % fps
+        swing_set = lifting if half >= 0 and frame_in_half < swing_frames else set()
+        u = frame_in_half / swing_frames
+
+        stance = [i for i in range(n_legs) if i not in swing_set]
+        f_share = np.array([0.0, 0.0, -plan.mass * GRAVITY / len(stance)])
+
+        for i in range(n_legs):
+            if i in swing_set:
+                rel[k, i], swing_rate = _swing(u, *swing_ends[i], plan.step_height)
+                rel_rate[k, i] = swing_rate / swing_time
+            else:
+                # a pending nxt on a stance leg means it landed early and is
+                # riding out the double-support window on the new foothold
+                foot = nxt[i] if nxt[i] is not None else cur[i]
+                rel[k, i], rel_rate[k, i] = stance_target(foot, pos, rot, vel, omega, i)
+        load[k] = rot.T @ f_share
+
+        contacts[k, stance] = True
+        stamps.append(t)
+        yaws.append(yaw)
+        omegas.append(omega)
+        truth.append(BodyState(pos, np.array([0.0, 0.0, yaw]), vel, t))
+    # one (F, 3, L, 3) array; each frame's joints are a view into it
+    joints = np.stack(_solve_legs(plan.legs, stamps, rel, rel_rate, load, contacts), axis=1)
+    # (F, 4) and (F, 3) arrays; each frame's att and gyro are views into them
+    att = rpy_to_quat(0.0, 0.0, np.array(yaws)).T.copy()
+    frames = list(map(SensorFrame, stamps, att, np.array(omegas), joints))
+    return GaitResult(frames, truth, contacts)

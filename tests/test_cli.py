@@ -513,7 +513,16 @@ def test_step_period_off_the_frame_grid_exit_3(tmp_path, capsys):
     code, err = _simulate_plan_error(tmp_path, capsys,
                                      "preset = flat_loop\nstep_period = 0.2413\n")
     assert code == 3
-    assert "step_period must be an integer number of frames" in err
+    assert err == ("plan error: plan line 2: step_period must be an integer number of "
+                   "frames (step_period 0.2413 s at rate_hz 250 is 60.325 frames)\n")
+
+
+def test_rate_hz_off_the_frame_grid_exit_3(tmp_path, capsys):
+    code, err = _simulate_plan_error(tmp_path, capsys,
+                                     "preset = walk_line\n\nrate_hz = 333\n")
+    assert code == 3
+    assert err == ("plan error: plan line 3: step_period must be an integer number of "
+                   "frames (step_period 0.24 s at rate_hz 333 is 79.92 frames)\n")
 
 
 def test_unparseable_plan_value_exit_3(tmp_path, capsys):

@@ -102,6 +102,21 @@ def test_infeasible_plan_names_first_failing_frame_mid_stream(overrides, stamp, 
     assert str(err.value) == "t=%.4f: %s" % (stamp, msg)
 
 
+@pytest.mark.parametrize("step_period, rate_hz", [
+    (0.2413, 250.0), (0.24, 333.0), (0.004, 250.0), (0.0, 250.0), (1e300, 1e300)])
+def test_step_period_off_the_frame_grid_raises(step_period, rate_hz):
+    with pytest.raises(ValueError, match="^step_period must be an integer number of frames$"):
+        gait.frames_per_step(step_period, rate_hz)
+    with pytest.raises(ValueError, match="^step_period must be an integer number of frames$"):
+        generate_gait(GaitPlan(step_period=step_period, rate_hz=rate_hz))
+
+
+def test_trot_needs_the_legs_of_its_pair(legs4):
+    assert gait.frames_per_step(0.24, 250.0) == 60
+    with pytest.raises(ValueError, match="^a trot needs at least 4 legs, got 3$"):
+        generate_gait(GaitPlan(legs=legs4[:3]))
+
+
 def test_generator_runs_the_leg_kernels_once_per_block_of_frames(monkeypatch):
     calls = {"ik_joints_array": 0, "leg_kinematics": 0}
     for name in calls:

@@ -1,5 +1,6 @@
-"""The closed-form static generator and the column `degrade` pinned bit for
-bit to the per-frame loops they replaced (`tests/gait_reference.py`)."""
+"""The closed-form static generator, the array-pass trot and the column
+`degrade` pinned bit for bit to the per-frame loops they replaced
+(`tests/gait_reference.py`)."""
 
 import re
 
@@ -10,7 +11,7 @@ from legodom import gait
 from legodom.estimator import SensorFrame
 from legodom.geometry import (default_leg_geometries, quat_to_rpy, quat_to_rpy_columns,
                               rpy_to_quat, wrap_angle)
-from legodom.logio import encode_json, frame_to_dict
+from legodom.logio import encode_json, frame_to_dict, write_frames
 
 import gait_reference as ref
 
@@ -78,6 +79,75 @@ PLANS = dict(_plans())
 def test_static_generator_matches_the_frozen_frame_loop(name):
     plan = PLANS[name]
     assert_bit_equal(gait.generate_gait(plan), ref._generate_static(plan))
+
+
+def _truth_bits(truth):
+    return _bits([[s.stamp, *s.position, *s.rpy, *s.velocity] for s in truth])
+
+
+@pytest.mark.parametrize("preset", ["flat_loop", "stair_loop", "walk_line", "turn_in_place"])
+def test_trot_matches_the_frozen_frame_loop(stream, tmp_path, preset):
+    plan, new, _ = stream(preset)
+    old = ref._generate_trot(plan)
+    # the log lines, through the column writer that test_logio pins to them
+    write_frames(tmp_path / "new.jsonl", new.frames)
+    write_frames(tmp_path / "old.jsonl", old.frames)
+    assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "old.jsonl").read_bytes()
+    assert _truth_bits(new.truth) == _truth_bits(old.truth)
+    assert all(type(s.stamp) is float for s in new.truth)
+    assert new.contacts.dtype == old.contacts.dtype
+    assert np.array_equal(new.contacts, old.contacts)
+
+
+def _trot_plans():
+    """Short trots through the corners of the path, the speed profile, the
+    terrain and the half-cycle timing, as changes to a 0.5 m line."""
+    yield "no-settle", dict(settle_time=0.0)
+    yield "no-speed-ramp", dict(speed_ramp=0.0)
+    # a path shorter than speed * ramp: a triangular profile
+    yield "triangular", dict(waypoints=[(0.0, 0.0), (0.2, 0.0)])
+    yield "no-double-support", dict(double_support=0.0)
+    # the swing outlasts the half-cycle and is cut at its end
+    yield "negative-double-support", dict(double_support=-0.02)
+    # backwards and diagonal, through a repeated waypoint
+    yield "reverse-diagonal", dict(waypoints=[(0.3, 0.2), (-0.1, 0.2), (-0.1, 0.2),
+                                              (-0.4, -0.1)], speed=0.3)
+    yield "standing-still", dict(waypoints=[(0.2, -0.1)])
+    yield "turn-on-a-ramp", dict(waypoints=[(0.0, 0.0)], yaw_rate=0.5, turn_angle=1.0,
+                                 terrain=gait.StepTerrain(0.1, 0.5, 0.03))
+    # over and off a platform, with and without a ramp, and into a pit
+    yield "step-up-and-down", dict(waypoints=[(0.0, 0.0), (0.9, 0.0)],
+                                   terrain=gait.StepTerrain(0.3, 0.5, 0.04, 0.2))
+    yield "sheer-step", dict(terrain=gait.StepTerrain(0.2, 0.35, 0.02, 0.0))
+    yield "pit", dict(terrain=gait.StepTerrain(0.1, 0.3, -0.03, 0.1))
+    yield "500-hz", dict(rate_hz=500.0, step_period=0.2, step_height=0.06)
+    yield "six-legs", dict(legs=default_leg_geometries() + default_leg_geometries()[:2])
+
+
+TROT_PLANS = {name: gait.GaitPlan(**{"waypoints": [(0.0, 0.0), (0.5, 0.0)],
+                                      "settle_time": 0.2, **changes})
+              for name, changes in _trot_plans()}
+
+
+@pytest.mark.parametrize("name", sorted(TROT_PLANS))
+def test_trot_plans_match_the_frozen_frame_loop(name):
+    plan = TROT_PLANS[name]
+    assert_bit_equal(gait.generate_gait(plan), ref._generate_trot(plan))
+
+
+@pytest.mark.parametrize("preset, key, value, message", [
+    ("flat_loop", "speed", 40.0, "t=0.6600: foot target outside workspace"),
+    ("walk_line", "step_height", 0.5, "t=0.6780: IK branch mismatch"),
+])
+def test_infeasible_trots_fail_like_the_frozen_frame_loop(preset, key, value, message):
+    plan = gait.preset_plan(preset)
+    setattr(plan, key, value)
+    with pytest.raises(gait.InfeasiblePlan) as old:
+        ref._generate_trot(plan)
+    with pytest.raises(gait.InfeasiblePlan) as new:
+        gait.generate_gait(plan)
+    assert str(new.value) == str(old.value) and str(new.value).startswith(message)
+    assert new.value.stamp == old.value.stamp
 
 
 # per seed, a yaw drift rate that wraps the yaw across +-pi several times in

@@ -567,3 +567,24 @@ def test_per_leg_states_are_independent():
         sb = solo_b.update(t, qb[None], db[None])[0]
         assert np.array_equal(va, sa)
         assert np.array_equal(vb, sb)
+
+
+def test_first_update_starts_from_one_kinematics_call_bit_equal_to_fk(legs4, monkeypatch):
+    rng = np.random.default_rng(11)
+    legs = legs4 + [LegGeometry(0.0955, 0.213, 0.2, 0.05, -1, np.zeros(3))]
+    qs = [np.array([sample_joint(rng) for _ in legs]) for _ in range(300)]
+    coef = LegVelocityFilter(legs)._coef
+    for q in qs:
+        first = ikvel._first_states(q, coef)
+        for i, g in enumerate(legs):
+            assert first[i, :3].tobytes() == fk_position(q[i], g).tobytes()
+            assert first[i].tobytes() == initial_state(q[i], g, 0.0).x.tobytes()
+        assert not first[:, 3:].any()
+    calls = []
+    kinematics = kernels.leg_kinematics
+    monkeypatch.setattr(kernels, "leg_kinematics",
+                        lambda *args: calls.append(args[0].shape) or kinematics(*args))
+    filt = LegVelocityFilter(legs)
+    filt.update(0.0, qs[0], np.zeros_like(qs[0]))
+    filt.update(0.002, qs[0], np.zeros_like(qs[0]))
+    assert calls == [(len(legs), 3)]
