@@ -15,16 +15,12 @@ from .estimator import BodyState, Estimator, SensorFrame, create, diagnostics, s
 from .gait import (GaitPlan, GaitResult, InfeasiblePlan, StepTerrain, degrade,
                    generate_gait, preset_plan)
 from .geometry import (JointReading, LegGeometry, WheelReading,
-                       default_leg_geometries, quat_to_rpy, rpy_matrix,
-                       rpy_to_quat, wrap_angle)
+                       default_leg_geometries, quat_to_rpy, rpy_to_quat, wrap_angle)
 from .height import SupportPlane, correct_height, prune_stale
-from .ikvel import (CkfLegState, CkfNoise, LegVelocityFilter, SingularJacobian,
-                    Unreachable, ckf_step, cubature_step, ik_measurement)
-from .legkin import (SingularConfiguration, fk_position, fk_velocity,
-                     foot_force_body, jacobian, rolling_bias)
+from .ikvel import CkfLegState, CkfNoise, LegVelocityFilter, cubature_step
 from .metrics import compute_metrics
 from .wheel import (effective_roll_increment, heading_direction,
-                    propagate_contact, rolling_velocity)
+                    propagate_contact, rolling_bias, rolling_velocity)
 from .yawkin import (DegenerateMean, InsufficientContacts, apply_yaw_correction,
                      circular_mean, pairwise_yaw)
 

@@ -313,35 +313,6 @@ class Estimator:
             "mode": "fused" if stance else "predict",
         }
 
-    def predict_only(self, dt, gyro):
-        """Advance the state with no contact information.
-
-        Position integrates the held velocity; attitude integrates the body
-        gyro through the Euler-rate map. No accelerometer is consumed
-        anywhere, so velocity is held. A dt that is not finite and > 0, or a
-        gyro that is not 3 finite numbers, raises ValueError and leaves the
-        state as it was.
-        """
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError("dt %r is not finite and > 0" % (dt,))
-        gyro = np.asarray(gyro, dtype=float)
-        if gyro.shape != (3,) or not np.isfinite(gyro).all():
-            raise ValueError("gyro %r is not 3 finite numbers" % (gyro.tolist(),))
-        roll, pitch, yaw = self.state.rpy
-        sr, cr = np.sin(roll), np.cos(roll)
-        cp, tp = np.cos(pitch), np.tan(pitch)
-        rates = np.array([
-            gyro[0] + sr * tp * gyro[1] + cr * tp * gyro[2],
-            cr * gyro[1] - sr * gyro[2],
-            (sr / cp) * gyro[1] + (cr / cp) * gyro[2],
-        ])
-        rpy = self.state.rpy + rates * dt
-        rpy = np.array([wrap_angle(a) for a in rpy])
-        stamp = (self.state.stamp or 0.0) + dt
-        self.state = BodyState(self.state.position + self.state.velocity * dt,
-                               rpy, self.state.velocity.copy(), stamp)
-        return self.state.copy()
-
     def diagnostics(self):
         """Most recent per-step diagnostics record (JSON-serializable dict)."""
         return dict(self._diag)

@@ -50,8 +50,10 @@ class LegGeometry:
 
 
 class JointReading(NamedTuple):
-    """One leg's motor sample: angles, rates, torques (each length 3); as
-    `SensorFrame.legs` hands them out, views into the frame's `joints`."""
+    """One leg's motor sample: angles, rates, torques (each length 3). Its
+    field names are the channels of a log's leg records and of
+    `SensorFrame.joints`; `SensorFrame.legs` hands the samples out as views
+    into the frame's `joints`."""
 
     q: np.ndarray
     dq: np.ndarray
@@ -120,16 +122,6 @@ def blend3(a, b, gain):
     return (k * a[0] + gain * b[0], k * a[1] + gain * b[1], k * a[2] + gain * b[2])
 
 
-def rot_x(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(a):
     c, s = np.cos(a), np.sin(a)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -144,11 +136,6 @@ def rpy_rows(roll, pitch, yaw):
     return ((cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr),
             (sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr),
             (-sp, cp * sr, cp * cr))
-
-
-def rpy_matrix(roll, pitch, yaw):
-    """World-from-body rotation, Rz(yaw) Ry(pitch) Rx(roll), as a 3x3 array."""
-    return np.array(rpy_rows(roll, pitch, yaw))
 
 
 def rpy_to_quat(roll, pitch, yaw):
@@ -223,6 +210,6 @@ def default_leg_geometries(hip_offset=0.0955, thigh=0.213, calf=0.213,
 
 __all__ = [
     "LegGeometry", "JointReading", "WheelReading", "wrap_angle", "cross3", "mat_vec",
-    "mean3", "blend3", "rot_x", "rot_y", "rot_z", "rpy_rows", "rpy_matrix", "rpy_to_quat",
+    "mean3", "blend3", "rot_z", "rpy_rows", "rpy_to_quat",
     "quat_to_rpy", "quat_to_rpy_columns", "default_leg_geometries",
 ]

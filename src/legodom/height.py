@@ -26,8 +26,7 @@ def prune_stale(planes, now, fade_time):
     return [p for p in planes if now - p.last_update <= fade_time]
 
 
-def correct_height(z_raw, planes, now, match_window, fade_time, decay_scale=1.0,
-                   max_planes=MAX_PLANES):
+def correct_height(z_raw, planes, now, match_window, fade_time, decay_scale=1.0):
     """Snap a raw touchdown height to the support-plane store.
 
     Stale planes are pruned first. A plane within match_window of z_raw is a
@@ -36,7 +35,7 @@ def correct_height(z_raw, planes, now, match_window, fade_time, decay_scale=1.0,
     passes through unchanged; otherwise it snaps exactly to the stored plane.
     A matched plane's weight decays by the time since its last refresh and
     gains one count; unmatched heights open a new plane of weight 1, evicting
-    the lightest plane when the store is full.
+    the lightest plane when the store holds MAX_PLANES.
 
     Returns (z_corrected, planes).
     """
@@ -62,7 +61,7 @@ def correct_height(z_raw, planes, now, match_window, fade_time, decay_scale=1.0,
         best.last_update = now
         return z, planes
 
-    if len(planes) >= max_planes:
+    if len(planes) >= MAX_PLANES:
         evict = min(planes, key=lambda p: (p.weight, p.last_update))
         planes.remove(evict)
     planes.append(SupportPlane(z_raw, 1.0, now))

@@ -23,10 +23,10 @@ scalar check fires. N is the constant shift [[0, I], [0, 0]].
 
 `cubature_step` runs the recursion for one state with any measurement map and
 raises on a covariance that is not positive definite; `LegVelocityFilter`
-runs it over all legs with the leg IK and the per-leg recovery policy, and
-`ckf_step` does the same for one leg. The estimator calls the filter only
-when `ikvel.enabled` is set; otherwise it keeps the forward-kinematics foot
-velocities of kernels.leg_rows.
+runs it over all legs with the leg IK and the per-leg recovery policy, and a
+filter of one geometry is the one-leg cycle. The estimator calls the filter
+only when `ikvel.enabled` is set; otherwise it keeps the forward-kinematics
+foot velocities of kernels.leg_rows.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .geometry import LegGeometry
 
 DT_MAX_DEFAULT = 0.1
 DET_EPS = 1e-9
@@ -50,7 +49,7 @@ Z_MAX = 1e9
 _EYE6 = np.eye(6)
 _SHIFT = np.eye(6, k=3)
 
-# status bits returned by ckf_step
+# status bits of a leg's filter cycle, counted in LegVelocityFilter.status_counts
 CKF_CHOL_RESET = 1
 CKF_RATE_FALLBACK = 2
 CKF_CLAMPED = 4
@@ -59,18 +58,10 @@ CKF_MEASUREMENT_SKIPPED = 16
 _STATUS_BITS = {name: bit for name, bit in globals().items() if name.startswith("CKF_")}
 
 
-class Unreachable(Exception):
-    """Target outside the reachable workspace of the IK branch."""
-
-
-class SingularJacobian(Exception):
-    """IK Jacobian too close to singular for the rate solve."""
-
-
 @dataclass
 class CkfLegState:
-    """Filter state x = (position, velocity), covariance and stamp of one leg,
-    or of every leg stacked along a leading axis (LegVelocityFilter.states)."""
+    """Filter state x = (position, velocity), covariance and common stamp of
+    every leg, stacked along a leading axis (LegVelocityFilter.states)."""
 
     x: np.ndarray
     P: np.ndarray
@@ -104,24 +95,6 @@ def _ik_h(xs, lh, lt, l2, side, det_eps):
     z, viol, singular = kernels.ik_measurement_rows(np.moveaxis(xs, -1, 0),
                                                     lh, lt, l2, side, det_eps)
     return np.moveaxis(z, 0, -1), viol, singular
-
-
-def ik_measurement(x, geom: LegGeometry, clamp_tol=kernels.CLAMP_TOL):
-    """Map a (position, velocity) state to (joint angles, joint rates).
-
-    Inverse of (fk_position, fk_velocity) on the supported branch: knee folded
-    back, foot on its own lateral side. Raises Unreachable when an
-    inverse-trig argument leaves its domain by more than clamp_tol, and
-    SingularJacobian when the rate solve is ill-posed.
-    """
-    lh, lt, _, _, side = geom.kernel_args()
-    z, viol, singular = _ik_h(np.asarray(x, dtype=float), lh, lt, geom.l2,
-                              side, DET_EPS)
-    if viol > clamp_tol:
-        raise Unreachable("position outside workspace (domain overshoot %g)" % viol)
-    if singular:
-        raise SingularJacobian("IK Jacobian determinant below %g" % DET_EPS)
-    return z
 
 
 def _T(A):
@@ -190,7 +163,7 @@ def _update(x_pred, p_pred, pts, zs, z, r_cov):
 def cubature_step(x, P, dt, z, q_cov, r_cov, h):
     """Constant-velocity cubature filter step with any measurement map h.
 
-    Same recursion as ckf_step, without its recovery policy: raises
+    Same recursion as LegVelocityFilter, without its recovery policy: raises
     LinAlgError when the prior or predicted covariance is not positive
     definite, or the innovation covariance is not positive definite or
     singular. Used for the linear-model equivalence checks.
@@ -247,9 +220,9 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
 
     x (L, 6), P (L, 6, 6) and z (L, 6); dt is the common, already truncated
     time step; the link parameters are (L * 12,) arrays, each leg's value
-    tiled over its cubature points, or scalars, and leg_side is the (L,) side
-    signs, or a scalar. A leg's result does not depend on the batch it runs
-    in. Returns (x, P, status), status (L,) CKF_* bits.
+    tiled over its cubature points, and leg_side is the (L,) side signs. A
+    leg's result does not depend on the batch it runs in. Returns (x, P,
+    status), status (L,) CKF_* bits.
     """
     legs = len(x)
     q_cov = noise.q_cov * dt
@@ -301,34 +274,9 @@ def _first_states(q, coef):
     return x
 
 
-def initial_state(q, geom: LegGeometry, t):
-    """Filter state at first sight of a leg: FK position, zero velocity."""
-    coef = kernels.leg_coefficients(*geom.kernel_args())
-    return CkfLegState(_first_states(np.reshape(q, (1, 3)), coef)[0], _prior_cov(), t)
-
-
 def _truncated_dt(t_now, t, dt_max):
     dt = t_now - t
     return 0.0 if abs(dt) > dt_max else dt
-
-
-def ckf_step(state: CkfLegState, z, t_now, noise: CkfNoise, geom: LegGeometry,
-             dt_max=DT_MAX_DEFAULT):
-    """One filter cycle for one leg against measured (angles, rates).
-
-    The time step is truncated to zero when it exceeds dt_max (timestamp
-    anomalies); process noise scales with the elapsed time. Covariance
-    failures recover by resetting to the diagonal prior, never by aborting.
-    Runs the same batched cycle as LegVelocityFilter with a batch of one.
-
-    Returns (new_state, status_bitmask).
-    """
-    lh, lt, _, _, side = geom.kernel_args()
-    x, P, status = _ckf_legs(state.x[None], state.P[None],
-                             _truncated_dt(t_now, state.t, dt_max),
-                             np.asarray(z, dtype=float)[None], noise,
-                             lh, lt, geom.l2, side, side)
-    return CkfLegState(x[0], P[0], t_now), int(status[0])
 
 
 @dataclass
@@ -379,8 +327,6 @@ class LegVelocityFilter:
         return x[:, 3:].copy()
 
 
-__all__ = ["CkfLegState", "CkfNoise", "Unreachable", "SingularJacobian",
+__all__ = ["CkfLegState", "CkfNoise",
            "CKF_CHOL_RESET", "CKF_RATE_FALLBACK", "CKF_CLAMPED", "CKF_UPDATE_SKIPPED",
-           "CKF_MEASUREMENT_SKIPPED",
-           "ik_measurement", "cubature_step", "ckf_step",
-           "initial_state", "LegVelocityFilter"]
+           "CKF_MEASUREMENT_SKIPPED", "cubature_step", "LegVelocityFilter"]

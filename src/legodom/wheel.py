@@ -1,5 +1,6 @@
 """Wheel-contact handling: effective rolling angle, planar anchor propagation,
-and the rolling velocity term for wheel-legged stance.
+the rolling velocity term for wheel-legged stance, and the rounded-foot
+rolling bias model.
 
 The operators work on Python floats: vectors are any length-3 sequences and
 come back as tuples, rotations are three rows (a tuple of row tuples, or a
@@ -7,6 +8,8 @@ come back as tuples, rotations are three rows (a tuple of row tuples, or a
 """
 
 import math
+
+import numpy as np
 
 from .geometry import wrap_angle
 
@@ -66,5 +69,19 @@ def rolling_velocity(dpsi, dq2, dq3, wheel_radius, heading):
     return (s * heading[0], s * heading[1], s * heading[2])
 
 
+def rolling_bias(radius, a1, a2):
+    """Sagittal anchor bias of a rounded foot that rolls instead of pivoting.
+
+    a1/a2 are the shank pitch angles at touchdown and lift-off. Returns
+    (dx, dz): the displacement error committed by modelling the rounded foot
+    as a rigid shank extension with a fixed contact point. Linear in radius.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    dx = radius * (np.cos(a1) - np.cos(a2) - (a2 - a1))
+    dz = radius * (-np.sin(a1) + np.sin(a2))
+    return dx, dz
+
+
 __all__ = ["effective_roll_increment", "heading_direction",
-           "propagate_contact", "rolling_velocity"]
+           "propagate_contact", "rolling_velocity", "rolling_bias"]

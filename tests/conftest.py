@@ -3,7 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from legodom import default_leg_geometries, degrade, generate_gait, preset_plan
+from legodom import (CkfLegState, LegVelocityFilter, default_leg_geometries, degrade,
+                     generate_gait, kernels, preset_plan)
 from legodom.gait import GaitResult
 
 
@@ -28,6 +29,34 @@ Q3_RANGE = (-1.9, -0.9)
 def sample_joint(rng):
     return np.array([rng.uniform(*Q1_RANGE), rng.uniform(*Q2_RANGE),
                      rng.uniform(*Q3_RANGE)])
+
+
+def leg_coefficients(geoms):
+    """kernels.leg_coefficients of the legs geoms, as (L,) arrays: in a
+    kernels.leg_kinematics call, the last-but-one axis of q runs over geoms."""
+    params = zip(*(g.kernel_args() for g in geoms))
+    return kernels.leg_coefficients(*(np.array(p) for p in params))
+
+
+def kinematics(geom, q, dq=None):
+    """One kernels.leg_kinematics call over a stack of joint samples q (N, 3)
+    of the leg geom, at rates dq (zeros when None): (r, J, v), one row each."""
+    q = np.asarray(q, dtype=float)
+    dq = np.zeros_like(q) if dq is None else np.asarray(dq, dtype=float)
+    return kernels.leg_kinematics(q, dq, kernels.leg_coefficients(*geom.kernel_args()))
+
+
+def filter_cycle(x, P, z, t_now, noise, geom, t=0.0):
+    """One cycle of the one-leg filter LegVelocityFilter([geom], noise) from
+    the state (x, P) at stamp t against z = (angles, rates) at t_now.
+    Returns (x, P, status), status the cycle's CKF_* bits (0 when none)."""
+    filt = LegVelocityFilter([geom], noise)
+    filt.states = CkfLegState(np.array(x, dtype=float)[None],
+                              np.array(P, dtype=float)[None], t)
+    z = np.asarray(z, dtype=float)[None]
+    filt.update(t_now, z[:, :3], z[:, 3:])
+    (status,) = filt.status_counts or (0,)
+    return filt.states.x[0], filt.states.P[0], status
 
 
 def _read_only(*arrays):

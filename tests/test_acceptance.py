@@ -10,15 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from legodom import (Estimator, EstimatorConfig, LegGeometry, compute_metrics,
-                     fk_position, fk_velocity, foot_force_body, ik_measurement,
-                     jacobian, rolling_bias, wrap_angle)
+from legodom import (Estimator, EstimatorConfig, LegGeometry, compute_metrics, kernels,
+                     rolling_bias, wrap_angle)
 from legodom.cli import main as cli_main
-from legodom.ikvel import cubature_step
+from legodom.ikvel import DET_EPS, cubature_step
 from legodom.wheel import effective_roll_increment
 
-from conftest import sample_joint
-from test_leg_kinematics import fk_chain_oracle, jacobian_fd_oracle, rolling_sim_oracle
+from conftest import leg_coefficients, sample_joint
+from test_leg_kinematics import (fk_chain_oracle, jacobian_fd_oracle, leg_forces,
+                                 rolling_sim_oracle)
 
 GEOM = LegGeometry(0.0955, 0.213, 0.213, 0.0, 1, np.zeros(3))
 
@@ -44,44 +44,52 @@ def stair_noisy(stream):
 def test_criterion_01_kinematics_oracles():
     rng = np.random.default_rng(101)
     t0 = time.monotonic()
-    worst_fk = worst_jac = worst_vel = worst_wrench = 0.0
+    geoms, q_free, dq, q, f_true = [], [], [], [], []
     for _ in range(1000):
         side = 1 if rng.random() < 0.5 else -1
-        geom = LegGeometry(0.0955, 0.213, 0.213, 0.0, side, np.zeros(3))
-        q_free = rng.uniform(-np.pi / 2, np.pi / 2, 3)
-        worst_fk = max(worst_fk, np.max(np.abs(
-            fk_position(q_free, geom) - fk_chain_oracle(q_free, geom))))
-        J = jacobian(q_free, geom)
-        scale = max(1.0, np.max(np.abs(J)))
-        worst_jac = max(worst_jac, np.max(np.abs(
-            J - jacobian_fd_oracle(q_free, geom))) / scale)
-        dq = rng.normal(size=3)
-        worst_vel = max(worst_vel, np.max(np.abs(
-            fk_velocity(q_free, dq, geom) - J @ dq)))
-        q = sample_joint(rng)
-        f_true = rng.normal(scale=100.0, size=3)
-        tau = jacobian(q, geom).T @ f_true
-        f = foot_force_body(q, tau, geom)
-        worst_wrench = max(worst_wrench, np.max(np.abs(
-            jacobian(q, geom).T @ f - tau)))
+        geoms.append(LegGeometry(0.0955, 0.213, 0.213, 0.0, side, np.zeros(3)))
+        q_free.append(rng.uniform(-np.pi / 2, np.pi / 2, 3))
+        dq.append(rng.normal(size=3))
+        q.append(sample_joint(rng))
+        f_true.append(rng.normal(scale=100.0, size=3))
+    q_free, dq, q, f_true = map(np.array, (q_free, dq, q, f_true))
+    coef = leg_coefficients(geoms)
+    r, J, v = kernels.leg_kinematics(q_free, dq, coef)
+    J_fd = jacobian_fd_oracle(q_free, coef)
+    J_q = kernels.leg_kinematics(q, np.zeros_like(q), coef)[1]
+    tau = (np.swapaxes(J_q, -1, -2) @ f_true[..., None])[..., 0]
+    f, ok_f = leg_forces(q, tau, [kernels.leg_coefficients(*g.kernel_args()) for g in geoms])
+    worst_fk = worst_jac = worst_vel = worst_wrench = 0.0
+    for k, geom in enumerate(geoms):
+        worst_fk = max(worst_fk, np.max(np.abs(r[k] - fk_chain_oracle(q_free[k], geom))))
+        scale = max(1.0, np.max(np.abs(J[k])))
+        worst_jac = max(worst_jac, np.max(np.abs(J[k] - J_fd[k])) / scale)
+        worst_vel = max(worst_vel, np.max(np.abs(v[k] - J[k] @ dq[k])))
+        worst_wrench = max(worst_wrench, np.max(np.abs(J_q[k].T @ f[k] - tau[k])))
     elapsed = time.monotonic() - t0
+    gated = np.count_nonzero(~ok_f)
     ok = (worst_fk <= 1e-12 and worst_jac <= 1e-6 and worst_vel <= 1e-12
-          and worst_wrench <= 1e-9 and elapsed < 5.0)
-    _report(1, ok, "fk=%.1e jac=%.1e vel=%.1e wrench=%.1e in %.2fs"
-            % (worst_fk, worst_jac, worst_vel, worst_wrench, elapsed))
+          and worst_wrench <= 1e-9 and gated == 0 and elapsed < 5.0)
+    _report(1, ok, "fk=%.1e jac=%.1e vel=%.1e wrench=%.1e gated=%d in %.2fs"
+            % (worst_fk, worst_jac, worst_vel, worst_wrench, gated, elapsed))
 
 
 def test_criterion_02_ik_round_trip():
     rng = np.random.default_rng(102)
-    worst = 0.0
+    sides, q = [], []
     for _ in range(1000):
-        side = 1 if rng.random() < 0.5 else -1
-        geom = LegGeometry(0.0955, 0.213, 0.213, 0.0, side, np.zeros(3))
-        q = sample_joint(rng)
-        x = np.concatenate([fk_position(q, geom), np.zeros(3)])
-        z = ik_measurement(x, geom)
-        worst = max(worst, np.max(np.abs(z[:3] - q)))
-    _report(2, worst <= 1e-9, "worst joint error %.2e rad" % worst)
+        sides.append(1.0 if rng.random() < 0.5 else -1.0)
+        q.append(sample_joint(rng))
+    q, sides = np.array(q), np.array(sides)
+    lh, lt, lc, rw, _ = GEOM.kernel_args()
+    x = np.zeros((6, len(q)))
+    x[:3] = kernels.leg_kinematics(
+        q, np.zeros_like(q), kernels.leg_coefficients(lh, lt, lc, rw, sides))[0].T
+    z, viol, singular = kernels.ik_measurement_rows(x, lh, lt, GEOM.l2, sides, DET_EPS)
+    worst = np.max(np.abs(z[:3].T - q))
+    failed = np.count_nonzero((viol > kernels.CLAMP_TOL) | singular)
+    _report(2, worst <= 1e-9 and failed == 0,
+            "worst joint error %.2e rad, %d unreachable or singular" % (worst, failed))
 
 
 def test_criterion_03_ckf_matches_linear_kalman():
@@ -198,11 +206,13 @@ def test_criterion_09_wheel_propagation(stream):
     cfg = EstimatorConfig(legs=plan.legs,
                           initial_position=[0, 0, plan.body_height])
     est = Estimator(cfg)
+    q = np.array([fr.joints[0] for fr in res.frames])
+    r_frames = kernels.leg_kinematics(q, np.zeros_like(q), leg_coefficients(plan.legs))[0]
     worst = 0.0
     for k, (fr, tr) in enumerate(zip(res.frames, res.truth)):
         est.step(fr)
         for i, geom in enumerate(plan.legs):
-            expect = tr.position + geom.hip_mount + fk_position(fr.legs[i].q, geom)
+            expect = tr.position + geom.hip_mount + r_frames[k, i]
             worst = max(worst, np.max(np.abs(est.records[i].anchor - expect)))
 
     _, swing, _ = stream("wheel_swing")

@@ -1,23 +1,23 @@
-"""`ikvel.ckf_step` pinned against a frozen copy of the loop kernel it replaced.
+"""The one-leg filter cycle pinned against a frozen copy of the loop kernel
+it replaced.
 
 `chol_lower` and `ckf_leg_step` below are the scalar-loop filter step the
 estimator used before the filter became one numpy recursion in
 `legodom.ikvel`. They are kept verbatim (hand-rolled Cholesky, explicit
-moment loops, triangular solves for the gain) so `ckf_step` is checked
-against an independent operation sequence, status bits included. Do not
-edit them to follow the library.
+moment loops, triangular solves for the gain) so a one-leg
+`LegVelocityFilter` cycle is checked against an independent operation
+sequence, status bits included. Do not edit them to follow the library.
 """
 
 import numpy as np
 
-from legodom import (CkfLegState, CkfNoise, LegGeometry, ckf_step, fk_position,
-                     fk_velocity)
+from legodom import CkfNoise, LegGeometry
 import legodom.ikvel as ikvel
 from legodom.ikvel import (CKF_CHOL_RESET, CKF_CLAMPED, CKF_RATE_FALLBACK,
                            CKF_UPDATE_SKIPPED, _ik_h)
 from legodom.kernels import CLAMP_TOL
 
-from conftest import sample_joint
+from conftest import filter_cycle, kinematics, sample_joint
 
 GEOM = LegGeometry(0.0955, 0.213, 0.213, 0.0, 1, np.zeros(3))
 
@@ -210,43 +210,45 @@ def ckf_leg_step(x, P, dt, z, Q, R, lh, lt, l2, side, det_eps, r_inflate,
     return xo, Po, status
 
 
-# --- ckf_step against the frozen kernel ------------------------------------
+# --- the one-leg filter cycle against the frozen kernel --------------------
 
-def _frozen_vs_ckf_step(x, P, z, noise, geom=GEOM, dt=0.002):
-    """Run one filter cycle through ckf_step and through the frozen loop
-    kernel; return both statuses and the largest state/covariance gaps."""
+def _frozen_vs_filter_cycle(x, P, z, noise, geom=GEOM, dt=0.002):
+    """Run one filter cycle through a one-leg LegVelocityFilter and through
+    the frozen loop kernel; return both statuses and the largest
+    state/covariance gaps."""
     lh, lt, _, _, side = geom.kernel_args()
     x_ref, p_ref, s_ref = ckf_leg_step(
         x.copy(), P.copy(), dt, z, noise.q_cov * dt, noise.r_cov,
         lh, lt, geom.l2, side, ikvel.DET_EPS, ikvel.R_INFLATE,
         ikvel.P0_POS, ikvel.P0_VEL)
-    out, status = ckf_step(CkfLegState(x.copy(), P.copy(), 0.0), z, dt, noise, geom)
-    return (status, s_ref, np.max(np.abs(out.x - x_ref)),
-            np.max(np.abs(out.P - p_ref)))
+    x_out, p_out, status = filter_cycle(x, P, z, dt, noise, geom)
+    return (status, s_ref, np.max(np.abs(x_out - x_ref)),
+            np.max(np.abs(p_out - p_ref)))
 
 
 def test_ckf_step_matches_frozen_loop_kernel():
-    # ckf_step must reproduce the scalar-loop kernel it replaced, recovery
-    # policy and status bits included
+    # the one-leg filter cycle must reproduce the scalar-loop kernel it
+    # replaced, recovery policy and status bits included
     rng = np.random.default_rng(5)
     noise = CkfNoise.from_diagonals()
     for _ in range(20):
         q = sample_joint(rng)
         dq = rng.normal(scale=0.5, size=3)
-        x = np.concatenate([fk_position(q, GEOM), fk_velocity(q, dq, GEOM)])
+        r, _, v = kinematics(GEOM, [q], [dq])
+        x = np.concatenate([r[0], v[0]])
         x += rng.normal(scale=1e-3, size=6)
         # operating-range covariance: keeps every cubature point inside the
         # workspace so neither path takes a fallback branch
         P = np.diag(np.concatenate([rng.uniform(1e-6, 2e-5, 3),
                                     rng.uniform(1e-4, 1e-2, 3)]))
         z = np.concatenate([q, dq])
-        status, s_ref, dx, dp = _frozen_vs_ckf_step(x, P, z, noise)
+        status, s_ref, dx, dp = _frozen_vs_filter_cycle(x, P, z, noise)
         assert status == s_ref == 0
         assert dx <= 1e-11 and dp <= 1e-11
 
     q = np.array([0.05, 0.8, -1.6])
     z = np.concatenate([q, np.zeros(3)])
-    x_mid = np.concatenate([fk_position(q, GEOM), np.zeros(3)])
+    x_mid = np.concatenate([kinematics(GEOM, [q])[0][0], np.zeros(3)])
     p_op = np.diag([1e-6] * 3 + [1e-2] * 3)
     reach = GEOM.thigh_len + GEOM.l2
     x_ext = np.array([0.0, GEOM.hip_offset_len, -reach, 0.0, 0.1, 0.0])
@@ -260,6 +262,6 @@ def test_ckf_step_matches_frozen_loop_kernel():
         (x_mid, p_op, CkfNoise(noise.q_cov, -np.eye(6)), CKF_UPDATE_SKIPPED),
     ]
     for x, P, case_noise, expected in cases:
-        status, s_ref, dx, dp = _frozen_vs_ckf_step(x, P, z, case_noise)
+        status, s_ref, dx, dp = _frozen_vs_filter_cycle(x, P, z, case_noise)
         assert status == s_ref == expected
         assert dx <= 1e-11 and dp <= 1e-11

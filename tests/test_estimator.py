@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -228,36 +226,6 @@ def test_output_stamps_equal_input_stamps():
     plan.duration = 0.5
     est, states, res = _run(plan)
     assert all(st.stamp == fr.stamp for st, fr in zip(states, res.frames))
-
-
-def test_predict_only_examples():
-    est = Estimator(EstimatorConfig())
-    est.state.velocity = np.array([1.0, 0.0, 0.0])
-    st = est.predict_only(0.01, np.zeros(3))
-    assert np.allclose(st.position, [0.01, 0.0, 0.0])
-    assert np.allclose(st.rpy, 0.0)
-    st = est.predict_only(0.01, np.array([0.0, 0.0, 1.0]))
-    assert np.isclose(st.rpy[2], 0.01)
-    with pytest.raises(ValueError):
-        est.predict_only(0.0, np.zeros(3))
-
-
-@pytest.mark.parametrize("dt, gyro", [
-    (np.nan, [0.0, 0.0, 0.0]), (np.inf, [0.0, 0.0, 0.0]), (-np.inf, [0.0, 0.0, 0.0]),
-    (0.01, [np.nan, 0.0, 0.0]), (0.01, [0.0, 0.0, np.inf]), (0.01, [0.0, 0.0]),
-    (0.01, [0.0, 0.0, 0.0, 0.0])])
-def test_predict_only_rejects_a_bad_dt_or_gyro_and_keeps_the_state(dt, gyro):
-    # these used to write NaN into the position or the attitude
-    est = Estimator(EstimatorConfig())
-    est.state.velocity = np.array([1.0, 0.0, 0.0])
-    before = est.predict_only(0.01, np.array([0.1, 0.2, 0.3]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError):
-            est.predict_only(dt, gyro)
-    for name in ("position", "rpy", "velocity"):
-        assert np.array_equal(getattr(est.state, name), getattr(before, name))
-    assert est.state.stamp == before.stamp
 
 
 def test_yaw_held_when_imu_yaw_disabled():

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from legodom import (InfeasiblePlan, degrade, fk_position, foot_force_body,
-                     generate_gait, preset_plan, quat_to_rpy, rpy_matrix)
+from legodom import InfeasiblePlan, degrade, generate_gait, preset_plan, quat_to_rpy
 from legodom import gait, kernels
 from legodom.gait import GRAVITY, GaitPlan
+from legodom.geometry import rpy_rows
 from legodom.logio import frame_to_dict
 
+from conftest import kinematics, leg_coefficients
 
-def _foot_world(plan, frame, truth, leg):
-    rot = rpy_matrix(*quat_to_rpy(frame.att))
-    rel = fk_position(frame.legs[leg].q, plan.legs[leg])
-    return truth.position + rot @ (plan.legs[leg].hip_mount + rel)
+
+def _feet_body(plan, frames):
+    """Hip-to-foot positions (F, L, 3) of the frames' joint angles: one
+    kernels.leg_kinematics call over the stack."""
+    q = np.array([fr.joints[0] for fr in frames])
+    return kernels.leg_kinematics(q, np.zeros_like(q), leg_coefficients(plan.legs))[0]
 
 
 def test_stance_feet_exactly_stationary():
@@ -19,11 +22,13 @@ def test_stance_feet_exactly_stationary():
     plan.waypoints = [(0.0, 0.0), (1.5, 0.0)]
     res = generate_gait(plan)
     n = len(plan.legs)
+    feet = _feet_body(plan, res.frames)
     prev = [None] * n
     for k, (fr, tr) in enumerate(zip(res.frames, res.truth)):
+        rot = np.array(rpy_rows(*quat_to_rpy(fr.att)))
         for i in range(n):
             if res.contacts[k, i]:
-                w = _foot_world(plan, fr, tr, i)
+                w = tr.position + rot @ (plan.legs[i].hip_mount + feet[k, i])
                 if prev[i] is not None and res.contacts[k - 1, i]:
                     assert np.max(np.abs(w - prev[i])) <= 1e-9
                 prev[i] = w
@@ -39,10 +44,13 @@ def test_stance_torques_recover_prescribed_share():
         fr, tr = res.frames[k], res.truth[k]
         stance = np.flatnonzero(res.contacts[k])
         share = plan.mass * GRAVITY / len(stance)
-        rot = rpy_matrix(*quat_to_rpy(fr.att))
+        rot = np.array(rpy_rows(*quat_to_rpy(fr.att)))
+        q, dq, tau = fr.joints.tolist()
+        _, _, forces, ok = kernels.leg_rows(q, dq, tau, [kernels.leg_coefficients(
+            *g.kernel_args()) for g in plan.legs], 1e-6)
         for i in stance:
-            f = foot_force_body(fr.legs[i].q, fr.legs[i].tau, plan.legs[i])
-            f_world = rot @ f
+            assert ok[i]
+            f_world = rot @ np.array(forces[i])
             assert np.max(np.abs(f_world - [0.0, 0.0, -share])) <= 1e-9
 
 
@@ -240,9 +248,9 @@ def test_touchdown_noise_shifts_fk_height():
     rises = np.flatnonzero(res.contacts[1:, 0] & ~res.contacts[:-1, 0]) + 1
     assert rises.size > 0
     hit = 0
-    for k in rises:
-        p0 = fk_position(res.frames[k].legs[0].q, plan.legs[0])
-        p1 = fk_position(out[k].legs[0].q, plan.legs[0])
+    p0s = kinematics(plan.legs[0], [res.frames[k].joints[0, 0] for k in rises])[0]
+    p1s = kinematics(plan.legs[0], [out[k].joints[0, 0] for k in rises])[0]
+    for p0, p1 in zip(p0s, p1s):
         dz = p1[2] - p0[2]
         assert abs(dz) <= amp + 1e-9
         assert abs(p1[0] - p0[0]) <= 1e-7 and abs(p1[1] - p0[1]) <= 1e-7

@@ -1,15 +1,12 @@
 import numpy as np
-import pytest
 
-from legodom import (CkfLegState, CkfNoise, LegGeometry,
-                     SingularJacobian, Unreachable, ckf_step, cubature_step,
-                     fk_position, fk_velocity, ik_measurement, jacobian)
-from legodom.ikvel import LegVelocityFilter, initial_state
+from legodom import CkfLegState, CkfNoise, LegGeometry, cubature_step
+from legodom.ikvel import LegVelocityFilter
 import legodom.ikvel as ikvel
 import legodom.kernels as kernels
 
 import kernels_reference as ref
-from conftest import sample_joint
+from conftest import filter_cycle, kinematics, sample_joint
 
 GEOM = LegGeometry(0.0955, 0.213, 0.213, 0.0, 1, np.zeros(3))
 GEOM_R = LegGeometry(0.0955, 0.213, 0.213, 0.0, -1, np.zeros(3))
@@ -17,27 +14,43 @@ GEOM_R = LegGeometry(0.0955, 0.213, 0.213, 0.0, -1, np.zeros(3))
 
 # --- inverse-kinematics measurement model ---------------------------------
 
+def _ik(x, geom):
+    """kernels.ik_measurement_rows of the (position, velocity) states x
+    (N, 6) of the leg geom: (z (N, 6), viol (N,), singular (N,))."""
+    lh, lt, _, _, side = geom.kernel_args()
+    z, viol, singular = kernels.ik_measurement_rows(np.asarray(x, dtype=float).T, lh, lt,
+                                                    geom.l2, side, ikvel.DET_EPS)
+    return z.T, viol, singular
+
+
+def _state(geom, q, dq=None):
+    """Filter states (N, 6) of joint samples q (N, 3): FK positions and the
+    velocities of the rates dq (zeros when None)."""
+    r, _, v = kinematics(geom, q, dq)
+    return np.concatenate([r, v], axis=-1)
+
+
 def test_ik_round_trip_positions():
     rng = np.random.default_rng(0)
     for geom in (GEOM, GEOM_R):
-        for _ in range(1000):
-            q = sample_joint(rng)
-            x = np.concatenate([fk_position(q, geom), np.zeros(3)])
-            z = ik_measurement(x, geom)
-            assert np.max(np.abs(z[:3] - q)) <= 1e-9
-            assert np.max(np.abs(z[3:])) == 0.0
+        q = np.array([sample_joint(rng) for _ in range(1000)])
+        z, viol, singular = _ik(_state(geom, q), geom)
+        assert not (viol > kernels.CLAMP_TOL).any() and not singular.any()
+        assert np.max(np.abs(z[:, :3] - q)) <= 1e-9
+        assert np.max(np.abs(z[:, 3:])) == 0.0
 
 
 def test_ik_round_trip_velocities():
     # feed the velocity that forward kinematics produces for known joint rates
     rng = np.random.default_rng(1)
     for geom in (GEOM, GEOM_R):
+        q, dq = [], []
         for _ in range(500):
-            q = sample_joint(rng)
-            dq = rng.normal(size=3)
-            x = np.concatenate([fk_position(q, geom), fk_velocity(q, dq, geom)])
-            z = ik_measurement(x, geom)
-            assert np.max(np.abs(z[3:] - dq)) <= 1e-6
+            q.append(sample_joint(rng))
+            dq.append(rng.normal(size=3))
+        z, viol, singular = _ik(_state(geom, q, dq), geom)
+        assert not (viol > kernels.CLAMP_TOL).any() and not singular.any()
+        assert np.max(np.abs(z[:, 3:] - dq)) <= 1e-6
 
 
 def test_ik_rates_self_round_trip():
@@ -64,12 +77,13 @@ def test_array_ik_matches_scalar_kernels():
     geoms = (GEOM, GEOM_R)
     xs = np.full((2, 602, 6), np.nan)
     for g, geom in enumerate(geoms):
+        q, dq, scale = [], [], np.ones((600, 6))
         for k in range(600):
-            q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
-            dq = rng.normal(size=3)
-            xs[g, k] = np.concatenate([fk_position(q, geom), fk_velocity(q, dq, geom)])
+            q.append(sample_joint(rng) * np.array([geom.side_sign, 1, 1]))
+            dq.append(rng.normal(size=3))
             if k % 5 == 0:
-                xs[g, k, :3] *= rng.uniform(1.05, 2.5)  # mostly out of reach
+                scale[k, :3] = rng.uniform(1.05, 2.5)  # mostly out of reach
+        xs[g, :600] = _state(geom, q, dq) * scale
         reach = geom.thigh_len + geom.l2
         xs[g, 600] = [0.0, geom.side_sign * geom.hip_offset_len, -reach, 0.0, 0.1, 0.0]
     lh, lt, l2, side = (np.array([[getattr(g, a)] for g in geoms], dtype=float)
@@ -95,10 +109,11 @@ def test_fused_kernel_on_tiled_rows_matches_frozen_kernels(legs4):
     rng = np.random.default_rng(9)
     xs = np.empty((4, 12, 6))
     for i, geom in enumerate(legs4):
+        q, dq = [], []
         for k in range(12):
-            q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
-            xs[i, k] = np.concatenate([fk_position(q, geom),
-                                       fk_velocity(q, rng.normal(size=3), geom)])
+            q.append(sample_joint(rng) * np.array([geom.side_sign, 1, 1]))
+            dq.append(rng.normal(size=3))
+        xs[i] = _state(geom, q, dq)
         xs[i, ::4, :3] *= rng.uniform(1.05, 2.5)  # out of reach
     reach = legs4[1].thigh_len + legs4[1].l2
     xs[1, 5] = [0.0, legs4[1].side_sign * legs4[1].hip_offset_len, -reach, 0.0, 0.1, 0.0]
@@ -121,15 +136,18 @@ def test_fused_kernel_on_tiled_rows_matches_frozen_kernels(legs4):
 def test_ik_unreachable_beyond_boundary():
     reach = GEOM.thigh_len + GEOM.l2
     x = np.array([0.0, GEOM.hip_offset_len, -(reach + 1e-6), 0.0, 0.0, 0.0])
-    with pytest.raises(Unreachable):
-        ik_measurement(x, GEOM)
+    _, viol, _ = _ik([x], GEOM)
+    assert viol[0] > kernels.CLAMP_TOL
 
 
 def test_ik_singular_at_full_extension():
+    # reachable within the clamp tolerance, but the rate solve is ill-posed:
+    # the rates are zeros
     reach = GEOM.thigh_len + GEOM.l2
     x = np.array([0.0, GEOM.hip_offset_len, -reach, 0.0, 0.1, 0.0])
-    with pytest.raises(SingularJacobian):
-        ik_measurement(x, GEOM)
+    z, viol, singular = _ik([x], GEOM)
+    assert viol[0] <= kernels.CLAMP_TOL and singular[0]
+    assert np.all(z[0, 3:] == 0.0)
 
 
 # --- cubature machinery ----------------------------------------------------
@@ -198,58 +216,59 @@ def test_cubature_equals_kalman_on_linear_model():
 def test_uninformative_measurement_keeps_prior():
     rng = np.random.default_rng(6)
     q = sample_joint(rng)
-    x0 = np.concatenate([fk_position(q, GEOM), np.zeros(3)])
-    state = CkfLegState(x0.copy(), np.diag([1e-4] * 3 + [1e-1] * 3), 0.0)
+    x0 = _state(GEOM, [q])[0]
+    x, P = x0.copy(), np.diag([1e-4] * 3 + [1e-1] * 3)
     noise = CkfNoise(np.zeros((6, 6)), np.eye(6) * 1e12)
     t = 0.0
     for _ in range(100):
-        t += 0.002
         z = np.concatenate([q + rng.normal(scale=0.1, size=3),
                             rng.normal(scale=1.0, size=3)])
-        state, _ = ckf_step(state, z, t, noise, GEOM)
-    assert np.max(np.abs(state.x - x0)) <= 1e-6
+        x, P, _ = filter_cycle(x, P, z, t + 0.002, noise, GEOM, t)
+        t += 0.002
+    assert np.max(np.abs(x - x0)) <= 1e-6
 
 
 def test_posterior_trace_never_grows_in_update():
     rng = np.random.default_rng(7)
     noise = CkfNoise.from_diagonals()
     q = sample_joint(rng)
-    state = initial_state(q, GEOM, 0.0)
+    x, P = _state(GEOM, [q])[0], ikvel._prior_cov()
     t = 0.0
     for _ in range(50):
-        t += 0.002
         dt = 0.002
         # predicted covariance computed independently (linear process, exact)
         F = np.eye(6)
         F[:3, 3:] = dt * np.eye(3)
-        p_pred = F @ state.P @ F.T + noise.q_cov * dt
+        p_pred = F @ P @ F.T + noise.q_cov * dt
         z = np.concatenate([q + rng.normal(scale=1e-3, size=3),
                             rng.normal(scale=0.1, size=3)])
-        state, status = ckf_step(state, z, t, noise, GEOM)
+        x, P, status = filter_cycle(x, P, z, t + dt, noise, GEOM, t)
+        t += dt
         assert status == 0
-        assert np.trace(state.P) <= np.trace(p_pred) + 1e-12
+        assert np.trace(P) <= np.trace(p_pred) + 1e-12
 
 
 def test_dt_truncation_guards_timestamp_jumps():
     q = np.array([0.0, 0.8, -1.6])
-    x0 = np.concatenate([fk_position(q, GEOM), np.array([0.5, 0.0, 0.0])])
-    state = CkfLegState(x0.copy(), np.diag([1e-6] * 3 + [1e-6] * 3), 0.0)
+    x0 = _state(GEOM, [q])[0]
+    x0[3:] = [0.5, 0.0, 0.0]
     noise = CkfNoise.from_diagonals()
     z = np.concatenate([q, np.zeros(3)])
-    out, _ = ckf_step(state, z, 50.0, noise, GEOM)  # 50 s gap: dt forced to 0
-    assert np.max(np.abs(out.x[:3] - x0[:3])) < 0.01  # no 25 m coast
+    # 50 s gap: dt forced to 0
+    x, _, _ = filter_cycle(x0, np.diag([1e-6] * 6), z, 50.0, noise, GEOM)
+    assert np.max(np.abs(x[:3] - x0[:3])) < 0.01  # no 25 m coast
 
 
 def test_cholesky_failure_recovers():
     q = np.array([0.0, 0.8, -1.6])
-    x0 = np.concatenate([fk_position(q, GEOM), np.zeros(3)])
-    state = CkfLegState(x0.copy(), np.zeros((6, 6)), 0.0)  # not PD
+    x0 = _state(GEOM, [q])[0]
     noise = CkfNoise.from_diagonals()
-    out, status = ckf_step(state, np.concatenate([q, np.zeros(3)]), 0.002,
-                           noise, GEOM)
+    # a zero covariance is not positive definite
+    x, P, status = filter_cycle(x0, np.zeros((6, 6)), np.concatenate([q, np.zeros(3)]),
+                                0.002, noise, GEOM)
     assert status & ikvel.CKF_CHOL_RESET
-    assert np.all(np.isfinite(out.x))
-    assert np.all(np.linalg.eigvalsh(out.P) > 0)
+    assert np.all(np.isfinite(x))
+    assert np.all(np.linalg.eigvalsh(P) > 0)
 
 
 # Frozen copy of the point-based prediction that the closed-form
@@ -297,36 +316,38 @@ def test_closed_form_prediction_matches_the_cubature_prediction():
             assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
     for _ in range(50):
-        x = np.concatenate([fk_position(sample_joint(rng), GEOM), rng.normal(size=3)])
+        x = _state(GEOM, [sample_joint(rng)])[0]
+        x[3:] = rng.normal(size=3)
         A = rng.normal(size=(6, 6)) * rng.uniform(1e-3, 1.0, size=6)
         P = A @ A.T + 1e-6 * np.eye(6)
         dt = rng.uniform(0.0, ikvel.DT_MAX_DEFAULT)
         assert_close(ikvel._predict(x, P, dt, noise.q_cov * dt), x, P, dt)
     # a covariance that is not positive definite resets to the prior, and a
-    # non-finite measurement makes ckf_step return the prediction from it
-    out, status = ckf_step(CkfLegState(x, -np.eye(6), 0.0), np.full(6, np.nan),
-                           0.002, noise, GEOM)
+    # non-finite measurement makes the cycle return the prediction from it
+    x_out, p_out, status = filter_cycle(x, -np.eye(6), np.full(6, np.nan), 0.002,
+                                        noise, GEOM)
     assert status == ikvel.CKF_CHOL_RESET | ikvel.CKF_MEASUREMENT_SKIPPED
-    assert_close((out.x, out.P), x, ikvel._prior_cov(), 0.002)
+    assert_close((x_out, p_out), x, ikvel._prior_cov(), 0.002)
 
 
 def test_non_finite_measurement_keeps_the_prediction():
     q = np.array([0.05, 0.8, -1.6])
-    x0 = np.concatenate([fk_position(q, GEOM), np.array([0.2, 0.0, 0.0])])
+    x0 = _state(GEOM, [q])[0]
+    x0[3:] = [0.2, 0.0, 0.0]
     P0 = np.diag([1e-4] * 3 + [1e-1] * 3)
     noise = CkfNoise.from_diagonals()
     x_pred, p_pred = ikvel._predict(x0, P0, 0.002, noise.q_cov * 0.002)
     for bad in (np.nan, np.inf):
         z = np.concatenate([q, np.zeros(3)])
         z[1] = bad
-        out, status = ckf_step(CkfLegState(x0, P0, 0.0), z, 0.002, noise, GEOM)
+        x, P, status = filter_cycle(x0, P0, z, 0.002, noise, GEOM)
         assert status == ikvel.CKF_MEASUREMENT_SKIPPED
-        assert np.array_equal(out.x, x_pred) and np.array_equal(out.P, p_pred)
+        assert np.array_equal(x, x_pred) and np.array_equal(P, p_pred)
 
 
 def test_mixed_recovery_batch_matches_one_leg_steps(legs4):
     # one leg per recovery branch in a single batch: each leg must come out
-    # bit-equal to its own one-leg ckf_step, so no branch leaks across legs
+    # bit-equal to its own one-leg filter cycle, so no branch leaks across legs
     q = np.array([0.05, 0.8, -1.6])
     p_op = np.diag([1e-6] * 3 + [1e-2] * 3)
     # a slightly negative R leaves every leg's innovation covariance positive
@@ -335,7 +356,7 @@ def test_mixed_recovery_batch_matches_one_leg_steps(legs4):
     xs, ps, zs, expected = [], [], [], []
     for i, geom in enumerate(legs4):
         qg = q * np.array([geom.side_sign, 1, 1])
-        x = np.concatenate([fk_position(qg, geom), np.zeros(3)])
+        x = _state(geom, [qg])[0]
         P = p_op
         if i == 0:
             P, status = -np.eye(6), ikvel.CKF_CHOL_RESET
@@ -358,12 +379,11 @@ def test_mixed_recovery_batch_matches_one_leg_steps(legs4):
     zs = np.array(zs)
     vel = filt.update(0.002, zs[:, :3], zs[:, 3:])
     for i, geom in enumerate(legs4):
-        solo, status = ckf_step(CkfLegState(xs[i], ps[i], 0.0), zs[i], 0.002,
-                                noise, geom)
+        x, P, status = filter_cycle(xs[i], ps[i], zs[i], 0.002, noise, geom)
         assert status == expected[i]
-        assert np.array_equal(filt.states.x[i], solo.x)
-        assert np.array_equal(filt.states.P[i], solo.P)
-        assert np.array_equal(vel[i], solo.x[3:])
+        assert np.array_equal(filt.states.x[i], x)
+        assert np.array_equal(filt.states.P[i], P)
+        assert np.array_equal(vel[i], x[3:])
     assert filt.status_counts == {s: 1 for s in expected if s}
     assert all(type(k) is int for k in filt.status_counts)
 
@@ -379,7 +399,8 @@ def test_prior_failing_in_the_stacked_factorisation_matches_one_leg_steps(legs4)
         xs, ps, zs = [], [], []
         for i, geom in enumerate(legs4):
             q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
-            xs.append(np.concatenate([fk_position(q, geom), rng.normal(scale=0.1, size=3)]))
+            xs.append(_state(geom, [q])[0])
+            xs[-1][3:] = rng.normal(scale=0.1, size=3)
             A = rng.normal(size=(6, 6)) * 1e-2
             ps.append(bad_prior if i == bad_leg else A @ A.T + 1e-5 * np.eye(6))
             zs.append(np.concatenate([q + rng.normal(scale=1e-3, size=3),
@@ -389,11 +410,10 @@ def test_prior_failing_in_the_stacked_factorisation_matches_one_leg_steps(legs4)
         zs = np.array(zs)
         filt.update(0.002, zs[:, :3], zs[:, 3:])
         for i, geom in enumerate(legs4):
-            solo, status = ckf_step(CkfLegState(xs[i], ps[i], 0.0), zs[i], 0.002,
-                                    noise, geom)
+            x, P, status = filter_cycle(xs[i], ps[i], zs[i], 0.002, noise, geom)
             assert status == (ikvel.CKF_CHOL_RESET if i == bad_leg else 0)
-            assert np.array_equal(filt.states.x[i], solo.x)
-            assert np.array_equal(filt.states.P[i], solo.P)
+            assert np.array_equal(filt.states.x[i], x)
+            assert np.array_equal(filt.states.P[i], P)
         assert filt.status_counts == {ikvel.CKF_CHOL_RESET: 1}
 
 
@@ -406,24 +426,27 @@ def test_non_finite_covariance_resets_its_leg_only(legs4):
     xs, ps, qs = [], [], []
     for i, geom in enumerate(legs4):
         q = sample_joint(rng) * np.array([geom.side_sign, 1, 1])
-        xs.append(np.concatenate([fk_position(q, geom), rng.normal(scale=0.1, size=3)]))
+        xs.append(_state(geom, [q])[0])
+        xs[-1][3:] = rng.normal(scale=0.1, size=3)
         A = rng.normal(size=(6, 6)) * 1e-2
         ps.append(A @ A.T + 1e-5 * np.eye(6))
         qs.append(q)
     ps[2][4, 4] = np.nan
     filt = LegVelocityFilter(legs4, noise=noise)
     filt.states = CkfLegState(np.array(xs), np.array(ps), 0.0)
-    solos = [CkfLegState(x, P, 0.0) for x, P in zip(xs, ps)]
+    solos = list(zip(xs, ps))
     for k in range(1, 5):
         zs = np.array([np.concatenate([q + rng.normal(scale=1e-3, size=3),
                                        rng.normal(scale=0.1, size=3)]) for q in qs])
         vel = filt.update(0.002 * k, zs[:, :3], zs[:, 3:])
         assert np.all(np.isfinite(vel))
         for i, geom in enumerate(legs4):
-            solos[i], status = ckf_step(solos[i], zs[i], 0.002 * k, noise, geom)
+            x, P, status = filter_cycle(*solos[i], zs[i], 0.002 * k, noise, geom,
+                                        0.002 * (k - 1))
+            solos[i] = x, P
             assert status == (ikvel.CKF_CHOL_RESET if (i, k) == (2, 1) else 0)
-            assert np.array_equal(filt.states.x[i], solos[i].x)
-            assert np.array_equal(filt.states.P[i], solos[i].P)
+            assert np.array_equal(filt.states.x[i], x)
+            assert np.array_equal(filt.states.P[i], P)
     assert filt.status_counts == {ikvel.CKF_CHOL_RESET: 1}
 
 
@@ -451,29 +474,30 @@ def test_measurement_beyond_z_max_keeps_the_prediction():
     # a finite rate of 1e300 rad/s used to drive the state so far that the
     # next cycle's IK overflowed; it is skipped like a non-finite one
     q = np.array([0.05, 0.8, -1.6])
-    x0 = np.concatenate([fk_position(q, GEOM), np.array([0.2, 0.0, 0.0])])
+    x0 = _state(GEOM, [q])[0]
+    x0[3:] = [0.2, 0.0, 0.0]
     P0 = np.diag([1e-4] * 3 + [1e-1] * 3)
     noise = CkfNoise.from_diagonals()
     x_pred, p_pred = ikvel._predict(x0, P0, 0.002, noise.q_cov * 0.002)
     for big in (1e300, -2 * ikvel.Z_MAX):
         z = np.concatenate([q, [big, 0.0, 0.0]])
-        out, status = ckf_step(CkfLegState(x0, P0, 0.0), z, 0.002, noise, GEOM)
+        x, P, status = filter_cycle(x0, P0, z, 0.002, noise, GEOM)
         assert status == ikvel.CKF_MEASUREMENT_SKIPPED
-        assert np.array_equal(out.x, x_pred) and np.array_equal(out.P, p_pred)
+        assert np.array_equal(x, x_pred) and np.array_equal(P, p_pred)
 
 
 def test_side_constraint_on_posterior():
     q = np.array([0.05, 0.8, -1.6])
     for geom in (GEOM, GEOM_R):
         qg = q * np.array([geom.side_sign, 1, 1])
-        state = initial_state(qg, geom, 0.0)
+        x, P = _state(geom, [qg])[0], ikvel._prior_cov()
         noise = CkfNoise.from_diagonals()
         t = 0.0
         for _ in range(20):
+            x, P, _ = filter_cycle(x, P, np.concatenate([qg, np.zeros(3)]), t + 0.002,
+                                   noise, geom, t)
             t += 0.002
-            state, _ = ckf_step(state, np.concatenate([qg, np.zeros(3)]), t,
-                                noise, geom)
-            assert state.x[1] * geom.side_sign >= 0.0
+            assert x[1] * geom.side_sign >= 0.0
 
 
 # --- leg velocity filter ----------------------------------------------------
@@ -498,14 +522,15 @@ def test_filter_converges_on_clean_swing():
     # the process model is exact there and the filter must lock on
     rate = 500.0
     duration = 0.9
-    x0 = fk_position(np.array([0.02, 0.75, -1.5]), GEOM)
+    x0 = _state(GEOM, [[0.02, 0.75, -1.5]])[0, :3]
     v = np.array([0.05, -0.02, 0.03])
+    ts = np.arange(int(duration * rate)) / rate
+    zs, viol, singular = _ik(np.concatenate([x0 + v * ts[:, None],
+                                             np.tile(v, (len(ts), 1))], axis=1), GEOM)
+    assert not (viol > kernels.CLAMP_TOL).any() and not singular.any()
     filt = LegVelocityFilter([GEOM])
     errs = []
-    for k in range(int(duration * rate)):
-        t = k / rate
-        x = np.concatenate([x0 + v * t, v])
-        z = ik_measurement(x, GEOM)
+    for t, z in zip(ts, zs):
         vf = filt.update(t, z[None, :3], z[None, 3:])[0]
         errs.append(np.max(np.abs(vf - v)))
     assert max(errs[int(0.5 * rate):]) <= 1e-3
@@ -515,16 +540,17 @@ def test_filter_suppresses_single_rate_spike():
     rate = 500.0
     ts, qs, dqs = _swing_samples(rate, 1.0)
     spike_at = int(0.7 * rate)
+    dqs_meas = np.array(dqs)
+    dqs_meas[spike_at] *= 20.0
+    v_true = kinematics(GEOM, qs, dqs)[2]
+    v_raw = kinematics(GEOM, qs, dqs_meas)[2]
     filt = LegVelocityFilter([GEOM])
     raw_dev = filt_dev = 0.0
-    for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
-        dq_meas = dq * 20.0 if k == spike_at else dq
-        v_true = fk_velocity(q, dq, GEOM)
-        v_raw = fk_velocity(q, dq_meas, GEOM)
+    for k, (t, q, dq_meas) in enumerate(zip(ts, qs, dqs_meas)):
         v_f = filt.update(t, q[None], dq_meas[None])[0]
         if k >= spike_at:
-            raw_dev = max(raw_dev, np.max(np.abs(v_raw - v_true)))
-            filt_dev = max(filt_dev, np.max(np.abs(v_f - v_true)))
+            raw_dev = max(raw_dev, np.max(np.abs(v_raw[k] - v_true[k])))
+            filt_dev = max(filt_dev, np.max(np.abs(v_f - v_true[k])))
     assert filt_dev <= 0.25 * raw_dev
 
 
@@ -577,13 +603,12 @@ def test_first_update_starts_from_one_kinematics_call_bit_equal_to_fk(legs4, mon
     for q in qs:
         first = ikvel._first_states(q, coef)
         for i, g in enumerate(legs):
-            assert first[i, :3].tobytes() == fk_position(q[i], g).tobytes()
-            assert first[i].tobytes() == initial_state(q[i], g, 0.0).x.tobytes()
+            assert first[i, :3].tobytes() == kinematics(g, q[i:i + 1])[0][0].tobytes()
         assert not first[:, 3:].any()
     calls = []
-    kinematics = kernels.leg_kinematics
+    leg_kinematics = kernels.leg_kinematics
     monkeypatch.setattr(kernels, "leg_kinematics",
-                        lambda *args: calls.append(args[0].shape) or kinematics(*args))
+                        lambda *args: calls.append(args[0].shape) or leg_kinematics(*args))
     filt = LegVelocityFilter(legs)
     filt.update(0.0, qs[0], np.zeros_like(qs[0]))
     filt.update(0.002, qs[0], np.zeros_like(qs[0]))

@@ -4,12 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from legodom import (EstimatorConfig, LegGeometry, SingularConfiguration, fk_position,
-                     fk_velocity, foot_force_body, jacobian, kernels,
-                     rolling_bias)
+from legodom import EstimatorConfig, LegGeometry, kernels, rolling_bias
 
 import kernels_reference as ref
-from conftest import sample_joint
+from conftest import kinematics, leg_coefficients, sample_joint
 
 GEOM = LegGeometry(0.08, 0.213, 0.213, 0.0, 1, np.zeros(3))
 
@@ -46,23 +44,42 @@ def fk_chain_oracle(q, geom):
     return T[:3, 3]
 
 
-def jacobian_fd_oracle(q, geom, step=1e-6):
-    J = np.empty((3, 3))
+def jacobian_fd_oracle(q, coef, step=1e-6):
+    """Central differences of the kernels.leg_kinematics positions of a stack
+    of joint samples q (N, 3) on coef, as leg_kinematics takes it: (N, 3, 3)."""
+    J = np.empty(q.shape + (3,))
+    zeros = np.zeros_like(q)
     for j in range(3):
         e = np.zeros(3)
         e[j] = step
-        J[:, j] = (fk_position(q + e, geom) - fk_position(q - e, geom)) / (2 * step)
+        J[..., j] = (kernels.leg_kinematics(q + e, zeros, coef)[0]
+                     - kernels.leg_kinematics(q - e, zeros, coef)[0]) / (2 * step)
     return J
 
 
-# --- fk_position ----------------------------------------------------------
+def leg_forces(q, tau, coef, sigma_min=1e-6):
+    """kernels.leg_rows' body-frame forces and gate of a stack of joint
+    samples q and torques tau (N, 3), sample k on coef[k] (floats):
+    (f (N, 3), ok (N,))."""
+    q = np.asarray(q, dtype=float)
+    _, _, f, ok = kernels.leg_rows(q.tolist(), np.zeros_like(q).tolist(),
+                                   np.asarray(tau, dtype=float).tolist(), coef, sigma_min)
+    return np.array(f), np.array(ok)
+
+
+def _one_leg(geom, n):
+    """geom's float leg_coefficients, once per sample of a stack of n."""
+    return [kernels.leg_coefficients(*geom.kernel_args())] * n
+
+
+# --- forward kinematics -----------------------------------------------------
 
 def test_fk_zero_pose():
-    assert np.allclose(fk_position([0, 0, 0], GEOM), [0.0, 0.08, -0.426], atol=1e-15)
+    assert np.allclose(kinematics(GEOM, [[0, 0, 0]])[0], [0.0, 0.08, -0.426], atol=1e-15)
 
 
 def test_fk_thigh_forward():
-    got = fk_position([0.0, -np.pi / 2, 0.0], GEOM)
+    got = kinematics(GEOM, [[0.0, -np.pi / 2, 0.0]])[0]
     assert np.allclose(got, [0.426, 0.08, 0.0], atol=1e-15)
 
 
@@ -70,17 +87,18 @@ def test_fk_matches_transform_chain():
     rng = np.random.default_rng(7)
     for side in (1, -1):
         geom = LegGeometry(0.08, 0.213, 0.213, 0.0, side, np.zeros(3))
-        for _ in range(500):
-            q = rng.uniform(-np.pi / 2, np.pi / 2, 3)
-            assert np.max(np.abs(fk_position(q, geom) - fk_chain_oracle(q, geom))) <= 1e-12
+        q = rng.uniform(-np.pi / 2, np.pi / 2, (500, 3))
+        r = kinematics(geom, q)[0]
+        for qk, rk in zip(q, r):
+            assert np.max(np.abs(rk - fk_chain_oracle(qk, geom))) <= 1e-12
 
 
 def test_fk_wheel_terms():
     # wheel radius widens the lateral reach and shifts the height by a constant
     geom = LegGeometry(0.08, 0.213, 0.213, 0.05, 1, np.zeros(3))
     q = np.array([0.3, 0.4, -1.2])
-    base = fk_position(q, LegGeometry(0.08, 0.213, 0.213, 0.0, 1, np.zeros(3)))
-    got = fk_position(q, geom)
+    (base,) = kinematics(LegGeometry(0.08, 0.213, 0.213, 0.0, 1, np.zeros(3)), [q])[0]
+    (got,) = kinematics(geom, [q])[0]
     c1, s1 = np.cos(q[0]), np.sin(q[0])
     c23 = np.cos(q[1] + q[2])
     assert got[0] == base[0]
@@ -90,21 +108,18 @@ def test_fk_wheel_terms():
 
 def test_fk_mirror_symmetry():
     rng = np.random.default_rng(3)
-    left = GEOM
     right = LegGeometry(0.08, 0.213, 0.213, 0.0, -1, np.zeros(3))
-    for _ in range(200):
-        q = rng.uniform(-1.0, 1.0, 3)
-        qm = q.copy()
-        qm[0] = -qm[0]
-        pl = fk_position(q, left)
-        pr = fk_position(qm, right)
-        assert np.allclose(pr, [pl[0], -pl[1], pl[2]], atol=1e-14)
+    q = rng.uniform(-1.0, 1.0, (200, 3))
+    qm = q * [-1, 1, 1]
+    pl = kinematics(GEOM, q)[0]
+    pr = kinematics(right, qm)[0]
+    assert np.allclose(pr, pl * [1, -1, 1], atol=1e-14)
 
 
-# --- jacobian / fk_velocity ------------------------------------------------
+# --- Jacobian and foot velocity ---------------------------------------------
 
 def test_jacobian_zero_pose_rows():
-    J = jacobian([0, 0, 0], GEOM)
+    (J,) = kinematics(GEOM, [[0, 0, 0]])[1]
     assert np.allclose(J[0], [0.0, -0.426, -0.213], atol=1e-15)
     assert np.allclose(J[1], [0.426, 0.0, 0.0], atol=1e-15)
     assert np.allclose(J[2], [0.08, 0.0, 0.0], atol=1e-15)
@@ -113,79 +128,85 @@ def test_jacobian_zero_pose_rows():
 
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        q = rng.uniform(-1.2, 1.2, 3)
-        J = jacobian(q, GEOM)
-        Jfd = jacobian_fd_oracle(q, GEOM)
-        assert np.max(np.abs(J - Jfd)) <= 1e-6 * max(1.0, np.max(np.abs(J)))
+    q = rng.uniform(-1.2, 1.2, (300, 3))
+    J = kinematics(GEOM, q)[1]
+    Jfd = jacobian_fd_oracle(q, kernels.leg_coefficients(*GEOM.kernel_args()))
+    for Jk, Jfdk in zip(J, Jfd):
+        assert np.max(np.abs(Jk - Jfdk)) <= 1e-6 * max(1.0, np.max(np.abs(Jk)))
 
 
 def test_fk_velocity_is_jacobian_product():
     rng = np.random.default_rng(13)
     geom = LegGeometry(0.0955, 0.213, 0.213, 0.04, -1, np.zeros(3))
-    for _ in range(500):
-        q = rng.uniform(-1.5, 1.5, 3)
-        dq = rng.normal(size=3)
-        assert np.max(np.abs(fk_velocity(q, dq, geom) - jacobian(q, geom) @ dq)) <= 1e-12
+    q = rng.uniform(-1.5, 1.5, (500, 3))
+    dq = rng.normal(size=(500, 3))
+    _, J, v = kinematics(geom, q, dq)
+    for Jk, dqk, vk in zip(J, dq, v):
+        assert np.max(np.abs(vk - Jk @ dqk)) <= 1e-12
 
 
 def test_fk_velocity_zero_rates():
-    assert np.allclose(fk_velocity([0.2, 0.5, -1.1], [0, 0, 0], GEOM), 0.0)
+    assert np.allclose(kinematics(GEOM, [[0.2, 0.5, -1.1]], [[0, 0, 0]])[2], 0.0)
 
 
 def test_fk_velocity_roll_column():
     # first joint alone drives the foot per column 1 of the Jacobian at q=0
-    got = fk_velocity([0, 0, 0], [1, 0, 0], GEOM)
+    got = kinematics(GEOM, [[0, 0, 0]], [[1, 0, 0]])[2]
     assert np.allclose(got, [0.0, 0.426, 0.08], atol=1e-15)
 
 
 def test_fk_velocity_matches_finite_difference_along_trajectory():
     rng = np.random.default_rng(17)
     h = 1e-6
-    for _ in range(100):
-        q = sample_joint(rng)
-        dq = rng.normal(size=3)
-        v = fk_velocity(q, dq, GEOM)
-        v_fd = (fk_position(q + h * dq, GEOM) - fk_position(q - h * dq, GEOM)) / (2 * h)
-        assert np.max(np.abs(v - v_fd)) <= 1e-6 * max(1.0, np.max(np.abs(v)))
+    q = np.array([sample_joint(rng) for _ in range(100)])
+    dq = rng.normal(size=(100, 3))
+    v = kinematics(GEOM, q, dq)[2]
+    v_fd = (kinematics(GEOM, q + h * dq)[0] - kinematics(GEOM, q - h * dq)[0]) / (2 * h)
+    for vk, v_fdk in zip(v, v_fd):
+        assert np.max(np.abs(vk - v_fdk)) <= 1e-6 * max(1.0, np.max(np.abs(vk)))
 
 
-# --- foot_force_body --------------------------------------------------------
+# --- forces and the wrench gate ---------------------------------------------
 
 def test_force_zero_torque():
-    assert np.allclose(foot_force_body([0.1, 0.5, -1.2], [0, 0, 0], GEOM), 0.0)
+    f, ok = leg_forces([[0.1, 0.5, -1.2]], [[0, 0, 0]], _one_leg(GEOM, 1))
+    assert ok.all() and np.allclose(f, 0.0)
 
 
 def test_force_round_trip():
     # equal link lengths make this pose singular (the lateral row vanishes),
     # so the named-pose round trip runs with an unequal calf
     geom = LegGeometry(0.08, 0.213, 0.18, 0.0, 1, np.zeros(3))
-    q = np.array([0.0, -np.pi / 4, -np.pi / 2])
+    q = np.array([[0.0, -np.pi / 4, -np.pi / 2]])
     f_true = np.array([0.0, 0.0, -100.0])
-    tau = jacobian(q, geom).T @ f_true
-    f = foot_force_body(q, tau, geom)
+    (J,) = kinematics(geom, q)[1]
+    tau = J.T @ f_true
+    (f,), (ok,) = leg_forces(q, [tau], _one_leg(geom, 1))
+    assert ok
     assert np.max(np.abs(f - f_true)) <= 1e-9
-    assert np.max(np.abs(jacobian(q, geom).T @ f - tau)) <= 1e-9
+    assert np.max(np.abs(J.T @ f - tau)) <= 1e-9
 
 
 def test_force_quarter_pose_symmetric_links_is_singular():
-    with pytest.raises(SingularConfiguration):
-        foot_force_body([0.0, -np.pi / 4, -np.pi / 2], [0.0, 0.0, 1.0], GEOM)
+    _, ok = leg_forces([[0.0, -np.pi / 4, -np.pi / 2]], [[0.0, 0.0, 1.0]], _one_leg(GEOM, 1))
+    assert not ok.any()
 
 
 def test_force_round_trip_random():
     rng = np.random.default_rng(19)
-    for _ in range(300):
-        q = sample_joint(rng)
-        f_true = rng.normal(scale=80.0, size=3)
-        tau = jacobian(q, GEOM).T @ f_true
-        f = foot_force_body(q, tau, GEOM)
-        assert np.max(np.abs(jacobian(q, GEOM).T @ f - tau)) <= 1e-9
+    q = np.array([sample_joint(rng) for _ in range(300)])
+    f_true = rng.normal(scale=80.0, size=(300, 3))
+    J = kinematics(GEOM, q)[1]
+    tau = (np.swapaxes(J, -1, -2) @ f_true[..., None])[..., 0]
+    f, ok = leg_forces(q, tau, _one_leg(GEOM, 300))
+    assert ok.all()
+    for Jk, fk, tauk in zip(J, f, tau):
+        assert np.max(np.abs(Jk.T @ fk - tauk)) <= 1e-9
 
 
 def test_force_singular_configuration():
-    with pytest.raises(SingularConfiguration):
-        foot_force_body([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], GEOM)
+    f, ok = leg_forces([[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]], _one_leg(GEOM, 1))
+    assert not ok.any() and not f.any()
 
 
 # --- float leg kernel -----------------------------------------------------
@@ -200,11 +221,6 @@ def _foot_force_reference(q, tau, lh, lt, lc, rw, side, sigma_min):
 
 BATCH_GEOMS = [LegGeometry(0.08, 0.213, 0.213, 0.0, 1), LegGeometry(0.08, 0.213, 0.213, 0.0, -1),
                LegGeometry(0.09, 0.2, 0.18, 0.05, 1), LegGeometry(0.09, 0.2, 0.18, 0.05, -1)]
-
-
-def _batch_coef(geoms):
-    params = zip(*(g.kernel_args() for g in geoms))
-    return kernels.leg_coefficients(*(np.array(p) for p in params))
 
 
 def _leg_rows(q, dq, tau, sigma_min=1e-6, geoms=BATCH_GEOMS):
@@ -231,7 +247,7 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
     # and f are within 1e-12 of numpy's matmul and LAPACK's solve
     rng = np.random.default_rng(11)
     args = [g.kernel_args() for g in BATCH_GEOMS]
-    coef = _batch_coef(BATCH_GEOMS)
+    coef = leg_coefficients(BATCH_GEOMS)
     singular = [np.zeros(3), np.array([0.0, -np.pi / 4, -np.pi / 2])]
     accepted = rejected = 0
     for k in range(600):
@@ -287,8 +303,9 @@ def test_leg_frame_gates_out_non_finite_legs():
             assert np.array_equal(r[leg], r0[leg])
             assert np.array_equal(v[leg], v0[leg])
         if channel != "dq":
-            with pytest.raises(SingularConfiguration):
-                foot_force_body(rows["q"][leg], rows["tau"][leg], BATCH_GEOMS[leg])
+            _, ok_one = leg_forces(rows["q"][leg:leg + 1], rows["tau"][leg:leg + 1],
+                                   _one_leg(BATCH_GEOMS[leg], 1))
+            assert not ok_one.any()
 
 
 def test_leg_frame_at_each_legs_sigma_min_bit_equal_to_scalar_kernels():
@@ -391,7 +408,7 @@ def test_leg_frame_gates_out_a_leg_whose_wrench_solve_is_singular():
     geoms = [LegGeometry(0.0955, 0.213, 1e9, 0.0, 1), BATCH_GEOMS[1]]
     q = np.array([[0.0, 0.8, -1.6], [0.0, 0.8, -1.6]])
     tau = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    J = kernels.leg_kinematics(q, q, _batch_coef(geoms))[1]
+    J = kernels.leg_kinematics(q, q, leg_coefficients(geoms))[1]
     assert np.linalg.svd(J[0], compute_uv=False)[2] > 0.1
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(J[:1] @ np.swapaxes(J[:1], -1, -2), tau[:1, :, None])
@@ -402,8 +419,8 @@ def test_leg_frame_gates_out_a_leg_whose_wrench_solve_is_singular():
     assert ok_ref and np.array_equal(f[1], f_ref)
     f_lapack, _ = _foot_force_reference(q[1], tau[1], *geoms[1].kernel_args(), 1e-6)
     assert _within(f[1], f_lapack)
-    with pytest.raises(SingularConfiguration):
-        foot_force_body(q[0], tau[0], geoms[0])
+    _, ok_one = leg_forces(q[:1], tau[:1], _one_leg(geoms[0], 1))
+    assert not ok_one.any()
 
 
 def test_leg_frame_gates_out_a_leg_whose_force_overflows():
@@ -475,20 +492,21 @@ def test_masked_linalg_is_bit_equal_to_numpy():
 
 def test_leg_kinematics_broadcasts_over_leading_axes():
     # the gait generator runs blocks of (frames, legs); every element must
-    # equal the one-leg reference, and the legs' wrappers the same
+    # equal the one-leg reference, and a stack of one leg's samples the same
     rng = np.random.default_rng(13)
     args = [g.kernel_args() for g in BATCH_GEOMS]
     q = rng.uniform(-np.pi, np.pi, (7, 4, 3))
     dq = rng.normal(scale=3.0, size=(7, 4, 3))
-    r, J, v = kernels.leg_kinematics(q, dq, _batch_coef(BATCH_GEOMS))
+    r, J, v = kernels.leg_kinematics(q, dq, leg_coefficients(BATCH_GEOMS))
     assert r.shape == v.shape == (7, 4, 3) and J.shape == (7, 4, 3, 3)
     for k in range(7):
-        for i, (geom, a) in enumerate(zip(BATCH_GEOMS, args)):
+        for i, a in enumerate(args):
             assert np.array_equal(r[k, i], ref.fk_position(q[k, i], *a))
             assert np.array_equal(J[k, i], ref.leg_jacobian(q[k, i], *a))
             assert np.array_equal(v[k, i], ref.leg_jacobian(q[k, i], *a) @ dq[k, i])
-            assert np.array_equal(fk_position(q[k, i], geom), r[k, i])
-            assert np.array_equal(jacobian(q[k, i], geom), J[k, i])
+    for i, geom in enumerate(BATCH_GEOMS):
+        r_one, J_one, _ = kinematics(geom, q[:, i])
+        assert np.array_equal(r_one, r[:, i]) and np.array_equal(J_one, J[:, i])
 
 
 def test_leg_kinematics_bytes_equal_the_frozen_term_table():
@@ -496,9 +514,9 @@ def test_leg_kinematics_bytes_equal_the_frozen_term_table():
     # the table-driven kernel it replaced: r, J (its J00 +0.0, not -0.0) and
     # v = J @ dq, over leading axes, both sides, point feet and wheels, angles
     # in +-pi and the singular poses; and a batch of one on float
-    # coefficients, as legkin runs it, the bytes of that leg in the stack
+    # coefficients the bytes of that leg in the stack
     rng = np.random.default_rng(29)
-    coef = _batch_coef(BATCH_GEOMS)
+    coef = leg_coefficients(BATCH_GEOMS)
     frozen = ref.leg_coefficients(*zip(*(g.kernel_args() for g in BATCH_GEOMS)))
     singular = [np.zeros(3), np.array([0.0, -np.pi / 4, -np.pi / 2])]
     for shape in ((4, 3), (9, 4, 3), (2, 3, 4, 3)):

@@ -1,8 +1,8 @@
 import numpy as np
 
 from legodom import (effective_roll_increment, heading_direction,
-                     propagate_contact, rolling_velocity, rpy_matrix,
-                     wrap_angle)
+                     propagate_contact, rolling_velocity, wrap_angle)
+from legodom.geometry import rpy_rows
 
 
 def test_wrap_range_and_idempotence():
@@ -36,12 +36,12 @@ def test_effective_roll_wrap():
 
 def test_heading_direction_flat():
     assert np.allclose(heading_direction(np.eye(3)), [1, 0, 0])
-    assert np.allclose(heading_direction(rpy_matrix(0, 0, np.pi / 2)),
+    assert np.allclose(heading_direction(np.array(rpy_rows(0, 0, np.pi / 2))),
                        [0, 1, 0], atol=1e-15)
 
 
 def test_heading_direction_degenerate():
-    assert heading_direction(rpy_matrix(0.0, np.pi / 2, 0.0)) is None
+    assert heading_direction(np.array(rpy_rows(0.0, np.pi / 2, 0.0))) is None
 
 
 def test_propagate_point_foot_degenerate():
@@ -60,8 +60,8 @@ def test_propagate_preserves_height():
     rng = np.random.default_rng(3)
     for _ in range(100):
         anchor = rng.normal(size=3)
-        rot = rpy_matrix(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
-                         rng.uniform(-np.pi, np.pi))
+        rot = np.array(rpy_rows(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
+                                rng.uniform(-np.pi, np.pi)))
         h = heading_direction(rot)
         out = propagate_contact(anchor, rng.normal(), 0.05, h)
         assert out[2] == anchor[2]

@@ -3,8 +3,8 @@ import pytest
 
 from legodom import (DegenerateMean, InsufficientContacts,
                      apply_yaw_correction, circular_mean, pairwise_yaw,
-                     rpy_matrix, wrap_angle)
-from legodom.geometry import rot_x, rot_y
+                     wrap_angle)
+from legodom.geometry import rpy_rows
 
 import estimator_reference as reference
 
@@ -31,7 +31,7 @@ def test_pairwise_yaw_recovers_true_yaw_under_tilt():
     for _ in range(200):
         roll, pitch = rng.uniform(-0.4, 0.4, 2)
         yaw = rng.uniform(-np.pi, np.pi)
-        rot = rpy_matrix(roll, pitch, yaw)
+        rot = np.array(rpy_rows(roll, pitch, yaw))
         feet = [rng.normal(size=3) for _ in range(3)]
         anchors = [rot @ f for f in feet]  # translation-free world geometry
         vals = pairwise_yaw(anchors, feet, roll, pitch)
@@ -42,7 +42,7 @@ def test_pairwise_yaw_recovers_true_yaw_under_tilt():
 def test_pairwise_yaw_translation_invariant():
     rng = np.random.default_rng(2)
     feet = [rng.normal(size=3) for _ in range(4)]
-    rot = rpy_matrix(0.1, -0.2, 0.7)
+    rot = np.array(rpy_rows(0.1, -0.2, 0.7))
     anchors = [rot @ f for f in feet]
     base = pairwise_yaw(anchors, feet, 0.1, -0.2)
     shift = rng.normal(size=3)
@@ -113,7 +113,7 @@ def test_tilt_rotation_is_pitch_then_roll():
     # regression: tilt compensation is Ry(pitch) Rx(roll), not a full rpy matrix
     roll, pitch = 0.2, -0.3
     v = np.array([0.4, 0.1, -0.2])
-    anchors = [np.zeros(3), (rot_y(pitch) @ rot_x(roll)) @ v]
+    anchors = [np.zeros(3), np.array(rpy_rows(roll, pitch, 0.0)) @ v]
     got = pairwise_yaw(anchors, [np.zeros(3), v], roll, pitch)
     assert abs(got[0]) <= 1e-12
 
@@ -123,7 +123,7 @@ def _four_leg_stance(rng, roll, pitch, yaw):
     little slip so the pairs disagree."""
     feet = [np.array([sx * 0.19, sy * 0.13, -0.27]) + rng.normal(scale=0.01, size=3)
             for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    rot = rpy_matrix(roll, pitch, yaw)
+    rot = np.array(rpy_rows(roll, pitch, yaw))
     shift = rng.normal(size=3)
     anchors = [rot @ f + shift + rng.normal(scale=0.005, size=3) for f in feet]
     return anchors, feet
