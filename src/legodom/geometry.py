@@ -157,11 +157,13 @@ def _clip_unit(s):  # a float bounded to [-1, 1]
 
 def _rpy_entries(w, x, y, z, clip):
     """Roll, pitch, yaw (ZYX) of a unit quaternion: floats, with clip
-    _clip_unit, or equal-shape columns with np.clip. numpy's arctan2
-    and arcsin round alike on both; math's differ in some values."""
-    return (np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y)),
-            np.arcsin(clip(2.0 * (w * y - z * x))),
-            np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
+    _clip_unit, or equal-shape columns with np.clip. Roll's and yaw's
+    arctan2 run as one call on their stacked numerators and denominators.
+    numpy's arctan2 and arcsin round alike on floats, columns and stacks;
+    math's differ in some values."""
+    roll_yaw = np.arctan2(np.array((2.0 * (w * x + y * z), 2.0 * (w * z + x * y))),
+                          np.array((1.0 - 2.0 * (x * x + y * y), 1.0 - 2.0 * (y * y + z * z))))
+    return roll_yaw[0], np.arcsin(clip(2.0 * (w * y - z * x))), roll_yaw[1]
 
 
 def quat_to_rpy(q):

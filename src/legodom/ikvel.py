@@ -29,6 +29,8 @@ only when `ikvel.enabled` is set; otherwise it keeps the forward-kinematics
 foot velocities of kernels.leg_rows.
 """
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +50,7 @@ Z_MAX = 1e9
 # the constant-velocity transition is F = I + dt * _SHIFT
 _EYE6 = np.eye(6)
 _SHIFT = np.eye(6, k=3)
+_HALF = np.array(0.5)
 
 # status bits of a leg's filter cycle, counted in LegVelocityFilter.status_counts
 CKF_CHOL_RESET = 1
@@ -92,8 +95,8 @@ def _ik_h(xs, lh, lt, l2, side, det_eps):
     state, singular is True where the rate solve was ill-posed and the rates
     are zeros.
     """
-    z, viol, singular = kernels.ik_measurement_rows(np.moveaxis(xs, -1, 0),
-                                                    lh, lt, l2, side, det_eps)
+    z, viol, singular = kernels.ik_measurement_rows(
+        np.moveaxis(xs, -1, 0), kernels.ik_coefficients(lh, lt, l2, side), det_eps)
     return np.moveaxis(z, 0, -1), viol, singular
 
 
@@ -102,13 +105,15 @@ def _T(A):
     return np.swapaxes(A, -1, -2)
 
 
-def _point_rows(x, S):
+def _point_rows(x, S, rows=None):
     """The 2n equal-weight points x[l] +- sqrt(n) * S[l, :, j] of each leg l, as
     contiguous rows, the layout of the measurement kernel: x (L, n) and S
-    (L, n, n) give (n, L, 2n). np.moveaxis(rows, 0, -1) is the point stack."""
+    (L, n, n) give (n, L, 2n), written into rows when given.
+    np.moveaxis(rows, 0, -1) is the point stack."""
     n = x.shape[-1]
-    rows = np.empty((n, len(x), 2 * n))
-    d = (np.sqrt(float(n)) * S).transpose(1, 0, 2)
+    if rows is None:
+        rows = np.empty((n, len(x), 2 * n))
+    d = (math.sqrt(n) * S).transpose(1, 0, 2)
     x = x.T[:, :, None]
     np.add(x, d, out=rows[..., :n])
     np.subtract(x, d, out=rows[..., n:])
@@ -120,25 +125,38 @@ def _predict(x, P, dt, q_cov):
     of the pushed cubature points, over any leading axes. Every product is a
     stack of 6x6 matmuls, one per leg, so a leg's bits do not depend on the
     batch it runs in."""
-    F = _EYE6 + dt * _SHIFT
+    F = _transition(dt)
     return (F @ x[..., None])[..., 0], F @ P @ F.T + q_cov
 
 
-def _update(x_pred, p_pred, pts, zs, z, r_cov):
-    """Measurement moments, gain and symmetrised posterior.
+@functools.lru_cache(maxsize=1)
+def _transition(dt):
+    """F = I + dt N; a stream's frames mostly share one dt, so the last F is
+    kept. Read-only, as it is shared."""
+    F = _EYE6 + dt * _SHIFT
+    F.flags.writeable = False
+    return F
 
-    pts (..., 2n, n) are the points drawn from (x_pred, p_pred) and zs their
-    images under the measurement map; either may be a strided view. Both are
-    centred into one (..., 2n, 2n) buffer [pts - x_pred | zs - z_pred], so one
+
+def _update(x_pred, p_pred, rows, z, r_cov):
+    """Measurement moments, gain and symmetrised posterior of one state x_pred
+    (n,) or of a stack of legs (L, n).
+
+    rows (2n, m) or (2n, L, m) holds, one column per point, the m points
+    drawn from (x_pred, p_pred) in rows[:n] and their images under the
+    measurement map in rows[n:]. The images are summed over the points in
+    their memory order, as zs.sum(axis=-2) sums an (m, n) or (L, m, n) stack
+    zs of the same memory. The rows are centred by one subtraction into one
+    contiguous (..., m, 2n) buffer [pts - x_pred | zs - z_pred], so one
     stacked matmul gives [P_xz; P_zz]. Returns (x_post, p_post, ok): where the
     innovation covariance is not positive definite, or is singular to working
-    precision, ok is False and the prediction is returned unchanged.
+    precision, ok is False and the prediction is returned unchanged; ok is
+    None when every one is usable.
     """
-    m, n = pts.shape[-2:]
-    z_pred = zs.sum(axis=-2) / m  # zs.mean(axis=-2), without its wrapper
-    d = np.empty(pts.shape[:-1] + (2 * n,))
-    np.subtract(pts, x_pred[..., None, :], out=d[..., :n])
-    np.subtract(zs, z_pred[..., None, :], out=d[..., n:])
+    n, m = len(rows) // 2, rows.shape[-1]
+    z_pred = np.add.reduce(rows[n:], axis=-1) / m  # transposed, (n,) or (n, L)
+    dev = rows - np.concatenate((x_pred.T, z_pred))[..., None]
+    d = np.ascontiguousarray(dev.T if dev.ndim == 2 else dev.transpose(1, 2, 0))
     moments = _T(d) @ d[..., n:] / m
     pxz = moments[..., :n, :]
     pzz = moments[..., n:, :] + r_cov
@@ -147,14 +165,15 @@ def _update(x_pred, p_pred, pts, zs, z, r_cov):
     # posterior covariance p_pred - K P_xz^T equals p_pred - K P_zz K^T
     gain_t, solved = kernels.solve(pzz, _T(pxz))
     ok &= solved
-    all_ok = ok.all()
-    if not all_ok:
+    if ok.all():
+        ok = None
+    else:
         # a failed leg's gain is zeroed, so its discarded posterior stays quiet
         gain_t = np.where(ok[..., None, None], gain_t, 0.0)
-    x_post = x_pred + ((z - z_pred)[..., None, :] @ gain_t)[..., 0, :]
+    x_post = x_pred + ((z - z_pred.T)[..., None, :] @ gain_t)[..., 0, :]
     p_post = p_pred - pxz @ gain_t
-    p_post = 0.5 * (p_post + _T(p_post))
-    if not all_ok:
+    p_post = _HALF * (p_post + _T(p_post))
+    if ok is not None:
         x_post = np.where(ok[..., None], x_post, x_pred)
         p_post = np.where(ok[..., None, None], p_post, p_pred)
     return x_post, p_post, ok
@@ -173,12 +192,14 @@ def cubature_step(x, P, dt, z, q_cov, r_cov, h):
     S, ok = kernels.cholesky(np.stack((P, p_pred)))
     if not ok.all():
         raise np.linalg.LinAlgError("covariance not positive definite")
-    # the one leg's (n, 2n) rows, transposed to the (2n, n) point stack
-    pts = _point_rows(x_pred[None], S[1:])[:, 0].T.copy()
-    zs = np.array([h(p) for p in pts])
-    x_post, p_post, ok = _update(x_pred, p_pred, pts, zs,
-                                 np.asarray(z, dtype=float), r_cov)
-    if not ok:
+    # one point per column, each point's entries contiguous, as in a (2n, n)
+    # stack of points: _update then sums the images in that stack's order
+    n = len(x_pred)
+    rows = np.empty((2 * n, 2 * n), order="F")
+    rows[:n] = _point_rows(x_pred[None], S[1:])[:, 0]
+    rows[n:] = np.array([h(p) for p in rows[:n].T]).T
+    x_post, p_post, ok = _update(x_pred, p_pred, rows, np.asarray(z, dtype=float), r_cov)
+    if ok is not None:
         raise np.linalg.LinAlgError("innovation covariance not positive definite")
     return x_post, p_post
 
@@ -215,12 +236,13 @@ def _factor_or_reset(x, P, p_pred, dt, q_cov):
             np.where(ok_prior & ok_pred, 0, CKF_CHOL_RESET))
 
 
-def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
+def _ckf_legs(x, P, dt, z, noise: CkfNoise, coef, leg_side):
     """One filter cycle for a stack of legs against measured (angles, rates).
 
     x (L, 6), P (L, 6, 6) and z (L, 6); dt is the common, already truncated
-    time step; the link parameters are (L * 12,) arrays, each leg's value
-    tiled over its cubature points, and leg_side is the (L,) side signs. A
+    time step; coef is kernels.ik_coefficients of the link parameters as
+    (L * 12,) arrays, each leg's value tiled over its cubature points, and
+    leg_side is the (L,) side signs. A
     leg's result does not depend on the batch it runs in. Returns (x, P,
     status), status (L,) CKF_* bits.
     """
@@ -229,10 +251,13 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
     x_pred, p_pred = _predict(x, P, dt, q_cov)
     p_pred, S, status = _factor_or_reset(x, P, p_pred, dt, q_cov)
 
-    # the per-leg masks below are built only when a scalar check fires
-    rows = _point_rows(x_pred, S)
-    zr, viol, singular = kernels.ik_measurement_rows(rows.reshape(6, -1), lh, lt, l2,
-                                                     side, DET_EPS)
+    # the points and their images, each as the kernel's contiguous (6, legs *
+    # 12) rows, in one buffer; the per-leg masks below are built only when a
+    # scalar check fires
+    rows = np.empty((12, legs, 12))
+    _point_rows(x_pred, S, rows[:6])
+    _, viol, singular = kernels.ik_measurement_rows(rows[:6].reshape(6, -1), coef, DET_EPS,
+                                                    rows[6:].reshape(6, -1))
     if viol.max() > kernels.CLAMP_TOL:
         clamped = (viol.reshape(legs, -1) > kernels.CLAMP_TOL).any(axis=-1)
         status = status | CKF_CLAMPED * clamped
@@ -247,17 +272,15 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, lh, lt, l2, side, leg_side):
     # a leg whose measurement is not finite, or beyond +-Z_MAX, keeps its
     # prediction; a zero stands in for its z so the update's arithmetic stays
     # finite
-    usable = np.abs(z) <= Z_MAX
-    all_usable = usable.all()
-    if not all_usable:
-        usable = usable.all(axis=-1)
+    usable = None
+    if not np.abs(z).max() <= Z_MAX:
+        usable = (np.abs(z) <= Z_MAX).all(axis=-1)
         z = np.where(usable[..., None], z, 0.0)
 
-    x, P, ok = _update(x_pred, p_pred, rows.transpose(1, 2, 0),
-                       zr.reshape(rows.shape).transpose(1, 2, 0), z, r_cov)
-    if not ok.all():
+    x, P, ok = _update(x_pred, p_pred, rows, z, r_cov)
+    if ok is not None:
         status = status | np.where(ok, 0, CKF_UPDATE_SKIPPED)
-    if not all_usable:
+    if usable is not None:
         x = np.where(usable[..., None], x, x_pred)
         P = np.where(usable[..., None, None], P, p_pred)
         status = status | np.where(usable, 0, CKF_MEASUREMENT_SKIPPED)
@@ -285,7 +308,10 @@ class LegVelocityFilter:
 
     states holds the stacked filter state: x (L, 6), P (L, 6, 6) and the
     common stamp t, in the order of geometries; None until the first update.
-    status_counts counts each nonzero CKF_* status a leg returned.
+    A leg starts at the forward-kinematics position of the first frame whose
+    joint angles are all finite, at rest, with the diagonal prior; until then
+    its state is NaN and its updates are skipped. status_counts counts each
+    nonzero CKF_* status a leg returned.
     """
 
     geometries: list
@@ -296,34 +322,57 @@ class LegVelocityFilter:
 
     def __post_init__(self):
         # the link parameters of each leg, tiled over its 12 cubature points
-        self._params = tuple(np.repeat(p, 12) for p in zip(*(
+        self._ik = kernels.ik_coefficients(*(np.repeat(p, 12) for p in zip(*(
             (g.hip_offset_len, g.thigh_len, g.l2, float(g.side_sign))
-            for g in self.geometries)))
+            for g in self.geometries))))
         # the side sign of each leg, for the posterior's lateral snap
         self._side = np.array([float(g.side_sign) for g in self.geometries])
         # the legs' kinematics coefficients, for the first states
         self._coef = kernels.leg_coefficients(
             *(np.array(p) for p in zip(*(g.kernel_args() for g in self.geometries))))
+        # the (L,) mask of the legs still waiting for finite joint angles, or
+        # None once every leg has started
+        self._unseeded = None
 
     def status_totals(self):
         """How many leg cycles set each CKF_* bit, keyed by the bit's name."""
         return {name: sum(n for s, n in self.status_counts.items() if s & bit)
                 for name, bit in _STATUS_BITS.items()}
 
+    def _seeded(self, st, stamp, q):
+        """The states st (None before the first update) with each leg that
+        has not started, and whose joint angles q are all finite, started
+        from them; a leg whose angles are not finite keeps a NaN state."""
+        finite = np.isfinite(q).all(axis=1)
+        x0 = _first_states(np.where(finite[:, None], q, 0.0), self._coef)
+        x0[~finite] = np.nan
+        if st is None:
+            st = CkfLegState(x0, np.tile(_prior_cov(), (len(x0), 1, 1)), stamp)
+            waiting = ~finite
+        else:
+            start = self._unseeded & finite
+            x, P = st.x.copy(), st.P.copy()
+            x[start], P[start] = x0[start], _prior_cov()
+            st = CkfLegState(x, P, st.t)
+            waiting = self._unseeded & ~finite
+        self._unseeded = waiting if waiting.any() else None
+        return st
+
     def update(self, stamp, q, dq):
         """Advance every leg one cycle against the (L, 3) joint angles q and
         rates dq; returns the (L, 3) filtered foot velocities."""
         st = self.states
-        if st is None:
-            st = CkfLegState(_first_states(q, self._coef),
-                             np.tile(_prior_cov(), (len(self.geometries), 1, 1)), stamp)
+        if st is None or self._unseeded is not None:
+            st = self._seeded(st, stamp, q)
         x, P, status = _ckf_legs(st.x, st.P, _truncated_dt(stamp, st.t, self.dt_max),
                                  np.concatenate([q, dq], axis=1), self.noise,
-                                 *self._params, self._side)
+                                 self._ik, self._side)
         self.states = CkfLegState(x, P, stamp)
-        if status.any():
-            for s in status[status != 0].tolist():
-                self.status_counts[s] = self.status_counts.get(s, 0) + 1
+        codes = status.tolist()
+        if any(codes):
+            for s in codes:
+                if s:
+                    self.status_counts[s] = self.status_counts.get(s, 0) + 1
         return x[:, 3:].copy()
 
 

@@ -12,7 +12,8 @@ on stacks, elementwise: the gait generator solves every frame and leg of a
 block of frames with `ik_joints_array`, and the cubature filter in `ikvel`
 maps every leg and cubature point of a frame with `ik_measurement_rows`,
 which runs the same angle solve and then the joint rates from the same trig
-terms.
+terms. Both take the terms that depend on the leg geometry alone from
+`ik_coefficients`, which the filter builds once.
 
 `cholesky` and `solve` never raise: each returns its stacked result with a
 per-matrix `ok` mask, so a matrix that fails to factor or solve (its result
@@ -20,6 +21,7 @@ is NaN) costs only its own leg.
 """
 
 from math import cos, isfinite, nan, sin
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,15 +179,36 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
     return feet, vels, forces, oks
 
 
+try:
+    # numpy >= 2 keeps the error state in one context variable; setting it
+    # directly costs a fraction of entering a new np.errstate
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+except ImportError:  # numpy 1.x
+    _quiet_call = np.errstate(all="ignore")(
+        lambda gufunc, *args: gufunc(*args, signature="d" * len(args) + "->d"))
+else:
+    _IGNORE_ALL = _make_extobj(all="ignore")
+
+    def _quiet_call(gufunc, *args):
+        """gufunc(*args) on float64 with every floating-point error ignored."""
+        token = _extobj_contextvar.set(_IGNORE_ALL)
+        try:
+            return gufunc(*args, signature="d" * len(args) + "->d")
+        finally:
+            _extobj_contextvar.reset(token)
+
+
 def _quiet(gufunc, *args):
     """One call of a numpy.linalg gufunc on float64 stacks, in the error state
     of numpy's own wrappers except that the invalid flag, by which the gufunc
     reports a failed matrix, is ignored instead of raised. Returns (result,
-    ok), ok False where a matrix's result is not entirely finite."""
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore",
-                     under="ignore"):
-        out = gufunc(*args, signature="d" * len(args) + "->d")
-    return out, np.isfinite(out).all(axis=(-2, -1))
+    ok), ok False where a matrix's result is not entirely finite; the
+    per-matrix reduction runs only when some entry is not finite."""
+    out = _quiet_call(gufunc, *args)
+    finite = np.isfinite(out)
+    if finite.all():
+        return out, finite[..., 0, 0]
+    return out, finite.all(axis=(-2, -1))
 
 
 def cholesky(P):
@@ -203,40 +226,80 @@ def solve(A, B):
     return _quiet(_umath_linalg.solve, A, B)
 
 
-def _clamp_unit(arg, viol):
-    """arg clamped into [-1, 1], and viol raised to the overshoot if larger.
+class IkCoefficients(NamedTuple):
+    """The link parameters of a stack of legs, and the terms of the inverse
+    kinematics that depend on them alone, from ik_coefficients."""
 
-    A NaN arg stays NaN and leaves viol as it was, as the branches of a
-    one-leg solve `if arg > 1.0 ... elif arg < -1.0` would leave them.
-    """
-    clamped = np.minimum(np.maximum(arg, -1.0), 1.0)
-    return clamped, np.fmax(viol, np.abs(arg - clamped))
+    lh: np.ndarray
+    lt: np.ndarray
+    l2: np.ndarray
+    side: np.ndarray
+    four_lh_lh: np.ndarray
+    lh_lh: np.ndarray
+    two_lh: np.ndarray
+    slh: np.ndarray
+    lt_lt_l2_l2: np.ndarray
+    two_lt_l2: np.ndarray
+    lt_lt: np.ndarray
+    l2_l2: np.ndarray
+    neg_l2: np.ndarray
 
 
-def _ik_angles(px, py, pz, lh, lt, l2, side):
-    """ik_joints_array's solve, plus sin(t1) and cos(t1) for the rate solve."""
-    x, y, z = -px, py, pz
+def ik_coefficients(lh, lt, l2, side):
+    """IkCoefficients of legs with link parameters lh, lt, l2 and side
+    (floats, or arrays that broadcast against the positions they solve for,
+    e.g. tiled to (N,) for contiguous (6, N) rows). Each term is formed as
+    the one-leg solve forms it, so hoisting it out of the solve leaves every
+    bit of the solve as it was. Build them once per geometry."""
+    lh, lt, l2, side = (np.asarray(p, dtype=float) for p in (lh, lt, l2, side))
+    return IkCoefficients(lh, lt, l2, side, 4.0 * lh * lh, lh * lh, 2.0 * lh, side * lh,
+                          lt * lt + l2 * l2, 2.0 * lt * l2, lt * lt, l2 * l2, -l2)
 
-    rho2 = y * y + z * z
-    rad = np.maximum(
-        EPS_RADICAL + 4.0 * lh * lh * z * z - 4.0 * rho2 * (lh * lh - y * y), 0.0)
-    arg1, viol = _clamp_unit((2.0 * lh * z + np.sqrt(rad)) / (2.0 * rho2), 0.0)
+
+# 0-d array operands: a ufunc takes one as fast as an array operand, where a
+# Python float costs it about 0.2 us more a call
+_ZERO, _ONE, _TWO, _FOUR, _NEG_ONE, _NEG_PI, _EPS_RADICAL = (
+    np.array(v) for v in (0.0, 1.0, 2.0, 4.0, -1.0, -np.pi, EPS_RADICAL))
+
+
+def _clamp_unit(arg):
+    """arg clamped into [-1, 1], and the overshoot |arg - clamped|. A NaN arg
+    stays NaN, with a NaN overshoot that np.fmax passes over, as the branches
+    of a one-leg solve `if arg > 1.0 ... elif arg < -1.0` would leave it."""
+    clamped = np.minimum(np.maximum(arg, _NEG_ONE), _ONE)
+    return clamped, np.abs(arg - clamped)
+
+
+def _ik_angles(px, py, pz, coef):
+    """ik_joints_array's solve on IkCoefficients coef, plus the terms the
+    rate solve shares with it: sin(t1), cos(t1), side lh sin(t1) and
+    side lh cos(t1)."""
+    _, lt, _, side, four_lh_lh, lh_lh, two_lh, slh, lt_lt_l2_l2, two_lt_l2, lt_lt, l2_l2 = (
+        coef[:12])
+    x = -px
+    yy = py * py
+    rho2 = yy + pz * pz
+    rad = np.maximum(_EPS_RADICAL + four_lh_lh * pz * pz - _FOUR * rho2 * (lh_lh - yy),
+                     _ZERO)
+    arg1, over1 = _clamp_unit((two_lh * pz + np.sqrt(rad)) / (_TWO * rho2))
     t1 = side * np.arcsin(arg1)
     s1, c1 = np.sin(t1), np.cos(t1)
 
-    zb = z - side * lh * s1
-    yb = y - side * lh * c1
+    slh_s1, slh_c1 = slh * s1, slh * c1
+    zb = pz - slh_s1
+    yb = py - slh_c1
     rb = np.sqrt(yb * yb + zb * zb)
     r2 = rb * rb + x * x
     r = np.sqrt(r2)
 
-    arg3, viol = _clamp_unit((lt * lt + l2 * l2 - r2) / (2.0 * lt * l2), viol)
-    t3 = -np.pi + np.arccos(arg3)
+    arg3, over3 = _clamp_unit((lt_lt_l2_l2 - r2) / two_lt_l2)
+    t3 = _NEG_PI + np.arccos(arg3)
 
-    arg2, viol = _clamp_unit((r2 + lt * lt - l2 * l2) / (2.0 * r * lt), viol)
+    arg2, over2 = _clamp_unit((r2 + lt_lt - l2_l2) / (_TWO * r * lt))
     t2 = np.arctan2(x, rb) + np.arccos(arg2)
 
-    return t1, t2, t3, viol, s1, c1
+    viol = np.fmax(np.fmax(np.fmax(_ZERO, over1), over3), over2)
+    return t1, t2, t3, viol, s1, c1, slh_s1, slh_c1
 
 
 def ik_joints_array(px, py, pz, lh, lt, l2, side):
@@ -250,39 +313,39 @@ def ik_joints_array(px, py, pz, lh, lt, l2, side):
     folded back and the foot on its own lateral side. Each element equals the
     one-leg solve frozen in tests/kernels_reference.py.
     """
-    return _ik_angles(px, py, pz, lh, lt, l2, side)[:4]
+    return _ik_angles(px, py, pz, ik_coefficients(lh, lt, l2, side))[:4]
 
 
-def ik_measurement_rows(rows, lh, lt, l2, side, det_eps):
+def ik_measurement_rows(rows, coef, det_eps, out=None):
     """(joint angles, joint rates) of foot (position, velocity) states.
 
-    rows is (6, ...), one state per column, fastest as contiguous (6, N); the
-    link parameters broadcast against rows[0], e.g. tiled to (N,). The angles
-    are ik_joints_array's; the rates solve J_ik d = (-vx, vy, vz), J_ik the leg
-    Jacobian with its sagittal row negated. Each trig term and the three 2x2
-    minors of J_ik's lower rows are formed once, for both the determinant and
-    the adjugate. Returns (z (6, ...), viol, singular), singular True where
-    |det J_ik| < det_eps, with zero rates; each element equals the frozen
+    rows is (6, ...), one state per column, fastest as contiguous (6, N);
+    coef is ik_coefficients() of the legs, broadcasting against rows[0],
+    e.g. tiled to (N,). The angles are ik_joints_array's; the rates solve
+    J_ik d = (-vx, vy, vz), J_ik the leg Jacobian with its sagittal row
+    negated. Each trig term and the three 2x2 minors of J_ik's lower rows are
+    formed once, for both the determinant and the adjugate. Returns
+    (z (6, ...), viol, singular), singular True where |det J_ik| < det_eps,
+    with zero rates; z is out when given. Each element equals the frozen
     ik_joints plus ik_rates of tests/kernels_reference.py.
     """
-    t1, t2, t3, viol, s1, c1 = _ik_angles(rows[0], rows[1], rows[2],
-                                          lh, lt, l2, side)
+    t1, t2, t3, viol, s1, c1, slh_s1, slh_c1 = _ik_angles(rows[0], rows[1], rows[2], coef)
+    lt, l2, neg_l2 = coef.lt, coef.l2, coef.neg_l2
     t23 = t2 + t3
     c2, s2, c23, s23 = np.cos(t2), np.sin(t2), np.cos(t23), np.sin(t23)
 
     # J_ik's entries, each bit-equal to the frozen ik_jacobian's (same products
     # and sums in the same order); its first entry is zero, and the terms of
     # the determinant and the adjugate that it multiplies are left out
-    slh = side * lh
     l2c1 = l2 * c1
-    nl2s1 = -l2 * s1
+    nl2s1 = neg_l2 * s1
     ltc2 = lt * c2
     j02 = l2 * c23
     j01 = j02 + ltc2
-    j10 = l2c1 * c23 - slh * s1 + ltc2 * c1
+    j10 = l2c1 * c23 - slh_s1 + ltc2 * c1
     j12 = nl2s1 * s23
     j11 = j12 - lt * s1 * s2
-    j20 = slh * c1 - nl2s1 * c23 + ltc2 * s1
+    j20 = slh_c1 - nl2s1 * c23 + ltc2 * s1
     j22 = l2c1 * s23
     j21 = j22 + lt * c1 * s2
 
@@ -299,7 +362,7 @@ def ik_measurement_rows(rows, lh, lt, l2, side, det_eps):
     e0 = b1 * j22 - j12 * b2
     e1 = b1 * j21 - j11 * b2
     e2 = j10 * b2 - b1 * j20
-    z = np.empty((6,) + np.shape(t2))
+    z = np.empty((6,) + np.shape(t2)) if out is None else out
     z[0], z[1], z[2] = t1, t2, t3
     z[3] = (b0 * m0 - j01 * e0 + j02 * e1) / d
     z[4] = (j02 * e2 - b0 * m1) / d

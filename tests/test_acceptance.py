@@ -85,7 +85,8 @@ def test_criterion_02_ik_round_trip():
     x = np.zeros((6, len(q)))
     x[:3] = kernels.leg_kinematics(
         q, np.zeros_like(q), kernels.leg_coefficients(lh, lt, lc, rw, sides))[0].T
-    z, viol, singular = kernels.ik_measurement_rows(x, lh, lt, GEOM.l2, sides, DET_EPS)
+    z, viol, singular = kernels.ik_measurement_rows(
+        x, kernels.ik_coefficients(lh, lt, GEOM.l2, sides), DET_EPS)
     worst = np.max(np.abs(z[:3].T - q))
     failed = np.count_nonzero((viol > kernels.CLAMP_TOL) | singular)
     _report(2, worst <= 1e-9 and failed == 0,

@@ -1,6 +1,7 @@
 import json
 import weakref
 
+import numpy as np
 import pytest
 
 from legodom import Estimator
@@ -151,6 +152,26 @@ def wheel_log(tmp_path_factory):
     log = d / "roll.jsonl"
     assert main(["simulate", "--plan", str(plan), "--out", str(log)]) == 0
     return d, log
+
+
+def test_non_finite_first_joint_angle_with_the_filter_on_replays_finite(wheel_log, capsys):
+    # a NaN angle on the first line used to seed that leg's velocity filter
+    # from NaN kinematics: the replay exited 0 with every row from frame 1 on
+    # not finite, and metrics exited 2
+    d, log = wheel_log
+    lines = log.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["legs"][0]["q"][0] = float("nan")
+    bad = d / "nan_first_angle.jsonl"
+    bad.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    cfg = d / "wheel_filter_on.txt"
+    cfg.write_text("geom.wheel_radius = 0.05\nikvel.enabled = true\n")
+    traj = d / "nan_first_angle.csv"
+    assert main(["replay", "--log", str(bad), "--config", str(cfg), "--out", str(traj)]) == 0
+    rows = read_trajectory(traj)
+    assert len(rows) == len(lines) and np.isfinite(rows).all()
+    capsys.readouterr()
+    assert main(["metrics", str(traj)]) == 0
 
 
 @pytest.mark.parametrize("field", ["psi", "dpsi"])

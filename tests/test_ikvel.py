@@ -18,8 +18,9 @@ def _ik(x, geom):
     """kernels.ik_measurement_rows of the (position, velocity) states x
     (N, 6) of the leg geom: (z (N, 6), viol (N,), singular (N,))."""
     lh, lt, _, _, side = geom.kernel_args()
-    z, viol, singular = kernels.ik_measurement_rows(np.asarray(x, dtype=float).T, lh, lt,
-                                                    geom.l2, side, ikvel.DET_EPS)
+    z, viol, singular = kernels.ik_measurement_rows(
+        np.asarray(x, dtype=float).T, kernels.ik_coefficients(lh, lt, geom.l2, side),
+        ikvel.DET_EPS)
     return z.T, viol, singular
 
 
@@ -118,10 +119,11 @@ def test_fused_kernel_on_tiled_rows_matches_frozen_kernels(legs4):
     reach = legs4[1].thigh_len + legs4[1].l2
     xs[1, 5] = [0.0, legs4[1].side_sign * legs4[1].hip_offset_len, -reach, 0.0, 0.1, 0.0]
     xs[2, 7] = np.nan
-    params = LegVelocityFilter(legs4)._params
+    coef = LegVelocityFilter(legs4)._ik
+    params = coef.lh, coef.lt, coef.l2, coef.side
     assert all(p.shape == (48,) for p in params)
     rows = np.ascontiguousarray(xs.reshape(48, 6).T)
-    z, viol, singular = kernels.ik_measurement_rows(rows, *params, ikvel.DET_EPS)
+    z, viol, singular = kernels.ik_measurement_rows(rows, coef, ikvel.DET_EPS)
     assert z.shape == (6, 48) and viol.shape == singular.shape == (48,)
     for n, x in enumerate(xs.reshape(48, 6)):
         a = [p[n] for p in params]
@@ -613,3 +615,29 @@ def test_first_update_starts_from_one_kinematics_call_bit_equal_to_fk(legs4, mon
     filt.update(0.0, qs[0], np.zeros_like(qs[0]))
     filt.update(0.002, qs[0], np.zeros_like(qs[0]))
     assert calls == [(len(legs), 3)]
+
+
+def test_a_leg_without_finite_first_angles_starts_on_its_first_finite_frame(legs4):
+    # a NaN (or infinite) angle on the first frames used to seed that leg's
+    # state from NaN kinematics for good; it now waits for finite angles, and
+    # the other legs keep the bits of a clean run
+    sides = np.array([[g.side_sign, 1, 1] for g in legs4])
+    ts, qs, dqs = _swing_samples(500.0, 0.1)
+    for bad_value, bad_frames in ((np.nan, 1), (np.inf, 3)):
+        clean, filt = LegVelocityFilter(legs4), LegVelocityFilter(legs4)
+        for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
+            q4, dq4 = q * sides, np.tile(dq, (4, 1))
+            v_clean = clean.update(t, q4, dq4)
+            if k < bad_frames:
+                q4 = q4.copy()
+                q4[2, 0] = bad_value
+            v = filt.update(t, q4, dq4)
+            others = [0, 1, 3]
+            assert filt.states.x[others].tobytes() == clean.states.x[others].tobytes()
+            assert filt.states.P[others].tobytes() == clean.states.P[others].tobytes()
+            assert np.array_equal(v[others], v_clean[others])
+            assert np.isnan(v[2]).all() == (k < bad_frames)
+            assert (filt._unseeded is None) == (k >= bad_frames)
+        assert np.all(np.isfinite(filt.states.x)) and np.all(np.isfinite(filt.states.P))
+        assert filt.status_counts == {
+            ikvel.CKF_UPDATE_SKIPPED | ikvel.CKF_MEASUREMENT_SKIPPED: bad_frames}
