@@ -29,7 +29,6 @@ only when `ikvel.enabled` is set; otherwise it keeps the forward-kinematics
 foot velocities of kernels.leg_rows.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -125,17 +124,8 @@ def _predict(x, P, dt, q_cov):
     of the pushed cubature points, over any leading axes. Every product is a
     stack of 6x6 matmuls, one per leg, so a leg's bits do not depend on the
     batch it runs in."""
-    F = _transition(dt)
-    return (F @ x[..., None])[..., 0], F @ P @ F.T + q_cov
-
-
-@functools.lru_cache(maxsize=1)
-def _transition(dt):
-    """F = I + dt N; a stream's frames mostly share one dt, so the last F is
-    kept. Read-only, as it is shared."""
     F = _EYE6 + dt * _SHIFT
-    F.flags.writeable = False
-    return F
+    return (F @ x[..., None])[..., 0], F @ P @ F.T + q_cov
 
 
 def _update(x_pred, p_pred, rows, z, r_cov):

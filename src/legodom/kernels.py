@@ -179,32 +179,14 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
     return feet, vels, forces, oks
 
 
-try:
-    # numpy >= 2 keeps the error state in one context variable; setting it
-    # directly costs a fraction of entering a new np.errstate
-    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
-except ImportError:  # numpy 1.x
-    _quiet_call = np.errstate(all="ignore")(
-        lambda gufunc, *args: gufunc(*args, signature="d" * len(args) + "->d"))
-else:
-    _IGNORE_ALL = _make_extobj(all="ignore")
-
-    def _quiet_call(gufunc, *args):
-        """gufunc(*args) on float64 with every floating-point error ignored."""
-        token = _extobj_contextvar.set(_IGNORE_ALL)
-        try:
-            return gufunc(*args, signature="d" * len(args) + "->d")
-        finally:
-            _extobj_contextvar.reset(token)
-
-
 def _quiet(gufunc, *args):
     """One call of a numpy.linalg gufunc on float64 stacks, in the error state
     of numpy's own wrappers except that the invalid flag, by which the gufunc
     reports a failed matrix, is ignored instead of raised. Returns (result,
     ok), ok False where a matrix's result is not entirely finite; the
     per-matrix reduction runs only when some entry is not finite."""
-    out = _quiet_call(gufunc, *args)
+    with np.errstate(all="ignore"):
+        out = gufunc(*args, signature="d" * len(args) + "->d")
     finite = np.isfinite(out)
     if finite.all():
         return out, finite[..., 0, 0]

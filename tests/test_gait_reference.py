@@ -220,14 +220,3 @@ def test_float_and_column_forms_match_the_frozen_helpers():
     frozen = [ref.quat_to_rpy(q) for q in quats]
     assert _bits([quat_to_rpy(q) for q in quats]) == _bits(frozen)
     assert _bits(quat_to_rpy_columns(quats).T) == _bits(frozen)
-
-
-def test_rpy_of_random_unit_quaternions_matches_the_frozen_helper():
-    # roll's and yaw's arctan2 run as one call on stacked arguments, in the
-    # float form of one quaternion and the column form alike
-    rng = np.random.default_rng(8)
-    quats = rng.normal(size=(50_000, 4))
-    quats /= np.linalg.norm(quats, axis=1)[:, None]
-    frozen = [ref.quat_to_rpy(q) for q in quats]
-    assert _bits([quat_to_rpy(q) for q in quats]) == _bits(frozen)
-    assert _bits(quat_to_rpy_columns(quats).T) == _bits(frozen)
