@@ -1,11 +1,11 @@
 """Estimator configuration: dataclass, validation, and the flat key-value
 file format used by the CLI."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import LegGeometry, default_leg_geometries
+from .geometry import default_leg_geometries
 
 
 class ConfigError(Exception):
@@ -55,32 +55,15 @@ class EstimatorConfig:
         self.validate()
 
     def validate(self):
+        """ConfigError unless there is a leg and each number of the config is
+        finite and within the range its key has in _KEYS."""
         if len(self.legs) < 1:
             raise ConfigError("need at least one leg")
-        if self.height_window <= 0:
-            raise ConfigError("height.match_window must be > 0")
-        if self.height_fade <= 0:
-            raise ConfigError("height.fade_time must be > 0")
-        if self.height_decay_scale <= 0:
-            raise ConfigError("height.decay_scale must be > 0")
-        if not 0.0 < self.yaw_alpha0 <= 1.0:
-            raise ConfigError("yaw.alpha0 must be in (0, 1]")
-        if self.yaw_ramp_time <= 0:
-            raise ConfigError("yaw.ramp_time must be > 0")
-        if self.ikvel_dt_max <= 0:
-            raise ConfigError("ikvel.dt_max must be > 0")
-        for name in ("ikvel_q_pos", "ikvel_q_vel", "ikvel_r_angle", "ikvel_r_rate"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(name.replace("ikvel_", "ikvel.") + " must be > 0")
-        if not 0.0 <= self.pos_blend <= 1.0 or not 0.0 <= self.vel_blend <= 1.0:
-            raise ConfigError("blend gains must be in [0, 1]")
-        if self.heading_eps <= 0:
-            raise ConfigError("wheel.heading_eps must be > 0")
-        if self.sigma_min <= 0:
-            raise ConfigError("contact.sigma_min must be > 0")
+        for key, (attr, parser, rule) in _KEYS["config"].items():
+            if parser is float and not key.startswith("geom."):
+                _check_value(key, getattr(self, attr), rule)
 
 
-# config file key -> (attribute, parser)
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -89,29 +72,57 @@ def _parse_bool(v):
     return _BOOL[v.lower()]
 
 
-_SCALAR_KEYS = {
-    "contact.force_threshold": ("force_threshold", float),
-    "contact.sigma_min": ("sigma_min", float),
-    "height.enabled": ("height_enabled", _parse_bool),
-    "height.match_window": ("height_window", float),
-    "height.fade_time": ("height_fade", float),
-    "height.decay_scale": ("height_decay_scale", float),
-    "yaw.enabled": ("yaw_enabled", _parse_bool),
-    "yaw.imu_yaw_enabled": ("imu_yaw_enabled", _parse_bool),
-    "yaw.alpha0": ("yaw_alpha0", float),
-    "yaw.ramp_time": ("yaw_ramp_time", float),
-    "yaw.min_baseline": ("yaw_min_baseline", float),
-    "ikvel.enabled": ("ikvel_enabled", _parse_bool),
-    "ikvel.q_pos": ("ikvel_q_pos", float),
-    "ikvel.q_vel": ("ikvel_q_vel", float),
-    "ikvel.r_angle": ("ikvel_r_angle", float),
-    "ikvel.r_rate": ("ikvel_r_rate", float),
-    "ikvel.dt_max": ("ikvel_dt_max", float),
-    "blend.pos_gain": ("pos_blend", float),
-    "blend.vel_gain": ("vel_blend", float),
-    "wheel.heading_eps": ("heading_eps", float),
-    "init.yaw": ("initial_yaw", float),
+# what -> key -> (attribute, parser, rule) for each config key that takes one
+# value and each plan key whose number has a range. A config key's attribute
+# is that of EstimatorConfig, a geom.* key's that of every leg's LegGeometry;
+# a plan key's is the GaitPlan attribute it sets. A rule is a key of _RULES,
+# or None for any number within +-MAX_MAGNITUDE.
+_KEYS = {
+    "config": {
+        "geom.hip_offset": ("hip_offset_len", float, None),
+        "geom.thigh": ("thigh_len", float, "> 0"),
+        "geom.calf": ("calf_len", float, "> 0"),
+        "geom.wheel_radius": ("wheel_radius", float, ">= 0"),
+        "contact.force_threshold": ("force_threshold", float, None),
+        "contact.sigma_min": ("sigma_min", float, "> 0"),
+        "height.enabled": ("height_enabled", _parse_bool, None),
+        "height.match_window": ("height_window", float, "> 0"),
+        "height.fade_time": ("height_fade", float, "> 0"),
+        "height.decay_scale": ("height_decay_scale", float, "> 0"),
+        "yaw.enabled": ("yaw_enabled", _parse_bool, None),
+        "yaw.imu_yaw_enabled": ("imu_yaw_enabled", _parse_bool, None),
+        "yaw.alpha0": ("yaw_alpha0", float, "within (0, 1]"),
+        "yaw.ramp_time": ("yaw_ramp_time", float, "> 0"),
+        "yaw.min_baseline": ("yaw_min_baseline", float, None),
+        "ikvel.enabled": ("ikvel_enabled", _parse_bool, None),
+        "ikvel.q_pos": ("ikvel_q_pos", float, "> 0"),
+        "ikvel.q_vel": ("ikvel_q_vel", float, "> 0"),
+        "ikvel.r_angle": ("ikvel_r_angle", float, "> 0"),
+        "ikvel.r_rate": ("ikvel_r_rate", float, "> 0"),
+        "ikvel.dt_max": ("ikvel_dt_max", float, "> 0"),
+        "blend.pos_gain": ("pos_blend", float, "within [0, 1]"),
+        "blend.vel_gain": ("vel_blend", float, "within [0, 1]"),
+        "wheel.heading_eps": ("heading_eps", float, "> 0"),
+        "init.yaw": ("initial_yaw", float, None),
+    },
+    "plan": {
+        "rate_hz": ("rate_hz", float, "> 0"),
+        "mass": ("mass", float, "> 0"),
+        "body_height": ("body_height", float, "> 0"),
+        "duration": ("duration", float, ">= 0"),
+        "step_period": ("step_period", float, ">= 0"),
+        "speed": ("speed", float, ">= 0"),
+        "settle_time": ("settle_time", float, ">= 0"),
+        "step_height": ("step_height", float, ">= 0"),
+        "wheel_radius": ("legs", float, ">= 0"),
+        "degrade.encoder_quantum": ("imperfections", float, ">= 0"),
+        "degrade.touchdown_height_noise": ("imperfections", float, ">= 0"),
+        "degrade.rate_spike_prob": ("imperfections", float, "within [0, 1]"),
+    },
 }
+_RULES = {"> 0": lambda v: v > 0.0, ">= 0": lambda v: v >= 0.0,
+          "within [0, 1]": lambda v: 0.0 <= v <= 1.0,
+          "within (0, 1]": lambda v: 0.0 < v <= 1.0}
 
 
 # a config or plan number must be finite and within +-MAX_MAGNITUDE (no gain,
@@ -144,9 +155,21 @@ def read_pairs(text, what, repeated=()):
     return pairs
 
 
+def _check_value(key, number, rule, where="", text=None):
+    """number if it is finite, within +-MAX_MAGNITUDE and within rule (a key
+    of _RULES, or None), else a ConfigError that reads `<where>KEY must ...,
+    got TEXT`, with text the number as a file spells it (default its float)."""
+    finite = abs(number) <= MAX_MAGNITUDE
+    if not finite or rule is not None and not _RULES[rule](number):
+        raise ConfigError("%s%s must be %s, got %r" % (
+            where, key, rule if finite else "finite and within +-%g" % MAX_MAGNITUDE,
+            float(number) if text is None else text))
+    return number
+
+
 def parse_value(what, key, line, value, parser=float, count=None):
-    """parser(value), finite and within +-MAX_MAGNITUDE, or a ConfigError
-    that reads `<what> line N: ... KEY ...`.
+    """parser(value), finite, within +-MAX_MAGNITUDE and within the rule of
+    _KEYS[what][key], or a ConfigError that reads `<what> line N: ... KEY ...`.
 
     With `count` (2 or 3), value holds that many whitespace-separated numbers
     (x y or x y z) and a tuple of them is returned.
@@ -162,10 +185,8 @@ def parse_value(what, key, line, value, parser=float, count=None):
     except (KeyError, ValueError):
         raise ConfigError("%s line %d: bad value for %s: %r"
                           % (what, line, key, value)) from None
-    if not abs(parsed) <= MAX_MAGNITUDE:
-        raise ConfigError("%s line %d: %s must be finite and within +-%g, got %r"
-                          % (what, line, key, MAX_MAGNITUDE, value))
-    return parsed
+    rule = _KEYS[what].get(key, (None, None, None))[2]
+    return _check_value(key, parsed, rule, "%s line %d: " % (what, line), value)
 
 
 def parse_config_text(text):
@@ -179,7 +200,7 @@ def parse_config_text(text):
     def take(key, parser=float, count=None):
         return parse_value("config", key, *pairs.pop(key), parser, count)
 
-    geom_kw = {}
+    keys = _KEYS["config"]
     n_legs = 4
     if "legs" in pairs:
         line = pairs["legs"][0]
@@ -187,45 +208,33 @@ def parse_config_text(text):
         if not 1 <= n_legs <= _MAX_LEGS:
             raise ConfigError("config line %d: legs must be from 1 to %d, got %d"
                               % (line, _MAX_LEGS, n_legs))
-    # LegGeometry checks these ranges too, but only here is the line known
-    for src, dst, rule in (("geom.hip_offset", "hip_offset", None),
-                           ("geom.thigh", "thigh", "> 0"), ("geom.calf", "calf", "> 0"),
-                           ("geom.wheel_radius", "wheel_radius", ">= 0")):
-        if src in pairs:
-            line, text = pairs[src]
-            geom_kw[dst] = length = take(src)
-            if rule and not (length > 0.0 or rule == ">= 0" and length == 0.0):
-                raise ConfigError("config line %d: %s must be %s, got %r"
-                                  % (line, src, rule, text))
-    legs = default_leg_geometries(**geom_kw)
+    geom = {attr: take(key) for key, (attr, _, _) in keys.items()
+            if key.startswith("geom.") and key in pairs}
+    legs = default_leg_geometries()
     if n_legs != 4:
-        base = legs[0]
-        legs = [LegGeometry(base.hip_offset_len, base.thigh_len, base.calf_len,
-                            base.wheel_radius, 1 if i % 2 == 0 else -1,
-                            np.zeros(3)) for i in range(n_legs)]
+        legs = [replace(legs[0], side_sign=1 if i % 2 == 0 else -1, hip_mount=np.zeros(3))
+                for i in range(n_legs)]
     for i in range(n_legs):
         side_key = "leg%d.side" % i
         mount_key = "leg%d.mount" % i
-        g = legs[i]
-        side, mount = g.side_sign, g.hip_mount
+        leg_kw = dict(geom)
         if side_key in pairs:
             line = pairs[side_key][0]
-            side = take(side_key, int)
+            leg_kw["side_sign"] = side = take(side_key, int)
             if side not in (1, -1):
                 raise ConfigError("config line %d: %s must be 1 or -1, got %d"
                                   % (line, side_key, side))
         if mount_key in pairs:
-            mount = np.array(take(mount_key, count=3))
-        legs[i] = LegGeometry(g.hip_offset_len, g.thigh_len, g.calf_len,
-                              g.wheel_radius, side, mount)
+            leg_kw["hip_mount"] = np.array(take(mount_key, count=3))
+        legs[i] = replace(legs[i], **leg_kw)
 
     kwargs = {"legs": legs}
     if "init.position" in pairs:
         kwargs["initial_position"] = take("init.position", count=3)
     for key, (line, value) in pairs.items():
-        if key not in _SCALAR_KEYS:
+        if key not in keys:
             raise ConfigError("config line %d: unknown config key %r" % (line, key))
-        attr, parser = _SCALAR_KEYS[key]
+        attr, parser, _ = keys[key]
         kwargs[attr] = parse_value("config", key, line, value, parser)
     return EstimatorConfig(**kwargs)
 
@@ -238,21 +247,11 @@ def load_config(path):
 def save_config(cfg: EstimatorConfig, path):
     """Write a config file that parse_config_text reads back equivalently."""
     lines = ["legs = %d" % len(cfg.legs)]
-    g0 = cfg.legs[0]
-    lines += [
-        "geom.hip_offset = %r" % float(g0.hip_offset_len),
-        "geom.thigh = %r" % float(g0.thigh_len),
-        "geom.calf = %r" % float(g0.calf_len),
-        "geom.wheel_radius = %r" % float(g0.wheel_radius),
-    ]
     for i, g in enumerate(cfg.legs):
         lines.append("leg%d.side = %d" % (i, g.side_sign))
-        lines.append("leg%d.mount = %r %r %r"
-                     % (i, float(g.hip_mount[0]), float(g.hip_mount[1]),
-                        float(g.hip_mount[2])))
-    inverse = {attr: key for key, (attr, _) in _SCALAR_KEYS.items()}
-    for attr, key in inverse.items():
-        v = getattr(cfg, attr)
+        lines.append("leg%d.mount = %r %r %r" % (i, *map(float, g.hip_mount)))
+    for key, (attr, _, _) in _KEYS["config"].items():
+        v = getattr(cfg.legs[0] if key.startswith("geom.") else cfg, attr)
         lines.append("%s = %s" % (key, ("true" if v else "false")
                                   if isinstance(v, bool) else repr(float(v))))
     lines.append("init.position = %r %r %r" % tuple(float(v) for v in cfg.initial_position))

@@ -333,7 +333,7 @@ def frames_per_step(step_period, rate_hz):
 
 
 def _rotations_z(yaw):
-    """rot_z of each yaw of a column, stacked (N, 3, 3)."""
+    """The rotation about z by each yaw of a column, stacked (N, 3, 3)."""
     c, s = np.cos(yaw), np.sin(yaw)
     rot = np.zeros((len(yaw), 3, 3))
     rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c

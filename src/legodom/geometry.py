@@ -31,10 +31,12 @@ class LegGeometry:
     hip_mount: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        if self.thigh_len <= 0 or self.calf_len <= 0:
-            raise ValueError("thigh_len and calf_len must be positive")
-        if self.wheel_radius < 0:
-            raise ValueError("wheel_radius must be >= 0")
+        if not (0.0 < self.thigh_len < math.inf and 0.0 < self.calf_len < math.inf):
+            raise ValueError("thigh_len and calf_len must be positive and finite")
+        if not 0.0 <= self.wheel_radius < math.inf:
+            raise ValueError("wheel_radius must be >= 0 and finite")
+        if not math.isfinite(self.hip_offset_len):
+            raise ValueError("hip_offset_len must be finite")
         if self.side_sign not in (1, -1):
             raise ValueError("side_sign must be +1 or -1")
         object.__setattr__(self, "hip_mount", np.asarray(self.hip_mount, dtype=float))
@@ -122,11 +124,6 @@ def blend3(a, b, gain):
     return (k * a[0] + gain * b[0], k * a[1] + gain * b[1], k * a[2] + gain * b[2])
 
 
-def rot_z(a):
-    c, s = np.cos(a), np.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def rpy_rows(roll, pitch, yaw):
     """World-from-body rotation Rz(yaw) Ry(pitch) Rx(roll) in closed form,
     as a tuple of three row tuples."""
@@ -212,6 +209,6 @@ def default_leg_geometries(hip_offset=0.0955, thigh=0.213, calf=0.213,
 
 __all__ = [
     "LegGeometry", "JointReading", "WheelReading", "wrap_angle", "cross3", "mat_vec",
-    "mean3", "blend3", "rot_z", "rpy_rows", "rpy_to_quat",
+    "mean3", "blend3", "rpy_rows", "rpy_to_quat",
     "quat_to_rpy", "quat_to_rpy_columns", "default_leg_geometries",
 ]

@@ -84,21 +84,6 @@ class CkfNoise:
         return cls(q, r)
 
 
-def _ik_h(xs, lh, lt, l2, side, det_eps):
-    """Measurement map for filter states: (position, velocity) -> (angles, rates).
-
-    xs is (..., 6); the link parameters broadcast against xs[..., 0]. Trig
-    arguments are clamped hard so cubature points slightly outside the
-    workspace still produce a finite measurement. Returns (z, viol, singular)
-    with z (..., 6): viol is the largest inverse-trig domain overshoot per
-    state, singular is True where the rate solve was ill-posed and the rates
-    are zeros.
-    """
-    z, viol, singular = kernels.ik_measurement_rows(
-        np.moveaxis(xs, -1, 0), kernels.ik_coefficients(lh, lt, l2, side), det_eps)
-    return np.moveaxis(z, 0, -1), viol, singular
-
-
 def _T(A):
     """Transpose of the last two axes."""
     return np.swapaxes(A, -1, -2)

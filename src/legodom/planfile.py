@@ -26,28 +26,6 @@ _DEGRADE_KEYS = ("encoder_quantum", "yaw_drift", "wheel_slip",
                  "touchdown_height_noise")
 
 
-# keys whose value must be > 0, >= 0, or a probability in [0, 1]
-_POSITIVE_KEYS = ("rate_hz", "mass", "body_height")
-_NON_NEGATIVE_KEYS = ("duration", "step_period", "speed", "settle_time", "step_height",
-                      "wheel_radius", "degrade.encoder_quantum",
-                      "degrade.touchdown_height_noise")
-_PROBABILITY_KEYS = ("degrade.rate_spike_prob",)
-
-
-def _float(key, lineno, value):
-    """value as a finite float within its key's range, or a ConfigError
-    naming the line and the key."""
-    number = parse_value("plan", key, lineno, value)
-    if key in _POSITIVE_KEYS and not number > 0.0:
-        raise ConfigError("plan line %d: %s must be > 0, got %r" % (lineno, key, value))
-    if key in _NON_NEGATIVE_KEYS and not number >= 0.0:
-        raise ConfigError("plan line %d: %s must be >= 0, got %r" % (lineno, key, value))
-    if key in _PROBABILITY_KEYS and not 0.0 <= number <= 1.0:
-        raise ConfigError("plan line %d: %s must be within [0, 1], got %r"
-                          % (lineno, key, value))
-    return number
-
-
 def parse_plan_text(text):
     kv = read_pairs(text, "plan", repeated=("waypoint",))
     waypoints = [parse_value("plan", "waypoint", lineno, value, count=2)
@@ -71,16 +49,16 @@ def parse_plan_text(text):
     for key in _FLOAT_KEYS:
         if key in kv:
             lines[key] = kv[key][0]
-            setattr(plan, key, _float(key, *kv.pop(key)))
+            setattr(plan, key, parse_value("plan", key, *kv.pop(key)))
 
     if "wheel_radius" in kv:
         plan.legs = default_leg_geometries(
-            wheel_radius=_float("wheel_radius", *kv.pop("wheel_radius")))
+            wheel_radius=parse_value("plan", "wheel_radius", *kv.pop("wheel_radius")))
 
     terrain_kv = {}
     for k in list(kv):
         if k.startswith("terrain."):
-            terrain_kv[k.split(".", 1)[1]] = _float(k, *kv.pop(k))
+            terrain_kv[k.split(".", 1)[1]] = parse_value("plan", k, *kv.pop(k))
     if terrain_kv:
         plan.terrain = StepTerrain(
             terrain_kv.get("x0", 0.0), terrain_kv.get("x1", 0.0),
@@ -92,16 +70,16 @@ def parse_plan_text(text):
         raise ConfigError("plan line %d: degrade.rate_spike_gain needs "
                           "degrade.rate_spike_prob" % spike_gain[0])
     if spike_prob is not None:
-        gain = 20.0 if spike_gain is None else _float("degrade.rate_spike_gain",
-                                                      *spike_gain)
+        gain = (20.0 if spike_gain is None
+                else parse_value("plan", "degrade.rate_spike_gain", *spike_gain))
         plan.imperfections["rate_spikes"] = (
-            _float("degrade.rate_spike_prob", *spike_prob), gain)
+            parse_value("plan", "degrade.rate_spike_prob", *spike_prob), gain)
     for k in list(kv):
         if k.startswith("degrade."):
             name = k.split(".", 1)[1]
             if name not in _DEGRADE_KEYS:
                 raise ConfigError("plan line %d: unknown degrade key %r" % (kv[k][0], k))
-            plan.imperfections[name] = _float(k, *kv.pop(k))
+            plan.imperfections[name] = parse_value("plan", k, *kv.pop(k))
 
     if kv:
         raise ConfigError("unknown plan keys: %s" % ", ".join(

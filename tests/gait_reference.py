@@ -24,7 +24,8 @@ floats (`body_at`, `_SpeedProfile.at`, `_Path.at`, and `StepTerrain`'s
 `body_offset` and `ground_z`, here free functions of the terrain), commits
 the footholds when a half-cycle starts, and builds each leg's target per
 frame with `stance_target` or the Hermite `_swing`. The joint solve is the
-library's `_solve_legs`, which the change left alone.
+library's `_solve_legs`, which the change left alone. Its `rot_z` is the
+yaw rotation the library kept until the trot stopped calling it.
 """
 
 import math
@@ -35,11 +36,16 @@ from legodom import kernels
 from legodom.estimator import BodyState, SensorFrame
 from legodom.gait import (GRAVITY, TROT_PAIR_A, GaitResult, _check_frames, _leg_params,
                           _solve_legs)
-from legodom.geometry import WheelReading, cross3, rot_z, rpy_to_quat
+from legodom.geometry import WheelReading, cross3, rpy_to_quat
 
 from kernels_reference import leg_coefficients, leg_kinematics
 
 TWO_PI = 2.0 * np.pi
+
+
+def rot_z(a):
+    c, s = np.cos(a), np.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def wrap_angle(a):

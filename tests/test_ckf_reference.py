@@ -14,8 +14,8 @@ import numpy as np
 from legodom import CkfNoise, LegGeometry
 import legodom.ikvel as ikvel
 from legodom.ikvel import (CKF_CHOL_RESET, CKF_CLAMPED, CKF_RATE_FALLBACK,
-                           CKF_UPDATE_SKIPPED, _ik_h)
-from legodom.kernels import CLAMP_TOL
+                           CKF_UPDATE_SKIPPED)
+from legodom.kernels import CLAMP_TOL, ik_coefficients, ik_measurement_rows
 
 from conftest import filter_cycle, kinematics, sample_joint
 
@@ -119,7 +119,8 @@ def ckf_leg_step(x, P, dt, z, Q, R, lh, lt, l2, side, det_eps, r_inflate,
     ZP = np.empty((m2, n))
     rate_fallback = False
     for m in range(m2):
-        zm, viol, sing = _ik_h(X2[m], lh, lt, l2, side, det_eps)
+        zm, viol, sing = ik_measurement_rows(X2[m], ik_coefficients(lh, lt, l2, side),
+                                             det_eps)
         if viol > CLAMP_TOL:
             status |= CKF_CLAMPED
         if sing:

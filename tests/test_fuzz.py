@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from legodom import GaitPlan, generate_gait
 from legodom.cli import main
-from legodom.config import _SCALAR_KEYS, parse_config_text
+from legodom.config import _KEYS, parse_config_text
 from legodom.logio import frame_to_dict, write_frames
 from legodom.planfile import _DEGRADE_KEYS, _FLOAT_KEYS, parse_plan_text
 
@@ -134,9 +134,8 @@ def test_random_log_text_replays_or_exits_2(work, text):
 
 # --- config files -------------------------------------------------------------
 
-CONFIG_KEYS = sorted(_SCALAR_KEYS) + [
-    "legs", "geom.hip_offset", "geom.thigh", "geom.calf", "geom.wheel_radius",
-    "leg0.side", "leg3.side", "leg1.mount", "init.position"]
+CONFIG_KEYS = sorted(_KEYS["config"]) + [
+    "legs", "leg0.side", "leg3.side", "leg1.mount", "init.position"]
 CONFIG_VALUES = NUMBERS + ["true", "no", "4", "2", "0 0 0.3", "0 nan 0", "1e300 0 0"]
 
 
@@ -164,26 +163,40 @@ def test_each_config_key_with_each_edge_value_replays_or_exits_2_or_3(work):
             assert code in (0, 2, 3), (key, value)
 
 
-# (key, values outside its range, values at its edge that must still parse)
+# (key, its rule, values outside its range, values at its edge that must parse)
 CONFIG_RANGES = [
-    ("geom.thigh", ["0", "-0.2", "-1e-9"], ["1e-9"]),
-    ("geom.calf", ["0", "-0.2", "-1e-9"], ["1e-9"]),
-    ("geom.wheel_radius", ["-1e-9", "-0.05"], ["0"]),
+    ("geom.thigh", "> 0", ["0", "-0.2", "-1e-9"], ["1e-9"]),
+    ("geom.calf", "> 0", ["0", "-0.2", "-1e-9"], ["1e-9"]),
+    ("geom.wheel_radius", ">= 0", ["-1e-9", "-0.05"], ["0"]),
+    ("contact.sigma_min", "> 0", ["0", "-1e-6"], ["1e-9"]),
+    ("height.match_window", "> 0", ["0", "-1"], ["1e-9"]),
+    ("height.fade_time", "> 0", ["0", "-30"], ["1e-9"]),
+    ("height.decay_scale", "> 0", ["0", "-1e-9"], ["1e-9"]),
+    ("yaw.alpha0", "within (0, 1]", ["0", "-0.02", "1.5", "1.000001"], ["1e-9", "1"]),
+    ("yaw.ramp_time", "> 0", ["0", "-3"], ["1e-9"]),
+    ("ikvel.q_pos", "> 0", ["0", "-1e-6"], ["1e-9"]),
+    ("ikvel.q_vel", "> 0", ["0", "-0.3"], ["1e-9"]),
+    ("ikvel.r_angle", "> 0", ["0", "-2.5e-7"], ["1e-9"]),
+    ("ikvel.r_rate", "> 0", ["0", "-0.3"], ["1e-9"]),
+    ("ikvel.dt_max", "> 0", ["0", "-0.1"], ["1e-9"]),
+    ("blend.pos_gain", "within [0, 1]", ["-1e-9", "1.5"], ["0", "1"]),
+    ("blend.vel_gain", "within [0, 1]", ["-0.8", "1.000001"], ["0", "1"]),
+    ("wheel.heading_eps", "> 0", ["0", "-1e-9"], ["1e-9"]),
 ]
 
 
 def test_each_range_checked_config_key_exits_3_naming_line_and_key(work, capsys):
     d, log, _ = work
     config = d / "range.config.txt"
-    for key, bad, edge in CONFIG_RANGES:
+    for key, rule, bad, edge in CONFIG_RANGES:
         for value in bad:
-            config.write_text("# link lengths\n%s = %s\n" % (key, value))
+            config.write_text("# tuned values\n%s = %s\n" % (key, value))
             code = main(["replay", "--log", str(log), "--config", str(config),
                          "--out", str(d / "range.csv")])
             err = capsys.readouterr().err
             assert code == 3, (key, value)
             assert err == "config error: config line 2: %s must be %s, got %r\n" % (
-                key, ">= 0" if key == "geom.wheel_radius" else "> 0", value), err
+                key, rule, value), err
         for value in edge:
             parse_config_text("%s = %s" % (key, value))
 
@@ -225,15 +238,22 @@ def test_each_plan_key_with_each_edge_value_simulates_or_exits_3(work):
             assert code in (0, 3), (key, value)
 
 
-# (key, values outside its range, values at its edge that must still parse)
+# (key, its rule, values outside its range, values at its edge that must parse);
+# on the trot of PLAN_BASE, a rate_hz or step_period must also keep the
+# half-cycle a whole number of frames
 PLAN_RANGES = [
-    ("mass", ["0", "-1", "-1e-9"], ["1e-9"]),
-    ("body_height", ["0", "-0.3"], ["1e-9"]),
-    ("step_height", ["-1e-9", "-1"], ["0"]),
-    ("wheel_radius", ["-1e-9", "-0.05"], ["0"]),
-    ("degrade.encoder_quantum", ["-1e-9", "-1e-3"], ["0"]),
-    ("degrade.touchdown_height_noise", ["-1e-9", "-0.02"], ["0"]),
-    ("degrade.rate_spike_prob", ["-1e-9", "1.5", "2"], ["0", "1"]),
+    ("rate_hz", "> 0", ["0", "-50", "-1e-9"], ["10"]),
+    ("mass", "> 0", ["0", "-1", "-1e-9"], ["1e-9"]),
+    ("body_height", "> 0", ["0", "-0.3"], ["1e-9"]),
+    ("duration", ">= 0", ["-1e-9", "-1"], ["0"]),
+    ("step_period", ">= 0", ["-1e-9", "-0.2"], ["0.04"]),
+    ("speed", ">= 0", ["-1e-9", "-0.5"], ["0"]),
+    ("settle_time", ">= 0", ["-1e-9", "-0.6"], ["0"]),
+    ("step_height", ">= 0", ["-1e-9", "-1"], ["0"]),
+    ("wheel_radius", ">= 0", ["-1e-9", "-0.05"], ["0"]),
+    ("degrade.encoder_quantum", ">= 0", ["-1e-9", "-1e-3"], ["0"]),
+    ("degrade.touchdown_height_noise", ">= 0", ["-1e-9", "-0.02"], ["0"]),
+    ("degrade.rate_spike_prob", "within [0, 1]", ["-1e-9", "1.5", "2"], ["0", "1"]),
 ]
 
 
@@ -241,13 +261,14 @@ def test_each_range_checked_plan_key_exits_3_naming_line_and_key(work, capsys):
     d, _, _ = work
     plan = d / "range.plan.txt"
     lineno = len(PLAN_BASE) + 1
-    for key, bad, edge in PLAN_RANGES:
+    for key, rule, bad, edge in PLAN_RANGES:
         for value in bad:
             plan.write_text("\n".join(PLAN_BASE + ["%s = %s" % (key, value)]) + "\n")
             code = main(["simulate", "--plan", str(plan), "--out", str(d / "range.jsonl")])
             err = capsys.readouterr().err
             assert code == 3, (key, value)
-            assert "plan line %d: %s must be" % (lineno, key) in err, (key, value, err)
+            assert err == "plan error: plan line %d: %s must be %s, got %r\n" % (
+                lineno, key, rule, value), err
         for value in edge:
             parse_plan_text("\n".join(PLAN_BASE + ["%s = %s" % (key, value)]))
 

@@ -89,7 +89,9 @@ def test_array_ik_matches_scalar_kernels():
         xs[g, 600] = [0.0, geom.side_sign * geom.hip_offset_len, -reach, 0.0, 0.1, 0.0]
     lh, lt, l2, side = (np.array([[getattr(g, a)] for g in geoms], dtype=float)
                         for a in ("hip_offset_len", "thigh_len", "l2", "side_sign"))
-    z, viol, singular = ikvel._ik_h(xs, lh, lt, l2, side, ikvel.DET_EPS)
+    z, viol, singular = kernels.ik_measurement_rows(
+        np.moveaxis(xs, -1, 0), kernels.ik_coefficients(lh, lt, l2, side), ikvel.DET_EPS)
+    z = np.moveaxis(z, 0, -1)
     assert z.shape == xs.shape and viol.shape == singular.shape == xs.shape[:2]
     for g, geom in enumerate(geoms):
         a = (geom.hip_offset_len, geom.thigh_len, geom.l2, float(geom.side_sign))

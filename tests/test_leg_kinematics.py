@@ -78,6 +78,17 @@ def test_fk_zero_pose():
     assert np.allclose(kinematics(GEOM, [[0, 0, 0]])[0], [0.0, 0.08, -0.426], atol=1e-15)
 
 
+@pytest.mark.parametrize("args", [
+    (0.08, 0.0, 0.213), (0.08, 0.213, -0.2), (0.08, 0.213, 0.213, -1e-9),
+    (0.08, np.nan, 0.213), (0.08, 0.213, np.inf), (0.08, np.inf, 0.213),
+    (0.08, 0.213, 0.213, np.nan), (0.08, 0.213, 0.213, np.inf),
+    (np.nan, 0.213, 0.213), (np.inf, 0.213, 0.213), (-np.inf, 0.213, 0.213),
+    (0.08, 0.213, 0.213, 0.0, 0)])
+def test_leg_geometry_rejects_a_length_out_of_range_or_not_finite(args):
+    with pytest.raises(ValueError):
+        LegGeometry(*args)
+
+
 def test_fk_thigh_forward():
     got = kinematics(GEOM, [[0.0, -np.pi / 2, 0.0]])[0]
     assert np.allclose(got, [0.426, 0.08, 0.0], atol=1e-15)

@@ -306,6 +306,38 @@ def test_config_parsing_and_validation():
         parse_config_text("geom.thigh = -0.2")
 
 
+# EstimatorConfig field -> config key, for each field with a range rule
+RANGED_FIELDS = {
+    "sigma_min": "contact.sigma_min", "height_window": "height.match_window",
+    "height_fade": "height.fade_time", "height_decay_scale": "height.decay_scale",
+    "yaw_alpha0": "yaw.alpha0", "yaw_ramp_time": "yaw.ramp_time",
+    "ikvel_q_pos": "ikvel.q_pos", "ikvel_q_vel": "ikvel.q_vel",
+    "ikvel_r_angle": "ikvel.r_angle", "ikvel_r_rate": "ikvel.r_rate",
+    "ikvel_dt_max": "ikvel.dt_max", "pos_blend": "blend.pos_gain",
+    "vel_blend": "blend.vel_gain", "heading_eps": "wheel.heading_eps",
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", sorted(RANGED_FIELDS))
+def test_config_built_in_code_rejects_a_non_finite_value(field, value):
+    # nan <= 0 is False, so a NaN once passed every `<= 0` check: a NaN
+    # sigma_min let a fully extended leg through the wrench gate
+    with pytest.raises(ConfigError, match=r"^%s must be finite and within \+-1e\+09, got %r$"
+                       % (RANGED_FIELDS[field], value)):
+        EstimatorConfig(**{field: value})
+
+
+def test_config_built_in_code_names_the_key_of_an_out_of_range_value():
+    with pytest.raises(ConfigError, match=r"^height\.match_window must be > 0, got -1\.0$"):
+        EstimatorConfig(height_window=-1)
+    with pytest.raises(ConfigError, match=r"^yaw\.alpha0 must be within \(0, 1\], got 0\.0$"):
+        EstimatorConfig(yaw_alpha0=0.0)
+    with pytest.raises(ConfigError, match=r"^contact\.force_threshold must be finite"):
+        EstimatorConfig(force_threshold=np.nan)
+    assert EstimatorConfig(pos_blend=0.0, vel_blend=1.0, yaw_alpha0=1.0).vel_blend == 1.0
+
+
 def test_plan_file_parsing():
     plan = parse_plan_text("""
         mode = trot
