@@ -9,7 +9,7 @@ file they write:
 - the degraded stream of each replay-benchmark workload (`stair_trot`,
   `ckf_walk`, `wheel_cli`) for the seeds in SEEDS, with its ground truth, and
   the trajectory CSV and diagnostics of its replay with that workload's
-  config.
+  config (plans and configs as `replaybench/run.py` spells them).
 
 Two checkouts that print the same digests generate the same streams and
 replay them to the same bytes, so a refactor can be checked against its
@@ -33,6 +33,7 @@ largest absolute difference of any state value from OTHER.replays; it exits
 """
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -47,37 +48,27 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# the plans and configs of the replay benchmark's workloads; `speed` of the
-# wheel plan is drawn from the seed as the benchmark draws it
-STAIR_PLAN = """\
-preset = stair_loop
-waypoint = 0 0
-waypoint = 3.6 0
-waypoint = 0 0
-degrade.touchdown_height_noise = 0.02
-degrade.yaw_drift = 0.004363323129985824
-"""
-CKF_PLAN = """\
-preset = walk_line
-settle_time = 0.1
-waypoint = 0 0
-waypoint = 0.3 0
-degrade.encoder_quantum = 1e-3
-degrade.rate_spike_prob = 0.02
-degrade.rate_spike_gain = 5
-"""
-WHEEL_PLAN = """\
-preset = wheel_roll
-duration = 4
-speed = {speed!r}
-degrade.wheel_slip = 0.02
-degrade.yaw_drift = 0.005
-"""
-WORKLOADS = {
-    "stair_trot": (STAIR_PLAN, "init.position = 0 0 0.27\n"),
-    "ckf_walk": (CKF_PLAN, "init.position = 0 0 0.3\nikvel.enabled = true\n"),
-    "wheel_cli": (WHEEL_PLAN, "geom.wheel_radius = 0.05\ninit.position = 0 0 0.3\n"),
-}
+RUN_PY = os.path.join(ROOT, "replaybench", "run.py")
+TABLE = ("STAIR_PLAN", "CKF_PLAN", "WHEEL_PLAN", "WORKLOADS")
+
+
+def replay_workloads():
+    """{workload: (plan, config)} of the replay benchmark, read from the
+    literal assignments of TABLE in the source of RUN_PY. run.py itself is
+    not imported: it loads `legodom` from the src beside it, which --src must
+    choose. `speed` of the wheel plan is a format field, drawn from the seed
+    as the benchmark draws it (workload_plan)."""
+    with open(RUN_PY, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), RUN_PY)
+    table = ast.Module([node for node in tree.body if isinstance(node, ast.Assign)
+                        and len(node.targets) == 1
+                        and getattr(node.targets[0], "id", None) in TABLE], type_ignores=[])
+    names = {"__builtins__": {}}
+    exec(compile(table, RUN_PY, "exec"), names)
+    return {name: (w["plan"], w["config"]) for name, w in names["WORKLOADS"].items()}
+
+
+WORKLOADS = replay_workloads()
 SEEDS = (0, 1, 2)
 
 

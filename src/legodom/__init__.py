@@ -8,9 +8,8 @@ reference. Ships with a synthetic gait simulator and a replay CLI.
 """
 
 from .config import ConfigError, EstimatorConfig, load_config, parse_config_text, save_config
-from .contact import (EmptyContactSet, FootfallRecord, anchored_position_obs,
-                      anchored_velocity_obs, detect_touchdown, fuse_observations,
-                      gate_contact, record_footfall)
+from .contact import (FootfallRecord, anchored_position_obs, anchored_velocity_obs,
+                      detect_touchdown, fuse_observations, gate_contact, record_footfall)
 from .estimator import BodyState, Estimator, SensorFrame, create, diagnostics, step
 from .gait import (GaitPlan, GaitResult, InfeasiblePlan, StepTerrain, degrade,
                    generate_gait, preset_plan)
@@ -21,7 +20,6 @@ from .ikvel import CkfLegState, CkfNoise, LegVelocityFilter, cubature_step
 from .metrics import compute_metrics
 from .wheel import (effective_roll_increment, heading_direction,
                     propagate_contact, rolling_bias, rolling_velocity)
-from .yawkin import (DegenerateMean, InsufficientContacts, apply_yaw_correction,
-                     circular_mean, pairwise_yaw)
+from .yawkin import apply_yaw_correction, circular_mean, pairwise_yaw
 
 __version__ = "0.1.0"

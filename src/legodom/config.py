@@ -18,20 +18,17 @@ class EstimatorConfig:
 
     # contact gating (N); supporting contacts are negative, threshold included
     force_threshold: float = -20.0
-    sigma_min: float = 1e-6
 
     # support-plane height correction
     height_enabled: bool = True
     height_window: float = 0.04
     height_fade: float = 30.0
-    height_decay_scale: float = 1.0
 
     # kinematic yaw correction
     yaw_enabled: bool = True
     imu_yaw_enabled: bool = True
     yaw_alpha0: float = 0.02
     yaw_ramp_time: float = 3.0
-    yaw_min_baseline: float = 0.02
 
     # per-leg velocity filter
     ikvel_enabled: bool = False
@@ -39,13 +36,10 @@ class EstimatorConfig:
     ikvel_q_vel: float = 0.3
     ikvel_r_angle: float = 2.5e-7
     ikvel_r_rate: float = 0.3
-    ikvel_dt_max: float = 0.1
 
     # translational observation blending
     pos_blend: float = 1.0
     vel_blend: float = 0.8
-
-    heading_eps: float = 1e-9
 
     initial_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
     initial_yaw: float = 0.0
@@ -55,13 +49,19 @@ class EstimatorConfig:
         self.validate()
 
     def validate(self):
-        """ConfigError unless there is a leg and each number of the config is
-        finite and within the range its key has in _KEYS."""
+        """ConfigError unless there is a leg, each number of the config is
+        finite and within the range its key has in _KEYS, and the initial
+        position is three such numbers."""
         if len(self.legs) < 1:
             raise ConfigError("need at least one leg")
         for key, (attr, parser, rule) in _KEYS["config"].items():
             if parser is float and not key.startswith("geom."):
                 _check_value(key, getattr(self, attr), rule)
+        if self.initial_position.shape != (3,):
+            raise ConfigError("init.position must have shape (3,), got %s"
+                              % (self.initial_position.shape,))
+        for v in self.initial_position:
+            _check_value("init.position", v, None)
 
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
@@ -84,25 +84,20 @@ _KEYS = {
         "geom.calf": ("calf_len", float, "> 0"),
         "geom.wheel_radius": ("wheel_radius", float, ">= 0"),
         "contact.force_threshold": ("force_threshold", float, None),
-        "contact.sigma_min": ("sigma_min", float, "> 0"),
         "height.enabled": ("height_enabled", _parse_bool, None),
         "height.match_window": ("height_window", float, "> 0"),
         "height.fade_time": ("height_fade", float, "> 0"),
-        "height.decay_scale": ("height_decay_scale", float, "> 0"),
         "yaw.enabled": ("yaw_enabled", _parse_bool, None),
         "yaw.imu_yaw_enabled": ("imu_yaw_enabled", _parse_bool, None),
         "yaw.alpha0": ("yaw_alpha0", float, "within (0, 1]"),
         "yaw.ramp_time": ("yaw_ramp_time", float, "> 0"),
-        "yaw.min_baseline": ("yaw_min_baseline", float, None),
         "ikvel.enabled": ("ikvel_enabled", _parse_bool, None),
         "ikvel.q_pos": ("ikvel_q_pos", float, "> 0"),
         "ikvel.q_vel": ("ikvel_q_vel", float, "> 0"),
         "ikvel.r_angle": ("ikvel_r_angle", float, "> 0"),
         "ikvel.r_rate": ("ikvel_r_rate", float, "> 0"),
-        "ikvel.dt_max": ("ikvel_dt_max", float, "> 0"),
         "blend.pos_gain": ("pos_blend", float, "within [0, 1]"),
         "blend.vel_gain": ("vel_blend", float, "within [0, 1]"),
-        "wheel.heading_eps": ("heading_eps", float, "> 0"),
         "init.yaw": ("initial_yaw", float, None),
     },
     "plan": {

@@ -12,10 +12,6 @@ from dataclasses import dataclass
 from .geometry import cross3, mat_vec, mean3
 
 
-class EmptyContactSet(Exception):
-    """No stance legs available; caller must fall back to prediction only."""
-
-
 @dataclass
 class FootfallRecord:
     """World-frame contact anchor for one leg, a 3-tuple.
@@ -69,12 +65,12 @@ def anchored_velocity_obs(body_rot, omega_body, foot_body, foot_vel_body):
 
 
 def fuse_observations(per_leg_pos, per_leg_vel):
-    """Unweighted mean of per-leg position and velocity observations."""
+    """Unweighted mean of per-leg position and velocity observations; None
+    when there is no leg, and the caller keeps its prediction."""
     if len(per_leg_pos) == 0 or len(per_leg_vel) == 0:
-        raise EmptyContactSet("no stance legs to fuse")
+        return None
     return mean3(per_leg_pos), mean3(per_leg_vel)
 
 
-__all__ = ["FootfallRecord", "EmptyContactSet", "gate_contact",
-           "detect_touchdown", "record_footfall", "anchored_position_obs",
-           "anchored_velocity_obs", "fuse_observations"]
+__all__ = ["FootfallRecord", "gate_contact", "detect_touchdown", "record_footfall",
+           "anchored_position_obs", "anchored_velocity_obs", "fuse_observations"]

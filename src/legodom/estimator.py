@@ -105,8 +105,7 @@ class Estimator:
         self.ikvel = LegVelocityFilter(
             cfg.legs,
             noise=CkfNoise.from_diagonals(cfg.ikvel_q_pos, cfg.ikvel_q_vel,
-                                          cfg.ikvel_r_angle, cfg.ikvel_r_rate),
-            dt_max=cfg.ikvel_dt_max)
+                                          cfg.ikvel_r_angle, cfg.ikvel_r_rate))
         self._leg_coef = [kernels.leg_coefficients(*g.kernel_args()) for g in cfg.legs]
         self._hip_mounts = [g.hip_mount.tolist() for g in cfg.legs]
         self._diag = {}
@@ -170,7 +169,7 @@ class Estimator:
         lists of rows, and the per-leg ok flags."""
         q_rows, dq_rows, tau_rows = frame.joints.tolist()
         r_b, v_b, f_b, ok = kernels.leg_rows(q_rows, dq_rows, tau_rows, self._leg_coef,
-                                             self.config.sigma_min)
+                                             kernels.SIGMA_MIN)
         if self.config.ikvel_enabled:
             v_b = self.ikvel.update(t, frame.joints[0], frame.joints[1]).tolist()
         feet = [(m0 + r0, m1 + r1, m2 + r2)
@@ -200,7 +199,7 @@ class Estimator:
         cfg = self.config
         records = self.records
         n = len(contacts)
-        heading = wheel.heading_direction(rot, cfg.heading_eps)
+        heading = wheel.heading_direction(rot)
 
         # wheel anchors of persisting stance legs advance by the effective
         # rolling increment (never on a touchdown frame: the cache is fresh);
@@ -249,8 +248,7 @@ class Estimator:
             anchor = contact.record_footfall(pos_rec, rot, feet[i])
             if cfg.height_enabled:
                 z_corr, self.planes = height.correct_height(
-                    anchor[2], self.planes, t, cfg.height_window,
-                    cfg.height_fade, cfg.height_decay_scale)
+                    anchor[2], self.planes, t, cfg.height_window, cfg.height_fade)
                 anchor = (anchor[0], anchor[1], z_corr)
             records[i].anchor = anchor
 
@@ -266,34 +264,31 @@ class Estimator:
     def _fuse(self, pos_pred, vel, per_pos, per_vel):
         """Fused translational observation, complementary blend; the
         prediction and the held velocity when no leg is in stance."""
-        if not per_pos:
+        fused = contact.fuse_observations(per_pos, per_vel)
+        if fused is None:
             return pos_pred, vel
-        pos_obs, vel_obs = contact.fuse_observations(per_pos, per_vel)
+        pos_obs, vel_obs = fused
         return (blend3(pos_pred, pos_obs, self.config.pos_blend),
                 blend3(vel, vel_obs, self.config.vel_blend))
 
     def _yaw(self, t, roll, pitch, yaw, stance, feet):
         """Yaw consistency against the anchored contact geometry. Returns
         (yaw, yaw_kin, yaw_err); the last two are None when no correction
-        was made."""
+        was made: yaw correction is off, or the stance legs give no usable
+        pair, or their pair yaws cancel."""
         cfg = self.config
         n = len(cfg.legs)
         yaw_kin = None
         yaw_err = None
-        if cfg.yaw_enabled and len(stance) >= 2:
-            try:
-                parts = yawkin.pairwise_yaw(
-                    [self.records[i].anchor for i in stance],
-                    [feet[i] for i in stance],
-                    roll, pitch, cfg.yaw_min_baseline)
-                if parts:
-                    yaw_kin = yawkin.circular_mean(parts)
-                    yaw_err = wrap_angle(yaw_kin - yaw)
-                    yaw, self.full_support_since = yawkin.apply_yaw_correction(
-                        yaw, yaw_kin, len(stance), n, t,
-                        self.full_support_since, cfg.yaw_alpha0, cfg.yaw_ramp_time)
-            except yawkin.DegenerateMean:
-                pass
+        if cfg.yaw_enabled:
+            yaw_kin = yawkin.circular_mean(yawkin.pairwise_yaw(
+                [self.records[i].anchor for i in stance], [feet[i] for i in stance],
+                roll, pitch))
+        if yaw_kin is not None:
+            yaw_err = wrap_angle(yaw_kin - yaw)
+            yaw, self.full_support_since = yawkin.apply_yaw_correction(
+                yaw, yaw_kin, len(stance), n, t,
+                self.full_support_since, cfg.yaw_alpha0, cfg.yaw_ramp_time)
         if len(stance) < n:
             self.full_support_since = None
         return yaw, yaw_kin, yaw_err

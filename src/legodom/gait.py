@@ -110,19 +110,9 @@ def preset_plan(name):
     if name == "flat_loop":
         return GaitPlan(mode="trot")
     if name == "stair_loop":
-        cycle = [(0.0, 0.0), (3.6, 0.0)]
-        wps = []
-        for _ in range(5):
-            wps.extend(cycle)
-            wps.extend(reversed(cycle[:-1]))
-        wps.append((0.0, 0.0))
-        # flatten duplicate consecutive points
-        clean = [wps[0]]
-        for p in wps[1:]:
-            if p != clean[-1]:
-                clean.append(p)
-        return GaitPlan(mode="trot", waypoints=clean, body_height=0.27,
-                        speed=0.6, terrain=StepTerrain(1.2, 2.4, 0.1))
+        # five laps over the step and back
+        return GaitPlan(mode="trot", waypoints=[(0.0, 0.0), (3.6, 0.0)] * 5 + [(0.0, 0.0)],
+                        body_height=0.27, speed=0.6, terrain=StepTerrain(1.2, 2.4, 0.1))
     if name == "standing":
         return GaitPlan(mode="stand", duration=12.0)
     if name == "wheel_roll":

@@ -39,7 +39,11 @@ class LegGeometry:
             raise ValueError("hip_offset_len must be finite")
         if self.side_sign not in (1, -1):
             raise ValueError("side_sign must be +1 or -1")
-        object.__setattr__(self, "hip_mount", np.asarray(self.hip_mount, dtype=float))
+        mount = np.asarray(self.hip_mount, dtype=float)
+        if mount.shape != (3,) or not np.isfinite(mount).all():
+            raise ValueError("hip_mount must be 3 finite numbers, got %r"
+                             % (mount.tolist(),))
+        object.__setattr__(self, "hip_mount", mount)
 
     @property
     def l2(self):

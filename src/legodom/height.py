@@ -26,16 +26,17 @@ def prune_stale(planes, now, fade_time):
     return [p for p in planes if now - p.last_update <= fade_time]
 
 
-def correct_height(z_raw, planes, now, match_window, fade_time, decay_scale=1.0):
+def correct_height(z_raw, planes, now, match_window, fade_time):
     """Snap a raw touchdown height to the support-plane store.
 
     Stale planes are pruned first. A plane within match_window of z_raw is a
     match; among several matches the closest wins (ties: heavier weight, then
     lower height). Inside the inner dead band (match_window / 10) the height
     passes through unchanged; otherwise it snaps exactly to the stored plane.
-    A matched plane's weight decays by the time since its last refresh and
-    gains one count; unmatched heights open a new plane of weight 1, evicting
-    the lightest plane when the store holds MAX_PLANES.
+    A matched plane's weight decays by exp(-age / fade_time), age being the
+    time since its last refresh, and gains one count; unmatched heights open
+    a new plane of weight 1, evicting the lightest plane when the store holds
+    MAX_PLANES.
 
     Returns (z_corrected, planes).
     """
@@ -56,7 +57,7 @@ def correct_height(z_raw, planes, now, match_window, fade_time, decay_scale=1.0)
     if best is not None:
         dz = 0.0 if best_d <= match_window / 10.0 else z_raw - best.height
         z = z_raw - dz
-        decay = float(np.exp(-(now - best.last_update) / (decay_scale * fade_time)))
+        decay = float(np.exp(-(now - best.last_update) / fade_time))
         best.weight = best.weight * decay + 1.0
         best.last_update = now
         return z, planes

@@ -36,7 +36,9 @@ import numpy as np
 
 from . import kernels
 
-DT_MAX_DEFAULT = 0.1
+# a filter time step longer than DT_MAX (s) is a gap in the stamps, not a
+# motion: the cycle predicts over dt = 0 instead
+DT_MAX = 0.1
 DET_EPS = 1e-9
 R_INFLATE = 1e6
 P0_POS = 1e-4
@@ -272,9 +274,9 @@ def _first_states(q, coef):
     return x
 
 
-def _truncated_dt(t_now, t, dt_max):
+def _truncated_dt(t_now, t):
     dt = t_now - t
-    return 0.0 if abs(dt) > dt_max else dt
+    return 0.0 if abs(dt) > DT_MAX else dt
 
 
 @dataclass
@@ -291,7 +293,6 @@ class LegVelocityFilter:
 
     geometries: list
     noise: CkfNoise = field(default_factory=CkfNoise.from_diagonals)
-    dt_max: float = DT_MAX_DEFAULT
     states: CkfLegState = None
     status_counts: dict = field(default_factory=dict)
 
@@ -339,7 +340,7 @@ class LegVelocityFilter:
         st = self.states
         if st is None or self._unseeded is not None:
             st = self._seeded(st, stamp, q)
-        x, P, status = _ckf_legs(st.x, st.P, _truncated_dt(stamp, st.t, self.dt_max),
+        x, P, status = _ckf_legs(st.x, st.P, _truncated_dt(stamp, st.t),
                                  np.concatenate([q, dq], axis=1), self.noise,
                                  self._ik, self._side)
         self.states = CkfLegState(x, P, stamp)

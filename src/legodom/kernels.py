@@ -41,6 +41,9 @@ NUMBA_ENABLED = False
 EPS_RADICAL = 1e-12
 # trig arguments clamped up to this overshoot are treated as rounding noise
 CLAMP_TOL = 1e-9
+# the wrench gate: a leg whose Jacobian's smallest singular value is below
+# SIGMA_MIN has no trustworthy force this cycle and is not gated into stance
+SIGMA_MIN = 1e-6
 # relative margin (of tr(J J^T), in squared singular value) by which leg_rows'
 # sigma_min bound must clear the gate before it stands in for the SVD; the
 # rounding of the bound and of the SVD is a few 1e-16 of the same scale
@@ -114,10 +117,11 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
     hip-to-end-effector position r and velocity v = J dq, and the force f in
     the body frame solving (J J^T) f = J tau, each a 3-tuple. ok is False,
     and f zeros, where a value of q, dq or tau is not finite, the smallest
-    singular value of J is below sigma_min, or J J^T is singular to working
-    precision (a determinant that is not positive, or a non-finite f); the
-    caller must treat that leg as ungateable this cycle. r and v are NaN
-    where q is not finite, and v where dq is not. Never raises.
+    singular value of J is below sigma_min (the step's is SIGMA_MIN), or
+    J J^T is singular to working precision (a determinant that is not
+    positive, or a non-finite f); the caller must treat that leg as
+    ungateable this cycle. r and v are NaN where q is not finite, and v
+    where dq is not. Never raises.
 
     r and J are _leg_entries' on math.cos and math.sin, bit-equal to
     leg_kinematics. For singular values s1 >= s2 >= s3 of J,

@@ -25,6 +25,8 @@ _FLOAT_KEYS = ("rate_hz", "body_height", "speed", "step_period", "step_height",
 _DEGRADE_KEYS = ("encoder_quantum", "yaw_drift", "wheel_slip",
                  "touchdown_height_noise")
 
+_TERRAIN_KEYS = ("x0", "x1", "height", "ramp")
+
 
 def parse_plan_text(text):
     kv = read_pairs(text, "plan", repeated=("waypoint",))
@@ -58,7 +60,10 @@ def parse_plan_text(text):
     terrain_kv = {}
     for k in list(kv):
         if k.startswith("terrain."):
-            terrain_kv[k.split(".", 1)[1]] = parse_value("plan", k, *kv.pop(k))
+            name = k.split(".", 1)[1]
+            if name not in _TERRAIN_KEYS:
+                raise ConfigError("plan line %d: unknown terrain key %r" % (kv[k][0], k))
+            terrain_kv[name] = parse_value("plan", k, *kv.pop(k))
     if terrain_kv:
         plan.terrain = StepTerrain(
             terrain_kv.get("x0", 0.0), terrain_kv.get("x1", 0.0),

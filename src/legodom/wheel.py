@@ -13,6 +13,10 @@ import numpy as np
 
 from .geometry import wrap_angle
 
+# a horizontal heading projection this short or shorter (trunk pitched near
+# vertical) gives no heading
+HEADING_EPS = 1e-9
+
 
 def effective_roll_increment(psi_k, psi_km1, pitch_k, pitch_km1,
                              q2_k, q3_k, q2_km1, q3_km1):
@@ -28,17 +32,17 @@ def effective_roll_increment(psi_k, psi_km1, pitch_k, pitch_km1,
     return dpsi - dbeta
 
 
-def heading_direction(body_rot, eps=1e-9):
+def heading_direction(body_rot):
     """Unit horizontal projection of the body forward axis, or None.
 
-    None signals a degenerate projection (trunk pitched near vertical); the
+    None signals a degenerate projection, no longer than HEADING_EPS; the
     caller skips propagation for that cycle rather than reusing a stale
     heading.
     """
     hx = body_rot[0][0]
     hy = body_rot[1][0]
     nrm = math.sqrt(hx * hx + hy * hy)
-    if nrm <= eps:
+    if nrm <= HEADING_EPS:
         return None
     return (hx / nrm, hy / nrm, 0.0)
 

@@ -13,26 +13,20 @@ import math
 
 from .geometry import wrap_angle
 
-
-class InsufficientContacts(Exception):
-    """Fewer than two stance legs; no yaw constraint this cycle."""
-
-
-class DegenerateMean(Exception):
-    """Pairwise angles cancelled antipodally; treat as no constraint."""
+# a pair of legs whose planar baseline is shorter than MIN_BASELINE (m) in
+# either frame has an ill-conditioned bearing and gives no yaw
+MIN_BASELINE = 0.02
 
 
-def pairwise_yaw(anchors, feet_body, roll, pitch, min_baseline=0.02):
-    """Yaw implied by each unordered pair of stance legs.
+def pairwise_yaw(anchors, feet_body, roll, pitch):
+    """Yaw implied by each unordered pair of stance legs; [] for fewer than
+    two legs.
 
     anchors: world-frame contact points; feet_body: body-frame end-effector
     positions of the same legs. Body baselines are tilt-compensated with
     Ry(pitch) Rx(roll) so only the heading difference remains. Pairs whose
-    planar baseline is shorter than min_baseline in either frame are skipped
-    (bearing ill-conditioned).
+    planar baseline is shorter than MIN_BASELINE in either frame are skipped.
     """
-    if len(anchors) < 2:
-        raise InsufficientContacts("need at least two stance legs")
     # the first two rows of Ry(pitch) Rx(roll); a bearing never needs the third
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
@@ -48,7 +42,7 @@ def pairwise_yaw(anchors, feet_body, roll, pitch, min_baseline=0.02):
             dx, dy, dz = feet_body[j][0] - fx, feet_body[j][1] - fy, feet_body[j][2] - fz
             bx = t00 * dx + t01 * dy + t02 * dz
             by = cr * dy - sr * dz
-            if math.hypot(wx, wy) < min_baseline or math.hypot(bx, by) < min_baseline:
+            if math.hypot(wx, wy) < MIN_BASELINE or math.hypot(bx, by) < MIN_BASELINE:
                 continue
             out.append(wrap_angle(math.atan2(wy, wx) - math.atan2(by, bx)))
     return out
@@ -56,15 +50,14 @@ def pairwise_yaw(anchors, feet_body, roll, pitch, min_baseline=0.02):
 
 def circular_mean(angles):
     """Wrap-safe mean angle, atan2 of summed sines and cosines (summed in
-    order)."""
-    if len(angles) == 0:
-        raise ValueError("circular_mean of empty list")
+    order); None for no angles or for angles that cancel antipodally, which
+    constrain no yaw."""
     ss = cc = 0.0
     for a in angles:
         ss += math.sin(a)
         cc += math.cos(a)
     if abs(ss) <= 1e-12 and abs(cc) <= 1e-12:
-        raise DegenerateMean("antipodal cancellation")
+        return None
     return math.atan2(ss, cc)
 
 
@@ -91,5 +84,4 @@ def apply_yaw_correction(yaw, yaw_kin, n_contacts, n_full, now,
     return wrap_angle(yaw + alpha * err), full_support_since
 
 
-__all__ = ["pairwise_yaw", "circular_mean", "apply_yaw_correction",
-           "InsufficientContacts", "DegenerateMean"]
+__all__ = ["pairwise_yaw", "circular_mean", "apply_yaw_correction"]

@@ -21,18 +21,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from legodom import height
+from legodom.kernels import SIGMA_MIN
 from legodom.config import EstimatorConfig
 from legodom.contact import detect_touchdown, gate_contact
 from legodom.estimator import BodyState
 from legodom.geometry import quat_to_rpy, wrap_angle
 from legodom.ikvel import CkfNoise, LegVelocityFilter
-from legodom.wheel import effective_roll_increment
-from legodom.yawkin import DegenerateMean, InsufficientContacts, apply_yaw_correction
+from legodom.wheel import HEADING_EPS, effective_roll_increment
+from legodom.yawkin import MIN_BASELINE, apply_yaw_correction
 
 from kernels_reference import leg_coefficients, leg_frame
 
 
 class EmptyContactSet(Exception):
+    pass
+
+
+class InsufficientContacts(Exception):
+    pass
+
+
+class DegenerateMean(Exception):
     pass
 
 
@@ -167,8 +176,7 @@ class ReferenceEstimator:
         self.ikvel = LegVelocityFilter(
             cfg.legs,
             noise=CkfNoise.from_diagonals(cfg.ikvel_q_pos, cfg.ikvel_q_vel,
-                                          cfg.ikvel_r_angle, cfg.ikvel_r_rate),
-            dt_max=cfg.ikvel_dt_max)
+                                          cfg.ikvel_r_angle, cfg.ikvel_r_rate))
         self._leg_coef = leg_coefficients(
             *zip(*(g.kernel_args() for g in cfg.legs)))
         self._hip_mounts = np.array([g.hip_mount for g in cfg.legs])
@@ -201,7 +209,7 @@ class ReferenceEstimator:
         q = np.array([r.q for r in frame.legs])
         dq = np.array([r.dq for r in frame.legs])
         tau = np.array([r.tau for r in frame.legs])
-        r_b, v_b, f_b, ok = leg_frame(q, dq, tau, self._leg_coef, cfg.sigma_min)
+        r_b, v_b, f_b, ok = leg_frame(q, dq, tau, self._leg_coef, SIGMA_MIN)
         feet_body = self._hip_mounts + r_b
         foot_vel = self.ikvel.update(t, q, dq) if cfg.ikvel_enabled else v_b
         contacts = []
@@ -214,7 +222,7 @@ class ReferenceEstimator:
 
         # (3) wheel anchors of persisting stance legs advance by the effective
         # rolling increment (never on a touchdown frame: the cache is fresh)
-        heading = heading_direction(rot, cfg.heading_eps)
+        heading = heading_direction(rot, HEADING_EPS)
         for i in range(n):
             geom = cfg.legs[i]
             reading = frame.legs[i]
@@ -264,7 +272,7 @@ class ReferenceEstimator:
             if cfg.height_enabled:
                 z_corr, self.planes = height.correct_height(
                     anchor[2], self.planes, t, cfg.height_window,
-                    cfg.height_fade, cfg.height_decay_scale)
+                    cfg.height_fade)
                 anchor[2] = z_corr
             rec = self.records[i]
             rec.anchor = anchor
@@ -301,7 +309,7 @@ class ReferenceEstimator:
                 parts = pairwise_yaw(
                     [self.records[i].anchor for i in stance],
                     [feet_body[i] for i in stance],
-                    roll, pitch, cfg.yaw_min_baseline)
+                    roll, pitch, MIN_BASELINE)
                 if parts:
                     yaw_kin = circular_mean(parts)
                     yaw_err = wrap_angle(yaw_kin - yaw)

@@ -1,7 +1,6 @@
 """benchmarks/bench_layers.py at its smallest settings, in-process: every
 section writes the key structure of its committed BENCH_<section>.json; and
-the workload table it shares with stream_digests.py is the replay
-benchmark's."""
+the frame count of its filter section is the replay benchmark's."""
 
 import importlib.util
 import json
@@ -70,10 +69,8 @@ def test_each_section_writes_the_keys_of_its_committed_file(section, tmp_path, m
 
 
 def test_the_workload_table_is_the_replay_benchmarks(monkeypatch):
+    # the plans and configs are read from run.py's source; the frame count
+    # of the filter section is a copy
     bench = _load(monkeypatch, "bench_layers", "benchmarks", "bench_layers.py")
     run = _load(monkeypatch, "replaybench_run", "replaybench", "run.py")
-    assert sorted(bench.WORKLOADS) == sorted(run.WORKLOADS)
-    for name, (plan, config) in bench.WORKLOADS.items():
-        assert plan == run.WORKLOADS[name]["plan"], name
-        assert config == run.WORKLOADS[name]["config"], name
     assert bench.CKF_FRAMES == run.WORKLOADS["ckf_walk"]["frames"] == 1000

@@ -60,7 +60,7 @@ def test_ckf_walk_cycles_are_bit_equal_to_the_frozen_cycle(ckf_walk):
         if st is None:
             st = CkfLegState(ikvel._first_states(q, filt._coef),
                              np.tile(ref._prior_cov(), (len(q), 1, 1)), fr.stamp)
-        dt = ikvel._truncated_dt(fr.stamp, st.t, filt.dt_max)
+        dt = ikvel._truncated_dt(fr.stamp, st.t)
         x, P, status = _both_cycles(filt, st.x, st.P, dt, np.concatenate([q, dq], axis=1))
         counts = dict(filt.status_counts)
         filt.update(fr.stamp, q, dq)
@@ -155,4 +155,4 @@ def test_one_leg_cycles_are_bit_equal_to_the_frozen_cycle():
         P = (A @ A.T + 1e-8 * np.eye(6))[None]
         z = np.concatenate([q + rng.normal(scale=1e-3, size=3),
                             dq + rng.normal(scale=0.1, size=3)])[None]
-        _both_cycles(filt, x, P, rng.uniform(0.0, ikvel.DT_MAX_DEFAULT), z)
+        _both_cycles(filt, x, P, rng.uniform(0.0, ikvel.DT_MAX), z)

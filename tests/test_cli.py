@@ -524,6 +524,14 @@ def test_unknown_plan_mode_exit_3(tmp_path, capsys):
     assert "plan line 2" in err and "unknown mode 'bogus'" in err
 
 
+def test_unknown_terrain_key_exit_3(tmp_path, capsys):
+    # a misspelt key once parsed to a flat terrain, the step height dropped
+    code, err = _simulate_plan_error(tmp_path, capsys,
+                                     "preset = flat_loop\nterrain.heigth = 0.1\n")
+    assert code == 3
+    assert err == "plan error: plan line 2: unknown terrain key 'terrain.heigth'\n"
+
+
 def test_infeasible_plan_exit_3(tmp_path, capsys):
     code, err = _simulate_plan_error(tmp_path, capsys, "preset = flat_loop\nspeed = 40\n")
     assert code == 3

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from legodom import (EmptyContactSet, anchored_position_obs,
-                     anchored_velocity_obs, detect_touchdown,
+from legodom import (anchored_position_obs, anchored_velocity_obs, detect_touchdown,
                      fuse_observations, gate_contact, record_footfall)
 from legodom.geometry import cross3, rpy_rows
 
@@ -100,9 +98,8 @@ def test_fuse_single_leg():
     assert np.allclose(v, [0.1, 0.0, 0.0])
 
 
-def test_fuse_empty_raises():
-    with pytest.raises(EmptyContactSet):
-        fuse_observations([], [])
+def test_fuse_empty_is_none():
+    assert fuse_observations([], []) is None
 
 
 def test_fuse_permutation_invariant_and_idempotent():

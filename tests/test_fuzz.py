@@ -168,20 +168,16 @@ CONFIG_RANGES = [
     ("geom.thigh", "> 0", ["0", "-0.2", "-1e-9"], ["1e-9"]),
     ("geom.calf", "> 0", ["0", "-0.2", "-1e-9"], ["1e-9"]),
     ("geom.wheel_radius", ">= 0", ["-1e-9", "-0.05"], ["0"]),
-    ("contact.sigma_min", "> 0", ["0", "-1e-6"], ["1e-9"]),
     ("height.match_window", "> 0", ["0", "-1"], ["1e-9"]),
     ("height.fade_time", "> 0", ["0", "-30"], ["1e-9"]),
-    ("height.decay_scale", "> 0", ["0", "-1e-9"], ["1e-9"]),
     ("yaw.alpha0", "within (0, 1]", ["0", "-0.02", "1.5", "1.000001"], ["1e-9", "1"]),
     ("yaw.ramp_time", "> 0", ["0", "-3"], ["1e-9"]),
     ("ikvel.q_pos", "> 0", ["0", "-1e-6"], ["1e-9"]),
     ("ikvel.q_vel", "> 0", ["0", "-0.3"], ["1e-9"]),
     ("ikvel.r_angle", "> 0", ["0", "-2.5e-7"], ["1e-9"]),
     ("ikvel.r_rate", "> 0", ["0", "-0.3"], ["1e-9"]),
-    ("ikvel.dt_max", "> 0", ["0", "-0.1"], ["1e-9"]),
     ("blend.pos_gain", "within [0, 1]", ["-1e-9", "1.5"], ["0", "1"]),
     ("blend.vel_gain", "within [0, 1]", ["-0.8", "1.000001"], ["0", "1"]),
-    ("wheel.heading_eps", "> 0", ["0", "-1e-9"], ["1e-9"]),
 ]
 
 
@@ -199,6 +195,25 @@ def test_each_range_checked_config_key_exits_3_naming_line_and_key(work, capsys)
                 key, rule, value), err
         for value in edge:
             parse_config_text("%s = %s" % (key, value))
+
+
+# keys a config once took, whose guards are now constants of the operators
+# that apply them; a file that sets one (as every file save_config wrote
+# then did) is refused, not silently read without them
+RETIRED_CONFIG_KEYS = ["contact.sigma_min", "height.decay_scale", "yaw.min_baseline",
+                       "ikvel.dt_max", "wheel.heading_eps"]
+
+
+def test_each_retired_config_key_exits_3_naming_its_line(work, capsys):
+    d, log, _ = work
+    config = d / "retired.config.txt"
+    for key in RETIRED_CONFIG_KEYS:
+        config.write_text("yaw.alpha0 = 0.05\n%s = 1e-6\n" % key)
+        code = main(["replay", "--log", str(log), "--config", str(config),
+                     "--out", str(d / "retired.csv")])
+        assert code == 3, key
+        assert capsys.readouterr().err == (
+            "config error: config line 2: unknown config key %r\n" % key)
 
 
 # --- plan files ---------------------------------------------------------------

@@ -324,7 +324,7 @@ def test_closed_form_prediction_matches_the_cubature_prediction():
         x[3:] = rng.normal(size=3)
         A = rng.normal(size=(6, 6)) * rng.uniform(1e-3, 1.0, size=6)
         P = A @ A.T + 1e-6 * np.eye(6)
-        dt = rng.uniform(0.0, ikvel.DT_MAX_DEFAULT)
+        dt = rng.uniform(0.0, ikvel.DT_MAX)
         assert_close(ikvel._predict(x, P, dt, noise.q_cov * dt), x, P, dt)
     # a covariance that is not positive definite resets to the prior, and a
     # non-finite measurement makes the cycle return the prediction from it

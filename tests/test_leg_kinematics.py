@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from legodom import EstimatorConfig, LegGeometry, kernels, rolling_bias
+from legodom import LegGeometry, kernels, rolling_bias
 
 import kernels_reference as ref
 from conftest import kinematics, leg_coefficients, sample_joint
@@ -365,7 +365,7 @@ def test_leg_frame_takes_the_svd_only_when_the_bound_cannot_decide(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     for _ in range(50):
         q, dq, tau = _healthy_batch(rng)
-        _leg_rows(q, dq, tau, EstimatorConfig().sigma_min)
+        _leg_rows(q, dq, tau, kernels.SIGMA_MIN)
     assert calls == []
     # a gate at one leg's own smallest singular value leaves that leg, and any
     # other whose bound cannot clear it, to an SVD of its own Jacobian

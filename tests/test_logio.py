@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from legodom import (ConfigError, EstimatorConfig, SensorFrame, WheelReading, generate_gait,
-                     load_config, parse_config_text, preset_plan, save_config)
+from legodom import (ConfigError, EstimatorConfig, LegGeometry, SensorFrame, WheelReading,
+                     generate_gait, load_config, parse_config_text, preset_plan, save_config)
 from legodom import logio
 from legodom.estimator import BodyState
 from legodom.logio import (LogParseError, encode_json, frame_to_dict, read_frames,
@@ -308,13 +308,11 @@ def test_config_parsing_and_validation():
 
 # EstimatorConfig field -> config key, for each field with a range rule
 RANGED_FIELDS = {
-    "sigma_min": "contact.sigma_min", "height_window": "height.match_window",
-    "height_fade": "height.fade_time", "height_decay_scale": "height.decay_scale",
+    "height_window": "height.match_window", "height_fade": "height.fade_time",
     "yaw_alpha0": "yaw.alpha0", "yaw_ramp_time": "yaw.ramp_time",
     "ikvel_q_pos": "ikvel.q_pos", "ikvel_q_vel": "ikvel.q_vel",
     "ikvel_r_angle": "ikvel.r_angle", "ikvel_r_rate": "ikvel.r_rate",
-    "ikvel_dt_max": "ikvel.dt_max", "pos_blend": "blend.pos_gain",
-    "vel_blend": "blend.vel_gain", "heading_eps": "wheel.heading_eps",
+    "pos_blend": "blend.pos_gain", "vel_blend": "blend.vel_gain",
 }
 
 
@@ -336,6 +334,17 @@ def test_config_built_in_code_names_the_key_of_an_out_of_range_value():
     with pytest.raises(ConfigError, match=r"^contact\.force_threshold must be finite"):
         EstimatorConfig(force_threshold=np.nan)
     assert EstimatorConfig(pos_blend=0.0, vel_blend=1.0, yaw_alpha0=1.0).vel_blend == 1.0
+
+
+@pytest.mark.parametrize("value", [[np.nan, 0.0, 0.3], [0.0, np.inf, 0.3], [0.0, 0.0],
+                                   [[0.0, 0.0, 0.3]]], ids=["nan", "inf", "(2,)", "(1, 3)"])
+def test_a_position_built_in_code_must_be_three_finite_numbers(value):
+    # a NaN initial x once stayed NaN through a whole replay, a (2,) one ended
+    # in an IndexError at the first step, and a NaN hip mount made every state NaN
+    with pytest.raises(ConfigError, match=r"^init\.position must "):
+        EstimatorConfig(initial_position=value)
+    with pytest.raises(ValueError, match=r"^hip_mount must be 3 finite numbers, got "):
+        LegGeometry(0.08, 0.2, 0.2, hip_mount=value)
 
 
 def test_plan_file_parsing():

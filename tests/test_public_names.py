@@ -7,9 +7,9 @@ import types
 import legodom
 
 PUBLIC_NAMES = [
-    "BodyState", "CkfLegState", "CkfNoise", "ConfigError", "DegenerateMean",
-    "EmptyContactSet", "Estimator", "EstimatorConfig", "FootfallRecord", "GaitPlan",
-    "GaitResult", "InfeasiblePlan", "InsufficientContacts", "JointReading",
+    "BodyState", "CkfLegState", "CkfNoise", "ConfigError", "Estimator",
+    "EstimatorConfig", "FootfallRecord", "GaitPlan", "GaitResult", "InfeasiblePlan",
+    "JointReading",
     "LegGeometry", "LegVelocityFilter", "SensorFrame", "StepTerrain", "SupportPlane",
     "WheelReading", "anchored_position_obs", "anchored_velocity_obs",
     "apply_yaw_correction", "circular_mean", "compute_metrics", "correct_height",

@@ -1,9 +1,6 @@
 import numpy as np
-import pytest
 
-from legodom import (DegenerateMean, InsufficientContacts,
-                     apply_yaw_correction, circular_mean, pairwise_yaw,
-                     wrap_angle)
+from legodom import apply_yaw_correction, circular_mean, pairwise_yaw, wrap_angle
 from legodom.geometry import rpy_rows
 
 import estimator_reference as reference
@@ -22,8 +19,8 @@ def test_pairwise_yaw_quarter_turn():
 
 
 def test_pairwise_yaw_insufficient():
-    with pytest.raises(InsufficientContacts):
-        pairwise_yaw([np.zeros(3)], [np.zeros(3)], 0.0, 0.0)
+    assert pairwise_yaw([np.zeros(3)], [np.zeros(3)], 0.0, 0.0) == []
+    assert pairwise_yaw([], [], 0.0, 0.0) == []
 
 
 def test_pairwise_yaw_recovers_true_yaw_under_tilt():
@@ -78,8 +75,7 @@ def test_circular_mean_shift_invariant():
 
 
 def test_circular_mean_degenerate():
-    with pytest.raises(DegenerateMean):
-        circular_mean([0.0, np.pi])
+    assert circular_mean([0.0, np.pi]) is None
 
 
 def test_yaw_correction_zero_error():
@@ -177,10 +173,7 @@ def test_pairwise_yaw_four_leg_pair_order_and_skips():
                        rtol=0.0, atol=1e-15)
 
 
-def test_circular_mean_of_float_pairs_still_raises_degenerate():
-    with pytest.raises(DegenerateMean):
-        circular_mean([0.5, 0.5 + np.pi])
-    with pytest.raises(DegenerateMean):
-        circular_mean([0.1, 0.1 + 2 * np.pi / 3, 0.1 - 2 * np.pi / 3])
-    with pytest.raises(ValueError):
-        circular_mean([])
+def test_circular_mean_of_float_pairs_still_degenerate_is_none():
+    assert circular_mean([0.5, 0.5 + np.pi]) is None
+    assert circular_mean([0.1, 0.1 + 2 * np.pi / 3, 0.1 - 2 * np.pi / 3]) is None
+    assert circular_mean([]) is None
