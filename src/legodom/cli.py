@@ -27,17 +27,19 @@ from .planfile import load_plan
 BLOCK = 256  # frames stepped between writes; a write per frame replays 7-19 % slower
 
 
-def _stream(args, write=lambda steps: None):
+def _stream(args, write=None):
     """The one pass over a log, for replay and inspect: step it BLOCK frames
     at a time and hand each block's (state, diagnostics record) pairs to
-    write. Returns (exit code, estimator, frames stepped); a failure prints
-    its message, with exit code 3 for the config or 2 for the log."""
+    write; with no write, no record is built and the states are dropped.
+    Returns (exit code, estimator, frames stepped); a failure prints its
+    message, with exit code 3 for the config or 2 for the log."""
     try:
         cfg = EstimatorConfig() if args.config is None else load_config(args.config)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 3, None, 0
     est = Estimator(cfg)
+    record = est.diagnostics if write else lambda: None
     frames = iter_frames(args.log, len(cfg.legs))
     count = 0
     while True:
@@ -50,7 +52,9 @@ def _stream(args, write=lambda steps: None):
         if not block:
             return 0, est, count
         count += len(block)
-        write([(est.step(fr), est.diagnostics()) for fr in block])
+        steps = [(est.step(fr), record()) for fr in block]
+        if write:
+            write(steps)
 
 
 def _same_file(a, b):

@@ -8,7 +8,9 @@ every per-leg stage after that through the `contact`, `wheel` and `yawkin`
 operators. At a few legs a frame numpy's per-call cost exceeds the
 arithmetic, so an array form of those stages is slower. With the velocity
 filter on, the filter runs on views of the joint array, one batched numpy
-cycle. The BodyState arrays are built once, at the end.
+cycle. The estimator holds its state as Python floats and builds the
+returned BodyState's arrays once, at the end; the diagnostics record is built
+only when `diagnostics()` asks for it.
 """
 
 import math
@@ -19,7 +21,7 @@ import numpy as np
 from . import contact, height, kernels, wheel, yawkin
 from .config import EstimatorConfig
 from .contact import FootfallRecord
-from .geometry import JointReading, blend3, mean3, quat_to_rpy, rpy_rows, wrap_angle
+from .geometry import JointReading, _quat_rpy, blend3, mean3, rpy_rows, wrap_angle
 from .ikvel import CkfNoise, LegVelocityFilter
 
 
@@ -85,17 +87,23 @@ def frame_columns(frames):
 class Estimator:
     """Contact-anchored proprioceptive odometry over a stream of SensorFrames.
 
-    step() is strictly sequential per stream; returned BodyStates are copies
-    and safe to hand across threads.
+    step() is strictly sequential per stream. It returns a BodyState of fresh
+    arrays that the estimator keeps no reference to, and `state` builds a
+    fresh BodyState of the held state on each read, so either is safe to
+    write into or to hand across threads. `diagnostics()` builds the record
+    of the last step when it is called: a loop that never asks for it does
+    not pay for it.
     """
 
     def __init__(self, config: EstimatorConfig = None):
         self.config = config if config is not None else EstimatorConfig()
         cfg = self.config
         n = len(cfg.legs)
-        self.state = BodyState(cfg.initial_position.copy(),
-                               np.array([0.0, 0.0, cfg.initial_yaw]),
-                               np.zeros(3), None)
+        # the state, as Python floats: position, (roll, pitch, yaw), velocity
+        self._position = tuple(cfg.initial_position.tolist())
+        self._rpy = (0.0, 0.0, float(cfg.initial_yaw))
+        self._velocity = (0.0, 0.0, 0.0)
+        self._stamp = None
         self.records = [FootfallRecord(i) for i in range(n)]
         self.prev_contact = [False] * n
         self.planes = []
@@ -108,7 +116,15 @@ class Estimator:
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate))
         self._leg_coef = [kernels.leg_coefficients(*g.kernel_args()) for g in cfg.legs]
         self._hip_mounts = [g.hip_mount.tolist() for g in cfg.legs]
-        self._diag = {}
+        # (t, stance, touchdowns, yaw_kin, yaw_err) of the last step, or None
+        self._last = None
+
+    @property
+    def state(self):
+        """The state after the last step (the initial state before the first)
+        as a fresh BodyState."""
+        return BodyState(np.array(self._position), np.array(self._rpy),
+                         np.array(self._velocity), self._stamp)
 
     def step(self, frame: SensorFrame) -> BodyState:
         cfg = self.config
@@ -118,22 +134,23 @@ class Estimator:
         t = frame.stamp
         if not math.isfinite(t):
             raise ValueError("frame stamp %r is not finite" % t)
+        att = frame.att.tolist()
         gyro = frame.gyro.tolist()
-        for name, values in (("att", frame.att.tolist()), ("gyro", gyro)):
+        for name, values in (("att", att), ("gyro", gyro)):
             if not all(map(math.isfinite, values)):
                 raise ValueError("frame %s %r is not finite" % (name, values))
         for wr in frame.wheels or ():
             if wr is not None and not (math.isfinite(wr.psi) and math.isfinite(wr.dpsi)):
                 raise ValueError("frame wheel reading %r is not finite" % (wr,))
-        if self.state.stamp is not None and t <= self.state.stamp:
-            raise ValueError("frame stamp %r not after state stamp %r"
-                             % (t, self.state.stamp))
-        dt = 0.0 if self.state.stamp is None else t - self.state.stamp
-        pos = self.state.position.tolist()
-        vel = self.state.velocity.tolist()
+        stamp = self._stamp
+        if stamp is not None and t <= stamp:
+            raise ValueError("frame stamp %r not after state stamp %r" % (t, stamp))
+        dt = 0.0 if stamp is None else t - stamp
+        pos = self._position
+        vel = self._velocity
         pos_pred = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt, pos[2] + vel[2] * dt)
 
-        roll, pitch, yaw, rot = self._attitude(frame)
+        roll, pitch, yaw, rot = self._attitude(att)
         q_rows, dq_rows, feet, foot_vel, forces, ok = self._leg_frame(frame, t)
         contacts, touchdowns = self._gate(rot, forces, ok)
         stance, per_pos, per_vel = self._observe(
@@ -142,23 +159,25 @@ class Estimator:
         position, velocity = self._fuse(pos_pred, vel, per_pos, per_vel)
         yaw, yaw_kin, yaw_err = self._yaw(t, roll, pitch, yaw, stance, feet)
 
-        self.state = BodyState(np.array(position), np.array([roll, pitch, yaw]),
-                               np.array(velocity), t)
+        self._position, self._rpy, self._velocity = position, (roll, pitch, yaw), velocity
+        self._stamp = t
         self.prev_contact = contacts
-        self._diag = self._record(t, stance, touchdowns, yaw_kin, yaw_err)
-        return self.state.copy()
+        self._last = (t, stance, touchdowns, yaw_kin, yaw_err)
+        return self.state
 
     # The stages of step, in order. Each takes and returns Python floats,
-    # lists and tuples; numpy runs only in quat_to_rpy, in the velocity filter
-    # and in the SVD of a leg whose bound cannot clear the wrench gate.
+    # lists and tuples; numpy runs only in the attitude's arctan2 and arcsin,
+    # in the velocity filter and in the SVD of a leg whose bound cannot clear
+    # the wrench gate.
 
-    def _attitude(self, frame):
-        """(roll, pitch, yaw, rotation rows): roll and pitch always from the
+    def _attitude(self, att):
+        """(roll, pitch, yaw, rotation rows) of the frame's attitude
+        quaternion, given as a list of floats: roll and pitch always from the
         IMU; yaw only when the IMU yaw channel is trusted, otherwise held
         from the state."""
-        roll, pitch, yaw = quat_to_rpy(frame.att).tolist()
+        roll, pitch, yaw = _quat_rpy(*att)
         if not self.config.imu_yaw_enabled:
-            yaw = float(self.state.rpy[2])
+            yaw = self._rpy[2]
         return roll, pitch, yaw, rpy_rows(roll, pitch, yaw)
 
     def _leg_frame(self, frame, t):
@@ -293,12 +312,18 @@ class Estimator:
             self.full_support_since = None
         return yaw, yaw_kin, yaw_err
 
-    def _record(self, t, stance, touchdowns, yaw_kin, yaw_err):
-        """The diagnostics record of the frame just stepped."""
+    def diagnostics(self):
+        """The diagnostics record of the last step, as a fresh
+        JSON-serializable dict built on each call; {} before the first step.
+        A step changes everything the record reads, and nothing else does,
+        so the record is the same whenever between two steps it is built."""
+        if self._last is None:
+            return {}
+        t, stance, touchdowns, yaw_kin, yaw_err = self._last
         return {
             "t": t,
             "n_contacts": len(stance),
-            "contacts": stance,
+            "contacts": list(stance),
             "touchdowns": [i for i, td in enumerate(touchdowns) if td],
             "anchors": [list(rec.anchor) if on else None
                         for rec, on in zip(self.records, self.prev_contact)],
@@ -307,10 +332,6 @@ class Estimator:
             "yaw_err": yaw_err,
             "mode": "fused" if stance else "predict",
         }
-
-    def diagnostics(self):
-        """Most recent per-step diagnostics record (JSON-serializable dict)."""
-        return dict(self._diag)
 
 
 def create(config: EstimatorConfig = None) -> Estimator:

@@ -157,14 +157,24 @@ def _clip_unit(s):  # a float bounded to [-1, 1]
 
 
 def _rpy_entries(w, x, y, z, clip):
-    """Roll, pitch, yaw (ZYX) of a unit quaternion: floats, with clip
-    _clip_unit, or equal-shape columns with np.clip. Roll's and yaw's
-    arctan2 run as one call on their stacked numerators and denominators.
-    numpy's arctan2 and arcsin round alike on floats, columns and stacks;
-    math's differ in some values."""
-    roll_yaw = np.arctan2(np.array((2.0 * (w * x + y * z), 2.0 * (w * z + x * y))),
-                          np.array((1.0 - 2.0 * (x * x + y * y), 1.0 - 2.0 * (y * y + z * z))))
-    return roll_yaw[0], np.arcsin(clip(2.0 * (w * y - z * x))), roll_yaw[1]
+    """Roll, pitch, yaw (ZYX) of a unit quaternion: numpy floats, with clip
+    _clip_unit, or equal-shape columns with np.clip. numpy's arctan2 and
+    arcsin round alike on floats and columns; math's differ in some values."""
+    return (np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y)),
+            np.arcsin(clip(2.0 * (w * y - z * x))),
+            np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
+
+
+def _quat_rpy(w, x, y, z):
+    """quat_to_rpy of the quaternion [w, x, y, z] given as four floats, as a
+    tuple of three floats: the attitude intake of `Estimator.step`."""
+    if abs(w * w + x * x + y * y + z * z - 1.0) > 1e-12:
+        n = math.hypot(w, x, y, z)
+        if n == 0.0:
+            raise ValueError("attitude quaternion %r has zero norm" % ([w, x, y, z],))
+        w, x, y, z = w / n, x / n, y / n, z / n
+    roll, pitch, yaw = _rpy_entries(w, x, y, z, _clip_unit)
+    return float(roll), float(pitch), float(yaw)
 
 
 def quat_to_rpy(q):
@@ -175,12 +185,7 @@ def quat_to_rpy(q):
     ValueError.
     """
     w, x, y, z = map(float, q)
-    if abs(w * w + x * x + y * y + z * z - 1.0) > 1e-12:
-        n = math.hypot(w, x, y, z)
-        if n == 0.0:
-            raise ValueError("attitude quaternion %r has zero norm" % ([w, x, y, z],))
-        w, x, y, z = w / n, x / n, y / n, z / n
-    return np.array(_rpy_entries(w, x, y, z, _clip_unit))
+    return np.array(_quat_rpy(w, x, y, z))
 
 
 def quat_to_rpy_columns(att):

@@ -241,7 +241,7 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, coef, leg_side):
     # a singular IK Jacobian zeroes that point's rates, so the rate block of
     # R is inflated to make that leg's update ignore the measured rates
     r_cov = noise.r_cov
-    if singular.any():
+    if singular is not np.False_:
         fallback = singular.reshape(legs, -1).any(axis=-1)
         status = status | CKF_RATE_FALLBACK * fallback
         r_cov = np.where(fallback[:, None, None], r_cov * _RATE_INFLATION, r_cov)

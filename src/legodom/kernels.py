@@ -312,8 +312,9 @@ def ik_measurement_rows(rows, coef, det_eps, out=None):
     negated. Each trig term and the three 2x2 minors of J_ik's lower rows are
     formed once, for both the determinant and the adjugate. Returns
     (z (6, ...), viol, singular), singular True where |det J_ik| < det_eps,
-    with zero rates; z is out when given. Each element equals the frozen
-    ik_joints plus ik_rates of tests/kernels_reference.py.
+    with zero rates, or np.False_, which broadcasts as the all-False mask,
+    when no state is singular; z is out when given. Each element equals the
+    frozen ik_joints plus ik_rates of tests/kernels_reference.py.
     """
     t1, t2, t3, viol, s1, c1, slh_s1, slh_c1 = _ik_angles(rows[0], rows[1], rows[2], coef)
     lt, l2, neg_l2 = coef.lt, coef.l2, coef.neg_l2
@@ -355,4 +356,4 @@ def ik_measurement_rows(rows, coef, det_eps, out=None):
     z[5] = (b0 * m2 - j01 * e2) / d
     if any_singular:
         z[3:] = np.where(singular, 0.0, z[3:])
-    return z, viol, singular
+    return z, viol, singular if any_singular else np.False_

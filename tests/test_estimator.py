@@ -4,7 +4,9 @@ import pytest
 from legodom import (Estimator, EstimatorConfig, SensorFrame, WheelReading,
                      create, diagnostics, generate_gait, kernels, preset_plan,
                      quat_to_rpy, rpy_to_quat, step, wrap_angle)
+from legodom.geometry import quat_to_rpy_columns
 from legodom.ikvel import CKF_MEASUREMENT_SKIPPED
+from legodom.logio import encode_json
 
 
 def _run(plan, cfg=None, frames=None):
@@ -301,6 +303,72 @@ def test_module_level_api():
     out = step(handle, res.frames[0])
     assert out.stamp == res.frames[0].stamp
     assert diagnostics(handle)["n_contacts"] == 4
+
+
+def test_diagnostics_before_the_first_step_is_empty():
+    assert Estimator(EstimatorConfig()).diagnostics() == {}
+
+
+def test_a_record_built_on_demand_equals_one_built_every_frame(stream):
+    # the record is built from the last step's references when asked for;
+    # with touchdown-height noise the plane store holds planes, so the
+    # record reads the anchors, contacts and planes the step left behind
+    plan, _, frames = stream("stair_loop", imperfections={"touchdown_height_noise": 0.02})
+    cfg = EstimatorConfig(initial_position=[0, 0, plan.body_height])
+    asked, never = Estimator(cfg), Estimator(cfg)
+    planes = 0
+    for fr in frames:
+        asked.step(fr)
+        never.step(fr)
+        record = asked.diagnostics()
+        planes = max(planes, len(record["planes"]))
+        built = encode_json(record)
+        for value in record.values():  # the caller owns the record it gets
+            if type(value) is list:
+                value.append(99)
+        assert encode_json(asked.diagnostics()) == built
+    assert planes >= 2
+    assert encode_json(never.diagnostics()) == encode_json(asked.diagnostics())
+    assert never.diagnostics()["planes"]
+
+
+@pytest.mark.parametrize("imu_yaw", [True, False])
+def test_writing_into_returned_states_changes_no_later_step(stream, imu_yaw):
+    # the estimator keeps no reference into the arrays it hands out, from
+    # step() or from est.state; with the IMU yaw off, yaw is the held state
+    plan, _, frames = stream("stair_loop", imperfections={"touchdown_height_noise": 0.02})
+    cfg = EstimatorConfig(initial_position=[0, 0, plan.body_height],
+                          imu_yaw_enabled=imu_yaw)
+    clean, written = Estimator(cfg), Estimator(cfg)
+    for fr in frames:
+        want = clean.step(fr)
+        got = written.step(fr)
+        for name in ("position", "rpy", "velocity"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert np.array_equal(getattr(written.state, name), getattr(want, name))
+            getattr(got, name)[:] = np.nan
+            getattr(written.state, name)[:] = np.nan
+        assert written.state.stamp == want.stamp
+    assert np.isfinite(written.state.position).all()
+
+
+def test_the_float_attitude_intake_equals_quat_to_rpy_bit_for_bit():
+    # the step reads the attitude from the floats of its finite check; roll,
+    # pitch and yaw must be the bits quat_to_rpy and its column form give
+    rng = np.random.default_rng(26)
+    unit = rng.normal(size=(3_000, 4))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    scaled = rng.normal(size=(1_000, 4)) * rng.uniform(1e-3, 1e3, (1_000, 1))
+    # at a pitch of +-pi/2 the pitch sine rounds past 1 in some rows
+    gimbal = [rpy_to_quat(r, s * np.pi / 2, y)
+              for r, y in rng.uniform(-3.0, 3.0, (300, 2)) for s in (1, -1)]
+    quats = np.concatenate([unit, scaled, gimbal])
+    est = Estimator(EstimatorConfig())
+    intake = np.array([est._attitude(q)[:3] for q in quats.tolist()])
+    assert intake.dtype == float
+    assert intake.tobytes() == np.array([quat_to_rpy(q) for q in quats]).tobytes()
+    assert intake.tobytes() == np.ascontiguousarray(quat_to_rpy_columns(quats).T).tobytes()
+    assert all(type(v) is float for v in est._attitude(quats[0].tolist())[:3])
 
 
 def _walk_frames(length):
