@@ -76,13 +76,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "replaybench"))
 sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 from refclock import RefClock  # noqa: E402
-# the workloads' plans, and the rolling speed wheel_cli draws from its seed
-from stream_digests import WORKLOADS, workload_plan  # noqa: E402
+# the workloads' table, their plans, and the rolling speed wheel_cli draws
+# from its seed
+from stream_digests import REPLAY_TABLE, WORKLOADS, workload_plan  # noqa: E402
 
 SEED = 0  # seed of the plans and of the degradation
 REPEAT = {"step": 10, "filter": 15, "io": 200, "sim": 15}  # timed passes
 WINDOW = 200  # io: frames of the log in one timed pass, taken in turn
-CKF_FRAMES = 1000  # filter: the frames of ckf_walk that the replay benchmark steps
+# filter: the frames of ckf_walk that the replay benchmark steps
+CKF_FRAMES = REPLAY_TABLE["ckf_walk"]["frames"]
 
 # step: stage name -> the Estimator method that runs it, in step order
 STAGES = (
@@ -195,7 +197,7 @@ def section_step(legodom, clock):
         s, calls = totals["diagnostics"]
         keep_best(call_us, call_raw, "diagnostics", s, at_ref / wall, calls)
     result = {"workload": "stair_trot", "seed": SEED, "frames": len(frames),
-              "legs": len(frames[0].legs), "repeat": REPEAT["step"],
+              "legs": frames[0].joints.shape[1], "repeat": REPEAT["step"],
               "us_per_frame": rounded(us), "raw_us_per_frame": rounded(raw),
               "us_per_call": rounded(call_us), "raw_us_per_call": rounded(call_raw),
               "timed": {name: "Estimator.%s" % attr for _, attr, name in stages + record}}
@@ -221,7 +223,7 @@ def section_filter(legodom, clock):
                 keep_best(us, raw, name, s, at_ref / wall, n)
                 calls[name] = n
     result = {"workload": "ckf_walk", "seed": SEED, "frames": len(frames),
-              "legs": len(frames[0].legs), "repeat": REPEAT["filter"],
+              "legs": frames[0].joints.shape[1], "repeat": REPEAT["filter"],
               "us_per_call": rounded(us), "raw_us_per_call": rounded(raw),
               "calls_per_pass": calls,
               "timed": {name: "%s.%s" % (owner.__name__, attr)

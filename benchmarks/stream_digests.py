@@ -52,12 +52,13 @@ RUN_PY = os.path.join(ROOT, "replaybench", "run.py")
 TABLE = ("STAIR_PLAN", "CKF_PLAN", "WHEEL_PLAN", "WORKLOADS")
 
 
-def replay_workloads():
-    """{workload: (plan, config)} of the replay benchmark, read from the
-    literal assignments of TABLE in the source of RUN_PY. run.py itself is
-    not imported: it loads `legodom` from the src beside it, which --src must
-    choose. `speed` of the wheel plan is a format field, drawn from the seed
-    as the benchmark draws it (workload_plan)."""
+def replay_table():
+    """The replay benchmark's WORKLOADS table, {workload: {"plan", "config",
+    ...}}, read from the literal assignments of TABLE in the source of
+    RUN_PY. run.py itself is not imported: it loads `legodom` from the src
+    beside it, which --src must choose. `speed` of the wheel plan is a
+    format field, drawn from the seed as the benchmark draws it
+    (workload_plan)."""
     with open(RUN_PY, encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), RUN_PY)
     table = ast.Module([node for node in tree.body if isinstance(node, ast.Assign)
@@ -65,10 +66,12 @@ def replay_workloads():
                         and getattr(node.targets[0], "id", None) in TABLE], type_ignores=[])
     names = {"__builtins__": {}}
     exec(compile(table, RUN_PY, "exec"), names)
-    return {name: (w["plan"], w["config"]) for name, w in names["WORKLOADS"].items()}
+    return names["WORKLOADS"]
 
 
-WORKLOADS = replay_workloads()
+REPLAY_TABLE = replay_table()
+# {workload: (plan, config)}
+WORKLOADS = {name: (w["plan"], w["config"]) for name, w in REPLAY_TABLE.items()}
 SEEDS = (0, 1, 2)
 
 

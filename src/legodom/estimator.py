@@ -39,15 +39,22 @@ class BodyState:
                          self.velocity.copy(), self.stamp)
 
 
+# one global lookup each in SensorFrame's check for an array kept as given
+_NDARRAY, _F64 = np.ndarray, np.dtype(np.float64)
+
+
 @dataclass
 class SensorFrame:
     """One synchronized sample: IMU attitude quaternion [w,x,y,z], body-frame
     gyro, joint readings, optional per-leg wheel readings.
 
     `joints` is one float (3, L, 3) array, indexed by channel (q, dq, tau),
-    leg and joint; a step reads it with one `tolist()`. A float64 array is
-    kept as given, so frames may be views into one array of a stream. An
-    `att`, `gyro`, `joints` or `wheels` of another size raises ValueError."""
+    leg and joint; a step reads it with one `tolist()`. An `att`, `gyro` or
+    `joints` that is an exact ndarray of native float64 is kept as given, so
+    frames may be views into one array of a stream; anything else is
+    converted with `np.asarray(value, dtype=float)`. A `joints`, `att`,
+    `gyro` or `wheels` of another size raises ValueError, checked in that
+    order."""
 
     stamp: float
     att: np.ndarray
@@ -56,19 +63,25 @@ class SensorFrame:
     wheels: list = None
 
     def __post_init__(self):
-        self.att = np.asarray(self.att, dtype=float)
-        self.gyro = np.asarray(self.gyro, dtype=float)
-        self.joints = np.asarray(self.joints, dtype=float)
-        if self.joints.ndim != 3 or self.joints.shape[::2] != (3, 3):
-            raise ValueError("joints must have shape (3, legs, 3), got %s"
-                             % (self.joints.shape,))
-        for name, shape in (("att", (4,)), ("gyro", (3,))):
-            if getattr(self, name).shape != shape:
-                raise ValueError("%s must have shape %s, got %s"
-                                 % (name, shape, getattr(self, name).shape))
-        if self.wheels is not None and len(self.wheels) != self.joints.shape[1]:
+        # an exact ndarray of native float64 is what np.asarray would return
+        # unchanged, so it is kept without the call
+        att, gyro, joints = self.att, self.gyro, self.joints
+        if type(att) is not _NDARRAY or att.dtype is not _F64:
+            self.att = att = np.asarray(att, dtype=float)
+        if type(gyro) is not _NDARRAY or gyro.dtype is not _F64:
+            self.gyro = gyro = np.asarray(gyro, dtype=float)
+        if type(joints) is not _NDARRAY or joints.dtype is not _F64:
+            self.joints = joints = np.asarray(joints, dtype=float)
+        shape = joints.shape
+        if len(shape) != 3 or shape[::2] != (3, 3):
+            raise ValueError("joints must have shape (3, legs, 3), got %s" % (shape,))
+        if att.shape != (4,):
+            raise ValueError("att must have shape (4,), got %s" % (att.shape,))
+        if gyro.shape != (3,):
+            raise ValueError("gyro must have shape (3,), got %s" % (gyro.shape,))
+        if self.wheels is not None and len(self.wheels) != shape[1]:
             raise ValueError("wheels must hold one entry per leg (%d), got %d"
-                             % (self.joints.shape[1], len(self.wheels)))
+                             % (shape[1], len(self.wheels)))
 
     @property
     def legs(self):
@@ -77,11 +90,15 @@ class SensorFrame:
 
 
 def frame_columns(frames):
-    """The stamps, att, gyro and joints of a list of frames as fresh (F,),
-    (F, 4), (F, 3) and (F, 3, L, 3) arrays, read once; every frame must have
-    the same legs. Frame k's values are row k of each."""
-    return (np.array([fr.stamp for fr in frames]), np.array([fr.att for fr in frames]),
-            np.array([fr.gyro for fr in frames]), np.array([fr.joints for fr in frames]))
+    """The stamps, att, gyro and joints of a non-empty list of frames as fresh
+    (F,), (F, 4), (F, 3) and (F, 3, L, 3) arrays, each channel read with one
+    copy of its rows; every frame must have the same legs (ValueError
+    otherwise, and for no frames). Frame k's values are row k of each."""
+    n = len(frames)
+    return (np.array([fr.stamp for fr in frames]),
+            np.concatenate([fr.att for fr in frames]).reshape(n, 4),
+            np.concatenate([fr.gyro for fr in frames]).reshape(n, 3),
+            np.concatenate([fr.joints for fr in frames]).reshape((n,) + frames[0].joints.shape))
 
 
 class Estimator:

@@ -29,14 +29,14 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .estimator import BodyState, SensorFrame, frame_columns
+from .estimator import _F64, BodyState, SensorFrame, frame_columns
 from .geometry import JointReading, WheelReading
 
 TRAJ_COLUMNS = ("t", "x", "y", "z", "roll", "pitch", "yaw", "vx", "vy", "vz")
 TRAJ_HEADER = ",".join(TRAJ_COLUMNS) + "\n"
 encode_json = json.JSONEncoder(check_circular=False).encode
 _LISTS = {list, tuple}
-_F64, _NONE = np.dtype(np.float64), type(None)
+_NONE = type(None)
 
 
 class LogParseError(Exception):
@@ -152,6 +152,20 @@ def _line_layout(wheeled):
     return _NUMBER.sub("%s", line.replace("%", "%%")) + "\n", order
 
 
+def _distinct(table):
+    """The sorted distinct values of a (B, K) int64 table and, for each value
+    in row order, its position among them: what `np.unique(table.ravel(),
+    return_inverse=True)` returns, without its argsort. The positions are
+    searched column by column, where a value is often near the one of the
+    frame before, so the searches are cheap to predict."""
+    values = np.sort(table, axis=None)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    codes = values[keep]
+    return codes, np.searchsorted(codes, table.T).T.ravel()
+
+
 def _spell_block(frames):
     """The log lines of frames, as one string; None when the block is not
     one that the column writer spells exactly: mixed legs or wheel layouts,
@@ -180,7 +194,7 @@ def _spell_block(frames):
         columns.append(np.array(readings).reshape(len(frames), -1))
     table = np.concatenate(columns, axis=1)[:, order]
     # each distinct value spelled once; the int64 view keeps -0.0 apart from 0.0
-    codes, index = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    codes, index = _distinct(table.view(np.int64))
     values = codes.view(np.float64)
     words = list(map(float.__repr__, values.tolist()))
     for k in np.flatnonzero(~np.isfinite(values)).tolist():

@@ -69,8 +69,8 @@ def test_each_section_writes_the_keys_of_its_committed_file(section, tmp_path, m
 
 
 def test_the_workload_table_is_the_replay_benchmarks(monkeypatch):
-    # the plans and configs are read from run.py's source; the frame count
-    # of the filter section is a copy
+    # the plans and configs, and the frame count of the filter section, are
+    # read from run.py's source
     bench = _load(monkeypatch, "bench_layers", "benchmarks", "bench_layers.py")
     run = _load(monkeypatch, "replaybench_run", "replaybench", "run.py")
     assert bench.CKF_FRAMES == run.WORKLOADS["ckf_walk"]["frames"] == 1000

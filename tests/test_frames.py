@@ -12,6 +12,7 @@ import pytest
 
 from legodom import (Estimator, EstimatorConfig, JointReading, SensorFrame,
                      degrade, generate_gait, kernels, preset_plan)
+from legodom.estimator import frame_columns
 from legodom.logio import frame_from_dict, frame_to_dict, read_frames, write_frames
 
 
@@ -63,6 +64,117 @@ def test_att_gyro_and_wheels_of_another_size_raise_naming_the_field(field, value
     parts[field] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         SensorFrame(**parts)
+
+
+def _good_parts():
+    return {"stamp": 0.0, "att": np.array([1.0, 0.0, 0.0, 0.0]), "gyro": np.zeros(3),
+            "joints": np.zeros((3, 4, 3)), "wheels": [None] * 4}
+
+
+def test_a_float64_array_is_kept_as_given():
+    block = np.arange(40.0).reshape(10, 4)
+    for field, value in (("att", np.array([1.0, 0.0, 0.0, 0.0])), ("att", block[3]),
+                         ("att", block[:4, 1]), ("gyro", np.zeros(3)),
+                         ("gyro", np.zeros((3, 3))[:, 0]), ("joints", np.zeros((3, 4, 3))),
+                         ("joints", np.zeros((2, 3, 4, 3))[1]),
+                         ("joints", np.zeros((3, 4, 3, 2))[..., 0])):
+        parts = _good_parts()
+        parts[field] = value
+        assert getattr(SensorFrame(**parts), field) is value, field
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+# values of another kind: each is stored as np.asarray(value, dtype=float)
+OTHER_KINDS = {
+    "list": list,
+    "tuple": tuple,
+    "float32": lambda v: np.array(v, dtype=np.float32),
+    "big_endian": lambda v: np.array(v, dtype=">f8"),
+    "subclass": lambda v: np.array(v).view(_Subclass),
+    "int": lambda v: np.array(v, dtype=int),
+    "object": lambda v: np.array(v, dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OTHER_KINDS))
+@pytest.mark.parametrize("field, value", [("att", [0.5, 0.5, -0.5, 0.5]),
+                                          ("gyro", [0.25, -1.0, 2.0]),
+                                          ("joints", np.arange(36.0).reshape(3, 4, 3).tolist())])
+def test_a_value_of_another_kind_is_stored_as_asarray_converts_it(kind, field, value):
+    value = OTHER_KINDS[kind](value)
+    want = np.asarray(value, dtype=float)
+    parts = _good_parts()
+    parts[field] = value
+    got = getattr(SensorFrame(**parts), field)
+    assert type(got) is type(want) is np.ndarray
+    assert got.dtype == want.dtype and got.dtype.isnative
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("value", [2.0, np.float64(2.0), np.array(2.0), np.float32(2.0),
+                                   np.array(2.0, dtype=">f8")],
+                         ids=["float", "float64", "0d_array", "float32", "0d_big_endian"])
+def test_a_0d_value_raises_the_shape_that_asarray_gives(value):
+    assert np.asarray(value, dtype=float).shape == ()
+    for field, message in (("att", "att must have shape (4,), got ()"),
+                           ("gyro", "gyro must have shape (3,), got ()"),
+                           ("joints", "joints must have shape (3, legs, 3), got ()")):
+        parts = _good_parts()
+        parts[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SensorFrame(**parts)
+
+
+def test_the_first_bad_field_named_is_joints_then_att_gyro_and_wheels():
+    parts = {"stamp": 0.0, "att": np.zeros(3), "gyro": [0.0] * 4,
+             "joints": np.zeros((3, 4, 2)), "wheels": [None]}
+    for field, good, message in (
+            ("joints", np.zeros((3, 2, 3)), "joints must have shape (3, legs, 3), got (3, 4, 2)"),
+            ("att", [1.0, 0.0, 0.0, 0.0], "att must have shape (4,), got (3,)"),
+            ("gyro", np.zeros(3), "gyro must have shape (3,), got (4,)"),
+            ("wheels", [None, None], "wheels must hold one entry per leg (2), got 1")):
+        with pytest.raises(ValueError) as exc:
+            SensorFrame(**parts)
+        assert str(exc.value) == message
+        parts[field] = good
+    SensorFrame(**parts)
+
+
+def _old_frame_columns(frames):
+    """The column reader before one copy per channel: np.array over the
+    list of each channel's arrays."""
+    return (np.array([fr.stamp for fr in frames]), np.array([fr.att for fr in frames]),
+            np.array([fr.gyro for fr in frames]), np.array([fr.joints for fr in frames]))
+
+
+def test_frame_columns_are_the_old_readers_fresh_arrays_bit_for_bit():
+    for name in ("walk_line", "standing", "wheel_roll"):
+        res = generate_gait(_short(name))
+        streams = (res.frames, res.frames[:1], res.frames[1::3],
+                   degrade(res.frames, {"encoder_quantum": 1e-3, "yaw_drift": 0.01}, seed=2),
+                   [frame_from_dict(frame_to_dict(fr)) for fr in res.frames[:50]])
+        for frames in streams:
+            for got, want in zip(frame_columns(frames), _old_frame_columns(frames)):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+                assert got.base is None or got.base.base is None  # one fresh array
+                assert not any(np.shares_memory(got, getattr(fr, channel))
+                               for fr in frames[:3] for channel in ("att", "gyro", "joints"))
+
+
+def test_frame_columns_refuse_mixed_legs_and_no_frames():
+    frames = generate_gait(_short("standing")).frames[:4]
+    frames[2] = SensorFrame(frames[2].stamp, frames[2].att, frames[2].gyro,
+                            frames[2].joints[:, :3])
+    with pytest.raises(ValueError):
+        frame_columns(frames)
+    # no frames, no leg count: ValueError (the np.array reader gave four
+    # (0,) arrays)
+    with pytest.raises(ValueError):
+        frame_columns([])
 
 
 def _assert_rows_of_one_array(frames):

@@ -123,6 +123,22 @@ def test_write_frames_spells_a_generated_wheel_stream_on_columns(stream, tmp_pat
     assert len(calls) == 0
 
 
+def test_the_column_writers_distinct_values_are_numpys_unique():
+    # one sort, a dedupe of neighbours and a search per column give
+    # np.unique's codes and inverse: -0.0 apart from 0.0, each NaN bit
+    # pattern a value of its own, the infinities at the ends
+    rng = np.random.default_rng(27)
+    odd = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 1.5, -1.5]
+    table = rng.normal(size=(64, 13)).round(1)  # with repeats
+    odd_at = rng.random(table.shape) < 0.4
+    table[odd_at] = rng.choice(odd, size=odd_at.sum())
+    ints = table.view(np.int64)
+    codes, index = logio._distinct(ints)
+    want_codes, want_index = np.unique(ints.ravel(), return_inverse=True)
+    assert codes.dtype == want_codes.dtype and index.dtype == want_index.dtype
+    assert codes.tolist() == want_codes.tolist() and index.tolist() == want_index.tolist()
+
+
 def test_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     plan = preset_plan("standing")
