@@ -36,7 +36,11 @@ one stacked factorisation of the prior and predicted covariances, the
 cubature points, the measurement map and the gain update. A second pass
 times only the whole cycle `ikvel._ckf_legs` and `LegVelocityFilter.update`,
 so those two figures carry no inner timers. Each figure is the mean per call
-over a pass, best of REPEAT passes.
+over a pass, best of REPEAT passes. A third pass, with no timers, steps a
+fresh estimator over the same frames and times each step on its own: frame
+0, where the filter starts every leg, and the median frame, each the median
+over REPEAT passes (`us_per_frame`), and `frame_0_ratio`, the one over the
+other.
 
 `io` writes the `wheel_cli` log (1,001 frames of a slipping wheel roll) as
 `legodom simulate` does and times, one layer at a time, what `legodom
@@ -166,6 +170,24 @@ def timed_pass(legodom, frames, cfg, clock, targets, records=False):
     return wall, at_ref, totals
 
 
+def fresh_pass(legodom, frames, cfg, clock):
+    """Step a fresh estimator over the frames with no timers but one clock
+    read around each step: (frame 0 s, median frame s, reference s per wall
+    s)."""
+    est = legodom.Estimator(cfg)
+
+    def run():
+        seconds = []
+        for fr in frames:
+            t0 = time.perf_counter()
+            est.step(fr)
+            seconds.append(time.perf_counter() - t0)
+        return seconds
+
+    seconds, wall, at_ref = clock.timed(run)
+    return seconds[0], statistics.median(seconds), at_ref / wall
+
+
 def keep_best(us, raw, name, seconds, scale, per):
     """Keep the lower of each figure and this pass's, in us per frame or call."""
     us[name] = min(us.get(name, float("inf")), seconds * scale / per * 1e6)
@@ -216,19 +238,30 @@ def section_filter(legodom, clock):
         return [(ikvel, "_ckf_legs", "cycle"), (est.ikvel, "update", "filter_update")]
 
     us, raw, calls = {}, {}, {}
+    fresh = {"frame_0": [], "median_frame": []}
+    fresh_raw = {"frame_0": [], "median_frame": []}
     for _ in range(REPEAT["filter"]):
         for targets in (lambda est: pieces, whole):
             wall, at_ref, totals = timed_pass(legodom, frames, cfg, clock, targets)
             for name, (s, n) in totals.items():
                 keep_best(us, raw, name, s, at_ref / wall, n)
                 calls[name] = n
+        first, median, scale = fresh_pass(legodom, frames, cfg, clock)
+        for name, s in (("frame_0", first), ("median_frame", median)):
+            fresh[name].append(s * scale * 1e6)
+            fresh_raw[name].append(s * 1e6)
+    frame_us = rounded({name: statistics.median(v) for name, v in fresh.items()})
+    frame_raw = rounded({name: statistics.median(v) for name, v in fresh_raw.items()})
     result = {"workload": "ckf_walk", "seed": SEED, "frames": len(frames),
               "legs": frames[0].joints.shape[1], "repeat": REPEAT["filter"],
               "us_per_call": rounded(us), "raw_us_per_call": rounded(raw),
               "calls_per_pass": calls,
               "timed": {name: "%s.%s" % (owner.__name__, attr)
-                        for owner, attr, name in pieces}}
-    return result, result["us_per_call"]
+                        for owner, attr, name in pieces},
+              "us_per_frame": frame_us, "raw_us_per_frame": frame_raw,
+              "frame_0_ratio": round(frame_us["frame_0"] / frame_us["median_frame"], 2)}
+    return result, {key: result[key] for key in ("us_per_call", "us_per_frame",
+                                                 "frame_0_ratio")}
 
 
 def medians(at_ref, raw):

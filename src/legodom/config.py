@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import ikvel
 from .geometry import default_leg_geometries
 
 
@@ -32,10 +33,10 @@ class EstimatorConfig:
 
     # per-leg velocity filter
     ikvel_enabled: bool = False
-    ikvel_q_pos: float = 1e-6
-    ikvel_q_vel: float = 0.3
-    ikvel_r_angle: float = 2.5e-7
-    ikvel_r_rate: float = 0.3
+    ikvel_q_pos: float = ikvel.Q_POS
+    ikvel_q_vel: float = ikvel.Q_VEL
+    ikvel_r_angle: float = ikvel.R_ANGLE
+    ikvel_r_rate: float = ikvel.R_RATE
 
     # translational observation blending
     pos_blend: float = 1.0

@@ -207,7 +207,7 @@ class Estimator:
         r_b, v_b, f_b, ok = kernels.leg_rows(q_rows, dq_rows, tau_rows, self._leg_coef,
                                              kernels.SIGMA_MIN)
         if self.config.ikvel_enabled:
-            v_b = self.ikvel.update(t, frame.joints[0], frame.joints[1]).tolist()
+            v_b = self.ikvel.update(t, frame.joints[0], frame.joints[1], r_b).tolist()
         feet = [(m0 + r0, m1 + r1, m2 + r2)
                 for (m0, m1, m2), (r0, r1, r2) in zip(self._hip_mounts, r_b)]
         return q_rows, dq_rows, feet, v_b, f_b, ok

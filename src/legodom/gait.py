@@ -170,11 +170,11 @@ class _Path:
         return xy, self.dirs[k]
 
 
-def _swing_table(swing_frames, n, apex):
-    """The swing curve's weights at u = j / swing_frames for j < n, as (n,)
-    columns: the cubic Hermite weights (h00, h10, h01, h11) of the position
-    and (dh00, dh10, dh01, dh11) of its d/du, the sin^2 apex bump and its
-    d/du. Velocity-matched endpoints keep joint rates continuous through
+def _swing_table(swing_frames, apex):
+    """The swing curve's weights at u = j / swing_frames for each swing frame
+    j, as columns: the cubic Hermite weights (h00, h10, h01, h11) of the
+    position and (dh00, dh10, dh01, dh11) of its d/du, the sin^2 apex bump and
+    its d/du. Velocity-matched endpoints keep joint rates continuous through
     touchdown, so encoder differencing sees no impact artifact on clean
     streams.
 
@@ -183,7 +183,7 @@ def _swing_table(swing_frames, n, apex):
     CPython's.
     """
     rows = []
-    for j in range(n):
+    for j in range(swing_frames):
         u = j / swing_frames
         u2 = u * u
         u3 = u2 * u
@@ -371,12 +371,12 @@ def _generate_trot(plan):
     n_legs = len(plan.legs)
     if n_legs <= max(TROT_PAIR_A):
         raise ValueError("a trot needs at least %d legs, got %d" % (max(TROT_PAIR_A) + 1, n_legs))
-    ov = int(round(plan.double_support * plan.rate_hz))
-    swing_frames = fps - ov
+    if plan.double_support < 0.0:
+        raise ValueError("double_support must not be negative, got %r" % plan.double_support)
+    swing_frames = fps - int(round(plan.double_support * plan.rate_hz))
     if swing_frames < 2:
         raise ValueError("double_support leaves no room for the swing")
     swing_time = swing_frames * dt
-    n_swing = min(swing_frames, fps)  # swing frames of a half-cycle
 
     def body_at(t):
         """pos, vel (N, 3), the world-from-body rotations (N, 3, 3), yaw and
@@ -431,16 +431,16 @@ def _generate_trot(plan):
     foot = np.empty((n_frames, n_legs, 3))
     contacts = np.ones((n_frames, n_legs), dtype=bool)
     lifts = [halves[int(i not in TROT_PAIR_A)::2] for i in range(n_legs)]
-    swing_rows = [k0[h][:, None] + np.arange(n_swing) for h in lifts]
+    swing_rows = [k0[h][:, None] + np.arange(swing_frames) for h in lifts]
     for i, (h, rows) in enumerate(zip(lifts, swing_rows)):
-        committed = np.searchsorted(k0[h] + n_swing, frame, side="right")
+        committed = np.searchsorted(k0[h] + swing_frames, frame, side="right")
         foot[:, i] = holds[np.concatenate([[0], h + 1])[committed], i]
         contacts[rows, i] = False
 
     rel, rel_rate = _stance_targets(foot, pos, vel, rot, yawrate, hip)
     pos_l, vel_l, rot_l, _, yawrate_l = landing
     land, land_rate = _stance_targets(holds[1:], pos_l, vel_l, rot_l, yawrate_l, hip)
-    table = _swing_table(swing_frames, n_swing, plan.step_height)
+    table = _swing_table(swing_frames, plan.step_height)
     for i, (h, rows) in enumerate(zip(lifts, swing_rows)):
         # each swing runs from the stance target at its first frame, where the
         # leg still stands on its old hold, to the landing target on its new

@@ -21,12 +21,12 @@ solve. A leg whose mask is False falls back to the prior or to its
 prediction, and the others keep their bits; the masks are built only when a
 scalar check fires. N is the constant shift [[0, I], [0, 0]].
 
-`cubature_step` runs the recursion for one state with any measurement map and
-raises on a covariance that is not positive definite; `LegVelocityFilter`
-runs it over all legs with the leg IK and the per-leg recovery policy, and a
-filter of one geometry is the one-leg cycle. The estimator calls the filter
-only when `ikvel.enabled` is set; otherwise it keeps the forward-kinematics
-foot velocities of kernels.leg_rows.
+`cubature_step` runs the recursion on one state, as a stack of one, with any
+measurement map and raises on a covariance that is not positive definite;
+`LegVelocityFilter` runs it over all legs with the leg IK and the per-leg
+recovery policy, from the foot positions kernels.leg_rows gave the step. The
+estimator calls the filter only when `ikvel.enabled` is set; otherwise it
+keeps the forward-kinematics foot velocities of kernels.leg_rows.
 """
 
 import math
@@ -47,6 +47,11 @@ P0_VEL = 1e-1
 # leg skips the update, as for a non-finite one, before the state it would
 # drive overflows the next cycle's IK
 Z_MAX = 1e9
+# the default noise of CkfNoise.from_diagonals and of the ikvel.* config keys
+Q_POS = 1e-6
+Q_VEL = 0.3
+R_ANGLE = 2.5e-7
+R_RATE = 0.3
 
 # the constant-velocity transition is F = I + dt * _SHIFT
 _EYE6 = np.eye(6)
@@ -80,7 +85,7 @@ class CkfNoise:
     r_cov: np.ndarray
 
     @classmethod
-    def from_diagonals(cls, q_pos=1e-6, q_vel=0.3, r_angle=2.5e-7, r_rate=0.3):
+    def from_diagonals(cls, q_pos=Q_POS, q_vel=Q_VEL, r_angle=R_ANGLE, r_rate=R_RATE):
         q = np.diag([q_pos] * 3 + [q_vel] * 3)
         r = np.diag([r_angle] * 3 + [r_rate] * 3)
         return cls(q, r)
@@ -116,24 +121,24 @@ def _predict(x, P, dt, q_cov):
 
 
 def _update(x_pred, p_pred, rows, z, r_cov):
-    """Measurement moments, gain and symmetrised posterior of one state x_pred
-    (n,) or of a stack of legs (L, n).
+    """Measurement moments, gain and symmetrised posterior of a stack of
+    legs x_pred (L, n).
 
-    rows (2n, m) or (2n, L, m) holds, one column per point, the m points
-    drawn from (x_pred, p_pred) in rows[:n] and their images under the
-    measurement map in rows[n:]. The images are summed over the points in
-    their memory order, as zs.sum(axis=-2) sums an (m, n) or (L, m, n) stack
-    zs of the same memory. The rows are centred by one subtraction into one
-    contiguous (..., m, 2n) buffer [pts - x_pred | zs - z_pred], so one
-    stacked matmul gives [P_xz; P_zz]. Returns (x_post, p_post, ok): where the
-    innovation covariance is not positive definite, or is singular to working
+    rows (2n, L, m) holds, one column per point, the m points drawn from
+    (x_pred, p_pred) in rows[:n] and their images under the measurement map
+    in rows[n:]. The images are summed over the points in their memory
+    order, as zs.sum(axis=-2) sums an (L, m, n) stack zs of the same memory.
+    The rows are centred by one subtraction into one contiguous (L, m, 2n)
+    buffer [pts - x_pred | zs - z_pred], so one stacked matmul gives
+    [P_xz; P_zz]. Returns (x_post, p_post, ok): where the innovation
+    covariance is not positive definite, or is singular to working
     precision, ok is False and the prediction is returned unchanged; ok is
     None when every one is usable.
     """
     n, m = len(rows) // 2, rows.shape[-1]
-    z_pred = np.add.reduce(rows[n:], axis=-1) / m  # transposed, (n,) or (n, L)
+    z_pred = np.add.reduce(rows[n:], axis=-1) / m  # transposed, (n, L)
     dev = rows - np.concatenate((x_pred.T, z_pred))[..., None]
-    d = np.ascontiguousarray(dev.T if dev.ndim == 2 else dev.transpose(1, 2, 0))
+    d = np.ascontiguousarray(dev.transpose(1, 2, 0))
     moments = _T(d) @ d[..., n:] / m
     pxz = moments[..., :n, :]
     pzz = moments[..., n:, :] + r_cov
@@ -159,26 +164,26 @@ def _update(x_pred, p_pred, rows, z, r_cov):
 def cubature_step(x, P, dt, z, q_cov, r_cov, h):
     """Constant-velocity cubature filter step with any measurement map h.
 
-    Same recursion as LegVelocityFilter, without its recovery policy: raises
-    LinAlgError when the prior or predicted covariance is not positive
-    definite, or the innovation covariance is not positive definite or
-    singular. Used for the linear-model equivalence checks.
+    Same recursion as LegVelocityFilter, on the state x (n,) and P (n, n)
+    as a stack of one, without its recovery policy: raises LinAlgError when
+    the prior or predicted covariance is not positive definite, or the
+    innovation covariance is not positive definite or singular. Used for the
+    linear-model equivalence checks.
     """
-    P = np.asarray(P, dtype=float)
-    x_pred, p_pred = _predict(np.asarray(x, dtype=float), P, dt, q_cov)
-    S, ok = kernels.cholesky(np.stack((P, p_pred)))
+    P = np.asarray(P, dtype=float)[None]
+    x_pred, p_pred = _predict(np.asarray(x, dtype=float)[None], P, dt, q_cov)
+    S, ok = kernels.cholesky(np.concatenate((P, p_pred)))
     if not ok.all():
         raise np.linalg.LinAlgError("covariance not positive definite")
-    # one point per column, each point's entries contiguous, as in a (2n, n)
-    # stack of points: _update then sums the images in that stack's order
-    n = len(x_pred)
-    rows = np.empty((2 * n, 2 * n), order="F")
-    rows[:n] = _point_rows(x_pred[None], S[1:])[:, 0]
-    rows[n:] = np.array([h(p) for p in rows[:n].T]).T
-    x_post, p_post, ok = _update(x_pred, p_pred, rows, np.asarray(z, dtype=float), r_cov)
+    n = x_pred.shape[-1]
+    rows = np.empty((2 * n, 1, 2 * n))
+    _point_rows(x_pred, S[1:], rows[:n])
+    rows[n:, 0] = np.array([h(p) for p in rows[:n, 0].T]).T
+    z = np.asarray(z, dtype=float)[None]
+    x_post, p_post, ok = _update(x_pred, p_pred, rows, z, r_cov)
     if ok is not None:
         raise np.linalg.LinAlgError("innovation covariance not positive definite")
-    return x_post, p_post
+    return x_post[0], p_post[0]
 
 
 def _prior_cov():
@@ -265,15 +270,6 @@ def _ckf_legs(x, P, dt, z, noise: CkfNoise, coef, leg_side):
     return x, P, status
 
 
-def _first_states(q, coef):
-    """Filter states (L, 6) at first sight of legs with joint angles q (L, 3)
-    and leg_coefficients coef: FK positions, zero velocities."""
-    q = np.asarray(q, dtype=float)
-    x = np.zeros((len(q), 6))
-    x[:, :3] = kernels.leg_kinematics(q, np.zeros_like(q), coef)[0]
-    return x
-
-
 def _truncated_dt(t_now, t):
     dt = t_now - t
     return 0.0 if abs(dt) > DT_MAX else dt
@@ -285,9 +281,9 @@ class LegVelocityFilter:
 
     states holds the stacked filter state: x (L, 6), P (L, 6, 6) and the
     common stamp t, in the order of geometries; None until the first update.
-    A leg starts at the forward-kinematics position of the first frame whose
-    joint angles are all finite, at rest, with the diagonal prior; until then
-    its state is NaN and its updates are skipped. status_counts counts each
+    A leg starts at rest, with the diagonal prior, at the hip-to-foot position
+    r of the first update where its three values are finite; until then its
+    state is NaN and its updates are skipped. status_counts counts each
     nonzero CKF_* status a leg returned.
     """
 
@@ -303,10 +299,7 @@ class LegVelocityFilter:
             for g in self.geometries))))
         # the side sign of each leg, for the posterior's lateral snap
         self._side = np.array([float(g.side_sign) for g in self.geometries])
-        # the legs' kinematics coefficients, for the first states
-        self._coef = kernels.leg_coefficients(
-            *(np.array(p) for p in zip(*(g.kernel_args() for g in self.geometries))))
-        # the (L,) mask of the legs still waiting for finite joint angles, or
+        # the (L,) mask of the legs still waiting for a finite position, or
         # None once every leg has started
         self._unseeded = None
 
@@ -315,12 +308,13 @@ class LegVelocityFilter:
         return {name: sum(n for s, n in self.status_counts.items() if s & bit)
                 for name, bit in _STATUS_BITS.items()}
 
-    def _seeded(self, st, stamp, q):
+    def _seeded(self, st, stamp, r):
         """The states st (None before the first update) with each leg that
-        has not started, and whose joint angles q are all finite, started
-        from them; a leg whose angles are not finite keeps a NaN state."""
-        finite = np.isfinite(q).all(axis=1)
-        x0 = _first_states(np.where(finite[:, None], q, 0.0), self._coef)
+        has not started, and whose hip-to-foot position r is finite, started
+        there at rest; a leg whose r is not finite keeps a NaN state."""
+        x0 = np.zeros((len(r), 6))
+        x0[:, :3] = r
+        finite = np.isfinite(x0).all(axis=1)
         x0[~finite] = np.nan
         if st is None:
             st = CkfLegState(x0, np.tile(_prior_cov(), (len(x0), 1, 1)), stamp)
@@ -334,12 +328,13 @@ class LegVelocityFilter:
         self._unseeded = waiting if waiting.any() else None
         return st
 
-    def update(self, stamp, q, dq):
+    def update(self, stamp, q, dq, r):
         """Advance every leg one cycle against the (L, 3) joint angles q and
-        rates dq; returns the (L, 3) filtered foot velocities."""
+        rates dq; r, the (L, 3) hip-to-foot positions at q, is read only while
+        a leg has not started. Returns the (L, 3) filtered foot velocities."""
         st = self.states
         if st is None or self._unseeded is not None:
-            st = self._seeded(st, stamp, q)
+            st = self._seeded(st, stamp, r)
         x, P, status = _ckf_legs(st.x, st.P, _truncated_dt(stamp, st.t),
                                  np.concatenate([q, dq], axis=1), self.noise,
                                  self._ik, self._side)

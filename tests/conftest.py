@@ -46,6 +46,16 @@ def kinematics(geom, q, dq=None):
     return kernels.leg_kinematics(q, dq, kernels.leg_coefficients(*geom.kernel_args()))
 
 
+def feet(geoms, q):
+    """The (L, 3) hip-to-foot positions of the legs geoms at joint angles q
+    (L, 3), the r of LegVelocityFilter.update, from one
+    kernels.leg_kinematics call: NaN where a leg's angles are not all finite,
+    as kernels.leg_rows gives them."""
+    q = np.asarray(q, dtype=float)
+    q = np.where(np.isfinite(q).all(axis=-1, keepdims=True), q, np.nan)
+    return kernels.leg_kinematics(q, np.zeros_like(q), leg_coefficients(geoms))[0]
+
+
 def filter_cycle(x, P, z, t_now, noise, geom, t=0.0):
     """One cycle of the one-leg filter LegVelocityFilter([geom], noise) from
     the state (x, P) at stamp t against z = (angles, rates) at t_now.
@@ -54,7 +64,7 @@ def filter_cycle(x, P, z, t_now, noise, geom, t=0.0):
     filt.states = CkfLegState(np.array(x, dtype=float)[None],
                               np.array(P, dtype=float)[None], t)
     z = np.asarray(z, dtype=float)[None]
-    filt.update(t_now, z[:, :3], z[:, 3:])
+    filt.update(t_now, z[:, :3], z[:, 3:], feet([geom], z[:, :3]))
     (status,) = filt.status_counts or (0,)
     return filt.states.x[0], filt.states.P[0], status
 

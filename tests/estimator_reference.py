@@ -211,7 +211,7 @@ class ReferenceEstimator:
         tau = np.array([r.tau for r in frame.legs])
         r_b, v_b, f_b, ok = leg_frame(q, dq, tau, self._leg_coef, SIGMA_MIN)
         feet_body = self._hip_mounts + r_b
-        foot_vel = self.ikvel.update(t, q, dq) if cfg.ikvel_enabled else v_b
+        foot_vel = self.ikvel.update(t, q, dq, r_b) if cfg.ikvel_enabled else v_b
         contacts = []
         touchdowns = []
         for i in range(n):

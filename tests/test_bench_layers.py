@@ -1,6 +1,7 @@
 """benchmarks/bench_layers.py at its smallest settings, in-process: every
-section writes the key structure of its committed BENCH_<section>.json; and
-the frame count of its filter section is the replay benchmark's."""
+section writes the key structure of its committed BENCH_<section>.json, and
+the filter section's frame-0 ratio is the ratio of its two frame figures;
+and the frame count of its filter section is the replay benchmark's."""
 
 import importlib.util
 import json
@@ -57,6 +58,10 @@ def test_each_section_writes_the_keys_of_its_committed_file(section, tmp_path, m
     assert result["repeat"] == 1
     times = dict(_times(result))
     assert times and all(math.isfinite(v) and v > 0.0 for v in times.values()), times
+    if section == "filter":
+        frame = result["us_per_frame"]
+        assert math.isclose(result["frame_0_ratio"], frame["frame_0"] / frame["median_frame"],
+                            abs_tol=0.01)
     if section != "sim":
         return
     assert sorted(result["workloads"]) == ["ckf_walk", "stair_trot", "wheel_cli"]

@@ -13,7 +13,7 @@ from legodom import (CkfLegState, CkfNoise, Estimator, LegGeometry, degrade,
                      generate_gait, parse_config_text)
 
 import ckf_cycle_reference as ref
-from conftest import kinematics, sample_joint
+from conftest import feet, kinematics, sample_joint
 from test_stream_digests import sd
 
 
@@ -56,14 +56,15 @@ def test_ckf_walk_cycles_are_bit_equal_to_the_frozen_cycle(ckf_walk):
     filt = Estimator(cfg).ikvel
     for k, fr in enumerate(frames):
         q, dq = fr.joints[0], fr.joints[1]
+        r = feet(cfg.legs, q)
         st = filt.states
         if st is None:
-            st = CkfLegState(ikvel._first_states(q, filt._coef),
+            st = CkfLegState(np.concatenate([r, np.zeros_like(r)], axis=1),
                              np.tile(ref._prior_cov(), (len(q), 1, 1)), fr.stamp)
         dt = ikvel._truncated_dt(fr.stamp, st.t)
         x, P, status = _both_cycles(filt, st.x, st.P, dt, np.concatenate([q, dq], axis=1))
         counts = dict(filt.status_counts)
-        filt.update(fr.stamp, q, dq)
+        filt.update(fr.stamp, q, dq, r)
         assert _bits(filt.states.x) == _bits(x) and _bits(filt.states.P) == _bits(P), k
         for s in status.tolist():
             if s:
@@ -130,7 +131,7 @@ def test_forced_branches_in_the_filter_update_match_the_frozen_cycle(legs4):
     filt.states = CkfLegState(x, P, 0.0)
     want = ref._ckf_legs(x.copy(), P.copy(), 0.002, z.copy(), noise, *_link_params(filt),
                          filt._side)
-    vel = filt.update(0.002, z[:, :3], z[:, 3:])
+    vel = filt.update(0.002, z[:, :3], z[:, 3:], feet(filt.geometries, z[:, :3]))
     assert _bits(filt.states.x) == _bits(want[0]) and _bits(filt.states.P) == _bits(want[1])
     assert _bits(vel) == _bits(want[0][:, 3:])
     expected = {}

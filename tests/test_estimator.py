@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from legodom import (Estimator, EstimatorConfig, SensorFrame, WheelReading,
-                     create, diagnostics, generate_gait, kernels, preset_plan,
+                     create, diagnostics, generate_gait, ikvel, kernels, preset_plan,
                      quat_to_rpy, rpy_to_quat, step, wrap_angle)
 from legodom.geometry import quat_to_rpy_columns
 from legodom.ikvel import CKF_MEASUREMENT_SKIPPED
@@ -435,3 +435,36 @@ def test_filter_skips_the_update_of_a_leg_with_a_non_finite_angle():
     for fr in _with_nan_angle(frames, 1320):
         _assert_finite(est.step(fr))
     assert est.ikvel.status_counts == {CKF_MEASUREMENT_SKIPPED: 1}
+
+
+def test_the_filter_starts_each_leg_at_the_leg_kernels_position(monkeypatch):
+    # the filter keeps no forward model: the first cycle of each leg starts
+    # at rest, with the prior, at the r that kernels.leg_rows gave the step
+    # that frame, bit for bit, also for a leg whose first finite angles come
+    # on a later frame
+    plan, frames = _walk_frames(0.3)
+    frames = _with_nan_angle(_with_nan_angle(frames, 0), 1)
+    feet, starts = [], []
+    leg_rows, ckf_legs = kernels.leg_rows, ikvel._ckf_legs
+
+    def kept_rows(*args):
+        out = leg_rows(*args)
+        feet.append(np.array(out[0]))
+        return out
+
+    monkeypatch.setattr(kernels, "leg_rows", kept_rows)
+    monkeypatch.setattr(kernels, "leg_kinematics", None)
+    monkeypatch.setattr(ikvel, "_ckf_legs",
+                        lambda x, P, *args: starts.append((x, P)) or ckf_legs(x, P, *args))
+    est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height],
+                                    ikvel_enabled=True))
+    for fr in frames[:4]:
+        est.step(fr)
+    prior = ikvel._prior_cov()
+    for k, legs in ((0, [1, 2, 3]), (2, [0])):
+        x, P = starts[k]
+        assert x[legs, :3].tobytes() == feet[k][legs].tobytes()
+        assert not x[legs, 3:].any()
+        assert all(P[i].tobytes() == prior.tobytes() for i in legs)
+    assert np.isnan(starts[1][0][0]).all()
+    assert est.ikvel._unseeded is None

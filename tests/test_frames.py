@@ -246,9 +246,13 @@ def test_leg_kernel_reads_views_of_the_frame_joints(monkeypatch, ikvel):
     seen = []
     leg_rows = kernels.leg_rows
 
+    feet = []
+
     def spy(q_rows, dq_rows, tau_rows, *rest):
         seen.append([q_rows, dq_rows, tau_rows])
-        return leg_rows(q_rows, dq_rows, tau_rows, *rest)
+        out = leg_rows(q_rows, dq_rows, tau_rows, *rest)
+        feet.append(out[0])
+        return out
 
     monkeypatch.setattr(kernels, "leg_rows", spy)
     est = Estimator(EstimatorConfig(initial_position=[0, 0, plan.body_height],
@@ -256,20 +260,22 @@ def test_leg_kernel_reads_views_of_the_frame_joints(monkeypatch, ikvel):
     filtered = []
     update = est.ikvel.update
 
-    def filter_spy(t, q, dq):
-        filtered.append((q, dq))
-        return update(t, q, dq)
+    def filter_spy(t, q, dq, r):
+        filtered.append((q, dq, r))
+        return update(t, q, dq, r)
 
     est.ikvel.update = filter_spy
     for fr in frames:
         est.step(fr)
     # one kernel call per frame, on the rows of one tolist() of its joints;
-    # the filter, when on, reads views of the joint angles and rates
+    # the filter, when on, reads views of the joint angles and rates, and
+    # the kernel's own foot positions
     assert len(seen) == len(frames)
     for fr, rows in zip(frames, seen):
         assert rows == fr.joints.tolist()
     assert len(filtered) == (len(frames) if ikvel else 0)
-    for fr, args in zip(frames, filtered):
+    for fr, r, (*args, r_given) in zip(frames, feet, filtered):
+        assert r_given is r
         for channel, arg in enumerate(args):
             assert np.shares_memory(arg, fr.joints)
             assert np.array_equal(arg, fr.joints[channel])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,21 @@ def test_trot_needs_the_legs_of_its_pair(legs4):
     assert gait.frames_per_step(0.24, 250.0) == 60
     with pytest.raises(ValueError, match="^a trot needs at least 4 legs, got 3$"):
         generate_gait(GaitPlan(legs=legs4[:3]))
+
+
+@pytest.mark.parametrize("double_support", [-0.001, -0.02, -0.2])
+def test_a_negative_double_support_is_refused(double_support):
+    # a swing longer than its half-cycle used to be cut short of its landing
+    # target, and the foot jumped there on the next frame, with no error
+    plan = preset_plan("walk_line")
+    plan.waypoints = [(0.0, 0.0), (0.5, 0.0)]
+    plan.double_support = double_support
+    with pytest.raises(ValueError, match="^double_support must not be negative, got %s$"
+                       % re.escape(repr(double_support))):
+        generate_gait(plan)
+    plan.double_support = 0.0
+    q = np.array([fr.joints[0] for fr in generate_gait(plan).frames])
+    assert np.abs(np.diff(q, axis=0)).max() < 0.02
 
 
 def test_generator_runs_the_leg_kernels_once_per_block_of_frames(monkeypatch):

@@ -107,8 +107,6 @@ def _trot_plans():
     # a path shorter than speed * ramp: a triangular profile
     yield "triangular", dict(waypoints=[(0.0, 0.0), (0.2, 0.0)])
     yield "no-double-support", dict(double_support=0.0)
-    # the swing outlasts the half-cycle and is cut at its end
-    yield "negative-double-support", dict(double_support=-0.02)
     # backwards and diagonal, through a repeated waypoint
     yield "reverse-diagonal", dict(waypoints=[(0.3, 0.2), (-0.1, 0.2), (-0.1, 0.2),
                                               (-0.4, -0.1)], speed=0.3)

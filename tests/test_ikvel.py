@@ -6,7 +6,7 @@ import legodom.ikvel as ikvel
 import legodom.kernels as kernels
 
 import kernels_reference as ref
-from conftest import filter_cycle, kinematics, sample_joint
+from conftest import feet, filter_cycle, kinematics, sample_joint
 
 GEOM = LegGeometry(0.0955, 0.213, 0.213, 0.0, 1, np.zeros(3))
 GEOM_R = LegGeometry(0.0955, 0.213, 0.213, 0.0, -1, np.zeros(3))
@@ -381,7 +381,7 @@ def test_mixed_recovery_batch_matches_one_leg_steps(legs4):
     filt = LegVelocityFilter(legs4, noise=noise)
     filt.states = CkfLegState(np.array(xs), np.array(ps), 0.0)
     zs = np.array(zs)
-    vel = filt.update(0.002, zs[:, :3], zs[:, 3:])
+    vel = filt.update(0.002, zs[:, :3], zs[:, 3:], feet(legs4, zs[:, :3]))
     for i, geom in enumerate(legs4):
         x, P, status = filter_cycle(xs[i], ps[i], zs[i], 0.002, noise, geom)
         assert status == expected[i]
@@ -412,7 +412,7 @@ def test_prior_failing_in_the_stacked_factorisation_matches_one_leg_steps(legs4)
         filt = LegVelocityFilter(legs4, noise=noise)
         filt.states = CkfLegState(np.array(xs), np.array(ps), 0.0)
         zs = np.array(zs)
-        filt.update(0.002, zs[:, :3], zs[:, 3:])
+        filt.update(0.002, zs[:, :3], zs[:, 3:], feet(legs4, zs[:, :3]))
         for i, geom in enumerate(legs4):
             x, P, status = filter_cycle(xs[i], ps[i], zs[i], 0.002, noise, geom)
             assert status == (ikvel.CKF_CHOL_RESET if i == bad_leg else 0)
@@ -442,7 +442,7 @@ def test_non_finite_covariance_resets_its_leg_only(legs4):
     for k in range(1, 5):
         zs = np.array([np.concatenate([q + rng.normal(scale=1e-3, size=3),
                                        rng.normal(scale=0.1, size=3)]) for q in qs])
-        vel = filt.update(0.002 * k, zs[:, :3], zs[:, 3:])
+        vel = filt.update(0.002 * k, zs[:, :3], zs[:, 3:], feet(legs4, zs[:, :3]))
         assert np.all(np.isfinite(vel))
         for i, geom in enumerate(legs4):
             x, P, status = filter_cycle(*solos[i], zs[i], 0.002 * k, noise, geom,
@@ -469,7 +469,8 @@ def test_two_cholesky_calls_per_healthy_filter_update(legs4, monkeypatch):
     ts, qs, dqs = _swing_samples(500.0, 0.1)
     monkeypatch.setattr(kernels, "cholesky", counted)
     for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
-        filt.update(t, q * sides, np.tile(dq, (4, 1)))
+        q4 = q * sides
+        filt.update(t, q4, np.tile(dq, (4, 1)), feet(legs4, q4))
         assert calls[2 * k:] == [(8, 6, 6), (4, 6, 6)]
     assert filt.status_counts == {}
 
@@ -535,7 +536,7 @@ def test_filter_converges_on_clean_swing():
     filt = LegVelocityFilter([GEOM])
     errs = []
     for t, z in zip(ts, zs):
-        vf = filt.update(t, z[None, :3], z[None, 3:])[0]
+        vf = filt.update(t, z[None, :3], z[None, 3:], feet([GEOM], z[None, :3]))[0]
         errs.append(np.max(np.abs(vf - v)))
     assert max(errs[int(0.5 * rate):]) <= 1e-3
 
@@ -551,7 +552,7 @@ def test_filter_suppresses_single_rate_spike():
     filt = LegVelocityFilter([GEOM])
     raw_dev = filt_dev = 0.0
     for k, (t, q, dq_meas) in enumerate(zip(ts, qs, dqs_meas)):
-        v_f = filt.update(t, q[None], dq_meas[None])[0]
+        v_f = filt.update(t, q[None], dq_meas[None], feet([GEOM], q[None]))[0]
         if k >= spike_at:
             raw_dev = max(raw_dev, np.max(np.abs(v_raw[k] - v_true[k])))
             filt_dev = max(filt_dev, np.max(np.abs(v_f - v_true[k])))
@@ -574,7 +575,7 @@ def test_one_fused_kernel_call_per_filter_update(legs4, monkeypatch):
     ts, qs, dqs = _swing_samples(500.0, 0.1)
     for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
         q4, dq4 = q * sides, np.tile(dq, (4, 1))
-        v = filt.update(t, q4, dq4)
+        v = filt.update(t, q4, dq4, feet(legs4, q4))
         assert len(shapes) == k + 1
         assert v.shape == (4, 3)
         assert np.array_equal(v, filt.states.x[:, 3:])
@@ -592,31 +593,39 @@ def test_per_leg_states_are_independent():
     solo_b = LegVelocityFilter([GEOM_R])
     for t, qa, da, qb, db in zip(ts, qs, dqs, qs2, dqs2):
         qb = qb * np.array([-1, 1, 1])
-        va, vb = joint.update(t, np.array([qa, qb]), np.array([da, db]))
-        sa = solo_a.update(t, qa[None], da[None])[0]
-        sb = solo_b.update(t, qb[None], db[None])[0]
+        va, vb = joint.update(t, np.array([qa, qb]), np.array([da, db]),
+                              feet([GEOM, GEOM_R], [qa, qb]))
+        sa = solo_a.update(t, qa[None], da[None], feet([GEOM], qa[None]))[0]
+        sb = solo_b.update(t, qb[None], db[None], feet([GEOM_R], qb[None]))[0]
         assert np.array_equal(va, sa)
         assert np.array_equal(vb, sb)
 
 
-def test_first_update_starts_from_one_kinematics_call_bit_equal_to_fk(legs4, monkeypatch):
+def test_first_update_starts_every_leg_at_its_given_position(legs4, monkeypatch):
+    # the filter keeps no forward model: its first cycle starts each leg at
+    # rest, with the prior, at the r it is given, bit for bit, in an array or
+    # in the rows kernels.leg_rows returns; a started filter never reads r
     rng = np.random.default_rng(11)
     legs = legs4 + [LegGeometry(0.0955, 0.213, 0.2, 0.05, -1, np.zeros(3))]
-    qs = [np.array([sample_joint(rng) for _ in legs]) for _ in range(300)]
-    coef = LegVelocityFilter(legs)._coef
-    for q in qs:
-        first = ikvel._first_states(q, coef)
-        for i, g in enumerate(legs):
-            assert first[i, :3].tobytes() == kinematics(g, q[i:i + 1])[0][0].tobytes()
-        assert not first[:, 3:].any()
-    calls = []
-    leg_kinematics = kernels.leg_kinematics
-    monkeypatch.setattr(kernels, "leg_kinematics",
-                        lambda *args: calls.append(args[0].shape) or leg_kinematics(*args))
-    filt = LegVelocityFilter(legs)
-    filt.update(0.0, qs[0], np.zeros_like(qs[0]))
-    filt.update(0.002, qs[0], np.zeros_like(qs[0]))
-    assert calls == [(len(legs), 3)]
+    started = []
+    ckf_legs = ikvel._ckf_legs
+    monkeypatch.setattr(ikvel, "_ckf_legs",
+                        lambda x, P, *args: started.append((x, P)) or ckf_legs(x, P, *args))
+    monkeypatch.setattr(kernels, "leg_kinematics", None)
+    coef = [kernels.leg_coefficients(*g.kernel_args()) for g in legs]
+    for _ in range(100):
+        q = np.array([sample_joint(rng) for _ in legs])
+        zeros = np.zeros_like(q).tolist()
+        r = kernels.leg_rows(q.tolist(), zeros, zeros, coef, kernels.SIGMA_MIN)[0]
+        for given in (r, np.array(r)):
+            filt = LegVelocityFilter(legs)
+            filt.update(0.0, q, np.zeros_like(q), given)
+            filt.update(0.002, q, np.zeros_like(q), None)
+            x, P = started[-2]
+            assert x[:, :3].tobytes() == np.array(r).tobytes()
+            assert not x[:, 3:].any()
+            assert P.tobytes() == np.tile(ikvel._prior_cov(), (len(legs), 1, 1)).tobytes()
+            assert filt._unseeded is None
 
 
 def test_a_leg_without_finite_first_angles_starts_on_its_first_finite_frame(legs4):
@@ -629,11 +638,11 @@ def test_a_leg_without_finite_first_angles_starts_on_its_first_finite_frame(legs
         clean, filt = LegVelocityFilter(legs4), LegVelocityFilter(legs4)
         for k, (t, q, dq) in enumerate(zip(ts, qs, dqs)):
             q4, dq4 = q * sides, np.tile(dq, (4, 1))
-            v_clean = clean.update(t, q4, dq4)
+            v_clean = clean.update(t, q4, dq4, feet(legs4, q4))
             if k < bad_frames:
                 q4 = q4.copy()
                 q4[2, 0] = bad_value
-            v = filt.update(t, q4, dq4)
+            v = filt.update(t, q4, dq4, feet(legs4, q4))
             others = [0, 1, 3]
             assert filt.states.x[others].tobytes() == clean.states.x[others].tobytes()
             assert filt.states.P[others].tobytes() == clean.states.P[others].tobytes()
