@@ -44,13 +44,15 @@ other.
 
 `io` writes the `wheel_cli` log (1,001 frames of a slipping wheel roll) as
 `legodom simulate` does and times, one layer at a time, what `legodom
-replay` does with each line: `json.loads`, `frame_from_dict`, `step` with
-`diagnostics()` (`step_diagnostics`, one estimator stepping the log in
-order), `trajectory_line` and the diagnostics line (`diag_line`: the
-checkout's `logio.encode_json` if it has one, `json.dumps` otherwise, plus
-the newline). A pass runs the layers over one window of WINDOW frames, the
-log's whole windows taken in turn, so only a window's dicts, frames and
-records are alive at a time, as in a replay's block.
+replay` does with each line: the parse of the line (`line_parse`: the
+checkout's `logio._parse_line` if it has one, `json.loads` otherwise),
+`frame_from_dict`, `step` with `diagnostics()` (`step_diagnostics`, one
+estimator stepping the log in order), `trajectory_line` and the diagnostics
+line (`diag_line`: the checkout's `logio.encode_json` if it has one,
+`json.dumps` otherwise, plus the newline). `line_parser` and `diag_encoder`
+name the functions timed. A pass runs the layers over one window of WINDOW
+frames, the log's whole windows taken in turn, so only a window's dicts,
+frames and records are alive at a time, as in a replay's block.
 
 `sim` times, for the plan of each workload, the layers of `legodom simulate`:
 `generate_gait`, `degrade` of its frames, `write_frames` of the degraded
@@ -69,6 +71,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -283,6 +286,12 @@ def section_io(legodom, clock):
         with open(log, encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
     encode = getattr(logio, "encode_json", json.dumps)
+    if hasattr(logio, "_parse_line"):
+        import orjson
+
+        parse, parser = functools.partial(logio._parse_line, orjson=orjson), "logio._parse_line"
+    else:
+        parse, parser = json.loads, "json.loads"
     out = {}
     est = None
 
@@ -290,8 +299,8 @@ def section_io(legodom, clock):
         return [(est.step(fr), est.diagnostics()) for fr in parsed]
 
     layers = {  # in replay order: each layer takes the one before's output
-        "json_loads": lambda window: [json.loads(line) for line in window],
-        "frame_from_dict": lambda _: list(map(logio.frame_from_dict, out["json_loads"])),
+        "line_parse": lambda window: list(map(parse, window)),
+        "frame_from_dict": lambda _: list(map(logio.frame_from_dict, out["line_parse"])),
         "step_diagnostics": lambda _: steps(out["frame_from_dict"]),
         "trajectory_line": lambda _: [logio.trajectory_line(st)
                                       for st, _ in out["step_diagnostics"]],
@@ -311,7 +320,7 @@ def section_io(legodom, clock):
     result = {"workload": "wheel_cli", "seed": SEED, "frames": len(lines),
               "window": WINDOW,
               "log_bytes_per_frame": round(sum(map(len, lines)) / len(lines), 1),
-              "repeat": REPEAT["io"],
+              "repeat": REPEAT["io"], "line_parser": parser,
               "diag_encoder": "logio.encode_json" if encode is not json.dumps else "json.dumps",
               "us_per_frame": us, "raw_best_us_per_frame": best}
     return result, us

@@ -32,11 +32,16 @@ def correct_height(z_raw, planes, now, match_window, fade_time):
     Stale planes are pruned first. A plane within match_window of z_raw is a
     match; among several matches the closest wins (ties: heavier weight, then
     lower height). Inside the inner dead band (match_window / 10) the height
-    passes through unchanged; otherwise it snaps exactly to the stored plane.
-    A matched plane's weight decays by exp(-age / fade_time), age being the
-    time since its last refresh, and gains one count; unmatched heights open
-    a new plane of weight 1, evicting the lightest plane when the store holds
-    MAX_PLANES.
+    passes through unchanged; otherwise it snaps to the stored plane, as
+    z_raw - (z_raw - height). That is the plane's height exactly when
+    z_raw - height is exact (by Sterbenz's lemma, when the two are within a
+    factor of two of each other); otherwise, as when they straddle 0, it
+    can be off by about the rounding of that difference (at most 3.5e-18 m
+    over 200,000 random heights within 0.03 m of 0, each with a z_raw
+    within 0.05 m of it). A matched plane's weight decays by
+    exp(-age / fade_time), age being the time since its last refresh, and
+    gains one count; unmatched heights open a new plane of weight 1,
+    evicting the lightest plane when the store holds MAX_PLANES.
 
     Returns (z_corrected, planes).
     """

@@ -6,9 +6,22 @@ One frame per log line:
 A parsed frame holds every leg's q, dq and tau in one (3, L, 3) array,
 `SensorFrame.joints`. A well-formed line is one float array [t, *att, *gyro,
 *joints], with att, gyro and joints views into it; any other is parsed
-field by field, to name its first bad field. `encode_json` (`json.dumps`
-less its circular check) keeps full double precision, so write-then-read is
-the identity and repeated runs are byte-identical.
+field by field, to name its first bad field.
+
+A line is parsed in two steps (`_parse_line`): orjson parses it, and a line
+orjson refuses is parsed again by `json.loads`, whose value or exception is
+the result. orjson refuses what `json.loads` alone reads: `NaN`, `Infinity`
+and `-Infinity` (the spelling of a non-finite value), a number beyond a
+double, a lone surrogate. It reads any nesting depth, where `json.loads`
+stops at the interpreter's recursion limit, so a line that may nest deeper
+than _DEEP levels goes to `json.loads` directly. Where both read a line they
+give bit-equal floats; orjson gives an integer beyond 64 bits as a float,
+which `frame_from_dict` converts to the same float. orjson is imported by
+`iter_frames`, so importing this module leaves it unloaded.
+
+`encode_json` (`json.dumps` less its circular check) keeps full double
+precision, so write-then-read is the identity and repeated runs are
+byte-identical.
 
 `frame_to_dict` is the reference spelling of a log line:
 `encode_json(frame_to_dict(frame))`. `write_frames` writes those bytes on
@@ -215,9 +228,31 @@ def write_frames(path, frames):
             fh.write(text)
 
 
+# orjson reads any nesting depth, where json.loads raises RecursionError past
+# the recursion limit. A line orjson reads nests at most half its length
+# deep, and at most as deep as its count of opening brackets; a line that
+# may nest deeper than _DEEP, half of Python's default limit, goes to
+# json.loads directly
+_DEEP = 500
+
+
+def _parse_line(line, orjson):
+    """The JSON value of a log line, or the exception `json.loads` raises
+    for it; `orjson` is the module, imported by the caller (see the module
+    docstring)."""
+    if len(line) <= 2 * _DEEP or line.count("[") + line.count("{") <= _DEEP:
+        try:
+            return orjson.loads(line)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(line)
+
+
 def iter_frames(path, n_legs=None):
     """The frames of a log, parsed one line at a time as they are taken; a
     frame with other than n_legs legs, if given, is an error."""
+    import orjson  # here, not at the top: importing logio leaves orjson unloaded
+
     stamp = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -225,7 +260,7 @@ def iter_frames(path, n_legs=None):
             if not line:
                 continue
             try:
-                frame = frame_from_dict(json.loads(line))
+                frame = frame_from_dict(_parse_line(line, orjson))
             # RecursionError: a line nested deeper than the interpreter's limit
             except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
                 raise LogParseError(lineno, str(exc))

@@ -234,7 +234,8 @@ def test_failed_replay_leaves_its_outputs_as_they_were(long_log, capsys):
 @pytest.mark.parametrize("command", LOADING_COMMANDS)
 def test_a_line_nested_past_the_recursion_limit_exits_2_naming_it(sim_log, tmp_path,
                                                                    capsys, command):
-    # json.loads raises RecursionError on it, which used to end in a traceback
+    # orjson refuses the line, and json.loads then raises RecursionError on it,
+    # which used to end in a traceback
     _, log, _ = sim_log
     bad = tmp_path / "deep.jsonl"
     bad.write_text(log.read_text().splitlines()[0] + "\n" + "[" * 100_000 + "\n")

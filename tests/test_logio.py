@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from legodom import (ConfigError, EstimatorConfig, LegGeometry, SensorFrame, WheelReading,
                      generate_gait, load_config, parse_config_text, preset_plan, save_config)
@@ -137,6 +144,133 @@ def test_the_column_writers_distinct_values_are_numpys_unique():
     want_codes, want_index = np.unique(ints.ravel(), return_inverse=True)
     assert codes.dtype == want_codes.dtype and index.dtype == want_index.dtype
     assert codes.tolist() == want_codes.tolist() and index.tolist() == want_index.tolist()
+
+
+def _refuse(line):
+    raise orjson.JSONDecodeError("refused", line, 0)
+
+
+# orjson made to refuse every line: the parse is then json.loads alone
+REFUSING = types.SimpleNamespace(loads=_refuse, JSONDecodeError=orjson.JSONDecodeError)
+
+
+def _frames_or_error(path):
+    """The frames of the log at path, or the message of its LogParseError."""
+    try:
+        return read_frames(path)
+    except LogParseError as exc:
+        return str(exc)
+
+
+def _json_only(path, monkeypatch):
+    """_frames_or_error(path) with orjson refusing every line."""
+    parse = logio._parse_line
+    with monkeypatch.context() as m:
+        m.setattr(logio, "_parse_line", lambda line, _: parse(line, REFUSING))
+        return _frames_or_error(path)
+
+
+def _same_frames(got, want):
+    assert isinstance(got, list) and isinstance(want, list), (got, want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert float(a.stamp).hex() == float(b.stamp).hex()
+        for name in ("att", "gyro", "joints"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        assert a.wheels == b.wheels
+
+
+def _line(q=None, x=None, **fields):
+    """The first line of a short wheel_roll log with the top-level fields
+    replaced, as json.dumps spells them, and where given, the text q as the
+    first leg's q and the text x as the value of an unread key "x"."""
+    plan = preset_plan("wheel_roll")
+    plan.duration = 0.01
+    rec = dict(frame_to_dict(generate_gait(plan).frames[0]), **fields)
+    texts = {}
+    if q is not None:
+        rec["legs"][0]["q"], texts['"@q@"'] = "@q@", q
+    if x is not None:
+        rec["x"], texts['"@x@"'] = "@x@", x
+    line = json.dumps(rec)
+    for mark, text in texts.items():
+        line = line.replace(mark, text)
+    return line
+
+
+FALLBACK_LINES = {  # lines that orjson refuses or must not read
+    "non_finite_joints": lambda: _line(q="[NaN, Infinity, -Infinity]"),
+    "int_stamp": lambda: _line(t=3),
+    "ints_past_64_bits": lambda: _line(t=2 ** 70 + 1, att=[2 ** 65 + 3, -2 ** 64 - 7, 0, 1]),
+    "int_past_a_double_in_a_joint": lambda: _line(q="[%d, 0.0, 0.0]" % 10 ** 400),
+    "lone_surrogate_in_an_unread_key": lambda: _line(x='{"\\ud800": 1}'),
+    "unclosed_100000_deep": lambda: "[" * 100_000,
+    "closed_100000_deep_in_an_unread_key": lambda: _line(x="[" * 100_000 + "]" * 100_000),
+    "many_shallow_brackets_in_an_unread_key": lambda: _line(x=json.dumps([[0]] * 600)),
+}
+# the cases that end in an error, with a part of its message
+FALLBACK_ERRORS = {"int_past_a_double_in_a_joint": "int too large to convert to float",
+                   "unclosed_100000_deep": "recursion",
+                   "closed_100000_deep_in_an_unread_key": "recursion"}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_LINES))
+def test_a_line_orjson_refuses_parses_as_json_loads_alone_parses_it(case, tmp_path,
+                                                                     monkeypatch):
+    path = tmp_path / "log.jsonl"
+    path.write_text(FALLBACK_LINES[case]() + "\n")
+    got, want = _frames_or_error(path), _json_only(path, monkeypatch)
+    if case in FALLBACK_ERRORS:
+        assert FALLBACK_ERRORS[case] in want and got == want
+    else:
+        _same_frames(got, want)
+
+
+def test_a_generated_log_parses_as_json_loads_alone_parses_it(stream, tmp_path,
+                                                               monkeypatch):
+    # every 7th frame with NaN, infinite and -0.0 joints, which orjson refuses
+    _, _, frames = stream("wheel_roll", 0, WHEEL_CLI)
+    for k in range(0, len(frames), 7):
+        joints = frames[k].joints.copy()
+        joints[k % 3, k % 4] = (np.nan, np.inf, -np.inf)
+        joints[(k + 1) % 3, k % 4] = (-0.0, np.copysign(np.nan, -1.0), 0.0)
+        frames[k] = _frame(frames[k], joints=joints)
+    path = tmp_path / "log.jsonl"
+    write_frames(path, frames)
+    got = _frames_or_error(path)
+    assert len(got) == len(frames)
+    _same_frames(got, _json_only(path, monkeypatch))
+
+
+_LINE = _line(q="[@, 0.0, 0.0]")
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,24})(\.[0-9]{1,25})?([eE][-+]?[0-9]{1,3})?",
+                  fullmatch=True))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=NUMBER_TEXT)
+def test_a_number_in_a_log_line_parses_to_float_of_its_text(text):
+    frame = logio.frame_from_dict(logio._parse_line(_LINE.replace("@", text), orjson))
+    # an integer literal is a JSON int: "-0" is 0
+    want = float(int(text)) if text.lstrip("-").isdigit() else float(text)
+    assert frame.joints[0, 0, 0].hex() == want.hex()
+
+
+def test_importing_the_package_leaves_orjson_unloaded():
+    # only iter_frames imports orjson: the import costs a process that never
+    # reads a log about 4 ms and 2 MB
+    import legodom
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(legodom.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, legodom, legodom.logio, legodom.cli\n"
+            "assert legodom.__file__.startswith(%r), legodom.__file__\n"
+            "assert 'orjson' not in sys.modules\n" % src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_parse_error_names_line(tmp_path):
