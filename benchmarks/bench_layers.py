@@ -16,18 +16,24 @@ The raw times are written too.
 
 `step` runs a filter-off estimator over the `stair_trot` stream (a trot over
 the 0.1 m stair step and back, with noisy touchdown heights and a drifting
-IMU yaw) and times the stages of every step: attitude (`_attitude`), the leg
-kernel (`_leg_frame`: one `tolist()` of the frame's joint array,
-`kernels.leg_rows` on those rows and adding the hip mounts), the contact gate
-(`_gate`), touchdowns and observations (`_observe`: wheel propagation, the
-plane store and the anchored observations), fusion (`_fuse`) and yaw
-(`_yaw`). `other` is the rest of the timed step: the input checks, the
-prediction, building the BodyState and the timers' own cost. A second pass
-runs with no timers, and its figure is `step`. The step builds no
+IMU yaw) with its stage methods and `step` wrapped with timers, and reads
+what each step spent in each stage: attitude (`_attitude`), the leg kernel
+(`_leg_frame`: one `tolist()` of the frame's joint array, `kernels.leg_rows`
+on those rows and adding the hip mounts), the contact gate (`_gate`),
+touchdowns and observations (`_observe`: wheel propagation, the plane store
+and the anchored observations), fusion (`_fuse`) and yaw (`_yaw`); `other`
+is the rest of the step: the input checks, the prediction, building the
+BodyState and the stage timers' own cost. `us_per_frame` gives the stages of
+the timed pass whose step was fastest and `timed_step`, their sum. A second
+pass runs with no timers, and its figure is `step`. The step builds no
 diagnostics record; a third pass calls `Estimator.diagnostics()` after each
-step and times only that call, the per-call figure `diagnostics` (on a
-checkout whose step builds the record, the call copies it). Each figure is
-the mean per frame or per call over a pass, best of REPEAT passes.
+step and times only that call, the per-call figure `diagnostics`. Each
+figure is the mean per frame or per call over a pass, best of REPEAT passes.
+The timed passes also run a filter-on estimator over the first CKF_FRAMES
+frames of `ckf_walk`; for both streams, `frame_0`, `median_frame_us` and
+`worst_frame` (the slowest frame after frame 0, and its index) are the
+medians over the passes of each frame's timed step, with each stage's median
+for the first and the last. Every checkout is timed the same way.
 
 `filter` runs a filter-on estimator over the first CKF_FRAMES frames of the
 `ckf_walk` stream (a 500 Hz walk with quantized, spiky encoders) and times
@@ -70,9 +76,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import array  # noqa: E402
 import contextlib  # noqa: E402
 import functools  # noqa: E402
 import json  # noqa: E402
+import operator  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -82,6 +90,7 @@ import time  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "replaybench"))
 sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+import numpy as np  # noqa: E402
 from refclock import RefClock  # noqa: E402
 # the workloads' table, their plans, and the rolling speed wheel_cli draws
 # from its seed
@@ -102,6 +111,9 @@ STAGES = (
     ("fusion", "_fuse"),
     ("yaw", "_yaw"),
 )
+# step: the keys of the stage times, and their names in BENCH_step.json
+STAGE_KEYS = [attr for _, attr in STAGES] + ["other"]
+STAGE_NAMES = [name for name, _ in STAGES] + ["other"]
 # filter: piece -> the module and function that runs it
 PIECES = (
     ("prediction", "ikvel", "_predict"),
@@ -201,32 +213,90 @@ def rounded(figures):
     return {k: round(v, 2) for k, v in figures.items()}
 
 
+def frame_pass(legodom, frames, cfg, clock):
+    """Step a fresh estimator over the frames with its stage methods and
+    `step` timed: (each frame's stage times in us, an (F, 7) array in STAGES
+    order then "other", reference s per wall s). A frame's "other" is the
+    rest of its step, the stage timers' own cost included, so a row adds up
+    to the frame's timed step."""
+    est = legodom.Estimator(cfg)
+    targets = [(legodom.Estimator, attr, attr) for attr in STAGE_KEYS[:-1] + ["step"]]
+    # the running totals are kept as C doubles: a list per frame would add
+    # live objects to every later garbage collection, and so to the frames
+    # that one falls on
+    rows = array.array("d")
+    with timers(targets) as totals:
+        running = [totals[attr] for _, attr, _ in targets]
+        seconds_of = operator.itemgetter(0)
+
+        def run():
+            for fr in frames:
+                est.step(fr)
+                rows.extend(map(seconds_of, running))
+
+        _, wall, at_ref = clock.timed(run)
+    cumulative = np.frombuffer(rows, dtype=np.float64).reshape(len(frames), len(targets))
+    seconds = np.diff(cumulative, axis=0, prepend=0.0)
+    seconds[:, -1] -= seconds[:, :-1].sum(axis=1)
+    return seconds * 1e6, at_ref / wall
+
+
+def stage_split(us):
+    """A row of stage times as {stage name: us}, "other" last."""
+    return rounded(dict(zip(STAGE_NAMES, us.tolist())))
+
+
+def frame_figures(passes):
+    """Frame 0, the median frame and the worst later frame over timed passes
+    (each an (F, 7) array at the reference clock): per-frame medians over the
+    passes, of the step and of each stage."""
+    per_frame = np.median(np.array(passes), axis=0)
+    total = per_frame.sum(axis=1)
+    worst = 1 + int(np.argmax(total[1:]))
+    return ({"us": round(float(total[0]), 2), "stages": stage_split(per_frame[0])},
+            round(float(np.median(total)), 2),
+            {"frame": worst, "us": round(float(total[worst]), 2),
+             "stages": stage_split(per_frame[worst])})
+
+
 def section_step(legodom, clock):
-    frames, cfg = stream(legodom, "stair_trot")
-    stages = [(legodom.Estimator, attr, name) for name, attr in STAGES]
+    streams = {"stair_trot": stream(legodom, "stair_trot")}
+    ckf_frames, ckf_cfg = stream(legodom, "ckf_walk")
+    streams["ckf_walk"] = ckf_frames[:CKF_FRAMES], ckf_cfg
+    frames, cfg = streams["stair_trot"]
     record = [(legodom.Estimator, "diagnostics", "diagnostics")]
+    passes = {name: [] for name in streams}
     us, raw, call_us, call_raw = {}, {}, {}, {}
     for _ in range(REPEAT["step"]):
-        for targets in (stages, []):
-            wall, at_ref, totals = timed_pass(legodom, frames, cfg, clock,
-                                              lambda est: targets)
-            seconds = {name: s for name, (s, _) in totals.items()}
-            if targets:
-                seconds["other"] = wall - sum(seconds.values())
-            else:
-                seconds["step"] = wall
-            for name, s in seconds.items():
-                keep_best(us, raw, name, s, at_ref / wall, len(frames))
+        for name, (fr, c) in streams.items():
+            stages, scale = frame_pass(legodom, fr, c, clock)
+            passes[name].append(stages * scale)
+            if name == "stair_trot":
+                # the stages of the timed pass with the fastest step, so
+                # they add up to its timed_step
+                for figures, row in ((us, stages.mean(axis=0) * scale),
+                                     (raw, stages.mean(axis=0))):
+                    if row.sum() < figures.get("timed_step", float("inf")):
+                        figures.update(stage_split(row), timed_step=round(float(row.sum()), 2))
+        wall, at_ref, _ = timed_pass(legodom, frames, cfg, clock, lambda est: [])
+        keep_best(us, raw, "step", wall, at_ref / wall, len(frames))
         wall, at_ref, totals = timed_pass(legodom, frames, cfg, clock,
                                           lambda est: record, records=True)
         s, calls = totals["diagnostics"]
         keep_best(call_us, call_raw, "diagnostics", s, at_ref / wall, calls)
+    frame_0, median_frame, worst_frame = {}, {}, {}
+    for name in streams:
+        frame_0[name], median_frame[name], worst_frame[name] = frame_figures(passes[name])
     result = {"workload": "stair_trot", "seed": SEED, "frames": len(frames),
               "legs": frames[0].joints.shape[1], "repeat": REPEAT["step"],
               "us_per_frame": rounded(us), "raw_us_per_frame": rounded(raw),
               "us_per_call": rounded(call_us), "raw_us_per_call": rounded(call_raw),
-              "timed": {name: "Estimator.%s" % attr for _, attr, name in stages + record}}
-    return result, {key: result[key] for key in ("us_per_frame", "us_per_call")}
+              "frame_0": frame_0, "median_frame_us": median_frame,
+              "worst_frame": worst_frame,
+              "timed": {name: "Estimator.%s" % attr for name, attr in STAGES + (
+                  ("diagnostics", "diagnostics"),)}}
+    return result, {key: result[key] for key in ("us_per_frame", "us_per_call",
+                                                 "frame_0", "worst_frame")}
 
 
 def section_filter(legodom, clock):
@@ -375,7 +445,6 @@ def main(argv=None):
                                  "in the repository root)")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
-    import numpy as np
     import legodom
     import legodom.planfile  # noqa: F401  (parse_plan_text)
 

@@ -11,6 +11,13 @@ filter on, the filter runs on views of the joint array, one batched numpy
 cycle. The estimator holds its state as Python floats and builds the
 returned BodyState's arrays once, at the end; the diagnostics record is built
 only when `diagnostics()` asks for it.
+
+Most frames need only part of `_observe`. Wheel propagation (the heading and
+the per-leg wheel loop) runs only on a frame that carries wheel readings;
+on a frame without them, a leg that touches down only drops its wheel
+cache. The touchdown stage (the persisting legs' mean position, the new
+anchors and the plane store) runs only on a frame with a touchdown; on any
+other frame each stance leg's observation is computed once, in leg order.
 """
 
 import math
@@ -33,10 +40,6 @@ class BodyState:
     rpy: np.ndarray
     velocity: np.ndarray
     stamp: float
-
-    def copy(self):
-        return BodyState(self.position.copy(), self.rpy.copy(),
-                         self.velocity.copy(), self.stamp)
 
 
 # one global lookup each in SensorFrame's check for an array kept as given
@@ -153,9 +156,12 @@ class Estimator:
             raise ValueError("frame stamp %r is not finite" % t)
         att = frame.att.tolist()
         gyro = frame.gyro.tolist()
-        for name, values in (("att", att), ("gyro", gyro)):
-            if not all(map(math.isfinite, values)):
-                raise ValueError("frame %s %r is not finite" % (name, values))
+        # one sum tests all seven values, channel by channel only if it is
+        # not finite
+        if not math.isfinite(sum(att) + sum(gyro)):
+            for name, values in (("att", att), ("gyro", gyro)):
+                if not all(map(math.isfinite, values)):
+                    raise ValueError("frame %s %r is not finite" % (name, values))
         for wr in frame.wheels or ():
             if wr is not None and not (math.isfinite(wr.psi) and math.isfinite(wr.dpsi)):
                 raise ValueError("frame wheel reading %r is not finite" % (wr,))
@@ -230,33 +236,41 @@ class Estimator:
                  foot_vel, contacts, touchdowns, pos_pred):
         """Wheel propagation, touchdowns through the plane store, and the
         anchored observations; the wheel stage reads the rows of the joint
-        angles and rates that _leg_frame took. Returns the stance legs and
-        their position and velocity observations, in leg order."""
+        angles and rates that _leg_frame took, and runs only on a frame with
+        wheel readings, the touchdown stage only on a frame with a
+        touchdown. Returns the stance legs and their position and velocity
+        observations, in leg order."""
         cfg = self.config
         records = self.records
         n = len(contacts)
-        heading = wheel.heading_direction(rot)
-
-        # wheel anchors of persisting stance legs advance by the effective
-        # rolling increment (never on a touchdown frame: the cache is fresh);
-        # the cache becomes the reading of a leg with a wheel, or None at a
-        # touchdown without one
-        for i in range(n):
-            wr = wheels[i] if wheels else None
-            radius = cfg.legs[i].wheel_radius
-            if wr is None or radius == 0.0:
+        touchdown = True in touchdowns
+        heading = None
+        if wheels:
+            heading = wheel.heading_direction(rot)
+            # wheel anchors of persisting stance legs advance by the effective
+            # rolling increment (never on a touchdown frame: the cache is
+            # fresh); the cache becomes the reading of a leg with a wheel, or
+            # None at a touchdown without one
+            for i in range(n):
+                wr = wheels[i]
+                radius = cfg.legs[i].wheel_radius
+                if wr is None or radius == 0.0:
+                    if touchdowns[i]:
+                        self.wheel_cache[i] = None
+                    continue
+                cache = self.wheel_cache[i]
+                _, q2, q3 = q_rows[i]
+                if contacts[i] and not touchdowns[i] and cache is not None:
+                    psi0, pitch0, q20, q30 = cache
+                    dpsi_eff = wheel.effective_roll_increment(
+                        wr.psi, psi0, pitch, pitch0, q2, q3, q20, q30)
+                    records[i].anchor = wheel.propagate_contact(
+                        records[i].anchor, dpsi_eff, radius, heading)
+                self.wheel_cache[i] = (wr.psi, pitch, q2, q3)
+        elif touchdown:
+            for i in range(n):
                 if touchdowns[i]:
                     self.wheel_cache[i] = None
-                continue
-            cache = self.wheel_cache[i]
-            _, q2, q3 = q_rows[i]
-            if contacts[i] and not touchdowns[i] and cache is not None:
-                psi0, pitch0, q20, q30 = cache
-                dpsi_eff = wheel.effective_roll_increment(
-                    wr.psi, psi0, pitch, pitch0, q2, q3, q20, q30)
-                records[i].anchor = wheel.propagate_contact(
-                    records[i].anchor, dpsi_eff, radius, heading)
-            self.wheel_cache[i] = (wr.psi, pitch, q2, q3)
 
         def leg_obs(i):
             p = contact.anchored_position_obs(records[i].anchor, rot, feet[i])
@@ -271,24 +285,26 @@ class Estimator:
         # touchdown handling: new anchors are taken from the best position
         # available this cycle (legs that stayed anchored beat the constant-
         # velocity prediction), then snapped through the plane store
-        persisting = [i for i in range(n) if contacts[i] and not touchdowns[i]]
-        obs = {i: leg_obs(i) for i in persisting}
-        if persisting and cfg.pos_blend > 0.0:
-            p_persist = mean3([obs[i][0] for i in persisting])
-            pos_rec = blend3(pos_pred, p_persist, cfg.pos_blend)
-        else:
-            pos_rec = pos_pred
-        for i in range(n):
-            if not touchdowns[i]:
-                continue
-            anchor = contact.record_footfall(pos_rec, rot, feet[i])
-            if cfg.height_enabled:
-                z_corr, self.planes = height.correct_height(
-                    anchor[2], self.planes, t, cfg.height_window, cfg.height_fade)
-                anchor = (anchor[0], anchor[1], z_corr)
-            records[i].anchor = anchor
-
         stance = [i for i in range(n) if contacts[i]]
+        obs = {}
+        if touchdown:
+            persisting = [i for i in stance if not touchdowns[i]]
+            obs = {i: leg_obs(i) for i in persisting}
+            if persisting and cfg.pos_blend > 0.0:
+                p_persist = mean3([obs[i][0] for i in persisting])
+                pos_rec = blend3(pos_pred, p_persist, cfg.pos_blend)
+            else:
+                pos_rec = pos_pred
+            for i in range(n):
+                if not touchdowns[i]:
+                    continue
+                anchor = contact.record_footfall(pos_rec, rot, feet[i])
+                if cfg.height_enabled:
+                    z_corr, self.planes = height.correct_height(
+                        anchor[2], self.planes, t, cfg.height_window, cfg.height_fade)
+                    anchor = (anchor[0], anchor[1], z_corr)
+                records[i].anchor = anchor
+
         per_pos = []
         per_vel = []
         for i in stance:

@@ -120,8 +120,9 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
     singular value of J is below sigma_min (the step's is SIGMA_MIN), or
     J J^T is singular to working precision (a determinant that is not
     positive, or a non-finite f); the caller must treat that leg as
-    ungateable this cycle. r and v are NaN where q is not finite, and v
-    where dq is not. Never raises.
+    ungateable this cycle. A leg whose q1 + q2 overflows counts as one with a
+    non-finite q. r and v are NaN where q is not finite, and v where dq is
+    not. Never raises.
 
     r and J are _leg_entries' on math.cos and math.sin, bit-equal to
     leg_kinematics. For singular values s1 >= s2 >= s3 of J,
@@ -136,12 +137,15 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
         q0, q1, q2 = q
         d0, d1, d2 = dq
         t0, t1, t2 = tau
-        # one sum tests all nine values, one by one only if it is not finite
-        bad = (not isfinite(q0 + q1 + q2 + d0 + d1 + d2 + t0 + t1 + t2)
-               and not all(map(isfinite, (q0, q1, q2, d0, d1, d2, t0, t1, t2))))
+        # one sum tests all nine values and q1 + q2, which _leg_entries takes
+        # the trig of; one by one only if it is not finite
+        bad = (not isfinite(q1 + q2 + q0 + d0 + d1 + d2 + t0 + t1 + t2)
+               and not (isfinite(q1 + q2)
+                        and all(map(isfinite, (q0, q1, q2, d0, d1, d2, t0, t1, t2)))))
         if bad:
-            # math.cos(inf) raises where np.cos gives NaN
-            if not (isfinite(q0) and isfinite(q1) and isfinite(q2)):
+            # math.cos(inf) raises where np.cos gives NaN; q1 + q2 can
+            # overflow to inf from finite angles
+            if not (isfinite(q0) and isfinite(q1) and isfinite(q2) and isfinite(q1 + q2)):
                 q0 = q1 = q2 = nan
             if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
                 d0 = d1 = d2 = nan

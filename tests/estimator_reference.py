@@ -335,7 +335,8 @@ class ReferenceEstimator:
             "yaw_err": yaw_err,
             "mode": "fused" if stance else "predict",
         }
-        return self.state.copy()
+        return BodyState(self.state.position.copy(), self.state.rpy.copy(),
+                         self.state.velocity.copy(), self.state.stamp)
 
     def diagnostics(self):
         return dict(self._diag)

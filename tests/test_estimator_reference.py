@@ -12,7 +12,7 @@ the summation order of a few 3-vector products.
 import numpy as np
 import pytest
 
-from legodom import Estimator, EstimatorConfig, degrade, generate_gait, preset_plan
+from legodom import Estimator, EstimatorConfig, SensorFrame, degrade, generate_gait, preset_plan
 
 from estimator_reference import ReferenceEstimator
 
@@ -40,12 +40,13 @@ def _stream(name):
     return frames, cfg
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_step_matches_the_frozen_numpy_step(name):
-    frames, cfg = _stream(name)
+def _compare(frames, cfg):
+    """Step both estimators over the frames and check that they agree; the
+    touchdowns of each frame, as the library's diagnostics list them, and
+    the largest plane count."""
     est, ref = Estimator(cfg), ReferenceEstimator(cfg)
     worst = 0.0
-    touchdowns = 0
+    touchdowns = []
     planes_max = 0
     for fr in frames:
         got, want = est.step(fr), ref.step(fr)
@@ -58,12 +59,47 @@ def test_step_matches_the_frozen_numpy_step(name):
             assert d_got[key] == d_want[key], (fr.stamp, key)
         assert len(d_got["planes"]) == len(d_want["planes"]), fr.stamp
         assert (d_got["yaw_kin"] is None) == (d_want["yaw_kin"] is None), fr.stamp
-        touchdowns += len(d_got["touchdowns"])
+        touchdowns.append(d_got["touchdowns"])
         planes_max = max(planes_max, len(d_got["planes"]))
     assert worst <= 1e-12
+    return touchdowns, planes_max
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_step_matches_the_frozen_numpy_step(name):
+    frames, cfg = _stream(name)
+    touchdowns, planes_max = _compare(frames, cfg)
     # the stream reached the stages it is here for
-    assert touchdowns > 0
+    assert sum(map(len, touchdowns)) > 0
     if name == "stair_loop":
         assert planes_max >= 2
     if name == "wheel_roll":
         assert frames[0].wheels is not None
+
+
+def test_dropped_wheel_readings_match_the_frozen_numpy_step():
+    # the wheel roll with its legs lifted in turn, each for LIFT frames of
+    # every PERIOD (no torque, so no force and no stance), and wheel
+    # readings dropped: whole frames, every touchdown frame among them, and
+    # single legs' readings; a touchdown on a frame without readings must
+    # leave no wheel cache behind for the next frames to roll from
+    PERIOD, LIFT = 40, 8
+    frames, cfg = _stream("wheel_roll")
+    dropped = []
+    for k, fr in enumerate(frames):
+        joints = fr.joints.copy()
+        if 0 < k and k % PERIOD < LIFT:
+            joints[2, (k // PERIOD) % 4] = 0.0
+        wheels = list(fr.wheels)
+        if k % PERIOD == LIFT or k % 9 == 0:
+            wheels = None
+        elif k % 4 == 0:
+            wheels[(k // 4) % 4] = None
+        dropped.append(SensorFrame(fr.stamp, fr.att, fr.gyro, joints, wheels))
+    touchdowns, _ = _compare(dropped, cfg)
+    late = [k for k, legs in enumerate(touchdowns) if legs and k > 0]
+    assert len(late) >= 15
+    assert all(dropped[k].wheels is None for k in late)
+    # the frames after a touchdown carry readings again, which the wheel
+    # stage then propagates from
+    assert all(dropped[k + 1].wheels is not None for k in late if (k + 1) % 9)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from legodom import GaitPlan, generate_gait
+from legodom import EstimatorConfig, GaitPlan, generate_gait, kernels
 from legodom.cli import main
 from legodom.config import _KEYS, parse_config_text
 from legodom.logio import frame_to_dict, write_frames
@@ -130,6 +130,48 @@ def test_random_log_text_replays_or_exits_2(work, text):
     log = d / "text.jsonl"
     log.write_text(text, encoding="utf-8")
     assert main(["replay", "--log", str(log), "--out", str(d / "text.csv")]) in (0, 2)
+
+
+# finite joint angles whose q1 + q2 overflows to inf; math.cos of it raises
+OVERFLOW_Q = [[1e308, 1e308, 1e308], [-1e308, 1e308, 1e308], [0.0, 1e308, 1e308]]
+# a magnitude near the largest double, so that two of them overflow
+HUGE = st.floats(min_value=1.6e308, max_value=1.7976931348623157e308)
+SIGNED_HUGE = st.one_of(HUGE, HUGE.map(lambda x: -x))
+
+
+def _replay_with_angles(work, leg, q, filter_on):
+    """The exit code of a replay of the stream with leg's angles set to q on
+    one frame after clean ones."""
+    d, log, frame = work
+    lines = log.read_text().splitlines()
+    edited = json.dumps(_mutate(frame, ("legs", leg, "q"), q))
+    fuzzed = d / "angles.jsonl"
+    fuzzed.write_text("\n".join(lines[:10] + [edited] + lines[11:]) + "\n")
+    config = d / ("angles_filter_%s.txt" % filter_on)
+    config.write_text("ikvel.enabled = %s\n" % filter_on)
+    return main(["replay", "--log", str(fuzzed), "--config", str(config),
+                 "--out", str(d / "angles.csv")])
+
+
+@pytest.mark.parametrize("q", OVERFLOW_Q)
+def test_angles_whose_pair_sum_overflows_gate_the_leg_out(work, q):
+    # the leg counts as one with a non-finite angle: NaN position, gated out;
+    # the other legs keep their figures, and the replay runs on
+    coef = [kernels.leg_coefficients(*g.kernel_args()) for g in EstimatorConfig().legs]
+    good = [0.0, 0.7, -1.4]
+    r, _, f, ok = kernels.leg_rows([q, good], [[0.1, 0.2, 0.3]] * 2,
+                                   [[1.0, 2.0, 3.0]] * 2, coef[:2], kernels.SIGMA_MIN)
+    assert all(x != x for x in r[0]) and f[0] == (0.0, 0.0, 0.0) and not ok[0]
+    assert all(x == x for x in r[1]) and ok[1]
+    for filter_on in (False, True):
+        assert _replay_with_angles(work, 1, q, filter_on) == 0, filter_on
+
+
+@settings(FUZZ, max_examples=40)
+@given(q0=st.one_of(st.just(0.0), SIGNED_HUGE), q1=SIGNED_HUGE, q2=SIGNED_HUGE,
+       leg=st.integers(0, 3), filter_on=st.booleans())
+def test_angle_pairs_near_the_largest_double_replay(work, q0, q1, q2, leg, filter_on):
+    assert _replay_with_angles(work, leg, [q0, q1, q2], filter_on) == 0
 
 
 # --- config files -------------------------------------------------------------
