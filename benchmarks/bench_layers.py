@@ -52,13 +52,19 @@ other.
 `legodom simulate` does and times, one layer at a time, what `legodom
 replay` does with each line: the parse of the line (`line_parse`: the
 checkout's `logio._parse_line` if it has one, `json.loads` otherwise),
-`frame_from_dict`, `step` with `diagnostics()` (`step_diagnostics`, one
-estimator stepping the log in order), `trajectory_line` and the diagnostics
-line (`diag_line`: the checkout's `logio.encode_json` if it has one,
-`json.dumps` otherwise, plus the newline). `line_parser` and `diag_encoder`
-name the functions timed. A pass runs the layers over one window of WINDOW
-frames, the log's whole windows taken in turn, so only a window's dicts,
-frames and records are alive at a time, as in a replay's block.
+`frame_from_dict`, the step with `diagnostics()` after each frame
+(`step_diagnostics`: the window through the checkout's
+`Estimator.step_block` if it has one, as the replay steps a block, `step`
+one frame at a time otherwise), `trajectory_line` and the diagnostics line
+(`diag_line`: the checkout's `logio.encode_json` if it has one,
+`json.dumps` otherwise, plus the newline). `line_parser`, `step_path` and
+`diag_encoder` name the functions timed. `step_diagnostics_by_frame` times
+`step` with `diagnostics()` one frame at a time on a second estimator, so
+the two step figures show what the block saves; it is left out of `sum`.
+Each estimator steps the log in order. A pass runs the layers over one
+window of WINDOW frames, the log's whole windows taken in turn, so only a
+window's dicts, frames and records are alive at a time, as in a replay's
+block.
 
 `sim` times, for the plan of each workload, the layers of `legodom simulate`:
 `generate_gait`, `degrade` of its frames, `write_frames` of the degraded
@@ -337,11 +343,13 @@ def section_filter(legodom, clock):
                                                  "frame_0_ratio")}
 
 
-def medians(at_ref, raw):
-    """(median, best) of each layer's per-frame times, `sum` added to each."""
+def medians(at_ref, raw, apart=()):
+    """(median, best) of each layer's per-frame times, `sum` added to each:
+    the sum of every layer not named in apart."""
     us = {name: statistics.median(v) for name, v in at_ref.items()}
     best = {name: min(v) for name, v in raw.items()}
-    us["sum"], best["sum"] = sum(us.values()), sum(best.values())
+    for figures in (us, best):
+        figures["sum"] = sum(v for name, v in figures.items() if name not in apart)
     return rounded(us), rounded(best)
 
 
@@ -363,15 +371,20 @@ def section_io(legodom, clock):
     else:
         parse, parser = json.loads, "json.loads"
     out = {}
-    est = None
+    est = by_frame = None
+    block = hasattr(legodom.Estimator, "step_block")
 
-    def steps(parsed):
+    def steps(parsed):  # as the replay steps a block
+        if block:
+            return [(st, est.diagnostics()) for st in est.step_block(parsed)]
         return [(est.step(fr), est.diagnostics()) for fr in parsed]
 
     layers = {  # in replay order: each layer takes the one before's output
         "line_parse": lambda window: list(map(parse, window)),
         "frame_from_dict": lambda _: list(map(logio.frame_from_dict, out["line_parse"])),
         "step_diagnostics": lambda _: steps(out["frame_from_dict"]),
+        "step_diagnostics_by_frame": lambda _: [(by_frame.step(fr), by_frame.diagnostics())
+                                                for fr in out["frame_from_dict"]],
         "trajectory_line": lambda _: [logio.trajectory_line(st)
                                       for st, _ in out["step_diagnostics"]],
         "diag_line": lambda _: [encode(rec) + "\n" for _, rec in out["step_diagnostics"]],
@@ -380,17 +393,19 @@ def section_io(legodom, clock):
     windows = [lines[i:i + WINDOW] for i in range(0, len(lines) - WINDOW + 1, WINDOW)]
     for k in range(REPEAT["io"]):
         if k % len(windows) == 0:
-            est = legodom.Estimator(cfg)  # the log from its first frame again
+            # the log from its first frame again
+            est, by_frame = legodom.Estimator(cfg), legodom.Estimator(cfg)
         window = windows[k % len(windows)]
         for name, layer in layers.items():
             out[name], wall, ref = clock.timed(layer, window)
             at_ref[name].append(ref / len(window) * 1e6)
             raw[name].append(wall / len(window) * 1e6)
-    us, best = medians(at_ref, raw)
+    us, best = medians(at_ref, raw, apart=("step_diagnostics_by_frame",))
     result = {"workload": "wheel_cli", "seed": SEED, "frames": len(lines),
               "window": WINDOW,
               "log_bytes_per_frame": round(sum(map(len, lines)) / len(lines), 1),
               "repeat": REPEAT["io"], "line_parser": parser,
+              "step_path": "Estimator.step_block" if block else "Estimator.step",
               "diag_encoder": "logio.encode_json" if encode is not json.dumps else "json.dumps",
               "us_per_frame": us, "raw_best_us_per_frame": best}
     return result, us

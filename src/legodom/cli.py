@@ -24,15 +24,19 @@ from .logio import (TRAJ_HEADER, LogParseError, encode_json, iter_frames, read_t
 from .metrics import compute_metrics
 from .planfile import load_plan
 
-BLOCK = 256  # frames stepped between writes; a write per frame replays 7-19 % slower
+# frames read, stepped and written at a time: the block whose frame-only
+# terms `Estimator.step_block` computes as columns, and the frames between
+# writes (a write per frame replays 7-19 % slower)
+BLOCK = 256
 
 
 def _stream(args, write=None):
     """The one pass over a log, for replay and inspect: step it BLOCK frames
-    at a time and hand each block's (state, diagnostics record) pairs to
-    write; with no write, no record is built and the states are dropped.
-    Returns (exit code, estimator, frames stepped); a failure prints its
-    message, with exit code 3 for the config or 2 for the log."""
+    at a time through `Estimator.step_block` and hand each block's (state,
+    diagnostics record) pairs to write; with no write, no record is built
+    and the states are dropped. Returns (exit code, estimator, frames
+    stepped); a failure prints its message, with exit code 3 for the config
+    or 2 for the log."""
     try:
         cfg = EstimatorConfig() if args.config is None else load_config(args.config)
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
@@ -52,7 +56,7 @@ def _stream(args, write=None):
         if not block:
             return 0, est, count
         count += len(block)
-        steps = [(est.step(fr), record()) for fr in block]
+        steps = [(st, record()) for st in est.step_block(block)]
         if write:
             write(steps)
 

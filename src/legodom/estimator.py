@@ -12,6 +12,20 @@ cycle. The estimator holds its state as Python floats and builds the
 returned BodyState's arrays once, at the end; the diagnostics record is built
 only when `diagnostics()` asks for it.
 
+A replay steps its log in blocks through `step_block`, which computes the
+stages that read no state for the whole block at once, on the block's
+columns: the attitude and its rotation rows (`geometry.quat_to_rpy_columns`
+and `rpy_rows` on numpy's trig), the leg kinematics with the wrench gate
+(`kernels.leg_columns`) and the contact flags. It then advances the state
+frame by frame through the same touchdown, observation, fusion and yaw code
+as `step`, with only the values those read taken to lists. Both forms give
+the same bits: each term is formed by the same elementwise products and sums
+in the same order, numpy's cos and sin round as math's do and its arctan2
+and arcsin alike on floats and columns (the tests check both on the platform
+they run on), no matrix product stands in for a sum, a quaternion off unit
+norm takes the float form's normalisation, and the legs that need an SVD
+take the same one, stacked.
+
 Most frames need only part of `_observe`. Wheel propagation (the heading and
 the per-leg wheel loop) runs only on a frame that carries wheel readings;
 on a frame without them, a leg that touches down only drops its wheel
@@ -28,7 +42,8 @@ import numpy as np
 from . import contact, height, kernels, wheel, yawkin
 from .config import EstimatorConfig
 from .contact import FootfallRecord
-from .geometry import JointReading, _quat_rpy, blend3, mean3, rpy_rows, wrap_angle
+from .geometry import (JointReading, _quat_rpy, blend3, mean3, quat_to_rpy_columns,
+                       rpy_rows, wrap_angle)
 from .ikvel import CkfNoise, LegVelocityFilter
 
 
@@ -92,6 +107,15 @@ class SensorFrame:
         return [JointReading(*leg) for leg in self.joints.swapaxes(0, 1)]
 
 
+def _non_finite_wheel(wheels):
+    """The first of a frame's wheel readings whose angle or rate is not
+    finite, or None."""
+    for wr in wheels:
+        if wr is not None and not (math.isfinite(wr.psi) and math.isfinite(wr.dpsi)):
+            return wr
+    return None
+
+
 def frame_columns(frames):
     """The stamps, att, gyro and joints of a non-empty list of frames as fresh
     (F,), (F, 4), (F, 3) and (F, 3, L, 3) arrays, each channel read with one
@@ -136,6 +160,9 @@ class Estimator:
                                           cfg.ikvel_r_angle, cfg.ikvel_r_rate))
         self._leg_coef = [kernels.leg_coefficients(*g.kernel_args()) for g in cfg.legs]
         self._hip_mounts = [g.hip_mount.tolist() for g in cfg.legs]
+        # the same, as (L,) coefficient columns and an (L, 3) array for step_block
+        self._leg_coef_columns = tuple(np.array(c) for c in zip(*self._leg_coef))
+        self._hip_mount_columns = np.array(self._hip_mounts)
         # (t, stance, touchdowns, yaw_kin, yaw_err) of the last step, or None
         self._last = None
 
@@ -162,22 +189,120 @@ class Estimator:
             for name, values in (("att", att), ("gyro", gyro)):
                 if not all(map(math.isfinite, values)):
                     raise ValueError("frame %s %r is not finite" % (name, values))
-        for wr in frame.wheels or ():
-            if wr is not None and not (math.isfinite(wr.psi) and math.isfinite(wr.dpsi)):
+        if frame.wheels:
+            wr = _non_finite_wheel(frame.wheels)
+            if wr is not None:
                 raise ValueError("frame wheel reading %r is not finite" % (wr,))
         stamp = self._stamp
         if stamp is not None and t <= stamp:
             raise ValueError("frame stamp %r not after state stamp %r" % (t, stamp))
-        dt = 0.0 if stamp is None else t - stamp
-        pos = self._position
-        vel = self._velocity
-        pos_pred = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt, pos[2] + vel[2] * dt)
 
         roll, pitch, yaw, rot = self._attitude(att)
         q_rows, dq_rows, feet, foot_vel, forces, ok = self._leg_frame(frame, t)
         contacts, touchdowns = self._gate(rot, forces, ok)
+        return self._advance(t, frame.wheels, q_rows, dq_rows, roll, pitch, yaw, rot, gyro,
+                             feet, foot_vel, contacts, touchdowns)
+
+    def step_block(self, frames):
+        """Step a list of frames in order, yielding each frame's BodyState once
+        the state has advanced through it, so that `diagnostics()` between two
+        yields is that frame's record.
+
+        The terms that depend on a frame alone are computed for the whole list
+        at once, on columns: the attitude and its rotation rows, the leg
+        kinematics with the wrench gate, and the contact flags. The state then
+        advances frame by frame through the stages step runs after them. The
+        estimator, every yielded state and record, the filter's status counts
+        and any ValueError are those of `for fr in frames: step(fr)`: a frame
+        that step would reject goes to step itself, after every frame before it
+        has advanced. The flags are computed against the contacts held when
+        the generator starts, so the estimator takes no other step until the
+        generator is exhausted.
+        """
+        n = len(self.config.legs)
+        # the checks of step, up to the first frame that fails one: frame by
+        # frame on its stamp, legs and wheels, on columns for att and gyro
+        end = len(frames)
+        last = self._stamp
+        for k, fr in enumerate(frames):
+            t = fr.stamp
+            if (fr.joints.shape[1] != n or not math.isfinite(t)
+                    or last is not None and t <= last
+                    or fr.wheels and _non_finite_wheel(fr.wheels) is not None):
+                end = k
+                break
+            last = t
+        if end:
+            _, att, gyro, joints = frame_columns(frames[:end])
+            clean = (np.isfinite(att).all(axis=1) & att.any(axis=1)
+                     & np.isfinite(gyro).all(axis=1))
+            if not clean.all():
+                end = int(np.argmin(clean))
+            if end:
+                yield from self._advance_block(frames[:end], att[:end], gyro[:end],
+                                               joints[:end])
+        if end < len(frames):
+            # step raises the frame's ValueError
+            yield self.step(frames[end])
+            yield from self.step_block(frames[end + 1:])
+
+    def _advance_block(self, frames, att, gyro, joints):
+        """step_block on frames that step would accept, given their att, gyro
+        and joints columns."""
+        cfg = self.config
+        # an overflow here is the infinity step's float arithmetic gives
+        # without a word
+        with np.errstate(all="ignore"):
+            roll, pitch, yaw = quat_to_rpy_columns(att)
+            rot = rpy_rows(roll, pitch, yaw, np.cos, np.sin)
+            r, v, f, ok = kernels.leg_columns(joints[:, 0], joints[:, 1], joints[:, 2],
+                                              self._leg_coef_columns, kernels.SIGMA_MIN)
+            # _gate's flags, elementwise; the row of the rotation it reads
+            # does not depend on yaw
+            r20, r21, r22 = (c[:, None] for c in rot[2])
+            contacts = ok & (r20 * f[..., 0] + r21 * f[..., 1] + r22 * f[..., 2]
+                             <= cfg.force_threshold)
+            feet = r + self._hip_mount_columns
+        touchdowns = contacts & ~np.concatenate(([self.prev_contact], contacts[:-1]))
+
+        # the values the advance reads, each taken to Python lists once
+        roll, pitch, gyro = roll.tolist(), pitch.tolist(), gyro.tolist()
+        feet, contacts, touchdowns = feet.tolist(), contacts.tolist(), touchdowns.tolist()
+        imu_yaw = cfg.imu_yaw_enabled
+        if imu_yaw:
+            yaw = yaw.tolist()
+            rot = np.stack([c for row in rot for c in row], axis=1).reshape(-1, 3, 3).tolist()
+        ikvel_on = cfg.ikvel_enabled
+        if not ikvel_on:
+            foot_vel = v.tolist()
+        for k, fr in enumerate(frames):
+            t = fr.stamp
+            wheels = fr.wheels
+            q_rows = dq_rows = None
+            if wheels:
+                q_rows, dq_rows, _ = fr.joints.tolist()
+            if imu_yaw:
+                yaw_k, rot_k = yaw[k], rot[k]
+            else:
+                yaw_k = self._rpy[2]
+                rot_k = rpy_rows(roll[k], pitch[k], yaw_k)
+            vel_k = (self.ikvel.update(t, joints[k, 0], joints[k, 1], r[k]).tolist()
+                     if ikvel_on else foot_vel[k])
+            yield self._advance(t, wheels, q_rows, dq_rows, roll[k], pitch[k], yaw_k, rot_k,
+                                gyro[k], feet[k], vel_k, contacts[k], touchdowns[k])
+
+    def _advance(self, t, wheels, q_rows, dq_rows, roll, pitch, yaw, rot, gyro, feet,
+                 foot_vel, contacts, touchdowns):
+        """The stages after the contact gate, on a frame's terms: the
+        prediction, touchdowns and observations, fusion and yaw; moves the
+        state to the frame and returns it."""
+        stamp = self._stamp
+        dt = 0.0 if stamp is None else t - stamp
+        pos = self._position
+        vel = self._velocity
+        pos_pred = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt, pos[2] + vel[2] * dt)
         stance, per_pos, per_vel = self._observe(
-            frame.wheels, q_rows, dq_rows, t, rot, pitch, gyro, feet, foot_vel,
+            wheels, q_rows, dq_rows, t, rot, pitch, gyro, feet, foot_vel,
             contacts, touchdowns, pos_pred)
         position, velocity = self._fuse(pos_pred, vel, per_pos, per_vel)
         yaw, yaw_kin, yaw_err = self._yaw(t, roll, pitch, yaw, stance, feet)

@@ -128,12 +128,14 @@ def blend3(a, b, gain):
     return (k * a[0] + gain * b[0], k * a[1] + gain * b[1], k * a[2] + gain * b[2])
 
 
-def rpy_rows(roll, pitch, yaw):
+def rpy_rows(roll, pitch, yaw, cos=math.cos, sin=math.sin):
     """World-from-body rotation Rz(yaw) Ry(pitch) Rx(roll) in closed form,
-    as a tuple of three row tuples."""
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
+    as a tuple of three row tuples: of floats with math's cos and sin, or of
+    equal-shape columns with numpy's, which round alike. The last row does
+    not depend on yaw."""
+    cr, sr = cos(roll), sin(roll)
+    cp, sp = cos(pitch), sin(pitch)
+    cy, sy = cos(yaw), sin(yaw)
     return ((cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr),
             (sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr),
             (-sp, cp * sr, cp * cr))

@@ -3,11 +3,17 @@ analytic inverse kinematics, the IK rate solve and the torque-to-wrench solve,
 and the stacked Cholesky and solve of the cubature filter.
 
 The forward side is one set of expressions, `_leg_entries`, on the
-coefficients of `leg_coefficients`. `leg_kinematics` runs it once on the
-rows of a stack of legs with numpy's trig (the gait generator's blocks of
-frames), and `leg_rows` once per leg on the Python floats of one frame's
-legs with math's, where a numpy call would cost more than the 3x3
-arithmetic; it adds the wrench gate and the forces. The inverse side works
+coefficients of `leg_coefficients`: the position and the Jacobian, and on
+request the foot velocity and the wrench gate's terms. `leg_kinematics` runs
+it once on the rows of a stack of legs with numpy's trig (the gait
+generator's blocks of frames), `leg_rows` once per leg on the Python floats
+of one frame's legs with math's, where a numpy call would cost more than the
+3x3 arithmetic, and `leg_columns` once on the columns of a block of frames
+(a replay's `Estimator.step_block`); the last two add the gate and the
+forces. `leg_rows` and `leg_columns` give the same bits: the expressions
+are elementwise, in one order, numpy's cos and sin round as math's do, and
+the velocity is summed as written, not by `J @ dq`, which `leg_kinematics`
+uses and which is only within 1e-12 of the sum. The inverse side works
 on stacks, elementwise: the gait generator solves every frame and leg of a
 block of frames with `ik_joints_array`, and the cubature filter in `ikvel`
 maps every leg and cubature point of a frame with `ik_measurement_rows`,
@@ -50,15 +56,25 @@ SIGMA_MIN = 1e-6
 SIGMA_BOUND_TOL = 1e-12
 
 
-def _leg_entries(q0, q1, q2, coef, cos, sin):
-    """Position and Jacobian entries of a leg at joint angles (q0, q1, q2).
+def _leg_entries(q0, q1, q2, coef, cos, sin, dq=None, tau=None, sigma_min=None):
+    """Position and Jacobian entries of a leg at joint angles (q0, q1, q2);
+    given its joint rates dq and torques tau (three values each) and the gate
+    sigma_min, its foot velocity and the terms of the wrench gate instead.
 
     coef is leg_coefficients() of the leg; cos and sin are math's on floats
-    or numpy's on arrays. Returns (r0, r1, r2, J01, J02, J10, J11, J12, J20,
-    J21, J22), the hip-to-end-effector position and the Jacobian row-major
-    without its zero J00. Each entry adds its terms from left to right in the
-    order of the one-leg expressions frozen in tests/kernels_reference.py, so
-    it is bit-equal to them.
+    or numpy's on equal-shape arrays, which round alike, so one set of
+    expressions serves one leg on floats (leg_rows) and stacks of legs on
+    columns (leg_kinematics, leg_columns), elementwise in the same order.
+    Each entry adds its terms from left to right in the order of the one-leg
+    expressions frozen in tests/kernels_reference.py, so it is bit-equal to
+    them.
+
+    Without dq, returns (r0, r1, r2, J01, J02, J10, J11, J12, J20, J21, J22),
+    the hip-to-end-effector position and the Jacobian row-major without its
+    zero J00. With dq, returns (r, v, det, clears, n0, n1, n2): r and the
+    velocity v = J dq as 3-tuples, the determinant of J J^T, whether
+    leg_rows' sigma_min bound clears the gate without an SVD, and
+    n = adj(J J^T) J tau, so that the force is n / det.
 
     The wheel radius rw enters only the lateral row's reach and as a constant
     vertical offset; the sagittal row never sees it. That asymmetry is part of
@@ -68,17 +84,55 @@ def _leg_entries(q0, q1, q2, coef, cos, sin):
     q12 = q1 + q2
     c1, c2, c23 = cos(q0), cos(q1), cos(q12)
     s1, s2, s23 = sin(q0), sin(q1), sin(q12)
-    return (-lc * s23 + -lt * s2,
-            slh * c1 + lcrw * s1 * c23 + lt * c2 * s1,
-            slh * s1 + -lc * c1 * c23 + -lt * c1 * c2 + rw,
-            -lc * c23 + -lt * c2,
-            -lc * c23,
-            lcrw * c1 * c23 + lt * c1 * c2 + -slh * s1,
-            -lcrw * s1 * s23 + -lt * s1 * s2,
-            -lcrw * s1 * s23,
-            lc * s1 * c23 + lt * c2 * s1 + slh * c1,
-            lc * c1 * s23 + lt * c1 * s2,
-            lc * c1 * s23)
+    j01 = -lc * c23 + -lt * c2
+    j02 = -lc * c23
+    j10 = lcrw * c1 * c23 + lt * c1 * c2 + -slh * s1
+    j11 = -lcrw * s1 * s23 + -lt * s1 * s2
+    j12 = -lcrw * s1 * s23
+    j20 = lc * s1 * c23 + lt * c2 * s1 + slh * c1
+    j21 = lc * c1 * s23 + lt * c1 * s2
+    j22 = lc * c1 * s23
+    r = (-lc * s23 + -lt * s2,
+         slh * c1 + lcrw * s1 * c23 + lt * c2 * s1,
+         slh * s1 + -lc * c1 * c23 + -lt * c1 * c2 + rw)
+    if dq is None:
+        return r + (j01, j02, j10, j11, j12, j20, j21, j22)
+    d0, d1, d2 = dq
+    t0, t1, t2 = tau
+    a00 = j01 * j01 + j02 * j02
+    a01 = j01 * j11 + j02 * j12
+    a02 = j01 * j21 + j02 * j22
+    a11 = j10 * j10 + j11 * j11 + j12 * j12
+    a12 = j10 * j20 + j11 * j21 + j12 * j22
+    a22 = j20 * j20 + j21 * j21 + j22 * j22
+    m00 = a11 * a22 - a12 * a12
+    m01 = a02 * a12 - a01 * a22
+    m02 = a01 * a12 - a02 * a11
+    m12 = a01 * a02 - a00 * a12
+    det = a00 * m00 + a01 * m01 + a02 * m02
+    tr = a00 + a11 + a22
+    b0 = j01 * t1 + j02 * t2
+    b1 = j10 * t0 + j11 * t1 + j12 * t2
+    b2 = j20 * t0 + j21 * t1 + j22 * t2
+    return (r,
+            (j01 * d1 + j02 * d2,
+             j10 * d0 + j11 * d1 + j12 * d2,
+             j20 * d0 + j21 * d1 + j22 * d2),
+            det,
+            4.0 * det >= tr * tr * (sigma_min * sigma_min + SIGMA_BOUND_TOL * tr),
+            m00 * b0 + m01 * b1 + m02 * b2,
+            m01 * b0 + (a00 * a22 - a02 * a02) * b1 + m12 * b2,
+            m02 * b0 + m12 * b1 + (a00 * a11 - a01 * a01) * b2)
+
+
+def _svd_clears(jac, sigma_min):
+    """Whether the smallest singular value of J is at least sigma_min, by
+    J's SVD; jac is (..., 8), J's entries J01 ... J22 without its zero J00,
+    as _leg_entries gives them, and a stack of them takes one stacked SVD."""
+    J = np.zeros(np.shape(jac)[:-1] + (9,))
+    J[..., 1:] = jac
+    return ~(np.linalg.svd(J.reshape(J.shape[:-1] + (3, 3)),
+                           compute_uv=False)[..., 2] < sigma_min)
 
 
 def leg_coefficients(lh, lt, lc, rw, side):
@@ -148,43 +202,58 @@ def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):
             if not (isfinite(q0) and isfinite(q1) and isfinite(q2) and isfinite(q1 + q2)):
                 q0 = q1 = q2 = nan
             if not (isfinite(d0) and isfinite(d1) and isfinite(d2)):
-                d0 = d1 = d2 = nan
-        r0, r1, r2, j01, j02, j10, j11, j12, j20, j21, j22 = _leg_entries(
-            q0, q1, q2, coef, cos, sin)
-        feet.append((r0, r1, r2))
-        vels.append((j01 * d1 + j02 * d2,
-                     j10 * d0 + j11 * d1 + j12 * d2,
-                     j20 * d0 + j21 * d1 + j22 * d2))
-        # J J^T, its cofactors and determinant; a determinant that is not
-        # positive is singular to working precision and fails the gate
-        a00 = j01 * j01 + j02 * j02
-        a01 = j01 * j11 + j02 * j12
-        a02 = j01 * j21 + j02 * j22
-        a11 = j10 * j10 + j11 * j11 + j12 * j12
-        a12 = j10 * j20 + j11 * j21 + j12 * j22
-        a22 = j20 * j20 + j21 * j21 + j22 * j22
-        m00 = a11 * a22 - a12 * a12
-        m01 = a02 * a12 - a01 * a22
-        m02 = a01 * a12 - a02 * a11
-        det = a00 * m00 + a01 * m01 + a02 * m02
-        tr = a00 + a11 + a22
-        ok = not bad and (
-            4.0 * det >= tr * tr * (sigma_min * sigma_min + SIGMA_BOUND_TOL * tr)
-            or det > 0.0 and not np.linalg.svd(
-                ((0.0, j01, j02), (j10, j11, j12), (j20, j21, j22)),
-                compute_uv=False)[2] < sigma_min)
+                dq = (nan, nan, nan)
+        r, v, det, clears, n0, n1, n2 = _leg_entries(q0, q1, q2, coef, cos, sin,
+                                                     dq, tau, sigma_min)
+        feet.append(r)
+        vels.append(v)
+        # a determinant of J J^T that is not positive is singular to working
+        # precision and fails the gate
+        ok = not bad and (clears or det > 0.0 and bool(_svd_clears(
+            _leg_entries(q0, q1, q2, coef, cos, sin)[3:], sigma_min)))
         if ok:
-            b0 = j01 * t1 + j02 * t2
-            b1 = j10 * t0 + j11 * t1 + j12 * t2
-            b2 = j20 * t0 + j21 * t1 + j22 * t2
-            m12 = a01 * a02 - a00 * a12
-            f = ((m00 * b0 + m01 * b1 + m02 * b2) / det,
-                 (m01 * b0 + (a00 * a22 - a02 * a02) * b1 + m12 * b2) / det,
-                 (m02 * b0 + m12 * b1 + (a00 * a11 - a01 * a01) * b2) / det)
+            f = (n0 / det, n1 / det, n2 / det)
             ok = isfinite(f[0] + f[1] + f[2])
         forces.append(f if ok else (0.0, 0.0, 0.0))
         oks.append(ok)
     return feet, vels, forces, oks
+
+
+def leg_columns(q, dq, tau, coef, sigma_min):
+    """leg_rows of a stack of frames, on columns.
+
+    q, dq and tau are (..., L, 3) joint angles, rates and torques; coef is
+    leg_coefficients() of the L legs as (L,) arrays. Returns (r, v, f, ok):
+    r, v and f (..., L, 3) and ok (..., L), each leg of each frame bit-equal
+    to what leg_rows gives that frame's rows: the terms are _leg_entries' on
+    numpy's cos and sin, a leg whose q or dq is not finite takes NaN for all
+    three as in leg_rows, and J's SVD is taken, as one stack, only for the
+    legs whose bound cannot decide the gate. Warnings of the NaN and
+    singular legs are silenced; never raises.
+    """
+    with np.errstate(all="ignore"):  # NaN legs, and forces over det 0
+        q0, q1, q2 = np.moveaxis(q, -1, 0)
+        dq = np.moveaxis(dq, -1, 0)
+        tau = np.moveaxis(tau, -1, 0)
+        q_ok = np.isfinite(q0) & np.isfinite(q1) & np.isfinite(q2) & np.isfinite(q1 + q2)
+        dq_ok = np.isfinite(dq).all(axis=0)
+        good = q_ok & dq_ok & np.isfinite(tau).all(axis=0)
+        if not q_ok.all():
+            q0, q1, q2 = (np.where(q_ok, c, nan) for c in (q0, q1, q2))
+        if not dq_ok.all():
+            dq = np.where(dq_ok, dq, nan)
+        r, v, det, clears, n0, n1, n2 = _leg_entries(q0, q1, q2, coef, np.cos, np.sin,
+                                                     dq, tau, sigma_min)
+        ok = good & clears
+        undecided = good & ~clears & (det > 0.0)
+        if undecided.any():
+            jac = np.stack(_leg_entries(q0, q1, q2, coef, np.cos, np.sin)[3:], axis=-1)
+            ok[undecided] = _svd_clears(jac[undecided], sigma_min)
+        f0, f1, f2 = n0 / det, n1 / det, n2 / det
+        ok &= np.isfinite(f0 + f1 + f2)
+        f = np.stack((f0, f1, f2), axis=-1)
+        f[~ok] = 0.0
+    return np.stack(r, axis=-1), np.stack(v, axis=-1), f, ok
 
 
 def _quiet(gufunc, *args):

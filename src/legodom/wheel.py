@@ -25,9 +25,14 @@ def effective_roll_increment(psi_k, psi_km1, pitch_k, pitch_km1,
     The shank pitch beta = body_pitch + q2 + q3 rotates the wheel joint axis
     in the world; a pinned wheel then shows encoder motion that is not
     rolling. The encoder difference is wrapped; the pitch difference is not
-    (it is a small physical increment between consecutive samples).
+    (it is a small physical increment between consecutive samples). The
+    readings are angles modulo 2 pi, so where their difference overflows, the
+    difference of the wrapped readings gives the same increment.
     """
-    dpsi = wrap_angle(psi_k - psi_km1)
+    dpsi = psi_k - psi_km1
+    if not math.isfinite(dpsi):
+        dpsi = wrap_angle(psi_k) - wrap_angle(psi_km1)
+    dpsi = wrap_angle(dpsi)
     dbeta = (pitch_k + q2_k + q3_k) - (pitch_km1 + q2_km1 + q3_km1)
     return dpsi - dbeta
 

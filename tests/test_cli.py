@@ -316,16 +316,20 @@ def test_simulate_to_the_part_file_of_its_ground_truth_exits_2(tmp_path, capsys)
 def test_replay_and_inspect_hold_at_most_a_block_of_frames(long_log, monkeypatch):
     d, log = long_log
     n = len(log.read_text().splitlines())
-    step = Estimator.step
+    # the frames alive as each frame's state is handed out; the replay steps
+    # each block through step_block
+    step_block = Estimator.step_block
     alive = weakref.WeakValueDictionary()  # by id: a SensorFrame is unhashable
     seen = []
 
-    def spy(self, frame):
-        alive[id(frame)] = frame
-        seen.append(len(alive))
-        return step(self, frame)
+    def spy(self, frames):
+        for frame in frames:
+            alive[id(frame)] = frame
+        for state in step_block(self, frames):
+            seen.append(len(alive))
+            yield state
 
-    monkeypatch.setattr(Estimator, "step", spy)
+    monkeypatch.setattr(Estimator, "step_block", spy)
     for command in LOADING_COMMANDS:
         seen.clear()
         assert main(_load_cmd(command, d, log)) == 0

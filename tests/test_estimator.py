@@ -1,10 +1,16 @@
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
 from legodom import (Estimator, EstimatorConfig, SensorFrame, WheelReading,
-                     create, diagnostics, generate_gait, ikvel, kernels, preset_plan,
-                     quat_to_rpy, rpy_to_quat, step, wrap_angle)
-from legodom.geometry import quat_to_rpy_columns
+                     create, degrade, diagnostics, generate_gait, height, ikvel, kernels,
+                     parse_config_text, preset_plan, quat_to_rpy, rpy_to_quat, step,
+                     wrap_angle)
+from legodom.gait import PRESETS
+from legodom.geometry import quat_to_rpy_columns, rpy_rows
+from legodom.planfile import parse_plan_text
 from legodom.ikvel import CKF_MEASUREMENT_SKIPPED
 from legodom.logio import encode_json
 
@@ -369,6 +375,11 @@ def test_the_float_attitude_intake_equals_quat_to_rpy_bit_for_bit():
     assert intake.tobytes() == np.array([quat_to_rpy(q) for q in quats]).tobytes()
     assert intake.tobytes() == np.ascontiguousarray(quat_to_rpy_columns(quats).T).tobytes()
     assert all(type(v) is float for v in est._attitude(quats[0].tolist())[:3])
+    # and so are the rotation rows, on floats and on the columns step_block
+    # takes them from
+    rows = np.array([est._attitude(q)[3] for q in quats.tolist()])
+    columns = np.array(rpy_rows(*quat_to_rpy_columns(quats), np.cos, np.sin))
+    assert rows.tobytes() == np.moveaxis(columns, -1, 0).tobytes()
 
 
 def _walk_frames(length):
@@ -468,3 +479,208 @@ def test_the_filter_starts_each_leg_at_the_leg_kernels_position(monkeypatch):
         assert all(P[i].tobytes() == prior.tobytes() for i in legs)
     assert np.isnan(starts[1][0][0]).all()
     assert est.ikvel._unseeded is None
+
+
+# --- step_block ---------------------------------------------------------------
+
+_DIGESTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "benchmarks", "stream_digests.py")
+
+
+@pytest.fixture(scope="module")
+def workload():
+    """workload(name) -> (frames, config): a replay-benchmark workload's
+    degraded stream at seed 0 and its config, as `legodom simulate` and
+    `legodom replay` take them (plans and configs from stream_digests)."""
+    spec = importlib.util.spec_from_file_location("stream_digests", _DIGESTS)
+    sd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sd)
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            plan_text, config = sd.WORKLOADS[name]
+            plan = parse_plan_text(sd.workload_plan(plan_text, 0))
+            res = generate_gait(plan)
+            cache[name] = (degrade(res.frames, plan.imperfections, seed=0,
+                                   contacts=res.contacts, legs=plan.legs),
+                           parse_config_text(config))
+        return cache[name]
+
+    return get
+
+
+def _state_key(st):
+    return (np.concatenate([st.position, st.rpy, st.velocity]).tobytes(), st.stamp,
+            type(st.stamp))
+
+
+def _estimator_key(est):
+    """Everything an estimator holds that a later step or record reads."""
+    filt = est.ikvel.states
+    return (_state_key(est.state), encode_json(est.diagnostics()),
+            [rec.anchor for rec in est.records], list(est.prev_contact),
+            encode_json(height.planes_to_json(est.planes)), est.full_support_since,
+            list(est.wheel_cache), dict(est.ikvel.status_counts),
+            None if filt is None else (filt.x.tobytes(), filt.P.tobytes(), filt.t),
+            None if est.ikvel._unseeded is None else est.ikvel._unseeded.tolist())
+
+
+def _stepped(cfg, frames):
+    """(each frame's state and record, the estimator) of stepping frames one
+    at a time with step."""
+    est = Estimator(cfg)
+    out = [(_state_key(est.step(fr)), encode_json(est.diagnostics())) for fr in frames]
+    return out, _estimator_key(est)
+
+
+def _assert_blocks_step_as_frames(cfg, frames, sizes=(256,)):
+    """step_block over blocks of each size yields the states and records,
+    and leaves the estimator, that stepping one frame at a time does."""
+    want = _stepped(cfg, frames)
+    for size in sizes:
+        est = Estimator(cfg)
+        out = []
+        for i in range(0, len(frames), size):
+            out.extend((_state_key(st), encode_json(est.diagnostics()))
+                       for st in est.step_block(frames[i:i + size]))
+        assert (out, _estimator_key(est)) == want, size
+
+
+def _config(plan, **kwargs):
+    return EstimatorConfig(legs=plan.legs, initial_position=[0, 0, plan.body_height], **kwargs)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_step_block_steps_every_preset_as_step_does(stream, preset):
+    # the first 4,000 frames (16 s) of each: the stair itself is stair_trot's
+    plan, _, frames = stream(preset)
+    _assert_blocks_step_as_frames(_config(plan), frames[:4000])
+
+
+@pytest.mark.parametrize("name", ["stair_trot", "ckf_walk", "wheel_cli"])
+def test_step_block_steps_each_workloads_degraded_stream_as_step_does(workload, name):
+    # ckf_walk runs the filter; wheel_cli's 1,001 frames end in a part block
+    frames, cfg = workload(name)
+    _assert_blocks_step_as_frames(cfg, frames[:1000] if name == "ckf_walk" else frames,
+                                  sizes=(1, 2, 256) if name == "wheel_cli" else (256,))
+
+
+@pytest.mark.parametrize("preset", ["walk_line", "turn_in_place", "wheel_roll"])
+@pytest.mark.parametrize("ikvel_on, imu_yaw", [(True, True), (False, False), (True, False)])
+def test_step_block_with_the_filter_or_the_imu_yaw_off_steps_as_step_does(
+        stream, preset, ikvel_on, imu_yaw):
+    # with the IMU yaw off, the rotation rows 0-1 follow the held yaw
+    plan, _, frames = stream(preset)
+    cfg = _config(plan, ikvel_enabled=ikvel_on, imu_yaw_enabled=imu_yaw)
+    _assert_blocks_step_as_frames(cfg, frames[:400], sizes=(2, 256))
+
+
+def test_step_block_on_wheel_frames_with_missing_readings_steps_as_step_does(stream):
+    plan, _, frames = stream("wheel_roll")
+    edited = []
+    for k, fr in enumerate(frames[:900]):
+        wheels = fr.wheels
+        if k % 7 == 3:
+            wheels = None
+        elif k % 5 == 1:
+            wheels = [None if i == k % 4 else w for i, w in enumerate(wheels)]
+        edited.append(SensorFrame(fr.stamp, fr.att, fr.gyro, fr.joints, wheels))
+    _assert_blocks_step_as_frames(_config(plan), edited, sizes=(1, 256))
+
+
+# near-singular knees: the wrench gate's bound cannot decide them, and J's SVD
+# passes the first and fails the second; [0, 0, 0] is a straight, singular leg
+SVD_PASS_Q, SVD_FAIL_Q, SINGULAR_Q = [0.0, 0.4, -1.15e-5], [0.0, 0.4, -1e-5], [0.0] * 3
+
+
+# (channel, leg, joints, value) written into a frame's joints: a NaN or an
+# infinite value, angles whose q1 + q2 overflows, a singular leg and legs
+# that need the SVD; then the scales of an attitude quaternion off unit norm
+FUZZ_ROWS = [(0, 0, 1, np.nan), (1, 1, 2, np.inf), (2, 2, 0, -np.inf),
+             (0, 3, slice(None), [0.0, 1e308, 1e308]), (0, 1, slice(None), [1e308, -1e308, 0.5]),
+             (0, 2, slice(None), SINGULAR_Q), (0, 0, slice(None), SVD_PASS_Q),
+             (0, 3, slice(None), SVD_FAIL_Q)]
+ATT_SCALES = [3.0, 1e-3, 1e200]
+
+
+def _fuzzed_walk(frames):
+    """frames with one fuzz row or quaternion scale, in turn, on every third
+    frame."""
+    out = []
+    for k, fr in enumerate(frames):
+        joints, att = fr.joints.copy(), fr.att.copy()
+        edit = (k // 3) % (len(FUZZ_ROWS) + len(ATT_SCALES))
+        if k % 3 == 0 and edit < len(FUZZ_ROWS):
+            channel, leg, joint, value = FUZZ_ROWS[edit]
+            joints[channel, leg, joint] = value
+        elif k % 3 == 0:
+            att *= ATT_SCALES[edit - len(FUZZ_ROWS)]
+        out.append(SensorFrame(fr.stamp, att, fr.gyro, joints, fr.wheels))
+    return out
+
+
+@pytest.mark.parametrize("ikvel_on", [False, True])
+def test_step_block_on_the_fuzz_rows_steps_as_step_does(stream, monkeypatch, ikvel_on):
+    plan, _, frames = stream("walk_line")
+    frames = _fuzzed_walk(frames[:600])
+    svd = kernels._svd_clears
+    calls = []
+    monkeypatch.setattr(kernels, "_svd_clears",
+                        lambda jac, sigma_min: calls.append(np.shape(jac)) or svd(jac, sigma_min))
+    _assert_blocks_step_as_frames(_config(plan, ikvel_enabled=ikvel_on), frames, sizes=(256,))
+    # both paths took the SVD of the undecided legs: step one leg at a time,
+    # step_block a stack of them
+    assert (8,) in calls and any(len(shape) == 2 for shape in calls)
+
+
+def _bad_frames(frames, k):
+    """(name, message pattern, frame k made bad in that way) for each way
+    step rejects a frame."""
+    fr, prev = frames[k], frames[k - 1]
+
+    def frame(**kw):
+        args = dict(stamp=fr.stamp, att=fr.att, gyro=fr.gyro, joints=fr.joints,
+                    wheels=fr.wheels)
+        args.update(kw)
+        return SensorFrame(**args)
+
+    wheels = [WheelReading(w.psi, w.dpsi) for w in fr.wheels]
+    wheels[1].dpsi = np.inf
+    return [("legs", "legs, config has", frame(joints=fr.joints[:, :3], wheels=None)),
+            ("stamp", "stamp .* not finite", frame(stamp=np.nan)),
+            ("att", "att .* not finite", frame(att=np.where(np.arange(4) == 2, np.inf, fr.att))),
+            ("gyro", "gyro .* not finite", frame(gyro=np.array([0.0, np.nan, 0.0]))),
+            ("wheel", "wheel .* not finite", frame(wheels=wheels)),
+            ("order", "not after state stamp", frame(stamp=prev.stamp)),
+            ("zero", "zero norm", frame(att=np.zeros(4)))]
+
+
+@pytest.mark.parametrize("k", [0, 7, 40])
+def test_a_bad_frame_in_a_block_raises_after_the_frames_before_it(stream, k):
+    # frame k of the second block is bad: step_block raises step's
+    # ValueError with the state advanced through the frame before it, and the
+    # stream goes on from there as it does with step
+    plan, _, frames = stream("wheel_roll")
+    frames = frames[:160]
+    cfg = _config(plan, ikvel_enabled=True)
+    start = 30
+    for name, pattern, bad in _bad_frames(frames, start + k):
+        want, got = Estimator(cfg), Estimator(cfg)
+        for fr in frames[:start + k]:
+            want.step(fr)
+        with pytest.raises(ValueError, match=pattern) as want_exc:
+            want.step(bad)
+        list(got.step_block(frames[:start]))
+        block = frames[start:start + k] + [bad] + frames[start + k + 1:start + 100]
+        yielded = []
+        with pytest.raises(ValueError, match=pattern) as got_exc:
+            for st in got.step_block(block):
+                yielded.append(_state_key(st))
+        assert str(got_exc.value) == str(want_exc.value), name
+        assert len(yielded) == k, name
+        assert _estimator_key(got) == _estimator_key(want), name
+        rest = frames[start + k + 1:]
+        assert ([_state_key(st) for st in got.step_block(rest)]
+                == [_state_key(want.step(fr)) for fr in rest]), name
+        assert _estimator_key(got) == _estimator_key(want), name

@@ -12,12 +12,13 @@ counts keep the whole file to a few seconds.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from legodom import EstimatorConfig, GaitPlan, generate_gait, kernels
+from legodom import EstimatorConfig, GaitPlan, generate_gait, kernels, preset_plan
 from legodom.cli import main
 from legodom.config import _KEYS, parse_config_text
 from legodom.logio import frame_to_dict, write_frames
@@ -172,6 +173,26 @@ def test_angles_whose_pair_sum_overflows_gate_the_leg_out(work, q):
        leg=st.integers(0, 3), filter_on=st.booleans())
 def test_angle_pairs_near_the_largest_double_replay(work, q0, q1, q2, leg, filter_on):
     assert _replay_with_angles(work, leg, [q0, q1, q2], filter_on) == 0
+
+
+@pytest.mark.parametrize("psi", [(1.7e308, -1.7e308), (-1.7e308, 1.7e308),
+                                 (1.7e308, 1.0), (1e308, -1e308)])
+def test_wheel_angles_whose_difference_overflows_replay_to_finite_states(tmp_path, psi):
+    # leg 0's encoder at 1.7e308 and then -1.7e308 made the rolling increment
+    # -inf, whose wrapped angle is NaN: the replay exited 0 with every state
+    # from the second reading on NaN
+    plan = preset_plan("wheel_roll")
+    plan.duration = 0.4
+    lines = [json.dumps(frame_to_dict(fr)) for fr in generate_gait(plan).frames]
+    for k, value in zip((40, 41), psi):
+        lines[k] = json.dumps(_mutate(json.loads(lines[k]), ("legs", 0, "wheel", "psi"), value))
+    log, config, out = tmp_path / "wheel.jsonl", tmp_path / "wheel.txt", tmp_path / "wheel.csv"
+    log.write_text("\n".join(lines) + "\n")
+    config.write_text("geom.wheel_radius = 0.05\ninit.position = 0 0 0.3\n")
+    assert main(["replay", "--log", str(log), "--config", str(config), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(lines)
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 # --- config files -------------------------------------------------------------

@@ -255,13 +255,27 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
     # singular poses mixed into batches of healthy legs: r is leg_kinematics'
     # to the bit, v and f are the frozen float sequence's on its Jacobian (so
     # that J is too), ok is the SVD reference's, and on branch-valid poses v
-    # and f are within 1e-12 of numpy's matmul and LAPACK's solve
+    # and f are within 1e-12 of numpy's matmul and LAPACK's solve. The column
+    # form, on the stack of every batch at one gate, gives each batch's r, v,
+    # f and ok to the bit, also for batches with a NaN, an infinity or an
+    # overflowing q1 + q2 in one leg; a platform whose numpy trig rounds
+    # otherwise than its math trig fails here
     rng = np.random.default_rng(11)
     args = [g.kernel_args() for g in BATCH_GEOMS]
     coef = leg_coefficients(BATCH_GEOMS)
     singular = [np.zeros(3), np.array([0.0, -np.pi / 4, -np.pi / 2])]
+    batches = {1e-6: [], 0.02: []}
     accepted = rejected = 0
-    for k in range(600):
+    for k in range(660):
+        if k >= 600:
+            # a non-finite value in one channel of one leg
+            q, dq, tau = _healthy_batch(rng)
+            rows = (q, dq, tau)[k % 3]
+            rows[k % 4, k % 3] = (np.nan, np.inf, -np.inf, 1e308)[k % 4]
+            if k % 4 == 3:
+                rows[k % 4] = [0.0, 1e308, 1e308]
+            batches[1e-6].append((q, dq, tau, *_leg_rows(q, dq, tau)))
+            continue
         if k % 2:
             q = rng.uniform(-np.pi, np.pi, (4, 3))
         else:
@@ -272,6 +286,7 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
         tau = rng.normal(scale=10.0, size=(4, 3))
         sigma_min = 0.02 if k % 5 == 0 else 1e-6
         r, v, f, ok = _leg_rows(q, dq, tau, sigma_min)
+        batches[sigma_min].append((q, dq, tau, r, v, f, ok))
         r_kin, J, v_kin = kernels.leg_kinematics(q, dq, coef)
         assert np.array_equal(r, r_kin)
         for i, a in enumerate(args):
@@ -288,6 +303,13 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
             accepted += ok_lapack
             rejected += not ok_lapack
     assert accepted >= 1000 and rejected >= 200
+    for sigma_min, stack in batches.items():
+        q, dq, tau, *want = (np.array(c) for c in zip(*stack))
+        got = kernels.leg_columns(q, dq, tau, coef, sigma_min)
+        for name, col, rows in zip("rvf", got, want):
+            assert col.dtype == float and col.tobytes() == rows.tobytes(), (sigma_min, name)
+        assert got[3].dtype == bool and np.array_equal(got[3], want[3]), sigma_min
+        assert got[3].any() and not got[3].all()
 
 
 def test_leg_frame_gates_out_non_finite_legs():
