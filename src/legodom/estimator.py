@@ -16,9 +16,11 @@ A replay steps its log in blocks through `step_block`, which computes the
 stages that read no state for the whole block at once, on the block's
 columns: the attitude and its rotation rows (`geometry.quat_to_rpy_columns`
 and `rpy_rows` on numpy's trig), the leg kinematics with the wrench gate
-(`kernels.leg_columns`) and the contact flags. It then advances the state
-frame by frame through the same touchdown, observation, fusion and yaw code
-as `step`, with only the values those read taken to lists. Both forms give
+(`kernels.leg_columns`) and the contact flags. It then hands each frame to
+`step` with those terms, which advances the state through the same
+touchdown, observation, fusion and yaw code as a step on floats, with only
+the values those read taken to lists; a wrapper of `step` still sees one
+call per frame. Both forms give
 the same bits: each term is formed by the same elementwise products and sums
 in the same order, numpy's cos and sin round as math's do and its arctan2
 and arcsin alike on floats and columns (the tests check both on the platform
@@ -42,6 +44,10 @@ import numpy as np
 from . import contact, height, kernels, wheel, yawkin
 from .config import EstimatorConfig
 from .contact import FootfallRecord
+# contact's gate rule, bound at import for the columns of step_block: the
+# replay benchmark wraps the module's attribute and reads each result as one
+# leg's flag, so only the per-leg calls of _gate go through it
+from .contact import gate_contact as _gate_columns
 from .geometry import (JointReading, _quat_rpy, blend3, mean3, quat_to_rpy_columns,
                        rpy_rows, wrap_angle)
 from .ikvel import CkfNoise, LegVelocityFilter
@@ -107,13 +113,23 @@ class SensorFrame:
         return [JointReading(*leg) for leg in self.joints.swapaxes(0, 1)]
 
 
-def _non_finite_wheel(wheels):
-    """The first of a frame's wheel readings whose angle or rate is not
-    finite, or None."""
-    for wr in wheels:
-        if wr is not None and not (math.isfinite(wr.psi) and math.isfinite(wr.dpsi)):
-            return wr
-    return None
+def _check_frame(frame, n, last):
+    """Raise step's ValueError for a frame whose leg count is not n, whose
+    stamp is not finite or not after `last` (None before the first step), or
+    one of whose wheel readings is not finite. The att and gyro checks stay
+    with the caller: step tests them on floats, step_block on columns."""
+    legs = frame.joints.shape[1]
+    if legs != n:
+        raise ValueError("frame has %d legs, config has %d" % (legs, n))
+    t = frame.stamp
+    if not math.isfinite(t):
+        raise ValueError("frame stamp %r is not finite" % t)
+    if last is not None and t <= last:
+        raise ValueError("frame stamp %r not after state stamp %r" % (t, last))
+    if frame.wheels:
+        for wr in frame.wheels:
+            if wr is not None and not (math.isfinite(wr.psi) and math.isfinite(wr.dpsi)):
+                raise ValueError("frame wheel reading %r is not finite" % (wr,))
 
 
 def frame_columns(frames):
@@ -173,14 +189,13 @@ class Estimator:
         return BodyState(np.array(self._position), np.array(self._rpy),
                          np.array(self._velocity), self._stamp)
 
-    def step(self, frame: SensorFrame) -> BodyState:
-        cfg = self.config
-        n = len(cfg.legs)
-        if frame.joints.shape[1] != n:
-            raise ValueError("frame has %d legs, config has %d" % (frame.joints.shape[1], n))
-        t = frame.stamp
-        if not math.isfinite(t):
-            raise ValueError("frame stamp %r is not finite" % t)
+    def step(self, frame: SensorFrame, _block=None) -> BodyState:
+        # each frame of step_block comes here too, with its block's terms, so
+        # that a wrapper of step (a profiler, the replay benchmark's tracer)
+        # sees one call per frame however the frames are stepped
+        if _block is not None:
+            return self._block_frame(frame, *_block)
+        _check_frame(frame, len(self.config.legs), self._stamp)
         att = frame.att.tolist()
         gyro = frame.gyro.tolist()
         # one sum tests all seven values, channel by channel only if it is
@@ -189,14 +204,8 @@ class Estimator:
             for name, values in (("att", att), ("gyro", gyro)):
                 if not all(map(math.isfinite, values)):
                     raise ValueError("frame %s %r is not finite" % (name, values))
-        if frame.wheels:
-            wr = _non_finite_wheel(frame.wheels)
-            if wr is not None:
-                raise ValueError("frame wheel reading %r is not finite" % (wr,))
-        stamp = self._stamp
-        if stamp is not None and t <= stamp:
-            raise ValueError("frame stamp %r not after state stamp %r" % (t, stamp))
 
+        t = frame.stamp
         roll, pitch, yaw, rot = self._attitude(att)
         q_rows, dq_rows, feet, foot_vel, forces, ok = self._leg_frame(frame, t)
         contacts, touchdowns = self._gate(rot, forces, ok)
@@ -210,28 +219,28 @@ class Estimator:
 
         The terms that depend on a frame alone are computed for the whole list
         at once, on columns: the attitude and its rotation rows, the leg
-        kinematics with the wrench gate, and the contact flags. The state then
-        advances frame by frame through the stages step runs after them. The
-        estimator, every yielded state and record, the filter's status counts
-        and any ValueError are those of `for fr in frames: step(fr)`: a frame
-        that step would reject goes to step itself, after every frame before it
-        has advanced. The flags are computed against the contacts held when
-        the generator starts, so the estimator takes no other step until the
-        generator is exhausted.
+        kinematics with the wrench gate, and the contact flags. Each frame
+        then goes through `step` with those terms, which advances the state
+        through the stages step runs after them. The estimator, every yielded
+        state and record, the filter's status counts and any ValueError are
+        those of `for fr in frames: step(fr)`: a frame that step would reject
+        goes to step itself, after every frame before it has advanced. The
+        flags are computed against the state held when the generator starts,
+        so a step taken between two yields, which moves the stamp, makes the
+        next resumption raise RuntimeError.
         """
         n = len(self.config.legs)
-        # the checks of step, up to the first frame that fails one: frame by
-        # frame on its stamp, legs and wheels, on columns for att and gyro
+        # step's checks, up to the first frame that fails one: frame by frame
+        # on its legs, stamp and wheels, on columns for att and gyro
         end = len(frames)
         last = self._stamp
         for k, fr in enumerate(frames):
-            t = fr.stamp
-            if (fr.joints.shape[1] != n or not math.isfinite(t)
-                    or last is not None and t <= last
-                    or fr.wheels and _non_finite_wheel(fr.wheels) is not None):
+            try:
+                _check_frame(fr, n, last)
+            except ValueError:
                 end = k
                 break
-            last = t
+            last = fr.stamp
         if end:
             _, att, gyro, joints = frame_columns(frames[:end])
             clean = (np.isfinite(att).all(axis=1) & att.any(axis=1)
@@ -260,36 +269,46 @@ class Estimator:
             # _gate's flags, elementwise; the row of the rotation it reads
             # does not depend on yaw
             r20, r21, r22 = (c[:, None] for c in rot[2])
-            contacts = ok & (r20 * f[..., 0] + r21 * f[..., 1] + r22 * f[..., 2]
-                             <= cfg.force_threshold)
+            contacts = ok & _gate_columns(r20 * f[..., 0] + r21 * f[..., 1] + r22 * f[..., 2],
+                                          cfg.force_threshold)
             feet = r + self._hip_mount_columns
         touchdowns = contacts & ~np.concatenate(([self.prev_contact], contacts[:-1]))
 
-        # the values the advance reads, each taken to Python lists once
-        roll, pitch, gyro = roll.tolist(), pitch.tolist(), gyro.tolist()
-        feet, contacts, touchdowns = feet.tolist(), contacts.tolist(), touchdowns.tolist()
-        imu_yaw = cfg.imu_yaw_enabled
-        if imu_yaw:
-            yaw = yaw.tolist()
-            rot = np.stack([c for row in rot for c in row], axis=1).reshape(-1, 3, 3).tolist()
-        ikvel_on = cfg.ikvel_enabled
-        if not ikvel_on:
-            foot_vel = v.tolist()
+        # the values the advance reads, each taken to Python lists once; yaw
+        # and the rotation rows only when the IMU yaw is used, the foot
+        # velocities only when the filter does not replace them
+        yaw_rot = None
+        if cfg.imu_yaw_enabled:
+            yaw_rot = (yaw.tolist(), np.stack([c for row in rot for c in row], axis=1)
+                       .reshape(-1, 3, 3).tolist())
+        terms = (roll.tolist(), pitch.tolist(), yaw_rot, gyro.tolist(), feet.tolist(),
+                 None if cfg.ikvel_enabled else v.tolist(), joints, r,
+                 contacts.tolist(), touchdowns.tolist())
+        last = self._stamp
         for k, fr in enumerate(frames):
-            t = fr.stamp
-            wheels = fr.wheels
-            q_rows = dq_rows = None
-            if wheels:
-                q_rows, dq_rows, _ = fr.joints.tolist()
-            if imu_yaw:
-                yaw_k, rot_k = yaw[k], rot[k]
-            else:
-                yaw_k = self._rpy[2]
-                rot_k = rpy_rows(roll[k], pitch[k], yaw_k)
-            vel_k = (self.ikvel.update(t, joints[k, 0], joints[k, 1], r[k]).tolist()
-                     if ikvel_on else foot_vel[k])
-            yield self._advance(t, wheels, q_rows, dq_rows, roll[k], pitch[k], yaw_k, rot_k,
-                                gyro[k], feet[k], vel_k, contacts[k], touchdowns[k])
+            if self._stamp != last:
+                raise RuntimeError("the estimator stepped to %r between two frames of a "
+                                   "step_block" % (self._stamp,))
+            yield self.step(fr, (k, terms))
+            last = fr.stamp
+
+    def _block_frame(self, frame, k, terms):
+        """step on frame k of a step_block, given the block's terms."""
+        roll, pitch, yaw_rot, gyro, feet, foot_vel, joints, r, contacts, touchdowns = terms
+        t = frame.stamp
+        wheels = frame.wheels
+        q_rows = dq_rows = None
+        if wheels:
+            q_rows, dq_rows, _ = frame.joints.tolist()
+        if yaw_rot is not None:
+            yaw, rot = yaw_rot[0][k], yaw_rot[1][k]
+        else:
+            yaw = self._rpy[2]
+            rot = rpy_rows(roll[k], pitch[k], yaw)
+        vel = (self.ikvel.update(t, joints[k, 0], joints[k, 1], r[k]).tolist()
+               if foot_vel is None else foot_vel[k])
+        return self._advance(t, wheels, q_rows, dq_rows, roll[k], pitch[k], yaw, rot,
+                             gyro[k], feet[k], vel, contacts[k], touchdowns[k])
 
     def _advance(self, t, wheels, q_rows, dq_rows, roll, pitch, yaw, rot, gyro, feet,
                  foot_vel, contacts, touchdowns):

@@ -684,3 +684,36 @@ def test_a_bad_frame_in_a_block_raises_after_the_frames_before_it(stream, k):
         assert ([_state_key(st) for st in got.step_block(rest)]
                 == [_state_key(want.step(fr)) for fr in rest]), name
         assert _estimator_key(got) == _estimator_key(want), name
+
+
+def test_step_block_calls_step_once_per_frame(stream, monkeypatch):
+    # a wrapper of step sees every frame of a block, each inside its own
+    # call, whichever way the frames are stepped
+    plan, _, frames = stream("wheel_roll")
+    frames = frames[:300]
+    step = Estimator.step
+    seen = []
+
+    def spy(self, frame, *block):
+        seen.append(frame)
+        return step(self, frame, *block)
+
+    monkeypatch.setattr(Estimator, "step", spy)
+    est = Estimator(_config(plan))
+    for i in range(0, len(frames), 256):
+        list(est.step_block(frames[i:i + 256]))
+    assert [id(fr) for fr in seen] == [id(fr) for fr in frames]
+
+
+def test_a_step_between_two_frames_of_a_block_raises():
+    # the block's touchdowns and stamp checks were computed against the state
+    # at its first frame; a step taken in between would make them stale
+    plan = preset_plan("walk_line")
+    plan.duration = 0.2
+    frames = generate_gait(plan).frames
+    est = Estimator(_config(plan))
+    block = est.step_block(frames[:10])
+    next(block)
+    est.step(frames[10])
+    with pytest.raises(RuntimeError, match="between two frames of a step_block"):
+        next(block)
