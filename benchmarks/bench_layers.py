@@ -19,10 +19,11 @@ the 0.1 m stair step and back, with noisy touchdown heights and a drifting
 IMU yaw) with its stage methods and `step` wrapped with timers, and reads
 what each step spent in each stage: attitude (`_attitude`), the leg kernel
 (`_leg_frame`: one `tolist()` of the frame's joint array, `kernels.leg_rows`
-on those rows and adding the hip mounts), the contact gate (`_gate`),
-touchdowns and observations (`_observe`: wheel propagation, the plane store
-and the anchored observations), fusion (`_fuse`) and yaw (`_yaw`); `other`
-is the rest of the step: the input checks, the prediction, building the
+on those rows and adding the hip mounts), the contact flags (`_gate`),
+touchdowns and observations (`_observe`: each leg's swing-to-stance test,
+wheel propagation, the plane store and the anchored observations), fusion
+(`_fuse`) and yaw (`_yaw`); `other` is the rest of the step: the input
+checks, the held yaw when the IMU yaw is off, the prediction, building the
 BodyState and the stage timers' own cost. `us_per_frame` gives the stages of
 the timed pass whose step was fastest and `timed_step`, their sum. A second
 pass runs with no timers, and its figure is `step`. The step builds no

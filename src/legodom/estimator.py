@@ -17,10 +17,11 @@ stages that read no state for the whole block at once, on the block's
 columns: the attitude and its rotation rows (`geometry.quat_to_rpy_columns`
 and `rpy_rows` on numpy's trig), the leg kinematics with the wrench gate
 (`kernels.leg_columns`) and the contact flags. It then hands each frame to
-`step` with those terms, which advances the state through the same
-touchdown, observation, fusion and yaw code as a step on floats, with only
-the values those read taken to lists; a wrapper of `step` still sees one
-call per frame. Both forms give
+`step` with its terms in place of the float intake, and step advances the
+state as it does on floats: the one held-yaw rule, the velocity filter, the
+touchdowns against the previous frame's flags, the observations, fusion
+and yaw. Only the block's stamp checks are made against the state held when
+it starts; a wrapper of `step` still sees one call per frame. Both forms give
 the same bits: each term is formed by the same elementwise products and sums
 in the same order, numpy's cos and sin round as math's do and its arctan2
 and arcsin alike on floats and columns (the tests check both on the platform
@@ -190,27 +191,55 @@ class Estimator:
                          np.array(self._velocity), self._stamp)
 
     def step(self, frame: SensorFrame, _block=None) -> BodyState:
-        # each frame of step_block comes here too, with its block's terms, so
-        # that a wrapper of step (a profiler, the replay benchmark's tracer)
-        # sees one call per frame however the frames are stepped
-        if _block is not None:
-            return self._block_frame(frame, *_block)
-        _check_frame(frame, len(self.config.legs), self._stamp)
-        att = frame.att.tolist()
-        gyro = frame.gyro.tolist()
-        # one sum tests all seven values, channel by channel only if it is
-        # not finite
-        if not math.isfinite(sum(att) + sum(gyro)):
-            for name, values in (("att", att), ("gyro", gyro)):
-                if not all(map(math.isfinite, values)):
-                    raise ValueError("frame %s %r is not finite" % (name, values))
-
+        # each frame of step_block comes here too, with its terms from the
+        # block's columns in place of the intake, so that a wrapper of step (a
+        # profiler, the replay benchmark's tracer) sees one call per frame
+        # however the frames are stepped, and both advance the state below
+        cfg = self.config
         t = frame.stamp
-        roll, pitch, yaw, rot = self._attitude(att)
-        q_rows, dq_rows, feet, foot_vel, forces, ok = self._leg_frame(frame, t)
-        contacts, touchdowns = self._gate(rot, forces, ok)
-        return self._advance(t, frame.wheels, q_rows, dq_rows, roll, pitch, yaw, rot, gyro,
-                             feet, foot_vel, contacts, touchdowns)
+        wheels = frame.wheels
+        if _block is None:
+            _check_frame(frame, len(cfg.legs), self._stamp)
+            att = frame.att.tolist()
+            gyro = frame.gyro.tolist()
+            # one sum tests all seven values, channel by channel only if it is
+            # not finite
+            if not math.isfinite(sum(att) + sum(gyro)):
+                for name, values in (("att", att), ("gyro", gyro)):
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError("frame %s %r is not finite" % (name, values))
+            roll, pitch, yaw, rot = self._attitude(att)
+            q_rows, dq_rows, feet, foot_vel, forces, ok = self._leg_frame(frame, t)
+            contacts = self._gate(rot, forces, ok)
+        else:
+            roll, pitch, yaw, rot, gyro, feet, foot_vel, contacts = _block
+            q_rows = dq_rows = None
+            if wheels:
+                q_rows, dq_rows, _ = frame.joints.tolist()
+            if cfg.ikvel_enabled:
+                # the block hands the filter's input, the hip-to-foot positions
+                foot_vel = self.ikvel.update(t, frame.joints[0], frame.joints[1],
+                                             foot_vel).tolist()
+        if not cfg.imu_yaw_enabled:
+            # the IMU yaw channel is not trusted: yaw is held from the state
+            yaw = self._rpy[2]
+            rot = rpy_rows(roll, pitch, yaw)
+
+        stamp = self._stamp
+        dt = 0.0 if stamp is None else t - stamp
+        pos = self._position
+        vel = self._velocity
+        pos_pred = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt, pos[2] + vel[2] * dt)
+        stance, touchdowns, per_pos, per_vel = self._observe(
+            wheels, q_rows, dq_rows, t, rot, pitch, gyro, feet, foot_vel, contacts, pos_pred)
+        position, velocity = self._fuse(pos_pred, vel, per_pos, per_vel)
+        yaw, yaw_kin, yaw_err = self._yaw(t, roll, pitch, yaw, stance, feet)
+
+        self._position, self._rpy, self._velocity = position, (roll, pitch, yaw), velocity
+        self._stamp = t
+        self.prev_contact = contacts
+        self._last = (t, stance, touchdowns, yaw_kin, yaw_err)
+        return self.state
 
     def step_block(self, frames):
         """Step a list of frames in order, yielding each frame's BodyState once
@@ -220,23 +249,23 @@ class Estimator:
         The terms that depend on a frame alone are computed for the whole list
         at once, on columns: the attitude and its rotation rows, the leg
         kinematics with the wrench gate, and the contact flags. Each frame
-        then goes through `step` with those terms, which advances the state
-        through the stages step runs after them. The estimator, every yielded
+        then goes through `step` with its terms, which advances the state as
+        it does a frame it takes on floats. The estimator, every yielded
         state and record, the filter's status counts and any ValueError are
         those of `for fr in frames: step(fr)`: a frame that step would reject
         goes to step itself, after every frame before it has advanced. The
-        flags are computed against the state held when the generator starts,
-        so a step taken between two yields, which moves the stamp, makes the
-        next resumption raise RuntimeError.
+        stamp checks are made against the stamp held when the generator
+        starts, so a step taken between two yields, which moves the stamp,
+        makes the next resumption raise RuntimeError.
         """
-        n = len(self.config.legs)
+        cfg = self.config
         # step's checks, up to the first frame that fails one: frame by frame
         # on its legs, stamp and wheels, on columns for att and gyro
         end = len(frames)
         last = self._stamp
         for k, fr in enumerate(frames):
             try:
-                _check_frame(fr, n, last)
+                _check_frame(fr, len(cfg.legs), last)
             except ValueError:
                 end = k
                 break
@@ -247,90 +276,37 @@ class Estimator:
                      & np.isfinite(gyro).all(axis=1))
             if not clean.all():
                 end = int(np.argmin(clean))
-            if end:
-                yield from self._advance_block(frames[:end], att[:end], gyro[:end],
-                                               joints[:end])
+                att, gyro, joints = att[:end], gyro[:end], joints[:end]
+        if end:
+            # an overflow here is the infinity step's float arithmetic gives
+            # without a word
+            with np.errstate(all="ignore"):
+                roll, pitch, yaw = quat_to_rpy_columns(att)
+                rot = rpy_rows(roll, pitch, yaw, np.cos, np.sin)
+                r, v, f, ok = kernels.leg_columns(joints[:, 0], joints[:, 1], joints[:, 2],
+                                                  self._leg_coef_columns, kernels.SIGMA_MIN)
+                # _gate's flags, elementwise
+                r20, r21, r22 = (c[:, None] for c in rot[2])
+                contacts = ok & _gate_columns(r20 * f[..., 0] + r21 * f[..., 1] + r22 * f[..., 2],
+                                              cfg.force_threshold)
+                feet = r + self._hip_mount_columns
+            # each frame's terms, taken to Python lists once; with the filter
+            # on, step replaces the foot velocities from the rows of r
+            rot = np.stack([c for row in rot for c in row], axis=1).reshape(-1, 3, 3)
+            terms = zip(roll.tolist(), pitch.tolist(), yaw.tolist(), rot.tolist(),
+                        gyro.tolist(), feet.tolist(), r if cfg.ikvel_enabled else v.tolist(),
+                        contacts.tolist())
+            last = self._stamp
+            for fr, frame_terms in zip(frames, terms):
+                if self._stamp != last:
+                    raise RuntimeError("the estimator stepped to %r between two frames of a "
+                                       "step_block" % (self._stamp,))
+                yield self.step(fr, frame_terms)
+                last = fr.stamp
         if end < len(frames):
             # step raises the frame's ValueError
             yield self.step(frames[end])
             yield from self.step_block(frames[end + 1:])
-
-    def _advance_block(self, frames, att, gyro, joints):
-        """step_block on frames that step would accept, given their att, gyro
-        and joints columns."""
-        cfg = self.config
-        # an overflow here is the infinity step's float arithmetic gives
-        # without a word
-        with np.errstate(all="ignore"):
-            roll, pitch, yaw = quat_to_rpy_columns(att)
-            rot = rpy_rows(roll, pitch, yaw, np.cos, np.sin)
-            r, v, f, ok = kernels.leg_columns(joints[:, 0], joints[:, 1], joints[:, 2],
-                                              self._leg_coef_columns, kernels.SIGMA_MIN)
-            # _gate's flags, elementwise; the row of the rotation it reads
-            # does not depend on yaw
-            r20, r21, r22 = (c[:, None] for c in rot[2])
-            contacts = ok & _gate_columns(r20 * f[..., 0] + r21 * f[..., 1] + r22 * f[..., 2],
-                                          cfg.force_threshold)
-            feet = r + self._hip_mount_columns
-        touchdowns = contacts & ~np.concatenate(([self.prev_contact], contacts[:-1]))
-
-        # the values the advance reads, each taken to Python lists once; yaw
-        # and the rotation rows only when the IMU yaw is used, the foot
-        # velocities only when the filter does not replace them
-        yaw_rot = None
-        if cfg.imu_yaw_enabled:
-            yaw_rot = (yaw.tolist(), np.stack([c for row in rot for c in row], axis=1)
-                       .reshape(-1, 3, 3).tolist())
-        terms = (roll.tolist(), pitch.tolist(), yaw_rot, gyro.tolist(), feet.tolist(),
-                 None if cfg.ikvel_enabled else v.tolist(), joints, r,
-                 contacts.tolist(), touchdowns.tolist())
-        last = self._stamp
-        for k, fr in enumerate(frames):
-            if self._stamp != last:
-                raise RuntimeError("the estimator stepped to %r between two frames of a "
-                                   "step_block" % (self._stamp,))
-            yield self.step(fr, (k, terms))
-            last = fr.stamp
-
-    def _block_frame(self, frame, k, terms):
-        """step on frame k of a step_block, given the block's terms."""
-        roll, pitch, yaw_rot, gyro, feet, foot_vel, joints, r, contacts, touchdowns = terms
-        t = frame.stamp
-        wheels = frame.wheels
-        q_rows = dq_rows = None
-        if wheels:
-            q_rows, dq_rows, _ = frame.joints.tolist()
-        if yaw_rot is not None:
-            yaw, rot = yaw_rot[0][k], yaw_rot[1][k]
-        else:
-            yaw = self._rpy[2]
-            rot = rpy_rows(roll[k], pitch[k], yaw)
-        vel = (self.ikvel.update(t, joints[k, 0], joints[k, 1], r[k]).tolist()
-               if foot_vel is None else foot_vel[k])
-        return self._advance(t, wheels, q_rows, dq_rows, roll[k], pitch[k], yaw, rot,
-                             gyro[k], feet[k], vel, contacts[k], touchdowns[k])
-
-    def _advance(self, t, wheels, q_rows, dq_rows, roll, pitch, yaw, rot, gyro, feet,
-                 foot_vel, contacts, touchdowns):
-        """The stages after the contact gate, on a frame's terms: the
-        prediction, touchdowns and observations, fusion and yaw; moves the
-        state to the frame and returns it."""
-        stamp = self._stamp
-        dt = 0.0 if stamp is None else t - stamp
-        pos = self._position
-        vel = self._velocity
-        pos_pred = (pos[0] + vel[0] * dt, pos[1] + vel[1] * dt, pos[2] + vel[2] * dt)
-        stance, per_pos, per_vel = self._observe(
-            wheels, q_rows, dq_rows, t, rot, pitch, gyro, feet, foot_vel,
-            contacts, touchdowns, pos_pred)
-        position, velocity = self._fuse(pos_pred, vel, per_pos, per_vel)
-        yaw, yaw_kin, yaw_err = self._yaw(t, roll, pitch, yaw, stance, feet)
-
-        self._position, self._rpy, self._velocity = position, (roll, pitch, yaw), velocity
-        self._stamp = t
-        self.prev_contact = contacts
-        self._last = (t, stance, touchdowns, yaw_kin, yaw_err)
-        return self.state
 
     # The stages of step, in order. Each takes and returns Python floats,
     # lists and tuples; numpy runs only in the attitude's arctan2 and arcsin,
@@ -339,12 +315,9 @@ class Estimator:
 
     def _attitude(self, att):
         """(roll, pitch, yaw, rotation rows) of the frame's attitude
-        quaternion, given as a list of floats: roll and pitch always from the
-        IMU; yaw only when the IMU yaw channel is trusted, otherwise held
-        from the state."""
+        quaternion, given as a list of floats; step holds the yaw from the
+        state when the IMU yaw channel is not trusted."""
         roll, pitch, yaw = _quat_rpy(*att)
-        if not self.config.imu_yaw_enabled:
-            yaw = self._rpy[2]
         return roll, pitch, yaw, rpy_rows(roll, pitch, yaw)
 
     def _leg_frame(self, frame, t):
@@ -363,30 +336,31 @@ class Estimator:
         return q_rows, dq_rows, feet, v_b, f_b, ok
 
     def _gate(self, rot, forces, ok):
-        """Per-leg stance flags from the vertical world-frame force, and the
-        swing-to-stance transitions against the previous frame."""
+        """Per-leg stance flags from the vertical world-frame force; the row
+        of the rotation this reads does not depend on yaw."""
         thr = self.config.force_threshold
         r20, r21, r22 = rot[2]
+        # a loop: a comprehension would read r20, r21, r22 and thr through
+        # closure cells, which is slower on CPython 3.11
         contacts = []
-        touchdowns = []
-        for f, leg_ok, prev in zip(forces, ok, self.prev_contact):
-            in_contact = leg_ok and contact.gate_contact(
-                r20 * f[0] + r21 * f[1] + r22 * f[2], thr)
-            contacts.append(in_contact)
-            touchdowns.append(contact.detect_touchdown(prev, in_contact))
-        return contacts, touchdowns
+        for f, leg_ok in zip(forces, ok):
+            contacts.append(leg_ok and contact.gate_contact(
+                r20 * f[0] + r21 * f[1] + r22 * f[2], thr))
+        return contacts
 
     def _observe(self, wheels, q_rows, dq_rows, t, rot, pitch, gyro, feet,
-                 foot_vel, contacts, touchdowns, pos_pred):
-        """Wheel propagation, touchdowns through the plane store, and the
-        anchored observations; the wheel stage reads the rows of the joint
-        angles and rates that _leg_frame took, and runs only on a frame with
-        wheel readings, the touchdown stage only on a frame with a
-        touchdown. Returns the stance legs and their position and velocity
+                 foot_vel, contacts, pos_pred):
+        """The swing-to-stance transitions against the previous frame, wheel
+        propagation, touchdowns through the plane store, and the anchored
+        observations; the wheel stage reads the rows of the joint angles and
+        rates, and runs only on a frame with wheel readings, the touchdown
+        stage only on a frame with a touchdown. Returns the stance legs, the
+        per-leg touchdown flags, and the stance legs' position and velocity
         observations, in leg order."""
         cfg = self.config
         records = self.records
         n = len(contacts)
+        touchdowns = list(map(contact.detect_touchdown, self.prev_contact, contacts))
         touchdown = True in touchdowns
         heading = None
         if wheels:
@@ -455,7 +429,7 @@ class Estimator:
             p, v = obs[i] if i in obs else leg_obs(i)
             per_pos.append(p)
             per_vel.append(v)
-        return stance, per_pos, per_vel
+        return stance, touchdowns, per_pos, per_vel
 
     def _fuse(self, pos_pred, vel, per_pos, per_vel):
         """Fused translational observation, complementary blend; the

@@ -70,11 +70,14 @@ def rolling_velocity(dpsi, dq2, dq3, wheel_radius, heading):
     """Planar velocity of the wheel contact point from the effective roll rate.
 
     Uses only the joint-induced shank pitch rate (dq2 + dq3); the body pitch
-    rate is deliberately excluded.
+    rate is deliberately excluded. Where the rolling speed overflows, the
+    leg gets no rolling term for that frame, as with no heading.
     """
     if heading is None or wheel_radius == 0.0:
         return (0.0, 0.0, 0.0)
     s = wheel_radius * (dpsi - dq2 - dq3)
+    if not math.isfinite(s):
+        return (0.0, 0.0, 0.0)
     return (s * heading[0], s * heading[1], s * heading[2])
 
 

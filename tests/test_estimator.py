@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from legodom import (Estimator, EstimatorConfig, SensorFrame, WheelReading,
+from legodom import (Estimator, EstimatorConfig, SensorFrame, WheelReading, contact,
                      create, degrade, diagnostics, generate_gait, height, ikvel, kernels,
                      parse_config_text, preset_plan, quat_to_rpy, rpy_to_quat, step,
                      wrap_angle)
@@ -574,6 +574,18 @@ def test_step_block_with_the_filter_or_the_imu_yaw_off_steps_as_step_does(
     plan, _, frames = stream(preset)
     cfg = _config(plan, ikvel_enabled=ikvel_on, imu_yaw_enabled=imu_yaw)
     _assert_blocks_step_as_frames(cfg, frames[:400], sizes=(2, 256))
+    if not imu_yaw and preset != "wheel_roll":
+        # a block that starts on the first touchdown after frame 0 takes its
+        # touchdowns and its held yaw from the state the block before left
+        # (wheel_roll's legs touch down only on frame 0)
+        est = Estimator(cfg)
+        est.step(frames[0])
+        for k in range(1, len(frames)):
+            est.step(frames[k])
+            if est.diagnostics()["touchdowns"]:
+                break
+        assert est.diagnostics()["touchdowns"]
+        _assert_blocks_step_as_frames(cfg, frames[:k + 50], sizes=(k,))
 
 
 def test_step_block_on_wheel_frames_with_missing_readings_steps_as_step_does(stream):
@@ -705,9 +717,31 @@ def test_step_block_calls_step_once_per_frame(stream, monkeypatch):
     assert [id(fr) for fr in seen] == [id(fr) for fr in frames]
 
 
+def test_each_path_runs_the_touchdown_rule_once_per_leg_and_frame(stream, monkeypatch):
+    # the rule runs in step's advance on both paths, against the flags of
+    # the frame before, with the same results
+    plan, _, frames = stream("turn_in_place")
+    frames = frames[:600]
+    detect = contact.detect_touchdown
+    results = []
+    monkeypatch.setattr(contact, "detect_touchdown",
+                        lambda prev, on: results.append(detect(prev, on)) or results[-1])
+    est = Estimator(_config(plan))
+    for fr in frames:
+        est.step(fr)
+    want = list(results)
+    assert len(want) == len(plan.legs) * len(frames) and want.count(True) > len(plan.legs)
+    for size in (1, 7, 256):
+        results.clear()
+        est = Estimator(_config(plan))
+        for i in range(0, len(frames), size):
+            list(est.step_block(frames[i:i + size]))
+        assert results == want, size
+
+
 def test_a_step_between_two_frames_of_a_block_raises():
-    # the block's touchdowns and stamp checks were computed against the state
-    # at its first frame; a step taken in between would make them stale
+    # the block's stamp checks were made against the state at its first
+    # frame; a step taken in between would make them stale
     plan = preset_plan("walk_line")
     plan.duration = 0.2
     frames = generate_gait(plan).frames

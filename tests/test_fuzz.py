@@ -195,6 +195,24 @@ def test_wheel_angles_whose_difference_overflows_replay_to_finite_states(tmp_pat
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+def test_a_wheel_rate_whose_rolling_speed_overflows_replays_to_finite_states(tmp_path):
+    # leg 0's dpsi at 1.7e308 against its dq[1] at -1.7e308 made the rolling
+    # speed infinite: the replay exited 0 with 151 of its 251 states NaN, from
+    # that frame on
+    plan = preset_plan("wheel_roll")
+    plan.duration = 1.0
+    lines = [json.dumps(frame_to_dict(fr)) for fr in generate_gait(plan).frames]
+    frame = _mutate(json.loads(lines[100]), ("legs", 0, "wheel", "dpsi"), 1.7e308)
+    lines[100] = json.dumps(_mutate(frame, ("legs", 0, "dq", 1), -1.7e308))
+    log, config, out = tmp_path / "wheel.jsonl", tmp_path / "wheel.txt", tmp_path / "wheel.csv"
+    log.write_text("\n".join(lines) + "\n")
+    config.write_text("geom.wheel_radius = 0.05\ninit.position = 0 0 0.3\n")
+    assert main(["replay", "--log", str(log), "--config", str(config), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(lines) == 251
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 # --- config files -------------------------------------------------------------
 
 CONFIG_KEYS = sorted(_KEYS["config"]) + [
