@@ -51,17 +51,15 @@ other.
 
 `io` writes the `wheel_cli` log (1,001 frames of a slipping wheel roll) as
 `legodom simulate` does and times, one layer at a time, what `legodom
-replay` does with each line: the parse of the line (`line_parse`: the
-checkout's `logio._parse_line` if it has one, `json.loads` otherwise),
-`frame_from_dict`, the step with `diagnostics()` after each frame
-(`step_diagnostics`: the window through the checkout's
-`Estimator.step_block` if it has one, as the replay steps a block, `step`
-one frame at a time otherwise), `trajectory_line` and the diagnostics line
-(`diag_line`: the checkout's `logio.encode_json` if it has one,
-`json.dumps` otherwise, plus the newline). `line_parser`, `step_path` and
-`diag_encoder` name the functions timed. `step_diagnostics_by_frame` times
-`step` with `diagnostics()` one frame at a time on a second estimator, so
-the two step figures show what the block saves; it is left out of `sum`.
+replay` does with each line: the parse of the line (`line_parse`,
+`logio._parse_line`), `frame_from_dict`, the step with `diagnostics()`
+after each frame (`step_diagnostics`: the window through
+`Estimator.step_block`, as the replay steps a block), `trajectory_line` and
+the diagnostics line (`diag_line`, `logio.encode_json` plus the newline).
+`line_parser`, `step_path` and `diag_encoder` name the functions timed.
+`step_diagnostics_by_frame` times `step` with `diagnostics()` one frame at
+a time on a second estimator, so the two step figures show what the block
+saves; it is left out of `sum`.
 Each estimator steps the log in order. A pass runs the layers over one
 window of WINDOW frames, the log's whole windows taken in turn, so only a
 window's dicts, frames and records are alive at a time, as in a replay's
@@ -355,6 +353,7 @@ def medians(at_ref, raw, apart=()):
 
 
 def section_io(legodom, clock):
+    import orjson
     from legodom import logio
 
     frames, cfg = stream(legodom, "wheel_cli")
@@ -364,26 +363,15 @@ def section_io(legodom, clock):
         del frames  # a replay holds only its window's frames alive
         with open(log, encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
-    encode = getattr(logio, "encode_json", json.dumps)
-    if hasattr(logio, "_parse_line"):
-        import orjson
-
-        parse, parser = functools.partial(logio._parse_line, orjson=orjson), "logio._parse_line"
-    else:
-        parse, parser = json.loads, "json.loads"
+    parse, encode = functools.partial(logio._parse_line, orjson=orjson), logio.encode_json
     out = {}
     est = by_frame = None
-    block = hasattr(legodom.Estimator, "step_block")
-
-    def steps(parsed):  # as the replay steps a block
-        if block:
-            return [(st, est.diagnostics()) for st in est.step_block(parsed)]
-        return [(est.step(fr), est.diagnostics()) for fr in parsed]
-
     layers = {  # in replay order: each layer takes the one before's output
         "line_parse": lambda window: list(map(parse, window)),
         "frame_from_dict": lambda _: list(map(logio.frame_from_dict, out["line_parse"])),
-        "step_diagnostics": lambda _: steps(out["frame_from_dict"]),
+        # as the replay steps a block
+        "step_diagnostics": lambda _: [(st, est.diagnostics())
+                                       for st in est.step_block(out["frame_from_dict"])],
         "step_diagnostics_by_frame": lambda _: [(by_frame.step(fr), by_frame.diagnostics())
                                                 for fr in out["frame_from_dict"]],
         "trajectory_line": lambda _: [logio.trajectory_line(st)
@@ -405,9 +393,8 @@ def section_io(legodom, clock):
     result = {"workload": "wheel_cli", "seed": SEED, "frames": len(lines),
               "window": WINDOW,
               "log_bytes_per_frame": round(sum(map(len, lines)) / len(lines), 1),
-              "repeat": REPEAT["io"], "line_parser": parser,
-              "step_path": "Estimator.step_block" if block else "Estimator.step",
-              "diag_encoder": "logio.encode_json" if encode is not json.dumps else "json.dumps",
+              "repeat": REPEAT["io"], "line_parser": "logio._parse_line",
+              "step_path": "Estimator.step_block", "diag_encoder": "logio.encode_json",
               "us_per_frame": us, "raw_best_us_per_frame": best}
     return result, us
 

@@ -20,11 +20,11 @@ and `rpy_rows` on numpy's trig), the leg kinematics with the wrench gate
 `step` with its terms in place of the float intake, and step advances the
 state as it does on floats: the one held-yaw rule, the velocity filter, the
 touchdowns against the previous frame's flags, the observations, fusion
-and yaw. Only the block's stamp checks are made against the state held when
-it starts; a wrapper of `step` still sees one call per frame. Both forms give
-the same bits: each term is formed by the same elementwise products and sums
-in the same order, numpy's cos and sin round as math's do and its arctan2
-and arcsin alike on floats and columns (the tests check both on the platform
+and yaw. step checks each frame against the state it holds on both paths,
+and a wrapper of `step` sees one call per frame. Both forms give the same
+bits: each term is formed by the same elementwise products and sums in the
+same order, numpy's cos and sin round as math's do and its arctan2 and
+arcsin alike on floats and columns (the tests check both on the platform
 they run on), no matrix product stands in for a sum, a quaternion off unit
 norm takes the float form's normalisation, and the legs that need an SVD
 take the same one, stacked.
@@ -39,6 +39,7 @@ other frame each stance leg's observation is computed once, in leg order.
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -118,7 +119,7 @@ def _check_frame(frame, n, last):
     """Raise step's ValueError for a frame whose leg count is not n, whose
     stamp is not finite or not after `last` (None before the first step), or
     one of whose wheel readings is not finite. The att and gyro checks stay
-    with the caller: step tests them on floats, step_block on columns."""
+    with the float intake of step."""
     legs = frame.joints.shape[1]
     if legs != n:
         raise ValueError("frame has %d legs, config has %d" % (legs, n))
@@ -191,15 +192,25 @@ class Estimator:
                          np.array(self._velocity), self._stamp)
 
     def step(self, frame: SensorFrame, _block=None) -> BodyState:
-        # each frame of step_block comes here too, with its terms from the
-        # block's columns in place of the intake, so that a wrapper of step (a
-        # profiler, the replay benchmark's tracer) sees one call per frame
-        # however the frames are stepped, and both advance the state below
+        """Advance the state through one frame and return it as a fresh
+        BodyState.
+
+        Raises ValueError, with the state unchanged, for a frame whose leg
+        count differs from the config's, whose stamp is not finite or not
+        after the state's, one of whose wheel readings is not finite, whose
+        att or gyro is not finite, or whose attitude quaternion is zero.
+
+        `_block` is private to `step_block`: a frame's terms from the
+        block's columns, in place of the float intake. Each frame of a block
+        comes through here, so a wrapper of step (a profiler, the replay
+        benchmark's tracer) sees one call per frame however the frames are
+        stepped, and both paths check the frame and advance the state below.
+        """
         cfg = self.config
         t = frame.stamp
         wheels = frame.wheels
+        _check_frame(frame, len(cfg.legs), self._stamp)
         if _block is None:
-            _check_frame(frame, len(cfg.legs), self._stamp)
             att = frame.att.tolist()
             gyro = frame.gyro.tolist()
             # one sum tests all seven values, channel by channel only if it is
@@ -249,27 +260,20 @@ class Estimator:
         The terms that depend on a frame alone are computed for the whole list
         at once, on columns: the attitude and its rotation rows, the leg
         kinematics with the wrench gate, and the contact flags. Each frame
-        then goes through `step` with its terms, which advances the state as
-        it does a frame it takes on floats. The estimator, every yielded
-        state and record, the filter's status counts and any ValueError are
-        those of `for fr in frames: step(fr)`: a frame that step would reject
-        goes to step itself, after every frame before it has advanced. The
-        stamp checks are made against the stamp held when the generator
-        starts, so a step taken between two yields, which moves the stamp,
-        makes the next resumption raise RuntimeError.
+        then goes through `step` with its terms, which checks it against the
+        held state and advances the state as it does a frame it takes on
+        floats. The estimator, every yielded state and record, the filter's
+        status counts and any ValueError are those of `for fr in frames:
+        step(fr)`, with any step taken between two yields in its place.
         """
         cfg = self.config
-        # step's checks, up to the first frame that fails one: frame by frame
-        # on its legs, stamp and wheels, on columns for att and gyro
-        end = len(frames)
-        last = self._stamp
-        for k, fr in enumerate(frames):
-            try:
-                _check_frame(fr, len(cfg.legs), last)
-            except ValueError:
-                end = k
-                break
-            last = fr.stamp
+        n = len(cfg.legs)
+        # the columns stop at the first frame of other legs, which
+        # frame_columns cannot stack with the rest, and at the first whose
+        # att or gyro quat_to_rpy_columns cannot take; that frame gets no
+        # terms, so step takes it on floats and raises its ValueError
+        end = next((k for k, fr in enumerate(frames) if fr.joints.shape[1] != n), len(frames))
+        terms = ()
         if end:
             _, att, gyro, joints = frame_columns(frames[:end])
             clean = (np.isfinite(att).all(axis=1) & att.any(axis=1)
@@ -296,17 +300,8 @@ class Estimator:
             terms = zip(roll.tolist(), pitch.tolist(), yaw.tolist(), rot.tolist(),
                         gyro.tolist(), feet.tolist(), r if cfg.ikvel_enabled else v.tolist(),
                         contacts.tolist())
-            last = self._stamp
-            for fr, frame_terms in zip(frames, terms):
-                if self._stamp != last:
-                    raise RuntimeError("the estimator stepped to %r between two frames of a "
-                                       "step_block" % (self._stamp,))
-                yield self.step(fr, frame_terms)
-                last = fr.stamp
-        if end < len(frames):
-            # step raises the frame's ValueError
-            yield self.step(frames[end])
-            yield from self.step_block(frames[end + 1:])
+        for fr, frame_terms in zip_longest(frames, terms):
+            yield self.step(fr, frame_terms)
 
     # The stages of step, in order. Each takes and returns Python floats,
     # lists and tuples; numpy runs only in the attitude's arctan2 and arcsin,

@@ -256,8 +256,7 @@ def _solve_legs(legs, stamps, rel, rel_rate, load, stance):
         *angles, viol = kernels.ik_joints_array(*np.moveaxis(target, -1, 0),
                                                 lh, lt, l2, side)
         q[blk] = np.stack(angles, axis=-1)
-        # the foot velocities are not needed; zero rates stand in for them
-        back, J, _ = kernels.leg_kinematics(q[blk], np.zeros_like(target), coef)
+        back, J = kernels.leg_kinematics(q[blk], coef)
         checks = (viol > 1e-9,
                   np.max(np.abs(back - target), axis=-1) > 1e-6,
                   np.abs(np.linalg.det(J)) < 1e-10)
@@ -515,7 +514,7 @@ def _generate_static(plan):
     coef = kernels.leg_coefficients(*_leg_params(plan.legs)[:5])
     tau = np.empty_like(q)
     for blk in _blocks(n_frames):
-        _, J, _ = kernels.leg_kinematics(q[blk], dq[blk], coef)
+        _, J = kernels.leg_kinematics(q[blk], coef)
         tau[blk] = _stance_torques(J, load[blk], contacts[blk])
 
     joints = np.stack((q, dq, tau), axis=1)
@@ -596,7 +595,7 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
             lh, lt, lc, rw, side, l2 = (p[idx] for p in _leg_params(legs))
             q_hit = q[ks, idx]
             coef = kernels.leg_coefficients(lh, lt, lc, rw, side)
-            foot = kernels.leg_kinematics(q_hit, np.zeros_like(q_hit), coef)[0]
+            foot = kernels.leg_kinematics(q_hit, coef)[0]
             *angles, viol = kernels.ik_joints_array(
                 foot[:, 0], foot[:, 1], foot[:, 2] + dz, lh, lt, l2, side)
             ok = ~(viol > 1e-9)

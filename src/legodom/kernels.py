@@ -9,17 +9,16 @@ it once on the rows of a stack of legs with numpy's trig (the gait
 generator's blocks of frames), `leg_rows` once per leg on the Python floats
 of one frame's legs with math's, where a numpy call would cost more than the
 3x3 arithmetic, and `leg_columns` once on the columns of a block of frames
-(a replay's `Estimator.step_block`); the last two add the gate and the
-forces. `leg_rows` and `leg_columns` give the same bits: the expressions
-are elementwise, in one order, numpy's cos and sin round as math's do, and
-the velocity is summed as written, not by `J @ dq`, which `leg_kinematics`
-uses and which is only within 1e-12 of the sum. The inverse side works
-on stacks, elementwise: the gait generator solves every frame and leg of a
-block of frames with `ik_joints_array`, and the cubature filter in `ikvel`
-maps every leg and cubature point of a frame with `ik_measurement_rows`,
-which runs the same angle solve and then the joint rates from the same trig
-terms. Both take the terms that depend on the leg geometry alone from
-`ik_coefficients`, which the filter builds once.
+(a replay's `Estimator.step_block`); the last two add the foot velocity,
+the gate and the forces. `leg_rows` and `leg_columns` give the same bits:
+the expressions are elementwise, in one order, and numpy's cos and sin
+round as math's do. The inverse side works on stacks, elementwise: the
+gait generator solves every frame and leg of a block of frames with
+`ik_joints_array`, and the cubature filter in `ikvel` maps every leg and
+cubature point of a frame with `ik_measurement_rows`, which runs the same
+angle solve and then the joint rates from the same trig terms. Both take
+the terms that depend on the leg geometry alone from `ik_coefficients`,
+which the filter builds once.
 
 `cholesky` and `solve` never raise: each returns its stacked result with a
 per-matrix `ok` mask, so a matrix that fails to factor or solve (its result
@@ -142,24 +141,23 @@ def leg_coefficients(lh, lt, lc, rw, side):
     return lc, lt, rw, side * lh, lc + rw
 
 
-def leg_kinematics(q, dq, coef):
-    """Positions, Jacobians and foot velocities of a stack of legs.
+def leg_kinematics(q, coef):
+    """Positions and Jacobians of a stack of legs.
 
-    q and dq are (..., L, 3) joint angles and rates; coef is
-    leg_coefficients() of the L legs, broadcast over the leading axes. The
-    six trig terms of each leg are evaluated once and give both the position
-    and the Jacobian. Returns (r, J, v): r (..., L, 3) hip-to-end-effector
-    positions, J (..., L, 3, 3) Jacobians and v (..., L, 3) velocities J @ dq.
+    q is (..., L, 3) joint angles; coef is leg_coefficients() of the L legs,
+    broadcast over the leading axes. The six trig terms of each leg are
+    evaluated once and give both the position and the Jacobian. Returns
+    (r, J): r (..., L, 3) hip-to-end-effector positions and J (..., L, 3, 3)
+    Jacobians. The foot velocities of a stack are leg_columns'.
     """
     # the entries run along the reversed axes of q, (3, L, ...), so a plain
     # transpose serves any number of leading axes; they are stacked into one
-    # contiguous (..., L, 12) array, which fixes the strides J @ dq sees
+    # contiguous (..., L, 12) array, of which r and J are views
     pad = (1,) * (q.ndim - 2)
     coef = [np.reshape(c, np.shape(c) + pad) for c in coef]
     r0, r1, r2, *jac = _leg_entries(*q.T.copy(), coef, np.cos, np.sin)
     entries = np.stack((r0, r1, r2, np.zeros_like(r0), *jac)).T.copy()
-    J = entries[..., 3:].reshape(entries.shape[:-1] + (3, 3))
-    return entries[..., :3], J, (J @ dq[..., None])[..., 0]
+    return entries[..., :3], entries[..., 3:].reshape(entries.shape[:-1] + (3, 3))
 
 
 def leg_rows(q_rows, dq_rows, tau_rows, legs, sigma_min):

@@ -40,10 +40,12 @@ def leg_coefficients(geoms):
 
 def kinematics(geom, q, dq=None):
     """One kernels.leg_kinematics call over a stack of joint samples q (N, 3)
-    of the leg geom, at rates dq (zeros when None): (r, J, v), one row each."""
+    of the leg geom, at rates dq (zeros when None): (r, J, v), one row each,
+    with the foot velocities v = J @ dq."""
     q = np.asarray(q, dtype=float)
     dq = np.zeros_like(q) if dq is None else np.asarray(dq, dtype=float)
-    return kernels.leg_kinematics(q, dq, kernels.leg_coefficients(*geom.kernel_args()))
+    r, J = kernels.leg_kinematics(q, kernels.leg_coefficients(*geom.kernel_args()))
+    return r, J, (J @ dq[..., None])[..., 0]
 
 
 def feet(geoms, q):
@@ -53,7 +55,7 @@ def feet(geoms, q):
     as kernels.leg_rows gives them."""
     q = np.asarray(q, dtype=float)
     q = np.where(np.isfinite(q).all(axis=-1, keepdims=True), q, np.nan)
-    return kernels.leg_kinematics(q, np.zeros_like(q), leg_coefficients(geoms))[0]
+    return kernels.leg_kinematics(q, leg_coefficients(geoms))[0]
 
 
 def filter_cycle(x, P, z, t_now, noise, geom, t=0.0):

@@ -216,7 +216,7 @@ def degrade(frames, imperfections, seed=0, contacts=None, legs=None):
             lh, lt, lc, rw, side, l2 = (p[idx] for p in _leg_params(legs))
             q_hit = q[ks, idx]
             coef = kernels.leg_coefficients(lh, lt, lc, rw, side)
-            foot = kernels.leg_kinematics(q_hit, np.zeros_like(q_hit), coef)[0]
+            foot = kernels.leg_kinematics(q_hit, coef)[0]
             *angles, viol = kernels.ik_joints_array(
                 foot[:, 0], foot[:, 1], foot[:, 2] + dz, lh, lt, l2, side)
             ok = ~(viol > 1e-9)

@@ -54,9 +54,11 @@ def test_criterion_01_kinematics_oracles():
         f_true.append(rng.normal(scale=100.0, size=3))
     q_free, dq, q, f_true = map(np.array, (q_free, dq, q, f_true))
     coef = leg_coefficients(geoms)
-    r, J, v = kernels.leg_kinematics(q_free, dq, coef)
+    r, J = kernels.leg_kinematics(q_free, coef)
+    # the foot velocities the estimator uses: leg_columns', summed as written
+    v = kernels.leg_columns(q_free, dq, np.zeros_like(dq), coef, kernels.SIGMA_MIN)[1]
     J_fd = jacobian_fd_oracle(q_free, coef)
-    J_q = kernels.leg_kinematics(q, np.zeros_like(q), coef)[1]
+    J_q = kernels.leg_kinematics(q, coef)[1]
     tau = (np.swapaxes(J_q, -1, -2) @ f_true[..., None])[..., 0]
     f, ok_f = leg_forces(q, tau, [kernels.leg_coefficients(*g.kernel_args()) for g in geoms])
     worst_fk = worst_jac = worst_vel = worst_wrench = 0.0
@@ -83,8 +85,7 @@ def test_criterion_02_ik_round_trip():
     q, sides = np.array(q), np.array(sides)
     lh, lt, lc, rw, _ = GEOM.kernel_args()
     x = np.zeros((6, len(q)))
-    x[:3] = kernels.leg_kinematics(
-        q, np.zeros_like(q), kernels.leg_coefficients(lh, lt, lc, rw, sides))[0].T
+    x[:3] = kernels.leg_kinematics(q, kernels.leg_coefficients(lh, lt, lc, rw, sides))[0].T
     z, viol, singular = kernels.ik_measurement_rows(
         x, kernels.ik_coefficients(lh, lt, GEOM.l2, sides), DET_EPS)
     worst = np.max(np.abs(z[:3].T - q))
@@ -208,7 +209,7 @@ def test_criterion_09_wheel_propagation(stream):
                           initial_position=[0, 0, plan.body_height])
     est = Estimator(cfg)
     q = np.array([fr.joints[0] for fr in res.frames])
-    r_frames = kernels.leg_kinematics(q, np.zeros_like(q), leg_coefficients(plan.legs))[0]
+    r_frames = kernels.leg_kinematics(q, leg_coefficients(plan.legs))[0]
     worst = 0.0
     for k, (fr, tr) in enumerate(zip(res.frames, res.truth)):
         est.step(fr)

@@ -739,15 +739,31 @@ def test_each_path_runs_the_touchdown_rule_once_per_leg_and_frame(stream, monkey
         assert results == want, size
 
 
-def test_a_step_between_two_frames_of_a_block_raises():
-    # the block's stamp checks were made against the state at its first
-    # frame; a step taken in between would make them stale
+@pytest.mark.parametrize("ikvel_on", [False, True])
+def test_a_step_between_two_frames_of_a_block_is_checked_as_step_checks_it(ikvel_on):
+    # step checks each frame of a block against the state it holds when the
+    # frame comes: after a step past the next frame's stamp that frame raises
+    # step's ValueError, and after one whose stamp lies before it the block
+    # goes on as step does over the frames in the order they were stepped
     plan = preset_plan("walk_line")
     plan.duration = 0.2
     frames = generate_gait(plan).frames
-    est = Estimator(_config(plan))
+    cfg = _config(plan, ikvel_enabled=ikvel_on)
+    est = Estimator(cfg)
     block = est.step_block(frames[:10])
     next(block)
     est.step(frames[10])
-    with pytest.raises(RuntimeError, match="between two frames of a step_block"):
+    with pytest.raises(ValueError, match="not after state stamp"):
         next(block)
+
+    f10 = frames[10]
+    between = SensorFrame((frames[0].stamp + frames[1].stamp) / 2, f10.att, f10.gyro,
+                          f10.joints, f10.wheels)
+    order = [frames[0], between] + frames[1:10]
+    want = _stepped(cfg, order)
+    est = Estimator(cfg)
+    block = est.step_block(frames[:10])
+    got = [(_state_key(next(block)), encode_json(est.diagnostics()))]
+    got.append((_state_key(est.step(between)), encode_json(est.diagnostics())))
+    got.extend((_state_key(st), encode_json(est.diagnostics())) for st in block)
+    assert (got, _estimator_key(est)) == want

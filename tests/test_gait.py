@@ -16,7 +16,7 @@ def _feet_body(plan, frames):
     """Hip-to-foot positions (F, L, 3) of the frames' joint angles: one
     kernels.leg_kinematics call over the stack."""
     q = np.array([fr.joints[0] for fr in frames])
-    return kernels.leg_kinematics(q, np.zeros_like(q), leg_coefficients(plan.legs))[0]
+    return kernels.leg_kinematics(q, leg_coefficients(plan.legs))[0]
 
 
 def test_stance_feet_exactly_stationary():

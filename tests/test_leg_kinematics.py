@@ -48,12 +48,11 @@ def jacobian_fd_oracle(q, coef, step=1e-6):
     """Central differences of the kernels.leg_kinematics positions of a stack
     of joint samples q (N, 3) on coef, as leg_kinematics takes it: (N, 3, 3)."""
     J = np.empty(q.shape + (3,))
-    zeros = np.zeros_like(q)
     for j in range(3):
         e = np.zeros(3)
         e[j] = step
-        J[..., j] = (kernels.leg_kinematics(q + e, zeros, coef)[0]
-                     - kernels.leg_kinematics(q - e, zeros, coef)[0]) / (2 * step)
+        J[..., j] = (kernels.leg_kinematics(q + e, coef)[0]
+                     - kernels.leg_kinematics(q - e, coef)[0]) / (2 * step)
     return J
 
 
@@ -287,7 +286,7 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
         sigma_min = 0.02 if k % 5 == 0 else 1e-6
         r, v, f, ok = _leg_rows(q, dq, tau, sigma_min)
         batches[sigma_min].append((q, dq, tau, r, v, f, ok))
-        r_kin, J, v_kin = kernels.leg_kinematics(q, dq, coef)
+        r_kin, J = kernels.leg_kinematics(q, coef)
         assert np.array_equal(r, r_kin)
         for i, a in enumerate(args):
             assert np.array_equal(r[i], ref.fk_position(q[i], *a))
@@ -297,7 +296,7 @@ def test_leg_frame_bit_equal_to_scalar_kernels():
             f_lapack, ok_lapack = _foot_force_reference(q[i], tau[i], *a, sigma_min)
             assert ok[i] == ok_ref == ok_lapack
             if k % 2 == 0:
-                assert _within(v[i], v_kin[i])
+                assert _within(v[i], J[i] @ dq[i])
                 if ok[i]:
                     assert _within(f[i], f_lapack)
             accepted += ok_lapack
@@ -441,7 +440,7 @@ def test_leg_frame_gates_out_a_leg_whose_wrench_solve_is_singular():
     geoms = [LegGeometry(0.0955, 0.213, 1e9, 0.0, 1), BATCH_GEOMS[1]]
     q = np.array([[0.0, 0.8, -1.6], [0.0, 0.8, -1.6]])
     tau = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
-    J = kernels.leg_kinematics(q, q, leg_coefficients(geoms))[1]
+    J = kernels.leg_kinematics(q, leg_coefficients(geoms))[1]
     assert np.linalg.svd(J[0], compute_uv=False)[2] > 0.1
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(J[:1] @ np.swapaxes(J[:1], -1, -2), tau[:1, :, None])
@@ -530,7 +529,8 @@ def test_leg_kinematics_broadcasts_over_leading_axes():
     args = [g.kernel_args() for g in BATCH_GEOMS]
     q = rng.uniform(-np.pi, np.pi, (7, 4, 3))
     dq = rng.normal(scale=3.0, size=(7, 4, 3))
-    r, J, v = kernels.leg_kinematics(q, dq, leg_coefficients(BATCH_GEOMS))
+    r, J = kernels.leg_kinematics(q, leg_coefficients(BATCH_GEOMS))
+    v = (J @ dq[..., None])[..., 0]
     assert r.shape == v.shape == (7, 4, 3) and J.shape == (7, 4, 3, 3)
     for k in range(7):
         for i, a in enumerate(args):
@@ -545,9 +545,9 @@ def test_leg_kinematics_broadcasts_over_leading_axes():
 def test_leg_kinematics_bytes_equal_the_frozen_term_table():
     # the one set of entry expressions gives the stacked kernel the bytes of
     # the table-driven kernel it replaced: r, J (its J00 +0.0, not -0.0) and
-    # v = J @ dq, over leading axes, both sides, point feet and wheels, angles
-    # in +-pi and the singular poses; and a batch of one on float
-    # coefficients the bytes of that leg in the stack
+    # v = J @ dq on that J, over leading axes, both sides, point feet and
+    # wheels, angles in +-pi and the singular poses; and a batch of one on
+    # float coefficients the bytes of that leg in the stack
     rng = np.random.default_rng(29)
     coef = leg_coefficients(BATCH_GEOMS)
     frozen = ref.leg_coefficients(*zip(*(g.kernel_args() for g in BATCH_GEOMS)))
@@ -562,14 +562,16 @@ def test_leg_kinematics_bytes_equal_the_frozen_term_table():
             elif k % 3 == 2:
                 q = np.array([sample_joint(rng) for _ in range(q.size // 3)]).reshape(shape)
             dq = rng.normal(scale=3.0, size=shape)
-            got = kernels.leg_kinematics(q, dq, coef)
+            got = kernels.leg_kinematics(q, coef)
+            got += ((got[1] @ dq[..., None])[..., 0],)
             want = ref.leg_kinematics(q, dq, frozen)
+            assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert not np.signbit(got[1][..., 0, 0]).any()
             first = (0,) * (len(shape) - 2)
             for i, g in enumerate(BATCH_GEOMS):
-                one = kernels.leg_kinematics(q[first][i:i + 1], dq[first][i:i + 1],
+                one = kernels.leg_kinematics(q[first][i:i + 1],
                                              kernels.leg_coefficients(*g.kernel_args()))
                 for a, b in zip(one, got):
                     assert a.tobytes() == b[first][i:i + 1].tobytes()
