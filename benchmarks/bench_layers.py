@@ -17,14 +17,15 @@ The raw times are written too.
 `step` runs a filter-off estimator over the `stair_trot` stream (a trot over
 the 0.1 m stair step and back, with noisy touchdown heights and a drifting
 IMU yaw) with its stage methods and `step` wrapped with timers, and reads
-what each step spent in each stage: attitude (`_attitude`), the leg kernel
+what each step spent in each stage: attitude (`_attitude`, which holds the
+yaw when the IMU yaw is off), the leg kernel
 (`_leg_frame`: one `tolist()` of the frame's joint array, `kernels.leg_rows`
 on those rows and adding the hip mounts), the contact flags (`_gate`),
 touchdowns and observations (`_observe`: each leg's swing-to-stance test,
 wheel propagation, the plane store and the anchored observations), fusion
 (`_fuse`) and yaw (`_yaw`); `other` is the rest of the step: the input
-checks, the held yaw when the IMU yaw is off, the prediction, building the
-BodyState and the stage timers' own cost. `us_per_frame` gives the stages of
+checks, the prediction, building the BodyState and the stage timers' own
+cost. `us_per_frame` gives the stages of
 the timed pass whose step was fastest and `timed_step`, their sum. A second
 pass runs with no timers, and its figure is `step`. The step builds no
 diagnostics record; a third pass calls `Estimator.diagnostics()` after each
@@ -54,9 +55,11 @@ other.
 replay` does with each line: the parse of the line (`line_parse`,
 `logio._parse_line`), `frame_from_dict`, the step with `diagnostics()`
 after each frame (`step_diagnostics`: the window through
-`Estimator.step_block`, as the replay steps a block), `trajectory_line` and
-the diagnostics line (`diag_line`, `logio.encode_json` plus the newline).
-`line_parser`, `step_path` and `diag_encoder` name the functions timed.
+`Estimator.step_block`, as the replay steps a block), and the window's CSV
+rows (`trajectory_line`, `logio.trajectory_lines`) and diagnostics lines
+(`diag_line`, `logio.diagnostics_lines`), written a block at a time as the
+replay writes them. `line_parser`, `step_path` and `diag_encoder` name the
+functions timed.
 `step_diagnostics_by_frame` times `step` with `diagnostics()` one frame at
 a time on a second estimator, so the two step figures show what the block
 saves; it is left out of `sum`.
@@ -363,7 +366,7 @@ def section_io(legodom, clock):
         del frames  # a replay holds only its window's frames alive
         with open(log, encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]
-    parse, encode = functools.partial(logio._parse_line, orjson=orjson), logio.encode_json
+    parse = functools.partial(logio._parse_line, orjson=orjson)
     out = {}
     est = by_frame = None
     layers = {  # in replay order: each layer takes the one before's output
@@ -374,9 +377,11 @@ def section_io(legodom, clock):
                                        for st in est.step_block(out["frame_from_dict"])],
         "step_diagnostics_by_frame": lambda _: [(by_frame.step(fr), by_frame.diagnostics())
                                                 for fr in out["frame_from_dict"]],
-        "trajectory_line": lambda _: [logio.trajectory_line(st)
-                                      for st, _ in out["step_diagnostics"]],
-        "diag_line": lambda _: [encode(rec) + "\n" for _, rec in out["step_diagnostics"]],
+        # as the replay writes a block
+        "trajectory_line": lambda _: logio.trajectory_lines(
+            [st for st, _ in out["step_diagnostics"]]),
+        "diag_line": lambda _: logio.diagnostics_lines(
+            [rec for _, rec in out["step_diagnostics"]]),
     }
     at_ref, raw = {name: [] for name in layers}, {name: [] for name in layers}
     windows = [lines[i:i + WINDOW] for i in range(0, len(lines) - WINDOW + 1, WINDOW)]
@@ -394,7 +399,7 @@ def section_io(legodom, clock):
               "window": WINDOW,
               "log_bytes_per_frame": round(sum(map(len, lines)) / len(lines), 1),
               "repeat": REPEAT["io"], "line_parser": "logio._parse_line",
-              "step_path": "Estimator.step_block", "diag_encoder": "logio.encode_json",
+              "step_path": "Estimator.step_block", "diag_encoder": "logio.diagnostics_lines",
               "us_per_frame": us, "raw_best_us_per_frame": best}
     return result, us
 

@@ -19,8 +19,8 @@ from itertools import combinations, islice
 from .config import ConfigError, EstimatorConfig, load_config
 from .estimator import Estimator
 from .gait import PRESETS, InfeasiblePlan, degrade, generate_gait, preset_plan
-from .logio import (TRAJ_HEADER, LogParseError, encode_json, iter_frames, read_trajectory,
-                    trajectory_line, write_frames, write_trajectory)
+from .logio import (TRAJ_HEADER, LogParseError, diagnostics_lines, iter_frames,
+                    read_trajectory, trajectory_lines, write_frames, write_trajectory)
 from .metrics import compute_metrics
 from .planfile import load_plan
 
@@ -106,8 +106,9 @@ def cmd_replay(args):
             csv.write(TRAJ_HEADER)
 
             def write_block(steps):
-                csv.write("".join([trajectory_line(st) for st, _ in steps]))
-                diag.write("".join([encode_json(rec) + "\n" for _, rec in steps]))
+                states, records = zip(*steps)
+                csv.write(trajectory_lines(states))
+                diag.write(diagnostics_lines(records))
             code, _, count = _stream(args, write_block)
         return code
 

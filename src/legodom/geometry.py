@@ -159,12 +159,14 @@ def _clip_unit(s):  # a float bounded to [-1, 1]
 
 
 def _rpy_entries(w, x, y, z, clip):
-    """Roll, pitch, yaw (ZYX) of a unit quaternion: numpy floats, with clip
-    _clip_unit, or equal-shape columns with np.clip. numpy's arctan2 and
-    arcsin round alike on floats and columns; math's differ in some values."""
-    return (np.arctan2(2.0 * (w * x + y * z), 1.0 - 2.0 * (x * x + y * y)),
-            np.arcsin(clip(2.0 * (w * y - z * x))),
-            np.arctan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z)))
+    """(roll and yaw, pitch) (ZYX) of a unit quaternion: roll and yaw from
+    one arctan2 on both pairs, stacked in one array, and pitch a numpy
+    float, with clip _clip_unit; or (2, ...) and (...) arrays of
+    equal-shape columns, with np.clip. numpy's arctan2 and arcsin round
+    alike on floats and columns; math's differ in some values."""
+    roll_yaw = np.arctan2((2.0 * (w * x + y * z), 2.0 * (w * z + x * y)),
+                          (1.0 - 2.0 * (x * x + y * y), 1.0 - 2.0 * (y * y + z * z)))
+    return roll_yaw, np.arcsin(clip(2.0 * (w * y - z * x)))
 
 
 def _quat_rpy(w, x, y, z):
@@ -175,8 +177,9 @@ def _quat_rpy(w, x, y, z):
         if n == 0.0:
             raise ValueError("attitude quaternion %r has zero norm" % ([w, x, y, z],))
         w, x, y, z = w / n, x / n, y / n, z / n
-    roll, pitch, yaw = _rpy_entries(w, x, y, z, _clip_unit)
-    return float(roll), float(pitch), float(yaw)
+    roll_yaw, pitch = _rpy_entries(w, x, y, z, _clip_unit)
+    roll, yaw = roll_yaw.tolist()
+    return roll, float(pitch), yaw
 
 
 def quat_to_rpy(q):
@@ -196,7 +199,7 @@ def quat_to_rpy_columns(att):
     w, x, y, z = att.T
     unit = abs(w * w + x * x + y * y + z * z - 1.0) <= 1e-12
     rpy = np.empty((3, len(att)))
-    rpy[:, unit] = _rpy_entries(*att[unit].T, lambda s: np.clip(s, -1.0, 1.0))
+    rpy[::2, unit], rpy[1, unit] = _rpy_entries(*att[unit].T, lambda s: np.clip(s, -1.0, 1.0))
     for k in np.flatnonzero(~unit):
         rpy[:, k] = quat_to_rpy(att[k])
     return rpy

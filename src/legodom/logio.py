@@ -16,20 +16,42 @@ double, a lone surrogate. It reads any nesting depth, where `json.loads`
 stops at the interpreter's recursion limit, so a line that may nest deeper
 than _DEEP levels goes to `json.loads` directly. Where both read a line they
 give bit-equal floats; orjson gives an integer beyond 64 bits as a float,
-which `frame_from_dict` converts to the same float. orjson is imported by
-`iter_frames`, so importing this module leaves it unloaded.
+which `frame_from_dict` converts to the same float.
 
 `encode_json` (`json.dumps` less its circular check) keeps full double
 precision, so write-then-read is the identity and repeated runs are
 byte-identical.
 
+Every writer spells its floats in two steps: orjson spells them (Ryu, the
+shortest string that reads back to the same double), and `_repr_floats`
+turns orjson's text into `float.__repr__`'s, which is what `repr` and
+json's encoder write. The two differ only in two forms: the exponent
+(orjson `1e-6` and `1e16`, repr `1e-06` and `1e+16`) and a magnitude in
+[1e-5, 1e-4) (orjson `0.000015`, repr `1.5e-05`). orjson spells a
+non-finite float `null`, and refuses a value that is not one of Python's
+own JSON types (an `np.float64`, an integer beyond 64 bits, a key that is
+not a string); the CSV and diagnostics writers send a block holding either
+through the reference spelling. orjson is imported by the functions that
+use it, so importing this module leaves it unloaded.
+
+`trajectory_line` is the reference spelling of a CSV row, and
+`trajectory_lines` writes a block of rows with one `orjson.dumps`: it
+falls back for a row that holds anything but finite floats and ints.
+`encode_json(record) + "\\n"` is the reference spelling of a diagnostics
+line, and `diagnostics_lines` writes a block of records with one
+`orjson.dumps` a record, then the fix-up, then json's `", "` and `": "`
+spacing. It falls back for a block with a non-finite float (its `null`
+count exceeds the None count of its records), a value orjson refuses, or
+a string holding a `,`, `:`, digit, `"`, `\\` or non-ASCII character:
+there the spacing, the fix-up or the escaping would differ.
+
 `frame_to_dict` is the reference spelling of a log line:
 `encode_json(frame_to_dict(frame))`. `write_frames` writes those bytes on
 columns. It stacks a block of frames into one (B, K) float array in line
-order, spells each distinct value of the block once with `float.__repr__`
-(what json's C encoder calls for a float; `NaN`, `Infinity` and `-Infinity`
-for the others), and fills one %-template per leg count and wheel layout,
-itself derived from the reference spelling. A block it cannot spell exactly
+order, spells each distinct value of the block once (orjson and the
+fix-up; `NaN`, `Infinity` and `-Infinity`, json's spelling, for the
+others), and fills one %-template per leg count and wheel layout, itself
+derived from the reference spelling. A block it cannot spell exactly
 (mixed layouts, an `int` stamp, a wheel value that is not a `float`) goes
 through the reference, frame by frame.
 """
@@ -137,10 +159,37 @@ def frame_from_dict(d):
     return SensorFrame(t, att, gyro, joints, wheels)
 
 
+# orjson's two float forms that float.__repr__ spells otherwise. An
+# exponent: orjson writes e16 and e-6 where repr writes e+16 and e-06. A
+# magnitude in [1e-5, 1e-4): orjson writes 0.000015 where repr writes
+# 1.5e-05. Its match starts at the point, which is found faster than the 0
+# before it; that 0 must not follow a digit (10.00001 is not one)
+_POSITIVE_EXPONENT = re.compile(r"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(r"e-(?=\d(?!\d))")
+_TINY = re.compile(r"\.0000(?<=0\.0000)(?<!\d0\.0000)(\d)(\d*)")
+
+
+def _repr_floats(text):
+    """orjson's text with each finite float spelled as `float.__repr__`
+    spells it. Every digit of text must belong to a number, so a string in
+    it must hold none (see the module docstring)."""
+    if "e" in text:
+        text = _ONE_DIGIT_EXPONENT.sub("e-0", _POSITIVE_EXPONENT.sub("e+", text))
+    pieces = _TINY.split(text)
+    if len(pieces) == 1:
+        return text
+    # text, first digit, other digits, text, ...: each text but the last
+    # ends in the 0 of the 0.0000 after it
+    texts = pieces[::3]
+    tiny = [d + "." + rest + "e-05" if rest else d + "e-05"
+            for d, rest in zip(pieces[1::3], pieces[2::3])]
+    return "".join([t[:-1] + number for t, number in zip(texts, tiny)]) + texts[-1]
+
+
 # frames per block of the column writer; bounds its (B, K) arrays and strings
 _BLOCK = 256
-# the spellings of json's encoder for the values float.__repr__ spells otherwise
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's spellings of the infinities, which orjson spells null like NaN
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 _NUMBER = re.compile(r"\d+\.\d+")
 
 
@@ -184,6 +233,8 @@ def _spell_block(frames):
     one that the column writer spells exactly: mixed legs or wheel layouts,
     a stamp or wheel value that is not a float, or an array that is not
     float64."""
+    import orjson
+
     kinds = {(type(fr.stamp), fr.att.dtype, fr.gyro.dtype, fr.joints.dtype,
               fr.att.shape, fr.gyro.shape, fr.joints.shape,
               None if fr.wheels is None else tuple(map(type, fr.wheels))) for fr in frames}
@@ -209,9 +260,10 @@ def _spell_block(frames):
     # each distinct value spelled once; the int64 view keeps -0.0 apart from 0.0
     codes, index = _distinct(table.view(np.int64))
     values = codes.view(np.float64)
-    words = list(map(float.__repr__, values.tolist()))
+    floats = values.tolist()
+    words = _repr_floats(orjson.dumps(floats).decode())[1:-1].split(",")
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        words[k] = _NON_FINITE[words[k]]
+        words[k] = _NON_FINITE.get(floats[k], "NaN")
     return (template * len(frames)) % tuple(np.array(words, dtype=object)[index].tolist())
 
 
@@ -280,16 +332,88 @@ def read_frames(path, n_legs=None):
     return list(iter_frames(path, n_legs))
 
 
+def _row(state: BodyState):
+    return [float(state.stamp), *state.position.tolist(), *state.rpy.tolist(),
+            *state.velocity.tolist()]
+
+
 def trajectory_line(state: BodyState):
-    """The CSV row of a state, with its newline."""
-    return ",".join(map(repr, [float(state.stamp), *state.position.tolist(),
-                               *state.rpy.tolist(), *state.velocity.tolist()])) + "\n"
+    """The CSV row of a state, with its newline: the reference spelling of
+    `trajectory_lines`."""
+    return ",".join(map(repr, _row(state))) + "\n"
+
+
+# what a CSV block of finite numbers holds, in orjson's spelling
+_CSV_BYTES = b"0123456789.,-e\n"
+
+
+def trajectory_lines(states):
+    """The CSV rows of states, as one string: the bytes of
+    `"".join(map(trajectory_line, states))`, spelled with one `orjson.dumps`
+    of the rows (see the module docstring)."""
+    import orjson
+
+    rows = list(map(_row, states))
+    if not rows:
+        return ""
+    try:
+        text = b"\n".join(orjson.dumps(rows)[2:-2].split(b"],["))
+    except orjson.JSONEncodeError:
+        text = None
+    # anything but numbers (null for a non-finite float, a nested list, a
+    # bool) leaves a byte outside _CSV_BYTES
+    if text is None or text.translate(None, _CSV_BYTES):
+        return "".join(map(trajectory_line, states))
+    return _repr_floats(text.decode()) + "\n"
 
 
 def write_trajectory(path, states):
+    """Write states as a trajectory CSV: the header, then the rows,
+    _BLOCK states at a time through `trajectory_lines`."""
+    states = iter(states)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRAJ_HEADER)
-        fh.writelines(map(trajectory_line, states))
+        while block := list(islice(states, _BLOCK)):
+            fh.write(trajectory_lines(block))
+
+
+# the text of records whose every string holds no `,`, `:` (json spaces
+# them), digit (_repr_floats reads them), `"` or `\` (escaped): a string
+# starts at every other `"`
+_PLAIN_STRINGS = re.compile(r'(?:[^"]*"[^"\\,:0-9]*")*[^"]*')
+
+
+def _nones(record):
+    """The Nones of a record's top-level values and of its top-level lists:
+    at most the record's `null`s in orjson's text, and all of them in a
+    diagnostics record."""
+    count = 0
+    for value in record.values() if type(record) is dict else ():
+        if value is None:
+            count += 1
+        elif type(value) is list:
+            count += value.count(None)
+    return count
+
+
+def diagnostics_lines(records):
+    """The diagnostics lines of records, as one string: the bytes of
+    `"".join(encode_json(rec) + "\\n" for rec in records)`, spelled with one
+    `orjson.dumps` a record (see the module docstring)."""
+    import orjson
+
+    if not records:
+        return ""
+    try:
+        text = b"\n".join(map(orjson.dumps, records)).decode()
+    except orjson.JSONEncodeError:
+        text = None
+    if text is not None and text.isascii() and _PLAIN_STRINGS.fullmatch(text):
+        # orjson spells a non-finite float null, as it spells None
+        nulls = text.count("null")
+        if not nulls or nulls == sum(map(_nones, records)):
+            return _repr_floats(text).replace(",", ", ").replace(":", ": ") + "\n"
+    return "".join([encode_json(rec) + "\n" for rec in records])
 
 
 def read_trajectory(path):
@@ -321,4 +445,5 @@ def read_trajectory(path):
 
 __all__ = ["LogParseError", "TRAJ_COLUMNS", "TRAJ_HEADER", "encode_json", "frame_to_dict",
            "frame_from_dict", "write_frames", "iter_frames", "read_frames",
-           "write_trajectory", "read_trajectory", "trajectory_line"]
+           "write_trajectory", "read_trajectory", "trajectory_line", "trajectory_lines",
+           "diagnostics_lines"]

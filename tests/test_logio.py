@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legodom import (ConfigError, EstimatorConfig, LegGeometry, SensorFrame, WheelReading,
-                     generate_gait, load_config, parse_config_text, preset_plan, save_config)
+from legodom import (ConfigError, Estimator, EstimatorConfig, LegGeometry, SensorFrame,
+                     WheelReading, degrade, generate_gait, load_config, parse_config_text,
+                     preset_plan, save_config)
 from legodom import logio
 from legodom.estimator import BodyState
+from legodom.gait import PRESETS
 from legodom.logio import (LogParseError, encode_json, frame_to_dict, read_frames,
-                           read_trajectory, write_frames, write_trajectory)
+                           read_trajectory, trajectory_line, write_frames, write_trajectory)
 from legodom.planfile import parse_plan_text
 
 
@@ -144,6 +146,197 @@ def test_the_column_writers_distinct_values_are_numpys_unique():
     want_codes, want_index = np.unique(ints.ravel(), return_inverse=True)
     assert codes.dtype == want_codes.dtype and index.dtype == want_index.dtype
     assert codes.tolist() == want_codes.tolist() and index.tolist() == want_index.tolist()
+
+
+# --- the float speller and the replay's block writers --------------------------
+
+def _spelled(values):
+    """Each of a list of finite floats as the writers spell it: orjson's
+    text of the list, through the speller."""
+    return logio._repr_floats(orjson.dumps(values).decode())[1:-1].split(",")
+
+
+def _both_signs(values):
+    return [v for x in values for v in (x, -x)]
+
+
+def test_the_float_speller_spells_random_bit_patterns_as_repr():
+    bits = np.random.default_rng(35).integers(0, 2 ** 64, size=250_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)].tolist()
+    assert len(values) > 200_000
+    assert _spelled(values) == list(map(repr, values))
+
+
+def test_the_float_speller_spells_every_power_of_ten_and_its_neighbours_as_repr():
+    # every decade boundary that is a double, the two doubles beside it, and
+    # each digit count from 1 to 17 around the decades where orjson and repr
+    # switch between fixed and exponent forms
+    powers = [float("1e%d" % k) for k in range(-323, 309)]
+    values = [v for p in powers for v in (np.nextafter(p, 0.0), p, np.nextafter(p, np.inf))]
+    values += [float("1.%se%d" % ("2345678901234567"[:digits], k))
+               for digits in range(17) for k in range(-8, 20)]
+    values = _both_signs([float(v) for v in values if np.isfinite(v)])
+    assert _spelled(values) == list(map(repr, values))
+
+
+def test_the_float_speller_spells_subnormals_zeros_extremes_and_the_tiny_form_as_repr():
+    tiny = np.random.default_rng(36).uniform(1e-5, 1e-4, size=2000).tolist()
+    values = (
+        [0.0, -0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+         1.7976931348623157e308]
+        + (np.arange(1, 2000) * 5e-324).tolist()
+        # [1e-5, 1e-4): orjson writes 0.0000d..., repr d...e-05
+        + [1e-5, 1.5e-5, 9.999999999999999e-05, np.nextafter(1e-4, 0.0), 1e-4] + tiny
+        # 0.0000 after a digit, and other near misses, are not the tiny form
+        + [10.00001, 100.00003, 1230.00004, 10.000015, 0.00010001, 1.00001e-6])
+    values = _both_signs([float(v) for v in values])
+    assert _spelled(values) == list(map(repr, values))
+
+
+@pytest.fixture(scope="module")
+def replays(stream):
+    """{name: [(states, records) of each replay block]}: every preset's
+    replay with the default config, and each replay-benchmark workload's
+    degraded stream at seed 0 with its config, stepped as `legodom replay`
+    steps them."""
+    from test_stream_digests import sd
+
+    runs = {name: (stream(name)[2], EstimatorConfig()) for name in PRESETS}
+    for name, (plan_text, config) in sd.WORKLOADS.items():
+        plan = parse_plan_text(sd.workload_plan(plan_text, 0))
+        res = generate_gait(plan)
+        runs[name] = (degrade(res.frames, plan.imperfections, seed=0, contacts=res.contacts,
+                              legs=plan.legs), parse_config_text(config))
+    out = {}
+    for name, (frames, cfg) in runs.items():
+        est = Estimator(cfg)
+        out[name] = [tuple(zip(*[(st, est.diagnostics()) for st in est.step_block(block)]))
+                     for block in (frames[k:k + 256] for k in range(0, len(frames), 256))]
+    return out
+
+
+def _reference_csv(states):
+    return "".join(map(trajectory_line, states))
+
+
+def _reference_diag(records):
+    return "".join(encode_json(rec) + "\n" for rec in records)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts of the calls the block writers make to their reference
+    spellings, `trajectory_line` and `encode_json`."""
+    calls = {"trajectory_line": 0, "encode_json": 0}
+    for name in calls:
+        reference = getattr(logio, name)
+
+        def counted(value, reference=reference, name=name):
+            calls[name] += 1
+            return reference(value)
+        monkeypatch.setattr(logio, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", PRESETS + ("stair_trot", "ckf_walk", "wheel_cli"))
+def test_the_block_writers_spell_each_replay_as_their_references(replays, name, fallbacks):
+    blocks = replays[name]
+    want = [(_reference_csv(states), _reference_diag(records)) for states, records in blocks]
+    got = [(logio.trajectory_lines(states), logio.diagnostics_lines(records))
+           for states, records in blocks]
+    assert got == want
+    # every block is spelled by orjson, none through the reference
+    assert fallbacks == {"trajectory_line": 0, "encode_json": 0}
+
+
+def _state(*values, stamp=1.5):
+    """A BodyState of position, rpy and velocity from nine values."""
+    return BodyState(np.array(values[:3]), np.array(values[3:6]), np.array(values[6:]), stamp)
+
+
+PLAIN = (0.1, -0.2, 0.3, 0.01, -0.02, 0.03, 1.0, 0.0, -0.5)
+# (states, whether the writer must take the reference spelling)
+STATE_CASES = {
+    "plain": ([_state(*PLAIN)] * 3, False),
+    "tiny_and_exponent": ([_state(1.5e-5, -9.99e-5, 1e-5, 10.00001, 1e-7, -2.5e-12,
+                                  1e16, -1.2e300, 5e-324, stamp=3e-05)], False),
+    "int_arrays": ([BodyState(np.arange(3), np.zeros(3, dtype=int), np.ones(3, dtype=int), 2)],
+                   False),
+    "numpy_float_stamp": ([_state(*PLAIN, stamp=np.float64(0.25))], False),
+    "nan": ([_state(*PLAIN), _state(0.1, np.nan, *PLAIN[2:])], True),
+    "negative_nan": ([_state(*PLAIN[:8], np.copysign(np.nan, -1.0))], True),
+    "infinities": ([_state(np.inf, -np.inf, *PLAIN[2:])], True),
+    "infinite_stamp": ([_state(*PLAIN, stamp=np.inf)], True),
+    "bool_array": ([BodyState(np.array([True, False, True]), np.zeros(3), np.zeros(3), 0.5)],
+                   True),
+    "nested_array": ([BodyState(np.zeros((3, 1)), np.zeros(3), np.zeros(3), 0.5)], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_CASES))
+def test_trajectory_lines_spell_odd_states_as_the_reference(case, fallbacks):
+    states, falls_back = STATE_CASES[case]
+    want = _reference_csv(states)
+    assert logio.trajectory_lines(states) == want
+    assert (fallbacks["trajectory_line"] > 0) == falls_back
+
+
+def test_write_trajectory_writes_each_block_as_the_reference(tmp_path):
+    rng = np.random.default_rng(37)
+    values = rng.normal(size=(600, 9)) * rng.choice([1e-5, 3e-5, 1e-3, 1.0, 1e17], (600, 9))
+    states = [_state(*row, stamp=0.004 * k) for k, row in enumerate(values.tolist())]
+    states[300] = _state(np.nan, *PLAIN[1:])  # the block holding it goes through the reference
+    path = tmp_path / "traj.csv"
+    write_trajectory(path, states)
+    assert path.read_text() == logio.TRAJ_HEADER + _reference_csv(states)
+
+
+def _record(**changes):
+    record = {"t": 0.5, "n_contacts": 2, "contacts": [0, 3], "touchdowns": [3],
+              "anchors": [[0.2, 0.1, 0.0], None, None, [-0.2, -0.1, 0.0]],
+              "planes": [{"h": 0.0, "w": 2.0, "t": 0.25}], "yaw_kin": 0.01, "yaw_err": -0.002,
+              "mode": "fused"}
+    record.update(changes)
+    return record
+
+
+# (records, whether the writer must take the reference spelling)
+RECORD_CASES = {
+    "plain": ([_record(), {}, _record(yaw_kin=None, yaw_err=None, mode="predict")], False),
+    "tiny_anchor_and_yaw_err": ([_record(anchors=[[1.5e-5, -9.99e-5, 10.00001], None,
+                                                  [1e-5, 3e-5, -1e-7], None],
+                                         yaw_err=3.25e-05)], False),
+    "exponents": ([_record(yaw_kin=1e-7, yaw_err=-2.5e-17,
+                           planes=[{"h": 1e16, "w": 1e300, "t": 5e-324}])], False),
+    "bool_and_big_int": ([_record(n_contacts=True, contacts=[2 ** 63 - 1])], False),
+    "nan_yaw_err": ([_record(), _record(yaw_err=np.nan)], True),
+    "infinite_anchor": ([_record(anchors=[[np.inf, 0.0, 0.0], None, None, None])], True),
+    "negative_infinite_plane": ([_record(planes=[{"h": -np.inf, "w": 1.0, "t": 0.0}])], True),
+    "nested_none": ([_record(planes=[{"h": None, "w": 1.0, "t": 0.0}])], True),
+    "numpy_float": ([_record(yaw_kin=np.float64(0.5))], True),
+    "int_beyond_64_bits": ([_record(n_contacts=2 ** 64)], True),
+    "int_key": ([{1: 2.5}], True),
+    "comma_in_string": ([_record(mode="a,b")], True),
+    "colon_in_key": ([{"a:b": 1.5}], True),
+    "digit_in_string": ([_record(mode="0.00001e5")], True),
+    "quote_in_string": ([_record(mode='say "hi"')], True),
+    "backslash_in_key": ([{"a\\b": 1.5}], True),
+    "newline_in_string": ([_record(mode="a\nb")], True),
+    "non_ascii_string": ([_record(mode="gefüllt")], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_diagnostics_lines_spell_odd_records_as_the_reference(case, fallbacks):
+    records, falls_back = RECORD_CASES[case]
+    want = _reference_diag(records)
+    assert logio.diagnostics_lines(records) == want
+    assert (fallbacks["encode_json"] > 0) == falls_back
+
+
+def test_the_block_writers_of_no_rows_write_nothing():
+    assert logio.trajectory_lines([]) == "" and logio.diagnostics_lines([]) == ""
 
 
 def _refuse(line):
