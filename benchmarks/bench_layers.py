@@ -17,15 +17,14 @@ The raw times are written too.
 `step` runs a filter-off estimator over the `stair_trot` stream (a trot over
 the 0.1 m stair step and back, with noisy touchdown heights and a drifting
 IMU yaw) with its stage methods and `step` wrapped with timers, and reads
-what each step spent in each stage: attitude (`_attitude`, which holds the
-yaw when the IMU yaw is off), the leg kernel
+what each step spent in each stage: attitude (`_attitude`), the leg kernel
 (`_leg_frame`: one `tolist()` of the frame's joint array, `kernels.leg_rows`
 on those rows and adding the hip mounts), the contact flags (`_gate`),
 touchdowns and observations (`_observe`: each leg's swing-to-stance test,
 wheel propagation, the plane store and the anchored observations), fusion
 (`_fuse`) and yaw (`_yaw`); `other` is the rest of the step: the input
-checks, the prediction, building the BodyState and the stage timers' own
-cost. `us_per_frame` gives the stages of
+checks, the held yaw when the IMU yaw is off, the prediction, building the
+BodyState and the stage timers' own cost. `us_per_frame` gives the stages of
 the timed pass whose step was fastest and `timed_step`, their sum. A second
 pass runs with no timers, and its figure is `step`. The step builds no
 diagnostics record; a third pass calls `Estimator.diagnostics()` after each
@@ -58,8 +57,8 @@ after each frame (`step_diagnostics`: the window through
 `Estimator.step_block`, as the replay steps a block), and the window's CSV
 rows (`trajectory_line`, `logio.trajectory_lines`) and diagnostics lines
 (`diag_line`, `logio.diagnostics_lines`), written a block at a time as the
-replay writes them. `line_parser`, `step_path` and `diag_encoder` name the
-functions timed.
+replay writes them. `line_parser`, `step_path`, `csv_writer` and
+`diag_encoder` name the functions timed.
 `step_diagnostics_by_frame` times `step` with `diagnostics()` one frame at
 a time on a second estimator, so the two step figures show what the block
 saves; it is left out of `sum`.
@@ -399,7 +398,8 @@ def section_io(legodom, clock):
               "window": WINDOW,
               "log_bytes_per_frame": round(sum(map(len, lines)) / len(lines), 1),
               "repeat": REPEAT["io"], "line_parser": "logio._parse_line",
-              "step_path": "Estimator.step_block", "diag_encoder": "logio.diagnostics_lines",
+              "step_path": "Estimator.step_block", "csv_writer": "logio.trajectory_lines",
+              "diag_encoder": "logio.diagnostics_lines",
               "us_per_frame": us, "raw_best_us_per_frame": best}
     return result, us
 

@@ -39,7 +39,7 @@ other frame each stance leg's observation is computed once, in leg order.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
@@ -224,8 +224,6 @@ class Estimator:
             contacts = self._gate(rot, forces, ok)
         else:
             roll, pitch, yaw, rot, gyro, feet, foot_vel, contacts = _block
-            if rot is None:  # the block holds no yaw when the IMU yaw is off
-                yaw, rot = self._held_yaw(roll, pitch)
             q_rows = dq_rows = None
             if wheels:
                 q_rows, dq_rows, _ = frame.joints.tolist()
@@ -233,6 +231,10 @@ class Estimator:
                 # the block hands the filter's input, the hip-to-foot positions
                 foot_vel = self.ikvel.update(t, frame.joints[0], frame.joints[1],
                                              foot_vel).tolist()
+        if not cfg.imu_yaw_enabled:
+            # the IMU yaw channel is not trusted: yaw is held from the state
+            yaw = self._rpy[2]
+            rot = rpy_rows(roll, pitch, yaw)
 
         stamp = self._stamp
         dt = 0.0 if stamp is None else t - stamp
@@ -293,15 +295,11 @@ class Estimator:
                                               cfg.force_threshold)
                 feet = r + self._hip_mount_columns
             # each frame's terms, taken to Python lists once; with the filter
-            # on, step replaces the foot velocities from the rows of r, and
-            # with the IMU yaw off, it holds the yaw and builds the rotation
-            if cfg.imu_yaw_enabled:
-                yaw = yaw.tolist()
-                rot = np.stack([c for row in rot for c in row], axis=1).reshape(-1, 3, 3).tolist()
-            else:
-                yaw = rot = repeat(None)
-            terms = zip(roll.tolist(), pitch.tolist(), yaw, rot, gyro.tolist(), feet.tolist(),
-                        r if cfg.ikvel_enabled else v.tolist(), contacts.tolist())
+            # on, step replaces the foot velocities from the rows of r
+            rot = np.stack([c for row in rot for c in row], axis=1).reshape(-1, 3, 3)
+            terms = zip(roll.tolist(), pitch.tolist(), yaw.tolist(), rot.tolist(),
+                        gyro.tolist(), feet.tolist(), r if cfg.ikvel_enabled else v.tolist(),
+                        contacts.tolist())
         for fr, frame_terms in zip_longest(frames, terms):
             yield self.step(fr, frame_terms)
 
@@ -312,18 +310,10 @@ class Estimator:
 
     def _attitude(self, att):
         """(roll, pitch, yaw, rotation rows) of the frame's attitude
-        quaternion, given as a list of floats, with the yaw held from the
+        quaternion, given as a list of floats; step holds the yaw from the
         state when the IMU yaw channel is not trusted."""
         roll, pitch, yaw = _quat_rpy(*att)
-        if not self.config.imu_yaw_enabled:
-            return (roll, pitch, *self._held_yaw(roll, pitch))
         return roll, pitch, yaw, rpy_rows(roll, pitch, yaw)
-
-    def _held_yaw(self, roll, pitch):
-        """(yaw, rotation rows) with the yaw held from the state: the IMU
-        yaw channel is not trusted."""
-        yaw = self._rpy[2]
-        return yaw, rpy_rows(roll, pitch, yaw)
 
     def _leg_frame(self, frame, t):
         """Kinematics, wrench and gating of every leg in one kernel call on

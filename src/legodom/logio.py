@@ -31,6 +31,9 @@ json's encoder write. The two differ only in two forms: the exponent
 non-finite float `null`, and refuses a value that is not one of Python's
 own JSON types (an `np.float64`, an integer beyond 64 bits, a key that is
 not a string); the CSV and diagnostics writers send a block holding either
+through the reference spelling. Where orjson switches between its forms is
+not documented, so on first use the writers spell a few values at those
+edges (`_speller_exact`); if any differs from `repr`, every block goes
 through the reference spelling. orjson is imported by the functions that
 use it, so importing this module leaves it unloaded.
 
@@ -186,6 +189,26 @@ def _repr_floats(text):
     return "".join([t[:-1] + number for t, number in zip(texts, tiny)]) + texts[-1]
 
 
+# values at the edges of orjson's forms, on both sides: where it switches
+# from fixed to exponent notation (1e16, 1e-5) and where its 0.0000d form
+# starts (1e-4). orjson does not document these edges; a release that moves
+# one makes _repr_floats spell some probe otherwise than repr
+_PROBES = [sign * v for v in (1e15, 9999999999999998.0, 1e16, 1.0000000000000002e16, 1e17,
+                              0.00010000000000000002, 1e-4, 9.999999999999999e-05, 9.99e-05,
+                              1.5e-05, 1.0000000000000003e-05, 1e-5, 9.999999999999999e-06,
+                              1e-6, 1e-7, 5e-324)
+           for sign in (1.0, -1.0)]
+
+
+@lru_cache(maxsize=1)
+def _speller_exact():
+    """Whether `_repr_floats` of orjson's text spells every probe as `repr`
+    does; when not, every writer spells through its reference."""
+    import orjson
+
+    return _repr_floats(orjson.dumps(_PROBES).decode()) == "[%s]" % ",".join(map(repr, _PROBES))
+
+
 # frames per block of the column writer; bounds its (B, K) arrays and strings
 _BLOCK = 256
 # json's spellings of the infinities, which orjson spells null like NaN
@@ -238,7 +261,7 @@ def _spell_block(frames):
     kinds = {(type(fr.stamp), fr.att.dtype, fr.gyro.dtype, fr.joints.dtype,
               fr.att.shape, fr.gyro.shape, fr.joints.shape,
               None if fr.wheels is None else tuple(map(type, fr.wheels))) for fr in frames}
-    if len(kinds) != 1:
+    if len(kinds) != 1 or not _speller_exact():
         return None
     stamp, *dtypes, att_shape, gyro_shape, joints_shape, wheel_types = kinds.pop()
     n_legs = joints_shape[1]
@@ -356,6 +379,8 @@ def trajectory_lines(states):
     rows = list(map(_row, states))
     if not rows:
         return ""
+    if not _speller_exact():
+        return "".join(map(trajectory_line, states))
     try:
         text = b"\n".join(orjson.dumps(rows)[2:-2].split(b"],["))
     except orjson.JSONEncodeError:
@@ -405,7 +430,7 @@ def diagnostics_lines(records):
     if not records:
         return ""
     try:
-        text = b"\n".join(map(orjson.dumps, records)).decode()
+        text = b"\n".join(map(orjson.dumps, records)).decode() if _speller_exact() else None
     except orjson.JSONEncodeError:
         text = None
     if text is not None and text.isascii() and _PLAIN_STRINGS.fullmatch(text):

@@ -339,6 +339,38 @@ def test_the_block_writers_of_no_rows_write_nothing():
     assert logio.trajectory_lines([]) == "" and logio.diagnostics_lines([]) == ""
 
 
+@pytest.fixture
+def fresh_speller_check():
+    """`logio._speller_exact` re-run on its next call, and again after the test."""
+    logio._speller_exact.cache_clear()
+    yield logio._speller_exact
+    logio._speller_exact.cache_clear()
+
+
+def test_the_installed_orjson_spells_the_edges_of_its_forms_as_repr(fresh_speller_check):
+    # were it not, every writer would spell through its reference
+    assert fresh_speller_check()
+
+
+def test_a_speller_that_misses_an_edge_sends_every_writer_through_its_reference(
+        fresh_speller_check, fallbacks, monkeypatch, stream, tmp_path):
+    # as an orjson release that kept its exponent form past the fix-up would
+    spell = logio._repr_floats
+    monkeypatch.setattr(logio, "_repr_floats", lambda text: spell(text).replace("e+", "e"))
+    assert not fresh_speller_check()
+    states, _ = STATE_CASES["tiny_and_exponent"]
+    records, _ = RECORD_CASES["exponents"]
+    assert logio.trajectory_lines(states) == _reference_csv(states)
+    assert logio.diagnostics_lines(records) == _reference_diag(records)
+    assert fallbacks["trajectory_line"] > 0 and fallbacks["encode_json"] > 0
+    _, _, frames = stream("wheel_roll", 0, WHEEL_CLI)
+    frames = frames[:300]
+    assert logio._spell_block(frames[:logio._BLOCK]) is None
+    write_frames(tmp_path / "log.jsonl", frames)
+    reference = "".join(encode_json(frame_to_dict(fr)) + "\n" for fr in frames)
+    assert (tmp_path / "log.jsonl").read_text() == reference
+
+
 def _refuse(line):
     raise orjson.JSONDecodeError("refused", line, 0)
 
